@@ -78,7 +78,7 @@ let equal a b =
 
 let pp ppf t =
   let line verb (sym, tup, n) =
-    Fmt.pf ppf "@[%s %s(%s)%s@]@." verb (Symbol.name sym)
+    Format.fprintf ppf "@[%s %s(%s)%s@]@." verb (Symbol.name sym)
       (String.concat ", " (List.map Term.const_str tup))
       (if n = 1 then "" else Printf.sprintf " x%d" n)
   in

@@ -118,9 +118,41 @@ let const_int = function
      | Some i -> i
      | None -> unsafe "aggregate over non-integer value %S" s)
 
+(* Join order of an aggregate's conjunction: most-bound-first, the rule
+   [pick_literal] applies to body literals, counting as bound both the
+   outer environment and the locals of atoms already placed.  Ties keep
+   source order.  In source order, a per-key count such as
+   [cntd(T; track(T, ...), rev(_, _, T, R))] with [R] bound would scan
+   every [track] before probing [rev] by [R]. *)
+let join_order env (atoms : Term.atom list) =
+  let score placed (a : Term.atom) =
+    List.fold_left
+      (fun n t ->
+        match t with
+        | Term.Const _ -> n + 1
+        | Term.Var v when lookup env v <> None || List.mem v placed -> n + 1
+        | _ -> n)
+      0 a.Term.args
+  in
+  let rec go placed acc = function
+    | [] -> List.rev acc
+    | a :: rest as atoms ->
+      let best =
+        List.fold_left
+          (fun best a -> if score placed a > score placed best then a else best)
+          a rest
+      in
+      let rec drop = function
+        | [] -> []
+        | a :: rest -> if a == best then rest else a :: drop rest
+      in
+      go (Term.atom_vars best @ placed) (best :: acc) (drop atoms)
+  in
+  go [] [] atoms
+
 (* All consistent local-binding vectors of joined tuples matching the
    conjunctive pattern. *)
-let agg_matches store env (g : Term.agg) =
+let conj_matches store env (atoms : Term.atom list) =
   let candidate_with_prior prior (a : Term.atom) =
     (* Use the indexes also when an argument is bound by a prior local
        binding rather than the outer environment. *)
@@ -149,10 +181,10 @@ let agg_matches store env (g : Term.agg) =
             (fun tup -> match_tuple ~prior env atom.Term.args tup)
             (candidate_with_prior prior atom))
         vecs)
-    [ [] ] g.Term.atoms
+    [ [] ] (join_order env atoms)
 
 let eval_agg store env (g : Term.agg) =
-  let matches = agg_matches store env g in
+  let matches = conj_matches store env g.Term.atoms in
   let target_values () =
     match g.Term.target with
     | None -> unsafe "aggregate %s requires a target term" (Term.agg_op_str g.Term.op)
@@ -386,3 +418,5 @@ let consistent ?params store denials =
 
 let first_violated ?params store denials =
   List.find_opt (fun d -> violated ?params store d) denials
+
+let matches store atoms = conj_matches store (Hashtbl.create 1) atoms

@@ -52,3 +52,8 @@ val first_violated :
   Store.t ->
   Term.denial list ->
   Term.denial option
+
+val matches : Store.t -> Term.atom list -> (string * Term.const) list list
+(** Every binding vector of a conjunction of atoms over the store: the
+    rows an aggregate over these atoms ranges over.  The atoms are
+    joined most-bound-first, whatever their source order. *)

@@ -10,14 +10,21 @@
     - denials whose relations the delta does not touch are skipped
       untouched (the common case: a one-statement transaction touches a
       handful of relations out of the whole schema);
-    - {e monotone} denials (positive and comparison literals only) are
+    - {e monotone} denials (positive and comparison literals, and
+      [cnt]/[cntd] aggregates bounded from below by [>] or [>=]) are
       maintained exactly: net deletions can only retract witnesses, so
       existing rows are re-verified against the post-state store; net
       insertions can only add witnesses that use at least one inserted
       fact, so each inserted fact is unified against each matching
       positive literal and the residual denial is evaluated with that
-      literal bound (the semi-naive ΔR ⋈ R join);
-    - denials with negation or aggregates are re-evaluated in full, but
+      literal bound (the semi-naive ΔR ⋈ R join).  An inserted fact
+      that unifies with an atom inside a count aggregate can only raise
+      that count, and only for the groups its new aggregate rows fall
+      in: the aggregate's conjunction is evaluated with the unifier
+      applied, its group-by (outer) values are collected, and the
+      denial is evaluated once per distinct group with it bound;
+    - denials with negation, [sum]/[max]/[min] aggregates, or counts
+      bounded from above or by equality are re-evaluated in full, but
       still only when the delta touches one of their relations.
 
     The view store uses set semantics (witnesses are deduplicated), so
@@ -44,13 +51,16 @@ type entry = {
   klass : klass;
   preds : Symbol.t list;  (* every relation the body references *)
   pos : (Symbol.t * Term.atom) list;  (* positive literals *)
+  agg_atoms : (Symbol.t * Term.atom * Term.atom list * string list) list;
+      (* atoms inside the count aggregates of a monotone denial, each
+         with its aggregate's conjunction and group-by variables *)
   proj : string list;  (* named vars of positive literals, in order *)
 }
 
 type stats = {
   mutable evals : int;  (* residual delta evaluations *)
   mutable reverifies : int;  (* view rows re-checked after deletions *)
-  mutable recomputes : int;  (* full re-evaluations (Not/Agg denials) *)
+  mutable recomputes : int;  (* full re-evaluations (non-monotone denials) *)
   mutable skipped : int;  (* denials untouched by the delta *)
   mutable rows_added : int;
   mutable rows_removed : int;
@@ -65,10 +75,19 @@ type t = {
 
 let atom_preds atoms = List.map (fun a -> Symbol.intern a.Term.pred) atoms
 
+(* A count bounded from below only ever flips from false to true as
+   facts are added: the aggregate's rows are a positive conjunction. *)
+let monotone_agg (g : Term.agg) =
+  (match g.Term.op with Term.Cnt | Term.CntD -> true | _ -> false)
+  && match g.Term.acmp with Term.Gt | Term.Ge -> true | _ -> false
+
 let classify body =
   if
     List.for_all
-      (function Term.Rel _ | Term.Cmp _ -> true | Term.Not _ | Term.Agg _ -> false)
+      (function
+        | Term.Rel _ | Term.Cmp _ -> true
+        | Term.Agg g -> monotone_agg g
+        | Term.Not _ -> false)
       body
   then Monotone
   else Recompute
@@ -111,13 +130,33 @@ let entry_of_denial ~name i (d : Term.denial) =
       d.Term.body
     |> List.sort_uniq compare
   in
+  let klass = classify d.Term.body in
+  let agg_atoms =
+    if klass = Recompute then []
+    else
+      List.concat_map
+        (function
+          | Term.Agg g ->
+            let local = Term.agg_local_vars d.Term.body g in
+            let outer =
+              List.filter
+                (fun v -> not (List.mem v local))
+                (List.sort_uniq compare (List.concat_map Term.atom_vars g.Term.atoms))
+            in
+            List.map
+              (fun a -> (Symbol.intern a.Term.pred, a, g.Term.atoms, outer))
+              g.Term.atoms
+          | _ -> [])
+        d.Term.body
+  in
   {
     name;
     denial = d;
     rel = Symbol.intern (Printf.sprintf "%s#%d" name i);
-    klass = classify d.Term.body;
+    klass;
     preds;
     pos = List.map (fun a -> (Symbol.intern a.Term.pred, a)) pos_atoms;
+    agg_atoms;
     proj = named_vars_of_atoms pos_atoms;
   }
 
@@ -223,7 +262,15 @@ let reverify_rows t store e =
       end)
     rows
 
+let eval_residual t store e theta0 =
+  t.stats.evals <- t.stats.evals + 1;
+  let residual = Subst.apply_denial theta0 e.denial in
+  List.iter
+    (fun env -> add_row t e (project e theta0 env))
+    (Eval.violations store residual)
+
 let delta_insertions t store e delta =
+  let groups = Hashtbl.create 8 in
   List.iter
     (fun (sym, tup, _mult) ->
       List.iter
@@ -231,13 +278,35 @@ let delta_insertions t store e delta =
           if Symbol.equal psym sym then
             match unify_atom atom tup with
             | None -> ()
-            | Some theta0 ->
-              t.stats.evals <- t.stats.evals + 1;
-              let residual = Subst.apply_denial theta0 e.denial in
+            | Some theta0 -> eval_residual t store e theta0)
+        e.pos;
+      (* The fact can raise a count only in the groups of the aggregate
+         rows it takes part in; re-evaluate the denial once per such
+         group, across the whole delta. *)
+      List.iter
+        (fun (psym, atom, conj, outer) ->
+          if Symbol.equal psym sym then
+            match unify_atom atom tup with
+            | None -> ()
+            | Some theta ->
               List.iter
-                (fun env -> add_row t e (project e theta0 env))
-                (Eval.violations store residual))
-        e.pos)
+                (fun binds ->
+                  let key =
+                    List.map
+                      (fun v ->
+                        match Subst.find v theta with
+                        | Some (Term.Const c) -> (v, c)
+                        | _ -> (v, List.assoc v binds))
+                      outer
+                  in
+                  if not (Hashtbl.mem groups key) then begin
+                    Hashtbl.add groups key ();
+                    eval_residual t store e
+                      (Subst.of_list
+                         (List.map (fun (v, c) -> (v, Term.Const c)) key))
+                  end)
+                (Eval.matches store (List.map (Subst.apply_atom theta) conj)))
+        e.agg_atoms)
     (Delta.added delta)
 
 let apply_delta t store delta =

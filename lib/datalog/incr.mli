@@ -5,9 +5,12 @@
     variables) are materialized as a relation in a private view store.
     {!apply_delta} maintains them from a net fact {!Delta} instead of
     re-running the denial over the whole store: untouched denials are
-    skipped, monotone denials get exact delta evaluation (deletion
-    re-verification + ΔR-bound residual joins), denials with negation or
-    aggregates are re-evaluated in full when touched.  The view uses set
+    skipped, monotone denials (relation atoms, comparisons, and
+    [cnt]/[cntd] aggregates bounded by [>]/[>=]) get exact delta
+    evaluation (deletion re-verification, ΔR-bound residual joins, and
+    one evaluation per count group an inserted fact can raise); denials
+    with negation, other aggregates, or counts bounded from above are
+    re-evaluated in full when touched.  The view uses set
     semantics, so it is [Store.equal]-comparable with a from-scratch
     recompute (oracle route 8). *)
 
@@ -16,7 +19,7 @@ type t
 type stats = {
   mutable evals : int;  (** residual delta evaluations *)
   mutable reverifies : int;  (** view rows re-checked after deletions *)
-  mutable recomputes : int;  (** full re-evaluations (Not/Agg denials) *)
+  mutable recomputes : int;  (** full re-evaluations (non-monotone denials) *)
   mutable skipped : int;  (** denials untouched by a delta *)
   mutable rows_added : int;
   mutable rows_removed : int;

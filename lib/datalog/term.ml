@@ -39,7 +39,7 @@ type agg_op = Cnt | CntD | Sum | SumD | Max | Min
 type agg = {
   op : agg_op;
   target : term option;  (** the counted/summed/extremized term *)
-  atoms : atom list;     (** conjunctive pattern, joined left to right *)
+  atoms : atom list;     (** conjunctive pattern, joined most-bound-first *)
   acmp : cmp;
   bound : term;
 }

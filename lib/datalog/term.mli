@@ -38,7 +38,7 @@ type agg_op = Cnt | CntD | Sum | SumD | Max | Min
 type agg = {
   op : agg_op;
   target : term option;
-  atoms : atom list;  (** conjunctive pattern, joined left to right *)
+  atoms : atom list;  (** conjunctive pattern, joined most-bound-first *)
   acmp : cmp;
   bound : term;
 }

@@ -173,8 +173,7 @@ type section = { off : int; len : int; digest_off : int }
 
 (* Split the container into its sections.  Structure (lengths, end
    marker) is checked here; checksum verification is deferred to
-   [check_digest] so the loader can overlap the two big sections' MD5
-   with their decoding. *)
+   [check_digest], which runs just before each section is decoded. *)
 let split_sections path s =
   let mlen = String.length magic in
   if String.length s < mlen || String.sub s 0 mlen <> magic then
@@ -242,56 +241,30 @@ let load path doc =
   with_image path @@ fun s ->
   let meta_s, sym_s, doc_s, store_s = split_sections path s in
   let meta = decode_meta path (check_digest path tag_meta s meta_s) in
-  (* The store section is independent of the document, so its checksum
-     and decode can run in a second domain, overlapped with the document
-     side.  [Store.deserialize] interns relation names, which [Symbol]
-     supports from any domain.  On a single-core host the spawn is pure
-     overhead (two domains time-slicing one core, plus GC handshakes),
-     so the task degrades to an eager inline computation there. *)
-  let decode_store () =
+  let store =
     let c = check_digest path tag_store s store_s in
     try Store.deserialize c with Wire.Error m -> err path (Malformed m)
   in
-  let store_task =
-    if Domain.recommended_domain_count () > 1 then
-      Either.Left (Domain.spawn decode_store)
-    else Either.Right (try Ok (decode_store ()) with e -> Error e)
-  in
   (* The document restores into a scratch arena, transplanted into the
-     caller's [doc] only after BOTH sides have decoded — a late failure
-     (e.g. a corrupt store section) must not leave [doc] half-restored. *)
-  let doc_side =
+     caller's [doc] only after both sections have decoded: a failure
+     must not leave [doc] half-restored. *)
+  let sym_c = check_digest path tag_symbols s sym_s in
+  (* Re-intern the saved names table: [remap.(old_id)] is the loading
+     process's symbol for the same name. *)
+  let remap =
     try
-      let sym_c = check_digest path tag_symbols s sym_s in
-      (* Re-intern the saved names table: [remap.(old_id)] is the loading
-         process's symbol for the same name. *)
-      let remap =
-        try
-          let n = Wire.get_int sym_c in
-          if n < 0 || n > Wire.remaining sym_c then
-            raise (Wire.Error "bad symbol count");
-          Array.init n (fun _ -> Symbol.intern (Wire.get_string sym_c))
-        with Wire.Error m -> err path (Malformed m)
-      in
-      let doc_c = check_digest path tag_doc s doc_s in
-      let scratch = Doc.create () in
-      (try Doc.restore scratch ~remap doc_c
-       with
-       | Wire.Error m -> err path (Malformed m)
-       | Invalid_argument m -> err path (Malformed m));
-      Ok scratch
-    with e -> Error e
+      let n = Wire.get_int sym_c in
+      if n < 0 || n > Wire.remaining sym_c then
+        raise (Wire.Error "bad symbol count");
+      Array.init n (fun _ -> Symbol.intern (Wire.get_string sym_c))
+    with Wire.Error m -> err path (Malformed m)
   in
-  (* Always join, so a document-side error never abandons the domain. *)
-  let store =
-    match store_task with
-    | Either.Left d -> Domain.join d
-    | Either.Right (Ok s) -> s
-    | Either.Right (Error e) -> raise e
-  in
-  let scratch =
-    match doc_side with Ok scratch -> scratch | Error e -> raise e
-  in
+  let doc_c = check_digest path tag_doc s doc_s in
+  let scratch = Doc.create () in
+  (try Doc.restore scratch ~remap doc_c
+   with
+   | Wire.Error m -> err path (Malformed m)
+   | Invalid_argument m -> err path (Malformed m));
   Doc.transplant ~into:doc scratch;
   Obs.Metrics.incr c_loads;
   (meta, store)

@@ -378,6 +378,69 @@ let prop_order_independence =
       in
       E.violated st d = E.violated st permuted)
 
+(* Aggregate atoms are joined most-bound-first, not in source order, so
+   permuting an aggregate's atom list must change neither the rows it
+   ranges over nor any verdict over it, for every operator. *)
+let prop_agg_atom_order =
+  let open QCheck2.Gen in
+  let const = map (fun n -> i n) (int_bound 3) in
+  let fact =
+    oneof
+      [ map2 (fun a b -> ("p", [ a; b ])) const const;
+        map2 (fun a b -> ("q", [ a; b ])) const const;
+        map (fun a -> ("r", [ a ])) const ]
+  in
+  QCheck2.Test.make ~name:"aggregate atom order independence" ~count:300
+    (triple (list_size (int_bound 16) fact) (int_bound 5) (int_bound 1000))
+    (fun (facts, k, seed) ->
+      let st = S.of_facts facts in
+      let atoms = "p(W, Y), q(Y, Z), r(Z)" in
+      let permute (d : T.denial) =
+        let shuffle l =
+          let arr = Array.of_list l in
+          let s = ref seed in
+          for i = Array.length arr - 1 downto 1 do
+            s := ((!s * 48271) + 11) mod 233280;
+            let j = !s mod (i + 1) in
+            let t = arr.(i) in
+            arr.(i) <- arr.(j);
+            arr.(j) <- t
+          done;
+          Array.to_list arr
+        in
+        { d with
+          T.body =
+            List.map
+              (function
+                | T.Agg g -> T.Agg { g with T.atoms = shuffle g.T.atoms }
+                | l -> l)
+              d.T.body }
+      in
+      let verdict d = try Ok (E.violated st d) with E.Unsafe _ -> Error () in
+      let rows atoms =
+        List.sort compare (List.map (List.sort compare) (E.matches st atoms))
+      in
+      let parsed = P.parse_denial (Printf.sprintf ":- cnt(%s) > 0" atoms) in
+      let agg_atoms (d : T.denial) =
+        List.concat_map (function T.Agg g -> g.T.atoms | _ -> []) d.T.body
+      in
+      rows (agg_atoms parsed) = rows (agg_atoms (permute parsed))
+      && List.for_all
+           (fun src ->
+             let d = P.parse_denial src in
+             verdict d = verdict (permute d))
+           (List.concat_map
+              (fun agg ->
+                List.map
+                  (fun cmp -> Printf.sprintf ":- r(W), %s %s %d" agg cmp k)
+                  [ ">"; "<"; "=" ])
+              [ Printf.sprintf "cnt(%s)" atoms;
+                Printf.sprintf "cntd(Y; %s)" atoms;
+                Printf.sprintf "cntd(%s)" atoms;
+                Printf.sprintf "sum(Z; %s)" atoms;
+                Printf.sprintf "max(Y; %s)" atoms;
+                Printf.sprintf "min(Z; %s)" atoms ]))
+
 (* A frozen generation must be bit-stable — byte-identical serialized
    image — under arbitrary writer mutations, including the compactions
    they trigger; and rolling every mutation back (inverse ops, reverse
@@ -560,6 +623,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_subsumption_semantic;
           QCheck_alcotest.to_alcotest prop_cnt_matches_length;
           QCheck_alcotest.to_alcotest prop_order_independence;
+          QCheck_alcotest.to_alcotest prop_agg_atom_order;
           QCheck_alcotest.to_alcotest prop_frozen_generation_stable;
         ] );
     ]

@@ -6,7 +6,10 @@
    - one batch delta equals the sequential composition of its split;
    - the lazy any-column store index is an exact column filter;
    - savepoint rollback restores the pre-savepoint materialization;
-   - journal recovery replay maintains the same views as the live run. *)
+   - journal recovery replay maintains the same views as the live run;
+   - the count aggregates of Examples 2 and 7 stay exact under unguarded
+     insert/remove streams that cross their bounds both ways;
+   - denials outside the monotone class are recomputed, and stay exact. *)
 
 module Store = Xic_datalog.Store
 module Delta = Xic_datalog.Delta
@@ -18,6 +21,8 @@ module Prng = Xic_workload.Prng
 module XU = Xic_xupdate.Xupdate
 module XP = Xic_xpath
 module J = Xic_journal.Journal
+module Incr = Xic_datalog.Incr
+module Parser = Xic_datalog.Parser
 
 (* ------------------------------------------------------------------ *)
 (* Delta algebra                                                       *)
@@ -272,6 +277,211 @@ let prop_recovery_replay =
       | Some a, Some b -> Store.equal a b
       | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Count aggregates across violation transitions                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A review sitting on the bounds of Examples 2 and 7.  Carl serves four
+   tracks with ten submissions, four of them in his first rev: one more
+   submission under him violates both, and removing one restores both.
+   Dora serves three tracks with eleven submissions, so a rev of hers in
+   a fourth track violates Example 2 through its track count. *)
+let threshold_rev =
+  let sub i =
+    Printf.sprintf
+      "<sub><title>S%d</title><auts><name>%s</name></auts></sub>" i
+      names.(i mod Array.length names)
+  in
+  let rev name n =
+    Printf.sprintf "<rev><name>%s</name>%s</rev>" name
+      (String.concat "" (List.init n sub))
+  in
+  let track name revs =
+    Printf.sprintf "<track><name>%s</name>%s</track>" name (String.concat "" revs)
+  in
+  Printf.sprintf "<review>%s</review>"
+    (String.concat ""
+       [ track "T1" [ rev "Carl" 4; rev "Dora" 3 ];
+         track "T2" [ rev "Carl" 2; rev "Dora" 4 ];
+         track "T3" [ rev "Carl" 2; rev "Dora" 4 ];
+         track "T4" [ rev "Carl" 2; rev "Ann" 1 ];
+         track "T5" [ rev "Ed" 1 ] ])
+
+let random_track_path r repo =
+  Printf.sprintf "/review/track[%d]" (1 + Prng.int r (count repo "/review/track"))
+
+(* Inserts and removes of submissions and of whole revs, applied without
+   any check so the stream can walk into a violation and back out. *)
+let random_stream_update r repo =
+  let mk op select content =
+    Some [ { XU.op; select = XP.Parser.parse select; content } ]
+  in
+  match Prng.int r 6 with
+  | 0 | 1 ->
+    Option.bind (random_sub_path r repo) (fun p ->
+        mk XU.Insert_after p [ sub_content r ])
+  | 2 -> Option.bind (random_sub_path r repo) (fun p -> mk XU.Remove p [])
+  | 3 -> mk XU.Append (random_rev_path r repo) [ sub_content r ]
+  | 4 ->
+    mk XU.Append (random_track_path r repo)
+      [ XU.Elem
+          ( "rev",
+            [],
+            [ XU.Elem ("name", [], [ XU.Text (Prng.pick r [| "Carl"; "Dora"; "Ann" |]) ]);
+              sub_content r ] ) ]
+  | _ ->
+    let t = random_track_path r repo in
+    if count repo (t ^ "/rev") < 2 then None
+    else mk XU.Remove (Printf.sprintf "%s/rev[%d]" t (1 + Prng.int r 2)) []
+
+(* (constraint, direction) of every verdict flip the streams produced *)
+let transitions = ref []
+
+let fresh_views repo =
+  let fresh =
+    Incr.create
+      (List.map
+         (fun (c : Constr.t) -> (c.Constr.name, c.Constr.datalog))
+         (Repository.constraints repo))
+  in
+  Incr.initialize fresh (Repository.store repo);
+  Incr.view fresh
+
+let prop_count_views_exact =
+  QCheck2.Test.make
+    ~name:"count views equal a fresh materialization after every flush"
+    ~count:60
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let r = Prng.create seed in
+      let s = Conf.schema () in
+      let repo = Repository.create s in
+      Repository.load_document repo fixed_pub;
+      Repository.load_document repo threshold_rev;
+      List.iter
+        (Repository.add_constraint repo)
+        [ Conf.conflict s; Conf.workload s; Conf.track_load s ];
+      Repository.set_incremental repo true;
+      let before = ref (Repository.check_incremental repo) in
+      let undos = ref [] in
+      let ok = ref true in
+      for _ = 1 to 4 + Prng.int r 12 do
+        (* one flush covers one to three statements, or undoes the
+           previous batch (inverse deltas) *)
+        if !undos <> [] && Prng.int r 5 = 0 then begin
+          List.iter (Repository.rollback repo) (List.rev !undos);
+          undos := []
+        end
+        else
+          undos :=
+            List.filter_map
+              (fun () ->
+                Option.map (Repository.apply_unchecked repo)
+                  (random_stream_update r repo))
+              (List.init (1 + Prng.int r 3) (fun _ -> ()));
+        let after = Repository.check_incremental repo in
+        List.iter
+          (fun c ->
+            match (List.mem c !before, List.mem c after) with
+            | false, true -> transitions := (c, `Into) :: !transitions
+            | true, false -> transitions := (c, `Out) :: !transitions
+            | _ -> ())
+          [ "workload"; "track_load" ];
+        before := after;
+        (match Repository.incr_view repo with
+         | Some v -> ok := !ok && Store.equal v (fresh_views repo)
+         | None -> ok := false);
+        ok :=
+          !ok
+          && List.sort compare after
+             = List.sort compare (Repository.check_full repo)
+      done;
+      !ok)
+
+let test_count_views_exact () =
+  QCheck2.Test.check_exn prop_count_views_exact;
+  List.iter
+    (fun (c, dir) ->
+      if not (List.mem (c, dir) !transitions) then
+        Alcotest.failf "no stream moved %s %s violation" c
+          (if dir = `Into then "into" else "out of"))
+    [ ("workload", `Into); ("workload", `Out);
+      ("track_load", `Into); ("track_load", `Out) ]
+
+(* ------------------------------------------------------------------ *)
+(* Classification                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Counts bounded from above or by equality, sums, extrema and negation
+   can lose a violation when a fact is added: they stay on the full
+   recompute path, once per touched denial, and must stay exact.  The
+   counts bounded from below are maintained by delta. *)
+let test_classification () =
+  let recompute =
+    [ ":- rev(Ir, _, _, _), cnt(sub(_, _, Ir, _)) < 2";
+      ":- rev(Ir, _, _, _), cnt(sub(_, _, Ir, _)) = 2";
+      ":- rev(Ir, _, _, _), sum(P; sub(_, P, Ir, _)) > 3";
+      ":- sub(_, _, Ir, _), max(P; sub(_, P, Ir, _)) > 2";
+      ":- sub(_, _, Ir, _), min(P; sub(_, P, Ir, _)) < 2";
+      ":- rev(Ir, _, _, _), not sub(_, _, Ir, _)" ]
+  and monotone =
+    [ ":- rev(Ir, _, _, _), cnt(sub(_, _, Ir, _)) > 2";
+      ":- rev(_, _, _, R), cntd(T; rev(_, _, T, R)) >= 2" ]
+  in
+  let preds src =
+    List.concat_map
+      (function
+        | Term.Rel a | Term.Not a -> [ a.Term.pred ]
+        | Term.Agg g -> List.map (fun (a : Term.atom) -> a.Term.pred) g.Term.atoms
+        | Term.Cmp _ -> [])
+      (Parser.parse_denial src).Term.body
+  in
+  let constraints ds =
+    List.mapi (fun k d -> (Printf.sprintf "d%d" k, [ Parser.parse_denial d ])) ds
+  in
+  let rev = Symbol.intern "rev" and sub = Symbol.intern "sub" in
+  let r = Prng.create 5 in
+  let st = Store.create () in
+  let inc = Incr.create (constraints (recompute @ monotone)) in
+  Incr.initialize inc st;
+  for step = 1 to 200 do
+    let d = Delta.create () in
+    for _ = 0 to Prng.int r 2 do
+      let rel, tup =
+        if Prng.bool r then
+          (rev, [ Term.Int (Prng.int r 3); Term.Int 1; Term.Int (Prng.int r 2);
+                  Term.Str (Prng.pick r names) ])
+        else
+          (sub, [ Term.Int (10 + Prng.int r 8); Term.Int (1 + Prng.int r 3);
+                  Term.Int (Prng.int r 3); Term.Str "t" ])
+      in
+      if Store.mem_sym st rel tup then begin
+        ignore (Store.remove_sym st rel tup);
+        Delta.remove d rel tup
+      end
+      else begin
+        Store.add_sym st rel tup;
+        Delta.add d rel tup
+      end
+    done;
+    let before = (Incr.stats inc).Incr.recomputes in
+    Incr.apply_delta inc st d;
+    let touched = List.map Symbol.name (Delta.touched d) in
+    let expect =
+      List.filter (fun src -> List.exists (fun p -> List.mem p touched) (preds src)) recompute
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "step %d: one recompute per touched non-monotone denial" step)
+      (List.length expect)
+      ((Incr.stats inc).Incr.recomputes - before);
+    let fresh = Incr.create (constraints (recompute @ monotone)) in
+    Incr.initialize fresh st;
+    Alcotest.(check bool)
+      (Printf.sprintf "step %d: views equal a fresh materialization" step)
+      true
+      (Store.equal (Incr.view inc) (Incr.view fresh))
+  done
+
 let () =
   Alcotest.run "incr"
     [
@@ -286,5 +496,9 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_savepoint_rollback;
           QCheck_alcotest.to_alcotest prop_recovery_replay;
+          Alcotest.test_case "count views across violation transitions"
+            `Quick test_count_views_exact;
+          Alcotest.test_case "non-monotone denials recompute" `Quick
+            test_classification;
         ] );
     ]
