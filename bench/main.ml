@@ -21,6 +21,7 @@
    the *shape* of the curves is what is reproduced. *)
 
 open Xic_core
+module Symbol = Xic_symbol.Symbol
 module Conf = Xic_workload.Conference
 module Gen = Xic_workload.Generator
 module T = Xic_datalog.Term
@@ -92,8 +93,8 @@ let setup ~size ~constraint_ () =
   let ds = Gen.generate ~seed:42 ~target_bytes:size () in
   let repo = Repository.create s in
   (* validation is part of loading; skip it here to keep setup fast *)
-  Repository.load_document ~validate:false repo ds.Gen.pub_xml;
-  Repository.load_document ~validate:false repo ds.Gen.rev_xml;
+  Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
+  Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
   Repository.add_constraint repo (constraint_ s);
   let pattern = Conf.submission_pattern s in
   Repository.register_pattern repo pattern;
@@ -161,14 +162,13 @@ let fig1b ~sizes ~reps () =
     ~constraint_:Conf.workload ~sizes ~reps ()
 
 (* ------------------------------------------------------------------ *)
-(* PR 3: compiled check pipeline — plan cache and multicore checking    *)
+(* PR 3: compiled check pipeline — plan cache                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Interpreted (re-lower the XQuery on every evaluation) versus compiled
-   cached plans, plan-cache counters, and parallel denial checking at 1,
-   2 and 4 domains — all on the full three-constraint suite at the
-   largest document size, with verdict agreement asserted across every
-   route. *)
+   cached plans, and the plan-cache counters — on the full
+   three-constraint suite at the largest document size, with verdict
+   agreement asserted across both routes. *)
 let pipeline ~sizes ~reps () =
   let size = List.fold_left max 0 sizes in
   Printf.printf "# Compiled check pipeline (3 constraints, %d bytes)\n" size;
@@ -178,8 +178,8 @@ let pipeline ~sizes ~reps () =
   let s = Conf.schema () in
   let ds = Gen.generate ~seed:42 ~target_bytes:size () in
   let repo = Repository.create s in
-  Repository.load_document ~validate:false repo ds.Gen.pub_xml;
-  Repository.load_document ~validate:false repo ds.Gen.rev_xml;
+  Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
+  Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
   List.iter
     (fun c -> Repository.add_constraint repo (c s))
     [ Conf.conflict; Conf.workload; Conf.track_load ];
@@ -205,24 +205,10 @@ let pipeline ~sizes ~reps () =
     interp_min;
   Printf.printf "%-28s %-12.3f %.3f\n%!" "compiled (cached plans)" compiled_med
     compiled_min;
-  let parallel_rows =
-    List.map
-      (fun jobs ->
-        Repository.set_parallelism repo jobs;
-        if Repository.check_full repo <> reference then
-          failwith (Printf.sprintf "-j %d disagrees with sequential" jobs);
-        let med, min_ =
-          time_stats ~reps (fun () -> Repository.check_full repo)
-        in
-        Printf.printf "%-28s %-12.3f %.3f\n%!"
-          (Printf.sprintf "parallel -j %d" jobs) med min_;
-        Printf.sprintf "{\"jobs\": %d, \"median_ms\": %.4f, \"min_ms\": %.4f}"
-          jobs med min_)
-      [ 1; 2; 4 ]
-  in
-  Repository.set_parallelism repo 1;
   let stats = Repository.plan_stats repo in
-  Printf.printf "%s\n" (Repository.plan_stats_line repo);
+  Printf.printf "plans: %d hits, %d misses, %d cached\n"
+    stats.Repository.plan_hits stats.Repository.plan_misses
+    (Repository.cached_plans repo);
   Printf.printf "symbols interned: %d\n\n%!" (Symbol.count ());
   add_json "pipeline"
     (Printf.sprintf
@@ -235,12 +221,10 @@ let pipeline ~sizes ~reps () =
        \    \"plan_hits\": %d,\n\
        \    \"plan_misses\": %d,\n\
        \    \"symbols_interned\": %d,\n\
-       \    \"verdicts_agree\": true,\n\
-       \    \"parallel\": [%s]\n\
+       \    \"verdicts_agree\": true\n\
        \  }"
        ds.Gen.stats.Gen.bytes interp_med interp_min compiled_med compiled_min
-       stats.Repository.plan_hits stats.Repository.plan_misses (Symbol.count ())
-       (String.concat ", " parallel_rows))
+       stats.Repository.plan_hits stats.Repository.plan_misses (Symbol.count ()))
 
 (* ------------------------------------------------------------------ *)
 (* PR 4: per-stage breakdown from the tracing layer                     *)
@@ -332,11 +316,16 @@ let ingest ~sizes ~reps () =
           ignore (Xic_xml.Xml_parser.parse_string ds.Gen.pub_xml);
           ignore (Xic_xml.Xml_parser.parse_string ds.Gen.rev_xml)
         in
+        (* the two-pass ablation: parse into the arena, register the
+           roots, then force the second-walk shred *)
         let legacy () =
           let repo = Repository.create s in
-          Repository.load_document ~validate:false repo ds.Gen.pub_xml;
-          Repository.load_document ~validate:false repo ds.Gen.rev_xml;
-          (* force the second-walk shred the legacy path defers *)
+          List.iter
+            (fun xml ->
+              Xic_xml.Xml_parser.parse_fragment (Repository.doc repo) xml
+              |> List.filter (Xic_xml.Doc.is_element (Repository.doc repo))
+              |> List.iter (Repository.add_document_root ~validate:false repo))
+            [ ds.Gen.pub_xml; ds.Gen.rev_xml ];
           ignore (Repository.store repo : Xic_datalog.Store.t);
           repo
         in
@@ -611,8 +600,8 @@ let ablations ~reps () =
   let fresh_repo () =
     let s2 = Conf.schema () in
     let r = Repository.create s2 in
-    Repository.load_document ~validate:false r ds.Gen.pub_xml;
-    Repository.load_document ~validate:false r ds.Gen.rev_xml;
+    Repository.load_fused ~validate:false r ds.Gen.pub_xml;
+    Repository.load_fused ~validate:false r ds.Gen.rev_xml;
     Repository.add_constraint r (Conf.conflict s2);
     Repository.add_constraint r (Conf.workload s2);
     Repository.add_constraint r (Conf.track_load s2);
@@ -746,8 +735,8 @@ let micro () =
   let s = Conf.schema () in
   let ds = Gen.generate ~seed:42 ~target_bytes:64_000 () in
   let repo = Repository.create s in
-  Repository.load_document ~validate:false repo ds.Gen.pub_xml;
-  Repository.load_document ~validate:false repo ds.Gen.rev_xml;
+  Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
+  Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
   Repository.add_constraint repo (Conf.conflict s);
   let pattern = Conf.submission_pattern s in
   Repository.register_pattern repo pattern;
@@ -1525,9 +1514,12 @@ let () =
     | "--sizes" :: s :: rest ->
       sizes := List.map int_of_string (String.split_on_char ',' s);
       parse rest
-    | "--json" :: rest ->
-      json := Some "BENCH_PR10.json";
+    | "--json" :: path :: rest ->
+      json := Some path;
       parse rest
+    | [ "--json" ] ->
+      prerr_endline "--json expects the PATH to write the results to";
+      exit 2
     | x :: rest ->
       which := x :: !which;
       parse rest

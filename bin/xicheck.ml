@@ -88,35 +88,12 @@ let no_validate_arg =
   let doc = "Skip DTD validation when loading documents." in
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
-let legacy_loader_arg =
-  let doc =
-    "Load documents with the legacy two-pass path (parse, then shred on \
-     demand) instead of the fused single-pass loader.  Escape hatch; \
-     verdicts are identical either way."
-  in
-  Arg.(value & flag & info [ "legacy-loader" ] ~doc)
-
 let no_index_arg =
   let doc =
     "Disable indexed evaluation: answer every check with the scanning \
      interpreter (verdicts are identical either way)."
   in
   Arg.(value & flag & info [ "no-index" ] ~doc)
-
-let index_stats_arg =
-  let doc = "Print index cache statistics (hits, misses, fallbacks) at exit." in
-  Arg.(value & flag & info [ "index-stats" ] ~doc)
-
-let jobs_arg =
-  let doc =
-    "Evaluate independent constraint checks on up to $(docv) domains \
-     (clamped to the machine's core count; verdicts are identical)."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let plan_stats_arg =
-  let doc = "Print plan-cache statistics (hits, misses, cached plans) at exit." in
-  Arg.(value & flag & info [ "plan-stats" ] ~doc)
 
 let incremental_arg =
   let doc =
@@ -144,7 +121,7 @@ let apply_incremental repo ~incremental ~no_incremental =
   if incremental then Repository.set_incremental repo true
 
 let print_delta_stats repo ~delta_stats =
-  if delta_stats then print_endline (Repository.delta_stats_line repo)
+  if delta_stats then print_endline (Repository.delta_summary repo)
 
 let trace_arg =
   let doc =
@@ -206,50 +183,8 @@ let obs_finish ~trace ~slow_ms =
      Printf.printf "wrote trace %s\n" path);
   if slow_ms <> None then print_slow_log ()
 
-(* The stats flags compose into one JSON object; a single legacy flag
-   keeps its historical one-line output (cram-tested). *)
-let print_stats repo ~plan_stats ~index_stats ~metrics =
-  let n =
-    (if plan_stats then 1 else 0)
-    + (if index_stats then 1 else 0)
-    + if metrics then 1 else 0
-  in
-  if n = 0 then ()
-  else if n = 1 && plan_stats then
-    print_endline (Repository.plan_stats_line repo)
-  else if n = 1 && index_stats then
-    print_endline (Repository.index_stats_line repo)
-  else if n = 1 then print_endline (Repository.metrics_json repo)
-  else begin
-    let parts = ref [] in
-    if metrics then
-      parts :=
-        Printf.sprintf "\"metrics\":%s" (Repository.metrics_json repo)
-        :: !parts;
-    if index_stats then begin
-      let h, m, f, e =
-        match Repository.index_stats repo with
-        | Some s ->
-          Xic_xml.Index.(s.hits, s.misses, s.fallbacks, s.events)
-        | None -> (0, 0, 0, 0)
-      in
-      parts :=
-        Printf.sprintf
-          "\"index_stats\":{\"hits\":%d,\"misses\":%d,\"fallbacks\":%d,\"events\":%d}"
-          h m f e
-        :: !parts
-    end;
-    if plan_stats then begin
-      let ps = Repository.plan_stats repo in
-      parts :=
-        Printf.sprintf
-          "\"plan_stats\":{\"hits\":%d,\"misses\":%d,\"cached\":%d}"
-          ps.Repository.plan_hits ps.Repository.plan_misses
-          (Repository.cached_plans repo)
-        :: !parts
-    end;
-    print_endline ("{" ^ String.concat "," !parts ^ "}")
-  end
+let print_metrics repo ~metrics =
+  if metrics then print_endline (Repository.metrics_json repo)
 
 let load_schema specs =
   let parse spec =
@@ -265,14 +200,11 @@ let load_schema specs =
   | exception Schema.Schema_error m -> die "%s" m
   | exception Sys_error m -> die "%s" m
 
-let load_repo ?(legacy = false) ~validate schema docs =
+let load_repo ~validate schema docs =
   let repo = Repository.create schema in
-  let load =
-    if legacy then Repository.load_document else Repository.load_fused
-  in
   List.iter
     (fun path ->
-      match load ~validate repo (read_file path) with
+      match Repository.load_fused ~validate repo (read_file path) with
       | () -> ()
       | exception Repository.Repository_error m -> die "%s: %s" path m)
     docs;
@@ -298,9 +230,9 @@ let load_snapshot_repo s path =
 (* Build the repository state either from XML documents or from a
    snapshot checkpoint; returns the snapshot metadata when one was
    loaded (needed to compute the journal replay skip). *)
-let load_state ?legacy ~validate s ~snapshot docs =
+let load_state ~validate s ~snapshot docs =
   match snapshot with
-  | None -> (load_repo ?legacy ~validate s docs, None)
+  | None -> (load_repo ~validate s docs, None)
   | Some path ->
     if docs <> [] then die "--snapshot and --doc are mutually exclusive";
     let repo, meta = load_snapshot_repo s path in
@@ -405,7 +337,7 @@ let validate_cmd =
     let ok = ref true in
     List.iter
       (fun path ->
-        match Repository.load_document ~validate:true repo (read_file path) with
+        match Repository.load_fused ~validate:true repo (read_file path) with
         | () -> Printf.printf "%s: valid\n" path
         | exception Repository.Repository_error m ->
           ok := false;
@@ -473,9 +405,9 @@ let check_cmd =
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate legacy_loader
-      use_datalog explain no_index index_stats jobs plan_stats incremental
-      no_incremental delta_stats trace metrics slow_ms =
+  let run dtds docs snapshot constraints pattern no_validate use_datalog
+      explain no_index incremental no_incremental delta_stats trace metrics
+      slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     (* --explain needs a traced run for its observed timings *)
     if explain then begin
@@ -484,12 +416,9 @@ let check_cmd =
     end;
     let s = load_schema dtds in
     let repo, _meta =
-      load_state ~legacy:legacy_loader ~validate:(not no_validate) s ~snapshot
-        docs
+      load_state ~validate:(not no_validate) s ~snapshot docs
     in
     if no_index then Repository.set_use_index repo false;
-    (if jobs < 1 then die "--jobs must be at least 1"
-     else Repository.set_parallelism repo jobs);
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
@@ -525,7 +454,7 @@ let check_cmd =
       print_plans repo (Obs.Trace.roots ());
       if slow_ms = None then print_slow_log ()
     end;
-    print_stats repo ~plan_stats ~index_stats ~metrics;
+    print_metrics repo ~metrics;
     print_delta_stats repo ~delta_stats;
     obs_finish ~trace ~slow_ms;
     if not consistent then exit 1
@@ -534,10 +463,8 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Check integrity constraints against the documents")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ legacy_loader_arg $ datalog_arg
-      $ explain_arg $ no_index_arg $ index_stats_arg $ jobs_arg
-      $ plan_stats_arg $ incremental_arg $ no_incremental_arg
-      $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ pattern_arg $ no_validate_arg $ datalog_arg $ explain_arg
+      $ no_index_arg $ incremental_arg $ no_incremental_arg $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* simplify                                                            *)
@@ -624,14 +551,13 @@ let guard_cmd =
     let doc = "XUpdate statement to execute under integrity control." in
     Arg.(required & opt (some file) None & info [ "update" ] ~docv:"FILE" ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate legacy_loader
-      runtime_simp update output journal eval_budget no_index index_stats
-      incremental no_incremental delta_stats trace metrics slow_ms =
+  let run dtds docs snapshot constraints pattern no_validate runtime_simp
+      update output journal eval_budget no_index incremental no_incremental
+      delta_stats trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     let s = load_schema dtds in
     let repo, meta =
-      load_state ~legacy:legacy_loader ~validate:(not no_validate) s ~snapshot
-        docs
+      load_state ~validate:(not no_validate) s ~snapshot docs
     in
     if no_index then Repository.set_use_index repo false;
     Repository.set_eval_budget repo eval_budget;
@@ -652,7 +578,7 @@ let guard_cmd =
     Option.iter Xic_journal.Journal.close journal;
     print_degradations report;
     print_outcome report.Repository.outcome;
-    print_stats repo ~plan_stats:false ~index_stats ~metrics;
+    print_metrics repo ~metrics;
     print_delta_stats repo ~delta_stats;
     obs_finish ~trace ~slow_ms;
     (match report.Repository.outcome with
@@ -665,10 +591,9 @@ let guard_cmd =
        ~doc:"Execute an XUpdate statement under integrity control")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ legacy_loader_arg $ runtime_simp_arg
-      $ update_arg $ output_arg $ journal_arg $ eval_budget_arg $ no_index_arg
-      $ index_stats_arg $ incremental_arg $ no_incremental_arg
-      $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ pattern_arg $ no_validate_arg $ runtime_simp_arg $ update_arg
+      $ output_arg $ journal_arg $ eval_budget_arg $ no_index_arg
+      $ incremental_arg $ no_incremental_arg $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* txn                                                                 *)
@@ -686,14 +611,13 @@ let txn_cmd =
     let doc = "Roll the transaction back at the end instead of committing." in
     Arg.(value & flag & info [ "abort" ] ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate legacy_loader
-      runtime_simp updates output journal eval_budget abort no_index
-      index_stats incremental no_incremental delta_stats trace metrics slow_ms =
+  let run dtds docs snapshot constraints pattern no_validate runtime_simp
+      updates output journal eval_budget abort no_index incremental
+      no_incremental delta_stats trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     let s = load_schema dtds in
     let repo, meta =
-      load_state ~legacy:legacy_loader ~validate:(not no_validate) s ~snapshot
-        docs
+      load_state ~validate:(not no_validate) s ~snapshot docs
     in
     if no_index then Repository.set_use_index repo false;
     Repository.set_eval_budget repo eval_budget;
@@ -731,7 +655,7 @@ let txn_cmd =
         (Repository.txn_statements tx)
     end;
     Option.iter Xic_journal.Journal.close journal;
-    print_stats repo ~plan_stats:false ~index_stats ~metrics;
+    print_metrics repo ~metrics;
     print_delta_stats repo ~delta_stats;
     obs_finish ~trace ~slow_ms;
     Option.iter (write_roots repo) output;
@@ -744,10 +668,9 @@ let txn_cmd =
           (each statement still guarded individually)")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ legacy_loader_arg $ runtime_simp_arg
-      $ updates_arg $ output_arg $ journal_arg $ eval_budget_arg $ abort_arg
-      $ no_index_arg $ index_stats_arg $ incremental_arg $ no_incremental_arg
-      $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ pattern_arg $ no_validate_arg $ runtime_simp_arg $ updates_arg
+      $ output_arg $ journal_arg $ eval_budget_arg $ abort_arg $ no_index_arg
+      $ incremental_arg $ no_incremental_arg $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* recover                                                             *)
@@ -768,12 +691,11 @@ let recover_cmd =
     Arg.(
       required & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
-  let run dtds docs snapshot constraints no_validate legacy_loader journal
-      incremental no_incremental delta_stats output =
+  let run dtds docs snapshot constraints no_validate journal incremental
+      no_incremental delta_stats output =
     let s = load_schema dtds in
     let repo, meta =
-      load_state ~legacy:legacy_loader ~validate:(not no_validate) s ~snapshot
-        docs
+      load_state ~validate:(not no_validate) s ~snapshot docs
     in
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     apply_incremental repo ~incremental ~no_incremental;
@@ -820,8 +742,8 @@ let recover_cmd =
           against freshly loaded base documents (or a snapshot)")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ no_validate_arg $ legacy_loader_arg $ journal_arg $ incremental_arg
-      $ no_incremental_arg $ delta_stats_arg $ output_arg)
+      $ no_validate_arg $ journal_arg $ incremental_arg $ no_incremental_arg
+      $ delta_stats_arg $ output_arg)
 
 (* ------------------------------------------------------------------ *)
 (* checkpoint                                                          *)
@@ -845,7 +767,7 @@ let checkpoint_cmd =
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
-  let run dtds docs constraints no_validate legacy_loader journal snapshot =
+  let run dtds docs constraints no_validate journal snapshot =
     let s = load_schema dtds in
     let repo, meta =
       if Sys.file_exists snapshot then begin
@@ -857,8 +779,7 @@ let checkpoint_cmd =
         (repo, Some meta)
       end
       else
-        (load_repo ~legacy:legacy_loader ~validate:(not no_validate) s docs,
-         None)
+        (load_repo ~validate:(not no_validate) s docs, None)
     in
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match (meta, journal) with
@@ -897,7 +818,7 @@ let checkpoint_cmd =
           truncate the write-ahead journal")
     Term.(
       const run $ dtd_arg $ docs_arg $ constraints_arg $ no_validate_arg
-      $ legacy_loader_arg $ journal_arg $ snapshot_out_arg)
+      $ journal_arg $ snapshot_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* publish                                                             *)
@@ -958,6 +879,13 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "checkpoint-on-shutdown" ] ~doc)
   in
+  let serve_no_incremental_arg =
+    let doc =
+      "Serve verdicts by full re-evaluation instead of from the \
+       materialized denial views, which are on by default."
+    in
+    Arg.(value & flag & info [ "no-incremental" ] ~doc)
+  in
   let log_arg =
     let doc =
       "Write structured server logs to $(docv) ('-' = stderr).  Every \
@@ -988,11 +916,9 @@ let serve_cmd =
     let doc = "How many slowest requests the 'slow' op retains." in
     Arg.(value & opt int 8 & info [ "slow-requests" ] ~docv:"N" ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate legacy_loader
-      runtime_simp journal eval_budget no_index jobs incremental
-      no_incremental socket tcp checkpoint_on_shutdown log log_level
-      log_format trace slow_requests =
-    ignore incremental;
+  let run dtds docs snapshot constraints pattern no_validate runtime_simp
+      journal eval_budget no_index no_incremental socket tcp
+      checkpoint_on_shutdown log log_level log_format trace slow_requests =
     (* instrumentation first, so document-load spans join the session *)
     (match XLog.level_of_string log_level with
      | Some l -> XLog.set_level l
@@ -1010,13 +936,10 @@ let serve_cmd =
     if trace <> None then Obs.Trace.set_enabled true;
     let s = load_schema dtds in
     let repo, meta =
-      load_state ~legacy:legacy_loader ~validate:(not no_validate) s ~snapshot
-        docs
+      load_state ~validate:(not no_validate) s ~snapshot docs
     in
     if no_index then Repository.set_use_index repo false;
     Repository.set_eval_budget repo eval_budget;
-    (if jobs < 1 then die "--jobs must be at least 1"
-     else Repository.set_parallelism repo jobs);
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
@@ -1090,9 +1013,9 @@ let serve_cmd =
           check/guard/txn/stats/checkpoint requests over a socket")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ legacy_loader_arg $ runtime_simp_arg
-      $ journal_arg $ eval_budget_arg $ no_index_arg $ jobs_arg
-      $ incremental_arg $ no_incremental_arg $ socket_arg $ tcp_arg
+      $ pattern_arg $ no_validate_arg $ runtime_simp_arg $ journal_arg
+      $ eval_budget_arg $ no_index_arg $ serve_no_incremental_arg $ socket_arg
+      $ tcp_arg
       $ checkpoint_on_shutdown_arg $ log_arg $ log_level_arg $ log_format_arg
       $ serve_trace_arg $ slow_requests_arg)
 

@@ -33,8 +33,8 @@ let () =
     ds.Gen.stats.Gen.pubs ds.Gen.stats.Gen.tracks ds.Gen.stats.Gen.reviewers
     ds.Gen.stats.Gen.submissions ds.Gen.stats.Gen.bytes;
   let repo = Repository.create schema in
-  Repository.load_document repo ds.Gen.pub_xml;
-  Repository.load_document repo ds.Gen.rev_xml;
+  Repository.load_fused repo ds.Gen.pub_xml;
+  Repository.load_fused repo ds.Gen.rev_xml;
   List.iter (Repository.add_constraint repo) constraints;
   Printf.printf "initial integrity: %s\n"
     (match Repository.check_full repo with

@@ -34,7 +34,7 @@ let () =
     (Xic_datalog.Term.denials_str guest_block.Constr.datalog);
 
   let repo = Repository.create schema in
-  Repository.load_document repo
+  Repository.load_fused repo
     {|<library>
         <reader id="r1" category="member"><loan><book>SICP</book></loan><loan><book>TAPL</book></loan></reader>
         <reader id="r2" category="member"><loan><book>CLRS</book></loan><loan><book>K&amp;R</book></loan><loan><book>Dragon</book></loan></reader>

@@ -38,7 +38,7 @@ let () =
     (Xic_datalog.Term.denials_str article_fk.Constr.datalog);
 
   let repo = Repository.create schema in
-  Repository.load_document repo
+  Repository.load_fused repo
     {|<catalog>
         <journal><issn>1066-8888</issn><title>The VLDB Journal</title></journal>
         <journal><issn>0362-5915</issn><title>ACM TODS</title></journal>

@@ -28,7 +28,7 @@ let () =
 
   (* 3. A repository with a document. *)
   let repo = Repository.create schema in
-  Repository.load_document repo
+  Repository.load_fused repo
     {|<team><member><name>Ada</name><role>lead</role></member>
            <member><name>Alan</name><role>dev</role></member></team>|};
   Repository.add_constraint repo unique_names;

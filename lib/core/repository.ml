@@ -20,8 +20,7 @@ module Log = struct
 end
 
 (* Registry cells for the pipeline counters.  The plan-cache counters
-   are the primary store now — the legacy [plan_stats] accessor is a
-   shim over them — and [plan_compile_requests] is bumped on every
+   back [plan_stats], and [plan_compile_requests] is bumped on every
    cache consultation, so [hits + misses = requests] holds by
    construction (the differential oracle asserts it). *)
 let c_checks_full = Obs.Metrics.counter "checks_full"
@@ -35,7 +34,6 @@ let c_delta_facts_added = Obs.Metrics.counter "delta_facts_added"
 let c_delta_facts_removed = Obs.Metrics.counter "delta_facts_removed"
 let c_delta_flushes = Obs.Metrics.counter "delta_flushes"
 let c_ingest_fused = Obs.Metrics.counter "ingest_fused_docs"
-let c_ingest_legacy = Obs.Metrics.counter "ingest_legacy_docs"
 let c_ingest_bytes = Obs.Metrics.counter "ingest_bytes"
 let c_ingest_facts = Obs.Metrics.counter "ingest_facts"
 let h_check_full = Obs.Metrics.histogram "check_full_ms"
@@ -109,7 +107,6 @@ type t = {
   mutable index : Index.t option;
   (* full-check plans, keyed by constraint name *)
   full_plans : (string, Xic_xquery.Eval.compiled) Hashtbl.t;
-  mutable parallelism : int;
   (* committed-transaction counter; {!pin} stamps it into snapshots so
      readers can tell which state they are looking at *)
   mutable generation : int;
@@ -135,19 +132,13 @@ let create schema =
     deltas =
       { flushes = 0; facts_added = 0; facts_removed = 0; net = Delta.create () };
     eval_budget = None; use_index = true; index = None;
-    full_plans = Hashtbl.create 16; parallelism = 1; generation = 0;
+    full_plans = Hashtbl.create 16; generation = 0;
     mutations = 0; retained = Hashtbl.create 8; retain_keep = 8 }
 
 let generation t = t.generation
 
 let set_eval_budget t b = t.eval_budget <- b
 let eval_budget t = t.eval_budget
-
-let set_parallelism t jobs =
-  if jobs < 1 then fail "parallelism must be at least 1";
-  t.parallelism <- jobs
-
-let parallelism t = t.parallelism
 
 let plan_stats (_ : t) =
   { plan_hits = Obs.Metrics.value c_plan_hits;
@@ -161,12 +152,6 @@ let cached_plans t =
         + List.length
             (List.filter (fun ch -> Option.is_some ch.simplified_plan) checks))
       0 t.compiled
-
-let plan_stats_line t =
-  Printf.sprintf "plans: %d hits, %d misses, %d cached"
-    (Obs.Metrics.value c_plan_hits)
-    (Obs.Metrics.value c_plan_misses)
-    (cached_plans t)
 
 let schema t = t.schema
 let doc t = t.doc
@@ -194,18 +179,11 @@ let set_use_index t enabled =
 let use_index t = t.use_index
 let index_stats t = Option.map Index.stats t.index
 
-let index_stats_line t =
-  if not t.use_index then "index: disabled"
-  else
-    match t.index with
-    | None -> "index: idle"
-    | Some i -> Index.stats_line i
-
 (* Index stats and the cached-plan count live outside the registry (the
-   index updates them lock-free on its hot path, the plan tables are
+   index updates them on its hot path, the plan tables are
    per-repository); they enter the registry as gauges synced at snapshot
-   time, which makes [metrics] agree with the legacy [index_stats] /
-   [plan_stats_line] shims by construction — both read the same cells. *)
+   time, so [metrics] agrees with [index_stats] and [cached_plans] by
+   construction — both read the same cells. *)
 let g_index_hits = Obs.Metrics.gauge "index_hits"
 let g_index_misses = Obs.Metrics.gauge "index_misses"
 let g_index_fallbacks = Obs.Metrics.gauge "index_fallbacks"
@@ -288,32 +266,6 @@ let add_document_root ?(validate = true) t root =
   end;
   Doc.add_root t.doc root;
   invalidate_store t
-
-let load_document ?validate t source =
-  let nodes =
-    Obs.Trace.with_span "parse" (fun () ->
-        try Xml_parser.parse_fragment t.doc source
-        with Xml_parser.Parse_error { line; col; msg } ->
-          fail "XML parse error at %d:%d: %s" line col msg)
-  in
-  match List.filter (Doc.is_element t.doc) nodes with
-  | [ root ] ->
-    add_document_root ?validate t root;
-    Obs.Metrics.incr c_ingest_legacy
-  | _ -> fail "expected exactly one root element"
-
-type ingest_stats = {
-  fused_docs : int;
-  legacy_docs : int;
-  fused_bytes : int;
-  fused_facts : int;
-}
-
-let ingest_stats (_ : t) =
-  { fused_docs = Obs.Metrics.value c_ingest_fused;
-    legacy_docs = Obs.Metrics.value c_ingest_legacy;
-    fused_bytes = Obs.Metrics.value c_ingest_bytes;
-    fused_facts = Obs.Metrics.value c_ingest_facts }
 
 (* Fused single-pass load: parse, intern and shred in one streaming scan
    of the source.  The store is fed through a [Shred.sink] while the
@@ -445,30 +397,17 @@ let full_plan t (c : Constr.t) =
 
 let check_full t =
   Obs.Trace.with_span "check_full" (fun () ->
-  let plans = List.map (fun c -> (c, full_plan t c)) t.constraints in
-  let idx = index t in
-  let violated (c, plan) =
-    Obs.Metrics.incr c_checks_full;
-    if
-      timed_check c.Constr.name h_check_full (fun () ->
-          Constr.violated_compiled ?index:idx t.doc c plan)
-    then Some c.Constr.name
-    else None
-  in
-  if t.parallelism <= 1 || t.eval_budget <> None || List.length plans < 2 then
-    List.filter_map violated plans
-  else begin
-    (* Freeze the index into its read-only phase so worker domains never
-       race on cache tables, then evaluate the independent denials in
-       parallel.  The merge is deterministic: verdicts keep constraint
-       registration order, and Pool.map re-raises the earliest failure. *)
-    (match idx with Some i -> Index.prepare_shared i | None -> ());
-    Fun.protect
-      ~finally:(fun () -> match idx with Some i -> Index.unshare i | None -> ())
-      (fun () ->
-        Pool.map ~jobs:t.parallelism violated plans
-        |> List.filter_map (fun v -> v))
-  end)
+      let plans = List.map (fun c -> (c, full_plan t c)) t.constraints in
+      let idx = index t in
+      List.filter_map
+        (fun (c, plan) ->
+          Obs.Metrics.incr c_checks_full;
+          if
+            timed_check c.Constr.name h_check_full (fun () ->
+                Constr.violated_compiled ?index:idx t.doc c plan)
+          then Some c.Constr.name
+          else None)
+        plans)
 
 let check_full_datalog t =
   let s = store t in
@@ -654,7 +593,7 @@ let delta_stats t =
     incr_skipped = skipped;
     incr_view_rows = rows }
 
-let delta_stats_line t =
+let delta_summary t =
   let d = delta_stats t in
   if t.incr = None && d.delta_flushes = 0 then "delta: idle"
   else

@@ -51,24 +51,8 @@ val set_eval_budget : t -> int option -> unit
 
 val eval_budget : t -> int option
 
-val set_parallelism : t -> int -> unit
-(** Number of domains {!check_full} may use to evaluate independent
-    denial checks concurrently (default 1 = sequential).  Parallel
-    checking requires at least two constraints and no installed
-    {!set_eval_budget} (budgets are per-domain); otherwise the check
-    silently runs sequentially.  Verdicts are identical either way: the
-    document is read-only during the check, the index is frozen into its
-    shared phase, and the merge preserves constraint order.
-    @raise Repository_error when [jobs < 1]. *)
-
-val parallelism : t -> int
-
 val plan_stats : t -> plan_stats
 (** Cumulative plan-cache counters over full and simplified checks. *)
-
-val plan_stats_line : t -> string
-(** Human-readable one-liner for the CLI, e.g.
-    ["plans: 12 hits, 3 misses, 3 cached"]. *)
 
 val cached_plans : t -> int
 (** Number of closure plans currently cached (full-check plans plus
@@ -89,17 +73,12 @@ val index : t -> Index.t option
 val index_stats : t -> Index.stats option
 (** Statistics of the current index, if one exists. *)
 
-val index_stats_line : t -> string
-(** Human-readable one-liner for the CLI: the index's hit/miss/fallback
-    counters, ["index: idle"] when no lookup forced a build yet, or
-    ["index: disabled"]. *)
-
 val metrics : t -> (string * int) list * (string * Xic_obs.Obs.Metrics.hsnap) list
 (** Snapshot of the global metrics registry (counters and latency
     histograms, name-sorted), after syncing the point-in-time gauges
     ([index_*], [plan_cached]) from this repository — so the snapshot
-    always agrees with the legacy {!plan_stats} / {!index_stats}
-    shims. *)
+    always agrees with {!plan_stats}, {!index_stats} and
+    {!cached_plans}. *)
 
 val metrics_json : t -> string
 (** Same snapshot rendered as a JSON object
@@ -109,33 +88,20 @@ val metrics_prometheus : t -> string
 (** Same snapshot rendered as Prometheus text exposition (the server's
     [metrics] op). *)
 
-val load_document : ?validate:bool -> t -> string -> unit
-(** Parse an XML document and add it to the collection; with [validate]
-    (default true) it must conform to the DTD declaring its root type.
-    @raise Repository_error on parse or validation failure. *)
-
 val load_fused : ?validate:bool -> t -> string -> unit
-(** Fused single-pass ingestion: parse, intern and shred the document in
-    one streaming scan of the source ([Xml_parser.parse_document_into] +
-    [Shred.sink]), under an ["ingest"] trace span.  Verdict-equivalent to
-    {!load_document} — same documents, same relational facts (the
-    differential oracle checks store and verdict agreement) — but the
-    Datalog store is filled while parsing instead of by a second
-    full-document walk, and positions come from the parser for free.
-    When the store cannot be kept exact in-pass (documents already loaded
-    but the store never demanded) it simply stays lazy.  On failure the
-    store is invalidated and no root is registered.
+(** Load one XML document: parse, intern and shred it in one streaming
+    scan of the source ([Xml_parser.parse_document_into] + [Shred.sink]),
+    under an ["ingest"] trace span; with [validate] (default true) it must
+    conform to the DTD declaring its root type.  The source must hold
+    exactly one root element, with nothing but an optional prolog,
+    comments, processing instructions and whitespace around it.  The
+    Datalog store is filled while parsing, and positions come from the
+    parser for free; the differential oracle checks the store and the
+    verdicts against an independent parse-then-shred.  When the store
+    cannot be kept exact in-pass (documents already loaded but the store
+    never demanded) it simply stays lazy.  On failure the store is
+    invalidated and no root is registered.
     @raise Repository_error on parse, shredding or validation failure. *)
-
-type ingest_stats = {
-  fused_docs : int;   (** documents loaded through {!load_fused} *)
-  legacy_docs : int;  (** documents loaded through {!load_document} *)
-  fused_bytes : int;  (** source bytes ingested by the fused path *)
-  fused_facts : int;  (** facts emitted by fused shredding *)
-}
-
-val ingest_stats : t -> ingest_stats
-(** Cumulative ingestion counters (registry-backed, like {!plan_stats}). *)
 
 val add_document_root : ?validate:bool -> t -> Doc.node_id -> unit
 (** Register an already-built tree (e.g. from a generator) as a root. *)
@@ -282,7 +248,7 @@ type delta_stats = {
 
 val delta_stats : t -> delta_stats
 
-val delta_stats_line : t -> string
+val delta_summary : t -> string
 (** Human-readable one-liner for [xicheck --delta-stats]. *)
 
 val match_update : t -> Xic_xupdate.Xupdate.t -> (Pattern.t * Pattern.valuation) option

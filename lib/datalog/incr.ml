@@ -344,9 +344,3 @@ let violated t =
 let view t = t.view
 let stats t = t.stats
 let entry_count t = List.length t.entries
-
-let stats_line t =
-  let s = t.stats in
-  Printf.sprintf
-    "evals=%d reverifies=%d recomputes=%d skipped=%d rows+%d rows-%d"
-    s.evals s.reverifies s.recomputes s.skipped s.rows_added s.rows_removed

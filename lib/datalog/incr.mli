@@ -50,4 +50,3 @@ val view : t -> Store.t
 
 val stats : t -> stats
 val entry_count : t -> int
-val stats_line : t -> string

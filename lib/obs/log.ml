@@ -28,7 +28,7 @@ type format = Text | Json
 
 (* Sink state.  A single mutex serializes emission: log volume is
    request-grained, not check-grained, so contention is irrelevant and
-   interleaved half-lines from pool domains are not. *)
+   interleaved half-lines from concurrent domains are not. *)
 let mutex = Mutex.create ()
 let sink : out_channel option ref = ref None
 let sink_owned = ref false (* opened by [open_path]: close on replace *)

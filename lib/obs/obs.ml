@@ -6,11 +6,8 @@
    [Trace.with_span] therefore takes the thunk last and checks the
    static [enabled] flag before touching anything else.
 
-   Spans are collected per domain (via [Domain.DLS]) so parallel
-   checking under {!Xic_core.Pool} never contends on a shared buffer;
-   the pool drains each worker's buffer after the join and grafts it
-   under the main domain's open span, which restores a single coherent
-   tree for export. *)
+   Spans are collected per domain (via [Domain.DLS]), so domains never
+   contend on a shared buffer. *)
 
 module Clock = struct
   external now_ns : unit -> (int64[@unboxed])
@@ -135,18 +132,6 @@ module Trace = struct
     let rs = List.rev c.roots in
     c.roots <- [];
     rs
-
-  (* Graft spans collected on another domain under the current open
-     span (or as roots when none is open).  Used by the pool after
-     joining workers. *)
-  let absorb spans =
-    if !enabled then begin
-      let c = ctx () in
-      match c.stack with
-      | parent :: _ ->
-        parent.children <- List.rev_append spans parent.children
-      | [] -> c.roots <- List.rev_append spans c.roots
-    end
 
   (* --- export ---------------------------------------------------- *)
 

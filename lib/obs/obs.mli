@@ -43,13 +43,8 @@ module Trace : sig
   (** Completed top-level spans of the current domain, oldest first. *)
   val roots : unit -> span list
 
-  (** Like {!roots}, but also clears them.  Workers call this before
-      their domain exits. *)
+  (** Like {!roots}, but also clears them. *)
   val drain : unit -> span list
-
-  (** Graft drained spans under the current domain's innermost open
-      span (or as roots).  Called by the pool after joining workers. *)
-  val absorb : span list -> unit
 
   val span_count : span list -> int
   val duration_ms : span -> float

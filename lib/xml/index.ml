@@ -36,10 +36,6 @@ type bucket = {
 type t = {
   doc : Doc.t;
   mutable built : bool;
-  (* [shared] marks a read-only phase during which several domains query
-     the index concurrently: every lookup answers from the prewarmed
-     tables, or recomputes locally without writing a cache. *)
-  mutable shared : bool;
   by_name : (Symbol.t, bucket) Hashtbl.t;
   by_attr : (Symbol.t * Symbol.t * string, bucket) Hashtbl.t;  (* tag, attr, value *)
   by_text : (Symbol.t * string, bucket) Hashtbl.t;             (* tag, text-child value *)
@@ -244,7 +240,6 @@ let raw doc =
   {
     doc;
     built = false;
-    shared = false;
     by_name = Hashtbl.create 64;
     by_attr = Hashtbl.create 64;
     by_text = Hashtbl.create 256;
@@ -301,15 +296,12 @@ let build_order t =
 
 let order_table t =
   match t.order with
-  | Some arr -> Some arr
+  | Some arr -> arr
   | None ->
-    if t.shared then None (* never write during a concurrent phase *)
-    else begin
-      t.stats.misses <- t.stats.misses + 1;
-      let arr = build_order t in
-      t.order <- Some arr;
-      Some arr
-    end
+    t.stats.misses <- t.stats.misses + 1;
+    let arr = build_order t in
+    t.order <- Some arr;
+    arr
 
 (* Ranks are unique per node, so comparing ranks alone both orders and
    deduplicates.  A node outside the table (detached, or allocated after
@@ -319,33 +311,29 @@ let sort_doc_order t ids =
   match ids with
   | [] | [ _ ] -> ids
   | _ -> (
-    match order_table t with
+    let arr = order_table t in
+    let bound = Array.length arr in
+    let rec keyed acc = function
+      | [] -> Some acc
+      | id :: rest ->
+        let r = if id >= 0 && id < bound then arr.(id) else -1 in
+        if r < 0 then None else keyed ((r, id) :: acc) rest
+    in
+    match keyed [] ids with
     | None -> Doc.sort_doc_order t.doc ids
-    | Some arr ->
-      let bound = Array.length arr in
-      let rec keyed acc = function
-        | [] -> Some acc
-        | id :: rest ->
-          let r = if id >= 0 && id < bound then arr.(id) else -1 in
-          if r < 0 then None else keyed ((r, id) :: acc) rest
-      in
-      (match keyed [] ids with
-       | None -> Doc.sort_doc_order t.doc ids
-       | Some pairs ->
-         List.sort_uniq (fun ((a : int), _) (b, _) -> Stdlib.compare a b) pairs
-         |> List.map snd))
+    | Some pairs ->
+      List.sort_uniq (fun ((a : int), _) (b, _) -> Stdlib.compare a b) pairs
+      |> List.map snd)
 
 let doc_order_compare t a b =
   if a = b then 0
   else
-    match order_table t with
-    | None -> Doc.doc_order_compare t.doc a b
-    | Some arr ->
-      let bound = Array.length arr in
-      let ra = if a >= 0 && a < bound then arr.(a) else -1 in
-      let rb = if b >= 0 && b < bound then arr.(b) else -1 in
-      if ra < 0 || rb < 0 then Doc.doc_order_compare t.doc a b
-      else Stdlib.compare ra rb
+    let arr = order_table t in
+    let bound = Array.length arr in
+    let ra = if a >= 0 && a < bound then arr.(a) else -1 in
+    let rb = if b >= 0 && b < bound then arr.(b) else -1 in
+    if ra < 0 || rb < 0 then Doc.doc_order_compare t.doc a b
+    else Stdlib.compare ra rb
 
 (* ------------------------------------------------------------------ *)
 (* Lookups                                                             *)
@@ -356,16 +344,13 @@ let sorted_view t b =
   | Some l -> l
   | None ->
     let l = sort_doc_order t b.ids in
-    if t.shared then l  (* never write during a concurrent phase *)
-    else begin
-      t.stats.misses <- t.stats.misses + 1;
-      b.cache <- Some l;
-      l
-    end
+    t.stats.misses <- t.stats.misses + 1;
+    b.cache <- Some l;
+    l
 
 let lookup t tbl key =
   ensure_built t;
-  if not t.shared then t.stats.hits <- t.stats.hits + 1;
+  t.stats.hits <- t.stats.hits + 1;
   match Hashtbl.find_opt tbl key with
   | None -> []
   | Some b -> sorted_view t b
@@ -395,77 +380,41 @@ let scan_children_named t p tag =
 
 let children_named_sym t p tag =
   ensure_built t;
-  if t.shared then begin
-    (* read-only: serve the cache when present, else recompute locally *)
+  t.stats.hits <- t.stats.hits + 1;
+  let per_parent =
     match Hashtbl.find_opt t.child_cache p with
-    | Some per ->
-      (match Hashtbl.find_opt per tag with
-       | Some l -> l
-       | None -> scan_children_named t p tag)
-    | None -> scan_children_named t p tag
-  end
-  else begin
-    t.stats.hits <- t.stats.hits + 1;
-    let per_parent =
-      match Hashtbl.find_opt t.child_cache p with
-      | Some h -> h
-      | None ->
-        let h = Hashtbl.create 4 in
-        Hashtbl.replace t.child_cache p h;
-        h
-    in
-    match Hashtbl.find_opt per_parent tag with
-    | Some l -> l
+    | Some h -> h
     | None ->
-      t.stats.misses <- t.stats.misses + 1;
-      let l = scan_children_named t p tag in
-      Hashtbl.replace per_parent tag l;
-      l
-  end
+      let h = Hashtbl.create 4 in
+      Hashtbl.replace t.child_cache p h;
+      h
+  in
+  match Hashtbl.find_opt per_parent tag with
+  | Some l -> l
+  | None ->
+    t.stats.misses <- t.stats.misses + 1;
+    let l = scan_children_named t p tag in
+    Hashtbl.replace per_parent tag l;
+    l
 
 let children_named t p tag = children_named_sym t p (Symbol.intern tag)
 
 let position t id =
   ensure_built t;
-  if t.shared then begin
-    match Hashtbl.find_opt t.pos_cache id with
-    | Some p -> p
-    | None -> Doc.position t.doc id
-  end
-  else begin
-    t.stats.hits <- t.stats.hits + 1;
-    match Hashtbl.find_opt t.pos_cache id with
-    | Some p -> p
-    | None ->
-      t.stats.misses <- t.stats.misses + 1;
-      let p = Doc.position t.doc id in
-      Hashtbl.replace t.pos_cache id p;
-      p
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Shared (read-only, multi-domain) phase                              *)
-(* ------------------------------------------------------------------ *)
-
-let prepare_shared t =
-  ensure_built t;
-  (* prewarm the rank table and every bucket's sorted view so concurrent
-     lookups find the tables fully materialized and never need to write *)
-  ignore (order_table t);
-  let warm tbl = Hashtbl.iter (fun _ b -> ignore (sorted_view t b)) tbl in
-  warm t.by_name;
-  warm t.by_attr;
-  warm t.by_text;
-  t.shared <- true
-
-let unshare t = t.shared <- false
-let shared t = t.shared
+  t.stats.hits <- t.stats.hits + 1;
+  match Hashtbl.find_opt t.pos_cache id with
+  | Some p -> p
+  | None ->
+    t.stats.misses <- t.stats.misses + 1;
+    let p = Doc.position t.doc id in
+    Hashtbl.replace t.pos_cache id p;
+    p
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let note_fallback t = if not t.shared then t.stats.fallbacks <- t.stats.fallbacks + 1
+let note_fallback t = t.stats.fallbacks <- t.stats.fallbacks + 1
 let stats t = t.stats
 
 let reset_stats t =
@@ -473,10 +422,6 @@ let reset_stats t =
   t.stats.misses <- 0;
   t.stats.fallbacks <- 0;
   t.stats.events <- 0
-
-let stats_line t =
-  Printf.sprintf "index: %d hits, %d misses, %d fallbacks" t.stats.hits
-    t.stats.misses t.stats.fallbacks
 
 (* ------------------------------------------------------------------ *)
 (* Consistency audit (for tests)                                       *)

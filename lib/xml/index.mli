@@ -78,19 +78,6 @@ val by_attr_sym : t -> tag:Doc.Symbol.t -> attr:Doc.Symbol.t -> string -> Doc.no
 val by_pcdata_sym : t -> tag:Doc.Symbol.t -> string -> Doc.node_id list
 val children_named_sym : t -> Doc.node_id -> Doc.Symbol.t -> Doc.node_id list
 
-(** {1 Shared read-only phase}
-
-    During parallel checking several domains query one index over a
-    read-only document.  [prepare_shared] forces the build and prewarms
-    every sorted bucket view; while the shared flag is set, lookups never
-    write to any table or counter (cache misses recompute locally), so
-    concurrent readers are safe.  The document must not be mutated until
-    {!unshare}. *)
-
-val prepare_shared : t -> unit
-val unshare : t -> unit
-val shared : t -> bool
-
 (** {1 Statistics} *)
 
 val note_fallback : t -> unit
@@ -98,9 +85,6 @@ val note_fallback : t -> unit
 
 val stats : t -> stats
 val reset_stats : t -> unit
-
-val stats_line : t -> string
-(** ["index: H hits, M misses, F fallbacks"]. *)
 
 (** {1 Consistency audit}
 

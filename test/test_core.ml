@@ -19,8 +19,8 @@ let rev_doc =
 let make_repo ?(constraints = true) () =
   let s = Lazy.force schema in
   let repo = Repository.create s in
-  Repository.load_document repo pub_doc;
-  Repository.load_document repo rev_doc;
+  Repository.load_fused repo pub_doc;
+  Repository.load_fused repo rev_doc;
   if constraints then begin
     Repository.add_constraint repo (Conf.conflict s);
     Repository.add_constraint repo (Conf.workload s);
@@ -49,11 +49,50 @@ let test_schema_bad_dtd () =
 
 let test_load_validates () =
   let repo = Repository.create (Lazy.force schema) in
-  (match Repository.load_document repo "<review><bogus/></review>" with
-   | exception Repository.Repository_error _ -> ()
-   | () -> Alcotest.fail "invalid document must be rejected");
+  let rejects what src =
+    match Repository.load_fused repo src with
+    | exception Repository.Repository_error _ -> ()
+    | () -> Alcotest.failf "%s must be rejected" what
+  in
+  rejects "invalid document" "<review><track><name>DB</name></track></review>";
+  (* an element type outside the schema cannot be shredded *)
+  rejects "unknown element" "<review><bogus/></review>";
+  (* a document is one root element, with nothing but markup around it *)
+  rejects "text before the root" "text<review/>";
+  rejects "text after the root" "<review/> trailing";
+  checki "no root registered" 0
+    (List.length (Xic_xml.Doc.roots (Repository.doc repo)));
   (* but loads fine with validation off *)
-  Repository.load_document ~validate:false repo "<review><bogus/></review>"
+  Repository.load_fused ~validate:false repo
+    "<review><track><name>DB</name></track></review>"
+
+(* A load that fails part-way into a repository whose store and
+   incremental views are live must leave both exact: facts emitted
+   in-pass before the failure never survive it. *)
+let test_failed_load_keeps_live_state () =
+  let repo = make_repo () in
+  Repository.set_incremental repo true;
+  let before = Repository.check_incremental repo in
+  let roots () = List.length (Xic_xml.Doc.roots (Repository.doc repo)) in
+  let n = roots () in
+  List.iter
+    (fun (what, src) ->
+      (match Repository.load_fused repo src with
+       | exception Repository.Repository_error _ -> ()
+       | () -> Alcotest.failf "%s must be rejected" what);
+      checki (what ^ ": root count unchanged") n (roots ());
+      checkb (what ^ ": store = fresh shred") true
+        (Xic_datalog.Store.equal (Repository.store repo)
+           (Xic_relmap.Shred.shred
+              (Schema.mapping (Repository.schema repo))
+              (Repository.doc repo)));
+      checksl (what ^ ": incremental = full") (Repository.check_full repo)
+        (Repository.check_incremental repo);
+      checksl (what ^ ": verdicts unchanged") before
+        (Repository.check_incremental repo))
+    [ ("DTD reject", "<review><track><name>DB</name></track></review>");
+      ("shred reject", "<review><track><name>DB</name><bogus/></track></review>");
+      ("junk after the root", rev_doc ^ "junk") ]
 
 let test_schema_from_doctype () =
   let s =
@@ -89,9 +128,9 @@ let test_check_full_consistent () =
 let test_check_full_detects_violation () =
   let s = Lazy.force schema in
   let repo = Repository.create s in
-  Repository.load_document repo pub_doc;
+  Repository.load_fused repo pub_doc;
   (* Carl reviews a submission by his co-author Nora *)
-  Repository.load_document repo
+  Repository.load_fused repo
     {|<review><track><name>DB</name><rev><name>Carl</name><sub><title>S</title><auts><name>Nora</name></auts></sub></rev></track></review>|};
   Repository.add_constraint repo (Conf.conflict s);
   Alcotest.(check (list string)) "violated" [ "conflict" ] (Repository.check_full repo);
@@ -101,8 +140,8 @@ let test_check_full_detects_violation () =
 let test_add_constraint_verify () =
   let s = Lazy.force schema in
   let repo = Repository.create s in
-  Repository.load_document repo pub_doc;
-  Repository.load_document repo
+  Repository.load_fused repo pub_doc;
+  Repository.load_fused repo
     {|<review><track><name>DB</name><rev><name>Carl</name><sub><title>S</title><auts><name>Carl</name></auts></sub></rev></track></review>|};
   (match Repository.add_constraint ~verify:true repo (Conf.conflict s) with
    | exception Repository.Repository_error _ -> ()
@@ -114,8 +153,8 @@ let test_add_constraint_verify () =
 let test_explain () =
   let s = Lazy.force schema in
   let repo = Repository.create s in
-  Repository.load_document repo pub_doc;
-  Repository.load_document repo
+  Repository.load_fused repo pub_doc;
+  Repository.load_fused repo
     {|<review><track><name>DB</name><rev><name>Carl</name><sub><title>S</title><auts><name>Carl</name></auts></sub></rev></track></review>|};
   Repository.add_constraint repo (Conf.conflict s);
   (* Carl reviewing himself violates both disjuncts: A = R, and the
@@ -268,7 +307,7 @@ let test_recursive_dtd_constraints () =
       "<- //section[title/text() -> X] -> S1 and //section[title/text() -> X] -> S2 and S1 != S2"
   in
   let repo = Repository.create s in
-  Repository.load_document repo
+  Repository.load_fused repo
     {|<book><section><title>A</title><section><title>B</title></section></section></book>|};
   Repository.add_constraint repo c;
   Alcotest.(check (list string)) "nested sections consistent" []
@@ -304,8 +343,8 @@ let test_bundle_roundtrip () =
     (List.map (fun p -> p.Pattern.name) (Repository.patterns repo))
     (List.map (fun p -> p.Pattern.name) (Repository.patterns repo2));
   (* the reloaded repository guards updates identically *)
-  Repository.load_document repo2 pub_doc;
-  Repository.load_document repo2 rev_doc;
+  Repository.load_fused repo2 pub_doc;
+  Repository.load_fused repo2 rev_doc;
   (match
      Repository.guarded_update repo2
        (Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]"
@@ -371,7 +410,7 @@ let cat_schema =
 let cat_repo docsrc constraints =
   let s = Lazy.force cat_schema in
   let repo = Repository.create s in
-  Repository.load_document repo docsrc;
+  Repository.load_fused repo docsrc;
   List.iter (Repository.add_constraint repo) (constraints s);
   repo
 
@@ -431,8 +470,8 @@ let test_template_distinct_siblings () =
      not *)
   let s = Lazy.force schema in
   let repo = Repository.create s in
-  Repository.load_document repo pub_doc;
-  Repository.load_document repo
+  Repository.load_fused repo pub_doc;
+  Repository.load_fused repo
     {|<review><track><name>DB</name>
         <rev><name>R1</name><sub><title>S</title><auts><name>Ann</name></auts></sub></rev>
         <rev><name>R1</name><sub><title>S</title><auts><name>Ann</name></auts></sub></rev>
@@ -449,7 +488,7 @@ let test_template_simplifies () =
   (* templates go through the same simplification pipeline *)
   let s = Lazy.force cat_schema in
   let repo = Repository.create s in
-  Repository.load_document repo
+  Repository.load_fused repo
     {|<catalog><journal><issn>1</issn><title>A</title></journal></catalog>|};
   Repository.add_constraint repo
     (Templates.key s ~elem:"journal" ~field:(Templates.Child "issn") ());
@@ -642,8 +681,8 @@ let test_guarded_deletion () =
   (* deletion patterns: removing an auts can orphan a submission *)
   let s = Lazy.force schema in
   let repo = Repository.create s in
-  Repository.load_document repo pub_doc;
-  Repository.load_document repo
+  Repository.load_fused repo pub_doc;
+  Repository.load_fused repo
     {|<review><track><name>DB</name><rev><name>Carl</name><sub><title>S1</title><auts><name>Ann</name></auts><auts><name>Bob</name></auts></sub></rev></track></review>|};
   (* every submission keeps at least one author *)
   let keep_author =
@@ -769,6 +808,8 @@ let () =
           Alcotest.test_case "rendering" `Quick test_schema_rendering;
           Alcotest.test_case "bad DTD" `Quick test_schema_bad_dtd;
           Alcotest.test_case "load validates" `Quick test_load_validates;
+          Alcotest.test_case "failed load keeps live state" `Quick
+            test_failed_load_keeps_live_state;
           Alcotest.test_case "from DOCTYPE" `Quick test_schema_from_doctype;
         ] );
       ( "constraints",

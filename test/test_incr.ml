@@ -160,8 +160,8 @@ let fixed_rev =
 let mk_repo () =
   let s = Conf.schema () in
   let repo = Repository.create s in
-  Repository.load_document repo fixed_pub;
-  Repository.load_document repo fixed_rev;
+  Repository.load_fused repo fixed_pub;
+  Repository.load_fused repo fixed_rev;
   List.iter
     (Repository.add_constraint repo)
     [ Conf.conflict s; Conf.workload s; Conf.track_load s ];
@@ -356,8 +356,8 @@ let prop_count_views_exact =
       let r = Prng.create seed in
       let s = Conf.schema () in
       let repo = Repository.create s in
-      Repository.load_document repo fixed_pub;
-      Repository.load_document repo threshold_rev;
+      Repository.load_fused repo fixed_pub;
+      Repository.load_fused repo threshold_rev;
       List.iter
         (Repository.add_constraint repo)
         [ Conf.conflict s; Conf.workload s; Conf.track_load s ];

@@ -26,8 +26,8 @@ let rev_doc =
 let make_repo () =
   let s = Lazy.force schema in
   let repo = Repository.create s in
-  Repository.load_document repo pub_doc;
-  Repository.load_document repo rev_doc;
+  Repository.load_fused repo pub_doc;
+  Repository.load_fused repo rev_doc;
   Repository.add_constraint repo (Conf.conflict s);
   Repository.register_pattern repo (Conf.submission_pattern s);
   repo
@@ -494,8 +494,8 @@ let test_exhausted_budget_degrades_to_full_check () =
 let test_budget_degrades_runtime_simplification () =
   let s = Lazy.force schema in
   let repo = Repository.create s in
-  Repository.load_document repo pub_doc;
-  Repository.load_document repo rev_doc;
+  Repository.load_fused repo pub_doc;
+  Repository.load_fused repo rev_doc;
   Repository.add_constraint repo (Conf.conflict s);
   Repository.set_eval_budget repo (Some 1);
   let report =

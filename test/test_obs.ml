@@ -1,10 +1,9 @@
 (* Observability layer: histogram bucketing and merge, span-tree
-   nesting (including across Pool domains), export shape. *)
+   nesting, export shape. *)
 
 module Obs = Xic_obs.Obs
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
-module Pool = Xic_core.Pool
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -167,33 +166,6 @@ let test_disabled_is_transparent () =
   Trace.add_attr "k" "v";
   checki "value passes through" 7 v;
   checki "nothing recorded" 0 (List.length (Trace.roots ()))
-
-let test_spans_across_pool_domains () =
-  with_tracing @@ fun () ->
-  let items = List.init 8 (fun i -> i) in
-  let sum =
-    Trace.with_span "pool" (fun () ->
-        Pool.map ~jobs:4
-          (fun i -> Trace.with_span ("item" ^ string_of_int i) (fun () -> i))
-          items)
-    |> List.fold_left ( + ) 0
-  in
-  checki "results survive tracing" 28 sum;
-  match Trace.roots () with
-  | [ root ] ->
-    checks "single root" "pool" root.Trace.name;
-    (* every per-item span was grafted under the pool span, whichever
-       domain ran it *)
-    checki "all item spans present" 9 (Trace.span_count [ root ]);
-    let names =
-      List.sort compare
-        (List.map (fun (sp : Trace.span) -> sp.Trace.name) root.Trace.children)
-    in
-    Alcotest.(check (list string))
-      "one span per item"
-      (List.sort compare (List.map (fun i -> "item" ^ string_of_int i) items))
-      names
-  | rs -> Alcotest.failf "expected one root, got %d" (List.length rs)
 
 let test_slow_log () =
   with_tracing @@ fun () ->
@@ -406,8 +378,6 @@ let () =
             test_span_exception_unwinds;
           Alcotest.test_case "disabled is transparent" `Quick
             test_disabled_is_transparent;
-          Alcotest.test_case "across pool domains" `Quick
-            test_spans_across_pool_domains;
           Alcotest.test_case "slow log" `Quick test_slow_log;
         ] );
       ( "export",

@@ -71,7 +71,7 @@ let test_s41_update_mapping () =
   Buffer.add_string b "</review>";
   let s = Lazy.force schema in
   let repo = Repository.create s in
-  Repository.load_document repo (Buffer.contents b);
+  Repository.load_fused repo (Buffer.contents b);
   let doc = Repository.doc repo in
   let u =
     XU.parse_string
@@ -216,8 +216,8 @@ let test_s7_scenarios () =
   let ds = Xic_workload.Generator.generate ~seed:8 ~target_bytes:40_000 () in
   let s = Lazy.force schema in
   let repo = Repository.create s in
-  Repository.load_document repo ds.Xic_workload.Generator.pub_xml;
-  Repository.load_document repo ds.Xic_workload.Generator.rev_xml;
+  Repository.load_fused repo ds.Xic_workload.Generator.pub_xml;
+  Repository.load_fused repo ds.Xic_workload.Generator.rev_xml;
   Repository.add_constraint repo (Conf.conflict s);
   Repository.add_constraint repo (Conf.workload s);
   Repository.register_pattern repo (Conf.submission_pattern s);

@@ -38,8 +38,8 @@ let fixed_rev =
 let make_repo ?(incremental = false) () =
   let s = Conf.schema () in
   let repo = Repository.create s in
-  Repository.load_document repo fixed_pub;
-  Repository.load_document repo fixed_rev;
+  Repository.load_fused repo fixed_pub;
+  Repository.load_fused repo fixed_rev;
   List.iter
     (Repository.add_constraint repo)
     [ Conf.conflict s; Conf.workload s; Conf.track_load s ];

@@ -28,8 +28,8 @@ let rev_doc =
 let make_repo () =
   let s = Lazy.force schema in
   let repo = Repository.create s in
-  Repository.load_document repo pub_doc;
-  Repository.load_document repo rev_doc;
+  Repository.load_fused repo pub_doc;
+  Repository.load_fused repo rev_doc;
   Repository.add_constraint repo (Conf.conflict s);
   Repository.register_pattern repo (Conf.submission_pattern s);
   repo

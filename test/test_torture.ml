@@ -33,8 +33,8 @@ let rev_doc =
 let base_repo () =
   let s = Lazy.force schema in
   let repo = Repository.create s in
-  Repository.load_document repo pub_doc;
-  Repository.load_document repo rev_doc;
+  Repository.load_fused repo pub_doc;
+  Repository.load_fused repo rev_doc;
   Repository.add_constraint repo (Conf.conflict s);
   Repository.register_pattern repo (Conf.submission_pattern s);
   repo
@@ -122,8 +122,8 @@ let recover_state ~ctx jpath spath =
   let meta =
     if Sys.file_exists spath then Some (Repository.load_snapshot repo spath)
     else begin
-      Repository.load_document repo pub_doc;
-      Repository.load_document repo rev_doc;
+      Repository.load_fused repo pub_doc;
+      Repository.load_fused repo rev_doc;
       None
     end
   in

@@ -42,8 +42,8 @@ let dataset = lazy (Gen.generate ~seed:11 ~target_bytes:120_000 ())
 let build_repo ds =
   let s = Conf.schema () in
   let repo = Repository.create s in
-  Repository.load_document repo ds.Gen.pub_xml;
-  Repository.load_document repo ds.Gen.rev_xml;
+  Repository.load_fused repo ds.Gen.pub_xml;
+  Repository.load_fused repo ds.Gen.rev_xml;
   Repository.add_constraint repo (Conf.conflict s);
   Repository.add_constraint repo (Conf.workload s);
   Repository.add_constraint repo (Conf.track_load s);
@@ -201,8 +201,8 @@ let test_removal_storm () =
   let s = Conf.schema () in
   let repo = Repository.create s in
   let ds = Gen.generate ~seed:5 ~target_bytes:30_000 () in
-  Repository.load_document repo ds.Gen.pub_xml;
-  Repository.load_document repo ds.Gen.rev_xml;
+  Repository.load_fused repo ds.Gen.pub_xml;
+  Repository.load_fused repo ds.Gen.rev_xml;
   Repository.add_constraint repo
     (Constr.make s ~name:"keep_author" "<- //sub -> S and cnt{; S/auts} < 1");
   Repository.register_pattern repo

@@ -582,7 +582,7 @@ let test_index_detached_subtree () =
   checkl "deleted subtree gone" [] (Index.by_name i "a");
   checkb "consistent" true (Index.consistent i)
 
-let test_index_stats_line () =
+let test_index_stats () =
   let d = parse "<r><a/></r>" in
   let i = Index.create d in
   ignore (Index.by_name i "a" : Doc.node_id list);
@@ -592,10 +592,6 @@ let test_index_stats_line () =
   checkb "some hits" true (st.Index.hits > 0);
   checkb "build counted as a miss" true (st.Index.misses > 0);
   checki "fallback recorded" 1 st.Index.fallbacks;
-  checkb "line mentions hits" true
-    (let line = Index.stats_line i in
-     String.length line > 0
-     && String.sub line 0 6 = "index:");
   Index.reset_stats i;
   checki "reset" 0 (Index.stats i).Index.hits
 
@@ -679,6 +675,6 @@ let () =
           Alcotest.test_case "by_pcdata duplicates" `Quick test_index_by_pcdata_duplicates;
           Alcotest.test_case "children/position caches" `Quick test_index_children_position;
           Alcotest.test_case "detached subtrees" `Quick test_index_detached_subtree;
-          Alcotest.test_case "statistics" `Quick test_index_stats_line;
+          Alcotest.test_case "statistics" `Quick test_index_stats;
         ] );
     ]
