@@ -90,7 +90,10 @@ let headline =
       extract = per_size "pins" "pin_open_us" };
     { name = "server_pins.mixed_checks_per_sec";
       dir = Higher_better;
-      extract = per_size "server_pins" "mixed_checks_per_sec" } ]
+      extract = per_size "server_pins" "mixed_checks_per_sec" };
+    { name = "server_pins.read_under_pin_p50_ms";
+      dir = Lower_better;
+      extract = per_size "server_pins" "read_under_pin_p50_ms" } ]
 
 let () =
   let tolerance = ref 15.0 in

@@ -95,30 +95,12 @@ let no_index_arg =
   in
   Arg.(value & flag & info [ "no-index" ] ~doc)
 
-let incremental_arg =
-  let doc =
-    "Maintain materialized denial views from fact deltas and route \
-     verdicts through them (semi-naive incremental checking): the cost \
-     of a check follows the size of the update, not the document.  \
-     Verdicts are identical to the full re-evaluation."
-  in
-  Arg.(value & flag & info [ "incremental" ] ~doc)
-
-let no_incremental_arg =
-  let doc = "Force full re-evaluation (the default)." in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let delta_stats_arg =
   let doc =
     "Print the delta maintenance report (mirror flushes, net facts, \
      view evaluations) at exit."
   in
   Arg.(value & flag & info [ "delta-stats" ] ~doc)
-
-let apply_incremental repo ~incremental ~no_incremental =
-  if incremental && no_incremental then
-    die "--incremental and --no-incremental are mutually exclusive";
-  if incremental then Repository.set_incremental repo true
 
 let print_delta_stats repo ~delta_stats =
   if delta_stats then print_endline (Repository.delta_summary repo)
@@ -393,10 +375,6 @@ let print_plans repo roots =
     (Repository.constraints repo)
 
 let check_cmd =
-  let datalog_arg =
-    let doc = "Evaluate over the relational mirror instead of XQuery." in
-    Arg.(value & flag & info [ "datalog" ] ~doc)
-  in
   let explain_arg =
     let doc =
       "Print a violation witness (bindings and node paths) per violated \
@@ -405,9 +383,8 @@ let check_cmd =
     in
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate use_datalog
-      explain no_index incremental no_incremental delta_stats trace metrics
-      slow_ms =
+  let run dtds docs snapshot constraints pattern no_validate explain
+      no_index delta_stats trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     (* --explain needs a traced run for its observed timings *)
     if explain then begin
@@ -423,7 +400,6 @@ let check_cmd =
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
      | None -> ());
-    apply_incremental repo ~incremental ~no_incremental;
     let consistent =
       if explain then begin
         match Repository.explain repo with
@@ -435,12 +411,7 @@ let check_cmd =
           false
       end
       else begin
-        let violated =
-          if incremental then Repository.check_incremental repo
-          else if use_datalog then Repository.check_full_datalog repo
-          else Repository.check_full repo
-        in
-        match violated with
+        match Repository.check_full repo with
         | [] ->
           print_endline "consistent";
           true
@@ -463,8 +434,8 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Check integrity constraints against the documents")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ datalog_arg $ explain_arg
-      $ no_index_arg $ incremental_arg $ no_incremental_arg $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ pattern_arg $ no_validate_arg $ explain_arg $ no_index_arg
+      $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* simplify                                                            *)
@@ -552,8 +523,8 @@ let guard_cmd =
     Arg.(required & opt (some file) None & info [ "update" ] ~docv:"FILE" ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate runtime_simp
-      update output journal eval_budget no_index incremental no_incremental
-      delta_stats trace metrics slow_ms =
+      update output journal eval_budget no_index delta_stats trace metrics
+      slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     let s = load_schema dtds in
     let repo, meta =
@@ -565,7 +536,6 @@ let guard_cmd =
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
      | None -> ());
-    apply_incremental repo ~incremental ~no_incremental;
     (match (meta, journal) with
      | Some m, Some jpath -> replay_onto_snapshot repo m jpath
      | _ -> ());
@@ -593,7 +563,7 @@ let guard_cmd =
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
       $ pattern_arg $ no_validate_arg $ runtime_simp_arg $ update_arg
       $ output_arg $ journal_arg $ eval_budget_arg $ no_index_arg
-      $ incremental_arg $ no_incremental_arg $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* txn                                                                 *)
@@ -612,8 +582,8 @@ let txn_cmd =
     Arg.(value & flag & info [ "abort" ] ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate runtime_simp
-      updates output journal eval_budget abort no_index incremental
-      no_incremental delta_stats trace metrics slow_ms =
+      updates output journal eval_budget abort no_index delta_stats trace
+      metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     let s = load_schema dtds in
     let repo, meta =
@@ -625,7 +595,6 @@ let txn_cmd =
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
      | None -> ());
-    apply_incremental repo ~incremental ~no_incremental;
     (match (meta, journal) with
      | Some m, Some jpath -> replay_onto_snapshot repo m jpath
      | _ -> ());
@@ -670,7 +639,7 @@ let txn_cmd =
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
       $ pattern_arg $ no_validate_arg $ runtime_simp_arg $ updates_arg
       $ output_arg $ journal_arg $ eval_budget_arg $ abort_arg $ no_index_arg
-      $ incremental_arg $ no_incremental_arg $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* recover                                                             *)
@@ -691,14 +660,13 @@ let recover_cmd =
     Arg.(
       required & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
-  let run dtds docs snapshot constraints no_validate journal incremental
-      no_incremental delta_stats output =
+  let run dtds docs snapshot constraints no_validate journal delta_stats
+      output =
     let s = load_schema dtds in
     let repo, meta =
       load_state ~validate:(not no_validate) s ~snapshot docs
     in
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
-    apply_incremental repo ~incremental ~no_incremental;
     if not (Sys.file_exists journal) then begin
       Printf.eprintf "xicheck: journal %s not found\n" journal;
       exit 3
@@ -742,8 +710,7 @@ let recover_cmd =
           against freshly loaded base documents (or a snapshot)")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ no_validate_arg $ journal_arg $ incremental_arg $ no_incremental_arg
-      $ delta_stats_arg $ output_arg)
+      $ no_validate_arg $ journal_arg $ delta_stats_arg $ output_arg)
 
 (* ------------------------------------------------------------------ *)
 (* checkpoint                                                          *)
@@ -879,13 +846,6 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "checkpoint-on-shutdown" ] ~doc)
   in
-  let serve_no_incremental_arg =
-    let doc =
-      "Serve verdicts by full re-evaluation instead of from the \
-       materialized denial views, which are on by default."
-    in
-    Arg.(value & flag & info [ "no-incremental" ] ~doc)
-  in
   let log_arg =
     let doc =
       "Write structured server logs to $(docv) ('-' = stderr).  Every \
@@ -917,7 +877,7 @@ let serve_cmd =
     Arg.(value & opt int 8 & info [ "slow-requests" ] ~docv:"N" ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate runtime_simp
-      journal eval_budget no_index no_incremental socket tcp
+      journal eval_budget no_index socket tcp
       checkpoint_on_shutdown log log_level log_format trace slow_requests =
     (* instrumentation first, so document-load spans join the session *)
     (match XLog.level_of_string log_level with
@@ -944,9 +904,6 @@ let serve_cmd =
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
      | None -> ());
-    (* a resident server wants the materialized views resident too:
-       incremental checking is ON unless explicitly disabled *)
-    if not no_incremental then Repository.set_incremental repo true;
     (* bring the state up to date with the journal before serving *)
     (match (meta, journal) with
      | Some m, Some jpath -> replay_onto_snapshot repo m jpath
@@ -1014,7 +971,7 @@ let serve_cmd =
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
       $ pattern_arg $ no_validate_arg $ runtime_simp_arg $ journal_arg
-      $ eval_budget_arg $ no_index_arg $ serve_no_incremental_arg $ socket_arg
+      $ eval_budget_arg $ no_index_arg $ socket_arg
       $ tcp_arg
       $ checkpoint_on_shutdown_arg $ log_arg $ log_level_arg $ log_format_arg
       $ serve_trace_arg $ slow_requests_arg)
@@ -1374,9 +1331,8 @@ let top_cmd =
         "uptime %.1fs  requests %.0f (%.1f/s)  batches %.0f  generation %.0f\n"
         (f "uptime_s") (f "requests") (f "requests_per_sec") (f "batches")
         (f "generation");
-      Printf.printf "pins %.0f  open_txn %b  incremental %b\n" (f "pins")
-        (Proto.bool_field "open_txn" srv)
-        (Proto.bool_field "incremental" srv);
+      Printf.printf "pins %.0f  open_txn %b\n" (f "pins")
+        (Proto.bool_field "open_txn" srv);
       (* serve gauges, straight off the Prometheus exposition *)
       let body = Option.value ~default:"" (Proto.string_field "body" metrics) in
       let gauges =

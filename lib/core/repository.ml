@@ -81,11 +81,20 @@ type delta_counters = {
   net : Delta.t;
 }
 
-(* One retained generation: a frozen store handle shared by every pin
-   of that generation, refcounted so the table can tell in-flight
-   readers from history kept purely for time-travel checks. *)
+(* Views frozen with a generation; they may answer only while
+   [fv_constraints] is still the repository's constraint list. *)
+type frozen_views = {
+  fv_incr : Incr.t;
+  fv_view : Xic_datalog.Store.t;  (* frozen *)
+  fv_constraints : Constr.t list;
+}
+
+(* One retained generation: a frozen store handle (plus frozen views)
+   shared by every pin of that generation, refcounted so the table can
+   tell in-flight readers from history kept for time-travel checks. *)
 type retained = {
   r_store : Xic_datalog.Store.t;  (* frozen *)
+  r_views : frozen_views option;
   r_mut : int;  (* mutation stamp at freeze time, for freshness checks *)
   mutable r_refs : int;
 }
@@ -98,8 +107,7 @@ type t = {
   mutable store : Xic_datalog.Store.t option;
   (* event-driven store maintenance; attached iff [store] is [Some] *)
   mutable mirror : Xic_relmap.Mirror.t option;
-  (* [true] = verdicts come from the materialized denial views *)
-  mutable incremental : bool;
+  (* the materialized denial views, built by the first verdict *)
   mutable incr : Xic_datalog.Incr.t option;
   deltas : delta_counters;
   mutable eval_budget : int option;
@@ -128,7 +136,7 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Repository_error s)) fmt
 
 let create schema =
   { schema; doc = Doc.create (); constraints = []; compiled = []; store = None;
-    mirror = None; incremental = false; incr = None;
+    mirror = None; incr = None;
     deltas =
       { flushes = 0; facts_added = 0; facts_removed = 0; net = Delta.create () };
     eval_budget = None; use_index = true; index = None;
@@ -409,25 +417,26 @@ let check_full t =
           else None)
         plans)
 
-let check_full_datalog t =
-  let s = store t in
+let violated_datalog t s =
   List.filter_map
     (fun c -> if Constr.violated_datalog s c then Some c.Constr.name else None)
     t.constraints
+
+let check_full_datalog t = violated_datalog t (store t)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned snapshots (reader isolation)                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A pin is a frozen generation handle of the materialized store,
-   stamped with the generation it captured.  Freezing is an
-   O(#relations) pointer capture ([Store.freeze]): the handle shares the
-   per-relation insertion logs with the live writer, which only ever
-   conses onto its own head, so checks against a pin are unaffected by
-   later commits, checkpoints or journal truncation — at no copy cost
-   and O(delta) retained memory.  Verdicts over the relational mirror
-   are equivalent to the XQuery check (oracle-proven), so a pinned check
-   is a real check, not an approximation.
+(* A pin is a frozen generation handle of the materialized store (and
+   of the denial views, when they exist), stamped with the generation
+   it captured.  Freezing is an O(#relations) pointer capture
+   ([Store.freeze]): the handle shares the per-relation insertion logs
+   with the live writer, which only ever conses onto its own head, so
+   checks against a pin are unaffected by later commits, checkpoints or
+   journal truncation — at no copy cost and O(delta) retained memory.
+   Verdicts from the frozen views or over the frozen store equal the
+   XQuery check (oracle-proven).
 
    Handles live in a refcounted retained-generation table: pins of the
    same generation share one handle (amortizing its lazy index builds
@@ -436,7 +445,7 @@ let check_full_datalog t =
    [retain_keep] evicts the oldest or a {!checkpoint} drops them all. *)
 type pin = {
   pin_generation : int;
-  pin_store : Xic_datalog.Store.t;
+  pin_entry : retained;
 }
 
 (* Evict zero-ref history beyond the [retain_keep] most recent
@@ -454,24 +463,34 @@ let prune_retained ?(keep_history = true) t =
   if drop > 0 then
     List.iteri (fun i g -> if i < drop then Hashtbl.remove t.retained g) zero
 
+(* Pinning never materializes views: without them, pinned verdicts
+   recompute. *)
+let freeze_views t =
+  Option.map
+    (fun i ->
+      { fv_incr = i; fv_view = Xic_datalog.Store.freeze (Incr.view i);
+        fv_constraints = t.constraints })
+    t.incr
+
 let pin t =
   let g = t.generation in
   match Hashtbl.find_opt t.retained g with
   | Some r when r.r_mut = t.mutations ->
     r.r_refs <- r.r_refs + 1;
-    { pin_generation = g; pin_store = r.r_store }
+    { pin_generation = g; pin_entry = r }
   | _ ->
     let s = store t in  (* flush pending marks so the freeze is exact *)
-    let f = Xic_datalog.Store.freeze s in
-    Hashtbl.replace t.retained g
-      { r_store = f; r_mut = t.mutations; r_refs = 1 };
+    let r =
+      { r_store = Xic_datalog.Store.freeze s; r_views = freeze_views t;
+        r_mut = t.mutations; r_refs = 1 }
+    in
+    Hashtbl.replace t.retained g r;
     prune_retained t;
-    { pin_generation = g; pin_store = f }
+    { pin_generation = g; pin_entry = r }
 
 let unpin t (p : pin) =
   (match Hashtbl.find_opt t.retained p.pin_generation with
-   | Some r when r.r_store == p.pin_store && r.r_refs > 0 ->
-     r.r_refs <- r.r_refs - 1
+   | Some r when r == p.pin_entry && r.r_refs > 0 -> r.r_refs <- r.r_refs - 1
    | _ -> ());  (* already evicted (reset, checkpoint): nothing to release *)
   prune_retained t
 
@@ -479,7 +498,7 @@ let pin_as_of t g =
   match Hashtbl.find_opt t.retained g with
   | Some r ->
     r.r_refs <- r.r_refs + 1;
-    Some { pin_generation = g; pin_store = r.r_store }
+    Some { pin_generation = g; pin_entry = r }
   | None -> None
 
 let retained_generations t =
@@ -491,20 +510,26 @@ let retained_bytes t =
   | None -> 0
   | Some live ->
     sync_store t;
+    let live_view =
+      Option.fold ~none:(Xic_datalog.Store.create ()) ~some:Incr.view t.incr
+    in
+    let views_bytes v = Xic_datalog.Store.unshared_bytes ~live:live_view v.fv_view in
     Hashtbl.fold
       (fun _ r acc ->
-        acc + Xic_datalog.Store.unshared_bytes ~live r.r_store)
+        acc + Xic_datalog.Store.unshared_bytes ~live r.r_store
+        + Option.fold ~none:0 ~some:views_bytes r.r_views)
       t.retained 0
 
 let pin_generation p = p.pin_generation
-let pin_store p = p.pin_store
+let pin_store p = p.pin_entry.r_store
+
+let pin_view p = Option.map (fun v -> v.fv_view) p.pin_entry.r_views
 
 let check_pinned t (p : pin) =
-  List.filter_map
-    (fun (c : Constr.t) ->
-      if Constr.violated_datalog p.pin_store c then Some c.Constr.name
-      else None)
-    t.constraints
+  match p.pin_entry.r_views with
+  | Some v when v.fv_constraints == t.constraints ->
+    Incr.violated ~view:v.fv_view v.fv_incr
+  | _ -> violated_datalog t p.pin_entry.r_store
 
 let check_as_of t g =
   match pin_as_of t g with
@@ -518,44 +543,33 @@ let check_as_of t g =
 (* Incremental (delta-driven) checking                                 *)
 (* ------------------------------------------------------------------ *)
 
-let set_incremental t enabled =
-  if not enabled then t.incr <- None;
-  t.incremental <- enabled
+let set_incremental t enabled = if not enabled then t.incr <- None
 
-let incremental t = t.incremental
-
+(* Views that cannot be built leave none behind; the full check
+   answers instead. *)
 let check_incremental t =
   Obs.Trace.with_span "check_incremental" @@ fun () ->
   let s = store t in  (* flushes the mirror and maintains any live views *)
-  let inc =
-    match t.incr with
-    | Some i -> i
-    | None ->
-      let i =
-        Incr.create
-          (List.map (fun (c : Constr.t) -> (c.Constr.name, c.Constr.datalog))
-             t.constraints)
-      in
-      Incr.initialize i s;
-      t.incr <- Some i;
-      i
-  in
-  Obs.Metrics.incr c_checks_incremental;
-  Incr.violated inc
+  (if Option.is_none t.incr then
+     match
+       let i =
+         Incr.create
+           (List.map (fun (c : Constr.t) -> (c.Constr.name, c.Constr.datalog))
+              t.constraints)
+       in
+       Incr.initialize i s;
+       i
+     with
+     | i -> t.incr <- Some i
+     | exception (Xic_datalog.Eval.Unsafe _ | Xic_datalog.Eval.Budget_exceeded)
+       -> ());
+  match t.incr with
+  | Some i ->
+    Obs.Metrics.incr c_checks_incremental;
+    Incr.violated i
+  | None -> check_full t
 
 let incr_view t = Option.map Incr.view t.incr
-
-(* Post-state verdict of the guarded-update and recovery paths: the
-   materialized denial views when incremental checking is on (falling
-   back to the full check if a view cannot be built or maintained), the
-   full XQuery check otherwise. *)
-let post_check t =
-  if t.incremental then (
-    try check_incremental t
-    with Xic_datalog.Eval.Unsafe _ | Xic_datalog.Eval.Budget_exceeded ->
-      t.incr <- None;
-      check_full t)
-  else check_full t
 
 type delta_stats = {
   delta_flushes : int;
@@ -670,24 +684,6 @@ let check_optimized t p valuation =
   match try_check_optimized t p valuation with
   | violated, [] -> violated
   | _, d :: _ -> fail "optimized check %s failed: %s" d.failed_check d.reason
-
-let budgeted_datalog t f =
-  match t.eval_budget with
-  | None -> f ()
-  | Some steps -> Xic_datalog.Eval.with_budget ~steps f
-
-let check_optimized_datalog t p valuation =
-  let checks = optimized_checks t p in
-  let params = Pattern.datalog_params p valuation in
-  let s = store t in
-  List.filter_map
-    (fun ch ->
-      if
-        budgeted_datalog t (fun () ->
-            List.exists (fun d -> Xic_datalog.Eval.violated ~params s d) ch.simplified)
-      then Some ch.constraint_name
-      else None)
-    checks
 
 type witness = {
   witness_constraint : string;
@@ -916,7 +912,7 @@ let txn_apply_report ?(fallback = `Full_check) tx (u : XU.t) =
       degs;
     let before = tx.txn_seq in
     let undo = exec "full_check" in
-    match post_check t with
+    match check_incremental t with
     | [] -> { outcome = Applied `Full_check; degradations = degs }
     | violated :: _ ->
       rollback t undo;
@@ -1058,7 +1054,7 @@ let recover ?(skip = 0) (rr : J.read_result) t =
     discarded_txns = List.length all_txns - List.length committed;
     torn_tail = rr.J.torn;
     replay_errors = List.rev !errors;
-    post_violations = post_check t;
+    post_violations = check_incremental t;
   }
 
 (* ------------------------------------------------------------------ *)

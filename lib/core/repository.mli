@@ -5,13 +5,13 @@
     Checking semantics (Section 7 of the paper):
     {ul
     {- {e full check}: evaluate every constraint's XQuery translation
-       against the current documents;}
+       against the current documents ({!check_full});}
     {- {e optimized check}: when an incoming update instantiates a
        registered pattern, evaluate the pattern's pre-compiled simplified
        checks with the extracted parameter valuation — {e before} the
        update executes, so illegal updates are never applied;}
-    {- {e fallback}: updates matching no pattern are applied, fully
-       checked, and rolled back on violation (compensating action).}} *)
+    {- {e fallback}: updates matching no pattern are applied, checked,
+       and rolled back on violation (compensating action).}} *)
 
 open Xic_xml
 
@@ -45,9 +45,7 @@ val set_eval_budget : t -> int option -> unit
     evaluation.  Every optimized or runtime-simplified check runs under
     its own budget of that many evaluator steps; a check that exhausts it
     is treated as {e degraded} — the guarded update falls back to the
-    full check instead of failing (see {!report}).  The budget also
-    bounds {!check_optimized_datalog}, where exhaustion raises
-    [Xic_datalog.Eval.Budget_exceeded]. *)
+    post-state check instead of failing (see {!report}). *)
 
 val eval_budget : t -> int option
 
@@ -129,14 +127,16 @@ val check_full : t -> string list
     full XQuery checks. *)
 
 val check_full_datalog : t -> string list
-(** Same, evaluated over the relational mirror (shredded on demand). *)
+(** Same, evaluated over the relational mirror (shredded on demand);
+    the tests' recompute reference. *)
 
 (** {1 Pinned generations (reader isolation, O(1))}
 
     A pin is a frozen generation handle of the materialized store
     ([Store.freeze]) stamped with the {!generation} it captured: an
     O(#relations) pointer capture sharing the per-relation insertion
-    logs with the live writer, {e not} a copy.  The writer only ever
+    logs with the live writer, {e not} a copy — and, when they exist,
+    of the materialized denial views the same way.  The writer only ever
     conses onto its own log heads, so a pinned reader's verdicts are
     unaffected by later commits, checkpoints, and journal truncation —
     the snapshot-isolated read side of the check server — while a pin
@@ -158,8 +158,9 @@ type pin
 
 val pin : t -> pin
 (** Capture the current state in O(1) (flushes pending mutation marks
-    first, then freezes — no copy).  Repeated pins of an unchanged
-    generation return the same shared handle.  Must not be taken while
+    first, then freezes — no copy; never materializes views).  Repeated
+    pins of an unchanged generation return the same shared handle.
+    Must not be taken while
     a transaction holds applied-but-uncommitted statements — the handle
     would capture them as committed state; pin before {!begin_txn}, or
     after the transaction closes. *)
@@ -192,37 +193,38 @@ val retained_bytes : t -> int
 val pin_generation : pin -> int
 val pin_store : pin -> Xic_datalog.Store.t
 
+val pin_view : pin -> Xic_datalog.Store.t option
+(** The views frozen with the pin, if any (see {!incr_view}). *)
+
 val check_pinned : t -> pin -> string list
-(** Names of constraints violated in the pinned state — the denials
-    evaluated over the pinned store, verdict-equivalent to
-    {!check_full} at the time the pin was taken. *)
+(** Names of constraints violated in the pinned state, verdict-equivalent
+    to {!check_full} at the time the pin was taken: an emptiness test per
+    denial over the frozen views — or, when the pin has none or they
+    predate a constraint added since, every denial over the pinned store. *)
 
 (** {1 Incremental (delta-driven) checking}
 
     The relational store is kept exact across every mutation by an
     event-driven mirror; each reconciliation yields a net fact delta.
-    With incremental checking enabled, per-denial violation witnesses
-    are materialized ([Xic_datalog.Incr]) and maintained from those
+    Per-denial violation witnesses are materialized
+    ([Xic_datalog.Incr]) by the first verdict and maintained from those
     deltas, so the post-state verdict of a guarded update or a recovery
     replay costs time proportional to the {e update}, not the document:
     denials over untouched relations are skipped outright, monotone
     denials evaluate only the delta-bound residual joins. *)
 
 val set_incremental : t -> bool -> unit
-(** Route the guarded-update fallback verdict and the recovery
-    post-check through the materialized denial views (default off:
-    those paths use {!check_full}).  Disabling drops the views. *)
-
-val incremental : t -> bool
+(** [true] is the default and does nothing; [false] discards the views,
+    so the next verdict rematerializes them. *)
 
 val check_incremental : t -> string list
 (** Names of currently violated constraints, from the materialized
     views — initialized from the store on first use, maintained by
     deltas afterwards.  Verdict-equivalent to {!check_full} (oracle
     route 8 asserts this, plus [Store.equal] of the views against a
-    from-scratch recompute).
-    @raise Xic_datalog.Eval.Unsafe for denials outside the maintainable
-    fragment (parameters). *)
+    from-scratch recompute).  Total: when the views cannot be built (a
+    denial outside the maintainable fragment, an exhausted
+    [Xic_datalog.Eval] budget), {!check_full} answers. *)
 
 val incr_view : t -> Xic_datalog.Store.t option
 (** The materialized witness store, when views exist — one relation
@@ -272,10 +274,6 @@ val try_check_optimized :
 (** Total variant of {!check_optimized}: violated constraint names plus
     the checks that degraded instead of completing. *)
 
-val check_optimized_datalog : t -> Pattern.t -> Pattern.valuation -> string list
-(** Ablation variant: evaluate the simplified denials over the relational
-    mirror instead of via XQuery. *)
-
 (** Result of a guarded update. *)
 type outcome =
   | Applied of [ `Optimized | `Runtime_simplified | `Full_check ]
@@ -284,7 +282,7 @@ type outcome =
       (** refused before execution (optimized check); the violated
           constraint's name *)
   | Rolled_back of string
-      (** executed, found violating by the full check, compensated *)
+      (** executed, found violating by {!check_incremental}, compensated *)
 
 (** Outcome of a guarded update plus the checks that degraded along the
     way.  [degradations] is non-empty when an optimized (or runtime
@@ -304,7 +302,8 @@ val guarded_update :
     When the update instantiates a registered pattern, its pre-compiled
     simplified checks run before execution.  Otherwise [fallback] decides
     (Section 7, footnote 4 of the paper): with [`Full_check] (default) the
-    update is executed, fully checked, and compensated on violation; with
+    update is executed, checked by {!check_incremental}, and compensated
+    on violation; with
     [`Runtime_simplification] a one-off pattern is derived from the
     concrete statement (its text values as constants), [Simp] runs on the
     spot, and the residual checks still execute {e before} the update —

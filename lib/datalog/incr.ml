@@ -33,9 +33,9 @@
 
     The view lives in a copy-on-write versioned store: row retractions
     are tombstones over an append log, masked on read and reclaimed by
-    the writer's auto-compaction, so a frozen generation handle taken
-    from a repository (which snapshots the base store, not the view)
-    never observes torn maintenance.  {!initialize} compacts the view
+    the writer's auto-compaction, so a frozen handle of the view (a
+    repository pin freezes it next to the base store) never observes
+    torn maintenance.  {!initialize} compacts the view
     eagerly — a re-initialization (document reload, constraint
     re-registration) retracts every row at once, which is exactly the
     tombstone spike worth collecting up front. *)
@@ -332,12 +332,13 @@ let apply_delta t store delta =
           delta_insertions t store e delta)
     t.entries
 
-let violated t =
+let violated ?view t =
+  let view = Option.value view ~default:t.view in
   List.filter
     (fun name ->
       List.exists
         (fun e ->
-          String.equal e.name name && Store.cardinality_sym t.view e.rel > 0)
+          String.equal e.name name && Store.cardinality_sym view e.rel > 0)
         t.entries)
     t.names
 

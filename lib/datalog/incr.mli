@@ -1,5 +1,6 @@
 (** Incremental (delta-driven) maintenance of materialized denial
-    results — the semi-naive layer behind [Repository.set_incremental].
+    results — the semi-naive layer behind [Repository.check_incremental],
+    the repository's live, post-write and pinned verdict.
 
     Each denial's violation witnesses (bindings of its positive-literal
     variables) are materialized as a relation in a private view store.
@@ -41,9 +42,11 @@ val apply_delta : t -> Store.t -> Delta.t -> unit
     delta.
     @raise Eval.Unsafe / Eval.Budget_exceeded as {!Eval.violations}. *)
 
-val violated : t -> string list
+val violated : ?view:Store.t -> t -> string list
 (** Names of constraints with at least one materialized witness, in
-    constraint order. *)
+    constraint order.  [view] (default {!view}) may be a frozen handle of
+    the view store ([Store.freeze]): the emptiness test then answers for
+    the generation the handle captured. *)
 
 val view : t -> Store.t
 (** The materialized witness store (read-only by convention). *)

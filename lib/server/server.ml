@@ -195,23 +195,6 @@ let check_response ~isolation ~generation violated =
 (* State helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Verdict over the live state, routed like the CLI's post-state check:
-   materialized views when incremental checking is on, full check as
-   the fallback. *)
-let live_check t =
-  if R.incremental t.srepo then (
-    try
-      let v = R.check_incremental t.srepo in
-      Obs.Trace.add_attr "route" "incremental";
-      v
-    with Xic_datalog.Eval.Unsafe _ | Xic_datalog.Eval.Budget_exceeded ->
-      Obs.Trace.add_attr "route" "recompute";
-      R.check_full t.srepo)
-  else begin
-    Obs.Trace.add_attr "route" "full";
-    R.check_full t.srepo
-  end
-
 (* The last committed generation's pin.  Refreshed only while no
    transaction is open (pinning mid-transaction would capture
    uncommitted statements); [txn_begin] takes one eagerly so it is
@@ -254,37 +237,48 @@ let require_update req =
 (* Request dispatch                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let do_check t req =
+(* The generation a check reads: an explicit pin, a retained past
+   generation (time travel; the transient pin is released after the
+   read), the last committed generation while a transaction is open
+   (snapshot isolation: a plain read never observes the open writer's
+   uncommitted statements), or the live state ([None]). *)
+let check_handle t req =
   match (P.int_field "pin" req, P.int_field "as_of" req) with
   | Some _, Some _ ->
-    error "check: \"pin\" and \"as_of\" are mutually exclusive"
+    Error "check: \"pin\" and \"as_of\" are mutually exclusive"
   | Some id, None ->
     (match Hashtbl.find_opt t.pins id with
-     | None -> error (Printf.sprintf "unknown pin %d" id)
+     | None -> Error (Printf.sprintf "unknown pin %d" id)
      | Some p ->
-       Obs.Trace.add_attr "route" "pinned";
        Obs.Trace.add_attr "pin" (string_of_int id);
-       check_response ~isolation:"pinned" ~generation:(R.pin_generation p)
-         (R.check_pinned t.srepo p))
+       Ok (Some ("pinned", p, false)))
   | None, Some g ->
-    (* time travel: the verdict at a retained past generation *)
-    (match R.check_as_of t.srepo g with
-     | None -> error (Printf.sprintf "generation %d is not retained" g)
-     | Some violated ->
-       Obs.Trace.add_attr "route" "as_of";
-       check_response ~isolation:"as_of" ~generation:g violated)
+    (match R.pin_as_of t.srepo g with
+     | None -> Error (Printf.sprintf "generation %d is not retained" g)
+     | Some p -> Ok (Some ("as_of", p, true)))
   | None, None ->
-    (match t.open_txn with
-     | Some _ ->
-       (* snapshot isolation: a plain read never observes the open
-          writer's uncommitted statements *)
-       let p = committed_pin t in
-       Obs.Trace.add_attr "route" "pinned";
-       check_response ~isolation:"pinned" ~generation:(R.pin_generation p)
-         (R.check_pinned t.srepo p)
-     | None ->
-       check_response ~isolation:"live" ~generation:(R.generation t.srepo)
-         (live_check t))
+    if t.open_txn <> None then Ok (Some ("pinned", committed_pin t, false))
+    else Ok None
+
+let do_check t req =
+  match check_handle t req with
+  | Error msg -> error msg
+  | Ok None ->
+    let violated = R.check_incremental t.srepo in
+    (* no views left behind means the full check answered *)
+    Obs.Trace.add_attr "route"
+      (if Option.is_none (R.incr_view t.srepo) then "recompute"
+       else "incremental");
+    check_response ~isolation:"live" ~generation:(R.generation t.srepo)
+      violated
+  | Ok (Some (isolation, p, transient)) ->
+    Obs.Trace.add_attr "route" isolation;
+    let violated =
+      Fun.protect
+        ~finally:(fun () -> if transient then R.unpin t.srepo p)
+        (fun () -> R.check_pinned t.srepo p)
+    in
+    check_response ~isolation ~generation:(R.pin_generation p) violated
 
 let require_no_txn t what =
   if t.open_txn <> None then
@@ -505,8 +499,7 @@ let do_stats t =
             ("pins", P.Int (Hashtbl.length t.pins));
             ( "retained_generations",
               P.Int (List.length (R.retained_generations t.srepo)) );
-            ("open_txn", P.Bool (t.open_txn <> None));
-            ("incremental", P.Bool (R.incremental t.srepo)) ] );
+            ("open_txn", P.Bool (t.open_txn <> None)) ] );
       ("ops", op_quantiles t);
       ( "delta",
         P.Obj

@@ -18,7 +18,9 @@
        ([{"as_of":generation}]) — while a streaming transaction is open,
        plain checks are served from the last {e committed} generation's
        pin (snapshot isolation: readers never observe uncommitted
-       statements);}
+       statements).  A live check is
+       {!Xic_core.Repository.check_incremental}, every other one
+       {!Xic_core.Repository.check_pinned} over the resolved pin;}
     {- [pin] / [unpin]: capture / release a reader generation handle —
        O(1) copy-on-write freezes sharing structure with the live
        writer, never store copies; [{"generation":g}] pins a retained

@@ -71,7 +71,6 @@ let test_load_validates () =
    in-pass before the failure never survive it. *)
 let test_failed_load_keeps_live_state () =
   let repo = make_repo () in
-  Repository.set_incremental repo true;
   let before = Repository.check_incremental repo in
   let roots () = List.length (Xic_xml.Doc.roots (Repository.doc repo)) in
   let n = roots () in
@@ -617,7 +616,15 @@ let test_optimized_equals_full_decision () =
       | None -> Alcotest.fail "update must match the pattern"
       | Some (_, valuation) ->
         let optimized = Repository.check_optimized repo p valuation <> [] in
-        let optimized_dl = Repository.check_optimized_datalog repo p valuation <> [] in
+        let optimized_dl =
+          let params = Pattern.datalog_params p valuation in
+          let store = Repository.store repo in
+          List.exists
+            (fun (ch : Repository.optimized_check) ->
+              List.exists (Xic_datalog.Eval.violated ~params store)
+                ch.Repository.simplified)
+            (Repository.optimized_checks repo p)
+        in
         let undo = Repository.apply_unchecked repo u in
         let full = Repository.check_full repo <> [] in
         Repository.rollback repo undo;
@@ -752,6 +759,80 @@ let test_pin_retention () =
   checkb "unknown generation refused" true
     (Repository.check_as_of repo 99 = None)
 
+(* Carl reviews the first rev: authoring a submission under it violates
+   the conflict-of-interest denial. *)
+let carl_insert () =
+  Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]" ~title:"Own"
+    ~author:"Carl"
+
+(* A pin freezes the materialized views next to the store: its verdict
+   is the emptiness test over them, untouched by later writes. *)
+let test_pin_freezes_views () =
+  let repo = make_repo () in
+  ignore (Repository.check_incremental repo : string list);
+  let p = Repository.pin repo in
+  checkb "views frozen with the pin" true
+    (match Repository.pin_view p with
+     | Some v -> Xic_datalog.Store.is_frozen v
+     | None -> false);
+  let undo = Repository.apply_unchecked repo (carl_insert ()) in
+  checksl "live views see the write" [ "conflict" ]
+    (Repository.check_incremental repo);
+  checksl "pinned verdict is pre-write" [] (Repository.check_pinned repo p);
+  Repository.rollback repo undo;
+  Repository.unpin repo p
+
+(* Views built for the constraint list at pin time must not answer for
+   a constraint added since. *)
+let test_pin_new_constraint_recomputes () =
+  let repo = make_repo () in
+  ignore (Repository.check_incremental repo : string list);
+  let p = Repository.pin repo in
+  checksl "consistent when pinned" [] (Repository.check_pinned repo p);
+  Repository.add_constraint repo
+    (Constr.make (Lazy.force schema) ~name:"no_ann"
+       "<- //auts/name/text() -> N and N = \"Ann\"");
+  checksl "the new constraint is checked at the pin" [ "no_ann" ]
+    (Repository.check_pinned repo p);
+  checksl "live verdict" [ "no_ann" ] (Repository.check_incremental repo);
+  (* a pin of the unchanged state shares the old entry and its views *)
+  let p' = Repository.pin repo in
+  checksl "re-pin of the same state" [ "no_ann" ]
+    (Repository.check_pinned repo p');
+  Repository.unpin repo p';
+  Repository.unpin repo p
+
+(* A pin taken before any view exists does not materialize them; its
+   verdict recomputes over the frozen store. *)
+let test_pin_without_views_recomputes () =
+  let repo = make_repo () in
+  let undo = Repository.apply_unchecked repo (carl_insert ()) in
+  let p = Repository.pin repo in
+  checkb "no views frozen" true (Option.is_none (Repository.pin_view p));
+  checkb "the pin built no views" true
+    (Option.is_none (Repository.incr_view repo));
+  checksl "recomputed verdict = full check" (Repository.check_full repo)
+    (Repository.check_pinned repo p);
+  checksl "violated" [ "conflict" ] (Repository.check_pinned repo p);
+  Repository.rollback repo undo;
+  Repository.unpin repo p
+
+(* check_incremental is total: views that cannot be built within the
+   Datalog step budget leave none behind, and the full check answers. *)
+let test_check_incremental_falls_back () =
+  let repo = make_repo () in
+  let undo = Repository.apply_unchecked repo (carl_insert ()) in
+  let full = Repository.check_full repo in
+  checksl "one step: the full check answers" full
+    (Xic_datalog.Eval.with_budget ~steps:1 (fun () ->
+         Repository.check_incremental repo));
+  checkb "no views left behind" true
+    (Option.is_none (Repository.incr_view repo));
+  checksl "budget lifted: the views answer" full
+    (Repository.check_incremental repo);
+  checkb "views built" true (Option.is_some (Repository.incr_view repo));
+  Repository.rollback repo undo
+
 let test_runtime_simplification () =
   (* no pattern registered: the runtime-simplification fallback derives a
      one-off pattern, still rejecting before execution *)
@@ -859,6 +940,13 @@ let () =
           Alcotest.test_case "fallback rollback" `Quick test_guarded_fallback_rollback;
           Alcotest.test_case "optimized = full decision" `Quick test_optimized_equals_full_decision;
           Alcotest.test_case "pin retention" `Quick test_pin_retention;
+          Alcotest.test_case "pin freezes views" `Quick test_pin_freezes_views;
+          Alcotest.test_case "pin after new constraint" `Quick
+            test_pin_new_constraint_recomputes;
+          Alcotest.test_case "pin without views" `Quick
+            test_pin_without_views_recomputes;
+          Alcotest.test_case "incremental check fallback" `Quick
+            test_check_incremental_falls_back;
           Alcotest.test_case "store mirror" `Quick test_store_mirror_consistency;
           Alcotest.test_case "rollback mirror agreement" `Quick
             test_rollback_mirror_agreement;

@@ -1,5 +1,5 @@
 (* QCheck properties for the delta algebra (lib/datalog/delta.ml) and
-   the incremental maintenance layer behind [Repository.set_incremental]:
+   the incremental maintenance layer behind [Repository.check_incremental]:
 
    - a fact inserted and then deleted inside one batch nets to nothing;
    - the net multiset matches a reference counting model;
@@ -165,7 +165,6 @@ let mk_repo () =
   List.iter
     (Repository.add_constraint repo)
     [ Conf.conflict s; Conf.workload s; Conf.track_load s ];
-  Repository.set_incremental repo true;
   repo
 
 let count repo path =
@@ -361,7 +360,6 @@ let prop_count_views_exact =
       List.iter
         (Repository.add_constraint repo)
         [ Conf.conflict s; Conf.workload s; Conf.track_load s ];
-      Repository.set_incremental repo true;
       let before = ref (Repository.check_incremental repo) in
       let undos = ref [] in
       let ok = ref true in

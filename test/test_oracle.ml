@@ -490,7 +490,6 @@ let check_incremental_agreement ~seed repo what =
     | None -> Alcotest.failf "[seed %d] %s: no materialized views" seed what
   in
   Repository.set_incremental repo false;  (* drop the views... *)
-  Repository.set_incremental repo true;
   ignore (Repository.check_incremental repo : string list);  (* ...recompute *)
   match Repository.incr_view repo with
   | Some fresh ->
@@ -503,7 +502,6 @@ let test_incremental_oracle () =
   List.iter
     (fun (what, rev) ->
       let repo = repo_of ~pub:fixed_pub ~rev in
-      Repository.set_incremental repo true;
       check_incremental_agreement ~seed:0 repo what)
     [ ("examples consistent", fixed_rev);
       ( "examples violated",
@@ -523,7 +521,6 @@ let test_incremental_oracle () =
     let seed = 17000 + i in
     let r = Prng.create seed in
     let repo = repo_of ~pub:(gen_pub r) ~rev:(gen_rev i r) in
-    Repository.set_incremental repo true;
     check_incremental_agreement ~seed repo "initial";
     let path = fresh_path () in
     let j = J.open_ ~sync:false path in
@@ -559,7 +556,6 @@ let test_incremental_oracle () =
        before recovery: replay deltas must maintain them too *)
     let r2 = Prng.create seed in
     let repo2 = repo_of ~pub:(gen_pub r2) ~rev:(gen_rev i r2) in
-    Repository.set_incremental repo2 true;
     ignore (Repository.check_incremental repo2 : string list);
     ignore (Repository.recover (J.read path) repo2 : Repository.recovery_report);
     check_incremental_agreement ~seed repo2 "after recovery replay";
@@ -589,7 +585,9 @@ let test_incremental_oracle () =
    ones commit).  A checkpoint fires mid-stream — truncating the
    server's journal under the pins — and after a graceful shutdown the
    parent restarts from snapshot + journal suffix and re-checks
-   parity. *)
+   parity.  The shadow pins alongside the server, and the views each
+   of its pins froze must equal a fresh materialization over a
+   repository replayed to that generation. *)
 
 module Srv = Xic_server.Server
 module Proto = Xic_server.Protocol
@@ -645,7 +643,6 @@ let test_server_oracle () =
      | 0 ->
        (try
           let repo = repo_of ~pub ~rev in
-          Repository.set_incremental repo true;
           let j = J.open_ ~sync:false jpath in
           let srv =
             Srv.create
@@ -666,7 +663,6 @@ let test_server_oracle () =
            (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ()))
        @@ fun () ->
        let shadow = repo_of ~pub ~rev in
-       Repository.set_incremental shadow true;
        let fd = connect_retry sock in
        let rq j = Proto.request fd j in
        let fail fmt = Alcotest.failf ("[seed %d] server oracle: " ^^ fmt) seed in
@@ -675,6 +671,9 @@ let test_server_oracle () =
           recorded against it, for the end-of-run time-travel oracle *)
        let applied = ref [] in
        let asof_records = ref [] in
+       (* every guard and batch the shadow ran (newest first): replaying
+          them allocates the same node ids, so views compare exactly *)
+       let ops = ref [] in
        let record_applied u tag =
          if String.starts_with ~prefix:"applied" tag then applied := u :: !applied
        in
@@ -685,6 +684,7 @@ let test_server_oracle () =
                 [ ("op", Proto.String "guard");
                   ("update", Proto.String (XU.to_string u)) ])
          in
+         ops := `Guard u :: !ops;
          let shadow_tag =
            match Repository.guarded_update shadow u with
            | o -> outcome_tag9 o
@@ -730,6 +730,7 @@ let test_server_oracle () =
                               (fun u -> Proto.String (XU.to_string u))
                               us) ) ])
               in
+              ops := `Batch us :: !ops;
               let shadow_tags =
                 match Repository.guarded_batch shadow us with
                 | rs ->
@@ -765,10 +766,21 @@ let test_server_oracle () =
               | Some p -> p
               | None -> fail "pin request failed"
             in
-            (* remember the generation and the statement prefix it
-               closed over — the time-travel oracle below replays it *)
+            (* the shadow pins the same generation with its views
+               materialized, so the pin freezes them *)
+            ignore (Repository.check_incremental shadow : string list);
+            let spin = Repository.pin shadow in
+            (* remember the generation, the statement prefix it closed
+               over and the shadow's operation count — the time-travel
+               oracle below replays them *)
             (match Proto.int_field "generation" presp with
-             | Some g -> asof_records := (g, List.length !applied) :: !asof_records
+             | Some g ->
+               if Repository.pin_generation spin <> g then
+                 fail "shadow pinned generation %d, server %d"
+                   (Repository.pin_generation spin) g;
+               asof_records :=
+                 (g, List.length !applied, List.length !ops, spin)
+                 :: !asof_records
              | None -> fail "pin response lacks a generation");
             (match random_update r shadow with
              | Some u -> guard_one u
@@ -798,7 +810,9 @@ let test_server_oracle () =
           server's retained history must answer exactly what a fresh
           repository replayed to that statement prefix answers; pruned
           generations (mid-stream checkpoint, retention bound) must be
-          refused, never served stale *)
+          refused, never served stale.  At every recorded generation the
+          shadow pin's frozen views must equal a fresh materialization
+          over the shadow's operations replayed to that point. *)
        if !errors = 0 then begin
          let hist = rq (Proto.Obj [ ("op", Proto.String "history") ]) in
          if not (Proto.bool_field "ok" hist) then fail "history failed";
@@ -809,8 +823,32 @@ let test_server_oracle () =
            | None -> []
          in
          let applied_fwd = Array.of_list (List.rev !applied) in
+         let ops_fwd = Array.of_list (List.rev !ops) in
          List.iter
-           (fun (g, n) ->
+           (fun (g, n, k, spin) ->
+             let rerun = repo_of ~pub ~rev in
+             for i = 0 to k - 1 do
+               match ops_fwd.(i) with
+               | `Guard u -> ignore (Repository.guarded_update rerun u)
+               | `Batch us -> ignore (Repository.guarded_batch rerun us)
+             done;
+             Alcotest.(check int)
+               (Printf.sprintf "[seed %d] replay reaches generation %d" seed g)
+               g (Repository.generation rerun);
+             Repository.set_incremental rerun false;
+             ignore (Repository.check_incremental rerun : string list);
+             (match (Repository.pin_view spin, Repository.incr_view rerun) with
+              | Some frozen, Some fresh ->
+                check_stores_equal ~seed
+                  (Printf.sprintf "frozen views at generation %d" g)
+                  fresh frozen
+              | None, _ -> fail "pin at generation %d froze no views" g
+              | _, None -> fail "replay to generation %d built no views" g);
+             Alcotest.(check (list string))
+               (Printf.sprintf "[seed %d] pinned %d = replay" seed g)
+               (sorted (Repository.check_full rerun))
+               (sorted (Repository.check_pinned shadow spin));
+             Repository.unpin shadow spin;
              let resp =
                rq
                  (Proto.Obj
@@ -820,7 +858,6 @@ let test_server_oracle () =
                if not (Proto.bool_field "ok" resp) then
                  fail "as_of %d refused though retained" g;
                let replay = repo_of ~pub ~rev in
-               Repository.set_incremental replay true;
                for k = 0 to n - 1 do
                  ignore (Repository.guarded_update replay applied_fwd.(k))
                done;

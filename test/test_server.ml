@@ -35,7 +35,7 @@ let fixed_pub =
 let fixed_rev =
   {|<review><track><name>DB</name><rev><name>Carl</name><sub><title>S1</title><auts><name>Ann</name></auts></sub></rev><rev><name>Rita</name><sub><title>S2</title><auts><name>Bob</name></auts></sub></rev></track></review>|}
 
-let make_repo ?(incremental = false) () =
+let make_repo () =
   let s = Conf.schema () in
   let repo = Repository.create s in
   Repository.load_fused repo fixed_pub;
@@ -44,7 +44,6 @@ let make_repo ?(incremental = false) () =
     (Repository.add_constraint repo)
     [ Conf.conflict s; Conf.workload s; Conf.track_load s ];
   Repository.register_pattern repo (Conf.submission_pattern s);
-  if incremental then Repository.set_incremental repo true;
   repo
 
 let legal_insert ?(title = "Fresh") ?(author = "Zoe") () =
@@ -175,7 +174,7 @@ let test_pin_across_checkpoint () =
    while guards commit newer ones, and plain checks during a streaming
    transaction are served from the last committed pin. *)
 let test_server_isolation () =
-  let repo = make_repo ~incremental:true () in
+  let repo = make_repo () in
   let srv = Srv.create repo in
   let rq j = Srv.handle srv j in
   let gen resp = Option.value ~default:(-1) (P.int_field "generation" resp) in
@@ -222,7 +221,7 @@ let test_server_isolation () =
    them; a still-referenced generation survives the checkpoint. *)
 let test_time_travel () =
   let spath = tmp_path "tt.xics" in
-  let repo = make_repo ~incremental:true () in
+  let repo = make_repo () in
   let srv =
     Srv.create
       ~config:{ Srv.default_config with snapshot_path = Some spath }
@@ -315,8 +314,8 @@ let outcome_tag = function
 
 let test_batch_serial_parity () =
   let ja = tmp_path "batch_a.j" and jb = tmp_path "batch_b.j" in
-  let a = make_repo ~incremental:true () in
-  let b = make_repo ~incremental:true () in
+  let a = make_repo () in
+  let b = make_repo () in
   let japh = J.open_ ja and jbph = J.open_ jb in
   let batched =
     Repository.guarded_batch ~journal:japh a (batch_updates ())
@@ -339,7 +338,7 @@ let test_batch_serial_parity () =
   checki "serial = one txn per applied guard" 3 (List.length (committed jb));
   (* replaying both journals converges to the same state *)
   let replay path =
-    let r = make_repo ~incremental:true () in
+    let r = make_repo () in
     let rep = Repository.recover (J.read path) r in
     checksl "no replay errors" []
       (List.map snd rep.Repository.replay_errors);
@@ -352,7 +351,7 @@ let test_batch_serial_parity () =
   Sys.remove jb
 
 let test_round_batching () =
-  let repo = make_repo ~incremental:true () in
+  let repo = make_repo () in
   let srv = Srv.create repo in
   let guard u =
     P.Obj [ ("op", P.String "guard"); ("update", P.String (XU.to_string u)) ]

@@ -131,7 +131,6 @@ let recover_state ~ctx jpath spath =
   (* materialize the incremental denial views *before* replay, so the
      replay deltas must maintain them (and the recovery post-check reads
      the maintained views, not a recompute) *)
-  Repository.set_incremental repo true;
   ignore (Repository.check_incremental repo : string list);
   if Sys.file_exists jpath then begin
     let rr = J.read jpath in
@@ -163,7 +162,6 @@ let recover_state ~ctx jpath spath =
   in
   let verdict = Repository.check_incremental repo in
   Repository.set_incremental repo false;  (* drop the views... *)
-  Repository.set_incremental repo true;
   let verdict' = Repository.check_incremental repo in  (* ...recompute *)
   Alcotest.(check (list string))
     (ctx ^ ": maintained verdict = recomputed verdict") verdict' verdict;
