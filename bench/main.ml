@@ -6,7 +6,9 @@
      fig_simp   simplification cost (the paper reports < 50 ms)
      ex45       the relational ISSN example (Examples 4/5)
      ablations  datalog- vs xquery-level optimized checks; After without
-                Optimize; early rejection vs rollback
+                Optimize; early rejection vs rollback; the two fallbacks
+                of footnote 4 (execute–check–compensate vs runtime
+                simplification)
      index      indexed vs scan evaluation of full and simplified checks
      journal    write-ahead journaling overhead on guarded updates
      incremental  delta-maintained denial views vs full re-evaluation
@@ -100,6 +102,16 @@ let setup ~size ~constraint_ () =
   Repository.register_pattern repo pattern;
   { repo; pattern; ds }
 
+(* The optimized pre-check's violated constraints; a degraded check
+   would make the timing meaningless. *)
+let optimized repo pattern valuation =
+  match Repository.try_check_optimized repo pattern valuation with
+  | violated, [] -> violated
+  | _, d :: _ ->
+    failwith
+      (Printf.sprintf "optimized check %s degraded: %s" d.Repository.failed_check
+         d.Repository.reason)
+
 (* The three curves of Figure 1: full check, optimized check, and
    update + full check + rollback (the paper's diamonds, squares and
    triangles). *)
@@ -126,7 +138,7 @@ let figure ?json_key ~name ~constraint_ ~sizes ~reps () =
         in
         let opt_med, opt_min =
           time_stats ~reps ~batch:20 (fun () ->
-              Repository.check_optimized repo pattern valuation)
+              optimized repo pattern valuation)
         in
         let upd_med, _ =
           time_stats ~reps (fun () ->
@@ -184,12 +196,12 @@ let pipeline ~sizes ~reps () =
     (fun c -> Repository.add_constraint repo (c s))
     [ Conf.conflict; Conf.workload; Conf.track_load ];
   let doc = Repository.doc repo in
-  let idx = Repository.index repo in
+  let index = Repository.index repo in
   let cs = Repository.constraints repo in
   let interpreted () =
     List.filter_map
       (fun c ->
-        if Constr.violated_xquery ?index:idx doc c then Some c.Constr.name
+        if Constr.violated_xquery ~index doc c then Some c.Constr.name
         else None)
       cs
   in
@@ -506,7 +518,125 @@ let ex45 () =
 (* Ablations                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let ablations ~reps () =
+(* Runtime simplification (Section 7, footnote 4), the fallback the
+   guard path no longer takes, rebuilt from public pieces: a one-off
+   pattern derived from the concrete statement (its text values as
+   constants), Simp per constraint on the spot, and the residual XQuery
+   evaluated before execution.  [None] when the statement falls outside
+   the simplifiable fragment (a removal, say) — that route then executes,
+   checks and compensates like the guard path. *)
+let runtime_precheck repo (u : Xic_xupdate.Xupdate.t) =
+  let s = Repository.schema repo and doc = Repository.doc repo in
+  match u with
+  | [ m ] ->
+    (match Pattern.of_modification s ~name:"<runtime>" m with
+     | exception Pattern.Pattern_error _ -> None
+     | p ->
+       (match Pattern.match_modification s doc p m with
+        | None -> None
+        | Some valuation ->
+          let params = Pattern.xquery_params valuation in
+          let index = Repository.index repo in
+          let rec check = function
+            | [] -> Some `Consistent
+            | (c : Constr.t) :: rest ->
+              (match
+                 Xic_translate.Translate.denials (Schema.mapping s)
+                   (Pattern.simplify s p c)
+               with
+               | exception
+                   ( Xic_simplify.After.Unsupported _
+                   | Xic_translate.Translate.Untranslatable _ ) ->
+                 None
+               | q ->
+                 if Xic_xquery.Eval.eval_bool doc ~params ~index q then
+                   Some (`Violated c.Constr.name)
+                 else check rest)
+          in
+          check (Repository.constraints repo)))
+  | _ -> None
+
+(* Both fallbacks for statements matching no registered pattern, as a
+   [guard] request runs them (three constraints, warm views, no
+   journal): execute–check–compensate ([txn_apply], whose post-check
+   reads the delta-maintained views) against runtime simplification.
+   Each rep ends in the pre-statement state with the mirror flushed. *)
+let fallback_strategies ~sizes ~reps =
+  let module XU = Xic_xupdate.Xupdate in
+  Printf.printf
+    "# Fallback strategies for unmatched statements (3 constraints, warm \
+     views, no journal; median ms)\n";
+  Printf.printf "# %-12s %-22s %-22s %-16s %s\n" "size(bytes)" "statement"
+    "check-compensate" "runtime simp" "ratio";
+  let two_authors ~select ~title a b =
+    let elem tag children = XU.Elem (tag, [], children) in
+    let auts n = elem "auts" [ elem "name" [ XU.Text n ] ] in
+    [ { XU.op = XU.Insert_after; select = Xic_xpath.Parser.parse select;
+        content = [ elem "sub" [ elem "title" [ XU.Text title ]; auts a; auts b ] ]
+      } ]
+  in
+  List.iter
+    (fun size ->
+      let { repo; ds; _ } = setup ~size ~constraint_:Conf.conflict () in
+      let s = Repository.schema repo in
+      Repository.add_constraint repo (Conf.workload s);
+      Repository.add_constraint repo (Conf.track_load s);
+      ignore (Repository.check_incremental repo : string list);
+      let statements =
+        [ ( "legal insert",
+            two_authors ~select:ds.Gen.legal_select ~title:"Bench"
+              ds.Gen.legal_author "Fresh Coauthor",
+            `Legal );
+          ( "removal",
+            [ { XU.op = XU.Remove;
+                select = Xic_xpath.Parser.parse ds.Gen.legal_select;
+                content = [] } ],
+            `Outside_fragment );
+          ( "illegal (reviewer)",
+            two_authors ~select:ds.Gen.conflict_select ~title:"Bad"
+              ds.Gen.conflict_reviewer "Fresh Coauthor",
+            `Illegal );
+          ( "illegal (co-author)",
+            two_authors ~select:ds.Gen.conflict_select ~title:"Bad"
+              ds.Gen.conflict_coauthor "Fresh Coauthor",
+            `Illegal ) ]
+      in
+      List.iter
+        (fun (label, u, expect) ->
+          if Repository.match_update repo u <> None then
+            failwith (label ^ ": must match no pattern");
+          let compensate () =
+            let tx = Repository.begin_txn repo in
+            let r = Repository.txn_apply tx u in
+            Repository.rollback_txn tx;
+            ignore (Repository.store repo);
+            r.Repository.outcome
+          in
+          let runtime () =
+            match runtime_precheck repo u with
+            | Some `Consistent ->
+              Repository.rollback repo (Repository.apply_unchecked repo u);
+              ignore (Repository.store repo)
+            | Some (`Violated _) -> ()
+            | None -> ignore (compensate ())
+          in
+          (* the moved code stays checked: the runtime pre-check must pass
+             the legal insert and refuse the illegal ones before
+             execution, as the guard path's post-check does after it *)
+          (match (compensate (), runtime_precheck repo u, expect) with
+           | Repository.Applied `Full_check, Some `Consistent, `Legal
+           | Repository.Applied `Full_check, None, `Outside_fragment
+           | Repository.Rolled_back _, Some (`Violated _), `Illegal -> ()
+           | _ -> failwith (label ^ ": the two fallbacks disagree"));
+          let t_comp, _ = time_stats ~reps compensate in
+          let t_rt, _ = time_stats ~reps runtime in
+          Printf.printf "%-14d %-22s %-22.4f %-16.4f %.1fx\n%!"
+            ds.Gen.stats.Gen.bytes label t_comp t_rt (t_rt /. (t_comp +. 1e-9)))
+        statements)
+    sizes;
+  print_newline ()
+
+let ablations ~sizes ~reps () =
   let size = 128_000 in
   Printf.printf "# Ablations (%d-byte dataset)\n" size;
   let { repo; pattern; ds } = setup ~size ~constraint_:Conf.conflict () in
@@ -527,7 +657,7 @@ let ablations ~reps () =
   let store = Repository.store repo in  (* shred outside the timed region *)
   let t_xq =
     time_ms ~reps:(reps * 10) (fun () ->
-        Repository.check_optimized repo pattern valuation)
+        optimized repo pattern valuation)
   in
   (* the same simplified denials, evaluated over the relational mirror *)
   let checks = Repository.optimized_checks repo pattern in
@@ -571,7 +701,7 @@ let ablations ~reps () =
   in
   let t_simp =
     time_ms ~reps:(reps * 10) (fun () ->
-        Repository.check_optimized repo pattern valuation)
+        optimized repo pattern valuation)
   in
   Printf.printf
     "checking After-only output (%d translatable denials): %.3f ms | Simp output: %.4f ms\n%!"
@@ -589,7 +719,7 @@ let ablations ~reps () =
   in
   let t_early =
     time_ms ~reps:(reps * 10) (fun () ->
-        Repository.check_optimized repo pattern bad_valuation)
+        optimized repo pattern bad_valuation)
   in
   let t_late =
     time_ms ~reps (fun () ->
@@ -602,43 +732,8 @@ let ablations ~reps () =
     "illegal update: early rejection %.4f ms | apply+detect+rollback %.3f ms (%.0fx)\n%!"
     t_early t_late (t_late /. (t_early +. 1e-9));
 
-  (* (d) runtime simplification (Section 7, footnote 4): an unregistered
-     update pattern still gets a pre-execution check by running Simp on
-     the fly; compare against the paper's execute–check–compensate
-     strategy, timed by hand as in (c) — the guarded fallback's
-     post-state check reads the delta-maintained views instead. *)
-  let fresh_repo () =
-    let s2 = Conf.schema () in
-    let r = Repository.create s2 in
-    Repository.load_fused ~validate:false r ds.Gen.pub_xml;
-    Repository.load_fused ~validate:false r ds.Gen.rev_xml;
-    Repository.add_constraint r (Conf.conflict s2);
-    Repository.add_constraint r (Conf.workload s2);
-    Repository.add_constraint r (Conf.track_load s2);
-    r
-  in
-  let r1 = fresh_repo () in
-  let illegal2 =
-    Conf.insert_submission ~select:ds.Gen.conflict_select ~title:"Bad"
-      ~author:ds.Gen.conflict_reviewer
-  in
-  let t_runtime =
-    time_ms ~reps (fun () ->
-        match Repository.guarded_update ~fallback:`Runtime_simplification r1 illegal2 with
-        | Repository.Rejected_early _ -> true
-        | _ -> failwith "expected early rejection")
-  in
-  let r2 = fresh_repo () in
-  let t_fullfb =
-    time_ms ~reps (fun () ->
-        let undo = Repository.apply_unchecked r2 illegal2 in
-        let r = Repository.check_full r2 in
-        Repository.rollback r2 undo;
-        if r = [] then failwith "expected a violation")
-  in
-  Printf.printf
-    "unregistered illegal update: runtime simplification %.3f ms | full-check fallback %.3f ms (%.0fx)\n\n%!"
-    t_runtime t_fullfb (t_fullfb /. (t_runtime +. 1e-9))
+  Printf.printf "\n%!";
+  fallback_strategies ~sizes ~reps
 
 (* ------------------------------------------------------------------ *)
 (* Indexed vs scan evaluation                                           *)
@@ -666,21 +761,39 @@ let index_bench ~sizes ~reps () =
             | Some (_, v) -> v
             | None -> failwith "bench update must match the pattern"
           in
-          let timed_pair f =
-            Repository.set_use_index repo false;
-            let scan = f () in
-            Repository.set_use_index repo true;
-            let indexed = f () in
-            (scan, indexed)
+          (* the scan side evaluates without an index, as the oracle's
+             scan route does *)
+          let doc = Repository.doc repo in
+          let scan_full () =
+            List.filter_map
+              (fun c ->
+                if Constr.violated_xquery doc c then Some c.Constr.name else None)
+              (Repository.constraints repo)
           in
-          let full_scan, full_idx =
-            timed_pair (fun () ->
-                time_ms ~reps (fun () -> Repository.check_full repo))
+          let params = Pattern.xquery_params valuation in
+          let plans =
+            List.map
+              (fun (ch : Repository.optimized_check) ->
+                ( ch.Repository.constraint_name,
+                  Xic_xquery.Eval.compile ch.Repository.simplified_xquery ))
+              (Repository.optimized_checks repo pattern)
           in
-          let simp_scan, simp_idx =
-            timed_pair (fun () ->
-                time_ms ~reps:(reps * 20) (fun () ->
-                    Repository.check_optimized repo pattern valuation))
+          let scan_simplified () =
+            List.filter_map
+              (fun (name, plan) ->
+                if Xic_xquery.Eval.run_bool doc ~params plan then Some name
+                else None)
+              plans
+          in
+          if
+            scan_full () <> Repository.check_full repo
+            || scan_simplified () <> optimized repo pattern valuation
+          then failwith "index bench: scan and indexed verdicts differ";
+          let full_scan = time_ms ~reps scan_full in
+          let full_idx = time_ms ~reps (fun () -> Repository.check_full repo) in
+          let simp_scan = time_ms ~reps:(reps * 20) scan_simplified in
+          let simp_idx =
+            time_ms ~reps:(reps * 20) (fun () -> optimized repo pattern valuation)
           in
           Printf.printf "%-14d %-12.3f %-12.3f %-9s %-15.4f %-14.4f %s\n%!"
             ds.Gen.stats.Gen.bytes full_scan full_idx
@@ -715,7 +828,7 @@ let journal_bench ~sizes ~reps () =
       in
       let guarded ?journal () =
         let tx = Repository.begin_txn ?journal repo in
-        (match Repository.txn_apply tx legal with
+        (match (Repository.txn_apply tx legal).Repository.outcome with
          | Repository.Applied _ -> ()
          | _ -> failwith "bench update must be applied");
         Repository.rollback_txn tx
@@ -777,7 +890,7 @@ let micro () =
       Test.make ~name:"simplify_conflict" (Staged.stage (fun () ->
           ignore (Pattern.simplify s pattern c1)));
       Test.make ~name:"optimized_check" (Staged.stage (fun () ->
-          ignore (Repository.check_optimized repo pattern valuation)));
+          ignore (optimized repo pattern valuation)));
       Test.make ~name:"pattern_match" (Staged.stage (fun () ->
           ignore (Repository.match_update repo legal)));
     ]
@@ -1540,7 +1653,7 @@ let () =
     | "fig1b" -> fig1b ~sizes ~reps ()
     | "fig_simp" -> fig_simp ()
     | "ex45" -> ex45 ()
-    | "ablations" -> ablations ~reps ()
+    | "ablations" -> ablations ~sizes ~reps ()
     | "index" -> index_bench ~sizes ~reps ()
     | "journal" -> journal_bench ~sizes ~reps ()
     | "incremental" -> incremental_bench ~sizes ~reps ()
@@ -1558,7 +1671,7 @@ let () =
       fig1b ~sizes ~reps ();
       fig_simp ();
       ex45 ();
-      ablations ~reps ();
+      ablations ~sizes ~reps ();
       index_bench ~sizes ~reps ();
       journal_bench ~sizes ~reps ();
       incremental_bench ~sizes ~reps ();

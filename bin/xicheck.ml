@@ -88,13 +88,6 @@ let no_validate_arg =
   let doc = "Skip DTD validation when loading documents." in
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
-let no_index_arg =
-  let doc =
-    "Disable indexed evaluation: answer every check with the scanning \
-     interpreter (verdicts are identical either way)."
-  in
-  Arg.(value & flag & info [ "no-index" ] ~doc)
-
 let delta_stats_arg =
   let doc =
     "Print the delta maintenance report (mirror flushes, net facts, \
@@ -384,7 +377,7 @@ let check_cmd =
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate explain
-      no_index delta_stats trace metrics slow_ms =
+      delta_stats trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     (* --explain needs a traced run for its observed timings *)
     if explain then begin
@@ -395,7 +388,6 @@ let check_cmd =
     let repo, _meta =
       load_state ~validate:(not no_validate) s ~snapshot docs
     in
-    if no_index then Repository.set_use_index repo false;
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
@@ -434,8 +426,8 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Check integrity constraints against the documents")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ explain_arg $ no_index_arg
-      $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ pattern_arg $ no_validate_arg $ explain_arg $ delta_stats_arg
+      $ trace_arg $ metrics_arg $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* simplify                                                            *)
@@ -494,13 +486,6 @@ let eval_budget_arg =
   in
   Arg.(value & opt (some int) None & info [ "eval-budget" ] ~docv:"STEPS" ~doc)
 
-let runtime_simp_arg =
-  let doc =
-    "For updates matching no pattern, derive a one-off pattern and \
-     simplify at runtime instead of execute-check-compensate."
-  in
-  Arg.(value & flag & info [ "runtime-simp" ] ~doc)
-
 let parse_update path =
   match Xic_xupdate.Xupdate.parse_string (read_file path) with
   | u -> u
@@ -509,8 +494,6 @@ let parse_update path =
 let print_outcome = function
   | Repository.Applied `Optimized ->
     print_endline "applied (validated by the optimized pre-check)"
-  | Repository.Applied `Runtime_simplified ->
-    print_endline "applied (validated by a runtime-simplified pre-check)"
   | Repository.Applied `Full_check ->
     print_endline "applied (validated by the full check)"
   | Repository.Rejected_early c ->
@@ -522,15 +505,13 @@ let guard_cmd =
     let doc = "XUpdate statement to execute under integrity control." in
     Arg.(required & opt (some file) None & info [ "update" ] ~docv:"FILE" ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate runtime_simp
-      update output journal eval_budget no_index delta_stats trace metrics
-      slow_ms =
+  let run dtds docs snapshot constraints pattern no_validate update output
+      journal eval_budget delta_stats trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     let s = load_schema dtds in
     let repo, meta =
       load_state ~validate:(not no_validate) s ~snapshot docs
     in
-    if no_index then Repository.set_use_index repo false;
     Repository.set_eval_budget repo eval_budget;
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match load_pattern s pattern with
@@ -540,11 +521,12 @@ let guard_cmd =
      | Some m, Some jpath -> replay_onto_snapshot repo m jpath
      | _ -> ());
     let u = parse_update update in
-    let fallback =
-      if runtime_simp then `Runtime_simplification else `Full_check
-    in
     let journal = Option.map open_journal journal in
-    let report = Repository.guarded_update_report ~fallback ?journal repo u in
+    let report =
+      match Repository.guarded_batch ?journal repo [ u ] with
+      | [ r ] -> r
+      | _ -> assert false
+    in
     Option.iter Xic_journal.Journal.close journal;
     print_degradations report;
     print_outcome report.Repository.outcome;
@@ -561,9 +543,9 @@ let guard_cmd =
        ~doc:"Execute an XUpdate statement under integrity control")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ runtime_simp_arg $ update_arg
-      $ output_arg $ journal_arg $ eval_budget_arg $ no_index_arg
-      $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ pattern_arg $ no_validate_arg $ update_arg $ output_arg
+      $ journal_arg $ eval_budget_arg $ delta_stats_arg $ trace_arg
+      $ metrics_arg $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* txn                                                                 *)
@@ -581,15 +563,13 @@ let txn_cmd =
     let doc = "Roll the transaction back at the end instead of committing." in
     Arg.(value & flag & info [ "abort" ] ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate runtime_simp
-      updates output journal eval_budget abort no_index delta_stats trace
-      metrics slow_ms =
+  let run dtds docs snapshot constraints pattern no_validate updates output
+      journal eval_budget abort delta_stats trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     let s = load_schema dtds in
     let repo, meta =
       load_state ~validate:(not no_validate) s ~snapshot docs
     in
-    if no_index then Repository.set_use_index repo false;
     Repository.set_eval_budget repo eval_budget;
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match load_pattern s pattern with
@@ -598,15 +578,12 @@ let txn_cmd =
     (match (meta, journal) with
      | Some m, Some jpath -> replay_onto_snapshot repo m jpath
      | _ -> ());
-    let fallback =
-      if runtime_simp then `Runtime_simplification else `Full_check
-    in
     let journal = Option.map open_journal journal in
     let tx = Repository.begin_txn ?journal repo in
     let refused = ref 0 in
     List.iteri
       (fun i path ->
-        let report = Repository.txn_apply_report ~fallback tx (parse_update path) in
+        let report = Repository.txn_apply tx (parse_update path) in
         print_degradations report;
         Printf.printf "statement %d (%s): " (i + 1) path;
         print_outcome report.Repository.outcome;
@@ -637,9 +614,9 @@ let txn_cmd =
           (each statement still guarded individually)")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ runtime_simp_arg $ updates_arg
-      $ output_arg $ journal_arg $ eval_budget_arg $ abort_arg $ no_index_arg
-      $ delta_stats_arg $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ pattern_arg $ no_validate_arg $ updates_arg $ output_arg
+      $ journal_arg $ eval_budget_arg $ abort_arg $ delta_stats_arg
+      $ trace_arg $ metrics_arg $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* recover                                                             *)
@@ -876,9 +853,9 @@ let serve_cmd =
     let doc = "How many slowest requests the 'slow' op retains." in
     Arg.(value & opt int 8 & info [ "slow-requests" ] ~docv:"N" ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate runtime_simp
-      journal eval_budget no_index socket tcp
-      checkpoint_on_shutdown log log_level log_format trace slow_requests =
+  let run dtds docs snapshot constraints pattern no_validate journal
+      eval_budget socket tcp checkpoint_on_shutdown log log_level log_format
+      trace slow_requests =
     (* instrumentation first, so document-load spans join the session *)
     (match XLog.level_of_string log_level with
      | Some l -> XLog.set_level l
@@ -898,7 +875,6 @@ let serve_cmd =
     let repo, meta =
       load_state ~validate:(not no_validate) s ~snapshot docs
     in
-    if no_index then Repository.set_use_index repo false;
     Repository.set_eval_budget repo eval_budget;
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
     (match load_pattern s pattern with
@@ -922,8 +898,6 @@ let serve_cmd =
     let journal = Option.map open_journal journal in
     let config =
       { Srv.journal; snapshot_path = snapshot; checkpoint_on_shutdown;
-        fallback =
-          (if runtime_simp then `Runtime_simplification else `Full_check);
         slow_capacity = max 1 slow_requests }
     in
     let server = Srv.create ~config repo in
@@ -970,11 +944,9 @@ let serve_cmd =
           check/guard/txn/stats/checkpoint requests over a socket")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ runtime_simp_arg $ journal_arg
-      $ eval_budget_arg $ no_index_arg $ socket_arg
-      $ tcp_arg
-      $ checkpoint_on_shutdown_arg $ log_arg $ log_level_arg $ log_format_arg
-      $ serve_trace_arg $ slow_requests_arg)
+      $ pattern_arg $ no_validate_arg $ journal_arg $ eval_budget_arg
+      $ socket_arg $ tcp_arg $ checkpoint_on_shutdown_arg $ log_arg
+      $ log_level_arg $ log_format_arg $ serve_trace_arg $ slow_requests_arg)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)
@@ -1007,8 +979,6 @@ let print_response_outcome resp =
     (match Proto.string_field "strategy" resp with
      | Some "optimized" ->
        print_endline "applied (validated by the optimized pre-check)"
-     | Some "runtime_simplified" ->
-       print_endline "applied (validated by a runtime-simplified pre-check)"
      | _ -> print_endline "applied (validated by the full check)");
     true
   | Some "rejected" ->
@@ -1067,8 +1037,7 @@ let client_cmd =
     let doc = "For 'txn': apply the statements, then roll the batch back." in
     Arg.(value & flag & info [ "abort" ] ~doc)
   in
-  let run op socket tcp updates pin as_of generation path runtime_simp abort
-      trace_id =
+  let run op socket tcp updates pin as_of generation path abort trace_id =
     let addr = server_address socket tcp in
     let fd =
       match Proto.connect addr with
@@ -1088,9 +1057,6 @@ let client_cmd =
       match Proto.request fd (with_trace j) with
       | resp -> expect_ok resp
       | exception Proto.Protocol_error m -> die "%s" m
-    in
-    let fallback_fields =
-      if runtime_simp then [ ("fallback", Proto.String "runtime") ] else []
     in
     let one_update () =
       match updates with
@@ -1129,9 +1095,8 @@ let client_cmd =
        let resp =
          rq
            (Proto.Obj
-              (( [ ("op", Proto.String "guard");
-                   ("update", Proto.String (one_update ())) ]
-               @ fallback_fields )))
+              [ ("op", Proto.String "guard");
+                ("update", Proto.String (one_update ())) ])
        in
        if not (print_response_outcome resp) then failed := true
      | "batch" ->
@@ -1144,9 +1109,7 @@ let client_cmd =
            Proto.write_frame fd
              (with_trace
                 (Proto.Obj
-                   (( [ ("op", Proto.String "guard");
-                        ("update", Proto.String u) ]
-                    @ fallback_fields )))))
+                   [ ("op", Proto.String "guard"); ("update", Proto.String u) ])))
          stmts;
        List.iteri
          (fun i _ ->
@@ -1169,7 +1132,6 @@ let client_cmd =
                    ( "updates",
                      Proto.List
                        (List.map (fun u -> Proto.String u) stmts) ) ]
-               @ fallback_fields
                @ if abort then [ ("abort", Proto.Bool true) ] else [] )))
        in
        let applied = ref 0 in
@@ -1192,9 +1154,8 @@ let client_cmd =
        let resp =
          rq
            (Proto.Obj
-              (( [ ("op", Proto.String "txn_stmt");
-                   ("update", Proto.String (one_update ())) ]
-               @ fallback_fields )))
+              [ ("op", Proto.String "txn_stmt");
+                ("update", Proto.String (one_update ())) ])
        in
        if not (print_response_outcome resp) then failed := true
      | "commit" ->
@@ -1279,8 +1240,7 @@ let client_cmd =
           stats, shutdown)")
     Term.(
       const run $ op_arg $ socket_arg $ tcp_arg $ updates_arg $ pin_arg
-      $ as_of_arg $ generation_arg $ path_arg $ runtime_simp_arg $ abort_arg
-      $ trace_id_arg)
+      $ as_of_arg $ generation_arg $ path_arg $ abort_arg $ trace_id_arg)
 
 (* ------------------------------------------------------------------ *)
 (* top                                                                 *)

@@ -61,8 +61,6 @@ let () =
     match Repository.guarded_update repo u with
     | Repository.Applied `Optimized ->
       Printf.printf "%-28s -> applied (checked before execution)\n" label
-    | Repository.Applied `Runtime_simplified ->
-      Printf.printf "%-28s -> applied (runtime-simplified pre-check)\n" label
     | Repository.Applied `Full_check ->
       Printf.printf "%-28s -> applied (full check fallback)\n" label
     | Repository.Rejected_early c ->

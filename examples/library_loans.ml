@@ -73,7 +73,7 @@ let () =
     in
     match Repository.guarded_update repo u with
     | Repository.Applied `Optimized -> Printf.printf "+ %s borrows %S\n" reader book
-    | Repository.Applied (`Full_check | `Runtime_simplified) ->
+    | Repository.Applied `Full_check ->
       Printf.printf "+ %s borrows %S (full check)\n" reader book
     | Repository.Rejected_early c ->
       Printf.printf "- %s refused %S before execution (%s)\n" reader book c
@@ -119,7 +119,7 @@ let () =
     in
     match Repository.guarded_update repo u with
     | Repository.Applied `Optimized -> Printf.printf "+ %s returns a book\n" reader
-    | Repository.Applied (`Full_check | `Runtime_simplified) ->
+    | Repository.Applied `Full_check ->
       Printf.printf "+ %s returns a book (full check)\n" reader
     | Repository.Rejected_early c ->
       Printf.printf "- %s may not return: would violate %s\n" reader c

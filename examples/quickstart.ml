@@ -74,7 +74,7 @@ let () =
     match Repository.guarded_update repo u with
     | Repository.Applied `Optimized ->
       Printf.printf "+ %-8s accepted (optimized pre-check)\n" name
-    | Repository.Applied (`Full_check | `Runtime_simplified) ->
+    | Repository.Applied `Full_check ->
       Printf.printf "+ %-8s accepted (full check)\n" name
     | Repository.Rejected_early c ->
       Printf.printf "- %-8s rejected before execution (violates %s)\n" name c

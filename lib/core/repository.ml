@@ -111,7 +111,6 @@ type t = {
   mutable incr : Xic_datalog.Incr.t option;
   deltas : delta_counters;
   mutable eval_budget : int option;
-  mutable use_index : bool;
   mutable index : Index.t option;
   (* full-check plans, keyed by constraint name *)
   full_plans : (string, Xic_xquery.Eval.compiled) Hashtbl.t;
@@ -139,7 +138,7 @@ let create schema =
     mirror = None; incr = None;
     deltas =
       { flushes = 0; facts_added = 0; facts_removed = 0; net = Delta.create () };
-    eval_budget = None; use_index = true; index = None;
+    eval_budget = None; index = None;
     full_plans = Hashtbl.create 16; generation = 0;
     mutations = 0; retained = Hashtbl.create 8; retain_keep = 8 }
 
@@ -167,24 +166,13 @@ let doc t = t.doc
 (* The index is created on demand (and even then its tables stay empty
    until some evaluation performs a lookup). *)
 let index t =
-  if not t.use_index then None
-  else begin
-    match t.index with
-    | Some _ as i -> i
-    | None ->
-      let i = Index.create t.doc in
-      t.index <- Some i;
-      Some i
-  end
+  match t.index with
+  | Some i -> i
+  | None ->
+    let i = Index.create t.doc in
+    t.index <- Some i;
+    i
 
-let set_use_index t enabled =
-  if not enabled then begin
-    (match t.index with Some i -> Index.detach i | None -> ());
-    t.index <- None
-  end;
-  t.use_index <- enabled
-
-let use_index t = t.use_index
 let index_stats t = Option.map Index.stats t.index
 
 (* Index stats and the cached-plan count live outside the registry (the
@@ -352,7 +340,7 @@ let recompile t =
 let add_constraint ?(verify = false) t c =
   if List.exists (fun c' -> c'.Constr.name = c.Constr.name) t.constraints then
     fail "duplicate constraint name %s" c.Constr.name;
-  if verify && Constr.violated_xquery ?index:(index t) t.doc c then
+  if verify && Constr.violated_xquery ~index:(index t) t.doc c then
     fail "the current documents already violate %s" c.Constr.name;
   t.constraints <- t.constraints @ [ c ];
   Hashtbl.reset t.full_plans;
@@ -380,7 +368,7 @@ let store t =
     sync_store t;
     s
   | None ->
-    let s = Xic_relmap.Shred.shred ?index:(index t) (Schema.mapping t.schema) t.doc in
+    let s = Xic_relmap.Shred.shred ~index:(index t) (Schema.mapping t.schema) t.doc in
     install_store t s;
     s
 
@@ -406,13 +394,13 @@ let full_plan t (c : Constr.t) =
 let check_full t =
   Obs.Trace.with_span "check_full" (fun () ->
       let plans = List.map (fun c -> (c, full_plan t c)) t.constraints in
-      let idx = index t in
+      let index = index t in
       List.filter_map
         (fun (c, plan) ->
           Obs.Metrics.incr c_checks_full;
           if
             timed_check c.Constr.name h_check_full (fun () ->
-                Constr.violated_compiled ?index:idx t.doc c plan)
+                Constr.violated_compiled ~index t.doc c plan)
           then Some c.Constr.name
           else None)
         plans)
@@ -666,7 +654,7 @@ let try_check_optimized t p valuation =
       (match
          timed_check ch.constraint_name h_check_optimized (fun () ->
              budgeted t (fun () ->
-                 Xic_xquery.Eval.run_bool t.doc ~params ?index:(index t) plan))
+                 Xic_xquery.Eval.run_bool t.doc ~params ~index:(index t) plan))
        with
        | true -> go (ch.constraint_name :: violated) degs rest
        | false -> go violated degs rest
@@ -679,11 +667,6 @@ let try_check_optimized t p valuation =
            rest)
   in
   go [] [] checks
-
-let check_optimized t p valuation =
-  match try_check_optimized t p valuation with
-  | violated, [] -> violated
-  | _, d :: _ -> fail "optimized check %s failed: %s" d.failed_check d.reason
 
 type witness = {
   witness_constraint : string;
@@ -750,7 +733,7 @@ let witness_to_string w =
        ^ String.concat ", " (List.map (fun (v, _, p) -> v ^ " -> " ^ p) ns))
 
 type outcome =
-  | Applied of [ `Optimized | `Runtime_simplified | `Full_check ]
+  | Applied of [ `Optimized | `Full_check ]
   | Rejected_early of string
   | Rolled_back of string
 
@@ -760,53 +743,12 @@ type outcome =
    [store] demand reconciles them — no re-shred, ever. *)
 let apply_unchecked t u =
   t.mutations <- t.mutations + 1;
-  Obs.Trace.with_span "apply" (fun () -> XU.apply ?index:(index t) t.doc u)
+  Obs.Trace.with_span "apply" (fun () -> XU.apply ~index:(index t) t.doc u)
 
 let rollback t undo =
   t.mutations <- t.mutations + 1;
   Obs.Metrics.incr c_rollbacks;
   Obs.Trace.with_span "rollback" (fun () -> XU.rollback t.doc undo)
-
-(* Derive a one-off pattern from the concrete statement, simplify on the
-   spot and pre-check; any failure along the way reverts to the
-   execute–check–compensate strategy.  Evaluation failures and exhausted
-   budgets are reported as degradations. *)
-let runtime_simplified t (m : XU.modification) =
-  Obs.Trace.with_span "runtime_simplified" @@ fun () ->
-  match Pattern.of_modification t.schema ~name:"<runtime>" m with
-  | exception Pattern.Pattern_error _ -> (None, [])
-  | p ->
-    (match Pattern.match_modification t.schema t.doc p m with
-     | None -> (None, [])
-     | Some valuation ->
-       let params = Pattern.xquery_params valuation in
-       let degraded name reason =
-         (None, [ { failed_check = name; reason } ])
-       in
-       let rec check = function
-         | [] -> (Some `Consistent, [])
-         | (c : Constr.t) :: rest ->
-           (match Pattern.simplify t.schema p c with
-            | exception Xic_simplify.After.Unsupported _ -> (None, [])
-            | simplified ->
-              (match
-                 Xic_translate.Translate.denials (Schema.mapping t.schema)
-                   simplified
-               with
-               | exception Xic_translate.Translate.Untranslatable _ -> (None, [])
-               | q ->
-                 (match
-                    budgeted t (fun () ->
-                        Xic_xquery.Eval.eval_bool t.doc ~params ?index:(index t) q)
-                  with
-                  | exception Xic_xquery.Eval.Eval_error msg ->
-                    degraded c.Constr.name msg
-                  | exception Xic_xpath.Eval.Budget_exceeded ->
-                    degraded c.Constr.name "step budget exhausted"
-                  | true -> (Some (`Violated c.Constr.name), [])
-                  | false -> check rest)))
-       in
-       check t.constraints)
 
 (* ------------------------------------------------------------------ *)
 (* Journaled transactions                                              *)
@@ -880,7 +822,12 @@ let txn_rollback_to tx sp =
     txn_record tx (J.Truncate { txn = tx.txn_id; keep = sp })
   end
 
-let txn_apply_report ?(fallback = `Full_check) tx (u : XU.t) =
+(* One statement under integrity control (Section 7 of the paper): a
+   statement that instantiates a registered pattern runs its simplified
+   checks before execution; any other statement (or one whose pre-check
+   degraded) is executed, checked by {!check_incremental} and
+   compensated on violation — footnote 4's execute–check–compensate. *)
+let txn_apply tx (u : XU.t) =
   require_open tx;
   Obs.Trace.with_span "txn_apply" @@ fun () ->
   let t = tx.txn_repo in
@@ -899,11 +846,7 @@ let txn_apply_report ?(fallback = `Full_check) tx (u : XU.t) =
     FP.hit "after_apply";
     undo
   in
-  let pre_checked strategy label degs =
-    let _undo = exec label in
-    { outcome = Applied strategy; degradations = degs }
-  in
-  let full_fallback degs =
+  let full_check degs =
     List.iter
       (fun d ->
         Log.warn (fun m ->
@@ -922,22 +865,14 @@ let txn_apply_report ?(fallback = `Full_check) tx (u : XU.t) =
       { outcome = Rolled_back violated; degradations = degs }
   in
   match match_update t u with
+  | None -> full_check []
   | Some (p, valuation) ->
     (match try_check_optimized t p valuation with
      | v :: _, degs -> { outcome = Rejected_early v; degradations = degs }
-     | [], [] -> pre_checked `Optimized "optimized" []
-     | [], degs -> full_fallback degs)
-  | None ->
-    (match (fallback, u) with
-     | `Runtime_simplification, [ m ] ->
-       (match runtime_simplified t m with
-        | Some `Consistent, degs ->
-          pre_checked `Runtime_simplified "runtime_simplified" degs
-        | Some (`Violated c), degs -> { outcome = Rejected_early c; degradations = degs }
-        | None, degs -> full_fallback degs)
-     | _ -> full_fallback [])
-
-let txn_apply ?fallback tx u = (txn_apply_report ?fallback tx u).outcome
+     | [], [] ->
+       ignore (exec "optimized" : XU.undo);
+       { outcome = Applied `Optimized; degradations = [] }
+     | [], degs -> full_check degs)
 
 let commit_txn tx =
   require_open tx;
@@ -962,37 +897,31 @@ let rollback_txn tx =
   tx.txn_undos <- [];
   tx.txn_seq <- 0
 
-let guarded_update_report ?(fallback = `Full_check) ?journal t (u : XU.t) =
-  let tx = begin_txn ?journal t in
-  let r = txn_apply_report ~fallback tx u in
-  (match r.outcome with
-   | Applied _ -> commit_txn tx
-   | Rejected_early _ | Rolled_back _ -> rollback_txn tx);
-  r
-
-let guarded_update ?(fallback = `Full_check) ?journal t (u : XU.t) =
-  (guarded_update_report ~fallback ?journal t u).outcome
-
-(* Batched guarded updates: the statements go through the same
-   per-statement strategy dispatch as serial guards (identical verdicts
-   by construction — oracle route 9 asserts it), but share one journaled
-   transaction, so the batch pays a single commit fsync; consecutive
-   pre-checked (optimized / runtime-simplified) statements leave their
-   mutation marks in the mirror, and the final reconciliation composes
-   them into one flush — one incremental view-maintenance pass for that
-   run instead of one per statement. *)
-let guarded_batch ?(fallback = `Full_check) ?journal t (us : XU.t list) =
+(* Guarded updates, one or many: every statement goes through
+   {!txn_apply} (so a batch's verdicts equal serial guards' by
+   construction — oracle route 9 asserts it) inside one journaled
+   transaction under group commit, so the call pays a single durability
+   point.  The transaction commits when a statement stands and aborts
+   otherwise, so it advances the generation exactly when recovery will.
+   Consecutive pre-checked statements leave their mutation marks in the
+   mirror, and the closing reconciliation composes them into one flush —
+   one incremental view-maintenance pass for that run instead of one per
+   statement. *)
+let guarded_batch ?journal t (us : XU.t list) =
   match us with
   | [] -> []
   | us ->
     Obs.Trace.with_span "guarded_batch" @@ fun () ->
     let tx = begin_txn ~group_commit:true ?journal t in
-    let reports = List.map (fun u -> txn_apply_report ~fallback tx u) us in
-    if tx.txn_seq > 0 || tx.txn_journaled then commit_txn tx
-    else rollback_txn tx;
-    (* one mirror flush + view-maintenance pass for the whole batch *)
+    let reports = List.map (txn_apply tx) us in
+    if tx.txn_seq > 0 then commit_txn tx else rollback_txn tx;
     (match t.store with Some _ -> ignore (store t) | None -> ());
     reports
+
+let guarded_update ?journal t u =
+  match guarded_batch ?journal t [ u ] with
+  | [ r ] -> r.outcome
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery                                                      *)
@@ -1047,7 +976,11 @@ let recover ?(skip = 0) (rr : J.read_result) t =
              | exception XU.Xupdate_error m -> errors := (txn, m) :: !errors))
         payloads)
     committed;
-  t.generation <- t.generation + List.length committed;
+  (* as {!commit_txn}: only a transaction with a standing statement
+     makes a generation *)
+  t.generation <-
+    t.generation
+    + List.length (List.filter (fun (_, payloads) -> payloads <> []) committed);
   {
     replayed_txns = List.length committed;
     replayed_statements = !stmts;

@@ -10,8 +10,10 @@
        registered pattern, evaluate the pattern's pre-compiled simplified
        checks with the extracted parameter valuation — {e before} the
        update executes, so illegal updates are never applied;}
-    {- {e fallback}: updates matching no pattern are applied, checked,
-       and rolled back on violation (compensating action).}} *)
+    {- {e fallback}: updates matching no pattern (or whose pre-check
+       degraded) are executed, checked against the delta-maintained
+       views ({!check_incremental}) and compensated on violation —
+       footnote 4's execute–check–compensate, the only fallback.}} *)
 
 open Xic_xml
 
@@ -42,10 +44,10 @@ val doc : t -> Doc.t
 
 val set_eval_budget : t -> int option -> unit
 (** Install (or clear, with [None]) a step budget for constraint-check
-    evaluation.  Every optimized or runtime-simplified check runs under
-    its own budget of that many evaluator steps; a check that exhausts it
-    is treated as {e degraded} — the guarded update falls back to the
-    post-state check instead of failing (see {!report}). *)
+    evaluation.  Every optimized check runs under its own budget of that
+    many evaluator steps; a check that exhausts it is treated as
+    {e degraded} — the guarded update falls back to the post-state check
+    instead of failing (see {!report}). *)
 
 val eval_budget : t -> int option
 
@@ -56,20 +58,15 @@ val cached_plans : t -> int
 (** Number of closure plans currently cached (full-check plans plus
     compiled simplified checks). *)
 
-val set_use_index : t -> bool -> unit
-(** Enable (default) or disable indexed evaluation.  Disabling detaches
-    and drops any existing index; verdicts are unaffected either way. *)
-
-val use_index : t -> bool
-
-val index : t -> Index.t option
+val index : t -> Index.t
 (** The document's secondary indexes, created (lazily, unbuilt) on first
-    demand — [None] when indexed evaluation is disabled.  All checking
-    and shredding paths consult it automatically; it is exposed for
-    callers evaluating ad-hoc queries against {!doc}. *)
+    demand.  All checking and shredding paths consult it automatically;
+    it is exposed for callers evaluating ad-hoc queries against {!doc}.
+    The scan route (no index) is what the oracles and [bench index]
+    compare it with. *)
 
 val index_stats : t -> Index.stats option
-(** Statistics of the current index, if one exists. *)
+(** Statistics of the current index, if one was created. *)
 
 val metrics : t -> (string * int) list * (string * Xic_obs.Obs.Metrics.hsnap) list
 (** Snapshot of the global metrics registry (counters and latency
@@ -152,7 +149,8 @@ val generation : t -> int
 (** Committed-transaction counter: starts at 0, incremented by every
     {!commit_txn} that applied at least one statement (including
     {!guarded_update} and {!guarded_batch} commits) and by each
-    committed transaction a {!recover} replays. *)
+    committed transaction with a surviving statement that {!recover}
+    replays — so a recovered generation equals the live one. *)
 
 type pin
 
@@ -257,13 +255,6 @@ val match_update : t -> Xic_xupdate.Xupdate.t -> (Pattern.t * Pattern.valuation)
 (** Recognize a single-modification update against the registered
     patterns (first match wins). *)
 
-val check_optimized : t -> Pattern.t -> Pattern.valuation -> string list
-(** Names of constraints whose simplified check reports a violation for
-    the proposed update (evaluated on the {e current} state).
-    @raise Repository_error when a check fails to evaluate or exhausts
-    the step budget; {!try_check_optimized} reports those as degradations
-    instead. *)
-
 (** An optimized check that could not be completed (evaluation error or
     exhausted step budget); the guarded-update engine falls back to the
     full check and reports the degradation. *)
@@ -271,12 +262,14 @@ type degradation = { failed_check : string; reason : string }
 
 val try_check_optimized :
   t -> Pattern.t -> Pattern.valuation -> string list * degradation list
-(** Total variant of {!check_optimized}: violated constraint names plus
-    the checks that degraded instead of completing. *)
+(** Names of constraints whose simplified check reports a violation for
+    the proposed update (evaluated on the {e current} state), plus the
+    checks that degraded (evaluation error, exhausted step budget)
+    instead of completing. *)
 
 (** Result of a guarded update. *)
 type outcome =
-  | Applied of [ `Optimized | `Runtime_simplified | `Full_check ]
+  | Applied of [ `Optimized | `Full_check ]
       (** executed; which checking strategy validated it *)
   | Rejected_early of string
       (** refused before execution (optimized check); the violated
@@ -285,62 +278,36 @@ type outcome =
       (** executed, found violating by {!check_incremental}, compensated *)
 
 (** Outcome of a guarded update plus the checks that degraded along the
-    way.  [degradations] is non-empty when an optimized (or runtime
-    simplified) check failed to evaluate or ran out of its step budget:
-    correctness is preserved by falling back to the full check, and the
-    report says so. *)
+    way.  [degradations] is non-empty when an optimized check failed to
+    evaluate or ran out of its step budget: correctness is preserved by
+    falling back to the full check, and the report says so. *)
 type report = { outcome : outcome; degradations : degradation list }
 
-val guarded_update :
-  ?fallback:[ `Full_check | `Runtime_simplification ] ->
-  ?journal:Xic_journal.Journal.t ->
-  t ->
-  Xic_xupdate.Xupdate.t ->
-  outcome
-(** Apply an update under integrity control.
-
-    When the update instantiates a registered pattern, its pre-compiled
-    simplified checks run before execution.  Otherwise [fallback] decides
-    (Section 7, footnote 4 of the paper): with [`Full_check] (default) the
-    update is executed, checked by {!check_incremental}, and compensated
-    on violation; with
-    [`Runtime_simplification] a one-off pattern is derived from the
-    concrete statement (its text values as constants), [Simp] runs on the
-    spot, and the residual checks still execute {e before} the update —
-    reverting to the full-check strategy only when the statement falls
-    outside the simplifiable fragment.
-
-    With [journal], the update is journaled write-ahead: an intent record
-    (the serialized statement and chosen strategy) is forced to disk
-    before the documents are touched and a commit record after, so
-    {!recover} can replay it after a crash.  Updates refused or rolled
-    back leave no committed trace. *)
-
-val guarded_update_report :
-  ?fallback:[ `Full_check | `Runtime_simplification ] ->
-  ?journal:Xic_journal.Journal.t ->
-  t ->
-  Xic_xupdate.Xupdate.t ->
-  report
-(** Like {!guarded_update} but also reports degradations. *)
-
 val guarded_batch :
-  ?fallback:[ `Full_check | `Runtime_simplification ] ->
-  ?journal:Xic_journal.Journal.t ->
-  t ->
-  Xic_xupdate.Xupdate.t list ->
-  report list
-(** Apply several guarded updates as one batch: each statement goes
-    through the same strategy dispatch as {!guarded_update} (reports are
-    in input order and verdict-identical to serial guards), but they
-    share one journaled transaction under group commit — intent records
-    are written unsynced and the single commit fsync makes the whole
-    batch durable at once — and runs of pre-checked statements are
-    reconciled into
-    the store by one composed delta flush (one incremental
-    view-maintenance pass) instead of one per statement.  Statements
-    refused or compensated individually do not abort the rest of the
-    batch. *)
+  ?journal:Xic_journal.Journal.t -> t -> Xic_xupdate.Xupdate.t list -> report list
+(** Apply updates under integrity control, one {!txn_apply} each (reports
+    in input order; a statement refused or compensated does not stop the
+    rest).
+
+    A statement that instantiates a registered pattern runs the
+    pattern's pre-compiled simplified checks before execution.  Any
+    other statement — or one whose pre-check degraded — is executed,
+    checked by {!check_incremental} and compensated on violation
+    (Section 7, footnote 4 of the paper: execute–check–compensate).
+
+    All statements share one transaction under group commit: with
+    [journal], intent records (serialized statement and strategy) are
+    written before the documents are touched, and one closing record
+    fsync makes the call durable.  The transaction commits when at least
+    one statement stands, and is rolled back ({!rollback_txn}, an abort
+    record) otherwise, so refused or compensated updates leave no
+    committed trace and no generation.  Runs of pre-checked statements
+    reach the store in one composed delta flush (one incremental
+    view-maintenance pass), done before the call returns. *)
+
+val guarded_update :
+  ?journal:Xic_journal.Journal.t -> t -> Xic_xupdate.Xupdate.t -> outcome
+(** The one-statement {!guarded_batch}, returning its outcome. *)
 
 (** {1 Transactions}
 
@@ -367,21 +334,11 @@ val txn_id : txn -> int
 val txn_statements : txn -> int
 (** Statements currently applied (i.e. the next savepoint value). *)
 
-val txn_apply :
-  ?fallback:[ `Full_check | `Runtime_simplification ] ->
-  txn ->
-  Xic_xupdate.Xupdate.t ->
-  outcome
-
-val txn_apply_report :
-  ?fallback:[ `Full_check | `Runtime_simplification ] ->
-  txn ->
-  Xic_xupdate.Xupdate.t ->
-  report
-(** Apply one statement inside the transaction, with the same strategy
-    dispatch as {!guarded_update}.  The intent record carries the
-    statement's sequence number; no commit record is written until
-    {!commit_txn}.
+val txn_apply : txn -> Xic_xupdate.Xupdate.t -> report
+(** Apply one statement inside the transaction: the pre-check or
+    execute–check–compensate dispatch described at {!guarded_batch}.
+    The intent record carries the statement's sequence number; no commit
+    record is written until {!commit_txn}.
     @raise Repository_error if the transaction is closed. *)
 
 type savepoint

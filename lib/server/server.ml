@@ -36,13 +36,12 @@ type config = {
   journal : J.t option;
   snapshot_path : string option;
   checkpoint_on_shutdown : bool;
-  fallback : [ `Full_check | `Runtime_simplification ];
   slow_capacity : int;
 }
 
 let default_config =
   { journal = None; snapshot_path = None; checkpoint_on_shutdown = false;
-    fallback = `Full_check; slow_capacity = 8 }
+    slow_capacity = 8 }
 
 (* One entry of the slowest-requests ring: everything needed to explain
    the request after the fact — including its span tree when request
@@ -161,7 +160,6 @@ let outcome_fields = function
         P.String
           (match s with
            | `Optimized -> "optimized"
-           | `Runtime_simplified -> "runtime_simplified"
            | `Full_check -> "full_check") ) ]
   | R.Rejected_early c ->
     [ ("outcome", P.String "rejected"); ("constraint", P.String c) ]
@@ -219,12 +217,6 @@ let evict_committed_pin t =
     t.last_pin <- None;
     R.unpin t.srepo p
   | None -> ()
-
-let fallback_of t req =
-  match P.string_field "fallback" req with
-  | Some "runtime" -> `Runtime_simplification
-  | Some "full" -> `Full_check
-  | _ -> t.config.fallback
 
 let parse_update ustr = XU.parse_string ustr
 
@@ -287,7 +279,6 @@ let require_no_txn t what =
 (* The check route a guarded update actually took, for the span. *)
 let route_of_outcome = function
   | R.Applied `Optimized -> "compiled"
-  | R.Applied `Runtime_simplified -> "runtime_simplified"
   | R.Applied `Full_check -> "recompute"
   | R.Rejected_early _ -> "rejected"
   | R.Rolled_back _ -> "rolled_back"
@@ -296,8 +287,9 @@ let do_guard t req =
   require_no_txn t "guard";
   let u = parse_update (require_update req) in
   let r =
-    R.guarded_update_report ~fallback:(fallback_of t req)
-      ?journal:t.config.journal t.srepo u
+    match R.guarded_batch ?journal:t.config.journal t.srepo [ u ] with
+    | [ r ] -> r
+    | _ -> assert false
   in
   Obs.Trace.add_attr "route" (route_of_outcome r.R.outcome);
   report_json r ~extra:[ ("generation", P.Int (R.generation t.srepo)) ]
@@ -314,16 +306,15 @@ let do_txn t req =
         l
     | None -> raise (P.Protocol_error "missing \"updates\" field")
   in
-  let fallback = fallback_of t req in
   let reports =
     if P.bool_field "abort" req then begin
       (* apply-then-abort, for exercising the rollback path end to end *)
       let tx = R.begin_txn ?journal:t.config.journal t.srepo in
-      let rs = List.map (fun u -> R.txn_apply_report ~fallback tx u) updates in
+      let rs = List.map (R.txn_apply tx) updates in
       R.rollback_txn tx;
       rs
     end
-    else R.guarded_batch ~fallback ?journal:t.config.journal t.srepo updates
+    else R.guarded_batch ?journal:t.config.journal t.srepo updates
   in
   ok
     [ ("results", P.List (List.map (fun r -> report_json r) reports));
@@ -354,7 +345,7 @@ let with_open_txn t req f =
 let do_txn_stmt t req =
   with_open_txn t req @@ fun _h tx ->
   let u = parse_update (require_update req) in
-  let r = R.txn_apply_report ~fallback:(fallback_of t req) tx u in
+  let r = R.txn_apply tx u in
   report_json r ~extra:[ ("statements", P.Int (R.txn_statements tx)) ]
 
 let do_txn_commit t req =
@@ -674,8 +665,7 @@ let is_guard req = P.string_field "op" req = Some "guard"
    journaled transaction (one commit fsync), per-statement verdicts
    identical to serial dispatch, and one composed delta flush for runs
    of pre-checked statements.  Requests that fail to parse get error
-   responses and drop out of the batch.  The run shares the fallback of
-   its first request. *)
+   responses and drop out of the batch. *)
 let handle_guard_run t reqs =
   match reqs with
   | [ req ] -> [ handle t req ]
@@ -709,10 +699,7 @@ let handle_guard_run t reqs =
       let us =
         List.filter_map (function Ok u -> Some u | Error _ -> None) parsed
       in
-      match
-        R.guarded_batch ~fallback:(fallback_of t first)
-          ?journal:t.config.journal t.srepo us
-      with
+      match R.guarded_batch ?journal:t.config.journal t.srepo us with
       | exception R.Repository_error m ->
         List.map (fun _ -> error m) reqs
       | reports ->

@@ -29,10 +29,12 @@
        materialized (in-flight pins and bounded time-travel history)
        with its refcount, plus the heap those handles hold beyond the
        live store ([pin_bytes]);}
-    {- [guard]: one guarded update ([{"update":stmt}]) — guard requests
-       arriving in the same poll round are applied as one
-       {!Xic_core.Repository.guarded_batch} (single commit fsync, one
-       composed delta flush) with per-request verdicts;}
+    {- [guard]: one guarded update ([{"update":stmt}]), a one-statement
+       {!Xic_core.Repository.guarded_batch} — guard requests arriving in
+       the same poll round share one batch (single commit fsync, one
+       composed delta flush) with per-request verdicts; a statement
+       matching no pattern is executed, checked and compensated (any
+       ["fallback"] field is ignored);}
     {- [txn]: an atomic batch of statements in one request;}
     {- [txn_begin] / [txn_stmt] / [txn_commit] / [txn_abort]: a
        streaming transaction across requests (one writer at a time);}
@@ -55,15 +57,13 @@ type config = {
   checkpoint_on_shutdown : bool;
       (** write a final checkpoint during graceful shutdown (requires
           [snapshot_path]) *)
-  fallback : [ `Full_check | `Runtime_simplification ];
-      (** strategy for guards matching no registered pattern *)
   slow_capacity : int;
       (** how many slowest requests the [slow] op retains (min 1) *)
 }
 
 val default_config : config
-(** No journal, no snapshot path, no shutdown checkpoint, [`Full_check],
-    8 slow-request slots. *)
+(** No journal, no snapshot path, no shutdown checkpoint, 8
+    slow-request slots. *)
 
 type t
 

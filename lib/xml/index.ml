@@ -264,8 +264,6 @@ let create doc =
   Doc.set_observer doc (Some (on_event t));
   t
 
-let detach t = Doc.set_observer t.doc None
-
 let doc t = t.doc
 let built t = t.built
 

@@ -22,9 +22,6 @@ val create : Doc.t -> t
 (** Attach a fresh (unbuilt) index to [doc] as its mutation observer.
     No table is populated until the first lookup. *)
 
-val detach : t -> unit
-(** Unregister from the document; the index must not be queried after. *)
-
 val doc : t -> Doc.t
 val built : t -> bool
 

@@ -582,7 +582,7 @@ let test_guarded_fallback_full_check () =
       } ]
   in
   match Repository.guarded_update repo u with
-  | Repository.Applied (`Full_check | `Runtime_simplified) -> ()
+  | Repository.Applied `Full_check -> ()
   | _ -> Alcotest.fail "unmatched legal update must be applied via full check"
 
 let test_guarded_fallback_rollback () =
@@ -615,7 +615,7 @@ let test_optimized_equals_full_decision () =
       match Repository.match_update repo u with
       | None -> Alcotest.fail "update must match the pattern"
       | Some (_, valuation) ->
-        let optimized = Repository.check_optimized repo p valuation <> [] in
+        let optimized = fst (Repository.try_check_optimized repo p valuation) <> [] in
         let optimized_dl =
           let params = Pattern.datalog_params p valuation in
           let store = Repository.store repo in
@@ -833,44 +833,6 @@ let test_check_incremental_falls_back () =
   checkb "views built" true (Option.is_some (Repository.incr_view repo));
   Repository.rollback repo undo
 
-let test_runtime_simplification () =
-  (* no pattern registered: the runtime-simplification fallback derives a
-     one-off pattern, still rejecting before execution *)
-  let repo = make_repo () in
-  let illegal =
-    Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]" ~title:"Bad"
-      ~author:"Carl"
-  in
-  (match Repository.guarded_update ~fallback:`Runtime_simplification repo illegal with
-   | Repository.Rejected_early "conflict" -> ()
-   | Repository.Rolled_back _ -> Alcotest.fail "must be rejected BEFORE execution"
-   | _ -> Alcotest.fail "unexpected outcome");
-  checki "nothing inserted" 2
-    (List.length
-       (Xic_xpath.Eval.select (Repository.doc repo) (Xic_xpath.Parser.parse "//sub")));
-  let legal =
-    Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]" ~title:"Ok"
-      ~author:"Zoe"
-  in
-  (match Repository.guarded_update ~fallback:`Runtime_simplification repo legal with
-   | Repository.Applied `Runtime_simplified -> ()
-   | _ -> Alcotest.fail "legal update must pass the runtime-simplified check");
-  Alcotest.(check (list string)) "still consistent" [] (Repository.check_full repo)
-
-let test_runtime_simplification_falls_back () =
-  (* content outside the simplifiable fragment (removal of a non-leaf)
-     silently reverts to the full check *)
-  let repo = make_repo () in
-  let u =
-    [ { XU.op = XU.Remove;
-        select = Xic_xpath.Parser.parse "/review/track[1]/rev[2]/sub[1]";
-        content = [];
-      } ]
-  in
-  match Repository.guarded_update ~fallback:`Runtime_simplification repo u with
-  | Repository.Applied `Full_check -> ()
-  | _ -> Alcotest.fail "non-simplifiable update must use the full check"
-
 let test_duplicate_names_rejected () =
   let repo = make_repo () in
   (match Repository.add_constraint repo (Conf.conflict (Lazy.force schema)) with
@@ -951,9 +913,6 @@ let () =
           Alcotest.test_case "rollback mirror agreement" `Quick
             test_rollback_mirror_agreement;
           Alcotest.test_case "guarded deletion" `Quick test_guarded_deletion;
-          Alcotest.test_case "runtime simplification" `Quick test_runtime_simplification;
-          Alcotest.test_case "runtime simp fallback" `Quick
-            test_runtime_simplification_falls_back;
           Alcotest.test_case "duplicate names" `Quick test_duplicate_names_rejected;
         ] );
     ]

@@ -210,7 +210,7 @@ let random_update r repo =
 
 let apply_random r repo txn =
   match random_update r repo with
-  | Some u -> ignore (Repository.txn_apply txn u : Repository.outcome)
+  | Some u -> ignore (Repository.txn_apply txn u : Repository.report)
   | None -> ()
 
 let prop_savepoint_rollback =

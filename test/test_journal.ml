@@ -51,6 +51,13 @@ let unmatched_update author =
                XU.Elem ("auts", [], [ XU.Elem ("name", [], [ XU.Text author ]) ]) ]) ];
     } ]
 
+let guard_report repo u =
+  match Repository.guarded_batch repo [ u ] with
+  | [ r ] -> r
+  | _ -> Alcotest.fail "one statement, one report"
+
+let stmt tx u = (Repository.txn_apply tx u).Repository.outcome
+
 let recover_fresh path =
   let repo = make_repo () in
   let report = Repository.recover (J.read path) repo in
@@ -360,6 +367,81 @@ let test_refused_updates_leave_no_committed_trace () =
   checks "recovery yields the base state" before (snapshot recovered);
   checki "nothing replayed" 0 report.Repository.replayed_txns
 
+(* A guard call whose statements are all compensated closes with an
+   abort record, not an empty commit: recovery counts it as discarded. *)
+let test_all_compensated_batch_aborts () =
+  let p = fresh_path () in
+  let repo = make_repo () in
+  let before = snapshot repo in
+  let j = J.open_ p in
+  (match
+     Repository.guarded_batch ~journal:j repo
+       [ unmatched_update "Carl"; unmatched_update "Carl" ]
+   with
+   | [ { Repository.outcome = Repository.Rolled_back "conflict"; _ };
+       { Repository.outcome = Repository.Rolled_back "conflict"; _ } ] -> ()
+   | _ -> Alcotest.fail "both statements must be compensated");
+  J.close j;
+  let rr = J.read p in
+  (match List.rev rr.J.entries with
+   | J.Abort _ :: _ -> ()
+   | _ -> Alcotest.fail "the batch must close with an abort record");
+  checkb "no commit record" false
+    (List.exists (function J.Commit _ -> true | _ -> false) rr.J.entries);
+  checki "no generation" 0 (Repository.generation repo);
+  let recovered, report = recover_fresh p in
+  checks "base state" before (snapshot recovered);
+  checki "nothing replayed" 0 report.Repository.replayed_txns;
+  checki "the batch is discarded" 1 report.Repository.discarded_txns
+
+(* Recovery advances the generation exactly as the live writer did: a
+   committed transaction whose statements were all compensated makes no
+   generation on either side. *)
+let test_recovered_generation_matches_live () =
+  let p = fresh_path () in
+  let repo = make_repo () in
+  let j = J.open_ p in
+  ignore (Repository.guarded_batch ~journal:j repo [ unmatched_update "Carl" ]);
+  let tx = Repository.begin_txn ~journal:j repo in
+  (match stmt tx (unmatched_update "Carl") with
+   | Repository.Rolled_back "conflict" -> ()
+   | _ -> Alcotest.fail "violating statement must be compensated");
+  Repository.commit_txn tx;
+  (match Repository.guarded_update ~journal:j repo (legal_update ()) with
+   | Repository.Applied _ -> ()
+   | _ -> Alcotest.fail "legal update must apply");
+  J.close j;
+  let recovered, report = recover_fresh p in
+  checks "same state" (snapshot repo) (snapshot recovered);
+  checki "recovered generation = live generation" (Repository.generation repo)
+    (Repository.generation recovered);
+  checki "live generation" 1 (Repository.generation repo);
+  Alcotest.(check (list string)) "consistent" [] report.Repository.post_violations
+
+(* Journals written while runtime simplification was a guard strategy
+   carry intents labelled "runtime_simplified"; replay ignores the label,
+   so they still recover. *)
+let test_runtime_simplified_intent_replays () =
+  let p = fresh_path () in
+  let j = J.open_ p in
+  let txn = J.next_txn j in
+  J.append j
+    (J.Intent
+       { txn; seq = 0; strategy = "runtime_simplified";
+         payload = XU.to_string (legal_update ()) });
+  J.append j (J.Commit { txn });
+  J.close j;
+  let live = make_repo () in
+  (match Repository.guarded_update live (legal_update ()) with
+   | Repository.Applied _ -> ()
+   | _ -> Alcotest.fail "legal update must apply");
+  let recovered, report = recover_fresh p in
+  checki "replayed" 1 report.Repository.replayed_statements;
+  Alcotest.(check (list (pair int string))) "no replay error" []
+    report.Repository.replay_errors;
+  checks "same state as a live guard" (snapshot live) (snapshot recovered);
+  checki "generation" 1 (Repository.generation recovered)
+
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -369,16 +451,16 @@ let test_txn_commit_and_recover () =
   let repo = make_repo () in
   let j = J.open_ p in
   let tx = Repository.begin_txn ~journal:j repo in
-  (match Repository.txn_apply tx (legal_update ~title:"A" ~author:"Zoe" ()) with
+  (match stmt tx (legal_update ~title:"A" ~author:"Zoe" ()) with
    | Repository.Applied _ -> ()
    | _ -> Alcotest.fail "statement 1 must apply");
   let sp = Repository.txn_savepoint tx in
-  (match Repository.txn_apply tx (legal_update ~title:"B" ~author:"Max" ()) with
+  (match stmt tx (legal_update ~title:"B" ~author:"Max" ()) with
    | Repository.Applied _ -> ()
    | _ -> Alcotest.fail "statement 2 must apply");
   Repository.txn_rollback_to tx sp;
   checki "statement 2 undone" 1 (Repository.txn_statements tx);
-  (match Repository.txn_apply tx (legal_update ~title:"C" ~author:"Ada" ()) with
+  (match stmt tx (legal_update ~title:"C" ~author:"Ada" ()) with
    | Repository.Applied _ -> ()
    | _ -> Alcotest.fail "statement 3 must apply");
   Repository.commit_txn tx;
@@ -398,11 +480,11 @@ let test_txn_statement_violation_keeps_txn_open () =
   let repo = make_repo () in
   let j = J.open_ p in
   let tx = Repository.begin_txn ~journal:j repo in
-  (match Repository.txn_apply tx (legal_update ()) with
+  (match stmt tx (legal_update ()) with
    | Repository.Applied _ -> ()
    | _ -> Alcotest.fail "legal statement must apply");
   (* a violating full-check statement is compensated individually *)
-  (match Repository.txn_apply tx (unmatched_update "Carl") with
+  (match stmt tx (unmatched_update "Carl") with
    | Repository.Rolled_back "conflict" -> ()
    | _ -> Alcotest.fail "violating statement must be rolled back");
   checki "only the legal statement counted" 1 (Repository.txn_statements tx);
@@ -423,7 +505,7 @@ let test_txn_rollback () =
   Repository.rollback_txn tx;
   J.close j;
   checks "rollback restores the document" before (snapshot repo);
-  (match Repository.txn_apply tx (legal_update ()) with
+  (match stmt tx (legal_update ()) with
    | exception Repository.Repository_error _ -> ()
    | _ -> Alcotest.fail "closed transaction must refuse statements");
   let recovered, report = recover_fresh p in
@@ -471,7 +553,7 @@ let test_exhausted_budget_degrades_to_full_check () =
   Repository.set_eval_budget repo (Some 1);
   (* the optimized pre-check cannot finish in one step: the update must
      still be applied — via the full check — and the report must say so *)
-  let report = Repository.guarded_update_report repo (legal_update ()) in
+  let report = guard_report repo (legal_update ()) in
   (match report.Repository.outcome with
    | Repository.Applied `Full_check -> ()
    | _ -> Alcotest.fail "exhausted budget must fall back to the full check");
@@ -480,7 +562,7 @@ let test_exhausted_budget_degrades_to_full_check () =
      checks "reason" "step budget exhausted" reason
    | _ -> Alcotest.fail "the degradation must be reported");
   (* correctness is preserved: an illegal unmatched update is still refused *)
-  let report = Repository.guarded_update_report repo (unmatched_update "Carl") in
+  let report = guard_report repo (unmatched_update "Carl") in
   (match report.Repository.outcome with
    | Repository.Rolled_back "conflict" -> ()
    | _ -> Alcotest.fail "full-check fallback must still reject violations");
@@ -490,22 +572,6 @@ let test_exhausted_budget_degrades_to_full_check () =
   match Repository.guarded_update repo (legal_update ~title:"Y" ~author:"Uma" ()) with
   | Repository.Applied `Optimized -> ()
   | _ -> Alcotest.fail "no budget: optimized path again"
-
-let test_budget_degrades_runtime_simplification () =
-  let s = Lazy.force schema in
-  let repo = Repository.create s in
-  Repository.load_fused repo pub_doc;
-  Repository.load_fused repo rev_doc;
-  Repository.add_constraint repo (Conf.conflict s);
-  Repository.set_eval_budget repo (Some 1);
-  let report =
-    Repository.guarded_update_report ~fallback:`Runtime_simplification repo
-      (legal_update ())
-  in
-  (match report.Repository.outcome with
-   | Repository.Applied `Full_check -> ()
-   | _ -> Alcotest.fail "degraded runtime simplification must use the full check");
-  checkb "degradation reported" true (report.Repository.degradations <> [])
 
 let test_try_check_optimized_reports_degradations () =
   let repo = make_repo () in
@@ -517,10 +583,6 @@ let test_try_check_optimized_reports_degradations () =
     let violated, degs = Repository.try_check_optimized repo p valuation in
     Alcotest.(check (list string)) "no verdict" [] violated;
     checki "one degradation" 1 (List.length degs);
-    (* the raising variant keeps its legacy contract *)
-    (match Repository.check_optimized repo p valuation with
-     | exception Repository.Repository_error _ -> ()
-     | _ -> Alcotest.fail "check_optimized must raise on degradation");
     Repository.set_eval_budget repo None;
     let violated, degs = Repository.try_check_optimized repo p valuation in
     Alcotest.(check (list string)) "legal" [] violated;
@@ -589,6 +651,12 @@ let () =
             test_committed_update_recovers_post_state;
           Alcotest.test_case "refused leaves no trace" `Quick
             test_refused_updates_leave_no_committed_trace;
+          Alcotest.test_case "all-compensated batch aborts" `Quick
+            test_all_compensated_batch_aborts;
+          Alcotest.test_case "recovered generation = live" `Quick
+            test_recovered_generation_matches_live;
+          Alcotest.test_case "runtime_simplified intent replays" `Quick
+            test_runtime_simplified_intent_replays;
         ] );
       ( "transactions",
         [
@@ -604,8 +672,6 @@ let () =
           Alcotest.test_case "datalog budget" `Quick test_budget_datalog;
           Alcotest.test_case "degrades to full check" `Quick
             test_exhausted_budget_degrades_to_full_check;
-          Alcotest.test_case "degrades runtime simp" `Quick
-            test_budget_degrades_runtime_simplification;
           Alcotest.test_case "try_check_optimized" `Quick
             test_try_check_optimized_reports_degradations;
         ] );

@@ -135,20 +135,20 @@ let repo_of_fused ~pub ~rev =
 
 let sorted l = List.sort compare l
 
-(* Compare the five routes without toggling [set_use_index], so the
-   live index stays incrementally maintained across the whole sequence
-   instead of being dropped and rebuilt at every check.  [check_full]
+(* Compare the five routes against one live index, incrementally
+   maintained across the whole sequence (the scan route simply passes
+   no index) instead of being dropped and rebuilt at every check.  [check_full]
    runs the cached closure plans (compiled route). *)
 let check_agreement ~seed repo what =
   let doc = Repository.doc repo in
-  let idx = Repository.index repo in
+  let index = Repository.index repo in
   let verdict f =
     sorted
       (List.filter_map
          (fun c -> if f c then Some c.Constr.name else None)
          (Repository.constraints repo))
   in
-  let indexed = verdict (fun c -> Constr.violated_xquery ?index:idx doc c) in
+  let indexed = verdict (fun c -> Constr.violated_xquery ~index doc c) in
   let scan = verdict (fun c -> Constr.violated_xquery doc c) in
   let datalog = sorted (Repository.check_full_datalog repo) in
   let compiled = sorted (Repository.check_full repo) in
@@ -193,15 +193,13 @@ let check_agreement ~seed repo what =
     scan traced
 
 let check_index_consistent ~seed repo what =
-  match Repository.index repo with
-  | None -> Alcotest.failf "[seed %d] %s: index unexpectedly disabled" seed what
-  | Some i ->
-    ignore (Index.by_name i "sub" : Xic_xml.Doc.node_id list);
-    (match Index.consistency_errors i with
-     | [] -> ()
-     | errs ->
-       Alcotest.failf "[seed %d] %s: index inconsistent: %s" seed what
-         (String.concat "; " errs))
+  let i = Repository.index repo in
+  ignore (Index.by_name i "sub" : Xic_xml.Doc.node_id list);
+  (match Index.consistency_errors i with
+   | [] -> ()
+   | errs ->
+     Alcotest.failf "[seed %d] %s: index inconsistent: %s" seed what
+       (String.concat "; " errs))
 
 (* ------------------------------------------------------------------ *)
 (* Random updates                                                      *)
@@ -266,42 +264,38 @@ let fixed_repo () = repo_of ~pub:fixed_pub ~rev:fixed_rev
    index still listed the reverted insertion.  This reproduces that. *)
 let test_rollback_not_stale () =
   let repo = fixed_repo () in
-  match Repository.index repo with
-  | None -> Alcotest.fail "index expected"
-  | Some i ->
-    checkb "phantom absent before" true (Index.by_pcdata i ~tag:"title" "Phantom" = []);
-    let u =
-      Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]"
-        ~title:"Phantom" ~author:"Zed"
-    in
-    let undo = Repository.apply_unchecked repo u in
-    checkb "insertion indexed" true (Index.by_pcdata i ~tag:"title" "Phantom" <> []);
-    Repository.rollback repo undo;
-    checkb "rolled-back insertion purged from index" true
-      (Index.by_pcdata i ~tag:"title" "Phantom" = []);
-    checkb "index consistent after rollback" true (Index.consistent i)
+  let i = Repository.index repo in
+  checkb "phantom absent before" true (Index.by_pcdata i ~tag:"title" "Phantom" = []);
+  let u =
+    Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]"
+      ~title:"Phantom" ~author:"Zed"
+  in
+  let undo = Repository.apply_unchecked repo u in
+  checkb "insertion indexed" true (Index.by_pcdata i ~tag:"title" "Phantom" <> []);
+  Repository.rollback repo undo;
+  checkb "rolled-back insertion purged from index" true
+    (Index.by_pcdata i ~tag:"title" "Phantom" = []);
+  checkb "index consistent after rollback" true (Index.consistent i)
 
 let test_savepoint_rollback_not_stale () =
   let repo = fixed_repo () in
-  match Repository.index repo with
-  | None -> Alcotest.fail "index expected"
-  | Some i ->
-    ignore (Index.by_name i "sub" : Xic_xml.Doc.node_id list);
-    let txn = Repository.begin_txn repo in
-    let sp = Repository.txn_savepoint txn in
-    (match
-       Repository.txn_apply txn
-         (Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]"
-            ~title:"Ghost" ~author:"Zed")
-     with
-     | Repository.Applied _ -> ()
-     | _ -> Alcotest.fail "legal insertion should apply");
-    checkb "insertion indexed" true (Index.by_pcdata i ~tag:"title" "Ghost" <> []);
-    Repository.txn_rollback_to txn sp;
-    Repository.commit_txn txn;
-    checkb "savepoint rollback purged from index" true
-      (Index.by_pcdata i ~tag:"title" "Ghost" = []);
-    checkb "index consistent after savepoint rollback" true (Index.consistent i)
+  let i = Repository.index repo in
+  ignore (Index.by_name i "sub" : Xic_xml.Doc.node_id list);
+  let txn = Repository.begin_txn repo in
+  let sp = Repository.txn_savepoint txn in
+  (match
+     (Repository.txn_apply txn
+        (Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]"
+           ~title:"Ghost" ~author:"Zed")).Repository.outcome
+   with
+   | Repository.Applied _ -> ()
+   | _ -> Alcotest.fail "legal insertion should apply");
+  checkb "insertion indexed" true (Index.by_pcdata i ~tag:"title" "Ghost" <> []);
+  Repository.txn_rollback_to txn sp;
+  Repository.commit_txn txn;
+  checkb "savepoint rollback purged from index" true
+    (Index.by_pcdata i ~tag:"title" "Ghost" = []);
+  checkb "index consistent after savepoint rollback" true (Index.consistent i)
 
 (* ------------------------------------------------------------------ *)
 (* Randomized oracles                                                  *)
@@ -347,7 +341,7 @@ let test_txn_savepoint_oracle () =
     let apply_some n =
       for _ = 1 to n do
         match random_update r repo with
-        | Some u -> ignore (Repository.txn_apply txn u : Repository.outcome)
+        | Some u -> ignore (Repository.txn_apply txn u : Repository.report)
         | None -> ()
       done
     in
@@ -379,7 +373,7 @@ let test_recover_oracle () =
     let txn = Repository.begin_txn ~journal:j repo in
     for _ = 1 to 1 + Prng.int r 3 do
       match random_update r repo with
-      | Some u -> ignore (Repository.txn_apply txn u : Repository.outcome)
+      | Some u -> ignore (Repository.txn_apply txn u : Repository.report)
       | None -> ()
     done;
     Repository.commit_txn txn;
@@ -528,7 +522,7 @@ let test_incremental_oracle () =
       let txn = Repository.begin_txn ~journal:j repo in
       for _ = 1 to 1 + Prng.int r 2 do
         match random_update r repo with
-        | Some u -> ignore (Repository.txn_apply txn u : Repository.outcome)
+        | Some u -> ignore (Repository.txn_apply txn u : Repository.report)
         | None -> ()
       done;
       (* sometimes wind a savepoint forward and roll it back: the
@@ -537,7 +531,7 @@ let test_incremental_oracle () =
       if Prng.bool r then begin
         let sp = Repository.txn_savepoint txn in
         (match random_update r repo with
-         | Some u -> ignore (Repository.txn_apply txn u : Repository.outcome)
+         | Some u -> ignore (Repository.txn_apply txn u : Repository.report)
          | None -> ());
         ignore (Repository.check_incremental repo : string list);
         Repository.txn_rollback_to txn sp
@@ -594,7 +588,6 @@ module Proto = Xic_server.Protocol
 
 let outcome_tag9 = function
   | Repository.Applied `Optimized -> "applied:optimized"
-  | Repository.Applied `Runtime_simplified -> "applied:runtime_simplified"
   | Repository.Applied `Full_check -> "applied:full_check"
   | Repository.Rejected_early c -> "rejected:" ^ c
   | Repository.Rolled_back c -> "rolled_back:" ^ c

@@ -312,6 +312,36 @@ let outcome_tag = function
   | Repository.Rejected_early c -> "rejected:" ^ c
   | Repository.Rolled_back c -> "rolled_back:" ^ c
 
+(* A statement matching no pattern is executed, checked and compensated;
+   a "fallback" field (once a strategy switch) is ignored like any other
+   unread field. *)
+let test_unmatched_guard_ignores_fallback () =
+  let srv = Srv.create (make_repo ()) in
+  let guard author =
+    let u =
+      [ { XU.op = XU.Append;
+          select = Xic_xpath.Parser.parse "/review/track[1]/rev[1]";
+          content =
+            [ XU.Elem
+                ( "sub",
+                  [],
+                  [ XU.Elem ("title", [], [ XU.Text "App" ]);
+                    XU.Elem ("auts", [], [ XU.Elem ("name", [], [ XU.Text author ]) ])
+                  ] ) ] } ]
+    in
+    Srv.handle srv
+      (P.Obj
+         [ ("op", P.String "guard"); ("update", P.String (XU.to_string u));
+           ("fallback", P.String "runtime") ])
+  in
+  let legal = guard "Zed" in
+  checks "legal: applied" "applied" (Option.get (P.string_field "outcome" legal));
+  checks "legal: by the post-check" "full_check"
+    (Option.get (P.string_field "strategy" legal));
+  let illegal = guard "Carl" in
+  checks "illegal: compensated" "rolled_back"
+    (Option.get (P.string_field "outcome" illegal))
+
 let test_batch_serial_parity () =
   let ja = tmp_path "batch_a.j" and jb = tmp_path "batch_b.j" in
   let a = make_repo () in
@@ -720,6 +750,8 @@ let () =
             test_batch_serial_parity;
           Alcotest.test_case "round batching over the wire shape" `Quick
             test_round_batching;
+          Alcotest.test_case "unmatched guard ignores fallback" `Quick
+            test_unmatched_guard_ignores_fallback;
         ] );
       ( "shutdown",
         [

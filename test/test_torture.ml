@@ -91,7 +91,7 @@ let exec ~ctx ~seed ~snapshot repo journal op =
     let tx = Repository.begin_txn ?journal repo in
     List.iter
       (fun k ->
-        match Repository.txn_apply tx (legal_u seed k) with
+        match (Repository.txn_apply tx (legal_u seed k)).Repository.outcome with
         | Repository.Applied _ -> ()
         | _ -> Alcotest.fail (ctx ^ ": txn statement must apply"))
       ks;

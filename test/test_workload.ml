@@ -176,7 +176,7 @@ let test_random_update_storm () =
     (match Repository.match_update repo u with
      | None -> Alcotest.fail "storm update must match the pattern"
      | Some (p, valuation) ->
-       let opt_xq = Repository.check_optimized repo p valuation <> [] in
+       let opt_xq = fst (Repository.try_check_optimized repo p valuation) <> [] in
        let opt_dl =
          let params = Pattern.datalog_params p valuation in
          let store = Repository.store repo in
