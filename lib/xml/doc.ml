@@ -238,6 +238,18 @@ let roots doc = doc.root_ids
 
 let has_root doc = doc.root_ids <> []
 
+let next_sibling doc id =
+  check doc id;
+  Array.unsafe_get doc.next_sib id
+
+let prev_sibling doc id =
+  check doc id;
+  Array.unsafe_get doc.prev_sib id
+
+let last_child doc id =
+  check doc id;
+  Array.unsafe_get doc.last_child id
+
 let iter_children doc id f =
   check doc id;
   let c = ref (Array.unsafe_get doc.first_child id) in
@@ -660,7 +672,8 @@ let restore doc ~remap c =
   doc.anext <- (if n_attrs = 0 then Array.make 16 (-1) else anext);
   doc.n_attrs <- n_attrs;
   doc.root_ids <- root_ids;
-  doc.live_count <- live_count
+  doc.live_count <- live_count;
+  List.iter (fun r -> notify doc (Attached r)) root_ids
 
 let transplant ~into src =
   if into.next_id > 0 || into.root_ids <> [] then
@@ -700,7 +713,8 @@ let transplant ~into src =
   src.anext <- empty.anext;
   src.n_attrs <- 0;
   src.root_ids <- [];
-  src.live_count <- 0
+  src.live_count <- 0;
+  List.iter (fun r -> notify into (Attached r)) into.root_ids
 
 let equal_structure d1 d2 =
   let cmp_attr (k1, v1) (k2, v2) =

@@ -40,7 +40,8 @@ val set_observer : t -> (event -> unit) option -> unit
 (** Install (or clear) the primary mutation observer (the secondary
     index's reserved slot).  Every structural mutator — [set_root],
     [add_root], [append_child(ren)], [insert_after/before], [detach],
-    [delete_subtree], [set_attr] — notifies every observer, so XUpdate
+    [delete_subtree], [set_attr], and the bulk {!restore} and
+    {!transplant} — notifies every observer, so XUpdate
     application, undo, savepoint rollback and crash recovery all keep
     subscribers current without cooperation from the caller.  {!copy}
     does not carry observers over. *)
@@ -103,6 +104,12 @@ val iter_children : t -> node_id -> (node_id -> unit) -> unit
     list; use {!children} to snapshot first when it does. *)
 
 val element_children : t -> node_id -> node_id list
+
+val next_sibling : t -> node_id -> node_id
+val prev_sibling : t -> node_id -> node_id
+val last_child : t -> node_id -> node_id
+(** O(1) reads of the arena's sibling links (any node kind); [no_node]
+    when there is no such node. *)
 
 val attrs : t -> node_id -> (string * string) list
 (** Attribute list with names resolved back to strings (allocates; hot
@@ -207,8 +214,9 @@ val restore : t -> remap:Symbol.t array -> Xic_symbol.Wire.cursor -> unit
     processes); an array rather than a function because the translation
     loop touches every node.  A stored id outside the array is a
     malformed image.  Node ids come back unchanged, so stored node-id
-    references (the Datalog mirror, journal replays) stay valid.  No
-    observer notifications fire.
+    references (the Datalog mirror, journal replays) stay valid.  Once
+    the arena is in place, observers see one [Attached] per restored
+    root, as if the roots had just been added.
     @raise Invalid_argument on a non-empty document or a malformed image;
     @raise Xic_symbol.Wire.Error on truncated input. *)
 
@@ -217,5 +225,7 @@ val transplant : into:t -> t -> unit
     empty.  O(1): the column arrays change owner, nothing is copied.
     The snapshot loader restores into a scratch document and transplants
     only once every section has decoded, so a caller's document is never
-    left half-restored by a failed load.  [into]'s observer is kept.
+    left half-restored by a failed load.  [into]'s observers are kept
+    and see one [Attached] per moved root, so an index watching [into]
+    never serves tables of the empty document it held before.
     @raise Invalid_argument if [into] is not empty. *)

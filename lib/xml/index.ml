@@ -48,7 +48,8 @@ type t = {
   child_cache : (Doc.node_id, (Symbol.t, Doc.node_id list) Hashtbl.t) Hashtbl.t;
   pos_cache : (Doc.node_id, int) Hashtbl.t;
   (* document-order rank of every reachable node, indexed by arena id
-     (-1 = unranked); dropped wholesale on any structural change *)
+     (-1 = unranked); maintained across attaches and detaches, see
+     [rank_attached] *)
   mutable order : int array option;
   stats : stats;
 }
@@ -191,15 +192,106 @@ let refresh_attrs t id =
     List.iter (fun (k, v) -> bucket_add t.by_attr (tag, k, v) id) attrs
 
 (* ------------------------------------------------------------------ *)
+(* Rank maintenance                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Inserting or removing a subtree never changes the relative order of
+   the other nodes, so the rank table survives writes: a detached
+   subtree loses its ranks, an attached one takes evenly spaced ranks
+   strictly between its neighbours in document order.  Each event costs
+   O(subtree + depth); the table is dropped (rebuilt by the next sort)
+   only for a new root or when the gap between the neighbours is used
+   up. *)
+
+let rank arr id = if id >= 0 && id < Array.length arr then arr.(id) else -1
+
+let unrank_subtree t arr id =
+  let rec go n =
+    if n < Array.length arr then arr.(n) <- -1;
+    Doc.iter_children t.doc n go
+  in
+  go id
+
+(* The node just before [id] in document order is its previous
+   sibling's last descendant, or else its parent. *)
+let rank_before t arr id p =
+  let rec last_descendant n =
+    let c = Doc.last_child t.doc n in
+    if c = Doc.no_node then n else last_descendant c
+  in
+  let s = Doc.prev_sibling t.doc id in
+  rank arr (if s = Doc.no_node then p else last_descendant s)
+
+(* The node just after [id]'s subtree is the next sibling of the
+   nearest ancestor-or-self, else the next root; past the last node the
+   bound is [max_int].  A sibling linked but not yet announced
+   ([Doc.append_children] links every child before the first event)
+   reads -1, which leaves no gap and drops the table. *)
+let rank_after t arr id =
+  let rec next_root x = function
+    | r :: (r' :: _ as rest) -> if r = x then rank arr r' else next_root x rest
+    | [ _ ] | [] -> max_int
+  in
+  let rec up x =
+    let s = Doc.next_sibling t.doc x in
+    if s <> Doc.no_node then rank arr s
+    else
+      let p = Doc.parent t.doc x in
+      if p = Doc.no_node then next_root x (Doc.roots t.doc) else up p
+  in
+  up id
+
+let rank_attached t arr id =
+  let p = Doc.parent t.doc id in
+  if p = Doc.no_node then t.order <- None
+  else if rank arr p < 0 then begin
+    (* a detached parent is a subtree under construction: it takes its
+       ranks when it is attached itself *)
+    if reachable t p then t.order <- None
+  end
+  else begin
+    let lo = rank_before t arr id p and hi = rank_after t arr id in
+    let size = ref 0 in
+    let rec count n =
+      incr size;
+      Doc.iter_children t.doc n count
+    in
+    count id;
+    let size = !size in
+    if lo < 0 || hi - lo <= size then t.order <- None
+    else begin
+      let bound = Doc.id_bound t.doc in
+      let arr =
+        if bound <= Array.length arr then arr
+        else begin
+          let grown = Array.make (max bound (2 * Array.length arr)) (-1) in
+          Array.blit arr 0 grown 0 (Array.length arr);
+          t.order <- Some grown;
+          grown
+        end
+      in
+      let step = (hi - lo) / (size + 1) in
+      let r = ref lo in
+      let rec assign n =
+        r := !r + step;
+        arr.(n) <- !r;
+        Doc.iter_children t.doc n assign
+      in
+      assign id
+    end
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Event handling                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let on_event t e =
   (* the rank table has its own lifecycle: it may exist before the value
-     tables are built, and any splice staleness it *)
-  (match e with
-   | Doc.Attached _ | Doc.Detaching _ -> t.order <- None
-   | Doc.Attr_set _ -> ());
+     tables are built, so it is maintained whether or not they are *)
+  (match (t.order, e) with
+   | Some arr, Doc.Attached id -> rank_attached t arr id
+   | Some arr, Doc.Detaching id -> unrank_subtree t arr id
+   | _ -> ());
   if t.built then begin
     t.stats.events <- t.stats.events + 1;
     match e with
@@ -280,23 +372,31 @@ let ensure_built t =
 (* One DFS assigns every reachable node its document-order rank.
    Sorting an n-element probe result then costs n array reads, where
    [Doc.order_key] walks each node to its root and scans every
-   ancestor's child list — quadratic under wide elements. *)
+   ancestor's child list — quadratic under wide elements.  Ranks are
+   spaced [gap] apart, leaving room for the subtrees later attaches
+   rank in between; at most [id_bound] nodes are reachable, so every
+   rank stays below [max_int / 2]. *)
 let build_order t =
-  let arr = Array.make (max 1 (Doc.id_bound t.doc)) (-1) in
-  let n = ref 0 in
+  let bound = Doc.id_bound t.doc in
+  let arr = Array.make (max 1 bound) (-1) in
+  let gap = max_int / (2 * (bound + 2)) in
+  let r = ref 0 in
   let rec dfs id =
-    arr.(id) <- !n;
-    incr n;
-    List.iter dfs (Doc.children t.doc id)
+    r := !r + gap;
+    arr.(id) <- !r;
+    Doc.iter_children t.doc id dfs
   in
   List.iter dfs (Doc.roots t.doc);
   arr
+
+let c_rank_builds = Xic_obs.Obs.Metrics.counter "index_rank_builds"
 
 let order_table t =
   match t.order with
   | Some arr -> arr
   | None ->
     t.stats.misses <- t.stats.misses + 1;
+    Xic_obs.Obs.Metrics.incr c_rank_builds;
     let arr = build_order t in
     t.order <- Some arr;
     arr
@@ -429,7 +529,32 @@ let norm_tbl tbl =
   Hashtbl.fold (fun k (b : bucket) acc -> (k, List.sort compare b.ids) :: acc) tbl []
   |> List.sort compare
 
-let consistency_errors t =
+(* A DFS over the reachable nodes must see strictly increasing ranks,
+   and no other arena id may hold one. *)
+let rank_errors t =
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  (match t.order with
+   | None -> ()
+   | Some arr ->
+     let last = ref (-1) and ordered = ref true in
+     let rec dfs id =
+       let r = rank arr id in
+       if r < 0 then err "reachable node %d has no rank" id
+       else if r <= !last then ordered := false;
+       last := max !last r;
+       Doc.iter_children t.doc id dfs
+     in
+     List.iter dfs (Doc.roots t.doc);
+     if not !ordered then err "rank table out of document order";
+     Array.iteri
+       (fun id r ->
+         if r >= 0 && not (reachable t id) then
+           err "unreachable node %d holds rank %d" id r)
+       arr);
+  List.rev !errs
+
+let table_errors t =
   if not t.built then []
   else begin
     let fresh = raw t.doc in
@@ -462,5 +587,7 @@ let consistency_errors t =
       t.pos_cache;
     List.rev !errs
   end
+
+let consistency_errors t = rank_errors t @ table_errors t
 
 let consistent t = consistency_errors t = []

@@ -53,10 +53,15 @@ val position : t -> Doc.node_id -> int
 
 (** {1 Document order}
 
-    A rank table built by one DFS over the reachable nodes (invalidated
-    by any structural mutation, rebuilt lazily) turns document-order
-    comparison into an array read — [Doc.order_key] instead walks every
-    node to its root and scans each ancestor's child list. *)
+    A rank table built by one DFS over the reachable nodes turns
+    document-order comparison into an array read — [Doc.order_key]
+    instead walks every node to its root and scans each ancestor's child
+    list.  The table survives writes: a detached subtree loses its
+    ranks, and an attached one takes ranks in the gap between its
+    neighbours in document order, in O(subtree + depth) per event.  It is
+    dropped, and rebuilt by the next sort (counted by the
+    [index_rank_builds] metric), only when a root is added or replaced
+    or that gap is used up. *)
 
 val sort_doc_order : t -> Doc.node_id list -> Doc.node_id list
 (** Sort and deduplicate into document order; agrees exactly with
@@ -86,7 +91,9 @@ val reset_stats : t -> unit
 (** {1 Consistency audit}
 
     For tests: compare the incrementally maintained tables against a
-    from-scratch rebuild, and every cache entry against the document. *)
+    from-scratch rebuild, and every cache entry against the document.
+    When a rank table is present, a DFS over the reachable nodes must
+    see strictly increasing ranks and no other node may hold one. *)
 
 val consistency_errors : t -> string list
 val consistent : t -> bool

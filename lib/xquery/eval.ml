@@ -346,7 +346,10 @@ and compile_some binds cond : code =
        scanning all candidates.  Restricting to the first test keeps
        error behavior identical: a sequential evaluation of a skipped
        candidate would have started (and stopped) at that same false
-       conjunct. *)
+       conjunct.  Only a quantifier with two or more bindings joins: a
+       single binding has one outer tuple, so the table (keyed over
+       every candidate) could never pay for itself, while the scan's
+       narrowing plan answers the same conjunct with one index probe. *)
     let join_info = ref None in
     let vn = List.nth names (n - 1) in
     let vn_pure e = List.for_all (String.equal vn) (expr_vars [] e) in
@@ -362,7 +365,7 @@ and compile_some binds cond : code =
             if la < k || lb < k then begin
               let oa = if la < k then hoist la a else O_code (compile_expr a) in
               let ob = if lb < k then hoist lb b else O_code (compile_expr b) in
-              (if op = XP.Eq && k = n then
+              (if op = XP.Eq && k = n && n >= 2 then
                  match (tests.(k), oa, ob) with
                  | [], O_slot s, O_code c when lb = k && vn_pure b ->
                    join_info := Some (s, c)
@@ -817,7 +820,8 @@ let describe (e : Ast.expr) : string =
             | _ -> []
           in
           (match conj with
-           | Ast.Binop (XP.Eq, a, bb) when k = n && !innermost_tests = 0 ->
+           | Ast.Binop (XP.Eq, a, bb)
+             when k = n && n >= 2 && !innermost_tests = 0 ->
              let la = level_of_expr a and lb = level_of_expr bb in
              if la < k && lb = k && vn_pure bb then join := Some (a, bb)
              else if lb < k && la = k && vn_pure a then join := Some (bb, a)

@@ -595,6 +595,178 @@ let test_index_stats () =
   Index.reset_stats i;
   checki "reset" 0 (Index.stats i).Index.hits
 
+(* ------------------------------------------------------------------ *)
+(* Document-order rank table                                           *)
+(* ------------------------------------------------------------------ *)
+
+let rank_builds = Xic_obs.Obs.Metrics.counter "index_rank_builds"
+
+let reachable_nodes d =
+  List.concat_map (Doc.descendant_or_self d) (Doc.roots d)
+
+let audit what i =
+  match Index.consistency_errors i with
+  | [] -> ()
+  | errs -> Alcotest.failf "%s: %s" what (String.concat "; " errs)
+
+(* Sorting through the index (which builds the rank table if it is
+   absent) agrees with the arena's own order on every sample, and the
+   table then passes the audit. *)
+let check_sorts what rng d i =
+  let nodes = Array.of_list (reachable_nodes d) in
+  for _ = 1 to 4 do
+    let k = 2 + Random.State.int rng 6 in
+    let ids = List.init k (fun _ -> nodes.(Random.State.int rng (Array.length nodes))) in
+    checkl what (Doc.sort_doc_order d ids) (Index.sort_doc_order i ids)
+  done;
+  audit what i
+
+(* A fresh subtree, built detached (its own attaches must leave the
+   rank table alone): an element with up to two text or element
+   children. *)
+let fresh_subtree rng d n =
+  let e = Doc.make_element d (Printf.sprintf "n%d" n) in
+  for j = 1 to Random.State.int rng 3 do
+    let c =
+      if Random.State.bool rng then Doc.make_text d (Printf.sprintf "t%d.%d" n j)
+      else begin
+        let c = Doc.make_element d "m" in
+        Doc.append_child d ~parent:c (Doc.make_text d "v");
+        c
+      end
+    in
+    Doc.append_child d ~parent:e c
+  done;
+  e
+
+(* One entry of the test's undo log. *)
+type undo =
+  | Inserted of Doc.node_id list
+  | Removed of { node : Doc.node_id; parent : Doc.node_id; prev : Doc.node_id }
+
+(* Random inserts (every attach mutator), removals and rollbacks that
+   re-attach removed subtrees where they were, in LIFO order as an undo
+   log does, with the rank table live throughout. *)
+let test_index_rank_table_random () =
+  for seed = 1 to 25 do
+    let rng = Random.State.make [| seed |] in
+    let d = parse "<r><a><b>x</b><c/></a><a><b>y</b>z</a><d/></r>" in
+    let r2 = Doc.make_element d "q" in
+    Doc.append_child d ~parent:r2 (Doc.make_element d "a");
+    Doc.add_root d r2;
+    let i = Index.create d in
+    let log = ref [] in
+    let what step = Printf.sprintf "seed %d step %d" seed step in
+    check_sorts (what 0) rng d i;
+    for step = 1 to 60 do
+      let nodes = Array.of_list (reachable_nodes d) in
+      let pick () = nodes.(Random.State.int rng (Array.length nodes)) in
+      (match Random.State.int rng 4 with
+       | 0 | 1 -> (
+         let anchor = pick () in
+         let e = fresh_subtree rng d step in
+         let element = Doc.is_element d anchor in
+         let child = Doc.parent d anchor <> Doc.no_node in
+         match Random.State.int rng 4 with
+         | 0 when element ->
+           Doc.append_child d ~parent:anchor e;
+           log := Inserted [ e ] :: !log
+         | 1 when element ->
+           let e2 = fresh_subtree rng d (100 + step) in
+           Doc.append_children d ~parent:anchor [ e; e2 ];
+           log := Inserted [ e; e2 ] :: !log
+         | 2 when child ->
+           Doc.insert_before d ~anchor e;
+           log := Inserted [ e ] :: !log
+         | _ when child ->
+           Doc.insert_after d ~anchor e;
+           log := Inserted [ e ] :: !log
+         | _ -> ())
+       | 2 ->
+         let node = pick () in
+         let parent = Doc.parent d node in
+         if parent <> Doc.no_node then begin
+           log := Removed { node; parent; prev = Doc.prev_sibling d node } :: !log;
+           Doc.detach d node
+         end
+       | _ ->
+         for _ = 1 to 1 + Random.State.int rng 3 do
+           match !log with
+           | [] -> ()
+           | entry :: rest ->
+             (match entry with
+              | Inserted ns -> List.iter (Doc.detach d) (List.rev ns)
+              | Removed { node; parent; prev } -> (
+                if prev <> Doc.no_node then Doc.insert_after d ~anchor:prev node
+                else
+                  match Doc.children d parent with
+                  | [] -> Doc.append_child d ~parent node
+                  | first :: _ -> Doc.insert_before d ~anchor:first node));
+             log := rest
+         done);
+      check_sorts (what step) rng d i
+    done
+  done
+
+(* Inserting again and again at one spot halves the free gap each time:
+   once it is used up the table is dropped and rebuilt, never
+   overfilled. *)
+let test_index_rank_gap_exhausted () =
+  let d = parse "<r><a/><b/></r>" in
+  let i = Index.create d in
+  let rng = Random.State.make [| 7 |] in
+  let b = List.nth (Doc.children d (Doc.root d)) 1 in
+  check_sorts "initial" rng d i;
+  let before = Xic_obs.Obs.Metrics.value rank_builds in
+  for _ = 1 to 200 do
+    Doc.insert_before d ~anchor:b (Doc.make_element d "x");
+    check_sorts "after insert" rng d i
+  done;
+  checkb "the exhausted gap forced a rebuild" true
+    (Xic_obs.Obs.Metrics.value rank_builds > before)
+
+(* The root-level mutators fire events the table reacts to, and the bulk
+   arena moves ([restore], [transplant]) announce their roots, so an
+   index watching the destination never serves an empty document's
+   tables. *)
+let test_index_rank_root_paths () =
+  let rng = Random.State.make [| 3 |] in
+  let d = parse "<r><a><b/></a><c/></r>" in
+  let i = Index.create d in
+  check_sorts "initial" rng d i;
+  let r2 = Doc.make_element d "s" in
+  Doc.append_child d ~parent:r2 (Doc.make_element d "t");
+  Doc.add_root d r2;
+  check_sorts "after add_root" rng d i;
+  Doc.set_root d r2;
+  check_sorts "after set_root" rng d i;
+  Doc.set_root d (Doc.make_element d "u");
+  audit "after set_root to a fresh element" i;
+  let src = parse "<r><a>x</a><a>y</a></r>" in
+  let buf = Buffer.create 256 in
+  Doc.serialize src buf;
+  let remap = Array.init (Xic_symbol.Symbol.count ()) Xic_symbol.Symbol.unsafe_of_int in
+  let restore_into d =
+    Doc.restore d ~remap (Xic_symbol.Wire.cursor (Buffer.contents buf))
+  in
+  let moved what d i =
+    checki (what ^ ": restored a elements indexed") 2
+      (List.length (Index.by_name i "a"));
+    check_sorts what rng d i
+  in
+  let d1 = Doc.create () in
+  let i1 = Index.create d1 in
+  checkl "empty" [] (Index.by_name i1 "a");
+  restore_into d1;
+  moved "restore" d1 i1;
+  let d2 = Doc.create () in
+  let i2 = Index.create d2 in
+  checkl "empty" [] (Index.by_name i2 "a");
+  let scratch = Doc.create () in
+  restore_into scratch;
+  Doc.transplant ~into:d2 scratch;
+  moved "transplant" d2 i2
+
 let () =
   Alcotest.run "xml"
     [
@@ -676,5 +848,11 @@ let () =
           Alcotest.test_case "children/position caches" `Quick test_index_children_position;
           Alcotest.test_case "detached subtrees" `Quick test_index_detached_subtree;
           Alcotest.test_case "statistics" `Quick test_index_stats;
+          Alcotest.test_case "rank table under random writes" `Quick
+            test_index_rank_table_random;
+          Alcotest.test_case "rank gap exhausted" `Quick
+            test_index_rank_gap_exhausted;
+          Alcotest.test_case "rank table and root paths" `Quick
+            test_index_rank_root_paths;
         ] );
     ]

@@ -221,6 +221,30 @@ let test_every_vacuous_and_empty_exists () =
   checkb "exists empty flwor" false
     (ebool "exists(for $x in //track where count($x/rev) > 99 return <i/>)")
 
+(* The innermost-level hash join pays off only across outer tuples: a
+   single-binding quantifier answers its equality with an index probe
+   and --explain shows no join; two bindings keep it.  Verdicts agree
+   either way. *)
+let test_join_needs_two_bindings () =
+  let has_join q =
+    let plan = Q.Eval.describe (Q.Parser.parse q) in
+    String.split_on_char '\n' plan
+    |> List.exists (fun l -> String.starts_with ~prefix:"join:" (String.trim l))
+  in
+  let single =
+    {|some $a in //auts satisfies $a/name/text() = "Mickey" and $a/../title/text() = "T3"|}
+  in
+  let double =
+    {|some $r in //rev, $a in //auts satisfies $a/name/text() = $r/name/text()|}
+  in
+  checkb "single binding: no join" false (has_join single);
+  checkb "two bindings: join" true (has_join double);
+  let idx = Index.create doc in
+  List.iter
+    (fun q ->
+      checkb q (ebool q) (Q.Eval.eval_bool doc ~index:idx (Q.Parser.parse q)))
+    [ single; double ]
+
 let () =
   Alcotest.run "xquery"
     [
@@ -230,6 +254,8 @@ let () =
           Alcotest.test_case "some multi-binding" `Quick test_some_multi_binding;
           Alcotest.test_case "every" `Quick test_every;
           Alcotest.test_case "empty domains" `Quick test_some_over_empty;
+          Alcotest.test_case "join needs two bindings" `Quick
+            test_join_needs_two_bindings;
         ] );
       ( "flwor",
         [
