@@ -27,6 +27,12 @@
       bounded from above or by equality are re-evaluated in full, but
       still only when the delta touches one of their relations.
 
+    Before a monotone denial sees the delta, an added and a removed fact
+    of the same relation cancel out (by multiplicity) when they agree on
+    every column the denial reads ({!read_columns}): the denial cannot
+    tell them apart, so a sibling whose only change is its position
+    costs no evaluation.
+
     The view store uses set semantics (witnesses are deduplicated), so
     an incremental view and a from-scratch recompute are comparable with
     [Store.equal] — which is exactly what oracle route 8 does.
@@ -49,7 +55,8 @@ type entry = {
   denial : Term.denial;
   rel : Symbol.t;  (* view relation holding the witnesses *)
   klass : klass;
-  preds : Symbol.t list;  (* every relation the body references *)
+  reads : (Symbol.t * bool array) list;
+      (* every relation the body references, with the columns it reads *)
   pos : (Symbol.t * Term.atom) list;  (* positive literals *)
   agg_atoms : (Symbol.t * Term.atom * Term.atom list * string list) list;
       (* atoms inside the count aggregates of a monotone denial, each
@@ -61,7 +68,7 @@ type stats = {
   mutable evals : int;  (* residual delta evaluations *)
   mutable reverifies : int;  (* view rows re-checked after deletions *)
   mutable recomputes : int;  (* full re-evaluations (non-monotone denials) *)
-  mutable skipped : int;  (* denials untouched by the delta *)
+  mutable skipped : int;  (* denials untouched by the delta, or cancelled *)
   mutable rows_added : int;
   mutable rows_removed : int;
 }
@@ -72,8 +79,6 @@ type t = {
   view : Store.t;
   stats : stats;
 }
-
-let atom_preds atoms = List.map (fun a -> Symbol.intern a.Term.pred) atoms
 
 (* A count bounded from below only ever flips from false to true as
    facts are added: the aggregate's rows are a positive conjunction. *)
@@ -110,6 +115,63 @@ let named_vars_of_atoms atoms =
     atoms;
   List.rev !acc
 
+(* Column [i] of relation R is read when some atom over R (positive,
+   negated or inside an aggregate) holds at [i] a constant, a variable
+   occurring more than once in the denial (comparisons and aggregate
+   targets, bounds and group-by included), a witness variable, or a
+   local of a target-less [cntd], which counts whole local vectors.
+   Only a singleton, non-witness variable leaves a column unread. *)
+let read_columns body proj =
+  let occurrences = Hashtbl.create 16 in
+  let count = function
+    | Term.Var v ->
+      Hashtbl.replace occurrences v
+        (1 + Option.value (Hashtbl.find_opt occurrences v) ~default:0)
+    | Term.Const _ | Term.Param _ -> ()
+  in
+  let atoms =
+    List.concat_map
+      (function
+        | Term.Rel a | Term.Not a ->
+          List.iter count a.Term.args;
+          [ (a, []) ]
+        | Term.Cmp (_, l, r) ->
+          count l;
+          count r;
+          []
+        | Term.Agg g ->
+          List.iter (fun a -> List.iter count a.Term.args) g.Term.atoms;
+          Option.iter count g.Term.target;
+          count g.Term.bound;
+          let locals =
+            if g.Term.op = Term.CntD && g.Term.target = None then
+              Term.agg_local_vars body g
+            else []
+          in
+          List.map (fun a -> (a, locals)) g.Term.atoms)
+      body
+  in
+  let read locals = function
+    | Term.Var v ->
+      Hashtbl.find occurrences v > 1 || List.mem v proj || List.mem v locals
+    | Term.Const _ | Term.Param _ -> true
+  in
+  List.fold_left
+    (fun acc ((a : Term.atom), locals) ->
+      let sym = Symbol.intern a.Term.pred in
+      let cols = Array.of_list (List.map (read locals) a.Term.args) in
+      match List.assoc_opt sym acc with
+      | None -> (sym, cols) :: acc
+      | Some prev ->
+        let get c i = i >= Array.length c || c.(i) in
+        let merged =
+          Array.init
+            (max (Array.length prev) (Array.length cols))
+            (fun i -> get prev i || get cols i)
+        in
+        (sym, merged) :: List.remove_assoc sym acc)
+    [] atoms
+
 let entry_of_denial ~name i (d : Term.denial) =
   if Term.denial_params d <> [] then
     raise
@@ -121,15 +183,7 @@ let entry_of_denial ~name i (d : Term.denial) =
   let pos_atoms =
     List.filter_map (function Term.Rel a -> Some a | _ -> None) d.Term.body
   in
-  let preds =
-    List.concat_map
-      (function
-        | Term.Rel a | Term.Not a -> atom_preds [ a ]
-        | Term.Agg g -> atom_preds g.Term.atoms
-        | Term.Cmp _ -> [])
-      d.Term.body
-    |> List.sort_uniq compare
-  in
+  let proj = named_vars_of_atoms pos_atoms in
   let klass = classify d.Term.body in
   let agg_atoms =
     if klass = Recompute then []
@@ -154,10 +208,10 @@ let entry_of_denial ~name i (d : Term.denial) =
     denial = d;
     rel = Symbol.intern (Printf.sprintf "%s#%d" name i);
     klass;
-    preds;
+    reads = read_columns d.Term.body proj;
     pos = List.map (fun a -> (Symbol.intern a.Term.pred, a)) pos_atoms;
     agg_atoms;
-    proj = named_vars_of_atoms pos_atoms;
+    proj;
   }
 
 let create (constraints : (string * Term.denial list) list) =
@@ -269,7 +323,7 @@ let eval_residual t store e theta0 =
     (fun env -> add_row t e (project e theta0 env))
     (Eval.violations store residual)
 
-let delta_insertions t store e delta =
+let delta_insertions t store e added =
   let groups = Hashtbl.create 8 in
   List.iter
     (fun (sym, tup, _mult) ->
@@ -307,29 +361,65 @@ let delta_insertions t store e delta =
                   end)
                 (Eval.matches store (List.map (Subst.apply_atom theta) conj)))
         e.agg_atoms)
-    (Delta.added delta)
+    added
+
+(* The entry's share of the delta: an added and a removed fact of the
+   same relation cancel (by multiplicity) when they agree on every
+   column the entry reads.  Returns the surviving insertions and whether
+   any removal survives. *)
+let entry_delta e added removed =
+  let key sym tup =
+    let cols = List.assoc sym e.reads in
+    (sym, List.filteri (fun i _ -> i >= Array.length cols || cols.(i)) tup)
+  in
+  let pending = Hashtbl.create 8 and removals = ref 0 in
+  List.iter
+    (fun (sym, tup, m) ->
+      if List.mem_assoc sym e.reads then begin
+        let k = key sym tup in
+        Hashtbl.replace pending k
+          (m + Option.value (Hashtbl.find_opt pending k) ~default:0);
+        removals := !removals + m
+      end)
+    removed;
+  let adds =
+    List.filter
+      (fun (sym, tup, m) ->
+        List.mem_assoc sym e.reads
+        &&
+        let k = key sym tup in
+        let r = Option.value (Hashtbl.find_opt pending k) ~default:0 in
+        let c = min r m in
+        if c > 0 then begin
+          Hashtbl.replace pending k (r - c);
+          removals := !removals - c
+        end;
+        m > c)
+      added
+  in
+  (adds, !removals > 0)
 
 let apply_delta t store delta =
   let touched = Delta.touched delta in
-  let removals_touch e =
-    List.exists
-      (fun (sym, _, _) -> List.mem sym e.preds)
-      (Delta.removed delta)
-  in
+  let added = Delta.added delta and removed = Delta.removed delta in
+  let skip () = t.stats.skipped <- t.stats.skipped + 1 in
   List.iter
     (fun e ->
-      if not (List.exists (fun s -> List.mem s e.preds) touched) then
-        t.stats.skipped <- t.stats.skipped + 1
+      if not (List.exists (fun s -> List.mem_assoc s e.reads) touched) then
+        skip ()
       else
         match e.klass with
         | Recompute ->
           t.stats.recomputes <- t.stats.recomputes + 1;
           recompute_entry t store e
-        | Monotone ->
-          (* Deletions first: rows must be re-verified before the
-             insertion pass adds rows that are already post-state. *)
-          if removals_touch e then reverify_rows t store e;
-          delta_insertions t store e delta)
+        | Monotone -> (
+          match entry_delta e added removed with
+          | [], false -> skip ()
+          | adds, removals ->
+            (* Deletions first: rows must be re-verified before the
+               insertion pass adds rows that are already post-state. *)
+            if removals then reverify_rows t store e;
+            delta_insertions t store e adds))
     t.entries
 
 let violated ?view t =

@@ -13,7 +13,26 @@
     with negation, other aggregates, or counts bounded from above are
     re-evaluated in full when touched.  The view uses set
     semantics, so it is [Store.equal]-comparable with a from-scratch
-    recompute (oracle route 8). *)
+    recompute (oracle route 8).
+
+    {b Read columns.}  Each monotone denial knows which columns of each
+    relation it reads.  Column [i] of relation R is read when some atom
+    over R — positive, negated or inside an aggregate — holds at [i]:
+    {ul
+    {- a constant;}
+    {- a variable that occurs more than once in the denial, counting
+       comparisons and aggregate targets, bounds and group-by;}
+    {- a witness variable (a named variable of a positive literal,
+       copied into the view row);}
+    {- a local of a target-less [cntd], which counts whole local
+       vectors.}}
+    Only a singleton, non-witness variable leaves a column unread.
+    Before a monotone denial is maintained, an added and a removed fact
+    of the same relation cancel out, counting multiplicities, when they
+    agree on every column it reads: the denial cannot tell them apart.
+    So the siblings an insert or a withdrawal shifts, whose only change
+    is the position column, cost the conference denials no evaluation.
+    Recomputed denials keep the touched-relation rule. *)
 
 type t
 
@@ -21,7 +40,8 @@ type stats = {
   mutable evals : int;  (** residual delta evaluations *)
   mutable reverifies : int;  (** view rows re-checked after deletions *)
   mutable recomputes : int;  (** full re-evaluations (non-monotone denials) *)
-  mutable skipped : int;  (** denials untouched by a delta *)
+  mutable skipped : int;
+      (** denials untouched by a delta, or whose share of it cancelled *)
   mutable rows_added : int;
   mutable rows_removed : int;
 }

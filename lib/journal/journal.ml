@@ -26,12 +26,20 @@ let header_len = String.length header_v2 (* both 6 bytes *)
 let gen_len = 8 (* v2: big-endian generation follows the magic *)
 let digest_len = 16 (* MD5 *)
 
+(* The file grows by zero-filled extents of this size, each synced
+   once, so the appends that fill an extent overwrite allocated blocks
+   and their commit fsyncs never change the file size.  The zeros come
+   from one small static buffer: an extent-sized string would grow the
+   major heap, and with it a server's resident size. *)
+let extent = 1 lsl 20
+let zeros = String.make 65536 '\000'
+
 (* Failpoint sites of the append/reset path, declared up front so the
    torture harness can enumerate them before any journal I/O happens. *)
 let () =
   List.iter Failpoint.declare
-    [ "mid_write"; "journal_write"; "journal_fsync"; "journal_create";
-      "journal_reset"; "journal_reset_rename" ]
+    [ "mid_write"; "journal_write"; "journal_fsync"; "journal_grow";
+      "journal_create"; "journal_reset"; "journal_reset_rename" ]
 
 type t = {
   jpath : string;
@@ -40,6 +48,8 @@ type t = {
   mutable next : int;
   mutable gen : int;
   mutable entries_written : int;  (* valid records currently in the file *)
+  mutable logical : int;  (* end of the last record: where appends go *)
+  mutable physical : int;  (* file size: [logical] plus the zero tail *)
   mutable closed : bool;
 }
 
@@ -48,10 +58,9 @@ let generation t = t.gen
 let entry_count t = t.entries_written
 
 (* Appended bytes in the current generation (since the last reset) —
-   the file position, since the journal is append-only.  Exposed as the
+   the logical end, not the preallocated file size.  Exposed as the
    server's journal_bytes_since_checkpoint gauge. *)
-let bytes t =
-  if t.closed then 0 else Unix.lseek t.fd 0 Unix.SEEK_CUR
+let bytes t = if t.closed then 0 else t.logical
 
 let txn_of = function
   | Intent { txn; _ } | Commit { txn } | Abort { txn } | Truncate { txn; _ } -> txn
@@ -107,11 +116,26 @@ let input_upto ic buf len =
   in
   go 0
 
+(* Is every byte from offset [off] to the end of the file zero? *)
+let zero_from ic off =
+  seek_in ic off;
+  let buf = Bytes.create 4096 in
+  let rec go () =
+    match input ic buf 0 (Bytes.length buf) with
+    | 0 -> true
+    | n ->
+      let rec zero i = i >= n || (Bytes.get buf i = '\000' && zero (i + 1)) in
+      zero 0 && go ()
+  in
+  go ()
+
 (* Scan all valid records; [valid_end] is the byte offset just past the
-   last intact record, where appends may safely resume.  [tail]
-   distinguishes a truncated final record (the crash signature: bytes
-   missing at end of file) from a full-length record whose checksum
-   fails (corruption). *)
+   last intact record, where appends may safely resume.  A zero length
+   prefix is the zero tail of a preallocated extent: the log ends there.
+   A bad record — one cut short by the end of the file, or failing its
+   checksum with its last byte and everything after it zero — is [Torn]
+   (an append that never finished); any other checksum failure is
+   [Corrupt]. *)
 let scan_file p =
   let ic = try open_in_bin p with Sys_error m -> fail "%s" m in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
@@ -137,21 +161,21 @@ let scan_file p =
     | n when n < 4 -> tail := Torn { dropped = dropped () }
     | _ ->
       let len = Int32.to_int (Bytes.get_int32_be lenb 0) in
-      if len < 0 then tail := Corrupt { dropped = dropped () }
-      else
-        (match really_input_string ic len with
-         | exception End_of_file -> tail := Torn { dropped = dropped () }
-         | payload ->
-           (match really_input_string ic digest_len with
-            | exception End_of_file -> tail := Torn { dropped = dropped () }
-            | digest ->
-              if Digest.string payload <> digest then
-                tail := Corrupt { dropped = dropped () }
-              else begin
-                entries := entry_of_payload payload :: !entries;
-                valid_end := pos_in ic;
-                scan ()
-              end))
+      let last = !valid_end + 4 + len + digest_len - 1 in
+      if len = 0 then ()
+      else if len < 0 then tail := Corrupt { dropped = dropped () }
+      else if last >= size then tail := Torn { dropped = dropped () }
+      else begin
+        let payload = really_input_string ic len in
+        let digest = really_input_string ic digest_len in
+        if Digest.string payload = digest then begin
+          entries := entry_of_payload payload :: !entries;
+          valid_end := pos_in ic;
+          scan ()
+        end
+        else if zero_from ic last then tail := Torn { dropped = dropped () }
+        else tail := Corrupt { dropped = dropped () }
+      end
   in
   scan ();
   (List.rev !entries, !tail, !valid_end, gen)
@@ -200,7 +224,8 @@ let open_ ?(sync = true) p =
      fail "%s: %s" p (Unix.error_message e));
   let next = 1 + List.fold_left (fun m e -> max m (txn_of e)) 0 entries in
   { jpath = p; fd; sync; next; gen;
-    entries_written = List.length entries; closed = false }
+    entries_written = List.length entries;
+    logical = valid_end; physical = valid_end; closed = false }
 
 let next_txn t =
   let id = t.next in
@@ -211,6 +236,39 @@ let c_appends = Xic_obs.Obs.Metrics.counter "journal_appends"
 let c_fsyncs = Xic_obs.Obs.Metrics.counter "journal_fsyncs"
 let c_resets = Xic_obs.Obs.Metrics.counter "journal_resets"
 
+(* A failed write leaves the tail torn (or the fill half done) and the
+   file position unknown: poison the handle so no later append lands on
+   it. *)
+let poison t exn =
+  t.closed <- true;
+  match exn with
+  | Unix.Unix_error (e, _, _) -> fail "write failed: %s" (Unix.error_message e)
+  | _ -> raise exn
+
+(* Zero-fill the file from its physical end to the first extent
+   boundary at or past [need], sync the fill once, and return to the
+   logical end.  The [journal_grow] failpoint fires half-way through
+   the fill. *)
+let grow t need =
+  let target = (need + extent - 1) / extent * extent in
+  let fill upto =
+    while t.physical < upto do
+      let n = min (String.length zeros) (upto - t.physical) in
+      Atomic_file.write_all t.fd zeros 0 n;
+      t.physical <- t.physical + n
+    done
+  in
+  match
+    ignore (Unix.lseek t.fd t.physical Unix.SEEK_SET);
+    fill (t.physical + ((target - t.physical) / 2));
+    Failpoint.hit "journal_grow";
+    fill target;
+    if t.sync then Atomic_file.fsync t.fd;
+    ignore (Unix.lseek t.fd t.logical Unix.SEEK_SET)
+  with
+  | () -> ()
+  | exception exn -> poison t exn
+
 let append ?(defer_sync = false) t e =
   if t.closed then fail "journal %s is closed" t.jpath;
   Xic_obs.Obs.Metrics.incr c_appends;
@@ -218,27 +276,25 @@ let append ?(defer_sync = false) t e =
   let lenb = Bytes.create 4 in
   Bytes.set_int32_be lenb 0 (Int32.of_int (String.length payload));
   let record = Bytes.to_string lenb ^ payload ^ Digest.string payload in
+  let rlen = String.length record in
+  (* Keep a whole zero length prefix past the record, so a crashed file
+     never ends in a partial one. *)
+  if t.logical + rlen + 4 > t.physical then grow t (t.logical + rlen + 4);
   (* Two half-writes so the [mid_write] failpoint leaves a torn record;
      each half is mediated by [journal_write] (torn-write / EIO
      injection with bounded retry). *)
-  let poison exn =
-    (* in-process injection: the tail may be torn; poison the handle *)
-    t.closed <- true;
-    (match exn with
-     | Unix.Unix_error (e, _, _) -> fail "write failed: %s" (Unix.error_message e)
-     | _ -> raise exn)
-  in
   let guarded_write s off len =
     match Atomic_file.write_all ~fp:"journal_write" t.fd s off len with
     | () -> ()
-    | exception exn -> poison exn
+    | exception exn -> poison t exn
   in
-  let half = String.length record / 2 in
+  let half = rlen / 2 in
   guarded_write record 0 half;
   (match Failpoint.hit "mid_write" with
    | () -> ()
-   | exception exn -> poison exn);
-  guarded_write record half (String.length record - half);
+   | exception exn -> poison t exn);
+  guarded_write record half (rlen - half);
+  t.logical <- t.logical + rlen;
   (try
      if t.sync && not defer_sync then begin
        Atomic_file.fsync ~fp:"journal_fsync" t.fd;
@@ -298,13 +354,21 @@ let reset t =
   t.fd <- fd';
   t.gen <- gen';
   t.entries_written <- 0;
+  t.logical <- header_len + gen_len;
+  t.physical <- t.logical;
   Xic_obs.Obs.Metrics.incr c_resets
 
+(* Trim the zero tail, so a cleanly closed journal holds exactly its
+   records. *)
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    try Unix.close t.fd
-    with Unix.Unix_error (e, _, _) -> fail "close failed: %s" (Unix.error_message e)
+    let failed e = fail "close failed: %s" (Unix.error_message e) in
+    match if t.physical > t.logical then Unix.ftruncate t.fd t.logical with
+    | exception Unix.Unix_error (e, _, _) ->
+      (try Unix.close t.fd with Unix.Unix_error _ -> ());
+      failed e
+    | () -> ( try Unix.close t.fd with Unix.Unix_error (e, _, _) -> failed e)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -20,7 +20,27 @@
     exactly the suffix past the checkpoint and never mistakes a regrown
     journal for an already-applied one.  The journal knows nothing about
     XML: statement payloads are opaque strings, serialized and parsed by
-    the repository layer. *)
+    the repository layer.
+
+    {b Logical end and physical size.}  An open journal grows in
+    zero-filled extents of {!extent} bytes, each synced once when it is
+    added, and records are written at the {e logical end} inside the
+    extent: a commit's fsync then overwrites allocated blocks and never
+    changes the file size, so it writes no inode metadata.  Once a
+    record is appended, the file's {e physical size} runs past the
+    logical end by a zero tail of at least four bytes.  {!close} trims the file to its logical end, so a
+    cleanly closed journal holds exactly its records; a crashed one
+    keeps its zero tail until the next {!open_} truncates it.
+
+    {b Reading the tail.}  A zero length prefix ends the log cleanly
+    (every real payload is non-empty), so a zero tail reads as [Clean].
+    A {e bad} record is one whose length runs past the end of the file
+    or that fails its checksum.  It is [Torn] when its last byte and
+    every byte after it are zero, or it is cut off by the end of the
+    file — an append into the extent that never finished — and
+    [Corrupt] otherwise.  One ambiguity remains: a bit-rotted {e final}
+    record whose MD5 happens to end in [0x00] reads as torn, 1 time in
+    256. *)
 
 type t
 (** An open journal handle (append position after the last valid record). *)
@@ -39,15 +59,18 @@ type entry =
 
 (** How the journal file ends. *)
 type tail =
-  | Clean  (** last record intact, file ends on a record boundary *)
+  | Clean
+      (** last record intact, followed by the end of the file or by a
+          zero tail *)
   | Torn of { dropped : int }
-      (** the final record is cut short — bytes missing at end of file,
-          the signature of a crash mid-append; [dropped] bytes discarded *)
+      (** the final record is cut short — by the end of the file, or by
+          zeros from its last byte on — the signature of a crash
+          mid-append; [dropped] bytes (to the physical end) discarded *)
   | Corrupt of { dropped : int }
-      (** a full-length record whose checksum fails — bit rot or an
-          overwritten region, {e not} a simple crash; scanning stops
-          there and [dropped] bytes (the bad record and everything
-          after) are discarded *)
+      (** a record whose checksum fails with non-zero bytes at or after
+          its last byte — bit rot or an overwritten region, {e not} a
+          simple crash; scanning stops there and [dropped] bytes (the
+          bad record and everything after) are discarded *)
 
 type read_result = {
   entries : entry list;  (** all valid records, file order *)
@@ -58,6 +81,11 @@ type read_result = {
 
 exception Journal_error of string
 (** I/O failures and malformed journal files. *)
+
+val extent : int
+(** The size the file grows by, zero-filled and synced once (1 MiB).
+    The file is grown to the next multiple of [extent] that leaves a
+    zero length prefix past the record being appended. *)
 
 val open_ : ?sync:bool -> string -> t
 (** Open [path] for appending, creating it if missing.  Existing records
@@ -78,7 +106,8 @@ val entry_count : t -> int
 
 val bytes : t -> int
 (** Bytes in the current journal generation (header included): the
-    write position of an append-only file.  0 once closed. *)
+    logical end, where the next record goes, not the preallocated
+    physical size.  0 once closed. *)
 
 val next_txn : t -> int
 (** A fresh transaction id (greater than any id already journaled). *)
@@ -95,20 +124,27 @@ val append : ?defer_sync:bool -> t -> entry -> unit
     durable intents, and a crash before it discards the transaction
     with or without its intents on disk.
 
+    A record that does not fit in the current extent first grows the
+    file by a synced zero fill.
+
     Failpoints: [mid_write] (crash half-way through the record, leaving
     a torn tail), [journal_write] (mediated: torn-write and injected-EIO
-    actions apply, the latter retried with bounded backoff) and
-    [journal_fsync]. *)
+    actions apply, the latter retried with bounded backoff),
+    [journal_fsync], and [journal_grow] (crash half-way through an
+    extent's zero fill).  A failed write or fill poisons the handle:
+    later appends are refused and {!close} leaves the file as it is. *)
 
 val reset : t -> unit
-(** Atomically replace the journal with an empty one of the next
-    generation — the checkpoint truncation.  Crash-safe by rename: a
+(** Atomically replace the journal with an empty, unallocated one of the
+    next generation — the checkpoint truncation.  Crash-safe by rename: a
     crash during reset leaves either the old journal (all of whose
     entries the snapshot's watermark covers) or the fresh empty one.
     Failpoints: [journal_reset] (before anything), [journal_reset_rename]
     (new file written, not yet renamed in). *)
 
 val close : t -> unit
+(** Trim the file to its logical end and close it: a cleanly closed
+    journal is byte-identical to one written without preallocation. *)
 
 val read : string -> read_result
 (** Read all valid records of a journal file, stopping at the first torn

@@ -9,7 +9,9 @@
    - journal recovery replay maintains the same views as the live run;
    - the count aggregates of Examples 2 and 7 stay exact under unguarded
      insert/remove streams that cross their bounds both ways;
-   - denials outside the monotone class are recomputed, and stay exact. *)
+   - denials outside the monotone class are recomputed, and stay exact;
+   - a fact change in columns a denial does not read costs it no
+     evaluation, and a denial that reads the column is still exact. *)
 
 module Store = Xic_datalog.Store
 module Delta = Xic_datalog.Delta
@@ -480,6 +482,93 @@ let test_classification () =
       (Store.equal (Incr.view inc) (Incr.view fresh))
   done
 
+(* ------------------------------------------------------------------ *)
+(* Read columns                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* One rev (id 1, reviewer Carl) with submissions 10 and 11 at positions
+   1 and 2.  [step ~remove ~add] applies one delta of submission facts
+   (id, position) under rev 1, checks the views against a fresh
+   materialization and returns the residual evaluations it cost; a
+   shift (an insert or a withdrawal before a sibling) removes each old
+   fact and adds the moved one. *)
+let sub_fixture denials =
+  let rev = Symbol.intern "rev" and sub = Symbol.intern "sub" in
+  let sub_fact (id, pos) = [ Term.Int id; Term.Int pos; Term.Int 1; Term.Str "t" ] in
+  let st = Store.create () in
+  Store.add_sym st rev [ Term.Int 1; Term.Int 1; Term.Int 0; Term.Str "Carl" ];
+  List.iter (fun f -> Store.add_sym st sub (sub_fact f)) [ (10, 1); (11, 2) ];
+  let constraints =
+    List.mapi (fun k d -> (Printf.sprintf "d%d" k, [ Parser.parse_denial d ])) denials
+  in
+  let inc = Incr.create constraints in
+  Incr.initialize inc st;
+  let step ~remove ~add =
+    let d = Delta.create () in
+    List.iter
+      (fun f ->
+        ignore (Store.remove_sym st sub (sub_fact f));
+        Delta.remove d sub (sub_fact f))
+      remove;
+    List.iter
+      (fun f ->
+        Store.add_sym st sub (sub_fact f);
+        Delta.add d sub (sub_fact f))
+      add;
+    let before = (Incr.stats inc).Incr.evals in
+    Incr.apply_delta inc st d;
+    let fresh = Incr.create constraints in
+    Incr.initialize fresh st;
+    Alcotest.(check bool) "views equal a fresh materialization" true
+      (Store.equal (Incr.view inc) (Incr.view fresh));
+    (Incr.stats inc).Incr.evals - before
+  in
+  (inc, step)
+
+(* The conflict and track-load shapes: the submission's id and parent
+   are joined or counted, its position and title are singletons, so a
+   pure sibling shift cannot change either denial. *)
+let test_shift_costs_nothing () =
+  let _, step =
+    sub_fixture
+      [ ":- rev(Ir, _, _, R), sub(Is, _, Ir, _), auts(_, _, Is, R)";
+        ":- rev(Ir, _, _, _), cntd(Is; sub(Is, _, Ir, _)) > 4" ]
+  in
+  Alcotest.(check int) "one shifted sibling" 0
+    (step ~remove:[ (11, 2) ] ~add:[ (11, 3) ]);
+  Alcotest.(check int) "two shifted siblings" 0
+    (step ~remove:[ (10, 1); (11, 3) ] ~add:[ (10, 2); (11, 4) ]);
+  Alcotest.(check bool) "a new submission is still evaluated" true
+    (step ~remove:[] ~add:[ (12, 1) ] > 0)
+
+(* Denials that read the position — through a comparison on a
+   non-witness variable, or through a witness variable — are maintained
+   through the same shift. *)
+let test_position_readers_maintained () =
+  let inc, step =
+    sub_fixture
+      [ ":- sub(_, _P, _, _), _P > 2"; ":- rev(Ir, _, _, _), sub(_, P, Ir, _)" ]
+  in
+  Alcotest.(check (list string)) "only the witness denial holds" [ "d1" ]
+    (Incr.violated inc);
+  Alcotest.(check bool) "the shift is evaluated" true
+    (step ~remove:[ (11, 2) ] ~add:[ (11, 3) ] > 0);
+  Alcotest.(check (list string)) "the comparison now holds too" [ "d0"; "d1" ]
+    (Incr.violated inc);
+  ignore (step ~remove:[ (11, 3) ] ~add:[ (11, 2) ]);
+  Alcotest.(check (list string)) "shifting back restores the verdicts" [ "d1" ]
+    (Incr.violated inc)
+
+(* The denial reads only the submission's parent: two removed facts and
+   two added ones share that projection and cancel pairwise; an added
+   fact beyond the removed ones survives and is evaluated once. *)
+let test_cancel_by_multiplicity () =
+  let _, step = sub_fixture [ ":- sub(_, _, Ir, _), Ir = 2" ] in
+  Alcotest.(check int) "two against two cancel" 0
+    (step ~remove:[ (10, 1); (11, 2) ] ~add:[ (10, 5); (11, 6) ]);
+  Alcotest.(check int) "two against one: one survives" 1
+    (step ~remove:[ (10, 5) ] ~add:[ (10, 1); (12, 2) ])
+
 let () =
   Alcotest.run "incr"
     [
@@ -498,5 +587,14 @@ let () =
             `Quick test_count_views_exact;
           Alcotest.test_case "non-monotone denials recompute" `Quick
             test_classification;
+        ] );
+      ( "read columns",
+        [
+          Alcotest.test_case "a sibling shift costs nothing" `Quick
+            test_shift_costs_nothing;
+          Alcotest.test_case "position readers are maintained" `Quick
+            test_position_readers_maintained;
+          Alcotest.test_case "cancellation by multiplicity" `Quick
+            test_cancel_by_multiplicity;
         ] );
     ]

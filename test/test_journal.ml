@@ -304,6 +304,213 @@ let test_failpoint_records_span_event () =
     (List.exists (has "failpoint:mid_write") (Obs.Trace.roots ()))
 
 (* ------------------------------------------------------------------ *)
+(* Preallocated extents                                                *)
+(* ------------------------------------------------------------------ *)
+
+let intent txn payload = J.Intent { txn; seq = 0; strategy = "optimized"; payload }
+
+(* The file as a crash would leave it: the open handle's bytes,
+   untrimmed, copied aside. *)
+let crashed_copy j =
+  let p = fresh_path () in
+  write_bin p (read_bin (J.path j));
+  p
+
+let file_size p = (Unix.stat p).Unix.st_size
+
+let last_digest_byte file rec_end = Char.code file.[rec_end - 1]
+
+(* Cut the last record at every offset and zero the rest of the extent,
+   as an append into preallocated space leaves it: every cut is torn
+   and the committed prefix replays.  A cut that keeps only zero bytes
+   of the record (the high bytes of its length prefix) is byte-identical
+   to no write at all and reads as the clean end of the log. *)
+let test_torn_into_zero_extent () =
+  let p = fresh_path () in
+  let j = J.open_ ~sync:false p in
+  J.append j (intent 1 "first");
+  J.append j (J.Commit { txn = 1 });
+  J.append j (intent 2 "in flight");
+  let full = read_bin p in
+  checki "the file is one extent" J.extent (String.length full);
+  let prefix_end = record_end full 1 and last_end = record_end full 2 in
+  checki "bytes is the logical end" last_end (J.bytes j);
+  checkb "the last record's digest does not end in zero" true
+    (last_digest_byte full last_end <> 0);
+  let cut_path = fresh_path () in
+  for cut = prefix_end to last_end - 1 do
+    write_bin cut_path
+      (String.sub full 0 cut ^ String.make (J.extent - cut) '\000');
+    let rr = J.read cut_path in
+    let ctx = Printf.sprintf "cut at %d" cut in
+    checki (ctx ^ ": the prefix is kept") 2 (List.length rr.J.entries);
+    (match J.committed_payloads rr.J.entries with
+     | [ (1, [ "first" ]) ] -> ()
+     | _ -> Alcotest.fail (ctx ^ ": the committed prefix must replay"));
+    let only_zeros =
+      String.for_all (( = ) '\000') (String.sub full prefix_end (cut - prefix_end))
+    in
+    match rr.J.tail with
+    | J.Torn { dropped } ->
+      checki (ctx ^ ": dropped to the physical end") (J.extent - prefix_end)
+        dropped
+    | J.Clean ->
+      checkb (ctx ^ ": clean only when nothing non-zero was written") true
+        only_zeros
+    | J.Corrupt _ -> Alcotest.fail (ctx ^ ": a cut must never read as corruption")
+  done;
+  J.close j
+
+(* A full-length final record failing its checksum, followed by the
+   zero tail: its last byte is not zero, so it is bit rot, not a torn
+   append. *)
+let test_corrupt_before_zero_tail () =
+  let p = fresh_path () in
+  let j = J.open_ ~sync:false p in
+  J.append j (intent 1 "first");
+  J.append j (J.Commit { txn = 1 });
+  let full = read_bin p in
+  J.close j;
+  let rec1_end = record_end full 0 and last_end = record_end full 1 in
+  checkb "the last record's digest does not end in zero" true
+    (last_digest_byte full last_end <> 0);
+  let b = Bytes.of_string full in
+  let mid = (rec1_end + last_end) / 2 in
+  Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0x10));
+  let rot = fresh_path () in
+  write_bin rot (Bytes.to_string b);
+  let rr = J.read rot in
+  checki "valid prefix kept" 1 (List.length rr.J.entries);
+  match rr.J.tail with
+  | J.Corrupt { dropped } ->
+    checki "bad record and zero tail dropped" (J.extent - rec1_end) dropped
+  | J.Clean | J.Torn _ ->
+    Alcotest.fail "a full-length bad record before zeros must read as Corrupt"
+
+(* Records that cross an extent boundary grow the file by a whole
+   extent and read back intact, untrimmed or closed. *)
+let test_record_straddles_extent () =
+  let p = fresh_path () in
+  let j = J.open_ ~sync:false p in
+  let payload k = String.make 100_000 (Char.chr (Char.code 'a' + k)) in
+  let n = 12 in
+  for k = 0 to n - 1 do
+    J.append j (intent (k + 1) (payload k))
+  done;
+  let full = read_bin p in
+  checki "grown to two extents" (2 * J.extent) (String.length full);
+  checkb "some record straddles the boundary" true
+    (List.exists
+       (fun i -> record_end full (i - 1) < J.extent && J.extent < record_end full i)
+       (List.init (n - 1) (fun i -> i + 1)));
+  let check_entries what path =
+    let rr = J.read path in
+    checkb (what ^ ": clean") true (rr.J.tail = J.Clean);
+    checkb (what ^ ": every record intact") true
+      (rr.J.entries = List.init n (fun k -> intent (k + 1) (payload k)))
+  in
+  check_entries "untrimmed" (crashed_copy j);
+  let logical = J.bytes j in
+  J.close j;
+  checki "closed file trimmed to the logical end" logical (file_size p);
+  check_entries "closed" p
+
+(* A crash leaves the zero tail in place: reopening truncates it and
+   appends resume at the logical end. *)
+let test_reopen_untrimmed () =
+  let j = J.open_ ~sync:false (fresh_path ()) in
+  J.append j (intent 1 "first");
+  J.append j (J.Commit { txn = 1 });
+  let logical = J.bytes j in
+  let p = crashed_copy j in
+  J.close j;
+  checki "the crashed file keeps its zero tail" J.extent (file_size p);
+  let rr = J.read p in
+  checkb "a zero tail reads clean" true (rr.J.tail = J.Clean);
+  let j = J.open_ p in
+  checki "appends resume at the logical end" logical (J.bytes j);
+  checki "next txn past journaled ids" 2 (J.next_txn j);
+  J.append j (J.Commit { txn = 2 });
+  J.close j;
+  let rr = J.read p in
+  checkb "clean" true (rr.J.tail = J.Clean);
+  checkb "prefix + fresh record" true
+    (rr.J.entries = [ intent 1 "first"; J.Commit { txn = 1 }; J.Commit { txn = 2 } ])
+
+(* The header and the records, laid out by hand: what the journal
+   writes without preallocation. *)
+let unallocated_image gen payloads =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "XICJ2\n";
+  Buffer.add_int64_be b (Int64.of_int gen);
+  List.iter
+    (fun payload ->
+      Buffer.add_int32_be b (Int32.of_int (String.length payload));
+      Buffer.add_string b payload;
+      Buffer.add_string b (Digest.string payload))
+    payloads;
+  Buffer.contents b
+
+let test_close_trims () =
+  let p = fresh_path () in
+  let j = J.open_ p in
+  J.append ~defer_sync:true j (intent 1 "<u>one</u>");
+  J.append j (J.Commit { txn = 1 });
+  J.append j (J.Abort { txn = 2 });
+  checki "preallocated while open" J.extent (file_size p);
+  let logical = J.bytes j in
+  J.close j;
+  checki "size = bytes after close" logical (file_size p);
+  checks "byte-identical to the unallocated layout"
+    (unallocated_image 1
+       [ "intent 1 0 optimized\n<u>one</u>"; "commit 1"; "abort 2" ])
+    (read_bin p)
+
+(* A reset in the middle of an extent starts an unallocated file; the
+   next append grows it afresh. *)
+let test_reset_mid_extent () =
+  let p = fresh_path () in
+  let j = J.open_ p in
+  J.append j (intent 1 "first");
+  J.append j (J.Commit { txn = 1 });
+  J.reset j;
+  checki "reset file holds only the header" header_len (file_size p);
+  checki "bytes after reset" header_len (J.bytes j);
+  J.append j (J.Commit { txn = 5 });
+  checki "the next append grows one extent" J.extent (file_size p);
+  let logical = J.bytes j in
+  J.close j;
+  checks "closed file is the header and the new record"
+    (unallocated_image 2 [ "commit 5" ])
+    (read_bin p);
+  checki "size = bytes" logical (file_size p)
+
+(* A crash half-way through a zero fill loses nothing committed: the
+   half-filled tail is zeros, which read as the clean end of the log. *)
+let test_crash_mid_grow () =
+  let p = fresh_path () in
+  let j = J.open_ p in
+  J.append j (intent 1 "first");
+  J.append j (J.Commit { txn = 1 });
+  J.close j;
+  let j = J.open_ p in
+  FP.set ~action:FP.Raise "journal_grow";
+  (Fun.protect ~finally:FP.clear @@ fun () ->
+   match J.append j (J.Commit { txn = 2 }) with
+   | exception FP.Triggered "journal_grow" -> ()
+   | () -> Alcotest.fail "armed grow failpoint must fire");
+  (match J.append j (J.Commit { txn = 3 }) with
+   | exception J.Journal_error _ -> ()
+   | () -> Alcotest.fail "append after a failed grow must be refused");
+  J.close j;
+  checkb "the fill stopped half-way" true
+    (file_size p > header_len && file_size p < J.extent);
+  let rr = J.read p in
+  checkb "clean" true (rr.J.tail = J.Clean);
+  checkb "the committed prefix survives" true
+    (rr.J.entries = [ intent 1 "first"; J.Commit { txn = 1 } ])
+
+(* ------------------------------------------------------------------ *)
 (* Crash recovery properties                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -642,6 +849,20 @@ let () =
           Alcotest.test_case "mid-write failpoint" `Quick test_failpoint_mid_write;
           Alcotest.test_case "failpoint traced as span event" `Quick
             test_failpoint_records_span_event;
+        ] );
+      ( "preallocated extents",
+        [
+          Alcotest.test_case "torn into a zero extent" `Quick
+            test_torn_into_zero_extent;
+          Alcotest.test_case "corrupt before the zero tail" `Quick
+            test_corrupt_before_zero_tail;
+          Alcotest.test_case "record straddles an extent" `Quick
+            test_record_straddles_extent;
+          Alcotest.test_case "reopen an untrimmed file" `Quick
+            test_reopen_untrimmed;
+          Alcotest.test_case "close trims" `Quick test_close_trims;
+          Alcotest.test_case "reset mid-extent" `Quick test_reset_mid_extent;
+          Alcotest.test_case "crash mid-grow" `Quick test_crash_mid_grow;
         ] );
       ( "crash recovery",
         [

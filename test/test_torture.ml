@@ -248,7 +248,7 @@ let test_crash_surface_registered () =
     (fun site ->
       checkb ("site registered: " ^ site) true (List.mem site known))
     [ "before_apply"; "after_apply"; "before_commit"; "mid_write";
-      "journal_write"; "journal_fsync"; "journal_reset";
+      "journal_write"; "journal_fsync"; "journal_grow"; "journal_reset";
       "journal_reset_rename"; "checkpoint_truncate"; "snapshot_write";
       "snapshot_fsync"; "snapshot_rename"; "snapshot_dirsync";
       "snapshot_read" ];
