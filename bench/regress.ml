@@ -107,10 +107,7 @@ let headline =
       extract = per_size "server_pins" "mixed_checks_per_sec" };
     { name = "server_pins.read_under_pin_p50_ms";
       dir = Lower_better;
-      extract = per_size "server_pins" "read_under_pin_p50_ms" };
-    { name = "journal.commit_mean_ms";
-      dir = Lower_better;
-      extract = scalar "journal" "commit_mean_ms" } ]
+      extract = per_size "server_pins" "read_under_pin_p50_ms" } ]
 
 let () =
   let tolerance = ref 15.0 in

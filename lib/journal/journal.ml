@@ -131,8 +131,9 @@ let zero_from ic off =
 
 (* Scan all valid records; [valid_end] is the byte offset just past the
    last intact record, where appends may safely resume.  A zero length
-   prefix is the zero tail of a preallocated extent: the log ends there.
-   A bad record — one cut short by the end of the file, or failing its
+   prefix followed only by zeros is the zero tail of a preallocated
+   extent: the log ends there; one with non-zero bytes after it is a
+   damaged record ([Corrupt]).  Any other bad record — one cut short by the end of the file, or failing its
    checksum with its last byte and everything after it zero — is [Torn]
    (an append that never finished); any other checksum failure is
    [Corrupt]. *)
@@ -162,7 +163,10 @@ let scan_file p =
     | _ ->
       let len = Int32.to_int (Bytes.get_int32_be lenb 0) in
       let last = !valid_end + 4 + len + digest_len - 1 in
-      if len = 0 then ()
+      if len = 0 then begin
+        if not (zero_from ic !valid_end) then
+          tail := Corrupt { dropped = dropped () }
+      end
       else if len < 0 then tail := Corrupt { dropped = dropped () }
       else if last >= size then tail := Torn { dropped = dropped () }
       else begin

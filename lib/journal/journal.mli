@@ -33,8 +33,12 @@
     keeps its zero tail until the next {!open_} truncates it.
 
     {b Reading the tail.}  A zero length prefix ends the log cleanly
-    (every real payload is non-empty), so a zero tail reads as [Clean].
-    A {e bad} record is one whose length runs past the end of the file
+    when it and every byte after it are zero (every real payload is
+    non-empty), so a zero tail reads as [Clean].  A zero length prefix
+    with a non-zero byte anywhere after it is a damaged record — a
+    zeroed sector, or a short record whose one non-zero length byte
+    rotted — and reads as [Corrupt], so the committed records past it
+    are never silently dropped.  Any other {e bad} record is one whose length runs past the end of the file
     or that fails its checksum.  It is [Torn] when its last byte and
     every byte after it are zero, or it is cut off by the end of the
     file — an append into the extent that never finished — and
@@ -68,7 +72,8 @@ type tail =
           mid-append; [dropped] bytes (to the physical end) discarded *)
   | Corrupt of { dropped : int }
       (** a record whose checksum fails with non-zero bytes at or after
-          its last byte — bit rot or an overwritten region, {e not} a
+          its last byte, or a zero length prefix with non-zero bytes
+          after it — bit rot or an overwritten region, {e not} a
           simple crash; scanning stops there and [dropped] bytes (the
           bad record and everything after) are discarded *)
 

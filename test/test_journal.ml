@@ -387,6 +387,37 @@ let test_corrupt_before_zero_tail () =
   | J.Clean | J.Torn _ ->
     Alcotest.fail "a full-length bad record before zeros must read as Corrupt"
 
+(* A zeroed length prefix in the middle of the journal — a zeroed
+   sector, or one rotted byte of a short record's length — is damage,
+   not the zero tail: the committed records after it must not vanish
+   as a clean end of the log.  Closed and untrimmed files alike. *)
+let test_zero_length_mid_journal () =
+  let j = J.open_ ~sync:false (fresh_path ()) in
+  J.append j (intent 1 "first");
+  J.append j (J.Commit { txn = 1 });
+  J.append j (intent 2 "second");
+  J.append j (J.Commit { txn = 2 });
+  let untrimmed = crashed_copy j in
+  let closed = J.path j in
+  J.close j;
+  List.iter
+    (fun (what, p) ->
+      let full = read_bin p in
+      let rec2 = record_end full 1 in
+      let b = Bytes.of_string full in
+      Bytes.fill b rec2 4 '\000';
+      write_bin p (Bytes.to_string b);
+      let rr = J.read p in
+      checkb (what ^ ": the prefix is kept") true
+        (rr.J.entries = [ intent 1 "first"; J.Commit { txn = 1 } ]);
+      match rr.J.tail with
+      | J.Corrupt { dropped } ->
+        checki (what ^ ": the damaged record and everything after dropped")
+          (String.length full - rec2) dropped
+      | J.Clean | J.Torn _ ->
+        Alcotest.fail (what ^ ": a zero length before live records must read as Corrupt"))
+    [ ("closed", closed); ("untrimmed", untrimmed) ]
+
 (* Records that cross an extent boundary grow the file by a whole
    extent and read back intact, untrimmed or closed. *)
 let test_record_straddles_extent () =
@@ -856,6 +887,8 @@ let () =
             test_torn_into_zero_extent;
           Alcotest.test_case "corrupt before the zero tail" `Quick
             test_corrupt_before_zero_tail;
+          Alcotest.test_case "zero length inside the journal" `Quick
+            test_zero_length_mid_journal;
           Alcotest.test_case "record straddles an extent" `Quick
             test_record_straddles_extent;
           Alcotest.test_case "reopen an untrimmed file" `Quick
