@@ -18,60 +18,119 @@ let version = 2
 let err fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 
 (* ------------------------------------------------------------------ *)
+(* Byte queues                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A growable byte queue whose live bytes are [buf.[first .. last-1]].
+   The server keeps one per connection for inbound frames, scanned in
+   place, and one per loop for the reply being encoded. *)
+type queue = { mutable buf : Bytes.t; mutable first : int; mutable last : int }
+
+let queue () = { buf = Bytes.empty; first = 0; last = 0 }
+let capacity q = Bytes.length q.buf
+
+(* Room for [n] more bytes at the end: slide the live bytes to the
+   front, and double the capacity only when that is not enough. *)
+let grow q n =
+  let live = q.last - q.first in
+  let cap = ref (max 256 (Bytes.length q.buf)) in
+  while live + n > !cap do cap := 2 * !cap done;
+  let buf = if !cap = Bytes.length q.buf then q.buf else Bytes.create !cap in
+  Bytes.blit q.buf q.first buf 0 live;
+  q.buf <- buf;
+  q.first <- 0;
+  q.last <- live
+
+let reserve q n = if q.last + n > Bytes.length q.buf then grow q n
+
+(* An emptied queue starts over at offset 0; one that grew past the
+   server's read size for an outsized frame gives that memory back. *)
+let release_limit = 65536
+
+let clear q =
+  q.first <- 0;
+  q.last <- 0;
+  if Bytes.length q.buf > release_limit then q.buf <- Bytes.empty
+
+let push q b off len =
+  reserve q len;
+  Bytes.blit b off q.buf q.last len;
+  q.last <- q.last + len
+
+let add_char q c =
+  reserve q 1;
+  Bytes.unsafe_set q.buf q.last c;
+  q.last <- q.last + 1
+
+let add_substring q s off len =
+  reserve q len;
+  Bytes.blit_string s off q.buf q.last len;
+  q.last <- q.last + len
+
+let add_string q s = add_substring q s 0 (String.length s)
+
+(* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+(* Runs of plain characters go in with one blit each. *)
+let add_escaped q s =
+  let n = String.length s in
+  let rec go from i =
+    if i = n then add_substring q s from (i - from)
+    else
+      match s.[i] with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+        add_substring q s from (i - from);
+        (match c with
+         | '"' -> add_string q "\\\""
+         | '\\' -> add_string q "\\\\"
+         | '\n' -> add_string q "\\n"
+         | '\r' -> add_string q "\\r"
+         | '\t' -> add_string q "\\t"
+         | c -> add_string q (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (i + 1) (i + 1)
+      | _ -> go from (i + 1)
+  in
+  go 0 0
 
-let rec print b = function
-  | Null -> Buffer.add_string b "null"
-  | Bool true -> Buffer.add_string b "true"
-  | Bool false -> Buffer.add_string b "false"
-  | Int i -> Buffer.add_string b (string_of_int i)
+let rec print q = function
+  | Null -> add_string q "null"
+  | Bool true -> add_string q "true"
+  | Bool false -> add_string q "false"
+  | Int i -> add_string q (string_of_int i)
   | Float f ->
-    if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.12g" f)
-    else Buffer.add_string b "null"
+    if Float.is_finite f then add_string q (Printf.sprintf "%.12g" f)
+    else add_string q "null"
   | String s ->
-    Buffer.add_char b '"';
-    add_escaped b s;
-    Buffer.add_char b '"'
+    add_char q '"';
+    add_escaped q s;
+    add_char q '"'
   | List l ->
-    Buffer.add_char b '[';
+    add_char q '[';
     List.iteri
       (fun i v ->
-        if i > 0 then Buffer.add_char b ',';
-        print b v)
+        if i > 0 then add_char q ',';
+        print q v)
       l;
-    Buffer.add_char b ']'
+    add_char q ']'
   | Obj kvs ->
-    Buffer.add_char b '{';
+    add_char q '{';
     List.iteri
       (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_char b '"';
-        add_escaped b k;
-        Buffer.add_string b "\":";
-        print b v)
+        if i > 0 then add_char q ',';
+        add_char q '"';
+        add_escaped q k;
+        add_string q "\":";
+        print q v)
       kvs;
-    Buffer.add_char b '}'
-  | Raw s -> Buffer.add_string b s
+    add_char q '}'
+  | Raw s -> add_string q s
 
 let to_string j =
-  let b = Buffer.create 256 in
-  print b j;
-  Buffer.contents b
+  let q = queue () in
+  print q j;
+  Bytes.sub_string q.buf 0 q.last
 
 (* ------------------------------------------------------------------ *)
 (* Parsing (recursive descent; no dependency)                          *)
@@ -90,9 +149,12 @@ let add_utf8 b code =
     Buffer.add_char b (Char.chr (0x80 lor (code land 0x3f)))
   end
 
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
+(* Parse the JSON document in [s.[off .. off+len-1]] without copying it
+   out first; error offsets count from [off]. *)
+let of_substring s off len =
+  let n = off + len in
+  let pos = ref off in
+  let at () = !pos - off in
   let peek () =
     if !pos >= n then err "json: unexpected end of input" else s.[!pos]
   in
@@ -106,15 +168,24 @@ let of_string s =
   in
   let lit w v =
     let l = String.length w in
-    if !pos + l <= n && String.sub s !pos l = w then begin
+    let rec same i = i = l || (s.[!pos + i] = w.[i] && same (i + 1)) in
+    if !pos + l <= n && same 0 then begin
       pos := !pos + l;
       v
     end
-    else err "json: invalid literal at offset %d" !pos
+    else err "json: invalid literal at offset %d" (at ())
   in
   let is_digit c = c >= '0' && c <= '9' in
-  let parse_string () =
-    incr pos; (* opening quote *)
+  (* a string without escapes is one [String.sub] *)
+  let rec plain_end i =
+    if i >= n then err "json: unterminated string"
+    else
+      match s.[i] with
+      | '"' -> Some i
+      | '\\' -> None
+      | _ -> plain_end (i + 1)
+  in
+  let parse_escaped () =
     let b = Buffer.create 16 in
     let rec go () =
       if !pos >= n then err "json: unterminated string";
@@ -139,7 +210,7 @@ let of_string s =
            let code =
              match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
              | Some c -> c
-             | None -> err "json: bad \\u escape at offset %d" !pos
+             | None -> err "json: bad \\u escape at offset %d" (at ())
            in
            pos := !pos + 4;
            add_utf8 b code
@@ -152,6 +223,15 @@ let of_string s =
         go ()
     in
     go ()
+  in
+  let parse_string () =
+    incr pos; (* opening quote *)
+    match plain_end !pos with
+    | Some i ->
+      let v = String.sub s !pos (i - !pos) in
+      pos := i + 1;
+      v
+    | None -> parse_escaped ()
   in
   let parse_number () =
     let start = !pos in
@@ -220,10 +300,10 @@ let of_string s =
       else
         let pair () =
           skip_ws ();
-          if peek () <> '"' then err "json: expected object key at %d" !pos;
+          if peek () <> '"' then err "json: expected object key at %d" (at ());
           let k = parse_string () in
           skip_ws ();
-          if peek () <> ':' then err "json: expected ':' at %d" !pos;
+          if peek () <> ':' then err "json: expected ':' at %d" (at ());
           incr pos;
           (k, parse_value ())
         in
@@ -241,12 +321,14 @@ let of_string s =
         in
         go []
     | '-' | '0' .. '9' -> parse_number ()
-    | c -> err "json: unexpected character '%c' at offset %d" c !pos
+    | c -> err "json: unexpected character '%c' at offset %d" c (at ())
   in
   let v = parse_value () in
   skip_ws ();
-  if !pos <> n then err "json: trailing garbage at offset %d" !pos;
+  if !pos <> n then err "json: trailing garbage at offset %d" (at ());
   v
+
+let of_string s = of_substring s 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
@@ -287,19 +369,22 @@ let rec write_all fd b off len =
     write_all fd b (off + n) (len - n)
   end
 
-let write_frame fd j =
-  let payload = to_string j in
-  let len = String.length payload in
+(* The payload goes in behind a 4-byte placeholder that is then patched
+   with its length, so the frame is encoded once and sent from [q] as it
+   stands. *)
+let send_frame q fd j =
+  clear q;
+  Fun.protect ~finally:(fun () -> clear q) @@ fun () ->
+  add_string q "\000\000\000\000";
+  print q j;
+  let len = q.last - 4 in
   if len > max_frame then
     err "cannot send a %d-byte frame: exceeds the %d-byte (16 MiB) frame cap"
       len max_frame;
-  let b = Bytes.create (4 + len) in
-  Bytes.set b 0 (Char.chr ((len lsr 24) land 0xff));
-  Bytes.set b 1 (Char.chr ((len lsr 16) land 0xff));
-  Bytes.set b 2 (Char.chr ((len lsr 8) land 0xff));
-  Bytes.set b 3 (Char.chr (len land 0xff));
-  Bytes.blit_string payload 0 b 4 len;
-  write_all fd b 0 (4 + len)
+  Bytes.set_int32_be q.buf 0 (Int32.of_int len);
+  write_all fd q.buf 0 q.last
+
+let write_frame fd j = send_frame (queue ()) fd j
 
 (* [`Eof] only when the stream ends exactly on a frame boundary
    ([off = 0]); EOF mid-frame is a protocol error. *)
@@ -315,10 +400,7 @@ let read_full fd b off0 len0 =
   go off0 len0
 
 let frame_length b pos =
-  (Char.code (Bytes.get b pos) lsl 24)
-  lor (Char.code (Bytes.get b (pos + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (pos + 2)) lsl 8)
-  lor Char.code (Bytes.get b (pos + 3))
+  (Bytes.get_uint16_be b pos lsl 16) lor Bytes.get_uint16_be b (pos + 2)
 
 let read_frame fd =
   let hdr = Bytes.create 4 in
@@ -332,23 +414,37 @@ let read_frame fd =
      | `Eof -> err "connection closed mid-frame"
      | `Ok -> Some (of_string (Bytes.unsafe_to_string payload)))
 
-let split_frames data =
-  let n = String.length data in
-  let rec go pos acc =
-    if n - pos < 4 then (List.rev acc, String.sub data pos (n - pos))
+(* Two passes: the first walks the headers to the end of the complete
+   frames and refuses a bad length before any frame is delivered, the
+   second hands each payload to [f] where it lies. *)
+let scan_frames q f =
+  let rec complete pos =
+    if q.last - pos < 4 then pos
     else begin
-      let len =
-        (Char.code data.[pos] lsl 24)
-        lor (Char.code data.[pos + 1] lsl 16)
-        lor (Char.code data.[pos + 2] lsl 8)
-        lor Char.code data.[pos + 3]
-      in
+      let len = frame_length q.buf pos in
       if len < 0 || len > max_frame then bad_length len;
-      if n - pos - 4 < len then (List.rev acc, String.sub data pos (n - pos))
-      else go (pos + 4 + len) (String.sub data (pos + 4) len :: acc)
+      if q.last - pos - 4 < len then pos else complete (pos + 4 + len)
     end
   in
-  go 0 []
+  let stop = complete q.first in
+  let s = Bytes.unsafe_to_string q.buf in
+  let rec deliver pos =
+    if pos < stop then begin
+      let len = frame_length q.buf pos in
+      q.first <- pos + 4 + len;
+      f s (pos + 4) len;
+      deliver (pos + 4 + len)
+    end
+  in
+  deliver q.first;
+  if q.first = q.last then clear q
+
+let split_frames data =
+  let q = queue () in
+  push q (Bytes.unsafe_of_string data) 0 (String.length data);
+  let payloads = ref [] in
+  scan_frames q (fun s off len -> payloads := String.sub s off len :: !payloads);
+  (List.rev !payloads, Bytes.sub_string q.buf q.first (q.last - q.first))
 
 (* ------------------------------------------------------------------ *)
 (* Client side                                                         *)

@@ -44,17 +44,54 @@ val list_field : string -> json -> json list option
 val max_frame : int
 (** Refuse frames larger than this (16 MiB). *)
 
+type queue
+(** A growable byte queue.  The server keeps one per connection for the
+    bytes it has read but not yet framed, and one per serve loop for
+    the reply it is sending.  It grows by doubling, slides its live
+    bytes to the front before growing, and gives back a buffer larger
+    than 64 KiB once it empties, so a connection that sent one large
+    frame does not keep its memory. *)
+
+val queue : unit -> queue
+(** An empty queue; it allocates on first use. *)
+
+val capacity : queue -> int
+(** Bytes allocated, live or not. *)
+
+val push : queue -> Bytes.t -> int -> int -> unit
+(** [push q b off len] appends [b.[off .. off+len-1]]. *)
+
+val scan_frames : queue -> (string -> int -> int -> unit) -> unit
+(** [scan_frames q f] calls [f s off len] on the payload of every
+    complete frame at the front of [q], in order and in place, then
+    drops them.  [s] aliases the queue's buffer: read it (e.g. with
+    {!of_substring}) during the call and do not keep it.  A partial
+    frame stays queued for the next {!push}.
+    @raise Protocol_error on an oversized frame length, before any
+    frame of this scan is delivered. *)
+
+val of_substring : string -> int -> int -> json
+(** [of_substring s off len] parses the JSON document in
+    [s.[off .. off+len-1]]; error offsets count from [off]. *)
+
+val send_frame : queue -> Unix.file_descr -> json -> unit
+(** Encode one frame into the queue behind its 4-byte length and send
+    it with one write (more only on a short write).  The queue is reset
+    first and cleared after, so one queue serves every reply of a loop.
+    @raise Protocol_error if the payload exceeds {!max_frame}. *)
+
 val write_frame : Unix.file_descr -> json -> unit
-(** Serialize and write one frame (blocking, handles short writes). *)
+(** {!send_frame} through a fresh queue (blocking, handles short
+    writes). *)
 
 val read_frame : Unix.file_descr -> json option
 (** Read one frame (blocking); [None] on clean EOF before the header.
     @raise Protocol_error on EOF mid-frame or a malformed payload. *)
 
 val split_frames : string -> string list * string
-(** Incremental decode for the server's read buffers: the payloads of
-    every complete frame at the front of [data], plus the unconsumed
-    remainder.  @raise Protocol_error on an oversized frame length. *)
+(** {!scan_frames} over a string: the payloads of every complete frame
+    at the front of [data], plus the unconsumed remainder.
+    @raise Protocol_error on an oversized frame length. *)
 
 (** {1 Client side} *)
 

@@ -32,6 +32,14 @@ let g_connections = Obs.Metrics.gauge "serve_connections"
 let g_retained = Obs.Metrics.gauge "serve_retained_generations"
 let g_pin_bytes = Obs.Metrics.gauge "serve_pin_bytes"
 
+(* The collector's counters, read with [Gc.quick_stat] as a stats or
+   metrics request arrives, so the serve loop's own allocation shows up
+   next to its latency.  Exported as xic_gc_*. *)
+let c_gc_minor = Obs.Metrics.counter "gc_minor_collections"
+let c_gc_major = Obs.Metrics.counter "gc_major_collections"
+let c_gc_major_words = Obs.Metrics.counter "gc_major_words"
+let g_gc_heap_words = Obs.Metrics.gauge "gc_heap_words"
+
 type config = {
   journal : J.t option;
   snapshot_path : string option;
@@ -438,7 +446,11 @@ let do_checkpoint t req =
 
 (* Refresh the point-in-time serve gauges so stats / Prometheus
    expositions see live values. *)
-let sync_gauges t =
+let sync_gauges t (gc : Gc.stat) =
+  Obs.Metrics.set c_gc_minor gc.Gc.minor_collections;
+  Obs.Metrics.set c_gc_major gc.Gc.major_collections;
+  Obs.Metrics.set c_gc_major_words (int_of_float gc.Gc.major_words);
+  Obs.Metrics.set g_gc_heap_words gc.Gc.heap_words;
   Obs.Metrics.set g_open_txns (if t.open_txn = None then 0 else 1);
   Obs.Metrics.set g_pins (Hashtbl.length t.pins);
   Obs.Metrics.set g_journal_bytes
@@ -470,7 +482,8 @@ let op_quantiles t =
        ops)
 
 let do_stats t =
-  sync_gauges t;
+  let gc = Gc.quick_stat () in
+  sync_gauges t gc;
   let uptime_s =
     Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t.started_ns) /. 1e9
   in
@@ -492,6 +505,12 @@ let do_stats t =
               P.Int (List.length (R.retained_generations t.srepo)) );
             ("open_txn", P.Bool (t.open_txn <> None)) ] );
       ("ops", op_quantiles t);
+      ( "gc",
+        P.Obj
+          [ ("minor_collections", P.Int gc.Gc.minor_collections);
+            ("major_collections", P.Int gc.Gc.major_collections);
+            ("major_words", P.Int (int_of_float gc.Gc.major_words));
+            ("heap_words", P.Int gc.Gc.heap_words) ] );
       ( "delta",
         P.Obj
           [ ("flushes", P.Int d.R.delta_flushes);
@@ -502,7 +521,7 @@ let do_stats t =
       ("metrics", P.Raw (R.metrics_json t.srepo)) ]
 
 let do_metrics t =
-  sync_gauges t;
+  sync_gauges t (Gc.quick_stat ());
   ok
     [ ("format", P.String "prometheus");
       ("body", P.String (R.metrics_prometheus t.srepo)) ]
@@ -800,9 +819,20 @@ let shutdown t =
 (* The serve loop                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* [Unix.select] works on fd_set bitmaps and fails with EINVAL on a
+   descriptor at or above FD_SETSIZE (1024 on Linux and the BSDs).  A
+   new descriptor takes the lowest free number, so holding connections
+   to this many leaves the listening socket, the journal, the log and
+   the standard streams room below FD_SETSIZE. *)
+let fd_setsize = 1024
+let max_connections = fd_setsize - 64
+
+(* The bytes one [Unix.read] may bring in; one buffer per serve loop. *)
+let read_size = 65536
+
 type conn = {
   fd : Unix.file_descr;
-  mutable pending : string;
+  inbox : P.queue;  (* read, not yet framed *)
   mutable alive : bool;
 }
 
@@ -832,38 +862,69 @@ let listen addr =
     Unix.listen fd 64;
     fd
 
-let read_conn c round =
-  let buf = Bytes.create 65536 in
+let decode s off len =
+  match P.of_substring s off len with
+  | req -> req
+  | exception P.Protocol_error m ->
+    P.Obj [ ("op", P.String "_parse_error"); ("error", P.String m) ]
+
+(* Read what [c] has into the loop's [buf], queue it, and add every
+   frame it completes to the round.  An error on this connection closes
+   this connection only. *)
+let read_conn buf c round =
   match Unix.read c.fd buf 0 (Bytes.length buf) with
   | 0 -> c.alive <- false
   | n ->
-    c.pending <- c.pending ^ Bytes.sub_string buf 0 n;
-    (match P.split_frames c.pending with
-     | frames, rest ->
-       c.pending <- rest;
-       List.iter
-         (fun payload ->
-           let req =
-             match P.of_string payload with
-             | req -> req
-             | exception P.Protocol_error m ->
-               P.Obj
-                 [ ("op", P.String "_parse_error"); ("error", P.String m) ]
-           in
-           round := (c, req) :: !round)
-         frames
-     | exception P.Protocol_error m ->
+    P.push c.inbox buf 0 n;
+    (try
+       P.scan_frames c.inbox (fun s off len ->
+           round := (c, decode s off len) :: !round)
+     with P.Protocol_error m ->
        Log.warn (fun f -> f "dropping connection: %s" m);
        c.alive <- false)
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+  | exception
+      Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    ()
+  | exception Unix.Unix_error (e, _, _) ->
+    Log.debug (fun f -> f "dropping connection: %s" (Unix.error_message e));
     c.alive <- false
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* Accept one pending connection.  Past [max_connections] it is closed
+   at once (one warning per run of refusals); a full descriptor table
+   or a connection aborted before [accept] is transient. *)
+let accept_conn t listen_fd conns refusing =
+  match Unix.accept listen_fd with
+  | fd, _ when List.length !conns >= max_connections ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    if not !refusing then
+      Log.warn (fun m ->
+          m "refusing connections: %d live, the cap is %d" t.connections
+            max_connections);
+    refusing := true
+  | fd, _ ->
+    conns := !conns @ [ { fd; inbox = P.queue (); alive = true } ];
+    t.connections <- List.length !conns;
+    refusing := false;
+    Log.debug (fun m -> m "accepted connection (%d live)" t.connections)
+  | exception
+      Unix.Unix_error
+        ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED ),
+          _,
+          _ ) ->
+    ()
+  | exception Unix.Unix_error (((Unix.EMFILE | Unix.ENFILE) as e), _, _) ->
+    if not !refusing then
+      Log.warn (fun m -> m "cannot accept: %s" (Unix.error_message e));
+    refusing := true
 
 let serve ?(idle_timeout = 0.25) t listen_fd =
   let stop_handler = Sys.Signal_handle (fun _ -> request_stop t) in
   let old_int = Sys.signal Sys.sigint stop_handler in
   let old_term = Sys.signal Sys.sigterm stop_handler in
-  let conns = ref [] in
+  (* a peer that hangs up fails its write with EPIPE, not the process *)
+  let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let conns = ref [] and refusing = ref false in
+  let inbuf = Bytes.create read_size and outbox = P.queue () in
   Log.info (fun m -> m "serve loop started (idle timeout %.2fs)" idle_timeout);
   Fun.protect
     ~finally:(fun () ->
@@ -875,6 +936,7 @@ let serve ?(idle_timeout = 0.25) t listen_fd =
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       Sys.set_signal Sys.sigint old_int;
       Sys.set_signal Sys.sigterm old_term;
+      Sys.set_signal Sys.sigpipe old_pipe;
       Log.info (fun m ->
           m "serve loop stopped after %d requests (%d batched)" t.requests
             t.batched_guards))
@@ -884,29 +946,18 @@ let serve ?(idle_timeout = 0.25) t listen_fd =
     match Unix.select fds [] [] idle_timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | ready, _, _ ->
-      if List.memq listen_fd ready then begin
-        match Unix.accept listen_fd with
-        | fd, _ ->
-          conns := !conns @ [ { fd; pending = ""; alive = true } ];
-          t.connections <- List.length !conns;
-          Log.debug (fun m -> m "accepted connection (%d live)" t.connections)
-        | exception
-            Unix.Unix_error
-              ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          ()
-      end;
       (* drain every readable connection, then answer the whole round —
          consecutive guards across connections batch into one txn *)
       let round = ref [] in
       List.iter
-        (fun c -> if List.memq c.fd ready then read_conn c round)
+        (fun c -> if List.memq c.fd ready then read_conn inbuf c round)
         !conns;
       let round = List.rev !round in
       let resps = handle_round t (List.map snd round) in
       List.iter2
         (fun (c, _) resp ->
           if c.alive then
-            try P.write_frame c.fd resp
+            try P.send_frame outbox c.fd resp
             with
             | P.Protocol_error _
             | Unix.Unix_error _ -> c.alive <- false)
@@ -920,5 +971,8 @@ let serve ?(idle_timeout = 0.25) t listen_fd =
               false
             end)
           !conns;
-      t.connections <- List.length !conns
+      t.connections <- List.length !conns;
+      (* after the hang-ups of this round are closed, so they do not
+         count against the cap *)
+      if List.memq listen_fd ready then accept_conn t listen_fd conns refusing
   done

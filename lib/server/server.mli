@@ -5,7 +5,10 @@
     stay resident — and answers {!Protocol} requests:
 
     {ul
-    {- [ping], [stats], [shutdown];}
+    {- [ping], [stats], [shutdown] — [stats] carries a [gc] section
+       (minor and major collections, major-heap words allocated, heap
+       words) read with [Gc.quick_stat] as the request arrives; the
+       [metrics] exposition has the same as [xic_gc_*];}
     {- [metrics]: Prometheus text exposition of every counter, gauge and
        latency histogram (serve gauges — open transactions, pins,
        journal bytes since checkpoint, resident store facts, live
@@ -116,4 +119,21 @@ val serve : ?idle_timeout:float -> t -> Unix.file_descr -> unit
     request, SIGINT or SIGTERM — handlers are installed for both), then
     run {!shutdown} and close every connection and the listening
     socket.  [idle_timeout] (default 0.25 s) bounds the select wait so
-    stop requests are honored promptly. *)
+    stop requests are honored promptly.
+
+    Frame I/O allocates per loop, not per request: one 64 KiB read
+    buffer, one reply queue ({!Protocol.send_frame}: one write per
+    reply), and per connection a byte queue scanned in place
+    ({!Protocol.scan_frames}).
+
+    At most {!max_connections} connections are served at once: a
+    connection accepted beyond that is closed at once, with a warning
+    in the log.  A full descriptor table ([EMFILE], [ENFILE]) or a
+    connection aborted before [accept] is transient.  A read or write
+    error on one connection closes that connection only (SIGPIPE is
+    ignored while the loop runs). *)
+
+val max_connections : int
+(** 960: [select]'s FD_SETSIZE (1024) less 64 descriptors kept for the
+    listening socket, the journal, the log and the standard streams.  A
+    constant, not a setting. *)

@@ -440,9 +440,16 @@ let sort_lits (body : T.lit list) =
 (* Single-use inlining                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Calls that read their argument as a whole sequence, not as an
+   existential over its nodes: count/sum/not/exists change cardinality,
+   and position-of reads only the first node, so a lone positional
+   qualifier must keep its node bound to a quantified variable. *)
+let opaque_calls =
+  [ "count"; "count-distinct"; "sum"; "not"; "exists"; "empty"; "position-of" ]
+
 (* Count occurrences of the XPath variable [v] in a Q expression; uses
-   under count/sum/not/exists calls or let-clauses are unsafe to inline
-   into (they change cardinality), tracked separately. *)
+   under {!opaque_calls} or let-clauses are unsafe to inline into,
+   tracked separately. *)
 let count_uses v (e : Q.expr) =
   let safe = ref 0 and unsafe = ref 0 in
   let rec xp depth = function
@@ -451,7 +458,7 @@ let count_uses v (e : Q.expr) =
     | XP.Neg e -> xp depth e
     | XP.Binop (_, a, b) -> xp depth a; xp depth b
     | XP.Call (f, args) ->
-      let d = if List.mem f [ "count"; "count-distinct"; "sum"; "not"; "exists"; "empty" ] then depth + 1 else depth in
+      let d = if List.mem f opaque_calls then depth + 1 else depth in
       List.iter (xp d) args
     | XP.Path (start, steps) ->
       (match start with XP.From e -> xp depth e | XP.Abs | XP.Rel -> ());
@@ -461,7 +468,7 @@ let count_uses v (e : Q.expr) =
     | Q.Param _ -> ()
     | Q.Seq es | Q.Elem (_, es) -> List.iter (q depth) es
     | Q.Call (f, args) ->
-      let d = if List.mem f [ "count"; "count-distinct"; "sum"; "not"; "exists"; "empty" ] then depth + 1 else depth in
+      let d = if List.mem f opaque_calls then depth + 1 else depth in
       List.iter (q d) args
     | Q.Binop (_, a, b) -> q depth a; q depth b
     | Q.If (a, b, c) -> q depth a; q depth b; q depth c

@@ -121,6 +121,65 @@ let test_split_frames () =
    | exception P.Protocol_error _ -> ()
    | _ -> Alcotest.fail "oversized frame length must be refused")
 
+(* Scan every frame a queue holds, in order, as payload strings. *)
+let scan q =
+  let got = ref [] in
+  P.scan_frames q (fun s off len -> got := String.sub s off len :: !got);
+  List.rev !got
+
+let push_string q s = P.push q (Bytes.of_string s) 0 (String.length s)
+
+let three_frames =
+  [ "{\"op\":\"ping\"}"; "[]"; "{\"op\":\"check\",\"n\":[1,2,3]}" ]
+
+(* A stream of three frames cut at every byte offset, inside headers
+   included, must frame exactly as when it arrives whole. *)
+let test_scan_every_split () =
+  let stream = String.concat "" (List.map frame three_frames) in
+  let n = String.length stream in
+  for k = 0 to n do
+    let q = P.queue () in
+    push_string q (String.sub stream 0 k);
+    let first = scan q in
+    push_string q (String.sub stream k (n - k));
+    checksl (Printf.sprintf "split at %d" k) three_frames (first @ scan q)
+  done
+
+let test_scan_one_read () =
+  let q = P.queue () in
+  push_string q (String.concat "" (List.map frame three_frames));
+  let got = ref [] in
+  P.scan_frames q (fun s off len -> got := P.of_substring s off len :: !got);
+  checkb "every frame of one read decodes" true
+    (List.rev !got = List.map P.of_string three_frames);
+  checksl "nothing left over" [] (scan q)
+
+(* A frame of exactly [max_frame] bytes, fed in 4 KiB reads: it decodes
+   once complete, and the queue never holds more than twice the cap. *)
+let test_scan_max_frame () =
+  let payload = "\"" ^ String.make (P.max_frame - 2) 'x' ^ "\"" in
+  let stream = Bytes.of_string (frame payload) in
+  let q = P.queue () and peak = ref 0 and decoded = ref [] in
+  let n = Bytes.length stream in
+  let rec feed off =
+    if off < n then begin
+      let len = min 4096 (n - off) in
+      P.push q stream off len;
+      peak := max !peak (P.capacity q);
+      P.scan_frames q (fun s off len ->
+          decoded := P.of_substring s off len :: !decoded);
+      feed (off + len)
+    end
+  in
+  feed 0;
+  checki "one frame" 1 (List.length !decoded);
+  checkb "payload intact" true
+    (List.hd !decoded = P.String (String.make (P.max_frame - 2) 'x'));
+  checkb
+    (Printf.sprintf "capacity %d <= 2 x max_frame" !peak)
+    true
+    (!peak <= 2 * P.max_frame)
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot isolation                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -723,6 +782,102 @@ let test_frame_cap_errors () =
    | exception P.Protocol_error m ->
      checkb "split error names the cap" true (contains m "16 MiB"))
 
+(* ------------------------------------------------------------------ *)
+(* A real serve loop in a child process                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Fork a server on a fresh Unix socket, run [f] against its address,
+   then ask it to shut down and expect exit 0. *)
+let with_forked_server f =
+  let sock = tmp_path "srv.sock" in
+  match Unix.fork () with
+  | 0 ->
+    (try
+       let srv = Srv.create (make_repo ()) in
+       Srv.serve srv (Srv.listen (P.Unix_sock sock));
+       Unix._exit 0
+     with _ -> Unix._exit 3)
+  | pid ->
+    (* the socket file appears at bind, before listen: poll by connecting *)
+    let rec await n =
+      match P.connect (P.Unix_sock sock) with
+      | fd -> Unix.close fd
+      | exception P.Protocol_error _ when n > 0 ->
+        Unix.sleepf 0.01;
+        await (n - 1)
+    in
+    let reaped = ref false in
+    Fun.protect
+      ~finally:(fun () ->
+        if not !reaped then begin
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid)
+        end;
+        try Sys.remove sock with Sys_error _ -> ())
+    @@ fun () ->
+    await 1000;
+    let addr = P.Unix_sock sock in
+    f addr;
+    let fd = P.connect addr in
+    ignore (P.request fd (P.Obj [ ("op", P.String "shutdown") ]));
+    Unix.close fd;
+    let _, status = Unix.waitpid [] pid in
+    reaped := true;
+    match status with
+    | Unix.WEXITED 0 -> ()
+    | Unix.WEXITED n -> Alcotest.failf "server exited %d" n
+    | _ -> Alcotest.fail "server killed by a signal"
+
+let ping addr =
+  let fd = P.connect addr in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  P.bool_field "pong" (P.request fd (P.Obj [ ("op", P.String "ping") ]))
+
+(* More connections than select's FD_SETSIZE: the ones past the cap are
+   closed at once, and the server keeps serving. *)
+let test_connection_flood () =
+  with_forked_server @@ fun addr ->
+  let conns = List.init 1100 (fun _ -> P.connect addr) in
+  let last = List.nth conns 1099 in
+  checkb "a connection past the cap is closed" true
+    (match Unix.read last (Bytes.create 1) 0 1 with
+     | 0 -> true
+     | _ -> false
+     | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true);
+  List.iter Unix.close conns;
+  checkb "a fresh client is answered" true (ping addr)
+
+let gc_field name stats =
+  match P.member "gc" stats with
+  | Some gc ->
+    (match P.int_field name gc with
+     | Some v -> v
+     | None -> Alcotest.failf "gc.%s missing" name)
+  | None -> Alcotest.fail "stats lacks its gc section"
+
+(* The serve loop allocates its buffers once: a check request puts
+   well under one read buffer's worth of words on the major heap. *)
+let test_serve_allocation () =
+  with_forked_server @@ fun addr ->
+  let fd = P.connect addr in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let stats () = P.request fd (P.Obj [ ("op", P.String "stats") ]) in
+  let before = stats () in
+  let n = 2000 in
+  for _ = 1 to n do
+    let r = P.request fd (P.Obj [ ("op", P.String "check") ]) in
+    if not (P.bool_field "consistent" r) then Alcotest.fail "check failed"
+  done;
+  let after = stats () in
+  let per_request =
+    (gc_field "major_words" after - gc_field "major_words" before) / n
+  in
+  checkb
+    (Printf.sprintf "%d major-heap words per request < 1024" per_request)
+    true (per_request < 1024);
+  checkb "minor collections counted" true
+    (gc_field "minor_collections" after >= gc_field "minor_collections" before)
+
 let () =
   Alcotest.run "server"
     [
@@ -732,6 +887,12 @@ let () =
           Alcotest.test_case "raw embedding" `Quick test_json_raw;
           Alcotest.test_case "parse errors" `Quick test_json_errors;
           Alcotest.test_case "incremental framing" `Quick test_split_frames;
+          Alcotest.test_case "scan split at every offset" `Quick
+            test_scan_every_split;
+          Alcotest.test_case "scan several frames of one read" `Quick
+            test_scan_one_read;
+          Alcotest.test_case "scan a max_frame payload" `Quick
+            test_scan_max_frame;
         ] );
       ( "isolation",
         [
@@ -770,5 +931,11 @@ let () =
             test_metrics_exposition;
           Alcotest.test_case "slow ring" `Quick test_slow_ring;
           Alcotest.test_case "frame cap errors" `Quick test_frame_cap_errors;
+        ] );
+      ( "serve loop",
+        [
+          Alcotest.test_case "connection flood" `Quick test_connection_flood;
+          Alcotest.test_case "allocation per request" `Quick
+            test_serve_allocation;
         ] );
     ]

@@ -221,6 +221,36 @@ let test_shared_column_variable () =
   checks "join by title" "//sub/title/text() = //pub/title/text()"
     (qstr ":- pub(Ip, _, _, T), sub(Is, _, _, T)")
 
+(* XPathLog -> Datalog -> XQuery for a lone positional qualifier: the
+   sub node is used only by its position, and position-of reads the
+   first node of its argument, so the node must stay bound to a
+   quantified variable rather than inline as position-of(//sub). *)
+let test_lone_position_qualifier () =
+  let m = Lazy.force mapping in
+  let d =
+    match
+      Xic_xpathlog.Compile.parse_and_compile m "<- //rev/sub[position() > 5]"
+    with
+    | [ d ] -> d
+    | ds -> Alcotest.failf "one denial expected, got %d" (List.length ds)
+  in
+  let q = Tr.denial m d in
+  let s = Q.Ast.to_string q in
+  checkb ("quantified: " ^ s) true
+    (String.length s > 5 && String.sub s 0 5 = "some ");
+  (* the late sub is the second rev's sixth; the first //sub is early *)
+  let sub i = Printf.sprintf "<sub><title>S%d</title><auts><name>A</name></auts></sub>" i in
+  let subs n = String.concat "" (List.init n sub) in
+  let { Xic_xml.Xml_parser.doc = d2; _ } =
+    Xic_xml.Xml_parser.parse_string
+      (Printf.sprintf
+         "<review><track><name>T</name><rev><name>X</name>%s</rev><rev><name>Y</name>%s</rev></track></review>"
+         (subs 1) (subs 6))
+  in
+  checkb "datalog finds the late sub" true
+    (Xic_datalog.Eval.violated (Xic_relmap.Shred.shred m d2) d);
+  checkb "xquery finds the late sub" true (Q.Eval.eval_bool d2 q)
+
 let () =
   Alcotest.run "translate"
     [
@@ -251,5 +281,7 @@ let () =
           Alcotest.test_case "sum" `Quick test_sum_translation;
           Alcotest.test_case "two aggregates" `Quick test_multiple_aggregates_one_denial;
           Alcotest.test_case "shared column var" `Quick test_shared_column_variable;
+          Alcotest.test_case "lone position qualifier" `Quick
+            test_lone_position_qualifier;
         ] );
     ]
