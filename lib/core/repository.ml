@@ -368,7 +368,7 @@ let store t =
     sync_store t;
     s
   | None ->
-    let s = Xic_relmap.Shred.shred ~index:(index t) (Schema.mapping t.schema) t.doc in
+    let s = Xic_relmap.Shred.shred (Schema.mapping t.schema) t.doc in
     install_store t s;
     s
 

@@ -17,8 +17,7 @@
     - attaching/detaching an element changes its own subtree's facts,
       the [pos] column of every following element sibling, and the
       embedded-text columns of every ancestor;
-    - attaching/detaching a text node changes ancestors only;
-    - setting an attribute changes that element's fact only.
+    - attaching/detaching a text node changes ancestors only.
 
     [Detaching] fires while links are intact, so the same sets are
     reachable; the tag is recorded at mark time because the node may be
@@ -68,11 +67,8 @@ let mark_structural t id =
   end;
   mark_ancestors t id
 
-let on_event t = function
-  | Doc.Attached id | Doc.Detaching id ->
-    if t.active then mark_structural t id
-  | Doc.Attr_set (id, _) ->
-    if t.active then mark t id (Doc.tag t.doc id)
+let on_event t (Doc.Attached id | Doc.Detaching id) =
+  if t.active then mark_structural t id
 
 let create mapping doc store =
   let t =

@@ -8,37 +8,31 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Shred_error s)) fmt
 
 let node_const id = T.Int id
 
-(* Text of the first child element named [name] (the embedded edge
+(* Text of the first child element named [want] (the embedded edge
    guarantees at most one), or "" when absent. *)
-let embedded_text ?index doc id name =
-  match index with
-  | Some idx ->
-    (match Index.children_named idx id name with
-     | [] -> ""
-     | c :: _ -> Doc.text_content doc c)
-  | None ->
-    let want = Doc.Symbol.intern name in
-    let found = ref Doc.no_node in
-    Doc.iter_children doc id (fun c ->
-        if
-          !found = Doc.no_node && Doc.is_element doc c
-          && Doc.Symbol.equal (Doc.tag doc c) want
-        then found := c);
-    if !found = Doc.no_node then "" else Doc.text_content doc !found
+let embedded_text doc id want =
+  let found = ref Doc.no_node in
+  Doc.iter_children doc id (fun c ->
+      if
+        !found = Doc.no_node && Doc.is_element doc c
+        && Doc.Symbol.equal (Doc.tag doc c) want
+      then found := c);
+  if !found = Doc.no_node then "" else Doc.text_content doc !found
 
 (* The extra columns after Id, Pos and IdParent. *)
-let columns ?index mapping_columns doc id =
+let columns mapping_columns doc id =
   List.map
     (fun (c : Mapping.column) ->
       match c.Mapping.source with
       | Mapping.From_attr a -> T.Str (Option.value ~default:"" (Doc.attr doc id a))
-      | Mapping.From_pcdata_child ch -> T.Str (embedded_text ?index doc id ch)
+      | Mapping.From_pcdata_child ch ->
+        T.Str (embedded_text doc id (Doc.Symbol.intern ch))
       | Mapping.From_text -> T.Str (Doc.text_content doc id))
     mapping_columns
 
 (* Per-element dispatch on the interned tag: no string hashing on the
    shredding hot path. *)
-let fact_of_element_sym ?index mapping doc id =
+let fact_of_element_sym mapping doc id =
   if not (Doc.is_element doc id) then None
   else begin
     let tag = Doc.tag doc id in
@@ -46,14 +40,11 @@ let fact_of_element_sym ?index mapping doc id =
     | exception Mapping.Mapping_error m -> fail "%s" m
     | Mapping.Embedded | Mapping.Elided -> None
     | Mapping.Predicate schema ->
-      let cols = columns ?index schema.Mapping.columns doc id in
-      let parent = Doc.parent doc id in
-      let pos =
-        match index with
-        | Some idx -> Index.position idx id
-        | None -> Doc.position doc id
-      in
-      Some (tag, node_const id :: T.Int pos :: node_const parent :: cols)
+      let cols = columns schema.Mapping.columns doc id in
+      Some
+        (tag,
+         node_const id :: T.Int (Doc.position doc id)
+         :: node_const (Doc.parent doc id) :: cols)
   end
 
 (* Streaming endpoint of the fused loader: the parser hands over each
@@ -85,16 +76,7 @@ let sink ?count mapping doc store =
                  T.Str (Option.value ~default:"" (Doc.attr_sym doc id ka))
              | Mapping.From_pcdata_child ch ->
                let kch = Doc.Symbol.intern ch in
-               fun id ->
-                 let found = ref Doc.no_node in
-                 Doc.iter_children doc id (fun c ->
-                     if
-                       !found = Doc.no_node && Doc.is_element doc c
-                       && Doc.Symbol.equal (Doc.tag doc c) kch
-                     then found := c);
-                 T.Str
-                   (if !found = Doc.no_node then ""
-                    else Doc.text_content doc !found)
+               fun id -> T.Str (embedded_text doc id kch)
              | Mapping.From_text -> fun id -> T.Str (Doc.text_content doc id))
            schema.Mapping.columns)
   in
@@ -124,33 +106,33 @@ let sink ?count mapping doc store =
         :: List.map (fun f -> f id) cols);
       (match count with None -> () | Some r -> incr r)
 
-let fact_of_element ?index mapping doc id =
+let fact_of_element mapping doc id =
   Option.map
     (fun (sym, tuple) -> (Doc.Symbol.name sym, tuple))
-    (fact_of_element_sym ?index mapping doc id)
+    (fact_of_element_sym mapping doc id)
 
-let shred_into ?index mapping doc store start =
+let shred_into mapping doc store start =
   let rec go id =
-    (match fact_of_element_sym ?index mapping doc id with
+    (match fact_of_element_sym mapping doc id with
      | Some (pred, tuple) -> Store.add_sym store pred tuple
      | None -> ());
     Doc.iter_children doc id (fun c -> if Doc.is_element doc c then go c)
   in
   go start
 
-let unshred_from ?index mapping doc store start =
+let unshred_from mapping doc store start =
   let rec go id =
-    (match fact_of_element_sym ?index mapping doc id with
+    (match fact_of_element_sym mapping doc id with
      | Some (pred, tuple) -> ignore (Store.remove_sym store pred tuple)
      | None -> ());
     Doc.iter_children doc id (fun c -> if Doc.is_element doc c then go c)
   in
   go start
 
-let shred ?index mapping doc =
+let shred mapping doc =
   Xic_obs.Obs.Trace.with_span "shred" (fun () ->
       let store = Store.create () in
-      List.iter (shred_into ?index mapping doc store) (Doc.roots doc);
+      List.iter (shred_into mapping doc store) (Doc.roots doc);
       store)
 
 let path_to_node doc id =

@@ -13,15 +13,13 @@ val node_const : Doc.node_id -> Xic_datalog.Term.const
 (** The constant representing a node id ([Int]). *)
 
 val fact_of_element :
-  ?index:Index.t ->
   Mapping.t -> Doc.t -> Doc.node_id -> (string * Xic_datalog.Term.const list) option
 (** The fact contributed by one element node, if its type maps to a
-    predicate.  When [index] is given, embedded-child lookups and the
-    [Pos] column come from the secondary indexes.
+    predicate.  Embedded-child lookups and the [Pos] column walk the
+    arena's sibling links.
     @raise Shred_error for element types outside the schema. *)
 
 val fact_of_element_sym :
-  ?index:Index.t ->
   Mapping.t -> Doc.t -> Doc.node_id ->
   (Doc.Symbol.t * Xic_datalog.Term.const list) option
 (** As {!fact_of_element} with the predicate as an interned symbol — the
@@ -39,17 +37,15 @@ val sink :
     when given, is incremented per fact emitted.
     @raise Shred_error for element types outside the schema. *)
 
-val shred : ?index:Index.t -> Mapping.t -> Doc.t -> Xic_datalog.Store.t
+val shred : Mapping.t -> Doc.t -> Xic_datalog.Store.t
 (** Shred all roots of the document/collection into a fresh store. *)
 
 val shred_into :
-  ?index:Index.t ->
   Mapping.t -> Doc.t -> Xic_datalog.Store.t -> Doc.node_id -> unit
 (** Shred the subtree rooted at the given node into an existing store
     (used to mirror XUpdate insertions at the relational level). *)
 
 val unshred_from :
-  ?index:Index.t ->
   Mapping.t -> Doc.t -> Xic_datalog.Store.t -> Doc.node_id -> unit
 (** Remove the facts of the subtree rooted at the given node (rollback
     mirror of {!shred_into}). *)

@@ -439,13 +439,6 @@ let scan_frames q f =
   deliver q.first;
   if q.first = q.last then clear q
 
-let split_frames data =
-  let q = queue () in
-  push q (Bytes.unsafe_of_string data) 0 (String.length data);
-  let payloads = ref [] in
-  scan_frames q (fun s off len -> payloads := String.sub s off len :: !payloads);
-  (List.rev !payloads, Bytes.sub_string q.buf q.first (q.last - q.first))
-
 (* ------------------------------------------------------------------ *)
 (* Client side                                                         *)
 (* ------------------------------------------------------------------ *)

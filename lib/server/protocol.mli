@@ -88,11 +88,6 @@ val read_frame : Unix.file_descr -> json option
 (** Read one frame (blocking); [None] on clean EOF before the header.
     @raise Protocol_error on EOF mid-frame or a malformed payload. *)
 
-val split_frames : string -> string list * string
-(** {!scan_frames} over a string: the payloads of every complete frame
-    at the front of [data], plus the unconsumed remainder.
-    @raise Protocol_error on an oversized frame length. *)
-
 (** {1 Client side} *)
 
 type address =

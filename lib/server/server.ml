@@ -823,9 +823,14 @@ let shutdown t =
    descriptor at or above FD_SETSIZE (1024 on Linux and the BSDs).  A
    new descriptor takes the lowest free number, so holding connections
    to this many leaves the listening socket, the journal, the log and
-   the standard streams room below FD_SETSIZE. *)
+   the standard streams room below FD_SETSIZE.  Descriptors inherited
+   from the parent process can still push a connection's number past
+   it, so [accept_conn] also refuses by number. *)
 let fd_setsize = 1024
 let max_connections = fd_setsize - 64
+
+(* On Unix a [Unix.file_descr] is the descriptor number itself. *)
+let fd_number (fd : Unix.file_descr) : int = Obj.magic fd
 
 (* The bytes one [Unix.read] may bring in; one buffer per serve loop. *)
 let read_size = 65536
@@ -889,12 +894,13 @@ let read_conn buf c round =
     Log.debug (fun f -> f "dropping connection: %s" (Unix.error_message e));
     c.alive <- false
 
-(* Accept one pending connection.  Past [max_connections] it is closed
-   at once (one warning per run of refusals); a full descriptor table
-   or a connection aborted before [accept] is transient. *)
+(* Accept one pending connection.  Past [max_connections], or numbered
+   where [select] cannot watch it, it is closed at once (one warning per
+   run of refusals); a full descriptor table or a connection aborted
+   before [accept] is transient. *)
 let accept_conn t listen_fd conns refusing =
   match Unix.accept listen_fd with
-  | fd, _ when List.length !conns >= max_connections ->
+  | fd, _ when List.length !conns >= max_connections || fd_number fd >= fd_setsize ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     if not !refusing then
       Log.warn (fun m ->

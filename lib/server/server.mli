@@ -127,9 +127,11 @@ val serve : ?idle_timeout:float -> t -> Unix.file_descr -> unit
     ({!Protocol.scan_frames}).
 
     At most {!max_connections} connections are served at once: a
-    connection accepted beyond that is closed at once, with a warning
-    in the log.  A full descriptor table ([EMFILE], [ENFILE]) or a
-    connection aborted before [accept] is transient.  A read or write
+    connection accepted beyond that, or whose descriptor number is
+    FD_SETSIZE or more (which happens when descriptors inherited from
+    the parent process hold the low numbers), is closed at once, with a warning in the log.
+    A full descriptor table ([EMFILE], [ENFILE]) or a connection
+    aborted before [accept] is transient.  A read or write
     error on one connection closes that connection only (SIGPIPE is
     ignored while the loop runs). *)
 

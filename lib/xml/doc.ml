@@ -9,13 +9,12 @@ type kind =
   | Text of string
 
 (* Structural-change notifications, consumed by secondary indexes
-   (Index.t).  [Attached]/[Attr_set] fire after the mutation, [Detaching]
-   before it, while the parent link and sibling list are still intact —
-   an index needs the old shape to find the entries it must drop. *)
+   (Index.t).  [Attached] fires after the mutation, [Detaching] before
+   it, while the parent link and sibling list are still intact — an
+   index needs the old shape to find the entries it must drop. *)
 type event =
   | Attached of node_id
   | Detaching of node_id
-  | Attr_set of node_id * Symbol.t
 
 (* Struct-of-arrays arena.  A node is a row across packed int arrays:
    parent / first_child / last_child / next_sib / prev_sib sibling links
@@ -146,7 +145,7 @@ let add_text_pool doc s =
   doc.n_texts <- n + 1;
   n
 
-let add_attr_pool doc k v nxt =
+let add_attr_pool doc k v =
   let n = doc.n_attrs in
   if n >= Array.length doc.aname then begin
     let len' = 2 * Array.length doc.aname in
@@ -158,7 +157,7 @@ let add_attr_pool doc k v nxt =
   end;
   doc.aname.(n) <- Symbol.to_int k;
   doc.avalue.(n) <- v;
-  doc.anext.(n) <- nxt;
+  doc.anext.(n) <- -1;
   doc.n_attrs <- n + 1;
   n
 
@@ -167,9 +166,8 @@ let add_attr_pool doc k v nxt =
 let set_attrs_list doc id attrs =
   let rec alloc_fwd = function
     | [] -> -1
-    | [ (k, v) ] -> add_attr_pool doc k v (-1)
     | (k, v) :: rest ->
-      let slot = add_attr_pool doc k v (-1) in
+      let slot = add_attr_pool doc k v in
       let tail = alloc_fwd rest in
       doc.anext.(slot) <- tail;
       slot
@@ -301,34 +299,6 @@ let attr_sym doc id k =
   go (Array.unsafe_get doc.attr_head id)
 
 let attr doc id k = attr_sym doc id (Symbol.intern k)
-
-let set_attr doc id k v =
-  let k = Symbol.intern k in
-  check doc id;
-  let ki = Symbol.to_int k in
-  (* unlink an existing entry for [k], then reuse (or allocate) a slot at
-     the head of the chain — same order as the legacy representation's
-     [(k, v) :: filter ...]: the assigned key moves to the front. *)
-  let head = doc.attr_head.(id) in
-  let slot =
-    let rec unlink prev slot =
-      if slot < 0 then -1
-      else if doc.aname.(slot) = ki then begin
-        (if prev < 0 then doc.attr_head.(id) <- doc.anext.(slot)
-         else doc.anext.(prev) <- doc.anext.(slot));
-        slot
-      end
-      else unlink slot doc.anext.(slot)
-    in
-    unlink (-1) head
-  in
-  if slot >= 0 then begin
-    doc.avalue.(slot) <- v;
-    doc.anext.(slot) <- doc.attr_head.(id);
-    doc.attr_head.(id) <- slot
-  end
-  else doc.attr_head.(id) <- add_attr_pool doc k v doc.attr_head.(id);
-  notify doc (Attr_set (id, k))
 
 let check_detached doc id =
   check doc id;

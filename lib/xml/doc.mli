@@ -27,20 +27,20 @@ type t
     element. *)
 
 (** Structural-change notification, for secondary indexes ({!Index}).
-    [Attached] and [Attr_set] fire {e after} the mutation; [Detaching]
-    fires {e before} it, while the node's parent link and the sibling
-    list are still intact, so a subscriber can locate the entries it has
-    to drop. *)
+    [Attached] fires {e after} the mutation; [Detaching] fires {e before}
+    it, while the node's parent link and the sibling list are still
+    intact, so a subscriber can locate the entries it has to drop.
+    Attributes and text are set when a node is made and never change
+    afterwards, so these two events are the only ones. *)
 type event =
   | Attached of node_id   (** gained a parent, or became a root *)
   | Detaching of node_id  (** about to lose its parent / root status *)
-  | Attr_set of node_id * Symbol.t  (** attribute [name] was (re)assigned *)
 
 val set_observer : t -> (event -> unit) option -> unit
 (** Install (or clear) the primary mutation observer (the secondary
     index's reserved slot).  Every structural mutator — [set_root],
     [add_root], [append_child(ren)], [insert_after/before], [detach],
-    [delete_subtree], [set_attr], and the bulk {!restore} and
+    [delete_subtree], and the bulk {!restore} and
     {!transplant} — notifies every observer, so XUpdate
     application, undo, savepoint rollback and crash recovery all keep
     subscribers current without cooperation from the caller.  {!copy}
@@ -120,7 +120,6 @@ val attrs_sym : t -> node_id -> (Symbol.t * string) list
 
 val attr : t -> node_id -> string -> string option
 val attr_sym : t -> node_id -> Symbol.t -> string option
-val set_attr : t -> node_id -> string -> string -> unit
 
 val is_element : t -> node_id -> bool
 val is_text : t -> node_id -> bool

@@ -39,14 +39,6 @@ type t = {
   by_name : (Symbol.t, bucket) Hashtbl.t;
   by_attr : (Symbol.t * Symbol.t * string, bucket) Hashtbl.t;  (* tag, attr, value *)
   by_text : (Symbol.t * string, bucket) Hashtbl.t;             (* tag, text-child value *)
-  (* per-node shadow of what the value tables hold, so removal never needs
-     the pre-mutation attribute list or text content *)
-  indexed_attrs : (Doc.node_id, (Symbol.t * string) list) Hashtbl.t;
-  indexed_texts : (Doc.node_id, string list) Hashtbl.t;
-  (* parent/child-position caches, invalidated whenever the parent's child
-     list changes *)
-  child_cache : (Doc.node_id, (Symbol.t, Doc.node_id list) Hashtbl.t) Hashtbl.t;
-  pos_cache : (Doc.node_id, int) Hashtbl.t;
   (* document-order rank of every reachable node, indexed by arena id
      (-1 = unranked); maintained across attaches and detaches, see
      [rank_attached] *)
@@ -97,33 +89,24 @@ let text_children t id =
     (fun c -> match Doc.kind t.doc c with Doc.Text s -> Some s | Doc.Element _ -> None)
     (Doc.children t.doc id)
 
+(* Attributes and text children are never changed in place, so what
+   [add_element] read from the arena is still there when [Detaching]
+   (fired before the splice) asks [remove_element] to drop it. *)
 let add_element t id =
   let tag = Doc.tag t.doc id in
   bucket_add t.by_name tag id;
-  (match Doc.attrs_sym t.doc id with
-   | [] -> ()
-   | attrs ->
-     Hashtbl.replace t.indexed_attrs id attrs;
-     List.iter (fun (k, v) -> bucket_add t.by_attr (tag, k, v) id) attrs);
-  match text_children t id with
-  | [] -> ()
-  | texts ->
-    Hashtbl.replace t.indexed_texts id texts;
-    List.iter (fun s -> bucket_add t.by_text (tag, s) id) texts
+  List.iter
+    (fun (k, v) -> bucket_add t.by_attr (tag, k, v) id)
+    (Doc.attrs_sym t.doc id);
+  List.iter (fun s -> bucket_add t.by_text (tag, s) id) (text_children t id)
 
 let remove_element t id =
   let tag = Doc.tag t.doc id in
   bucket_remove t.by_name tag id;
-  (match Hashtbl.find_opt t.indexed_attrs id with
-   | Some attrs ->
-     List.iter (fun (k, v) -> bucket_remove t.by_attr (tag, k, v) id) attrs;
-     Hashtbl.remove t.indexed_attrs id
-   | None -> ());
-  match Hashtbl.find_opt t.indexed_texts id with
-  | Some ts ->
-    List.iter (fun s -> bucket_remove t.by_text (tag, s) id) ts;
-    Hashtbl.remove t.indexed_texts id
-  | None -> ()
+  List.iter
+    (fun (k, v) -> bucket_remove t.by_attr (tag, k, v) id)
+    (Doc.attrs_sym t.doc id);
+  List.iter (fun s -> bucket_remove t.by_text (tag, s) id) (text_children t id)
 
 let rec add_subtree t id =
   if Doc.is_element t.doc id then begin
@@ -137,59 +120,16 @@ let rec remove_subtree t id =
     List.iter (remove_subtree t) (Doc.children t.doc id)
   end
 
-(* Caches keyed by nodes of the [id] subtree, dropped even for
-   unreachable subtrees (a cached detached node may be freed without ever
-   becoming reachable again). *)
-let rec purge_caches t id =
-  Hashtbl.remove t.child_cache id;
-  Hashtbl.remove t.pos_cache id;
-  List.iter (purge_caches t) (Doc.children t.doc id)
-
-(* The child list of [p] changed: positional knowledge about any of its
-   children (current or just-spliced) is stale. *)
-let invalidate_under t p =
-  if p <> Doc.no_node && Doc.live t.doc p then begin
-    Hashtbl.remove t.child_cache p;
-    List.iter (fun c -> Hashtbl.remove t.pos_cache c) (Doc.children t.doc p)
-  end
-
-(* Single text child attached to / detached from an indexed element. *)
-let text_added t parent s =
-  if Doc.is_element t.doc parent then begin
-    let tag = Doc.tag t.doc parent in
-    bucket_add t.by_text (tag, s) parent;
-    let prev = Option.value ~default:[] (Hashtbl.find_opt t.indexed_texts parent) in
-    Hashtbl.replace t.indexed_texts parent (s :: prev)
-  end
-
-let text_removed t parent s =
-  if Doc.is_element t.doc parent then begin
-    let tag = Doc.tag t.doc parent in
-    bucket_remove t.by_text (tag, s) parent;
-    match Hashtbl.find_opt t.indexed_texts parent with
-    | None -> ()
-    | Some ts ->
-      let rec rm = function
-        | [] -> []
-        | x :: rest -> if x = s then rest else x :: rm rest
-      in
-      (match rm ts with
-       | [] -> Hashtbl.remove t.indexed_texts parent
-       | ts' -> Hashtbl.replace t.indexed_texts parent ts')
-  end
-
-let refresh_attrs t id =
-  let tag = Doc.tag t.doc id in
-  (match Hashtbl.find_opt t.indexed_attrs id with
-   | Some attrs ->
-     List.iter (fun (k, v) -> bucket_remove t.by_attr (tag, k, v) id) attrs;
-     Hashtbl.remove t.indexed_attrs id
-   | None -> ());
-  match Doc.attrs_sym t.doc id with
-  | [] -> ()
-  | attrs ->
-    Hashtbl.replace t.indexed_attrs id attrs;
-    List.iter (fun (k, v) -> bucket_add t.by_attr (tag, k, v) id) attrs
+(* A reachable node gained or is losing its place: an element brings or
+   takes its whole subtree, a text node only its parent's by_text entry. *)
+let reindex t id ~subtree ~bucket =
+  if reachable t id then
+    match Doc.kind t.doc id with
+    | Doc.Element _ -> subtree t id
+    | Doc.Text s ->
+      let p = Doc.parent t.doc id in
+      if p <> Doc.no_node && Doc.is_element t.doc p then
+        bucket t.by_text (Doc.tag t.doc p, s) p
 
 (* ------------------------------------------------------------------ *)
 (* Rank maintenance                                                    *)
@@ -295,33 +235,10 @@ let on_event t e =
   if t.built then begin
     t.stats.events <- t.stats.events + 1;
     match e with
-    | Doc.Attached id ->
-      let p = Doc.parent t.doc id in
-      invalidate_under t p;
-      Hashtbl.remove t.pos_cache id;
-      if reachable t id then begin
-        if Doc.is_element t.doc id then add_subtree t id
-        else begin
-          match (Doc.kind t.doc id, p) with
-          | Doc.Text s, p when p <> Doc.no_node -> text_added t p s
-          | _ -> ()
-        end
-      end
+    | Doc.Attached id -> reindex t id ~subtree:add_subtree ~bucket:bucket_add
     | Doc.Detaching id ->
       (* fired pre-splice: the parent link still proves reachability *)
-      let p = Doc.parent t.doc id in
-      invalidate_under t p;
-      if reachable t id then begin
-        if Doc.is_element t.doc id then remove_subtree t id
-        else begin
-          match (Doc.kind t.doc id, p) with
-          | Doc.Text s, p when p <> Doc.no_node -> text_removed t p s
-          | _ -> ()
-        end
-      end;
-      purge_caches t id
-    | Doc.Attr_set (id, _) ->
-      if reachable t id && Doc.is_element t.doc id then refresh_attrs t id
+      reindex t id ~subtree:remove_subtree ~bucket:bucket_remove
   end
 
 (* ------------------------------------------------------------------ *)
@@ -335,10 +252,6 @@ let raw doc =
     by_name = Hashtbl.create 64;
     by_attr = Hashtbl.create 64;
     by_text = Hashtbl.create 256;
-    indexed_attrs = Hashtbl.create 64;
-    indexed_texts = Hashtbl.create 256;
-    child_cache = Hashtbl.create 64;
-    pos_cache = Hashtbl.create 256;
     order = None;
     stats = { hits = 0; misses = 0; fallbacks = 0; events = 0 };
   }
@@ -471,43 +384,6 @@ let by_attr t ~tag ~attr value =
 let by_pcdata_sym t ~tag value = lookup t t.by_text (tag, value)
 let by_pcdata t ~tag value = by_pcdata_sym t ~tag:(Symbol.intern tag) value
 
-let scan_children_named t p tag =
-  List.filter
-    (fun c -> Doc.is_element t.doc c && Symbol.equal (Doc.tag t.doc c) tag)
-    (Doc.children t.doc p)
-
-let children_named_sym t p tag =
-  ensure_built t;
-  t.stats.hits <- t.stats.hits + 1;
-  let per_parent =
-    match Hashtbl.find_opt t.child_cache p with
-    | Some h -> h
-    | None ->
-      let h = Hashtbl.create 4 in
-      Hashtbl.replace t.child_cache p h;
-      h
-  in
-  match Hashtbl.find_opt per_parent tag with
-  | Some l -> l
-  | None ->
-    t.stats.misses <- t.stats.misses + 1;
-    let l = scan_children_named t p tag in
-    Hashtbl.replace per_parent tag l;
-    l
-
-let children_named t p tag = children_named_sym t p (Symbol.intern tag)
-
-let position t id =
-  ensure_built t;
-  t.stats.hits <- t.stats.hits + 1;
-  match Hashtbl.find_opt t.pos_cache id with
-  | Some p -> p
-  | None ->
-    t.stats.misses <- t.stats.misses + 1;
-    let p = Doc.position t.doc id in
-    Hashtbl.replace t.pos_cache id p;
-    p
-
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -568,23 +444,6 @@ let table_errors t =
     diff "by_name" t.by_name fresh.by_name;
     diff "by_attr" t.by_attr fresh.by_attr;
     diff "by_text" t.by_text fresh.by_text;
-    Hashtbl.iter
-      (fun p per ->
-        if not (Doc.live t.doc p) then err "child cache holds dead node %d" p
-        else
-          Hashtbl.iter
-            (fun tag l ->
-              let expect = scan_children_named t p tag in
-              if l <> expect then
-                err "stale child cache for node %d/%s" p (Symbol.name tag))
-            per)
-      t.child_cache;
-    Hashtbl.iter
-      (fun id pos ->
-        if not (Doc.live t.doc id) then err "position cache holds dead node %d" id
-        else if pos <> Doc.position t.doc id then
-          err "stale position cache for node %d" id)
-      t.pos_cache;
     List.rev !errs
   end
 

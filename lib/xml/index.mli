@@ -1,19 +1,21 @@
 (** Secondary indexes over an arena document.
 
-    Four access paths serve the query shapes produced by the
+    Three hash tables serve the query shapes produced by the
     denial-to-XQuery translation: element-name → node list,
-    (tag, attribute, value) and (tag, pcdata value) hash lookups, and a
-    parent/child-position cache.  The tables are built lazily on first
-    lookup and from then on maintained incrementally from the document's
-    mutation events ({!Doc.set_observer}), so XUpdate application, undo,
-    savepoint rollback and crash recovery keep them consistent without
-    any cooperation from those layers. *)
+    (tag, attribute, value) and (tag, pcdata value); a rank table serves
+    document-order sorting.  Children and sibling positions are not
+    indexed: the arena's sibling links answer them ({!Doc.iter_children},
+    {!Doc.position}).  The tables are built lazily on first lookup and
+    from then on maintained incrementally from the document's mutation
+    events ({!Doc.set_observer}), so XUpdate application, undo, savepoint
+    rollback and crash recovery keep them consistent without any
+    cooperation from those layers. *)
 
 type t
 
 type stats = {
   mutable hits : int;       (** lookups served from the index *)
-  mutable misses : int;     (** builds, sorts and cache fills *)
+  mutable misses : int;     (** builds and sorts *)
   mutable fallbacks : int;  (** planner bail-outs to the scan interpreter *)
   mutable events : int;     (** document mutations processed *)
 }
@@ -45,12 +47,6 @@ val by_pcdata : t -> tag:string -> string -> Doc.node_id list
     the node set satisfying [self::tag\[text() = value\]] (each text
     child is compared on its own, not the concatenated content). *)
 
-val children_named : t -> Doc.node_id -> string -> Doc.node_id list
-(** Element children of a node with the given tag, cached per parent. *)
-
-val position : t -> Doc.node_id -> int
-(** Cached {!Doc.position}. *)
-
 (** {1 Document order}
 
     A rank table built by one DFS over the reachable nodes turns
@@ -78,7 +74,6 @@ val by_name_sym : t -> Doc.Symbol.t -> Doc.node_id list
 val descendants_named_sym : t -> Doc.Symbol.t -> Doc.node_id list
 val by_attr_sym : t -> tag:Doc.Symbol.t -> attr:Doc.Symbol.t -> string -> Doc.node_id list
 val by_pcdata_sym : t -> tag:Doc.Symbol.t -> string -> Doc.node_id list
-val children_named_sym : t -> Doc.node_id -> Doc.Symbol.t -> Doc.node_id list
 
 (** {1 Statistics} *)
 
@@ -91,7 +86,7 @@ val reset_stats : t -> unit
 (** {1 Consistency audit}
 
     For tests: compare the incrementally maintained tables against a
-    from-scratch rebuild, and every cache entry against the document.
+    from-scratch rebuild.
     When a rank table is present, a DFS over the reachable nodes must
     see strictly increasing ranks and no other node may hold one. *)
 

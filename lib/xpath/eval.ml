@@ -595,13 +595,7 @@ and compile_call f args : compiled =
          generated queries write [$x/position()] for the same thing. *)
       fun ctx ->
         (match arg ctx 0 with
-         | Nodes (n :: _) ->
-           let p =
-             match ctx.idx with
-             | Some idx -> Index.position idx n
-             | None -> Doc.position ctx.doc n
-           in
-           Num (float_of_int p)
+         | Nodes (n :: _) -> Num (float_of_int (Doc.position ctx.doc n))
          | Nodes [] -> Num Float.nan
          | _ -> fail "position-of: expected a node-set")
     | "last", 0 -> fun ctx -> Num (float_of_int ctx.size)
@@ -785,20 +779,9 @@ and compile_one_step (step : Ast.step) : ctxt -> bool -> Doc.node_id list -> val
     let tf = compile_test step.test in
     let cpreds = List.map compile_expr step.preds in
     let axis = step.axis in
-    let named_child =
-      match (step.axis, step.test) with
-      | Ast.Child, Ast.Name_test n -> Some (Symbol.intern n)
-      | _ -> None
-    in
     fun ctx clean ns ->
       let per_node id =
-        let candidates =
-          match (named_child, ctx.idx) with
-          | Some sym, Some idx ->
-            (* cached per-parent named-child list *)
-            Index.children_named_sym idx id sym
-          | _ -> List.filter (tf ctx.doc) (axis_nodes ctx.doc axis id)
-        in
+        let candidates = List.filter (tf ctx.doc) (axis_nodes ctx.doc axis id) in
         charge ctx (1 + List.length candidates);
         run_preds ctx candidates cpreds
       in

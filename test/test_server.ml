@@ -109,18 +109,6 @@ let frame payload =
   Bytes.set_uint8 hdr 3 (n land 0xff);
   Bytes.to_string hdr ^ payload
 
-let test_split_frames () =
-  let a = frame "{\"a\":1}" and b = frame "{\"b\":2}" in
-  let partial = String.sub (frame "{\"c\":3}") 0 6 in
-  let payloads, rest = P.split_frames (a ^ b ^ partial) in
-  checksl "two complete frames" [ "{\"a\":1}"; "{\"b\":2}" ] payloads;
-  checks "partial remainder" partial rest;
-  let payloads, rest = P.split_frames "\x00\x00" in
-  checkb "short header kept" true (payloads = [] && rest = "\x00\x00");
-  (match P.split_frames "\x7f\xff\xff\xff rest" with
-   | exception P.Protocol_error _ -> ()
-   | _ -> Alcotest.fail "oversized frame length must be refused")
-
 (* Scan every frame a queue holds, in order, as payload strings. *)
 let scan q =
   let got = ref [] in
@@ -128,6 +116,26 @@ let scan q =
   List.rev !got
 
 let push_string q s = P.push q (Bytes.of_string s) 0 (String.length s)
+
+(* A partial frame or header stays queued until the rest arrives. *)
+let test_incremental_framing () =
+  let a = frame "{\"a\":1}" and b = frame "{\"b\":2}" and c = frame "{\"c\":3}" in
+  let partial = String.sub c 0 6 in
+  let q = P.queue () in
+  push_string q (a ^ b ^ partial);
+  checksl "two complete frames" [ "{\"a\":1}"; "{\"b\":2}" ] (scan q);
+  push_string q (String.sub c 6 (String.length c - 6));
+  checksl "partial remainder" [ "{\"c\":3}" ] (scan q);
+  let q = P.queue () in
+  push_string q "\x00\x00";
+  checksl "short header kept" [] (scan q);
+  push_string q "\x00\x07{\"d\":4}";
+  checksl "short header completed" [ "{\"d\":4}" ] (scan q);
+  let q = P.queue () in
+  push_string q "\x7f\xff\xff\xff rest";
+  match scan q with
+  | exception P.Protocol_error _ -> ()
+  | _ -> Alcotest.fail "oversized frame length must be refused"
 
 let three_frames =
   [ "{\"op\":\"ping\"}"; "[]"; "{\"op\":\"check\",\"n\":[1,2,3]}" ]
@@ -777,10 +785,12 @@ let test_frame_cap_errors () =
    | exception P.Protocol_error m ->
      checkb "read error names the cap" true (contains m "16 MiB");
      checkb "read error names the length" true (contains m "1247104587"));
-  (match P.split_frames "\x7f\xff\xff\xff rest" with
-   | _ -> Alcotest.fail "split must refuse the oversized length"
+  let q = P.queue () in
+  push_string q "\x7f\xff\xff\xff rest";
+  (match scan q with
+   | _ -> Alcotest.fail "scan must refuse the oversized length"
    | exception P.Protocol_error m ->
-     checkb "split error names the cap" true (contains m "16 MiB"))
+     checkb "scan error names the cap" true (contains m "16 MiB"))
 
 (* ------------------------------------------------------------------ *)
 (* A real serve loop in a child process                                *)
@@ -847,6 +857,35 @@ let test_connection_flood () =
   List.iter Unix.close conns;
   checkb "a fresh client is answered" true (ping addr)
 
+(* The soft "Max open files" of this process; [max_int] when unlimited. *)
+let open_files_limit () =
+  let fields l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+  match In_channel.with_open_text "/proc/self/limits" In_channel.input_all with
+  | exception Sys_error _ -> 0
+  | text ->
+    String.split_on_char '\n' text
+    |> List.find_map (fun l ->
+           match fields l with
+           | "Max" :: "open" :: "files" :: "unlimited" :: _ -> Some max_int
+           | "Max" :: "open" :: "files" :: soft :: _ -> int_of_string_opt soft
+           | _ -> None)
+    |> Option.value ~default:0
+
+(* Descriptors inherited from the parent push the server's connection
+   numbers up: one numbered at FD_SETSIZE or more is refused like one
+   past the cap, and [select] never sees it. *)
+let test_inherited_descriptors () =
+  if open_files_limit () < 2300 then begin
+    print_endline "skipped: fewer than 2300 open files allowed";
+    Alcotest.skip ()
+  end;
+  let held = List.init 100 (fun _ -> Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0) in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close held) @@ fun () ->
+  with_forked_server @@ fun addr ->
+  let conns = List.init 1000 (fun _ -> P.connect addr) in
+  List.iter Unix.close conns;
+  checkb "a fresh client is answered" true (ping addr)
+
 let gc_field name stats =
   match P.member "gc" stats with
   | Some gc ->
@@ -886,7 +925,7 @@ let () =
           Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
           Alcotest.test_case "raw embedding" `Quick test_json_raw;
           Alcotest.test_case "parse errors" `Quick test_json_errors;
-          Alcotest.test_case "incremental framing" `Quick test_split_frames;
+          Alcotest.test_case "incremental framing" `Quick test_incremental_framing;
           Alcotest.test_case "scan split at every offset" `Quick
             test_scan_every_split;
           Alcotest.test_case "scan several frames of one read" `Quick
@@ -935,6 +974,8 @@ let () =
       ( "serve loop",
         [
           Alcotest.test_case "connection flood" `Quick test_connection_flood;
+          Alcotest.test_case "flood over inherited descriptors" `Quick
+            test_inherited_descriptors;
           Alcotest.test_case "allocation per request" `Quick
             test_serve_allocation;
         ] );

@@ -104,9 +104,7 @@ let test_ancestors () =
 let test_attrs () =
   let d = parse {|<r id="1" lang="en"><a id="2"/></r>|} in
   check "root id" "1" (Option.get (Doc.attr d (Doc.root d) "id"));
-  check "lang" "en" (Option.get (Doc.attr d (Doc.root d) "lang"));
-  Doc.set_attr d (Doc.root d) "id" "9";
-  check "updated" "9" (Option.get (Doc.attr d (Doc.root d) "id"))
+  check "lang" "en" (Option.get (Doc.attr d (Doc.root d) "lang"))
 
 let test_copy_independent () =
   let d = parse "<r><a/></r>" in
@@ -525,9 +523,6 @@ let test_index_by_attr () =
   let i = Index.create d in
   let p1 = List.nth (Doc.children d (Doc.root d)) 0 in
   checkl "tag and attr both filter" [ p1 ] (Index.by_attr i ~tag:"p" ~attr:"k" "v");
-  Doc.set_attr d p1 "k" "w";
-  checkl "old value gone" [] (Index.by_attr i ~tag:"p" ~attr:"k" "v");
-  checki "new value indexed" 2 (List.length (Index.by_attr i ~tag:"p" ~attr:"k" "w"));
   checkb "consistent" true (Index.consistent i)
 
 let test_index_by_pcdata_duplicates () =
@@ -545,23 +540,6 @@ let test_index_by_pcdata_duplicates () =
     (Index.by_pcdata i ~tag:"s" "x");
   Doc.detach d (List.hd (Doc.children d s));
   checkl "both gone" [] (Index.by_pcdata i ~tag:"s" "x");
-  checkb "consistent" true (Index.consistent i)
-
-let test_index_children_position () =
-  let d = parse "<r><c/><d/><c/></r>" in
-  let i = Index.create d in
-  let root = Doc.root d in
-  checki "two c children" 2 (List.length (Index.children_named i root "c"));
-  let dd = List.nth (Doc.children d root) 1 in
-  checki "position of d served" 2 (Index.position i dd);
-  let c3 = Doc.make_element d "c" in
-  Doc.insert_before d ~anchor:dd c3;
-  checki "insert invalidates the child cache" 3
-    (List.length (Index.children_named i root "c"));
-  checki "positions shift" 3 (Index.position i dd);
-  Doc.detach d c3;
-  checki "detach restores" 2 (List.length (Index.children_named i root "c"));
-  checki "position restored" 2 (Index.position i dd);
   checkb "consistent" true (Index.consistent i)
 
 let test_index_detached_subtree () =
@@ -622,20 +600,22 @@ let check_sorts what rng d i =
   audit what i
 
 (* A fresh subtree, built detached (its own attaches must leave the
-   rank table alone): an element with up to two text or element
-   children. *)
+   rank table alone): an element with an attribute and up to two
+   children, each a text node, a pair of identical text nodes (one
+   by_text key held twice) or an attributed element. *)
 let fresh_subtree rng d n =
-  let e = Doc.make_element d (Printf.sprintf "n%d" n) in
+  let e =
+    Doc.make_element d ~attrs:[ ("k", string_of_int (n mod 3)) ] (Printf.sprintf "n%d" n)
+  in
   for j = 1 to Random.State.int rng 3 do
-    let c =
-      if Random.State.bool rng then Doc.make_text d (Printf.sprintf "t%d.%d" n j)
-      else begin
-        let c = Doc.make_element d "m" in
-        Doc.append_child d ~parent:c (Doc.make_text d "v");
-        c
-      end
-    in
-    Doc.append_child d ~parent:e c
+    let text () = Doc.make_text d (Printf.sprintf "t%d.%d" n j) in
+    match Random.State.int rng 3 with
+    | 0 -> Doc.append_child d ~parent:e (text ())
+    | 1 -> Doc.append_children d ~parent:e [ text (); text () ]
+    | _ ->
+      let c = Doc.make_element d ~attrs:[ ("k", "w") ] "m" in
+      Doc.append_child d ~parent:c (Doc.make_text d "v");
+      Doc.append_child d ~parent:e c
   done;
   e
 
@@ -646,7 +626,7 @@ type undo =
 
 (* Random inserts (every attach mutator), removals and rollbacks that
    re-attach removed subtrees where they were, in LIFO order as an undo
-   log does, with the rank table live throughout. *)
+   log does, with the rank table and the value tables live throughout. *)
 let test_index_rank_table_random () =
   for seed = 1 to 25 do
     let rng = Random.State.make [| seed |] in
@@ -655,6 +635,8 @@ let test_index_rank_table_random () =
     Doc.append_child d ~parent:r2 (Doc.make_element d "a");
     Doc.add_root d r2;
     let i = Index.create d in
+    (* the audit compares the value tables only once they are built *)
+    ignore (Index.by_name i "a");
     let log = ref [] in
     let what step = Printf.sprintf "seed %d step %d" seed step in
     check_sorts (what 0) rng d i;
@@ -845,7 +827,6 @@ let () =
           Alcotest.test_case "roots excluded from //" `Quick test_index_roots_excluded;
           Alcotest.test_case "by_attr" `Quick test_index_by_attr;
           Alcotest.test_case "by_pcdata duplicates" `Quick test_index_by_pcdata_duplicates;
-          Alcotest.test_case "children/position caches" `Quick test_index_children_position;
           Alcotest.test_case "detached subtrees" `Quick test_index_detached_subtree;
           Alcotest.test_case "statistics" `Quick test_index_stats;
           Alcotest.test_case "rank table under random writes" `Quick
