@@ -213,22 +213,27 @@ let load_state ~validate s ~snapshot docs =
     let repo, meta = load_snapshot_repo s path in
     (repo, Some meta)
 
-(* Bring a snapshot-loaded repository up to date with the journal's
-   committed suffix (entries past the snapshot's watermark).  Constraints
-   must already be registered so replayed statements are re-checkable. *)
-let replay_onto_snapshot repo meta jpath =
-  if Sys.file_exists jpath then begin
-    let rr =
-      match Xic_journal.Journal.read jpath with
-      | rr -> rr
-      | exception Xic_journal.Journal.Journal_error m -> die "%s" m
+let read_journal path =
+  match Xic_journal.Journal.read path with
+  | rr -> rr
+  | exception Xic_journal.Journal.Journal_error m -> die "%s" m
+
+(* Bring a freshly loaded repository up to date with an existing
+   journal's committed entries: the suffix past the snapshot's watermark
+   when [meta] is a snapshot's, every entry when the state came from
+   --doc.  Constraints must already be registered so replayed statements
+   are re-checkable. *)
+let replay_journal repo meta = function
+  | Some jpath when Sys.file_exists jpath ->
+    let rr = read_journal jpath in
+    let skip =
+      match meta with Some m -> Repository.recover_skip m rr | None -> 0
     in
-    let skip = Repository.recover_skip meta rr in
     let r = Repository.recover ~skip rr repo in
     List.iter
       (fun (txn, m) -> die "replay error in journaled transaction %d: %s" txn m)
       r.Repository.replay_errors
-  end
+  | _ -> ()
 
 let load_constraints schema = function
   | None -> []
@@ -517,9 +522,7 @@ let guard_cmd =
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
      | None -> ());
-    (match (meta, journal) with
-     | Some m, Some jpath -> replay_onto_snapshot repo m jpath
-     | _ -> ());
+    replay_journal repo meta journal;
     let u = parse_update update in
     let journal = Option.map open_journal journal in
     let report =
@@ -575,9 +578,7 @@ let txn_cmd =
     (match load_pattern s pattern with
      | Some p -> Repository.register_pattern repo p
      | None -> ());
-    (match (meta, journal) with
-     | Some m, Some jpath -> replay_onto_snapshot repo m jpath
-     | _ -> ());
+    replay_journal repo meta journal;
     let journal = Option.map open_journal journal in
     let tx = Repository.begin_txn ?journal repo in
     let refused = ref 0 in
@@ -648,11 +649,7 @@ let recover_cmd =
       Printf.eprintf "xicheck: journal %s not found\n" journal;
       exit 3
     end;
-    let rr =
-      match Xic_journal.Journal.read journal with
-      | rr -> rr
-      | exception Xic_journal.Journal.Journal_error m -> die "%s" m
-    in
+    let rr = read_journal journal in
     let module J = Xic_journal.Journal in
     (match rr.J.tail with
      | J.Clean -> ()
@@ -726,21 +723,7 @@ let checkpoint_cmd =
         (load_repo ~validate:(not no_validate) s docs, None)
     in
     List.iter (Repository.add_constraint repo) (load_constraints s constraints);
-    (match (meta, journal) with
-     | Some m, Some jpath -> replay_onto_snapshot repo m jpath
-     | None, Some jpath when Sys.file_exists jpath ->
-       (* fresh documents: every committed journal entry is news *)
-       let rr =
-         match Xic_journal.Journal.read jpath with
-         | rr -> rr
-         | exception Xic_journal.Journal.Journal_error m -> die "%s" m
-       in
-       let r = Repository.recover rr repo in
-       List.iter
-         (fun (txn, m) ->
-           die "replay error in journaled transaction %d: %s" txn m)
-         r.Repository.replay_errors
-     | _ -> ());
+    replay_journal repo meta journal;
     let journal = Option.map open_journal journal in
     let report =
       match Repository.checkpoint ?journal repo snapshot with
@@ -881,20 +864,7 @@ let serve_cmd =
      | Some p -> Repository.register_pattern repo p
      | None -> ());
     (* bring the state up to date with the journal before serving *)
-    (match (meta, journal) with
-     | Some m, Some jpath -> replay_onto_snapshot repo m jpath
-     | None, Some jpath when Sys.file_exists jpath ->
-       let rr =
-         match Xic_journal.Journal.read jpath with
-         | rr -> rr
-         | exception Xic_journal.Journal.Journal_error m -> die "%s" m
-       in
-       let r = Repository.recover rr repo in
-       List.iter
-         (fun (txn, m) ->
-           die "replay error in journaled transaction %d: %s" txn m)
-         r.Repository.replay_errors
-     | _ -> ());
+    replay_journal repo meta journal;
     let journal = Option.map open_journal journal in
     let config =
       { Srv.journal; snapshot_path = snapshot; checkpoint_on_shutdown;

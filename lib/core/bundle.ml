@@ -208,10 +208,3 @@ let load schema text =
       end)
     sections;
   repo
-
-let load_file schema path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  load schema text

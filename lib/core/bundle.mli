@@ -22,5 +22,3 @@ val load : Schema.t -> string -> Repository.t
     validation against freshly computed ones.
     @raise Bundle_error on malformed bundles or on a mismatch between
     stored and recomputed checks (a stale bundle). *)
-
-val load_file : Schema.t -> string -> Repository.t

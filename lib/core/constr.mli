@@ -33,5 +33,5 @@ val compile : t -> Xic_xquery.Eval.compiled
 
 val violated_compiled :
   ?index:Xic_xml.Index.t -> Xic_xml.Doc.t -> t -> Xic_xquery.Eval.compiled -> bool
-(** As {!violated_xquery}, but running a pre-compiled plan.  The plan is
-    immutable, so several domains may run it concurrently. *)
+(** As {!violated_xquery}, but running a pre-compiled plan, which is
+    immutable and can be run any number of times. *)

@@ -764,16 +764,11 @@ type txn = {
   mutable txn_seq : int;             (* statements currently applied *)
   mutable txn_journaled : bool;      (* any record written for this txn *)
   mutable txn_open : bool;
-  txn_group_commit : bool;
-      (* group commit: intent/truncate records ride on the commit (or
-         abort) record's fsync instead of syncing individually — safe
-         because a transaction without a durable closing record is
-         discarded by recovery whether or not its intents hit disk *)
 }
 
 type savepoint = int
 
-let begin_txn ?(group_commit = false) ?journal t =
+let begin_txn ?journal t =
   {
     txn_repo = t;
     txn_journal = journal;
@@ -782,7 +777,6 @@ let begin_txn ?(group_commit = false) ?journal t =
     txn_seq = 0;
     txn_journaled = false;
     txn_open = true;
-    txn_group_commit = group_commit;
   }
 
 let txn_id tx = tx.txn_id
@@ -795,10 +789,11 @@ let txn_record tx e =
   match tx.txn_journal with
   | None -> ()
   | Some j ->
-    let defer_sync =
-      tx.txn_group_commit
-      && match e with J.Commit _ | J.Abort _ -> false | _ -> true
-    in
+    (* group commit: intent/truncate records ride on the commit (or
+       abort) record's fsync instead of syncing individually — safe
+       because a transaction without a durable closing record is
+       discarded by recovery whether or not its intents hit disk *)
+    let defer_sync = match e with J.Commit _ | J.Abort _ -> false | _ -> true in
     J.append ~defer_sync j e;
     tx.txn_journaled <- true
 
@@ -912,7 +907,7 @@ let guarded_batch ?journal t (us : XU.t list) =
   | [] -> []
   | us ->
     Obs.Trace.with_span "guarded_batch" @@ fun () ->
-    let tx = begin_txn ~group_commit:true ?journal t in
+    let tx = begin_txn ?journal t in
     let reports = List.map (txn_apply tx) us in
     if tx.txn_seq > 0 then commit_txn tx else rollback_txn tx;
     (match t.store with Some _ -> ignore (store t) | None -> ());

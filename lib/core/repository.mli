@@ -320,14 +320,12 @@ val guarded_update :
 
 type txn
 
-val begin_txn :
-  ?group_commit:bool -> ?journal:Xic_journal.Journal.t -> t -> txn
-(** [group_commit] (default [false]) defers the fsync of intent and
-    truncate records to the closing commit/abort record's fsync — one
-    durability point per transaction instead of one per statement.  Safe
-    because recovery discards transactions without a durable closing
-    record whether or not their intents reached disk.  {!guarded_batch}
-    enables it. *)
+val begin_txn : ?journal:Xic_journal.Journal.t -> t -> txn
+(** Every transaction group-commits: the fsync of its intent and
+    truncate records is deferred to the closing commit/abort record's
+    fsync — one durability point per transaction instead of one per
+    statement.  Safe because recovery discards transactions without a
+    durable closing record whether or not their intents reached disk. *)
 
 val txn_id : txn -> int
 

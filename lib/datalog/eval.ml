@@ -416,7 +416,4 @@ let violations ?(params = []) store (d : Term.denial) =
 let consistent ?params store denials =
   List.for_all (fun d -> not (violated ?params store d)) denials
 
-let first_violated ?params store denials =
-  List.find_opt (fun d -> violated ?params store d) denials
-
 let matches store atoms = conj_matches store (Hashtbl.create 1) atoms

@@ -47,12 +47,6 @@ val consistent :
   ?params:(string * Term.const) list -> Store.t -> Term.denial list -> bool
 (** No denial of the set is violated. *)
 
-val first_violated :
-  ?params:(string * Term.const) list ->
-  Store.t ->
-  Term.denial list ->
-  Term.denial option
-
 val matches : Store.t -> Term.atom list -> (string * Term.const) list list
 (** Every binding vector of a conjunction of atoms over the store: the
     rows an aggregate over these atoms ranges over.  The atoms are

@@ -230,10 +230,6 @@ let parse_denial ?label src =
    | t -> fail "trailing token %s after denial" (token_str t));
   Term.denial ?label body
 
-let parse_term src =
-  let c = { toks = tokenize src; anon = 0 } in
-  parse_term_at c
-
 let parse_atom src =
   let c = { toks = tokenize src; anon = 0 } in
   parse_atom_at c

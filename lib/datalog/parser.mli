@@ -22,5 +22,4 @@ val parse_denials : string -> Term.denial list
 (** Parse a newline/[.]-separated list of denials; blank lines and [--]
     comments are skipped. *)
 
-val parse_term : string -> Term.term
 val parse_atom : string -> Term.atom

@@ -336,14 +336,6 @@ let copy (s : t) : t = fork ~frozen:false s
    column, a list cons cell and a boxed constant (3 + 5·arity words). *)
 let tuple_bytes tup = 8 * (3 + (5 * List.length tup))
 
-let live_bytes (s : t) =
-  Hashtbl.fold
-    (fun _ r acc ->
-      let b = ref acc in
-      iter_live_newest_first (fun tup -> b := !b + tuple_bytes tup) r;
-      !b)
-    s.rels 0
-
 let log_len r = r.nlive + r.ndead
 
 let rec drop_cells n l =

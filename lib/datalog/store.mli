@@ -76,9 +76,6 @@ val compact : t -> unit
     a reader, it only ends structural sharing with older generations.
     @raise Invalid_argument on a frozen handle. *)
 
-val live_bytes : t -> int
-(** Rough heap estimate (bytes) of the live tuples. *)
-
 val unshared_bytes : live:t -> t -> int
 (** Rough heap estimate of what handle [h] retains {e beyond} the
     structure it shares with [live]: 0 when every relation's log is

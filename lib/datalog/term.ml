@@ -208,5 +208,3 @@ let denial_str d =
   ^ String.concat ", " (List.map (fun l -> lit_str (collapse_lit l)) d.body)
 
 let denials_str ds = String.concat "\n" (List.map denial_str ds)
-
-let pp_denial fmt d = Format.pp_print_string fmt (denial_str d)

@@ -95,4 +95,3 @@ val denial_str : denial -> string
     anonymous variables print as ["_"]. *)
 
 val denials_str : denial list -> string
-val pp_denial : Format.formatter -> denial -> unit

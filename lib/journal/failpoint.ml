@@ -34,8 +34,6 @@ let set ?(action = Exit) ?(after = 0) name =
       eio_left = (match action with Eio { failures } -> failures | _ -> 0) }
 
 let clear () = Hashtbl.reset table
-let unset name = Hashtbl.remove table name
-let is_armed name = Hashtbl.mem table name
 
 (* XIC_FAILPOINT=spec[,spec...] with spec = NAME[@SKIP][=ACTION] and
    ACTION one of exit, raise, torn[:KEEP], torn-raise[:KEEP],

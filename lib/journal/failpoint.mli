@@ -52,11 +52,6 @@ val set : ?action:action -> ?after:int -> string -> unit
 val clear : unit -> unit
 (** Disarm all failpoints. *)
 
-val unset : string -> unit
-(** Disarm one failpoint. *)
-
-val is_armed : string -> bool
-
 val declare : string -> unit
 (** Register a site name for {!known} without arming it.  Sites also
     self-register on first {!hit}; the durability layers declare theirs

@@ -26,10 +26,8 @@ let level_of_string s =
 
 type format = Text | Json
 
-(* Sink state.  A single mutex serializes emission: log volume is
-   request-grained, not check-grained, so contention is irrelevant and
-   interleaved half-lines from concurrent domains are not. *)
-let mutex = Mutex.create ()
+(* Sink state.  No lock: everything runs on one domain, and the
+   SIGINT/SIGTERM handlers only set the server's stop flag. *)
 let sink : out_channel option ref = ref None
 let sink_owned = ref false (* opened by [open_path]: close on replace *)
 let min_level = ref Info
@@ -37,9 +35,6 @@ let fmt = ref Text
 let base_ns = Obs.Clock.now_ns ()
 let emitted = ref 0
 
-(* The ambient trace id is intentionally a plain ref, not DLS: the
-   server loop that sets it is single-threaded, and pool workers log
-   through the same request context anyway. *)
 let current_trace : string option ref = ref None
 
 let set_trace_id t = current_trace := t
@@ -56,27 +51,21 @@ let drop_sink () =
   sink := None;
   sink_owned := false
 
-let set_output oc =
-  Mutex.protect mutex (fun () ->
-      drop_sink ();
-      sink := oc)
-
 let open_path path =
-  Mutex.protect mutex (fun () ->
-      drop_sink ();
-      if path = "-" then begin
-        sink := Some stderr;
-        Ok ()
-      end
-      else
-        match open_out path with
-        | oc ->
-          sink := Some oc;
-          sink_owned := true;
-          Ok ()
-        | exception Sys_error m -> Error m)
+  drop_sink ();
+  if path = "-" then begin
+    sink := Some stderr;
+    Ok ()
+  end
+  else
+    match open_out path with
+    | oc ->
+      sink := Some oc;
+      sink_owned := true;
+      Ok ()
+    | exception Sys_error m -> Error m
 
-let close () = Mutex.protect mutex (fun () -> drop_sink ())
+let close () = drop_sink ()
 
 let enabled lvl = !sink <> None && severity lvl >= severity !min_level
 
@@ -144,19 +133,18 @@ let render lvl src fields message =
   Buffer.contents b
 
 let emit lvl src fields message =
-  Mutex.protect mutex (fun () ->
-      match !sink with
-      | None -> ()
-      | Some oc ->
-        (try
-           output_string oc (render lvl src fields message);
-           output_char oc '\n';
-           flush oc;
-           incr emitted
-         with Sys_error _ ->
-           (* a dead sink (closed pipe, full disk) must never take the
-              serving path down with it *)
-           drop_sink ()))
+  match !sink with
+  | None -> ()
+  | Some oc ->
+    (try
+       output_string oc (render lvl src fields message);
+       output_char oc '\n';
+       flush oc;
+       incr emitted
+     with Sys_error _ ->
+       (* a dead sink (closed pipe, full disk) must never take the
+          serving path down with it *)
+       drop_sink ())
 
 type 'a msgf = (('a, unit, string, unit) format4 -> 'a) -> unit
 

@@ -11,8 +11,8 @@
 
     {[ Log.warn ~src:"xic.server" (fun m -> m "dropping %s" what) ]}
 
-    The logger is disabled until {!set_output} / {!open_path} installs
-    a sink, so library code may log unconditionally. *)
+    The logger is disabled until {!open_path} installs a sink, so
+    library code may log unconditionally. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -31,10 +31,6 @@ type format = Text | Json
     [Json]: one JSON object per line with the same fields. *)
 
 val set_format : format -> unit
-
-val set_output : out_channel option -> unit
-(** Install the sink ([None] disables logging, the default).  The
-    channel is flushed after every line but never closed here. *)
 
 val open_path : string -> (unit, string) result
 (** ["-"] installs stderr; anything else opens/truncates that file.

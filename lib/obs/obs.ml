@@ -6,8 +6,8 @@
    [Trace.with_span] therefore takes the thunk last and checks the
    static [enabled] flag before touching anything else.
 
-   Spans are collected per domain (via [Domain.DLS]), so domains never
-   contend on a shared buffer. *)
+   The checker runs on one domain, so there is one span context and no
+   synchronisation. *)
 
 module Clock = struct
   external now_ns : unit -> (int64[@unboxed])
@@ -23,7 +23,6 @@ module Trace = struct
   type span = {
     name : string;
     mutable attrs : (string * string) list;
-    dom : int; (* domain id at creation; becomes the Chrome [tid] *)
     start_ns : int64;
     mutable stop_ns : int64;
     mutable children : span list; (* newest-first while building *)
@@ -34,45 +33,43 @@ module Trace = struct
   let set_enabled b = enabled := b
   let is_enabled () = !enabled
 
-  (* Per-domain trace context.  [stack] holds open spans innermost
-     first; [roots] holds completed top-level spans newest-first. *)
-  type ctx = { mutable stack : span list; mutable roots : span list }
-
-  let ctx_key : ctx Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> { stack = []; roots = [] })
-
-  let ctx () = Domain.DLS.get ctx_key
+  (* [stack] holds open spans innermost first; [roots] holds completed
+     top-level spans newest-first. *)
+  let stack : span list ref = ref []
+  let roots_rev : span list ref = ref []
 
   (* --- slow-check log ------------------------------------------- *)
 
-  let slow_threshold_ns = Atomic.make Int64.max_int
-  let slow_mutex = Mutex.create ()
+  let slow_threshold_ns = ref Int64.max_int
   let slow_entries : span list ref = ref [] (* newest-first, capped *)
   let slow_cap = 64
 
   let set_slow_threshold_ms = function
-    | None -> Atomic.set slow_threshold_ns Int64.max_int
-    | Some ms ->
-      Atomic.set slow_threshold_ns (Int64.of_float (ms *. 1e6))
+    | None -> slow_threshold_ns := Int64.max_int
+    | Some ms -> slow_threshold_ns := Int64.of_float (ms *. 1e6)
 
   let note_slow sp =
-    Mutex.protect slow_mutex (fun () ->
-        let keep =
-          if List.length !slow_entries >= slow_cap then
-            List.filteri (fun i _ -> i < slow_cap - 1) !slow_entries
-          else !slow_entries
-        in
-        slow_entries := sp :: keep)
+    let keep =
+      if List.length !slow_entries >= slow_cap then
+        List.filteri (fun i _ -> i < slow_cap - 1) !slow_entries
+      else !slow_entries
+    in
+    slow_entries := sp :: keep
 
-  let slow_log () = Mutex.protect slow_mutex (fun () -> List.rev !slow_entries)
-  let clear_slow_log () = Mutex.protect slow_mutex (fun () -> slow_entries := [])
+  let slow_log () = List.rev !slow_entries
+  let clear_slow_log () = slow_entries := []
 
   (* --- span lifecycle ------------------------------------------- *)
 
-  let finish c sp =
+  let attach sp =
+    match !stack with
+    | parent :: _ -> parent.children <- sp :: parent.children
+    | [] -> roots_rev := sp :: !roots_rev
+
+  let finish sp =
     sp.stop_ns <- Clock.now_ns ();
-    (match c.stack with
-     | top :: rest when top == sp -> c.stack <- rest
+    (match !stack with
+     | top :: rest when top == sp -> stack := rest
      | _ ->
        (* an exception tore through nested spans; drop to our frame *)
        let rec unwind = function
@@ -80,57 +77,46 @@ module Trace = struct
          | _ :: rest -> unwind rest
          | [] -> []
        in
-       c.stack <- unwind c.stack);
-    (match c.stack with
-     | parent :: _ -> parent.children <- sp :: parent.children
-     | [] -> c.roots <- sp :: c.roots);
-    if sp.slow
-       && Int64.sub sp.stop_ns sp.start_ns >= Atomic.get slow_threshold_ns
-    then note_slow sp
+       stack := unwind !stack);
+    attach sp;
+    if sp.slow && Int64.sub sp.stop_ns sp.start_ns >= !slow_threshold_ns then
+      note_slow sp
 
   let with_span ?(attrs = []) ?(slow = false) name f =
     if not !enabled then f ()
     else begin
-      let c = ctx () in
       let sp =
-        { name; attrs; dom = (Domain.self () :> int);
-          start_ns = Clock.now_ns (); stop_ns = 0L; children = []; slow }
+        { name; attrs; start_ns = Clock.now_ns (); stop_ns = 0L;
+          children = []; slow }
       in
-      c.stack <- sp :: c.stack;
-      Fun.protect ~finally:(fun () -> finish c sp) f
+      stack := sp :: !stack;
+      Fun.protect ~finally:(fun () -> finish sp) f
     end
 
   let event ?(attrs = []) name =
     if !enabled then begin
-      let c = ctx () in
       let now = Clock.now_ns () in
-      let sp =
-        { name; attrs; dom = (Domain.self () :> int);
-          start_ns = now; stop_ns = now; children = []; slow = false }
-      in
-      match c.stack with
-      | parent :: _ -> parent.children <- sp :: parent.children
-      | [] -> c.roots <- sp :: c.roots
+      attach
+        { name; attrs; start_ns = now; stop_ns = now; children = [];
+          slow = false }
     end
 
   let add_attr k v =
     if !enabled then
-      match (ctx ()).stack with
+      match !stack with
       | sp :: _ -> sp.attrs <- (k, v) :: sp.attrs
       | [] -> ()
 
   let reset () =
-    let c = ctx () in
-    c.stack <- [];
-    c.roots <- []
+    stack := [];
+    roots_rev := []
 
-  (* Completed roots of the current domain, oldest first. *)
-  let roots () = List.rev (ctx ()).roots
+  (* Completed roots, oldest first. *)
+  let roots () = List.rev !roots_rev
 
   let drain () =
-    let c = ctx () in
-    let rs = List.rev c.roots in
-    c.roots <- [];
+    let rs = roots () in
+    roots_rev := [];
     rs
 
   (* --- export ---------------------------------------------------- *)
@@ -159,7 +145,7 @@ module Trace = struct
 
   (* Chrome trace_event "complete" events: one object per span, with
      microsecond [ts]/[dur] relative to the earliest span so the viewer
-     timeline starts at zero.  [tid] is the originating domain. *)
+     timeline starts at zero.  Everything runs on one thread: [tid] is 0. *)
   let to_chrome_json spans =
     let base =
       List.fold_left
@@ -175,8 +161,8 @@ module Trace = struct
       if !first then first := false else Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf
-           "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f"
-           (json_escape sp.name) sp.dom (us_of sp.start_ns)
+           "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":%.3f,\"dur\":%.3f"
+           (json_escape sp.name) (us_of sp.start_ns)
            (Int64.to_float (Int64.sub sp.stop_ns sp.start_ns) /. 1e3));
       (match sp.attrs with
        | [] -> ()
@@ -218,22 +204,20 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Metrics = struct
-  (* Counters are [Atomic.t] handles interned by name: call sites hold
-     the handle, so the hot path is one atomic add with no hashtable
-     lookup.  Histograms bucket by floor(log2 ns), which gives ~2x
+  (* Counters are [int ref] handles interned by name: call sites hold
+     the handle, so the hot path is one add with no hashtable lookup.  Histograms bucket by floor(log2 ns), which gives ~2x
      resolution over nine decades in 64 buckets and makes snapshots
      mergeable by pointwise sum. *)
 
-  type counter = int Atomic.t
+  type counter = int ref
 
   type histogram = {
-    h_count : int Atomic.t;
-    h_sum_ns : int Atomic.t;
-    h_buckets : int Atomic.t array; (* index = bucket_of_ns *)
+    mutable h_count : int;
+    mutable h_sum_ns : int;
+    h_buckets : int array; (* index = bucket_of_ns *)
   }
 
   let n_buckets = 64
-  let registry_mutex = Mutex.create ()
   let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
   let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
@@ -249,39 +233,33 @@ module Metrics = struct
   let set_detailed b = detailed := b
 
   let counter name =
-    Mutex.protect registry_mutex (fun () ->
-        match Hashtbl.find_opt counters name with
-        | Some c -> c
-        | None ->
-          let c = Atomic.make 0 in
-          Hashtbl.add counters name c;
-          c)
+    match Hashtbl.find_opt counters name with
+    | Some c -> c
+    | None ->
+      let c = ref 0 in
+      Hashtbl.add counters name c;
+      c
 
-  let incr c = Atomic.incr c
-  let add c n = ignore (Atomic.fetch_and_add c n)
-  let set c n = Atomic.set c n
-  let value c = Atomic.get c
+  let incr c = Stdlib.incr c
+  let add c n = c := !c + n
+  let set c n = c := n
+  let value c = !c
 
   let gauge name =
-    Mutex.protect registry_mutex (fun () ->
-        Hashtbl.replace gauge_names name ());
+    Hashtbl.replace gauge_names name ();
     counter name
 
-  let is_gauge name =
-    Mutex.protect registry_mutex (fun () -> Hashtbl.mem gauge_names name)
+  let is_gauge name = Hashtbl.mem gauge_names name
 
   let histogram name =
-    Mutex.protect registry_mutex (fun () ->
-        match Hashtbl.find_opt histograms name with
-        | Some h -> h
-        | None ->
-          let h =
-            { h_count = Atomic.make 0;
-              h_sum_ns = Atomic.make 0;
-              h_buckets = Array.init n_buckets (fun _ -> Atomic.make 0) }
-          in
-          Hashtbl.add histograms name h;
-          h)
+    match Hashtbl.find_opt histograms name with
+    | Some h -> h
+    | None ->
+      let h =
+        { h_count = 0; h_sum_ns = 0; h_buckets = Array.make n_buckets 0 }
+      in
+      Hashtbl.add histograms name h;
+      h
 
   let bucket_of_ns ns =
     if ns <= 0 then 0
@@ -291,9 +269,10 @@ module Metrics = struct
     end
 
   let observe_ns h ns =
-    Atomic.incr h.h_count;
-    ignore (Atomic.fetch_and_add h.h_sum_ns ns);
-    Atomic.incr h.h_buckets.(bucket_of_ns ns)
+    h.h_count <- h.h_count + 1;
+    h.h_sum_ns <- h.h_sum_ns + ns;
+    let i = bucket_of_ns ns in
+    h.h_buckets.(i) <- h.h_buckets.(i) + 1
 
   let observe_ms h ms = observe_ns h (int_of_float (ms *. 1e6))
 
@@ -307,9 +286,7 @@ module Metrics = struct
   type hsnap = { count : int; sum_ns : int; buckets : int array }
 
   let hsnap h =
-    { count = Atomic.get h.h_count;
-      sum_ns = Atomic.get h.h_sum_ns;
-      buckets = Array.map Atomic.get h.h_buckets }
+    { count = h.h_count; sum_ns = h.h_sum_ns; buckets = Array.copy h.h_buckets }
 
   let hsnap_merge a b =
     { count = a.count + b.count;
@@ -335,13 +312,10 @@ module Metrics = struct
     end
 
   let snapshot () =
-    Mutex.protect registry_mutex (fun () ->
-        let cs =
-          Hashtbl.fold (fun k c acc -> (k, Atomic.get c) :: acc) counters []
-        in
-        let hs = Hashtbl.fold (fun k h acc -> (k, hsnap h) :: acc) histograms [] in
-        ( List.sort (fun (a, _) (b, _) -> compare a b) cs,
-          List.sort (fun (a, _) (b, _) -> compare a b) hs ))
+    let cs = Hashtbl.fold (fun k c acc -> (k, !c) :: acc) counters [] in
+    let hs = Hashtbl.fold (fun k h acc -> (k, hsnap h) :: acc) histograms [] in
+    ( List.sort (fun (a, _) (b, _) -> compare a b) cs,
+      List.sort (fun (a, _) (b, _) -> compare a b) hs )
 
   let to_json ?(extra = []) () =
     let cs, hs = snapshot () in
@@ -418,14 +392,13 @@ module Metrics = struct
     Buffer.contents b
 
   let reset () =
-    Mutex.protect registry_mutex (fun () ->
-        Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
-        Hashtbl.iter
-          (fun _ h ->
-            Atomic.set h.h_count 0;
-            Atomic.set h.h_sum_ns 0;
-            Array.iter (fun b -> Atomic.set b 0) h.h_buckets)
-          histograms)
+    Hashtbl.iter (fun _ c -> c := 0) counters;
+    Hashtbl.iter
+      (fun _ h ->
+        h.h_count <- 0;
+        h.h_sum_ns <- 0;
+        Array.fill h.h_buckets 0 n_buckets 0)
+      histograms
 end
 
 let set_slow_threshold_ms = Trace.set_slow_threshold_ms

@@ -14,7 +14,6 @@ module Trace : sig
   type span = {
     name : string;
     mutable attrs : (string * string) list;
-    dom : int;
     start_ns : int64;
     mutable stop_ns : int64;
     mutable children : span list; (* newest-first while building *)
@@ -25,7 +24,7 @@ module Trace : sig
   val is_enabled : unit -> bool
 
   (** [with_span name f] runs [f] inside a new span nested under the
-      current domain's innermost open span.  [slow] marks the span as a
+      innermost open span.  [slow] marks the span as a
       slow-log candidate (see {!set_slow_threshold_ms}).  When tracing
       is disabled this is exactly [f ()]. *)
   val with_span :
@@ -37,10 +36,10 @@ module Trace : sig
   (** Attach an attribute to the innermost open span, if any. *)
   val add_attr : string -> string -> unit
 
-  (** Clear the current domain's spans (open and completed). *)
+  (** Clear all spans (open and completed). *)
   val reset : unit -> unit
 
-  (** Completed top-level spans of the current domain, oldest first. *)
+  (** Completed top-level spans, oldest first. *)
   val roots : unit -> span list
 
   (** Like {!roots}, but also clears them. *)
@@ -50,7 +49,7 @@ module Trace : sig
   val duration_ms : span -> float
 
   (** Chrome [trace_event] JSON ("complete" events, µs timestamps
-      relative to the earliest span, [tid] = domain id). *)
+      relative to the earliest span, [tid] = 0). *)
   val to_chrome_json : span list -> string
 
   (** Indented text rendering of the span forest. *)
@@ -77,7 +76,7 @@ module Metrics : sig
 
   val set_detailed : bool -> unit
 
-  (** Intern a counter by name (one atomic cell; hold the handle). *)
+  (** Intern a counter by name (one cell; hold the handle). *)
   val counter : string -> counter
 
   val incr : counter -> unit

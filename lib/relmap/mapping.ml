@@ -183,8 +183,6 @@ let arity t name =
   | Some s -> 3 + List.length s.columns
   | None -> fail "<%s> does not map to a predicate" name
 
-let element_types t = t.types
-
 let containers_of t name =
   List.concat_map
     (fun (dtd, _) ->

@@ -74,9 +74,6 @@ val column_index : t -> pred:string -> col:string -> int option
 val arity : t -> string -> int
 (** Total arity of a predicate: 3 + number of extra columns. *)
 
-val element_types : t -> string list
-(** All element types of the combined schema. *)
-
 val containers_of : t -> string -> string list
 (** Element types that can directly contain the given type (across all
     DTDs). *)

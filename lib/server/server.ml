@@ -106,7 +106,6 @@ let create ?(config = default_config) repo =
 let repo t = t.srepo
 let requests t = t.requests
 let request_stop t = t.stop := true
-let stop_requested t = !(t.stop)
 
 (* Completed request spans (plus pre-serve load spans), oldest first —
    the serve session's Chrome-trace export. *)

@@ -100,8 +100,6 @@ val handle_round : t -> Protocol.json list -> Protocol.json list
 val request_stop : t -> unit
 (** Ask the serve loop to exit after the current round (signal-safe). *)
 
-val stop_requested : t -> bool
-
 val shutdown : t -> unit
 (** Graceful shutdown: abort any open streaming transaction (its abort
     record is forced to disk before the in-memory undo — see

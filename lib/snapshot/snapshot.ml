@@ -106,19 +106,16 @@ let save ?(journal = (0, 0)) path doc store =
 
 (* Grow-anew scratch for whole-file reads.  A checkpoint is MB-sized,
    and allocating a fresh buffer per load both faults-in the pages and
-   feeds the major GC; one reused buffer does neither.  The flag makes
-   concurrent loads (two repositories in two domains) fall back to a
-   private buffer instead of sharing. *)
-let scratch_busy = Atomic.make false
+   feeds the major GC; one reused buffer does neither. *)
 let scratch = ref Bytes.empty
 
 (* Read the whole file and hand [f] a string over its bytes, mediated by
    the [snapshot_read] failpoint (an armed short read delivers a prefix,
    surfacing as a [Truncated] error).  The string may alias the shared
-   scratch buffer, which stays reserved until [f] returns — so [f] (and
-   everything it calls) must copy out what it keeps, and the string must
-   not escape [f].  Every section decoder obeys this: meta, symbols,
-   document and store all build their own structures. *)
+   scratch buffer — so [f] (and everything it calls) must copy out what
+   it keeps, must not escape the string, and must not call [with_image]
+   again.  Every section decoder obeys this: meta, symbols, document and
+   store all build their own structures. *)
 let with_image path f =
   if not (Sys.file_exists path) then err path Missing;
   let fd =
@@ -130,18 +127,10 @@ let with_image path f =
   @@ fun () ->
   let size = (Unix.fstat fd).Unix.st_size in
   let deliver = FP.read_fault "snapshot_read" ~len:size in
-  let owned = Atomic.compare_and_set scratch_busy false true in
-  Fun.protect ~finally:(fun () -> if owned then Atomic.set scratch_busy false)
-  @@ fun () ->
-  let b =
-    if not owned then Bytes.create deliver
-    else begin
-      (* exact size, not grow-only: a stale tail would defeat truncation
-         detection *)
-      if Bytes.length !scratch <> deliver then scratch := Bytes.create deliver;
-      !scratch
-    end
-  in
+  (* exact size, not grow-only: a stale tail would defeat truncation
+     detection *)
+  if Bytes.length !scratch <> deliver then scratch := Bytes.create deliver;
+  let b = !scratch in
   let rec fill off =
     if off < deliver then
       match AF.with_retries (fun () -> Unix.read fd b off (deliver - off)) with

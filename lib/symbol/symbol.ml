@@ -1,25 +1,17 @@
 type t = int
 
-(* Copy-on-write snapshots.  Readers never lock: they grab the current
-   snapshot with [Atomic.get]; a published snapshot is never mutated again,
-   so concurrent probes on it are safe.  Writers serialize on [mutex],
-   clone, extend, and publish.  Interning a *new* name is rare
-   (schema-sized vocabularies), so the O(n) clone per insert is noise.
-
-   Two probe structures are kept in sync:
+(* One append-only table, grown in place.  Two probe structures are kept
+   in step with [names]:
    - [table]: string-keyed Hashtbl for [intern] / [mem] on whole strings;
-   - [buckets]: FNV-hashed chains of symbol ids for [intern_sub], which
+   - [chains]: FNV-hashed chains of symbol ids for [intern_sub], which
      must probe by a substring of a source buffer without allocating it.
+   [chains] doubles once it holds twice as many ids as slots, so a new
+   name costs amortised O(1). *)
 
-   Publish order matters for lock-free readers: [names] first (so any id
-   visible in a probe structure can be resolved), then [table], then
-   [buckets].  Readers load [buckets] before [names], so the names
-   snapshot they see is never older than the bucket snapshot. *)
-
-let mutex = Mutex.create ()
-let table : (string, int) Hashtbl.t Atomic.t = Atomic.make (Hashtbl.create 16)
-let names : string array Atomic.t = Atomic.make [||]
-let buckets : int array array Atomic.t = Atomic.make (Array.make 16 [||])
+let table : (string, int) Hashtbl.t = Hashtbl.create 64
+let names = ref (Array.make 64 "")
+let live = ref 0
+let chains : int list array ref = ref (Array.make 16 [])
 
 (* FNV-1a over a byte slice; wraps mod 2^63, masked non-negative. *)
 let hash_sub s pos len =
@@ -30,47 +22,34 @@ let hash_sub s pos len =
   !h land max_int
 
 let name s =
-  let a = Atomic.get names in
-  if s < 0 || s >= Array.length a then invalid_arg "Symbol.name: unknown symbol"
-  else Array.unsafe_get a s
+  if s < 0 || s >= !live then invalid_arg "Symbol.name: unknown symbol"
+  else Array.unsafe_get !names s
 
-let rebuild_buckets (a : string array) =
-  let n = Array.length a in
-  let size =
-    let s = ref 16 in
-    while !s < 2 * n do s := !s * 2 done;
-    !s
-  in
-  let chains = Array.make size [] in
-  for id = n - 1 downto 0 do
-    let str = Array.unsafe_get a id in
-    let slot = hash_sub str 0 (String.length str) land (size - 1) in
-    chains.(slot) <- id :: chains.(slot)
-  done;
-  Array.map Array.of_list chains
+let chain_add c id =
+  let str = Array.unsafe_get !names id in
+  let slot = hash_sub str 0 (String.length str) land (Array.length c - 1) in
+  c.(slot) <- id :: c.(slot)
 
 let intern str =
-  match Hashtbl.find_opt (Atomic.get table) str with
+  match Hashtbl.find_opt table str with
   | Some id -> id
   | None ->
-    Mutex.protect mutex (fun () ->
-        (* re-check under the lock: another writer may have won the race *)
-        let tbl = Atomic.get table in
-        match Hashtbl.find_opt tbl str with
-        | Some id -> id
-        | None ->
-          let a = Atomic.get names in
-          let id = Array.length a in
-          let a' = Array.make (id + 1) str in
-          Array.blit a 0 a' 0 id;
-          let tbl' = Hashtbl.copy tbl in
-          Hashtbl.add tbl' str id;
-          (* publish [names] first so any reader that can see the id in
-             [table] or [buckets] can already resolve it *)
-          Atomic.set names a';
-          Atomic.set table tbl';
-          Atomic.set buckets (rebuild_buckets a');
-          id)
+    let id = !live in
+    if id = Array.length !names then begin
+      let a = Array.make (2 * id) "" in
+      Array.blit !names 0 a 0 id;
+      names := a
+    end;
+    !names.(id) <- str;
+    live := id + 1;
+    Hashtbl.add table str id;
+    if !live > 2 * Array.length !chains then begin
+      let c = Array.make (2 * Array.length !chains) [] in
+      for i = id downto 0 do chain_add c i done;
+      chains := c
+    end
+    else chain_add !chains id;
+    id
 
 let eq_sub nm s pos len =
   String.length nm = len
@@ -85,22 +64,19 @@ let eq_sub nm s pos len =
 let intern_sub s pos len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Symbol.intern_sub";
-  let bk = Atomic.get buckets in
-  let nm = Atomic.get names in
-  let chain = Array.unsafe_get bk (hash_sub s pos len land (Array.length bk - 1)) in
-  let rec probe i =
-    if i = Array.length chain then intern (String.sub s pos len)
-    else
-      let id = Array.unsafe_get chain i in
-      if eq_sub (Array.unsafe_get nm id) s pos len then id else probe (i + 1)
+  let c = !chains in
+  let rec probe = function
+    | [] -> intern (String.sub s pos len)
+    | id :: rest ->
+      if eq_sub (Array.unsafe_get !names id) s pos len then id else probe rest
   in
-  probe 0
+  probe (Array.unsafe_get c (hash_sub s pos len land (Array.length c - 1)))
 
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b
 let hash (s : t) = s
 let to_int (s : t) = s
 let unsafe_of_int (i : int) : t = i
-let count () = Array.length (Atomic.get names)
-let mem str = Hashtbl.mem (Atomic.get table) str
-let all_names () = Atomic.get names
+let count () = !live
+let mem str = Hashtbl.mem table str
+let all_names () = Array.sub !names 0 !live

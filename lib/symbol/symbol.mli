@@ -6,10 +6,9 @@
     equality instead of [String.equal], and hash tables keyed by names hash
     an int instead of a string.
 
-    The table is global and append-only.  Reads ([name], the fast path of
-    [intern]) are lock-free: they consult copy-on-write snapshots that are
-    immutable once published, so they are safe from any number of domains
-    concurrently (used by the parallel checker).  Inserts take a mutex. *)
+    The table is global, append-only and grown in place; a new name costs
+    amortised O(1).  It is not synchronised: the checker is
+    single-threaded. *)
 
 type t = private int
 (** An interned name.  The representation is the dense table index, so
@@ -55,7 +54,7 @@ val mem : string -> bool
 (** Whether the string has been interned (no side effect). *)
 
 val all_names : unit -> string array
-(** The current names snapshot, index = symbol id.  The returned array is
-    a published copy-on-write snapshot: treat it as read-only.  Used by
-    the snapshot serializer to persist the table so symbol ids can be
-    remapped on load in a process with a different interning history. *)
+(** A copy of the names interned so far, index = symbol id; later
+    interning does not change it.  Used by the snapshot serializer to
+    persist the table so symbol ids can be remapped on load in a process
+    with a different interning history. *)

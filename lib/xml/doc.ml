@@ -506,11 +506,6 @@ let sort_doc_order doc ids =
 let node_count doc = doc.live_count
 let id_bound doc = doc.next_id
 
-let iter_nodes doc f =
-  for id = 0 to doc.next_id - 1 do
-    if live doc id then f id
-  done
-
 let copy doc =
   (* the copy starts unobserved: an index watches exactly one document *)
   { parent = Array.copy doc.parent;

@@ -189,9 +189,6 @@ val id_bound : t -> int
 (** Exclusive upper bound on every node id allocated so far (dense arena
     ids), for callers keeping id-indexed side tables. *)
 
-val iter_nodes : t -> (node_id -> unit) -> unit
-(** Iterate over all live nodes in allocation order. *)
-
 val copy : t -> t
 (** Deep structural copy preserving node ids. *)
 

@@ -359,13 +359,6 @@ let parse_string ?keep_ws src =
   Doc.set_root doc root;
   { doc; dtd_text }
 
-let parse_file ?keep_ws path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse_string ?keep_ws src
-
 let parse_fragment doc src =
   let st = make_state src in
   let acc = ref [] in

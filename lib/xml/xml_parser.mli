@@ -35,8 +35,6 @@ val parse_string : ?keep_ws:bool -> string -> result
     element-content only, where such whitespace is insignificant).
     @raise Parse_error on malformed input. *)
 
-val parse_file : ?keep_ws:bool -> string -> result
-
 val parse_document_into :
   ?keep_ws:bool -> ?sink:sink -> Doc.t -> string -> Doc.node_id * string option
 (** Fused single-pass loader: parse a complete document (prolog, one root

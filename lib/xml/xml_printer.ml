@@ -65,9 +65,3 @@ let node_to_string ?indent doc id =
   Buffer.contents b
 
 let to_string ?indent doc = node_to_string ?indent doc (Doc.root doc)
-
-let to_file ?indent path doc =
-  let oc = open_out_bin path in
-  output_string oc (to_string ?indent doc);
-  output_char oc '\n';
-  close_out oc

@@ -16,5 +16,3 @@ val node_to_string : ?indent:bool -> Doc.t -> Doc.node_id -> string
 
 val to_string : ?indent:bool -> Doc.t -> string
 (** Serialize the whole document (root element, no XML declaration). *)
-
-val to_file : ?indent:bool -> string -> Doc.t -> unit

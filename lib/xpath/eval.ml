@@ -22,38 +22,37 @@ exception Budget_exceeded
 
 (* The remaining-steps counter, shared with the XQuery evaluator (which
    installs it through [with_budget] and ticks it for its own constructs).
-   Domain-local so each worker of the parallel checker meters (or, in
-   practice, runs unmetered) independently.  No counter installed =
+   Separate from the Datalog evaluator's budget.  No counter installed =
    unlimited evaluation. *)
-let budget_key : int ref option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let budget : int ref option ref = ref None
 
 let tick n =
-  match Domain.DLS.get budget_key with
+  match !budget with
   | None -> ()
   | Some r ->
     r := !r - n;
     if !r <= 0 then raise Budget_exceeded
 
 let with_budget ~steps f =
-  let saved = Domain.DLS.get budget_key in
-  Domain.DLS.set budget_key (Some (ref steps));
-  Fun.protect ~finally:(fun () -> Domain.DLS.set budget_key saved) f
+  let saved = !budget in
+  budget := Some (ref steps);
+  Fun.protect ~finally:(fun () -> budget := saved) f
 
 (* Measure the steps [f] consumes.  Under an installed budget the meter
    reads the counter around [f] (still enforcing the budget); otherwise
    it installs an effectively unlimited one, so metering never changes
    which evaluations succeed. *)
 let with_meter f =
-  match Domain.DLS.get budget_key with
+  match !budget with
   | Some r ->
     let before = !r in
     let v = f () in
     (v, before - !r)
   | None ->
     let r = ref max_int in
-    Domain.DLS.set budget_key (Some r);
+    budget := Some r;
     Fun.protect
-      ~finally:(fun () -> Domain.DLS.set budget_key None)
+      ~finally:(fun () -> budget := None)
       (fun () ->
         let v = f () in
         (v, max_int - !r))
@@ -820,7 +819,7 @@ let initial_ctx doc env ctx_node index =
     | None -> if Doc.has_root doc then Doc.root doc else Doc.no_node
   in
   { doc; env; node; pos = 1; size = 1; idx = index;
-    bud = Domain.DLS.get budget_key }
+    bud = !budget }
 
 let compile e = compile_expr e
 

@@ -48,8 +48,8 @@ val tick : int -> unit
 type compiled
 (** A compiled plan: the AST is lowered once into a closure pipeline —
     name tests interned, index-probe analysis done, call dispatch
-    resolved — and can then be run any number of times (and from several
-    domains concurrently, the plan itself is immutable).  {!eval} is
+    resolved — and can then be run any number of times (the plan itself
+    is immutable).  {!eval} is
     exactly [compile] followed by [run], so interpreted and compiled
     evaluation share one semantics by construction. *)
 

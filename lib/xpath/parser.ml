@@ -382,7 +382,6 @@ and parse_or c =
   in
   loop (parse_and c)
 
-let parse_expr_at = parse_or
 let parse_path_expr_at = parse_path_expr
 
 let parse src =

@@ -55,11 +55,6 @@ module Cursor : sig
   val at_eof : t -> bool
 end
 
-val parse_expr_at : Cursor.t -> Ast.expr
-(** Parse an XPath expression starting at the cursor (used by embedding
-    parsers); stops at the first token that cannot continue the
-    expression. *)
-
 val parse_path_expr_at : Cursor.t -> Ast.expr
 (** Parse only a path/primary expression (no binary operators), so that an
     embedding parser (XQuery) can provide its own operator layer. *)

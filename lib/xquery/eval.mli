@@ -27,8 +27,8 @@ type compiled
 (** A compiled denial-check plan: one AST walk interns every name,
     resolves quantifier/FLWOR narrowing plans and pre-compiles the
     embedded XPath expressions into closure pipelines; running the plan
-    executes closures only.  A plan is immutable and can be run from
-    several domains concurrently.  {!eval} is exactly [compile] followed
+    executes closures only.  A plan is immutable and can be run any
+    number of times.  {!eval} is exactly [compile] followed
     by [run], so interpreted and compiled checking share one semantics by
     construction. *)
 

@@ -261,10 +261,3 @@ let apply ?index doc t =
          raise e)
   in
   go [] t
-
-let inserted_nodes undo =
-  List.rev (List.filter_map (function Inserted id -> Some id | Removed _ -> None) undo)
-
-let removed_nodes undo =
-  List.rev
-    (List.filter_map (function Removed { node; _ } -> Some node | Inserted _ -> None) undo)

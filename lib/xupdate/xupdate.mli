@@ -56,12 +56,6 @@ val rollback : Doc.t -> undo -> unit
     "compensating action").  Must be applied to the same document, most
     recent application first if several are pending. *)
 
-val inserted_nodes : undo -> Doc.node_id list
-(** Top-level nodes that were inserted by the application (used to mirror
-    the update into the relational store). *)
-
-val removed_nodes : undo -> Doc.node_id list
-
 val materialize : Doc.t -> content -> Doc.node_id
 (** Build a detached subtree for a content template inside the arena. *)
 

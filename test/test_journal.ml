@@ -750,6 +750,28 @@ let test_txn_rollback () =
   checks "aborted txn is not replayed" before (snapshot recovered);
   checki "discarded" 1 report.Repository.discarded_txns
 
+(* Every transaction group-commits: the intents of a journaled
+   three-statement transaction ride on its commit record's fsync. *)
+let test_txn_syncs_once () =
+  let p = fresh_path () in
+  let repo = make_repo () in
+  let j = J.open_ p in
+  let fsyncs = Xic_obs.Obs.Metrics.counter "journal_fsyncs" in
+  let before = Xic_obs.Obs.Metrics.value fsyncs in
+  let tx = Repository.begin_txn ~journal:j repo in
+  List.iter
+    (fun (title, author) ->
+      match stmt tx (legal_update ~title ~author ()) with
+      | Repository.Applied _ -> ()
+      | _ -> Alcotest.fail "legal statement must apply")
+    [ ("A", "Zoe"); ("B", "Max"); ("C", "Ada") ];
+  Repository.commit_txn tx;
+  checki "one fsync, at the commit record" 1
+    (Xic_obs.Obs.Metrics.value fsyncs - before);
+  J.close j;
+  let _, report = recover_fresh p in
+  checki "all three statements replay" 3 report.Repository.replayed_statements
+
 (* ------------------------------------------------------------------ *)
 (* Evaluation budgets and graceful degradation                         *)
 (* ------------------------------------------------------------------ *)
@@ -919,6 +941,8 @@ let () =
           Alcotest.test_case "statement violation" `Quick
             test_txn_statement_violation_keeps_txn_open;
           Alcotest.test_case "rollback" `Quick test_txn_rollback;
+          Alcotest.test_case "one fsync per transaction" `Quick
+            test_txn_syncs_once;
         ] );
       ( "budgets",
         [

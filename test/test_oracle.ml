@@ -918,19 +918,34 @@ let test_server_oracle () =
 
 (* The global table is append-only and hash-consed: [name] must invert
    [intern], and re-interning must return the identical symbol without
-   growing the table. *)
+   growing the table.  Enough names to grow the table past several
+   resizes; [intern_sub] on a padded slice must agree with [intern], and
+   [all_names] must list the table in id order. *)
 let test_intern_roundtrip () =
   let r = Prng.create 77 in
   let seen = Hashtbl.create 64 in
-  for i = 1 to 300 do
+  for i = 1 to 5000 do
     let s =
       String.init (1 + Prng.int r 12) (fun _ -> Char.chr (33 + Prng.int r 94))
+    in
+    let held =
+      if i mod 50 = 0 then Some (Symbol.count (), Symbol.all_names ()) else None
     in
     let sym = Symbol.intern s in
     checkb (Printf.sprintf "name (intern %S) = %S (iter %d)" s s i) true
       (String.equal (Symbol.name sym) s);
     checkb "re-intern is the identical symbol" true
       (Symbol.equal (Symbol.intern s) sym);
+    let pad = String.make (Prng.int r 5) '<' in
+    checkb "intern_sub of a padded slice is the same symbol" true
+      (Symbol.equal
+         (Symbol.intern_sub (pad ^ s ^ pad) (String.length pad) (String.length s))
+         sym);
+    Option.iter
+      (fun (n, a) ->
+        Alcotest.(check int) "a held names array keeps its length" n
+          (Array.length a))
+      held;
     (match Hashtbl.find_opt seen s with
      | Some sym' -> checkb "stable across iterations" true (Symbol.equal sym sym')
      | None -> Hashtbl.replace seen s sym);
@@ -938,7 +953,15 @@ let test_intern_roundtrip () =
   done;
   let before = Symbol.count () in
   Hashtbl.iter (fun s _ -> ignore (Symbol.intern s : Symbol.t)) seen;
-  Alcotest.(check int) "re-interning grows nothing" before (Symbol.count ())
+  Alcotest.(check int) "re-interning grows nothing" before (Symbol.count ());
+  let names = Symbol.all_names () in
+  Alcotest.(check int) "all_names lists every symbol" (Symbol.count ())
+    (Array.length names);
+  Array.iteri
+    (fun i n ->
+      checkb "all_names.(i) = name i" true
+        (String.equal n (Symbol.name (Symbol.unsafe_of_int i))))
+    names
 
 (* CI selects differential cases by index ([test differential 3] is the
    fused loader, [4] the incremental recompute): keep their order. *)
