@@ -33,7 +33,7 @@ module Trace = struct
   let set_enabled b = enabled := b
   let is_enabled () = !enabled
 
-  (* [stack] holds open spans innermost first; [roots] holds completed
+  (* [stack] holds open spans innermost first; [roots_rev] holds completed
      top-level spans newest-first. *)
   let stack : span list ref = ref []
   let roots_rev : span list ref = ref []

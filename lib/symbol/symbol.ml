@@ -5,8 +5,8 @@ type t = int
    - [table]: string-keyed Hashtbl for [intern] / [mem] on whole strings;
    - [chains]: FNV-hashed chains of symbol ids for [intern_sub], which
      must probe by a substring of a source buffer without allocating it.
-   [chains] doubles once it holds twice as many ids as slots, so a new
-   name costs amortised O(1). *)
+   [chains] doubles once it is half full, so a new name costs amortised
+   O(1) and a chain holds about one id. *)
 
 let table : (string, int) Hashtbl.t = Hashtbl.create 64
 let names = ref (Array.make 64 "")
@@ -43,7 +43,7 @@ let intern str =
     !names.(id) <- str;
     live := id + 1;
     Hashtbl.add table str id;
-    if !live > 2 * Array.length !chains then begin
+    if 2 * !live > Array.length !chains then begin
       let c = Array.make (2 * Array.length !chains) [] in
       for i = id downto 0 do chain_add c i done;
       chains := c
