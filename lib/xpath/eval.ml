@@ -22,8 +22,9 @@ exception Budget_exceeded
 
 (* The remaining-steps counter, shared with the XQuery evaluator (which
    installs it through [with_budget] and ticks it for its own constructs).
-   Separate from the Datalog evaluator's budget.  No counter installed =
-   unlimited evaluation. *)
+   Separate from the Datalog evaluator's budget, so a Datalog budget
+   does not meter an XQuery fallback.  No counter installed = unlimited
+   evaluation. *)
 let budget : int ref option ref = ref None
 
 let tick n =
