@@ -33,6 +33,7 @@ let c_checks_incremental = Obs.Metrics.counter "checks_incremental"
 let c_delta_facts_added = Obs.Metrics.counter "delta_facts_added"
 let c_delta_facts_removed = Obs.Metrics.counter "delta_facts_removed"
 let c_delta_flushes = Obs.Metrics.counter "delta_flushes"
+let c_incr_proven = Obs.Metrics.counter "incr_proven_flushes"
 let c_ingest_fused = Obs.Metrics.counter "ingest_fused_docs"
 let c_ingest_bytes = Obs.Metrics.counter "ingest_bytes"
 let c_ingest_facts = Obs.Metrics.counter "ingest_facts"
@@ -232,8 +233,15 @@ let install_store t s =
 (* Reconcile pending mutation marks into the store and feed the net
    delta to the live materialized views (if any).  A view that cannot be
    maintained (unsafe denial, exhausted budget) is dropped; the next
-   incremental check re-initializes from scratch. *)
-let sync_store t =
+   incremental check re-initializes from scratch.
+
+   [~proven:true] is {!txn_apply}'s word that the pending marks are one
+   statement whose simplified checks all held on the state the views
+   describe.  If every view is empty that state was consistent, so by
+   Theorem 1 the constraints hold after the statement too: the views
+   stay empty and no delta rule runs.  The store, the net delta and the
+   counters are reconciled as on any flush. *)
+let sync_store ?(proven = false) t =
   match (t.store, t.mirror) with
   | Some s, Some m when Mirror.has_dirty m ->
     Obs.Trace.with_span "delta_flush" (fun () ->
@@ -247,6 +255,9 @@ let sync_store t =
         Obs.Metrics.add c_delta_facts_removed (Delta.gross_removed d);
         Delta.compose ~into:t.deltas.net d;
         match t.incr with
+        | Some inc when proven && not (Delta.is_empty d) && Incr.violated inc = [] ->
+          Incr.skip_delta inc;
+          Obs.Metrics.incr c_incr_proven
         | Some inc when not (Delta.is_empty d) ->
           (try Incr.apply_delta inc s d
            with Xic_datalog.Eval.Unsafe _ | Xic_datalog.Eval.Budget_exceeded ->
@@ -821,7 +832,11 @@ let txn_rollback_to tx sp =
    statement that instantiates a registered pattern runs its simplified
    checks before execution; any other statement (or one whose pre-check
    degraded) is executed, checked by {!check_incremental} and
-   compensated on violation — footnote 4's execute–check–compensate. *)
+   compensated on violation — footnote 4's execute–check–compensate.
+   A statement the pre-check accepted is flushed on its own: first the
+   marks earlier statements or rollbacks left, maintained as usual, so
+   the views describe the state the pre-check ran on; then its own
+   marks, as a proven flush ({!sync_store}). *)
 let txn_apply tx (u : XU.t) =
   require_open tx;
   Obs.Trace.with_span "txn_apply" @@ fun () ->
@@ -865,7 +880,9 @@ let txn_apply tx (u : XU.t) =
     (match try_check_optimized t p valuation with
      | v :: _, degs -> { outcome = Rejected_early v; degradations = degs }
      | [], [] ->
+       sync_store t;
        ignore (exec "optimized" : XU.undo);
+       sync_store ~proven:true t;
        { outcome = Applied `Optimized; degradations = [] }
      | [], degs -> full_check degs)
 
@@ -898,10 +915,9 @@ let rollback_txn tx =
    transaction under group commit, so the call pays a single durability
    point.  The transaction commits when a statement stands and aborts
    otherwise, so it advances the generation exactly when recovery will.
-   Consecutive pre-checked statements leave their mutation marks in the
-   mirror, and the closing reconciliation composes them into one flush —
-   one incremental view-maintenance pass for that run instead of one per
-   statement. *)
+   Each pre-checked statement is flushed inside {!txn_apply}, usually
+   with no view maintenance at all; the closing reconciliation flushes
+   what compensations and rollbacks left. *)
 let guarded_batch ?journal t (us : XU.t list) =
   match us with
   | [] -> []

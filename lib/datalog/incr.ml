@@ -422,6 +422,8 @@ let apply_delta t store delta =
             delta_insertions t store e adds))
     t.entries
 
+let skip_delta t = t.stats.skipped <- t.stats.skipped + List.length t.entries
+
 let violated ?view t =
   let view = Option.value view ~default:t.view in
   List.filter

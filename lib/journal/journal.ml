@@ -241,12 +241,13 @@ let c_fsyncs = Xic_obs.Obs.Metrics.counter "journal_fsyncs"
 let c_resets = Xic_obs.Obs.Metrics.counter "journal_resets"
 
 (* A failed write leaves the tail torn (or the fill half done) and the
-   file position unknown: poison the handle so no later append lands on
-   it. *)
-let poison t exn =
+   file position unknown; a failed fsync may have dropped dirty pages,
+   so a later fsync could report durability for records that are gone.
+   Either way, poison the handle so no later append lands on it. *)
+let poison ?(what = "write") t exn =
   t.closed <- true;
   match exn with
-  | Unix.Unix_error (e, _, _) -> fail "write failed: %s" (Unix.error_message e)
+  | Unix.Unix_error (e, _, _) -> fail "%s failed: %s" what (Unix.error_message e)
   | _ -> raise exn
 
 (* Zero-fill the file from its physical end to the first extent
@@ -299,12 +300,10 @@ let append ?(defer_sync = false) t e =
    | exception exn -> poison t exn);
   guarded_write record half (rlen - half);
   t.logical <- t.logical + rlen;
-  (try
-     if t.sync && not defer_sync then begin
-       Atomic_file.fsync ~fp:"journal_fsync" t.fd;
-       Xic_obs.Obs.Metrics.incr c_fsyncs
-     end
-   with Unix.Unix_error (e, _, _) -> fail "fsync failed: %s" (Unix.error_message e));
+  (if t.sync && not defer_sync then
+     match Atomic_file.fsync ~fp:"journal_fsync" t.fd with
+     | () -> Xic_obs.Obs.Metrics.incr c_fsyncs
+     | exception exn -> poison ~what:"fsync" t exn);
   t.entries_written <- t.entries_written + 1;
   if txn_of e >= t.next then t.next <- txn_of e + 1
 

@@ -136,8 +136,10 @@ val append : ?defer_sync:bool -> t -> entry -> unit
     a torn tail), [journal_write] (mediated: torn-write and injected-EIO
     actions apply, the latter retried with bounded backoff),
     [journal_fsync], and [journal_grow] (crash half-way through an
-    extent's zero fill).  A failed write or fill poisons the handle:
-    later appends are refused and {!close} leaves the file as it is. *)
+    extent's zero fill).  A failed write, fill or fsync poisons the
+    handle: later appends are refused and {!close} leaves the file as it
+    is.  An fsync that fails may have dropped the dirty pages it was
+    flushing, so a later one succeeding would not make them durable. *)
 
 val reset : t -> unit
 (** Atomically replace the journal with an empty, unallocated one of the

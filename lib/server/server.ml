@@ -360,7 +360,7 @@ let do_txn_commit t req =
   let n = R.txn_statements tx in
   t.open_txn <- None;
   R.commit_txn tx;
-  ignore (R.store t.srepo);  (* one composed flush for the whole txn *)
+  ignore (R.store t.srepo);  (* flush what compensations and rollbacks left *)
   ok
     [ ("txn", P.Int h); ("committed", P.Bool true); ("statements", P.Int n);
       ("generation", P.Int (R.generation t.srepo)) ]
@@ -622,6 +622,16 @@ let capture_request_span t =
       Some (List.nth roots (List.length roots - 1))
   else None
 
+(* The failures a request may meet that become its error reply instead
+   of leaving the serve loop; shared by single and batched dispatch. *)
+let error_reply = function
+  | R.Repository_error m -> Some (error m)
+  | XU.Xupdate_error m -> Some (error ("xupdate: " ^ m))
+  | P.Protocol_error m -> Some (error m)
+  | J.Journal_error m -> Some (error ("journal: " ^ m))
+  | Xic_datalog.Eval.Unsafe m -> Some (error ("unsafe denial: " ^ m))
+  | _ -> None
+
 let handle t req =
   t.requests <- t.requests + 1;
   let op =
@@ -635,11 +645,7 @@ let handle t req =
   let t0 = Obs.Clock.now_ns () in
   let run () =
     try dispatch t op req with
-    | R.Repository_error m -> error m
-    | XU.Xupdate_error m -> error ("xupdate: " ^ m)
-    | P.Protocol_error m -> error m
-    | J.Journal_error m -> error ("journal: " ^ m)
-    | Xic_datalog.Eval.Unsafe m -> error ("unsafe denial: " ^ m)
+    | e -> (match error_reply e with Some r -> r | None -> raise e)
   in
   let resp =
     if Obs.Trace.is_enabled () then
@@ -680,10 +686,10 @@ let handle t req =
 let is_guard req = P.string_field "op" req = Some "guard"
 
 (* A run of >= 2 guard requests becomes one guarded_batch: a single
-   journaled transaction (one commit fsync), per-statement verdicts
-   identical to serial dispatch, and one composed delta flush for runs
-   of pre-checked statements.  Requests that fail to parse get error
-   responses and drop out of the batch. *)
+   journaled transaction (one commit fsync) with per-statement verdicts
+   identical to serial dispatch.  Requests that fail to parse get error
+   responses and drop out of the batch; a failure of the batch itself
+   is every other member's error reply, mapped as {!handle} maps it. *)
 let handle_guard_run t reqs =
   match reqs with
   | [ req ] -> [ handle t req ]
@@ -710,16 +716,19 @@ let handle_guard_run t reqs =
             | Some ustr ->
               (match parse_update ustr with
                | u -> Ok u
-               | exception XU.Xupdate_error m ->
-                 Error (error ("xupdate: " ^ m))))
+               | exception e ->
+                 (match error_reply e with Some r -> Error r | None -> raise e)))
           reqs
       in
       let us =
         List.filter_map (function Ok u -> Some u | Error _ -> None) parsed
       in
       match R.guarded_batch ?journal:t.config.journal t.srepo us with
-      | exception R.Repository_error m ->
-        List.map (fun _ -> error m) reqs
+      | exception e ->
+        (match error_reply e with
+         | Some r ->
+           List.map (function Error resp -> resp | Ok _ -> r) parsed
+         | None -> raise e)
       | reports ->
         let gen = R.generation t.srepo in
         let extra = [ ("generation", P.Int gen); ("batched", P.Bool true) ] in

@@ -34,8 +34,9 @@
        live store ([pin_bytes]);}
     {- [guard]: one guarded update ([{"update":stmt}]), a one-statement
        {!Xic_core.Repository.guarded_batch} — guard requests arriving in
-       the same poll round share one batch (single commit fsync, one
-       composed delta flush) with per-request verdicts; a statement
+       the same poll round share one batch (single commit fsync) with
+       per-request verdicts, and a failure of the batch (a failed
+       commit fsync, say) is an error reply to each member; a statement
        matching no pattern is executed, checked and compensated (any
        ["fallback"] field is ignored);}
     {- [txn]: an atomic batch of statements in one request;}

@@ -569,6 +569,124 @@ let test_cancel_by_multiplicity () =
   Alcotest.(check int) "two against one: one survives" 1
     (step ~remove:[ (10, 5) ] ~add:[ (10, 1); (12, 2) ])
 
+(* ------------------------------------------------------------------ *)
+(* Proven flushes                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Carl reviews a submission he wrote: Example 1 is violated. *)
+let conflicted_rev =
+  {|<review><track><name>DB</name><rev><name>Carl</name><sub><title>Own</title><auts><name>Carl</name></auts></sub></rev><rev><name>Rita</name><sub><title>S2</title><auts><name>Bob</name></auts></sub></rev></track></review>|}
+
+(* The submission pattern registered and the views materialized. *)
+let guard_repo rev =
+  let s = Conf.schema () in
+  let repo = Repository.create s in
+  Repository.load_fused repo fixed_pub;
+  Repository.load_fused repo rev;
+  List.iter
+    (Repository.add_constraint repo)
+    [ Conf.conflict s; Conf.workload s; Conf.track_load s ];
+  Repository.register_pattern repo (Conf.submission_pattern s);
+  ignore (Repository.check_incremental repo : string list);
+  repo
+
+(* A legal submission under Rita: every simplified check holds. *)
+let rita_insert title =
+  Conf.insert_submission ~select:"/review/track[1]/rev[2]/sub[1]" ~title
+    ~author:"Zoe"
+
+let proven_flushes repo =
+  List.assoc "incr_proven_flushes" (fst (Repository.metrics repo))
+
+let check_views_exact repo what =
+  (match Repository.incr_view repo with
+   | Some v ->
+     Alcotest.(check bool) (what ^ ": views equal a recompute") true
+       (Store.equal v (fresh_views repo))
+   | None -> Alcotest.failf "%s: no materialized views" what);
+  Alcotest.(check (list string)) (what ^ ": incremental verdict = full")
+    (List.sort compare (Repository.check_full repo))
+    (List.sort compare (Repository.check_incremental repo))
+
+let check_optimized what = function
+  | Repository.Applied `Optimized -> ()
+  | _ -> Alcotest.failf "%s: expected a pre-checked, applied statement" what
+
+(* On a consistent state, a statement the pre-check accepted leaves the
+   views empty (Theorem 1): its flush runs no delta rule. *)
+let test_proven_flush_skips () =
+  let repo = guard_repo fixed_rev in
+  let d0 = Repository.delta_stats repo and p0 = proven_flushes repo in
+  check_optimized "insert" (Repository.guarded_update repo (rita_insert "New"));
+  let d1 = Repository.delta_stats repo in
+  Alcotest.(check int) "no residual evaluation" d0.Repository.incr_evals
+    d1.Repository.incr_evals;
+  Alcotest.(check int) "no re-verification" d0.Repository.incr_reverifies
+    d1.Repository.incr_reverifies;
+  Alcotest.(check int) "every view skipped once"
+    (d0.Repository.incr_skipped + d1.Repository.incr_entries)
+    d1.Repository.incr_skipped;
+  Alcotest.(check int) "one proven flush" (p0 + 1) (proven_flushes repo);
+  let line = Printf.sprintf "\nxic_incr_proven_flushes %d\n" (p0 + 1) in
+  let expo = Repository.metrics_prometheus repo in
+  let n = String.length line in
+  let rec has i = i + n <= String.length expo && (String.sub expo i n = line || has (i + 1)) in
+  Alcotest.(check bool) "the exposition carries the counter" true (has 0);
+  Alcotest.(check bool) "the store took the facts" true
+    (d1.Repository.delta_facts_added > d0.Repository.delta_facts_added);
+  check_views_exact repo "after a proven flush"
+
+(* A state that already violates a constraint is outside Theorem 1: the
+   same insert is maintained. *)
+let test_violated_state_maintained () =
+  let repo = guard_repo conflicted_rev in
+  let d0 = Repository.delta_stats repo and p0 = proven_flushes repo in
+  check_optimized "insert" (Repository.guarded_update repo (rita_insert "New"));
+  Alcotest.(check bool) "the delta rules ran" true
+    ((Repository.delta_stats repo).Repository.incr_evals > d0.Repository.incr_evals);
+  Alcotest.(check int) "no proven flush" p0 (proven_flushes repo);
+  check_views_exact repo "on a violated state"
+
+(* Marks an unchecked statement left behind reach the views before the
+   pre-checked statement's flush decides whether it is proven. *)
+let test_pending_marks_maintained_first () =
+  let repo = guard_repo fixed_rev in
+  ignore
+    (Repository.apply_unchecked repo
+       (Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]"
+          ~title:"Own" ~author:"Carl")
+      : XU.undo);
+  check_optimized "insert" (Repository.guarded_update repo (rita_insert "New"));
+  check_views_exact repo "after unchecked marks";
+  Alcotest.(check (list string)) "the unchecked violation shows" [ "conflict" ]
+    (Repository.check_incremental repo)
+
+(* Fallback, a pre-checked statement rolled back to a savepoint, and a
+   pre-checked statement, in one transaction. *)
+let test_proven_flush_in_txn () =
+  let repo = guard_repo fixed_rev in
+  let p0 = proven_flushes repo in
+  let txn = Repository.begin_txn repo in
+  let fallback =
+    [ { XU.op = XU.Append;
+        select = XP.Parser.parse "/review/track[1]/rev[2]";
+        content = [ sub_content (Prng.create 1) ] } ]
+  in
+  (match (Repository.txn_apply txn fallback).Repository.outcome with
+   | Repository.Applied `Full_check -> ()
+   | _ -> Alcotest.fail "the unmatched append is checked after execution");
+  let sp = Repository.txn_savepoint txn in
+  check_optimized "first insert"
+    (Repository.txn_apply txn (rita_insert "Gone")).Repository.outcome;
+  Repository.txn_rollback_to txn sp;
+  check_optimized "second insert"
+    (Repository.txn_apply txn (rita_insert "Kept")).Repository.outcome;
+  Repository.commit_txn txn;
+  Alcotest.(check int) "both inserts proven" (p0 + 2) (proven_flushes repo);
+  Alcotest.(check (pair int int)) "only the second insert stands" (0, 1)
+    (count repo "//sub[title = 'Gone']", count repo "//sub[title = 'Kept']");
+  check_views_exact repo "after the transaction"
+
 let () =
   Alcotest.run "incr"
     [
@@ -596,5 +714,16 @@ let () =
             test_position_readers_maintained;
           Alcotest.test_case "cancellation by multiplicity" `Quick
             test_cancel_by_multiplicity;
+        ] );
+      ( "proven flushes",
+        [
+          Alcotest.test_case "a pre-checked insert skips maintenance" `Quick
+            test_proven_flush_skips;
+          Alcotest.test_case "a violated state is maintained" `Quick
+            test_violated_state_maintained;
+          Alcotest.test_case "pending marks are maintained first" `Quick
+            test_pending_marks_maintained_first;
+          Alcotest.test_case "fallback, savepoint and pre-check in one txn"
+            `Quick test_proven_flush_in_txn;
         ] );
     ]

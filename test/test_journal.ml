@@ -278,6 +278,25 @@ let test_failpoint_mid_write () =
   checkb "torn" true rr.J.torn;
   checki "only the first record" 1 (List.length rr.J.entries)
 
+(* An fsync that fails with EIO may have dropped the dirty pages it was
+   flushing; a later fsync succeeding would claim durability for them.
+   The failed fsync poisons the handle like a failed write. *)
+let test_failed_fsync_poisons () =
+  let p = fresh_path () in
+  let j = J.open_ p in
+  J.append j (J.Commit { txn = 1 });
+  FP.set ~action:(FP.Eio { failures = 1 }) "journal_fsync";
+  Fun.protect ~finally:FP.clear @@ fun () ->
+  (match J.append j (J.Commit { txn = 2 }) with
+   | exception J.Journal_error _ -> ()
+   | () -> Alcotest.fail "the injected fsync EIO must surface");
+  (match J.append j (J.Commit { txn = 3 }) with
+   | exception J.Journal_error m ->
+     checkb "refused as closed" true
+       (let n = String.length m in n >= 6 && String.sub m (n - 6) 6 = "closed")
+   | () -> Alcotest.fail "append after a failed fsync must be refused");
+  (try J.close j with J.Journal_error _ -> ())
+
 (* With tracing on, a firing failpoint leaves a zero-duration span event
    named after it, so fault-injection runs are visible in the trace. *)
 let test_failpoint_records_span_event () =
@@ -900,6 +919,8 @@ let () =
           Alcotest.test_case "bad header" `Quick test_journal_not_a_journal;
           Alcotest.test_case "truncate grouping" `Quick test_committed_truncate;
           Alcotest.test_case "mid-write failpoint" `Quick test_failpoint_mid_write;
+          Alcotest.test_case "failed fsync poisons" `Quick
+            test_failed_fsync_poisons;
           Alcotest.test_case "failpoint traced as span event" `Quick
             test_failpoint_records_span_event;
         ] );

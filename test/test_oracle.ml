@@ -525,6 +525,12 @@ let test_incremental_oracle () =
     else gen_rev ~min_tracks:4 ~tracks:5 ~subs:5 ~reviewers:[| names.(0) |] r
   in
   let committed_violations = ref [] in
+  (* pre-checked statements on consistent states skip view maintenance
+     (a proven flush); the agreement checks must see that path taken *)
+  let proven_flushes () =
+    Xic_obs.Obs.Metrics.(value (counter "incr_proven_flushes"))
+  in
+  let proven0 = proven_flushes () in
   for i = 1 to iters do
     let seed = 17000 + i in
     let r = Prng.create seed in
@@ -579,7 +585,10 @@ let test_incremental_oracle () =
         Alcotest.failf
           "coverage: no commit in %d iterations left the %s view non-empty"
           iters c)
-    [ "workload"; "track_load"; "late_sub" ]
+    [ "workload"; "track_load"; "late_sub" ];
+  if proven_flushes () = proven0 then
+    Alcotest.failf "coverage: no flush in %d iterations took the proven path"
+      iters
 
 (* ------------------------------------------------------------------ *)
 (* Route 9: the resident server                                        *)

@@ -483,6 +483,40 @@ let test_round_batching () =
   checkb "singleton guard unbatched" true
     (match solo with [ r ] -> not (P.bool_field "batched" r) | _ -> false)
 
+(* A journal failure inside a batched guard run is an error reply for
+   every member, as it is for a single guard, and the server goes on
+   answering: here the commit record's fsync fails with EIO. *)
+let test_batched_journal_error () =
+  let jpath = tmp_path "batch_eio.j" in
+  let j = J.open_ jpath in
+  let srv =
+    Srv.create ~config:{ Srv.default_config with journal = Some j } (make_repo ())
+  in
+  let guard u =
+    P.Obj [ ("op", P.String "guard"); ("update", P.String (XU.to_string u)) ]
+  in
+  FP.set ~action:(FP.Eio { failures = 1 }) "journal_fsync";
+  let resps =
+    Fun.protect ~finally:FP.clear (fun () ->
+        Srv.handle_round srv
+          [ guard (legal_insert ());
+            guard (legal_insert ~title:"Tail" ~author:"Kim" ()) ])
+  in
+  checki "one reply per batched guard" 2 (List.length resps);
+  List.iter
+    (fun r ->
+      checkb "batched guard answered with an error" false (P.bool_field "ok" r);
+      checkb "the error names the journal" true
+        (match P.string_field "error" r with
+         | Some m -> String.length m >= 8 && String.sub m 0 8 = "journal:"
+         | None -> false))
+    resps;
+  (match Srv.handle_round srv [ P.Obj [ ("op", P.String "ping") ] ] with
+   | [ r ] -> checkb "a following ping is answered" true (P.bool_field "ok" r)
+   | _ -> Alcotest.fail "one reply to one ping");
+  (try J.close j with J.Journal_error _ -> ());
+  Sys.remove jpath
+
 (* ------------------------------------------------------------------ *)
 (* Graceful shutdown                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -952,6 +986,8 @@ let () =
             test_round_batching;
           Alcotest.test_case "unmatched guard ignores fallback" `Quick
             test_unmatched_guard_ignores_fallback;
+          Alcotest.test_case "journal error in a batched run" `Quick
+            test_batched_journal_error;
         ] );
       ( "shutdown",
         [
