@@ -963,7 +963,10 @@ let micro () =
    incremental column should go flat in document size and scale with k
    instead.  The second table registers Examples 2 and 7 beside Example
    1: their count aggregates are maintained per affected group, so that
-   column must go flat too. *)
+   column must go flat too.  The third registers a foreign key (a
+   negation) and a minimum cardinality (a count bounded from above),
+   whose witnesses removals create: their delta rules must keep the
+   column flat as well. *)
 let incremental_bench ~sizes ~reps () =
   List.iter
     (fun (title, json_key, extra) ->
@@ -1039,7 +1042,14 @@ let incremental_bench ~sizes ~reps () =
       add_json json_key ("[\n    " ^ String.concat ",\n    " rows ^ "\n  ]");
       print_newline ())
     [ ("Example 1", "incremental", []);
-      ("Examples 1, 2 and 7", "incremental_aggregates", [ Conf.workload; Conf.track_load ]) ]
+      ("Examples 1, 2 and 7", "incremental_aggregates", [ Conf.workload; Conf.track_load ]);
+      ( "Example 1 + foreign key + minimum cardinality",
+        "incremental_removal_rules",
+        [ (fun s ->
+            Constr.make s ~name:"author_published"
+              "<- //rev/sub/auts/name/text() -> A and not(//aut[name/text() -> A])");
+          (fun s -> Constr.make s ~name:"rev_has_sub" "<- //rev -> Ir and cnt{; Ir/sub} < 1")
+        ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* PR 8: the resident check server                                     *)

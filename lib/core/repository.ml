@@ -237,10 +237,10 @@ let install_store t s =
 
    [~proven:true] is {!txn_apply}'s word that the pending marks are one
    statement whose simplified checks all held on the state the views
-   describe.  If every view is empty that state was consistent, so by
-   Theorem 1 the constraints hold after the statement too: the views
-   stay empty and no delta rule runs.  The store, the net delta and the
-   counters are reconciled as on any flush. *)
+   describe.  A constraint whose view is empty held on that state, so by
+   Theorem 1 it holds after the statement too: its view stays empty and
+   none of its delta rules run ({!Incr.apply_delta}).  The store, the
+   net delta and the counters are reconciled as on any flush. *)
 let sync_store ?(proven = false) t =
   match (t.store, t.mirror) with
   | Some s, Some m when Mirror.has_dirty m ->
@@ -255,11 +255,10 @@ let sync_store ?(proven = false) t =
         Obs.Metrics.add c_delta_facts_removed (Delta.gross_removed d);
         Delta.compose ~into:t.deltas.net d;
         match t.incr with
-        | Some inc when proven && not (Delta.is_empty d) && Incr.violated inc = [] ->
-          Incr.skip_delta inc;
-          Obs.Metrics.incr c_incr_proven
         | Some inc when not (Delta.is_empty d) ->
-          (try Incr.apply_delta inc s d
+          (try
+             if Incr.apply_delta ~proven inc s d then
+               Obs.Metrics.incr c_incr_proven
            with Xic_datalog.Eval.Unsafe _ | Xic_datalog.Eval.Budget_exceeded ->
              t.incr <- None)
         | _ -> ())
@@ -886,10 +885,32 @@ let txn_apply tx (u : XU.t) =
        { outcome = Applied `Optimized; degradations = [] }
      | [], degs -> full_check degs)
 
+let undo_txn tx =
+  tx.txn_open <- false;
+  List.iter (rollback tx.txn_repo) tx.txn_undos;
+  tx.txn_undos <- [];
+  tx.txn_seq <- 0
+
+(* The commit or abort record.  When it fails the record may or may not
+   have reached the disk, so memory must not keep what the journal may
+   not: the statements are undone, the transaction is closed and the
+   error goes on, saying that only recovery knows the outcome. *)
+let txn_close_record tx e =
+  if tx.txn_journaled then
+    try txn_record tx e
+    with J.Journal_error m ->
+      undo_txn tx;
+      raise
+        (J.Journal_error
+           (Printf.sprintf
+              "%s; transaction %d is undone in memory, its outcome is \
+               unknown until recovery"
+              m tx.txn_id))
+
 let commit_txn tx =
   require_open tx;
   FP.hit "before_commit";
-  if tx.txn_journaled then txn_record tx (J.Commit { txn = tx.txn_id });
+  txn_close_record tx (J.Commit { txn = tx.txn_id });
   if tx.txn_seq > 0 then
     tx.txn_repo.generation <- tx.txn_repo.generation + 1;
   tx.txn_undos <- [];
@@ -903,11 +924,8 @@ let rollback_txn tx =
      record closes the transaction — recovery discards it either way, but
      the journal never ends in a dangling intent when the process had a
      chance to say otherwise. *)
-  if tx.txn_journaled then txn_record tx (J.Abort { txn = tx.txn_id });
-  tx.txn_open <- false;
-  List.iter (rollback tx.txn_repo) tx.txn_undos;
-  tx.txn_undos <- [];
-  tx.txn_seq <- 0
+  txn_close_record tx (J.Abort { txn = tx.txn_id });
+  undo_txn tx
 
 (* Guarded updates, one or many: every statement goes through
    {!txn_apply} (so a batch's verdicts equal serial guards' by

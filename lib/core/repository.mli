@@ -208,8 +208,9 @@ val check_pinned : t -> pin -> string list
     ([Xic_datalog.Incr]) by the first verdict and maintained from those
     deltas, so the post-state verdict of a guarded update or a recovery
     replay costs time proportional to the {e update}, not the document:
-    denials over untouched relations are skipped outright, monotone
-    denials evaluate only the delta-bound residual joins. *)
+    denials over untouched relations are skipped outright, and every
+    other denial evaluates only the residual joins its changed facts
+    bind. *)
 
 val set_incremental : t -> bool -> unit
 (** [true] is the default and does nothing; [false] discards the views,
@@ -241,7 +242,8 @@ type delta_stats = {
   incr_entries : int;  (** materialized (constraint, denial) views *)
   incr_evals : int;  (** delta-bound residual evaluations *)
   incr_reverifies : int;  (** view rows re-checked after deletions *)
-  incr_recomputes : int;  (** full view re-evaluations *)
+  incr_recomputes : int;
+      (** full view evaluations; only (re)initialization makes them *)
   incr_skipped : int;
       (** views untouched by a delta, or spared by a proven flush *)
   incr_view_rows : int;  (** materialized witnesses right now *)
@@ -303,11 +305,11 @@ val guarded_batch :
     one statement stands, and is rolled back ({!rollback_txn}, an abort
     record) otherwise, so refused or compensated updates leave no
     committed trace and no generation.  Each pre-checked statement
-    reaches the store in a flush of its own; while every view is empty
-    (a consistent state) that flush runs no view maintenance, since by
-    Theorem 1 the pre-check already proved the views stay empty
-    ([incr_skipped] counts the views, the [incr_proven_flushes] metric
-    the flushes).  What compensations and rollbacks left is flushed
+    reaches the store in a flush of its own, which maintains only the
+    views of constraints already violated: by Theorem 1, applied per
+    constraint, the pre-check proved every empty view stays empty
+    ([incr_skipped] counts the views skipped, the [incr_proven_flushes]
+    metric the flushes that skipped at least one).  What compensations and rollbacks left is flushed
     before the call returns. *)
 
 val guarded_update :
@@ -354,14 +356,20 @@ val txn_rollback_to : txn -> savepoint -> unit
 
 val commit_txn : txn -> unit
 (** Force the commit record to disk and close the transaction.  Until
-    this returns, a crash recovers to the pre-transaction state. *)
+    this returns, a crash recovers to the pre-transaction state.
+    @raise Xic_journal.Journal.Journal_error when the record fails; the
+    statements are then undone in memory and the transaction closed,
+    while whether it committed is unknown until recovery reads the
+    journal. *)
 
 val rollback_txn : txn -> unit
 (** Undo every applied statement, journal an abort record, and close the
     transaction.  The abort record is forced to disk {e before} the
     in-memory compensation runs, so a crash or signal-driven shutdown
     anywhere in the undo still leaves the journal's last word on this
-    transaction a closing record, never a dangling intent. *)
+    transaction a closing record, never a dangling intent.
+    @raise Xic_journal.Journal.Journal_error when the record fails,
+    after the undo, as {!commit_txn}. *)
 
 (** {1 Crash recovery} *)
 

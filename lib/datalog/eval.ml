@@ -183,6 +183,10 @@ let conj_matches store env (atoms : Term.atom list) =
         vecs)
     [ [] ] (join_order env atoms)
 
+(* An extremum over no rows: the literal does not hold, whichever
+   literal the solver bound the group-by variables with first. *)
+exception Empty_extremum
+
 let eval_agg store env (g : Term.agg) =
   let matches = conj_matches store env g.Term.atoms in
   let target_values () =
@@ -216,11 +220,11 @@ let eval_agg store env (g : Term.agg) =
          (List.sort_uniq compare (target_values ())))
   | Term.Max ->
     (match target_values () with
-     | [] -> unsafe "max over an empty aggregate"
+     | [] -> raise Empty_extremum
      | c :: cs -> List.fold_left max c cs)
   | Term.Min ->
     (match target_values () with
-     | [] -> unsafe "min over an empty aggregate"
+     | [] -> raise Empty_extremum
      | c :: cs -> List.fold_left min c cs)
 
 (* An aggregate is evaluable once every variable it shares with the rest
@@ -351,10 +355,12 @@ let rec solve store body env lits k =
           let holds = List.exists (fun t -> match_tuple env a.Term.args t <> None) tuples in
           if holds then false else solve store body env rest k
         | Term.Agg g ->
-          let v = eval_agg store env g in
-          (match term_value env g.Term.bound with
-           | Some b -> if Term.eval_cmp g.Term.acmp v b then solve store body env rest k else false
-           | None -> unsafe "unbound aggregate bound in %s" (Term.lit_str lit))
+          (match eval_agg store env g with
+           | exception Empty_extremum -> false
+           | v ->
+             (match term_value env g.Term.bound with
+              | Some b -> if Term.eval_cmp g.Term.acmp v b then solve store body env rest k else false
+              | None -> unsafe "unbound aggregate bound in %s" (Term.lit_str lit)))
         | Term.Rel a ->
           let tuples = candidate_tuples store env a in
           List.exists

@@ -5,7 +5,9 @@
     index of {!Store}; negated and aggregate literals are scheduled once
     the variables they share with the rest of the body are bound (safe
     evaluation, with anti-join semantics for negations whose remaining
-    variables are purely local). *)
+    variables are purely local).  A [max] or [min] aggregate over no
+    rows does not hold, so a verdict does not depend on whether a
+    positive literal or the aggregate bound its group first. *)
 
 exception Unsafe of string
 (** Raised on denials whose literals cannot be scheduled safely, or that

@@ -1,41 +1,8 @@
 (** Incremental (delta-driven) maintenance of materialized denial
-    results.
-
-    For every denial we keep the set of violation witnesses — the
-    bindings of its positive-literal variables — as a relation in a
-    private view store.  A transaction produces a net fact {!Delta};
-    instead of re-running each denial from scratch, {!apply_delta}
-    evaluates only delta rules:
-
-    - denials whose relations the delta does not touch are skipped
-      untouched (the common case: a one-statement transaction touches a
-      handful of relations out of the whole schema);
-    - {e monotone} denials (positive and comparison literals, and
-      [cnt]/[cntd] aggregates bounded from below by [>] or [>=]) are
-      maintained exactly: net deletions can only retract witnesses, so
-      existing rows are re-verified against the post-state store; net
-      insertions can only add witnesses that use at least one inserted
-      fact, so each inserted fact is unified against each matching
-      positive literal and the residual denial is evaluated with that
-      literal bound (the semi-naive ΔR ⋈ R join).  An inserted fact
-      that unifies with an atom inside a count aggregate can only raise
-      that count, and only for the groups its new aggregate rows fall
-      in: the aggregate's conjunction is evaluated with the unifier
-      applied, its group-by (outer) values are collected, and the
-      denial is evaluated once per distinct group with it bound;
-    - denials with negation, [sum]/[max]/[min] aggregates, or counts
-      bounded from above or by equality are re-evaluated in full, but
-      still only when the delta touches one of their relations.
-
-    Before a monotone denial sees the delta, an added and a removed fact
-    of the same relation cancel out (by multiplicity) when they agree on
-    every column the denial reads ({!read_columns}): the denial cannot
-    tell them apart, so a sibling whose only change is its position
-    costs no evaluation.
-
-    The view store uses set semantics (witnesses are deduplicated), so
-    an incremental view and a from-scratch recompute are comparable with
-    [Store.equal] — which is exactly what oracle route 8 does.
+    results: one delta rule per site, by polarity, as the interface
+    describes.  Denials whose relations the delta does not touch are
+    skipped untouched — the common case: a one-statement transaction
+    touches a handful of relations out of the whole schema.
 
     The view lives in a copy-on-write versioned store: row retractions
     are tombstones over an append log, masked on read and reclaimed by
@@ -48,27 +15,38 @@
 
 module Symbol = Xic_symbol.Symbol
 
-type klass = Monotone | Recompute
+(* The direction of fact change that can create witnesses at a site.
+   A positive atom, or a count bounded from below, can turn true only as
+   facts are added; a negated atom, or a count bounded from above, only
+   as facts go; equality bounds, sums and extrema either way. *)
+type polarity = Ins | Del | Both
+
+type site = {
+  sym : Symbol.t;
+  atom : Term.atom;
+  polarity : polarity;
+  binds : string list option;
+      (* the variables a changed fact binds in the residual; [None] for
+         every variable of the atom *)
+  conj : Term.atom list option;
+      (* the enclosing aggregate's conjunction, for group collection *)
+}
 
 type entry = {
   name : string;  (* owning constraint *)
   denial : Term.denial;
   rel : Symbol.t;  (* view relation holding the witnesses *)
-  klass : klass;
   reads : (Symbol.t * bool array) list;
       (* every relation the body references, with the columns it reads *)
-  pos : (Symbol.t * Term.atom) list;  (* positive literals *)
-  agg_atoms : (Symbol.t * Term.atom * Term.atom list * string list) list;
-      (* atoms inside the count aggregates of a monotone denial, each
-         with its aggregate's conjunction and group-by variables *)
+  sites : site list;
   proj : string list;  (* named vars of positive literals, in order *)
 }
 
 type stats = {
   mutable evals : int;  (* residual delta evaluations *)
-  mutable reverifies : int;  (* view rows re-checked after deletions *)
-  mutable recomputes : int;  (* full re-evaluations (non-monotone denials) *)
-  mutable skipped : int;  (* denials untouched by the delta, or cancelled *)
+  mutable reverifies : int;  (* view rows re-checked after removals *)
+  mutable recomputes : int;  (* full evaluations, by (re)initialization *)
+  mutable skipped : int;  (* denials untouched by the delta, cancelled, or proven *)
   mutable rows_added : int;
   mutable rows_removed : int;
 }
@@ -80,22 +58,14 @@ type t = {
   stats : stats;
 }
 
-(* A count bounded from below only ever flips from false to true as
-   facts are added: the aggregate's rows are a positive conjunction. *)
-let monotone_agg (g : Term.agg) =
-  (match g.Term.op with Term.Cnt | Term.CntD -> true | _ -> false)
-  && match g.Term.acmp with Term.Gt | Term.Ge -> true | _ -> false
+let agg_polarity (g : Term.agg) =
+  match (g.Term.op, g.Term.acmp) with
+  | (Term.Cnt | Term.CntD), (Term.Gt | Term.Ge) -> Ins
+  | (Term.Cnt | Term.CntD), (Term.Lt | Term.Le) -> Del
+  | _ -> Both
 
-let classify body =
-  if
-    List.for_all
-      (function
-        | Term.Rel _ | Term.Cmp _ -> true
-        | Term.Agg g -> monotone_agg g
-        | Term.Not _ -> false)
-      body
-  then Monotone
-  else Recompute
+let creates polarity ~inserted =
+  match polarity with Both -> true | Ins -> inserted | Del -> not inserted
 
 let named_vars_of_atoms atoms =
   let seen = Hashtbl.create 8 in
@@ -172,6 +142,32 @@ let read_columns body proj =
         (sym, merged) :: List.remove_assoc sym acc)
     [] atoms
 
+(* One site per atom of the body.  A negated atom's shared variables
+   are the ones {!Eval} binds before it runs the anti-join: those that
+   occur in some other literal. *)
+let sites_of body =
+  let site ?conj polarity binds (a : Term.atom) =
+    { sym = Symbol.intern a.Term.pred; atom = a; polarity; binds; conj }
+  in
+  List.concat_map
+    (function
+      | Term.Rel a -> [ site Ins None a ]
+      | Term.Not a as l ->
+        let outside =
+          List.concat_map (fun l' -> if l' = l then [] else Term.lit_vars l') body
+        in
+        [ site Del (Some (List.filter (fun v -> List.mem v outside) (Term.atom_vars a))) a ]
+      | Term.Agg g ->
+        let local = Term.agg_local_vars body g in
+        let outer =
+          List.filter
+            (fun v -> not (List.mem v local))
+            (List.sort_uniq compare (List.concat_map Term.atom_vars g.Term.atoms))
+        in
+        List.map (site ~conj:g.Term.atoms (agg_polarity g) (Some outer)) g.Term.atoms
+      | Term.Cmp _ -> [])
+    body
+
 let entry_of_denial ~name i (d : Term.denial) =
   if Term.denial_params d <> [] then
     raise
@@ -180,37 +176,16 @@ let entry_of_denial ~name i (d : Term.denial) =
             "incremental maintenance needs parameter-free denials (%s has %s)"
             name
             (String.concat ", " (Term.denial_params d))));
-  let pos_atoms =
-    List.filter_map (function Term.Rel a -> Some a | _ -> None) d.Term.body
-  in
-  let proj = named_vars_of_atoms pos_atoms in
-  let klass = classify d.Term.body in
-  let agg_atoms =
-    if klass = Recompute then []
-    else
-      List.concat_map
-        (function
-          | Term.Agg g ->
-            let local = Term.agg_local_vars d.Term.body g in
-            let outer =
-              List.filter
-                (fun v -> not (List.mem v local))
-                (List.sort_uniq compare (List.concat_map Term.atom_vars g.Term.atoms))
-            in
-            List.map
-              (fun a -> (Symbol.intern a.Term.pred, a, g.Term.atoms, outer))
-              g.Term.atoms
-          | _ -> [])
-        d.Term.body
+  let proj =
+    named_vars_of_atoms
+      (List.filter_map (function Term.Rel a -> Some a | _ -> None) d.Term.body)
   in
   {
     name;
     denial = d;
     rel = Symbol.intern (Printf.sprintf "%s#%d" name i);
-    klass;
     reads = read_columns d.Term.body proj;
-    pos = List.map (fun a -> (Symbol.intern a.Term.pred, a)) pos_atoms;
-    agg_atoms;
+    sites = sites_of d.Term.body;
     proj;
   }
 
@@ -257,31 +232,28 @@ let add_row t e row =
     t.stats.rows_added <- t.stats.rows_added + 1
   end
 
-let recompute_entry t store e =
-  let old = Store.tuples_sym t.view e.rel in
-  Store.clear_sym t.view e.rel;
-  t.stats.rows_removed <- t.stats.rows_removed + List.length old;
-  List.iter
-    (fun env -> add_row t e (project e Subst.empty env))
-    (Eval.violations store e.denial)
-
 let initialize t store =
   List.iter
     (fun e ->
       t.stats.recomputes <- t.stats.recomputes + 1;
-      recompute_entry t store e)
+      let old = Store.tuples_sym t.view e.rel in
+      Store.clear_sym t.view e.rel;
+      t.stats.rows_removed <- t.stats.rows_removed + List.length old;
+      List.iter
+        (fun env -> add_row t e (project e Subst.empty env))
+        (Eval.violations store e.denial))
     t.entries;
   (* A (re)initialization retracts every existing row before repopulating;
      collect the tombstone spike instead of carrying it into steady state. *)
   Store.compact t.view
 
-(* Unify a positive literal against an inserted ground tuple.  Returns
-   the binding of the literal's variables, or [None] when the tuple
-   cannot match.  Every variable is bound — including the '_'-prefixed
+(* Unify an atom against a changed ground tuple.  Returns the binding
+   of the atom's variables, or [None] when the tuple cannot match.
+   Every variable is bound — including the '_'-prefixed
    compiler-generated ones, which are unique by construction and carry
-   the node-id joins: leaving them out of [theta0] would degrade the
-   residual to a full re-evaluation of the denial.  Repeated variables
-   must agree. *)
+   the node-id joins: leaving them out of a positive site's binding
+   would degrade the residual to a full re-evaluation of the denial.
+   Repeated variables must agree. *)
 let unify_atom (a : Term.atom) (tup : Store.tuple) =
   if List.length a.Term.args <> List.length tup then None
   else
@@ -323,106 +295,77 @@ let eval_residual t store e theta0 =
     (fun env -> add_row t e (project e theta0 env))
     (Eval.violations store residual)
 
-let delta_insertions t store e added =
-  let groups = Hashtbl.create 8 in
+(* Evaluate the residual of every creating change.  A binding restricted
+   to some of the atom's variables can repeat across facts: each
+   distinct one is evaluated once across the whole delta. *)
+let delta_creations t store e changes =
+  let seen = Hashtbl.create 8 in
+  let once key =
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      eval_residual t store e
+        (Subst.of_list (List.map (fun (v, c) -> (v, Term.Const c)) key))
+    end
+  in
   List.iter
-    (fun (sym, tup, _mult) ->
+    (fun (inserted, (sym, tup, _mult)) ->
       List.iter
-        (fun (psym, atom) ->
-          if Symbol.equal psym sym then
-            match unify_atom atom tup with
+        (fun s ->
+          if Symbol.equal s.sym sym && creates s.polarity ~inserted then
+            match unify_atom s.atom tup with
             | None -> ()
-            | Some theta0 -> eval_residual t store e theta0)
-        e.pos;
-      (* The fact can raise a count only in the groups of the aggregate
-         rows it takes part in; re-evaluate the denial once per such
-         group, across the whole delta. *)
-      List.iter
-        (fun (psym, atom, conj, outer) ->
-          if Symbol.equal psym sym then
-            match unify_atom atom tup with
-            | None -> ()
-            | Some theta ->
-              List.iter
-                (fun binds ->
-                  let key =
-                    List.map
-                      (fun v ->
-                        match Subst.find v theta with
-                        | Some (Term.Const c) -> (v, c)
-                        | _ -> (v, List.assoc v binds))
-                      outer
-                  in
-                  if not (Hashtbl.mem groups key) then begin
-                    Hashtbl.add groups key ();
-                    eval_residual t store e
-                      (Subst.of_list
-                         (List.map (fun (v, c) -> (v, Term.Const c)) key))
-                  end)
-                (Eval.matches store (List.map (Subst.apply_atom theta) conj)))
-        e.agg_atoms)
-    added
+            | Some theta -> (
+              let value binds v =
+                match Subst.find v theta with
+                | Some (Term.Const c) -> Some (v, c)
+                | _ -> Option.map (fun c -> (v, c)) (List.assoc_opt v binds)
+              in
+              match (s.conj, s.binds) with
+              | _, None -> eval_residual t store e theta
+              | Some conj, Some outer when inserted ->
+                (* The fact can change an aggregate only in the groups
+                   of the rows it takes part in. *)
+                List.iter
+                  (fun binds -> once (List.filter_map (value binds) outer))
+                  (Eval.matches store (List.map (Subst.apply_atom theta) conj))
+              | _, Some vs -> once (List.filter_map (value []) vs)))
+        e.sites)
+    changes
 
 (* The entry's share of the delta: an added and a removed fact of the
    same relation cancel (by multiplicity) when they agree on every
-   column the entry reads.  Returns the surviving insertions and whether
-   any removal survives. *)
+   column the entry reads.  Returns the surviving changes, each tagged
+   [true] for an insertion.  The surviving removals of one key bind the
+   same variables, so one of them stands for all. *)
 let entry_delta e added removed =
   let key sym tup =
     let cols = List.assoc sym e.reads in
     (sym, List.filteri (fun i _ -> i >= Array.length cols || cols.(i)) tup)
   in
-  let pending = Hashtbl.create 8 and removals = ref 0 in
+  let pending = Hashtbl.create 8 in
   List.iter
-    (fun (sym, tup, m) ->
+    (fun ((sym, tup, m) as f) ->
       if List.mem_assoc sym e.reads then begin
         let k = key sym tup in
-        Hashtbl.replace pending k
-          (m + Option.value (Hashtbl.find_opt pending k) ~default:0);
-        removals := !removals + m
+        match Hashtbl.find_opt pending k with
+        | Some (r, f0) -> Hashtbl.replace pending k (r + m, f0)
+        | None -> Hashtbl.add pending k (m, f)
       end)
     removed;
   let adds =
-    List.filter
-      (fun (sym, tup, m) ->
-        List.mem_assoc sym e.reads
-        &&
-        let k = key sym tup in
-        let r = Option.value (Hashtbl.find_opt pending k) ~default:0 in
-        let c = min r m in
-        if c > 0 then begin
-          Hashtbl.replace pending k (r - c);
-          removals := !removals - c
-        end;
-        m > c)
+    List.filter_map
+      (fun ((sym, tup, m) as f) ->
+        if not (List.mem_assoc sym e.reads) then None
+        else
+          let k = key sym tup in
+          match Hashtbl.find_opt pending k with
+          | Some (r, f0) when r > 0 ->
+            Hashtbl.replace pending k (r - min r m, f0);
+            if m > r then Some (true, f) else None
+          | _ -> Some (true, f))
       added
   in
-  (adds, !removals > 0)
-
-let apply_delta t store delta =
-  let touched = Delta.touched delta in
-  let added = Delta.added delta and removed = Delta.removed delta in
-  let skip () = t.stats.skipped <- t.stats.skipped + 1 in
-  List.iter
-    (fun e ->
-      if not (List.exists (fun s -> List.mem_assoc s e.reads) touched) then
-        skip ()
-      else
-        match e.klass with
-        | Recompute ->
-          t.stats.recomputes <- t.stats.recomputes + 1;
-          recompute_entry t store e
-        | Monotone -> (
-          match entry_delta e added removed with
-          | [], false -> skip ()
-          | adds, removals ->
-            (* Deletions first: rows must be re-verified before the
-               insertion pass adds rows that are already post-state. *)
-            if removals then reverify_rows t store e;
-            delta_insertions t store e adds))
-    t.entries
-
-let skip_delta t = t.stats.skipped <- t.stats.skipped + List.length t.entries
+  Hashtbl.fold (fun _ (r, f) acc -> if r > 0 then (false, f) :: acc else acc) pending adds
 
 let violated ?view t =
   let view = Option.value view ~default:t.view in
@@ -433,6 +376,45 @@ let violated ?view t =
           String.equal e.name name && Store.cardinality_sym view e.rel > 0)
         t.entries)
     t.names
+
+(* A change in one direction can remove a witness at a site where the
+   opposite change can create one. *)
+let removes e (inserted, (sym, _, _)) =
+  List.exists
+    (fun s -> Symbol.equal s.sym sym && creates s.polarity ~inserted:(not inserted))
+    e.sites
+
+let apply_delta ?(proven = false) t store delta =
+  let touched = Delta.touched delta in
+  let added = Delta.added delta and removed = Delta.removed delta in
+  (* Theorem 1 per constraint: [Pattern.simplify] simplifies each
+     constraint with only its own denials as hypotheses, so a proven
+     statement leaves every empty constraint view empty. *)
+  let held =
+    if proven then List.filter (fun n -> not (List.mem n (violated t))) t.names
+    else []
+  in
+  let skip () = t.stats.skipped <- t.stats.skipped + 1 in
+  List.fold_left
+    (fun skipped_proven e ->
+      if List.mem e.name held then begin
+        skip ();
+        true
+      end
+      else begin
+        (if not (List.exists (fun s -> List.mem_assoc s e.reads) touched) then
+           skip ()
+         else
+           match entry_delta e added removed with
+           | [] -> skip ()
+           | changes ->
+             (* Removals first: rows must be re-verified before the
+                creation pass adds rows that are already post-state. *)
+             if List.exists (removes e) changes then reverify_rows t store e;
+             delta_creations t store e changes);
+        skipped_proven
+      end)
+    false t.entries
 
 let view t = t.view
 let stats t = t.stats

@@ -6,18 +6,48 @@
     variables) are materialized as a relation in a private view store.
     {!apply_delta} maintains them from a net fact {!Delta} instead of
     re-running the denial over the whole store: untouched denials are
-    skipped, monotone denials (relation atoms, comparisons, and
-    [cnt]/[cntd] aggregates bounded by [>]/[>=]) get exact delta
-    evaluation (deletion re-verification, ΔR-bound residual joins, and
-    one evaluation per count group an inserted fact can raise); denials
-    with negation, other aggregates, or counts bounded from above are
-    re-evaluated in full when touched.  The view uses set
-    semantics, so it is [Store.equal]-comparable with a from-scratch
-    recompute (oracle route 8).
+    skipped, and every other denial is maintained by one delta rule per
+    {e site}, an atom of its body.  The view uses set semantics, so it
+    is [Store.equal]-comparable with a from-scratch recompute (oracle
+    route 8).  Only {!initialize} evaluates a denial in full.
 
-    {b Read columns.}  Each monotone denial knows which columns of each
-    relation it reads.  Column [i] of relation R is read when some atom
-    over R — positive, negated or inside an aggregate — holds at [i]:
+    {b Polarity.}  A site's polarity is the direction of fact change
+    that can create witnesses there:
+    {ul
+    {- insertion: a positive atom, and an atom inside a [cnt]/[cntd]
+       bounded by [>] or [>=];}
+    {- deletion: a negated atom, and an atom inside a [cnt]/[cntd]
+       bounded by [<] or [<=];}
+    {- both: an atom inside a count bounded by [=] or [!=], or inside a
+       [sum], [sumd], [max] or [min].}}
+    A change in a creating direction is unified with the site's atom,
+    and the residual denial is evaluated on the post-state store with
+    the unifier restricted to:
+    {ul
+    {- every variable of a positive atom;}
+    {- the variables a negated atom shares with the rest of the body
+       (its locals stay existential);}
+    {- for an inserted fact inside an aggregate, each group-by (outer)
+       binding of the aggregate rows the fact takes part in, evaluated
+       once per distinct group;}
+    {- for a deleted fact inside an aggregate, the outer variables the
+       atom itself holds: the fact is gone, so its rows cannot be
+       matched, and the fewer bindings cover a superset of the groups
+       it left.}}
+    A change in the opposite direction can only undo such a creation:
+    the entry's existing rows are re-verified against the post-state,
+    once per delta.  A site that creates both ways does both.
+
+    {b Not derived from [After].}  The simplifier's [After] rules also
+    say what an update changes, but their residuals describe the
+    {e pre}-state: the count branches shift the bound by one, and a
+    multi-fact delta expands into a cross product of per-fact cases.
+    {!apply_delta} runs after the store already holds the delta, so
+    the rules here evaluate against the post-state instead.
+
+    {b Read columns.}  Each denial knows which columns of each relation
+    it reads.  Column [i] of relation R is read when some atom over R —
+    positive, negated or inside an aggregate — holds at [i]:
     {ul
     {- a constant;}
     {- a variable that occurs more than once in the denial, counting
@@ -27,27 +57,31 @@
     {- a local of a target-less [cntd], which counts whole local
        vectors.}}
     Only a singleton, non-witness variable leaves a column unread.
-    Before a monotone denial is maintained, an added and a removed fact
-    of the same relation cancel out, counting multiplicities, when they
-    agree on every column it reads: the denial cannot tell them apart.
-    So the siblings an insert or a withdrawal shifts, whose only change
-    is the position column, cost the conference denials no evaluation.
-    Recomputed denials keep the touched-relation rule.
+    Before a denial is maintained, an added and a removed fact of the
+    same relation cancel out, counting multiplicities, when they agree
+    on every column it reads: the denial cannot tell them apart.  So the
+    siblings an insert or a withdrawal shifts, whose only change is the
+    position column, cost the conference denials no evaluation.
 
-    {b Proven deltas.}  A caller that knows a delta leaves every view as
-    it is hands it to {!skip_delta} instead of {!apply_delta}.  The
-    repository does so for a statement whose simplified checks all held
-    on a state with every view empty: by Theorem 1 of the paper the
-    constraints still hold after it, so the views stay empty. *)
+    {b Proven deltas.}  A caller passes [~proven:true] to {!apply_delta}
+    when the delta is one statement whose simplified checks all held on
+    the state the views describe; the repository does so for every
+    statement its pre-check accepted.  The caller vouches for this;
+    nothing here checks it.  Each constraint is simplified with only its own denials as hypotheses,
+    so Theorem 1 of the paper holds per constraint: one whose view is
+    empty held before the statement and still holds after it, and its
+    entries are skipped.  The views of violated constraints are
+    maintained as usual. *)
 
 type t
 
 type stats = {
   mutable evals : int;  (** residual delta evaluations *)
-  mutable reverifies : int;  (** view rows re-checked after deletions *)
-  mutable recomputes : int;  (** full re-evaluations (non-monotone denials) *)
+  mutable reverifies : int;  (** view rows re-checked after removals *)
+  mutable recomputes : int;  (** full evaluations, by {!initialize} only *)
   mutable skipped : int;
-      (** denials untouched by a delta, or whose share of it cancelled *)
+      (** denials untouched by a delta, whose share of it cancelled, or
+          skipped as proven *)
   mutable rows_added : int;
   mutable rows_removed : int;
 }
@@ -62,16 +96,13 @@ val create : (string * Term.denial list) list -> t
 val initialize : t -> Store.t -> unit
 (** (Re)materialize every denial's witnesses from scratch. *)
 
-val apply_delta : t -> Store.t -> Delta.t -> unit
+val apply_delta : ?proven:bool -> t -> Store.t -> Delta.t -> bool
 (** Maintain the views given the net delta that took the store to its
     current (post-mutation) state.  [store] must already include the
-    delta.
+    delta.  With [~proven:true] (default [false]) the entries of every
+    constraint whose view is empty are skipped instead (see "Proven
+    deltas"); the result says whether any entry was skipped that way.
     @raise Eval.Unsafe / Eval.Budget_exceeded as {!Eval.violations}. *)
-
-val skip_delta : t -> unit
-(** Account for a delta known to change no view without evaluating it:
-    every entry counts as skipped.  The caller vouches for the delta;
-    nothing here checks it. *)
 
 val violated : ?view:Store.t -> t -> string list
 (** Names of constraints with at least one materialized witness, in

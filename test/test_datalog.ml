@@ -239,7 +239,13 @@ let test_agg_sum_max_min () =
   checkb "sum" true (E.violated st (P.parse_denial ":- sum(X; v(_, X)) = 50, v(_, _)"));
   checkb "sumd" true (E.violated st (P.parse_denial ":- sumd(X; v(_, X)) = 40, v(_, _)"));
   checkb "max" true (E.violated st (P.parse_denial ":- max(X; v(_, X)) = 30, v(_, _)"));
-  checkb "min" true (E.violated st (P.parse_denial ":- min(X; v(_, X)) = 10, v(_, _)"))
+  checkb "min" true (E.violated st (P.parse_denial ":- min(X; v(_, X)) = 10, v(_, _)"));
+  (* an extremum over no rows does not hold, even when its group is
+     bound before any positive literal runs *)
+  checkb "max over no rows" false
+    (E.violated st (P.parse_denial ":- v(4, _), max(X; v(4, X)) > 0"));
+  checkb "min over no rows" false
+    (E.violated st (P.parse_denial ":- min(X; v(4, X)) < 100"))
 
 let test_agg_multi_atom_join () =
   (* the Example 2 shape: distinct tracks a reviewer name serves in *)

@@ -9,7 +9,8 @@
    - journal recovery replay maintains the same views as the live run;
    - the count aggregates of Examples 2 and 7 stay exact under unguarded
      insert/remove streams that cross their bounds both ways;
-   - denials outside the monotone class are recomputed, and stay exact;
+   - every denial class (negation, sums, extrema, counts bounded either
+     way) is maintained by delta rules and stays exact;
    - a fact change in columns a denial does not read costs it no
      evaluation, and a denial that reads the column is still exact. *)
 
@@ -409,41 +410,35 @@ let test_count_views_exact () =
       ("track_load", `Into); ("track_load", `Out) ]
 
 (* ------------------------------------------------------------------ *)
-(* Classification                                                      *)
+(* Polarity                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Counts bounded from above or by equality, sums, extrema and negation
-   can lose a violation when a fact is added: they stay on the full
-   recompute path, once per touched denial, and must stay exact.  The
-   counts bounded from below are maintained by delta. *)
-let test_classification () =
-  let recompute =
+(* Every denial class is maintained by delta rules: counts bounded from
+   above or by equality, sums, extrema and negation lose or gain
+   violations in either direction, through their sites' polarity, and
+   must stay exact without a recompute after initialization.  Facts
+   come from small domains, so they go about as often as they come and
+   a rev keeps losing its last submission. *)
+let test_every_class_by_delta () =
+  let denials =
     [ ":- rev(Ir, _, _, _), cnt(sub(_, _, Ir, _)) < 2";
       ":- rev(Ir, _, _, _), cnt(sub(_, _, Ir, _)) = 2";
       ":- rev(Ir, _, _, _), sum(P; sub(_, P, Ir, _)) > 3";
       ":- sub(_, _, Ir, _), max(P; sub(_, P, Ir, _)) > 2";
       ":- sub(_, _, Ir, _), min(P; sub(_, P, Ir, _)) < 2";
-      ":- rev(Ir, _, _, _), not sub(_, _, Ir, _)" ]
-  and monotone =
-    [ ":- rev(Ir, _, _, _), cnt(sub(_, _, Ir, _)) > 2";
+      ":- rev(Ir, _, _, _), not sub(_, _, Ir, _)";
+      ":- rev(Ir, _, _, _), cnt(sub(_, _, Ir, _)) > 2";
       ":- rev(_, _, _, R), cntd(T; rev(_, _, T, R)) >= 2" ]
   in
-  let preds src =
-    List.concat_map
-      (function
-        | Term.Rel a | Term.Not a -> [ a.Term.pred ]
-        | Term.Agg g -> List.map (fun (a : Term.atom) -> a.Term.pred) g.Term.atoms
-        | Term.Cmp _ -> [])
-      (Parser.parse_denial src).Term.body
-  in
-  let constraints ds =
-    List.mapi (fun k d -> (Printf.sprintf "d%d" k, [ Parser.parse_denial d ])) ds
+  let constraints =
+    List.mapi (fun k d -> (Printf.sprintf "d%d" k, [ Parser.parse_denial d ])) denials
   in
   let rev = Symbol.intern "rev" and sub = Symbol.intern "sub" in
   let r = Prng.create 5 in
   let st = Store.create () in
-  let inc = Incr.create (constraints (recompute @ monotone)) in
+  let inc = Incr.create constraints in
   Incr.initialize inc st;
+  let initialized = (Incr.stats inc).Incr.recomputes in
   for step = 1 to 200 do
     let d = Delta.create () in
     for _ = 0 to Prng.int r 2 do
@@ -452,7 +447,7 @@ let test_classification () =
           (rev, [ Term.Int (Prng.int r 3); Term.Int 1; Term.Int (Prng.int r 2);
                   Term.Str (Prng.pick r names) ])
         else
-          (sub, [ Term.Int (10 + Prng.int r 8); Term.Int (1 + Prng.int r 3);
+          (sub, [ Term.Int (10 + Prng.int r 4); Term.Int (1 + Prng.int r 2);
                   Term.Int (Prng.int r 3); Term.Str "t" ])
       in
       if Store.mem_sym st rel tup then begin
@@ -464,23 +459,17 @@ let test_classification () =
         Delta.add d rel tup
       end
     done;
-    let before = (Incr.stats inc).Incr.recomputes in
-    Incr.apply_delta inc st d;
-    let touched = List.map Symbol.name (Delta.touched d) in
-    let expect =
-      List.filter (fun src -> List.exists (fun p -> List.mem p touched) (preds src)) recompute
-    in
-    Alcotest.(check int)
-      (Printf.sprintf "step %d: one recompute per touched non-monotone denial" step)
-      (List.length expect)
-      ((Incr.stats inc).Incr.recomputes - before);
-    let fresh = Incr.create (constraints (recompute @ monotone)) in
+    ignore (Incr.apply_delta inc st d : bool);
+    let fresh = Incr.create constraints in
     Incr.initialize fresh st;
     Alcotest.(check bool)
       (Printf.sprintf "step %d: views equal a fresh materialization" step)
       true
       (Store.equal (Incr.view inc) (Incr.view fresh))
-  done
+  done;
+  Alcotest.(check int) "no recompute after initialization" initialized
+    (Incr.stats inc).Incr.recomputes;
+  Alcotest.(check bool) "the delta rules ran" true ((Incr.stats inc).Incr.evals > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Read columns                                                        *)
@@ -516,7 +505,7 @@ let sub_fixture denials =
         Delta.add d sub (sub_fact f))
       add;
     let before = (Incr.stats inc).Incr.evals in
-    Incr.apply_delta inc st d;
+    ignore (Incr.apply_delta inc st d : bool);
     let fresh = Incr.create constraints in
     Incr.initialize fresh st;
     Alcotest.(check bool) "views equal a fresh materialization" true
@@ -636,16 +625,59 @@ let test_proven_flush_skips () =
     (d1.Repository.delta_facts_added > d0.Repository.delta_facts_added);
   check_views_exact repo "after a proven flush"
 
-(* A state that already violates a constraint is outside Theorem 1: the
-   same insert is maintained. *)
+(* A state that already violates a constraint is outside Theorem 1 for
+   that constraint: the same insert maintains it.  The constraints whose
+   views are empty are still skipped as proven. *)
 let test_violated_state_maintained () =
   let repo = guard_repo conflicted_rev in
   let d0 = Repository.delta_stats repo and p0 = proven_flushes repo in
   check_optimized "insert" (Repository.guarded_update repo (rita_insert "New"));
   Alcotest.(check bool) "the delta rules ran" true
     ((Repository.delta_stats repo).Repository.incr_evals > d0.Repository.incr_evals);
-  Alcotest.(check int) "no proven flush" p0 (proven_flushes repo);
+  Alcotest.(check int) "the empty views are proven" (p0 + 1) (proven_flushes repo);
   check_views_exact repo "on a violated state"
+
+(* Rita reviews in four tracks with twelve submissions: Example 2 is
+   violated, and only Example 2. *)
+let overloaded_rev =
+  let subs n =
+    String.concat ""
+      (List.init n (fun k ->
+           Printf.sprintf "<sub><title>P%d</title><auts><name>Bob</name></auts></sub>" k))
+  in
+  let track name reviewer n =
+    Printf.sprintf "<track><name>%s</name><rev><name>%s</name>%s</rev></track>" name
+      reviewer (subs n)
+  in
+  Printf.sprintf "<review>%s</review>"
+    (String.concat ""
+       [ track "T1" "Rita" 3; track "T2" "Rita" 3; track "T3" "Rita" 3;
+         track "T4" "Rita" 3; track "T5" "Ed" 1 ])
+
+(* Theorem 1 holds per constraint: a pre-checked insert under Ed
+   maintains Example 2's entries and skips every other constraint's. *)
+let test_proven_per_constraint () =
+  let repo = guard_repo overloaded_rev in
+  Alcotest.(check (list string)) "only Example 2 is violated" [ "workload" ]
+    (Repository.check_incremental repo);
+  let d0 = Repository.delta_stats repo and p0 = proven_flushes repo in
+  check_optimized "insert"
+    (Repository.guarded_update repo
+       (Conf.insert_submission ~select:"/review/track[5]/rev[1]/sub[1]"
+          ~title:"New" ~author:"Zoe"));
+  let d1 = Repository.delta_stats repo in
+  let workload =
+    List.find (fun (c : Constr.t) -> c.Constr.name = "workload")
+      (Repository.constraints repo)
+  in
+  Alcotest.(check bool) "Example 2 is maintained" true
+    (d1.Repository.incr_evals > d0.Repository.incr_evals);
+  Alcotest.(check int) "every other entry is skipped"
+    (d0.Repository.incr_skipped + d1.Repository.incr_entries
+     - List.length workload.Constr.datalog)
+    d1.Repository.incr_skipped;
+  Alcotest.(check int) "one proven flush" (p0 + 1) (proven_flushes repo);
+  check_views_exact repo "after a per-constraint proven flush"
 
 (* Marks an unchecked statement left behind reach the views before the
    pre-checked statement's flush decides whether it is proven. *)
@@ -703,8 +735,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_recovery_replay;
           Alcotest.test_case "count views across violation transitions"
             `Quick test_count_views_exact;
-          Alcotest.test_case "non-monotone denials recompute" `Quick
-            test_classification;
+          Alcotest.test_case "every class is maintained by delta" `Quick
+            test_every_class_by_delta;
         ] );
       ( "read columns",
         [
@@ -721,6 +753,8 @@ let () =
             test_proven_flush_skips;
           Alcotest.test_case "a violated state is maintained" `Quick
             test_violated_state_maintained;
+          Alcotest.test_case "proven per constraint" `Quick
+            test_proven_per_constraint;
           Alcotest.test_case "pending marks are maintained first" `Quick
             test_pending_marks_maintained_first;
           Alcotest.test_case "fallback, savepoint and pre-check in one txn"

@@ -466,8 +466,9 @@ let test_fused_loader_oracle () =
    stream: (a) the incremental verdict equals the full check, (b) the
    event-maintained store equals a from-scratch re-shred, (c) the
    delta-maintained denial views equal views recomputed from scratch on
-   the current store. *)
-let check_incremental_agreement ~seed repo what =
+   the current store.  Returns the recomputed views, which the next
+   check takes as [views]. *)
+let check_incremental_agreement ?views ~seed repo what =
   Alcotest.(check (list string))
     (Printf.sprintf "[seed %d] %s: incremental verdict = full" seed what)
     (sorted (Repository.check_full repo))
@@ -480,37 +481,61 @@ let check_incremental_agreement ~seed repo what =
     (Repository.store repo);
   let maintained =
     match Repository.incr_view repo with
-    | Some v -> Store.freeze v
+    | Some v -> v
     | None -> Alcotest.failf "[seed %d] %s: no materialized views" seed what
   in
+  (* Incr recomputes only when it initializes: [views] must still be
+     the live views, initialized once. *)
+  Option.iter
+    (fun views ->
+      let d = Repository.delta_stats repo in
+      checkb
+        (Printf.sprintf "[seed %d] %s: views maintained, never recomputed" seed what)
+        true
+        (views == maintained
+         && d.Repository.incr_recomputes = d.Repository.incr_entries))
+    views;
+  let maintained = Store.freeze maintained in
   Repository.set_incremental repo false;  (* drop the views... *)
   ignore (Repository.check_incremental repo : string list);  (* ...recompute *)
   match Repository.incr_view repo with
   | Some fresh ->
     check_stores_equal ~seed (what ^ " (maintained views vs recompute)")
-      fresh maintained
+      fresh maintained;
+    fresh
   | None -> Alcotest.failf "[seed %d] %s: recompute built no views" seed what
 
 (* Beside Examples 1, 2 and 7, whose views ignore the position column,
    route 8 maintains denials that read it: every sibling shift must
    reach these views.  The lone qualifier uses its node only through
-   the position, which the XQuery translation must still quantify. *)
-let incr_repo_of ~pub ~rev =
+   the position, which the XQuery translation must still quantify.
+   [~removals:true] adds denials that removals can violate: a negation
+   over the authors the updates insert and remove, and counts bounded
+   from above and by equality.  Random documents mostly violate them
+   from the start, and a violated state rolls back every unmatched
+   statement, so they get a stream of their own. *)
+let incr_repo_of ?(removals = false) ~pub ~rev () =
   let repo = repo_of ~pub ~rev in
   List.iter
     (fun (name, src) ->
       Repository.add_constraint repo
         (Constr.make (Repository.schema repo) ~name src))
-    [ ("late_sub", "<- //rev/sub[position() > 5]/auts -> S");
-      ("lone_late_sub", "<- //rev/sub[position() > 5]") ];
+    ([ ("late_sub", "<- //rev/sub[position() > 5]/auts -> S");
+       ("lone_late_sub", "<- //rev/sub[position() > 5]") ]
+     @
+     if removals then
+       [ ("unpublished_rev", "<- //rev[name/text() -> R] and not(//auts[name/text() -> R])");
+         ("thin_rev", "<- //rev -> Ir and cnt{; Ir/sub} < 2");
+         ("two_subs", "<- //rev -> Ir and cnt{; Ir/sub} = 2") ]
+     else []);
   repo
 
 let test_incremental_oracle () =
   (* the paper's fixed scenario, consistent and violated *)
   List.iter
     (fun (what, rev) ->
-      let repo = incr_repo_of ~pub:fixed_pub ~rev in
-      check_incremental_agreement ~seed:0 repo what)
+      let repo = incr_repo_of ~removals:true ~pub:fixed_pub ~rev () in
+      ignore (check_incremental_agreement ~seed:0 repo what : Store.t))
     [ ("examples consistent", fixed_rev);
       ( "examples violated",
         {|<review><track><name>DB</name><rev><name>Carl</name><sub><title>Joint</title><auts><name>Carl</name></auts></sub></rev></track></review>|}
@@ -531,53 +556,61 @@ let test_incremental_oracle () =
     Xic_obs.Obs.Metrics.(value (counter "incr_proven_flushes"))
   in
   let proven0 = proven_flushes () in
+  (* Each iteration runs two streams: seeds 17000+ over the base set,
+     27000+ with the removal-created denials added. *)
   for i = 1 to iters do
-    let seed = 17000 + i in
-    let r = Prng.create seed in
-    let repo = incr_repo_of ~pub:(gen_pub r) ~rev:(gen_rev i r) in
-    check_incremental_agreement ~seed repo "initial";
-    let path = fresh_path () in
-    let j = J.open_ ~sync:false path in
-    for round = 1 to 1 + Prng.int r 3 do
-      let txn = Repository.begin_txn ~journal:j repo in
-      for _ = 1 to 1 + Prng.int r 2 do
-        match random_update r repo with
-        | Some u -> ignore (Repository.txn_apply txn u : Repository.report)
-        | None -> ()
-      done;
-      (* sometimes wind a savepoint forward and roll it back: the
-         inverse deltas must retract exactly what the forward pass
-         materialized *)
-      if Prng.bool r then begin
-        let sp = Repository.txn_savepoint txn in
-        (match random_update r repo with
-         | Some u -> ignore (Repository.txn_apply txn u : Repository.report)
-         | None -> ());
-        ignore (Repository.check_incremental repo : string list);
-        Repository.txn_rollback_to txn sp
-      end;
-      if Prng.int r 4 = 0 then Repository.rollback_txn txn
-      else begin
-        Repository.commit_txn txn;
-        committed_violations :=
-          Repository.check_incremental repo @ !committed_violations
-      end;
-      check_incremental_agreement ~seed repo
-        (Printf.sprintf "after txn round %d" round)
-    done;
-    J.close j;
-    (* replay the journal into a fresh repository with views materialized
-       before recovery: replay deltas must maintain them too *)
-    let r2 = Prng.create seed in
-    let repo2 = incr_repo_of ~pub:(gen_pub r2) ~rev:(gen_rev i r2) in
-    ignore (Repository.check_incremental repo2 : string list);
-    ignore (Repository.recover (J.read path) repo2 : Repository.recovery_report);
-    check_incremental_agreement ~seed repo2 "after recovery replay";
-    Alcotest.(check (list string))
-      (Printf.sprintf "[seed %d] recovered incremental verdict = original" seed)
-      (sorted (Repository.check_incremental repo))
-      (sorted (Repository.check_incremental repo2));
-    Sys.remove path
+    List.iter
+      (fun (seed, removals) ->
+        let r = Prng.create seed in
+        let repo = incr_repo_of ~removals ~pub:(gen_pub r) ~rev:(gen_rev i r) () in
+        let views = ref (check_incremental_agreement ~seed repo "initial") in
+        let path = fresh_path () in
+        let j = J.open_ ~sync:false path in
+        for round = 1 to 1 + Prng.int r 3 do
+          let txn = Repository.begin_txn ~journal:j repo in
+          for _ = 1 to 1 + Prng.int r 2 do
+            match random_update r repo with
+            | Some u -> ignore (Repository.txn_apply txn u : Repository.report)
+            | None -> ()
+          done;
+          (* sometimes wind a savepoint forward and roll it back: the
+             inverse deltas must retract exactly what the forward pass
+             materialized *)
+          if Prng.bool r then begin
+            let sp = Repository.txn_savepoint txn in
+            (match random_update r repo with
+             | Some u -> ignore (Repository.txn_apply txn u : Repository.report)
+             | None -> ());
+            ignore (Repository.check_incremental repo : string list);
+            Repository.txn_rollback_to txn sp
+          end;
+          if Prng.int r 4 = 0 then Repository.rollback_txn txn
+          else begin
+            Repository.commit_txn txn;
+            committed_violations :=
+              Repository.check_incremental repo @ !committed_violations
+          end;
+          views :=
+            check_incremental_agreement ~views:!views ~seed repo
+              (Printf.sprintf "after txn round %d" round)
+        done;
+        J.close j;
+        (* replay the journal into a fresh repository with views materialized
+           before recovery: replay deltas must maintain them too *)
+        let r2 = Prng.create seed in
+        let repo2 = incr_repo_of ~removals ~pub:(gen_pub r2) ~rev:(gen_rev i r2) () in
+        ignore (Repository.check_incremental repo2 : string list);
+        let views2 = Option.get (Repository.incr_view repo2) in
+        ignore (Repository.recover (J.read path) repo2 : Repository.recovery_report);
+        ignore
+          (check_incremental_agreement ~views:views2 ~seed repo2 "after recovery replay"
+            : Store.t);
+        Alcotest.(check (list string))
+          (Printf.sprintf "[seed %d] recovered incremental verdict = original" seed)
+          (sorted (Repository.check_incremental repo))
+          (sorted (Repository.check_incremental repo2));
+        Sys.remove path)
+      [ (17000 + i, false); (27000 + i, true) ]
   done;
   List.iter
     (fun c ->
@@ -585,7 +618,7 @@ let test_incremental_oracle () =
         Alcotest.failf
           "coverage: no commit in %d iterations left the %s view non-empty"
           iters c)
-    [ "workload"; "track_load"; "late_sub" ];
+    [ "workload"; "track_load"; "late_sub"; "unpublished_rev"; "thin_rev"; "two_subs" ];
   if proven_flushes () = proven0 then
     Alcotest.failf "coverage: no flush in %d iterations took the proven path"
       iters

@@ -517,6 +517,62 @@ let test_batched_journal_error () =
   (try J.close j with J.Journal_error _ -> ());
   Sys.remove jpath
 
+(* A failed commit or abort record leaves nothing of its transaction in
+   memory: the request is answered with an error that says the outcome
+   waits for recovery, and the store, the generation and the verdict
+   are those from before it.  Each case has the commit or abort
+   record's fsync fail with EIO on a fresh server. *)
+let test_failed_close_record_undone () =
+  let update u = P.String (XU.to_string u) in
+  let op name fields = P.Obj (("op", P.String name) :: fields) in
+  List.iter
+    (fun (what, reqs) ->
+      let jpath = tmp_path "close_eio.j" in
+      let j = J.open_ jpath in
+      let repo = make_repo () in
+      let srv = Srv.create ~config:{ Srv.default_config with journal = Some j } repo in
+      let state () =
+        ( Xic_datalog.Store.total_tuples (Repository.store repo),
+          Repository.generation repo,
+          let c = Srv.handle srv (op "check" []) in
+          P.to_string
+            (P.List
+               [ P.Bool (P.bool_field "consistent" c);
+                 Option.fold ~none:P.Null ~some:(fun l -> P.List l)
+                   (P.list_field "violated" c);
+                 Option.fold ~none:P.Null ~some:(fun g -> P.Int g)
+                   (P.int_field "generation" c) ]) )
+      in
+      let facts, generation, check = state () in
+      FP.set ~action:(FP.Eio { failures = 1 }) "journal_fsync";
+      let replies = Fun.protect ~finally:FP.clear (fun () -> List.map (Srv.handle srv) reqs) in
+      let last = List.nth replies (List.length replies - 1) in
+      List.iter
+        (fun r -> if r != last then checkb (what ^ ": earlier request answered") true (P.bool_field "ok" r))
+        replies;
+      checkb (what ^ ": error reply") false (P.bool_field "ok" last);
+      let m = Option.value (P.string_field "error" last) ~default:"" in
+      let says s =
+        let n = String.length s in
+        let rec go i = i + n <= String.length m && (String.sub m i n = s || go (i + 1)) in
+        go 0
+      in
+      checkb (what ^ ": the error names the journal") true (says "journal:");
+      checkb (what ^ ": the outcome waits for recovery") true (says "unknown until recovery");
+      let facts', generation', check' = state () in
+      checki (what ^ ": facts after") facts facts';
+      checki (what ^ ": generation after") generation generation';
+      checks (what ^ ": check after") check check';
+      (try J.close j with J.Journal_error _ -> ());
+      Sys.remove jpath)
+    [ ("guard", [ op "guard" [ ("update", update (legal_insert ())) ] ]);
+      ( "txn with abort",
+        [ op "txn" [ ("updates", P.List [ update (legal_insert ()) ]); ("abort", P.Bool true) ] ] );
+      ( "streaming txn",
+        [ op "txn_begin" [];
+          op "txn_stmt" [ ("update", update (legal_insert ())) ];
+          op "txn_commit" [] ] ) ]
+
 (* ------------------------------------------------------------------ *)
 (* Graceful shutdown                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -988,6 +1044,8 @@ let () =
             test_unmatched_guard_ignores_fallback;
           Alcotest.test_case "journal error in a batched run" `Quick
             test_batched_journal_error;
+          Alcotest.test_case "failed closing record is undone" `Quick
+            test_failed_close_record_undone;
         ] );
       ( "shutdown",
         [
