@@ -45,7 +45,8 @@ type entry = {
 type stats = {
   mutable evals : int;  (* residual delta evaluations *)
   mutable reverifies : int;  (* view rows re-checked after removals *)
-  mutable recomputes : int;  (* full evaluations, by (re)initialization *)
+  mutable recomputes : int;
+      (* full evaluations: (re)initialization, or a change binding nothing *)
   mutable skipped : int;  (* denials untouched by the delta, cancelled, or proven *)
   mutable rows_added : int;
   mutable rows_removed : int;
@@ -288,8 +289,11 @@ let reverify_rows t store e =
       end)
     rows
 
+(* A change that binds no variable leaves the denial itself as its
+   residual: that is a full evaluation, and counts as one. *)
 let eval_residual t store e theta0 =
-  t.stats.evals <- t.stats.evals + 1;
+  if Subst.is_empty theta0 then t.stats.recomputes <- t.stats.recomputes + 1
+  else t.stats.evals <- t.stats.evals + 1;
   let residual = Subst.apply_denial theta0 e.denial in
   List.iter
     (fun env -> add_row t e (project e theta0 env))
@@ -391,7 +395,9 @@ let apply_delta ?(proven = false) t store delta =
      constraint with only its own denials as hypotheses, so a proven
      statement leaves every empty constraint view empty. *)
   let held =
-    if proven then List.filter (fun n -> not (List.mem n (violated t))) t.names
+    if proven then
+      let v = violated t in
+      List.filter (fun n -> not (List.mem n v)) t.names
     else []
   in
   let skip () = t.stats.skipped <- t.stats.skipped + 1 in

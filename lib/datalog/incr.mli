@@ -9,7 +9,11 @@
     skipped, and every other denial is maintained by one delta rule per
     {e site}, an atom of its body.  The view uses set semantics, so it
     is [Store.equal]-comparable with a from-scratch recompute (oracle
-    route 8).  Only {!initialize} evaluates a denial in full.
+    route 8).  Only {!initialize} evaluates a denial in full, apart
+    from a change that binds no variable of the residual (a negated
+    atom sharing no variable with the rest of the body, or a deleted
+    aggregate atom holding none of the group-by variables): its
+    residual is the whole denial, and it counts as a recompute.
 
     {b Polarity.}  A site's polarity is the direction of fact change
     that can create witnesses there:
@@ -78,7 +82,9 @@ type t
 type stats = {
   mutable evals : int;  (** residual delta evaluations *)
   mutable reverifies : int;  (** view rows re-checked after removals *)
-  mutable recomputes : int;  (** full evaluations, by {!initialize} only *)
+  mutable recomputes : int;
+      (** full evaluations: by {!initialize}, or for a change that binds
+          no variable of the residual *)
   mutable skipped : int;
       (** denials untouched by a delta, whose share of it cancelled, or
           skipped as proven *)

@@ -418,7 +418,11 @@ let test_count_views_exact () =
    violations in either direction, through their sites' polarity, and
    must stay exact without a recompute after initialization.  Facts
    come from small domains, so they go about as often as they come and
-   a rev keeps losing its last submission. *)
+   a rev keeps losing its last submission; every denial's view must
+   both gain and lose witnesses over the run.  The extrema appear twice:
+   grouped by a [sub] atom, whose own site already binds the group of a
+   changed submission, and by a [rev] atom, where only the aggregate's
+   site does. *)
 let test_every_class_by_delta () =
   let denials =
     [ ":- rev(Ir, _, _, _), cnt(sub(_, _, Ir, _)) < 2";
@@ -426,6 +430,8 @@ let test_every_class_by_delta () =
       ":- rev(Ir, _, _, _), sum(P; sub(_, P, Ir, _)) > 3";
       ":- sub(_, _, Ir, _), max(P; sub(_, P, Ir, _)) > 2";
       ":- sub(_, _, Ir, _), min(P; sub(_, P, Ir, _)) < 2";
+      ":- rev(Ir, _, _, _), max(P; sub(_, P, Ir, _)) > 2";
+      ":- rev(Ir, _, _, _), min(P; sub(_, P, Ir, _)) < 2";
       ":- rev(Ir, _, _, _), not sub(_, _, Ir, _)";
       ":- rev(Ir, _, _, _), cnt(sub(_, _, Ir, _)) > 2";
       ":- rev(_, _, _, R), cntd(T; rev(_, _, T, R)) >= 2" ]
@@ -439,6 +445,9 @@ let test_every_class_by_delta () =
   let inc = Incr.create constraints in
   Incr.initialize inc st;
   let initialized = (Incr.stats inc).Incr.recomputes in
+  let gained = Hashtbl.create 8 and lost = Hashtbl.create 8 in
+  let rows () = Store.to_facts (Incr.view inc) in
+  let before = ref (rows ()) in
   for step = 1 to 200 do
     let d = Delta.create () in
     for _ = 0 to Prng.int r 2 do
@@ -447,7 +456,7 @@ let test_every_class_by_delta () =
           (rev, [ Term.Int (Prng.int r 3); Term.Int 1; Term.Int (Prng.int r 2);
                   Term.Str (Prng.pick r names) ])
         else
-          (sub, [ Term.Int (10 + Prng.int r 4); Term.Int (1 + Prng.int r 2);
+          (sub, [ Term.Int (10 + Prng.int r 4); Term.Int (1 + Prng.int r 3);
                   Term.Int (Prng.int r 3); Term.Str "t" ])
       in
       if Store.mem_sym st rel tup then begin
@@ -465,11 +474,62 @@ let test_every_class_by_delta () =
     Alcotest.(check bool)
       (Printf.sprintf "step %d: views equal a fresh materialization" step)
       true
-      (Store.equal (Incr.view inc) (Incr.view fresh))
+      (Store.equal (Incr.view inc) (Incr.view fresh));
+    let now = rows () in
+    let diff tbl a b =
+      List.iter (fun ((rel, _) as f) -> if not (List.mem f b) then Hashtbl.replace tbl rel ()) a
+    in
+    diff gained now !before;
+    diff lost !before now;
+    before := now
   done;
+  let views tbl = List.sort compare (Hashtbl.fold (fun rel () acc -> rel :: acc) tbl []) in
+  Alcotest.(check int)
+    ("every view gained witnesses: " ^ String.concat " " (views gained))
+    (List.length denials) (Hashtbl.length gained);
+  Alcotest.(check int)
+    ("every view lost witnesses: " ^ String.concat " " (views lost))
+    (List.length denials) (Hashtbl.length lost);
   Alcotest.(check int) "no recompute after initialization" initialized
     (Incr.stats inc).Incr.recomputes;
   Alcotest.(check bool) "the delta rules ran" true ((Incr.stats inc).Incr.evals > 0)
+
+(* A change that binds no variable of its residual leaves the whole
+   denial to evaluate: removing the last submission under a negation
+   that shares nothing with the body, or a submission whose aggregate
+   atom holds no group-by variable.  That is a full evaluation, and it
+   counts as a recompute, not as a residual evaluation. *)
+let test_unbound_change_recomputes () =
+  let rev = Symbol.intern "rev" and sub = Symbol.intern "sub"
+  and auts = Symbol.intern "auts" in
+  let sub_fact = [ Term.Int 10; Term.Int 1; Term.Int 1; Term.Str "t" ] in
+  let auts_fact = [ Term.Int 20; Term.Int 1; Term.Int 10 ] in
+  let st = Store.create () in
+  Store.add_sym st rev [ Term.Int 1; Term.Int 1; Term.Int 0; Term.Str "Carl" ];
+  Store.add_sym st sub sub_fact;
+  Store.add_sym st auts auts_fact;
+  List.iter
+    (fun (what, denial, rel, fact) ->
+      let constraints = [ ("d", [ Parser.parse_denial denial ]) ] in
+      let inc = Incr.create constraints in
+      Incr.initialize inc st;
+      let s0 = Incr.stats inc in
+      let recomputes = s0.Incr.recomputes and evals = s0.Incr.evals in
+      ignore (Store.remove_sym st rel fact);
+      let d = Delta.create () in
+      Delta.remove d rel fact;
+      ignore (Incr.apply_delta inc st d : bool);
+      Alcotest.(check (list string)) (what ^ ": violated") [ "d" ] (Incr.violated inc);
+      Alcotest.(check int) (what ^ ": one recompute") (recomputes + 1)
+        (Incr.stats inc).Incr.recomputes;
+      Alcotest.(check int) (what ^ ": no residual evaluation") evals
+        (Incr.stats inc).Incr.evals;
+      Store.add_sym st rel fact)
+    [ ("negation", ":- rev(Ir, _, _, _), not sub(_, _, _, _)", sub, sub_fact);
+      ( "aggregate",
+        ":- rev(Ir, _, _, _), cnt(sub(S, _, Ir, _), auts(_, _, S)) < 1",
+        auts,
+        auts_fact ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Read columns                                                        *)
@@ -737,6 +797,8 @@ let () =
             `Quick test_count_views_exact;
           Alcotest.test_case "every class is maintained by delta" `Quick
             test_every_class_by_delta;
+          Alcotest.test_case "an unbound change recomputes" `Quick
+            test_unbound_change_recomputes;
         ] );
       ( "read columns",
         [

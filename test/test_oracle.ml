@@ -484,7 +484,8 @@ let check_incremental_agreement ?views ~seed repo what =
     | Some v -> v
     | None -> Alcotest.failf "[seed %d] %s: no materialized views" seed what
   in
-  (* Incr recomputes only when it initializes: [views] must still be
+  (* Every site of these constraints binds a variable of its residual,
+     so Incr recomputes only when it initializes: [views] must still be
      the live views, initialized once. *)
   Option.iter
     (fun views ->

@@ -517,6 +517,11 @@ let test_batched_journal_error () =
   (try J.close j with J.Journal_error _ -> ());
   Sys.remove jpath
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 (* A failed commit or abort record leaves nothing of its transaction in
    memory: the request is answered with an error that says the outcome
    waits for recovery, and the store, the generation and the verdict
@@ -552,13 +557,9 @@ let test_failed_close_record_undone () =
         replies;
       checkb (what ^ ": error reply") false (P.bool_field "ok" last);
       let m = Option.value (P.string_field "error" last) ~default:"" in
-      let says s =
-        let n = String.length s in
-        let rec go i = i + n <= String.length m && (String.sub m i n = s || go (i + 1)) in
-        go 0
-      in
-      checkb (what ^ ": the error names the journal") true (says "journal:");
-      checkb (what ^ ": the outcome waits for recovery") true (says "unknown until recovery");
+      checkb (what ^ ": the error names the journal") true (contains m "journal:");
+      checkb (what ^ ": the outcome waits for recovery") true
+        (contains m "unknown until recovery");
       let facts', generation', check' = state () in
       checki (what ^ ": facts after") facts facts';
       checki (what ^ ": generation after") generation generation';
@@ -668,11 +669,6 @@ let test_shutdown_crash_failpoint () =
 
 module Obs = Xic_obs.Obs
 module XLog = Xic_obs.Log
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
 
 let with_tracing f =
   Obs.Trace.set_enabled true;
