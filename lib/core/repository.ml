@@ -831,7 +831,8 @@ let txn_rollback_to tx sp =
    statement that instantiates a registered pattern runs its simplified
    checks before execution; any other statement (or one whose pre-check
    degraded) is executed, checked by {!check_incremental} and
-   compensated on violation — footnote 4's execute–check–compensate.
+   compensated when a constraint that held before it fails after it —
+   footnote 4's execute–check–compensate.
    A statement the pre-check accepted is flushed on its own: first the
    marks earlier statements or rollbacks left, maintained as usual, so
    the views describe the state the pre-check ran on; then its own
@@ -862,9 +863,18 @@ let txn_apply tx (u : XU.t) =
             m "optimized check %s degraded (%s); falling back to the full check"
               d.failed_check d.reason))
       degs;
+    (* Theorem 1's premise, per constraint: the statement answers only
+       for the constraints that held before it.  Flushing the pending
+       marks first makes the views describe that state. *)
+    let violated_before =
+      ignore (store t : Xic_datalog.Store.t);
+      match t.incr with Some i -> Incr.violated i | None -> check_incremental t
+    in
     let before = tx.txn_seq in
     let undo = exec "full_check" in
-    match check_incremental t with
+    match
+      List.filter (fun c -> not (List.mem c violated_before)) (check_incremental t)
+    with
     | [] -> { outcome = Applied `Full_check; degradations = degs }
     | violated :: _ ->
       rollback t undo;

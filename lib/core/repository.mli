@@ -12,8 +12,9 @@
        update executes, so illegal updates are never applied;}
     {- {e fallback}: updates matching no pattern (or whose pre-check
        degraded) are executed, checked against the delta-maintained
-       views ({!check_incremental}) and compensated on violation —
-       footnote 4's execute–check–compensate, the only fallback.}} *)
+       views ({!check_incremental}) and compensated when a constraint
+       that held before it is violated after it — footnote 4's
+       execute–check–compensate, the only fallback.}} *)
 
 open Xic_xml
 
@@ -278,7 +279,8 @@ type outcome =
       (** refused before execution (optimized check); the violated
           constraint's name *)
   | Rolled_back of string
-      (** executed, found violating by {!check_incremental}, compensated *)
+      (** executed, found by {!check_incremental} to violate a
+          constraint that held before it (named), compensated *)
 
 (** Outcome of a guarded update plus the checks that degraded along the
     way.  [degradations] is non-empty when an optimized check failed to
@@ -295,8 +297,11 @@ val guarded_batch :
     A statement that instantiates a registered pattern runs the
     pattern's pre-compiled simplified checks before execution.  Any
     other statement — or one whose pre-check degraded — is executed,
-    checked by {!check_incremental} and compensated on violation
-    (Section 7, footnote 4 of the paper: execute–check–compensate).
+    checked by {!check_incremental} and compensated when it violates a
+    constraint that held before it (Section 7, footnote 4 of the paper:
+    execute–check–compensate).  A violation the state already had is
+    not the statement's: as for a pre-checked statement, only the
+    constraints that held are its premise (Theorem 1).
 
     All statements share one transaction under group commit: with
     [journal], intent records (serialized statement and strategy) are

@@ -1,11 +1,13 @@
-(** Evaluation of denials against a fact store.
+(** Evaluation of denials against a fact store, compiled once and run
+    many times.
 
-    A denial is {e violated} when its body is satisfiable; [violation]
-    searches for a satisfying substitution with a simple
-    most-bound-literal-first join strategy, exploiting the first-column
-    index of {!Store}.  Negated and aggregate literals are scheduled once
-    their outer variables are bound (safe evaluation); unsafe denials
-    raise {!Unsafe}. *)
+    {!compile} decides everything that depends only on which variables
+    are bound, never on their values: variables become slots of one
+    [Term.const array], predicates resolve to their symbols, and the
+    literal schedule and probe columns are fixed.  {!iter} and {!exists}
+    then walk the fixed steps over the store's indexes. *)
+
+module Symbol = Xic_symbol.Symbol
 
 exception Unsafe of string
 
@@ -48,68 +50,124 @@ let with_meter f =
         let v = f () in
         (v, max_int - !r))
 
-type env = (string, Term.const) Hashtbl.t
+(* ------------------------------------------------------------------ *)
+(* Plans                                                               *)
+(* ------------------------------------------------------------------ *)
 
-let lookup (env : env) v = Hashtbl.find_opt env v
+(* A term as a step reads it: a constant, or the slot of a variable
+   bound by an earlier step (or given as an input). *)
+type operand = Lit of Term.const | Slot of int
 
-let term_value env = function
-  | Term.Var v -> (match lookup env v with Some c -> Some c | None -> None)
-  | Term.Const c -> Some c
-  | Term.Param p -> unsafe "unresolved parameter %%%s at evaluation time" p
+(* What matching a tuple does at one argument position. *)
+type action =
+  | Check_const of Term.const
+  | Check_slot of int
+  | Bind of int
+  | Skip  (* a variable occurring nowhere else: any value matches *)
 
-(* Match a tuple against atom args under [env] plus prior local bindings;
-   returns the list of new bindings (appended to [prior]) or None.  A
-   variable occurring twice must match equal constants. *)
-let match_tuple ?(prior = []) env (args : Term.term list) (tup : Store.tuple) =
+type rel = {
+  pred : string;
+  mutable sym : Symbol.t option;
+      (* [None] while the name is not interned: no store holds the
+         relation, and the name is looked up again on the next run *)
+  probe : (int * operand) option;  (* leftmost column bound before the match *)
+  actions : action array;
+}
+
+type agg_plan = {
+  op : Term.agg_op;
+  join : rel array;  (* the conjunction, in join order *)
+  target : operand option;
+  row : int array;  (* a target-less [cntd]'s local slots: the counted vector *)
+  acmp : Term.cmp;
+  bound : operand;
+}
+
+type step =
+  | Test of Term.cmp * operand * operand
+  | Assign of int * operand  (* an equality binding its variable *)
+  | Join of rel
+  | Anti of rel
+  | Aggregate of agg_plan
+
+type plan = {
+  nslots : int;
+  inputs : int array;  (* slots of the input variables, in the given order *)
+  steps : step array;
+  tick_steps : bool;  (* a denial costs a step per literal; a bare join does not *)
+  vars : (string * int) list;  (* every variable's slot *)
+  witness : (string * int) list;
+      (* the variables the steps bind, in the order a witness lists them *)
+}
+
+let c_plans_compiled = Xic_obs.Obs.Metrics.counter "datalog_plans_compiled"
+
+(* ------------------------------------------------------------------ *)
+(* Running                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let const_equal (a : Term.const) (b : Term.const) =
+  a == b
+  ||
+  match (a, b) with
+  | Term.Int x, Term.Int y -> Int.equal x y
+  | Term.Str x, Term.Str y -> String.equal x y
+  | _ -> false
+
+let value slots = function Lit c -> c | Slot s -> Array.unsafe_get slots s
+
+let resolve r =
+  match r.sym with
+  | Some _ as s -> s
+  | None ->
+    if Symbol.mem r.pred then begin
+      let s = Symbol.intern r.pred in
+      r.sym <- Some s;
+      Some s
+    end
+    else None
+
+let candidates store slots r =
+  match resolve r with
+  | None -> []
+  | Some sym ->
+    (match r.probe with
+     | None -> Store.tuples_sym store sym
+     | Some (col, key) -> Store.tuples_with_col_sym store sym col (value slots key))
+
+(* One budget step per tuple examined.  A tuple of another arity never
+   matches. *)
+let match_actions slots actions tup =
   tick 1;
-  let rec go acc args tup =
-    match (args, tup) with
-    | [], [] -> Some acc
-    | a :: args', c :: tup' ->
-      (match a with
-       | Term.Const c' -> if c = c' then go acc args' tup' else None
-       | Term.Param p -> unsafe "unresolved parameter %%%s in atom" p
-       | Term.Var v ->
-         (match lookup env v with
-          | Some c' -> if c = c' then go acc args' tup' else None
-          | None ->
-            (match List.assoc_opt v acc with
-             | Some c' -> if c = c' then go acc args' tup' else None
-             | None -> go ((v, c) :: acc) args' tup')))
-    | _ -> None
+  let n = Array.length actions in
+  let rec go i = function
+    | [] -> i = n
+    | c :: rest ->
+      i < n
+      && (match Array.unsafe_get actions i with
+          | Check_const k -> const_equal c k
+          | Check_slot s -> const_equal c (Array.unsafe_get slots s)
+          | Bind s ->
+            Array.unsafe_set slots s c;
+            true
+          | Skip -> true)
+      && go (i + 1) rest
   in
-  go prior args tup
+  go 0 tup
 
-(* Probe the leftmost bound column: the first column (node id) when it
-   is ground, else any later ground column through the store's lazy
-   secondary indexes.  Downward joins (parent column bound) and value
-   joins (text column bound) would otherwise enumerate the whole
-   relation — on delta evaluation those scans dwarfed the delta. *)
-let candidate_tuples store env (a : Term.atom) =
-  let rec probe col = function
-    | [] -> Store.tuples store a.Term.pred
-    | t :: rest ->
-      (match term_value env t with
-       | Some key ->
-         if col = 0 then Store.tuples_with_key store a.Term.pred key
-         else Store.tuples_with_col store a.Term.pred col key
-       | None -> probe (col + 1) rest)
+(* Every row of a conjunction: [f] runs with the row's locals in their
+   slots. *)
+let join_rows store slots join f =
+  let n = Array.length join in
+  let rec go j =
+    if j = n then f ()
+    else
+      let r = Array.unsafe_get join j in
+      List.iter
+        (fun tup -> if match_actions slots r.actions tup then go (j + 1))
+        (candidates store slots r)
   in
-  probe 0 a.Term.args
-
-(* Number of argument positions already bound; used to pick the most
-   selective literal first. *)
-let boundness env (a : Term.atom) =
-  List.fold_left
-    (fun n t -> match term_value env t with Some _ -> n + 1 | None -> n)
-    0 a.Term.args
-
-let ground_term env t = term_value env t <> None
-
-
-(* ------------------------------------------------------------------ *)
-(* Aggregates                                                          *)
-(* ------------------------------------------------------------------ *)
+  go 0
 
 let const_int = function
   | Term.Int i -> i
@@ -118,168 +176,258 @@ let const_int = function
      | Some i -> i
      | None -> unsafe "aggregate over non-integer value %S" s)
 
-(* Join order of an aggregate's conjunction: most-bound-first, the rule
-   [pick_literal] applies to body literals, counting as bound both the
-   outer environment and the locals of atoms already placed.  Ties keep
-   source order.  In source order, a per-key count such as
+(* The aggregate's value, or [None] for a [max]/[min] over no rows: the
+   literal does not hold, whichever literal bound the group first. *)
+let aggregate store slots g =
+  let targets () =
+    let acc = ref [] in
+    let t = Option.get g.target in
+    join_rows store slots g.join (fun () -> acc := value slots t :: !acc);
+    List.rev !acc
+  in
+  let sum = List.fold_left (fun a c -> a + const_int c) 0 in
+  match g.op with
+  | Term.Cnt ->
+    let n = ref 0 in
+    join_rows store slots g.join (fun () -> incr n);
+    Some (Term.Int !n)
+  | Term.CntD when g.target = None ->
+    let rows = ref [] in
+    join_rows store slots g.join (fun () ->
+        rows := Array.map (fun s -> slots.(s)) g.row :: !rows);
+    Some (Term.Int (List.length (List.sort_uniq compare !rows)))
+  | Term.CntD -> Some (Term.Int (List.length (List.sort_uniq compare (targets ()))))
+  | Term.Sum -> Some (Term.Int (sum (targets ())))
+  | Term.SumD -> Some (Term.Int (sum (List.sort_uniq compare (targets ()))))
+  | Term.Max ->
+    (match targets () with [] -> None | c :: cs -> Some (List.fold_left max c cs))
+  | Term.Min ->
+    (match targets () with [] -> None | c :: cs -> Some (List.fold_left min c cs))
+
+(* The steps from [i] on, under the bindings in [slots]; [k] receives
+   each completed binding and stops the search by returning [true]. *)
+let rec run store slots p i k =
+  if p.tick_steps then tick 1;
+  if i = Array.length p.steps then k slots
+  else
+    let next () = run store slots p (i + 1) k in
+    match Array.unsafe_get p.steps i with
+    | Test (op, a, b) -> Term.eval_cmp op (value slots a) (value slots b) && next ()
+    | Assign (s, a) ->
+      slots.(s) <- value slots a;
+      next ()
+    | Join r ->
+      List.exists
+        (fun tup -> match_actions slots r.actions tup && next ())
+        (candidates store slots r)
+    | Anti r ->
+      (not (List.exists (match_actions slots r.actions) (candidates store slots r)))
+      && next ()
+    | Aggregate g ->
+      (match aggregate store slots g with
+       | None -> false
+       | Some v -> Term.eval_cmp g.acmp v (value slots g.bound) && next ())
+
+let start p values =
+  if Array.length values <> Array.length p.inputs then
+    invalid_arg "Eval: input values do not match the plan's inputs";
+  let slots = Array.make p.nslots (Term.Int 0) in
+  Array.iteri (fun j s -> slots.(s) <- values.(j)) p.inputs;
+  slots
+
+let iter p store values f =
+  ignore
+    (run store (start p values) p 0 (fun slots ->
+         f slots;
+         false)
+      : bool)
+
+let exists p store values = run store (start p values) p 0 (fun _ -> true)
+
+let slot p v = List.assoc v p.vars
+
+(* ------------------------------------------------------------------ *)
+(* Compilation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Slot numbering and the variables bound so far, while the schedule is
+   fixed. *)
+type scope = {
+  slots : (string, int) Hashtbl.t;
+  mutable next : int;
+  bound : (string, unit) Hashtbl.t;
+}
+
+let slot_of sc v =
+  match Hashtbl.find_opt sc.slots v with
+  | Some s -> s
+  | None ->
+    let s = sc.next in
+    Hashtbl.add sc.slots v s;
+    sc.next <- s + 1;
+    s
+
+let is_bound sc v = Hashtbl.mem sc.bound v
+
+let operand sc = function
+  | Term.Const c -> Lit c
+  | Term.Var v -> Slot (slot_of sc v)
+  | Term.Param p -> unsafe "unresolved parameter %%%s at evaluation time" p
+
+(* An atom's matching actions under the variables [known] before it.
+   The probe is the leftmost known column; it fixes the order in which
+   candidates, and so witnesses, arrive.  Returns the variables the
+   match binds, in argument order. *)
+let compile_rel sc ~known ~skip (a : Term.atom) =
+  let probe =
+    let rec go col = function
+      | [] -> None
+      | Term.Const c :: _ -> Some (col, Lit c)
+      | Term.Var v :: _ when known v -> Some (col, Slot (slot_of sc v))
+      | _ :: rest -> go (col + 1) rest
+    in
+    go 0 a.Term.args
+  in
+  let fresh = ref [] in
+  let actions =
+    List.rev
+      (List.fold_left
+         (fun acc t ->
+           let act =
+             match t with
+             | Term.Const c -> Check_const c
+             | Term.Var v when known v || List.mem v !fresh -> Check_slot (slot_of sc v)
+             | Term.Var v when skip v -> Skip
+             | Term.Var v ->
+               fresh := v :: !fresh;
+               Bind (slot_of sc v)
+             | Term.Param p -> unsafe "unresolved parameter %%%s in atom" p
+           in
+           act :: acc)
+         [] a.Term.args)
+  in
+  let sym = if Symbol.mem a.Term.pred then Some (Symbol.intern a.Term.pred) else None in
+  ({ pred = a.Term.pred; sym; probe; actions = Array.of_list actions }, List.rev !fresh)
+
+(* Join order of a conjunction: most-bound-first, counting as bound the
+   variables [known] beforehand and those of atoms already placed; ties
+   keep source order.  In source order, a per-key count such as
    [cntd(T; track(T, ...), rev(_, _, T, R))] with [R] bound would scan
-   every [track] before probing [rev] by [R]. *)
-let join_order env (atoms : Term.atom list) =
-  let score placed (a : Term.atom) =
+   every [track] before probing [rev] by [R].  Returns the compiled
+   atoms and the variables they bind, in binding order. *)
+let compile_join sc ~known ~skip (atoms : Term.atom list) =
+  let placed = Hashtbl.create 8 in
+  let known' v = known v || Hashtbl.mem placed v in
+  let score (a : Term.atom) =
     List.fold_left
       (fun n t ->
         match t with
         | Term.Const _ -> n + 1
-        | Term.Var v when lookup env v <> None || List.mem v placed -> n + 1
+        | Term.Var v when known' v -> n + 1
         | _ -> n)
       0 a.Term.args
   in
-  let rec go placed acc = function
-    | [] -> List.rev acc
+  let rec go rels bound = function
+    | [] -> (Array.of_list (List.rev rels), bound)
     | a :: rest as atoms ->
-      let best =
-        List.fold_left
-          (fun best a -> if score placed a > score placed best then a else best)
-          a rest
-      in
+      let best = List.fold_left (fun b a -> if score a > score b then a else b) a rest in
       let rec drop = function
         | [] -> []
         | a :: rest -> if a == best then rest else a :: drop rest
       in
-      go (Term.atom_vars best @ placed) (best :: acc) (drop atoms)
+      let r, fresh = compile_rel sc ~known:known' ~skip best in
+      List.iter (fun v -> Hashtbl.replace placed v ()) (Term.atom_vars best);
+      go (r :: rels) (bound @ fresh) (drop atoms)
   in
   go [] [] atoms
 
-(* All consistent local-binding vectors of joined tuples matching the
-   conjunctive pattern. *)
-let conj_matches store env (atoms : Term.atom list) =
-  let candidate_with_prior prior (a : Term.atom) =
-    (* Use the indexes also when an argument is bound by a prior local
-       binding rather than the outer environment. *)
-    let value t =
-      match term_value env t with
-      | Some c -> Some c
-      | None ->
-        (match t with Term.Var v -> List.assoc_opt v prior | _ -> None)
-    in
-    let rec probe col = function
-      | [] -> Store.tuples store a.Term.pred
-      | t :: rest ->
-        (match value t with
-         | Some key ->
-           if col = 0 then Store.tuples_with_key store a.Term.pred key
-           else Store.tuples_with_col store a.Term.pred col key
-         | None -> probe (col + 1) rest)
-    in
-    probe 0 a.Term.args
+let new_scope inputs =
+  let sc = { slots = Hashtbl.create 16; next = 0; bound = Hashtbl.create 16 } in
+  let input_slots =
+    Array.of_list
+      (List.map
+         (fun v ->
+           Hashtbl.replace sc.bound v ();
+           slot_of sc v)
+         inputs)
   in
-  List.fold_left
-    (fun vecs atom ->
-      List.concat_map
-        (fun prior ->
-          List.filter_map
-            (fun tup -> match_tuple ~prior env atom.Term.args tup)
-            (candidate_with_prior prior atom))
-        vecs)
-    [ [] ] (join_order env atoms)
+  (sc, input_slots)
 
-(* An extremum over no rows: the literal does not hold, whichever
-   literal the solver bound the group-by variables with first. *)
-exception Empty_extremum
+let finish sc input_slots steps ~tick_steps witness =
+  Xic_obs.Obs.Metrics.incr c_plans_compiled;
+  {
+    nslots = sc.next;
+    inputs = input_slots;
+    steps = Array.of_list steps;
+    tick_steps;
+    vars = Hashtbl.fold (fun v s acc -> (v, s) :: acc) sc.slots [];
+    witness;
+  }
 
-let eval_agg store env (g : Term.agg) =
-  let matches = conj_matches store env g.Term.atoms in
-  let target_values () =
-    match g.Term.target with
-    | None -> unsafe "aggregate %s requires a target term" (Term.agg_op_str g.Term.op)
-    | Some (Term.Const c) -> List.map (fun _ -> c) matches
-    | Some (Term.Param p) -> unsafe "unresolved parameter %%%s in aggregate" p
-    | Some (Term.Var v) ->
-      List.map
-        (fun binds ->
-          match List.assoc_opt v binds with
-          | Some c -> c
-          | None ->
-            (match lookup env v with
-             | Some c -> c
-             | None -> unsafe "aggregate target %s not bound by the aggregated atom" v))
-        matches
+let compile ?(inputs = []) (d : Term.denial) =
+  (match Term.denial_params d with
+   | [] -> ()
+   | ps -> unsafe "denial still contains parameters: %s" (String.concat ", " ps));
+  let body = d.Term.body in
+  let sc, input_slots = new_scope inputs in
+  let occurrences = Hashtbl.create 16 in
+  List.iter
+    (fun l ->
+      List.iter
+        (fun v ->
+          Hashtbl.replace occurrences v
+            (1 + Option.value ~default:0 (Hashtbl.find_opt occurrences v)))
+        (Term.lit_vars l))
+    body;
+  let singleton v = Hashtbl.find_opt occurrences v = Some 1 in
+  let ground = function
+    | Term.Const _ -> true
+    | Term.Var v -> is_bound sc v
+    | Term.Param _ -> false
   in
-  match g.Term.op with
-  | Term.Cnt -> Term.Int (List.length matches)
-  | Term.CntD ->
-    (match g.Term.target with
-     | Some _ -> Term.Int (List.length (List.sort_uniq compare (target_values ())))
-     | None ->
-       Term.Int
-         (List.length (List.sort_uniq compare (List.map (List.sort compare) matches))))
-  | Term.Sum -> Term.Int (List.fold_left (fun a c -> a + const_int c) 0 (target_values ()))
-  | Term.SumD ->
-    Term.Int
-      (List.fold_left (fun a c -> a + const_int c) 0
-         (List.sort_uniq compare (target_values ())))
-  | Term.Max ->
-    (match target_values () with
-     | [] -> raise Empty_extremum
-     | c :: cs -> List.fold_left max c cs)
-  | Term.Min ->
-    (match target_values () with
-     | [] -> raise Empty_extremum
-     | c :: cs -> List.fold_left min c cs)
-
-(* An aggregate is evaluable once every variable it shares with the rest
-   of the computation is bound; its local variables never are. *)
-let agg_ready body env (g : Term.agg) =
-  let local = Term.agg_local_vars body (g : Term.agg) in
-  let inner_vars = List.concat_map Term.atom_vars g.Term.atoms in
-  let needed =
-    List.filter (fun v -> not (List.mem v local)) inner_vars
-    @ Term.term_vars g.Term.bound
-    @ (match g.Term.target with
-       | Some (Term.Var v) when not (List.mem v inner_vars) -> [ v ]
-       | _ -> [])
-  in
-  List.for_all (fun v -> lookup env v <> None) needed
-
-(* ------------------------------------------------------------------ *)
-(* Search                                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Pick the next literal to process.  Preference order:
-   1. a ground comparison (cheap test),
-   2. an equality that binds a variable,
-   3. a ready negation or aggregate (tests, no branching),
-   4. the positive literal with the most bound arguments (join step). *)
-let pick_literal body env lits =
+  let bind v = Hashtbl.replace sc.bound v () in
+  (* The preference order at every step:
+     1. a ground comparison (cheap test),
+     2. an equality that binds a variable,
+     3. a ready negation or aggregate (tests, no branching),
+     4. the positive literal with the most bound arguments (join step).
+     Readiness depends only on which variables are bound, so the choice
+     is the same on every run. *)
   let ready_cmp = function
-    | Term.Cmp (_, t1, t2) -> ground_term env t1 && ground_term env t2
+    | Term.Cmp (_, t1, t2) -> ground t1 && ground t2
     | _ -> false
   in
   let binding_eq = function
-    | Term.Cmp (Term.Eq, Term.Var v, t) -> lookup env v = None && ground_term env t
-    | Term.Cmp (Term.Eq, t, Term.Var v) -> lookup env v = None && ground_term env t
+    | Term.Cmp (Term.Eq, Term.Var v, t) | Term.Cmp (Term.Eq, t, Term.Var v) ->
+      (not (is_bound sc v)) && ground t
     | _ -> false
   in
   (* A negated atom is ready once every variable it shares with other
-     literals is bound; variables occurring only inside it are existential
-     locals (anti-join semantics). *)
+     literals is bound; variables occurring only inside it are
+     existential locals (anti-join semantics). *)
   let neg_ready (a : Term.atom) =
     let this = Term.Not a in
     List.for_all
       (fun v ->
-        lookup env v <> None
-        || not
-             (List.exists
-                (fun l -> l != this && l <> this && List.mem v (Term.lit_vars l))
-                body))
+        is_bound sc v
+        || not (List.exists (fun l -> l <> this && List.mem v (Term.lit_vars l)) body))
       (Term.atom_vars a)
   in
-  let ready_neg_or_agg = function
-    | Term.Not a -> neg_ready a
-    | Term.Agg g -> agg_ready body env g
-    | _ -> false
+  (* An aggregate is ready once every variable it shares with the rest
+     of the computation is bound; its local variables never are. *)
+  let agg_ready (g : Term.agg) =
+    let local = Term.agg_local_vars body g in
+    let inner_vars = List.concat_map Term.atom_vars g.Term.atoms in
+    List.for_all (is_bound sc)
+      (List.filter (fun v -> not (List.mem v local)) inner_vars
+      @ Term.term_vars g.Term.bound
+      @
+      match g.Term.target with
+      | Some (Term.Var v) when not (List.mem v inner_vars) -> [ v ]
+      | _ -> [])
   in
-  let take p =
+  let ground_args (a : Term.atom) = List.length (List.filter ground a.Term.args) in
+  let take p lits =
     let rec go acc = function
       | [] -> None
       | l :: rest when p l -> Some (l, List.rev_append acc rest)
@@ -287,139 +435,142 @@ let pick_literal body env lits =
     in
     go [] lits
   in
-  match take ready_cmp with
-  | Some r -> Some r
-  | None ->
-    (match take binding_eq with
-     | Some r -> Some r
-     | None ->
-       (match take ready_neg_or_agg with
-        | Some r -> Some r
-        | None ->
-          let rels = List.filter (function Term.Rel _ -> true | _ -> false) lits in
-          (match rels with
-           | [] -> None
-           | _ ->
-             let best =
-               List.fold_left
-                 (fun best l ->
-                   match (l, best) with
-                   | Term.Rel a, None -> Some (l, boundness env a)
-                   | Term.Rel a, Some (_, s) when boundness env a > s ->
-                     Some (l, boundness env a)
-                   | _ -> best)
-                 None rels
-             in
-             (match best with
-              | Some (l, _) ->
-                let rec remove_first = function
-                  | [] -> []
-                  | x :: rest -> if x == l then rest else x :: remove_first rest
-                in
-                Some (l, remove_first lits)
-              | None -> None))))
+  let most_bound lits =
+    List.fold_left
+      (fun best l ->
+        match (l, best) with
+        | Term.Rel a, None -> Some (l, ground_args a)
+        | Term.Rel a, Some (_, n) when ground_args a > n -> Some (l, ground_args a)
+        | _ -> best)
+      None lits
+    |> Option.map (fun (l, _) ->
+           let rec remove_first = function
+             | [] -> []
+             | x :: rest -> if x == l then rest else x :: remove_first rest
+           in
+           (l, remove_first lits))
+  in
+  let pick lits =
+    match take ready_cmp lits with
+    | Some _ as r -> r
+    | None ->
+      (match take binding_eq lits with
+       | Some _ as r -> r
+       | None ->
+         (match take (function
+                  | Term.Not a -> neg_ready a
+                  | Term.Agg g -> agg_ready g
+                  | _ -> false) lits with
+          | Some _ as r -> r
+          | None -> most_bound lits))
+  in
+  (* [added]: the variables the steps bind, newest first; an atom adds
+     its variables last argument first. *)
+  let rec schedule steps added = function
+    | [] -> (List.rev steps, List.rev added)
+    | lits ->
+      (match pick lits with
+       | None ->
+         unsafe "denial is not safe: cannot schedule remaining literals [%s]"
+           (String.concat ", " (List.map Term.lit_str lits))
+       | Some (lit, rest) ->
+         (match lit with
+          | Term.Cmp (op, t1, t2) when ground t1 && ground t2 ->
+            schedule (Test (op, operand sc t1, operand sc t2) :: steps) added rest
+          | Term.Cmp (_, Term.Var v, t) when not (is_bound sc v) ->
+            let s = Assign (slot_of sc v, operand sc t) in
+            bind v;
+            schedule (s :: steps) (v :: added) rest
+          | Term.Cmp (_, t, Term.Var v) ->
+            let s = Assign (slot_of sc v, operand sc t) in
+            bind v;
+            schedule (s :: steps) (v :: added) rest
+          | Term.Cmp _ -> unsafe "unbound comparison %s" (Term.lit_str lit)
+          | Term.Not a ->
+            let r, _ = compile_rel sc ~known:(is_bound sc) ~skip:singleton a in
+            schedule (Anti r :: steps) added rest
+          | Term.Agg g ->
+            let needs_row = g.Term.op = Term.CntD && g.Term.target = None in
+            (match (g.Term.op, g.Term.target) with
+             | (Term.Sum | Term.SumD | Term.Max | Term.Min), None ->
+               unsafe "aggregate %s requires a target term" (Term.agg_op_str g.Term.op)
+             | _ -> ());
+            let join, row =
+              compile_join sc ~known:(is_bound sc)
+                ~skip:(fun v -> (not needs_row) && singleton v && g.Term.target <> Some (Term.Var v))
+                g.Term.atoms
+            in
+            let a =
+              {
+                op = g.Term.op;
+                join;
+                target = Option.map (operand sc) g.Term.target;
+                row = Array.of_list (List.map (slot_of sc) row);
+                acmp = g.Term.acmp;
+                bound = operand sc g.Term.bound;
+              }
+            in
+            schedule (Aggregate a :: steps) added rest
+          | Term.Rel a ->
+            let r, fresh = compile_rel sc ~known:(is_bound sc) ~skip:(fun _ -> false) a in
+            List.iter bind fresh;
+            schedule (Join r :: steps) (fresh @ added) rest))
+  in
+  let steps, added = schedule [] [] body in
+  (* A witness lists its bindings in the order a 16-bucket [Hashtbl]
+     folds them after the steps' additions: the order [explain] has
+     always printed, kept so its output does not change. *)
+  let env = Hashtbl.create 16 in
+  List.iter (fun v -> Hashtbl.add env v (slot_of sc v)) added;
+  let witness = Hashtbl.fold (fun v s acc -> (v, s) :: acc) env [] in
+  finish sc input_slots steps ~tick_steps:true witness
 
-let rec solve store body env lits k =
-  tick 1;
-  match lits with
-  | [] -> k env
-  | _ ->
-    (match pick_literal body env lits with
-     | None ->
-       unsafe "denial is not safe: cannot schedule remaining literals [%s]"
-         (String.concat ", " (List.map Term.lit_str lits))
-     | Some (lit, rest) ->
-       (match lit with
-        | Term.Cmp (op, t1, t2) ->
-          (match (term_value env t1, term_value env t2) with
-           | Some c1, Some c2 -> if Term.eval_cmp op c1 c2 then solve store body env rest k else false
-           | None, Some c ->
-             (match t1 with
-              | Term.Var v when op = Term.Eq ->
-                Hashtbl.add env v c;
-                let r = solve store body env rest k in
-                Hashtbl.remove env v;
-                r
-              | _ -> unsafe "unbound term in comparison %s" (Term.lit_str lit))
-           | Some c, None ->
-             (match t2 with
-              | Term.Var v when op = Term.Eq ->
-                Hashtbl.add env v c;
-                let r = solve store body env rest k in
-                Hashtbl.remove env v;
-                r
-              | _ -> unsafe "unbound term in comparison %s" (Term.lit_str lit))
-           | None, None -> unsafe "unbound comparison %s" (Term.lit_str lit))
-        | Term.Not a ->
-          let tuples = candidate_tuples store env a in
-          let holds = List.exists (fun t -> match_tuple env a.Term.args t <> None) tuples in
-          if holds then false else solve store body env rest k
-        | Term.Agg g ->
-          (match eval_agg store env g with
-           | exception Empty_extremum -> false
-           | v ->
-             (match term_value env g.Term.bound with
-              | Some b -> if Term.eval_cmp g.Term.acmp v b then solve store body env rest k else false
-              | None -> unsafe "unbound aggregate bound in %s" (Term.lit_str lit)))
-        | Term.Rel a ->
-          let tuples = candidate_tuples store env a in
-          List.exists
-            (fun tup ->
-              match match_tuple env a.Term.args tup with
-              | None -> false
-              | Some binds ->
-                List.iter (fun (v, c) -> Hashtbl.add env v c) binds;
-                let r = solve store body env rest k in
-                List.iter (fun (v, _) -> Hashtbl.remove env v) binds;
-                r)
-            tuples))
+let compile_atoms ?(inputs = []) (atoms : Term.atom list) =
+  let sc, input_slots = new_scope inputs in
+  let join, bound = compile_join sc ~known:(is_bound sc) ~skip:(fun _ -> false) atoms in
+  (* a row lists its bindings newest first *)
+  let witness = List.rev_map (fun v -> (v, slot_of sc v)) bound in
+  finish sc input_slots (Array.to_list (Array.map (fun r -> Join r) join))
+    ~tick_steps:false witness
 
 (* ------------------------------------------------------------------ *)
 (* Public API                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let violation_untraced ?(params = []) store (d : Term.denial) =
-  let d = Subst.apply_params_denial params d in
-  (match Term.denial_params d with
-   | [] -> ()
-   | ps -> unsafe "denial still contains parameters: %s" (String.concat ", " ps));
-  let env : env = Hashtbl.create 16 in
+let bindings p slots = List.map (fun (v, s) -> (v, slots.(s))) p.witness
+
+let witness p store values =
   let found = ref None in
-  let _ =
-    solve store d.Term.body env d.Term.body (fun env ->
-        found := Some (Hashtbl.fold (fun v c acc -> (v, c) :: acc) env []);
-        true)
-  in
+  ignore
+    (run store (start p values) p 0 (fun slots ->
+         found := Some (bindings p slots);
+         true)
+      : bool);
   !found
+
+let all p store values =
+  let acc = ref [] in
+  iter p store values (fun slots -> acc := bindings p slots :: !acc);
+  List.rev !acc
 
 let c_datalog_steps = Xic_obs.Obs.Metrics.counter "datalog_steps"
 
-let violation ?params store d =
-  if not (Xic_obs.Obs.Trace.is_enabled ()) then
-    violation_untraced ?params store d
+let violation ?(params = []) store d =
+  let p = compile (Subst.apply_params_denial params d) in
+  if not (Xic_obs.Obs.Trace.is_enabled ()) then witness p store [||]
   else
     Xic_obs.Obs.Trace.with_span "datalog:eval" (fun () ->
-        let v, steps =
-          with_meter (fun () -> violation_untraced ?params store d)
-        in
+        let v, steps = with_meter (fun () -> witness p store [||]) in
         Xic_obs.Obs.Trace.add_attr "steps" (string_of_int steps);
         Xic_obs.Obs.Metrics.add c_datalog_steps steps;
         v)
 
 let violated ?params store d = violation ?params store d <> None
 
-let violations ?(params = []) store (d : Term.denial) =
-  let d = Subst.apply_params_denial params d in
-  let env : env = Hashtbl.create 16 in
-  let acc = ref [] in
-  let _ =
-    solve store d.Term.body env d.Term.body (fun env ->
-        acc := Hashtbl.fold (fun v c l -> (v, c) :: l) env [] :: !acc;
-        false)
-  in
-  List.rev !acc
+let violations ?(params = []) store d =
+  all (compile (Subst.apply_params_denial params d)) store [||]
 
 let consistent ?params store denials =
   List.for_all (fun d -> not (violated ?params store d)) denials
 
-let matches store atoms = conj_matches store (Hashtbl.create 1) atoms
+let matches store atoms = all (compile_atoms atoms) store [||]

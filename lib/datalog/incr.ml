@@ -21,25 +21,37 @@ module Symbol = Xic_symbol.Symbol
    as facts go; equality bounds, sums and extrema either way. *)
 type polarity = Ins | Del | Both
 
+(* A residual: the denial compiled with the variables a change binds
+   as inputs, and the slots of the entry's row in it. *)
+type residual = {
+  vars : string list;  (* the inputs, in key order *)
+  plan : Eval.plan;
+  row : int list;
+}
+
 type site = {
   sym : Symbol.t;
   atom : Term.atom;
+  atom_vars : string list;  (* distinct, sorted *)
   polarity : polarity;
-  binds : string list option;
-      (* the variables a changed fact binds in the residual; [None] for
-         every variable of the atom *)
-  conj : Term.atom list option;
-      (* the enclosing aggregate's conjunction, for group collection *)
+  restricted : bool;
+      (* a change binds only some of the residual's variables, which can
+         repeat across facts *)
+  on_insert : residual option;  (* where an inserted fact creates *)
+  on_delete : residual option;  (* where a deleted fact creates *)
+  group : (Eval.plan * int list) option;
+      (* an aggregate's conjunction with the atom's variables as inputs,
+         and the slots of its group-by variables *)
 }
 
 type entry = {
   name : string;  (* owning constraint *)
-  denial : Term.denial;
   rel : Symbol.t;  (* view relation holding the witnesses *)
   reads : (Symbol.t * bool array) list;
       (* every relation the body references, with the columns it reads *)
   sites : site list;
-  proj : string list;  (* named vars of positive literals, in order *)
+  full : residual;  (* the whole denial, for {!initialize} *)
+  rows : Eval.plan;  (* the denial with a row's variables bound *)
 }
 
 type stats = {
@@ -143,21 +155,38 @@ let read_columns body proj =
         (sym, merged) :: List.remove_assoc sym acc)
     [] atoms
 
-(* One site per atom of the body.  A negated atom's shared variables
-   are the ones {!Eval} binds before it runs the anti-join: those that
-   occur in some other literal. *)
-let sites_of body =
-  let site ?conj polarity binds (a : Term.atom) =
-    { sym = Symbol.intern a.Term.pred; atom = a; polarity; binds; conj }
+(* One site per atom of the body, with the plans its changes run.  A
+   negated atom's shared variables are the ones {!Eval} binds before it
+   runs the anti-join: those that occur in some other literal.  Sites
+   binding the same variables share one residual plan. *)
+let sites_of (d : Term.denial) proj =
+  let body = d.Term.body in
+  let residuals = Hashtbl.create 8 in
+  let residual vars =
+    match Hashtbl.find_opt residuals vars with
+    | Some r -> r
+    | None ->
+      let plan = Eval.compile ~inputs:vars d in
+      let r = { vars; plan; row = List.map (Eval.slot plan) proj } in
+      Hashtbl.add residuals vars r;
+      r
+  in
+  let site ?group ~restricted polarity ~on_insert ~on_delete (a : Term.atom) =
+    { sym = Symbol.intern a.Term.pred; atom = a;
+      atom_vars = List.sort_uniq compare (Term.atom_vars a); polarity;
+      restricted; on_insert; on_delete; group }
   in
   List.concat_map
     (function
-      | Term.Rel a -> [ site Ins None a ]
+      | Term.Rel a ->
+        let vars = List.sort_uniq compare (Term.atom_vars a) in
+        [ site ~restricted:false Ins ~on_insert:(Some (residual vars)) ~on_delete:None a ]
       | Term.Not a as l ->
         let outside =
           List.concat_map (fun l' -> if l' = l then [] else Term.lit_vars l') body
         in
-        [ site Del (Some (List.filter (fun v -> List.mem v outside) (Term.atom_vars a))) a ]
+        let shared = List.filter (fun v -> List.mem v outside) (Term.atom_vars a) in
+        [ site ~restricted:true Del ~on_insert:None ~on_delete:(Some (residual shared)) a ]
       | Term.Agg g ->
         let local = Term.agg_local_vars body g in
         let outer =
@@ -165,7 +194,26 @@ let sites_of body =
             (fun v -> not (List.mem v local))
             (List.sort_uniq compare (List.concat_map Term.atom_vars g.Term.atoms))
         in
-        List.map (site ~conj:g.Term.atoms (agg_polarity g) (Some outer)) g.Term.atoms
+        let polarity = agg_polarity g in
+        List.map
+          (fun (a : Term.atom) ->
+            let vars = List.sort_uniq compare (Term.atom_vars a) in
+            (* an inserted fact changes only the groups of the rows it
+               takes part in; a deleted one binds the outer variables it
+               holds *)
+            let on_insert, group =
+              if creates polarity ~inserted:true then
+                let conj = Eval.compile_atoms ~inputs:vars g.Term.atoms in
+                (Some (residual outer), Some (conj, List.map (Eval.slot conj) outer))
+              else (None, None)
+            in
+            let on_delete =
+              if creates polarity ~inserted:false then
+                Some (residual (List.filter (fun v -> List.mem v vars) outer))
+              else None
+            in
+            site ?group ~restricted:true polarity ~on_insert ~on_delete a)
+          g.Term.atoms
       | Term.Cmp _ -> [])
     body
 
@@ -181,13 +229,14 @@ let entry_of_denial ~name i (d : Term.denial) =
     named_vars_of_atoms
       (List.filter_map (function Term.Rel a -> Some a | _ -> None) d.Term.body)
   in
+  let full = Eval.compile d in
   {
     name;
-    denial = d;
     rel = Symbol.intern (Printf.sprintf "%s#%d" name i);
     reads = read_columns d.Term.body proj;
-    sites = sites_of d.Term.body;
-    proj;
+    sites = sites_of d proj;
+    full = { vars = []; plan = full; row = List.map (Eval.slot full) proj };
+    rows = Eval.compile ~inputs:proj d;
   }
 
 let create (constraints : (string * Term.denial list) list) =
@@ -211,38 +260,28 @@ let create (constraints : (string * Term.denial list) list) =
       };
   }
 
-(* Project a witness onto the entry's row shape.  [theta0] holds the
-   bindings fixed by delta unification; [env] the solver's bindings for
-   the rest. *)
-let project e theta0 env =
-  List.map
-    (fun v ->
-      match Subst.find v theta0 with
-      | Some (Term.Const c) -> c
-      | _ -> (
-        match List.assoc_opt v env with
-        | Some c -> c
-        | None ->
-          (* Positive-literal variables are always bound in a witness. *)
-          invalid_arg ("Incr: unbound witness variable " ^ v)))
-    e.proj
-
 let add_row t e row =
   if not (Store.mem_sym t.view e.rel row) then begin
     Store.add_sym t.view e.rel row;
     t.stats.rows_added <- t.stats.rows_added + 1
   end
 
+(* Every witness of [r] under [values], as rows of the entry's view.  A
+   residual that binds no variable is the denial itself: that is a full
+   evaluation, and counts as one. *)
+let eval_residual t store e r values =
+  if r.vars = [] then t.stats.recomputes <- t.stats.recomputes + 1
+  else t.stats.evals <- t.stats.evals + 1;
+  Eval.iter r.plan store values (fun slots ->
+      add_row t e (List.map (fun i -> slots.(i)) r.row))
+
 let initialize t store =
   List.iter
     (fun e ->
-      t.stats.recomputes <- t.stats.recomputes + 1;
       let old = Store.tuples_sym t.view e.rel in
       Store.clear_sym t.view e.rel;
       t.stats.rows_removed <- t.stats.rows_removed + List.length old;
-      List.iter
-        (fun env -> add_row t e (project e Subst.empty env))
-        (Eval.violations store e.denial))
+      eval_residual t store e e.full [||])
     t.entries;
   (* A (re)initialization retracts every existing row before repopulating;
      collect the tombstone spike instead of carrying it into steady state. *)
@@ -256,83 +295,59 @@ let initialize t store =
    would degrade the residual to a full re-evaluation of the denial.
    Repeated variables must agree. *)
 let unify_atom (a : Term.atom) (tup : Store.tuple) =
-  if List.length a.Term.args <> List.length tup then None
-  else
-    let rec go subst args tup =
-      match (args, tup) with
-      | [], [] -> Some subst
-      | arg :: args, c :: tup -> (
-        match arg with
-        | Term.Const c' -> if c' = c then go subst args tup else None
-        | Term.Var v -> (
-          match Subst.find v subst with
-          | Some (Term.Const c') -> if c' = c then go subst args tup else None
-          | Some _ -> None
-          | None -> go (Subst.add v (Term.Const c) subst) args tup)
-        | Term.Param _ -> None)
-      | _ -> None
-    in
-    go Subst.empty a.Term.args tup
+  let rec go theta args tup =
+    match (args, tup) with
+    | [], [] -> Some theta
+    | Term.Const c' :: args, c :: tup -> if c' = c then go theta args tup else None
+    | Term.Var v :: args, c :: tup -> (
+      match List.assoc_opt v theta with
+      | Some c' -> if c' = c then go theta args tup else None
+      | None -> go ((v, c) :: theta) args tup)
+    | _ -> None
+  in
+  go [] a.Term.args tup
 
 let reverify_rows t store e =
-  let rows = Store.tuples_sym t.view e.rel in
   List.iter
     (fun row ->
       t.stats.reverifies <- t.stats.reverifies + 1;
-      let theta =
-        Subst.of_list
-          (List.map2 (fun v c -> (v, Term.Const c)) e.proj row)
-      in
-      if not (Eval.violated store (Subst.apply_denial theta e.denial)) then begin
+      if not (Eval.exists e.rows store (Array.of_list row)) then begin
         ignore (Store.remove_sym t.view e.rel row);
         t.stats.rows_removed <- t.stats.rows_removed + 1
       end)
-    rows
-
-(* A change that binds no variable leaves the denial itself as its
-   residual: that is a full evaluation, and counts as one. *)
-let eval_residual t store e theta0 =
-  if Subst.is_empty theta0 then t.stats.recomputes <- t.stats.recomputes + 1
-  else t.stats.evals <- t.stats.evals + 1;
-  let residual = Subst.apply_denial theta0 e.denial in
-  List.iter
-    (fun env -> add_row t e (project e theta0 env))
-    (Eval.violations store residual)
+    (Store.tuples_sym t.view e.rel)
 
 (* Evaluate the residual of every creating change.  A binding restricted
-   to some of the atom's variables can repeat across facts: each
+   to some of the residual's variables can repeat across facts: each
    distinct one is evaluated once across the whole delta. *)
 let delta_creations t store e changes =
   let seen = Hashtbl.create 8 in
-  let once key =
+  let once r values =
+    let key = List.combine r.vars values in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
-      eval_residual t store e
-        (Subst.of_list (List.map (fun (v, c) -> (v, Term.Const c)) key))
+      eval_residual t store e r (Array.of_list values)
     end
   in
   List.iter
     (fun (inserted, (sym, tup, _mult)) ->
       List.iter
         (fun s ->
-          if Symbol.equal s.sym sym && creates s.polarity ~inserted then
+          match if inserted then s.on_insert else s.on_delete with
+          | Some r when Symbol.equal s.sym sym -> (
             match unify_atom s.atom tup with
             | None -> ()
             | Some theta -> (
-              let value binds v =
-                match Subst.find v theta with
-                | Some (Term.Const c) -> Some (v, c)
-                | _ -> Option.map (fun c -> (v, c)) (List.assoc_opt v binds)
-              in
-              match (s.conj, s.binds) with
-              | _, None -> eval_residual t store e theta
-              | Some conj, Some outer when inserted ->
-                (* The fact can change an aggregate only in the groups
-                   of the rows it takes part in. *)
-                List.iter
-                  (fun binds -> once (List.filter_map (value binds) outer))
-                  (Eval.matches store (List.map (Subst.apply_atom theta) conj))
-              | _, Some vs -> once (List.filter_map (value []) vs)))
+              let values vars = List.map (fun v -> List.assoc v theta) vars in
+              match s.group with
+              | Some (conj, outer) when inserted ->
+                Eval.iter conj store
+                  (Array.of_list (values s.atom_vars))
+                  (fun slots -> once r (List.map (fun i -> slots.(i)) outer))
+              | _ ->
+                if s.restricted then once r (values r.vars)
+                else eval_residual t store e r (Array.of_list (values r.vars))))
+          | _ -> ())
         e.sites)
     changes
 

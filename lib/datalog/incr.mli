@@ -42,6 +42,21 @@
     the entry's existing rows are re-verified against the post-state,
     once per delta.  A site that creates both ways does both.
 
+    {b Plans.}  Every evaluation runs an {!Eval.plan} compiled by
+    {!create}, so maintenance compiles nothing.  Each entry keeps:
+    {ul
+    {- the denial with no inputs, for {!initialize};}
+    {- the denial with the row's (positive-literal) variables as
+       inputs, for re-verifying a row;}
+    {- per site, one residual per creating direction, with the
+       variables that direction binds as inputs (sites binding the same
+       variables share it);}
+    {- per aggregate site that creates on insertion, the aggregate's
+       conjunction with the atom's variables as inputs, for collecting
+       the groups an inserted fact takes part in.}}
+    A residual is the denial itself with those variables bound by the
+    caller, not a substituted copy of it.
+
     {b Not derived from [After].}  The simplifier's [After] rules also
     say what an update changes, but their residuals describe the
     {e pre}-state: the count branches shift the bound by one, and a
@@ -95,12 +110,14 @@ type stats = {
 val create : (string * Term.denial list) list -> t
 (** One view relation per (constraint, denial).  The view starts empty;
     call {!initialize} against the current store before applying deltas.
+    Compiles every plan the views will run ("Plans").
     @raise Eval.Unsafe if any denial contains parameters (only full
     constraint denials are maintainable; simplified checks stay on the
-    per-update path). *)
+    per-update path), or cannot be scheduled. *)
 
 val initialize : t -> Store.t -> unit
-(** (Re)materialize every denial's witnesses from scratch. *)
+(** (Re)materialize every denial's witnesses from scratch, with the
+    entries' compiled full plans. *)
 
 val apply_delta : ?proven:bool -> t -> Store.t -> Delta.t -> bool
 (** Maintain the views given the net delta that took the store to its

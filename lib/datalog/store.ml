@@ -136,6 +136,16 @@ let compact_rel r =
 
 let maybe_compact r = if r.ndead > 64 && r.ndead > r.nlive then compact_rel r
 
+(* Drop a relation's log, tombstones and indexes in O(1).  Handles
+   frozen earlier keep their own pointers, as with compaction. *)
+let clear_rel r =
+  r.log <- [];
+  r.nlive <- 0;
+  r.dead <- TupleMap.empty;
+  r.ndead <- 0;
+  r.index <- None;
+  r.col_index <- []
+
 let compact (s : t) =
   check_writable s;
   Hashtbl.iter (fun _ r -> compact_rel r) s.rels
@@ -228,7 +238,9 @@ let remove_sym (s : t) sym (tup : tuple) =
           | Some key -> drop_bucket idx key
           | None -> ())
         r.col_index;
-      maybe_compact r
+      (* an emptied relation (a view's witness rows, churning around
+         empty) starts afresh, so later scans walk no tombstones *)
+      if r.nlive = 0 then clear_rel r else maybe_compact r
     end;
     present
 
@@ -301,13 +313,7 @@ let clear_sym (s : t) sym =
   check_writable s;
   match Hashtbl.find_opt s.rels sym with
   | None -> ()
-  | Some r ->
-    r.log <- [];
-    r.nlive <- 0;
-    r.dead <- TupleMap.empty;
-    r.ndead <- 0;
-    r.index <- None;
-    r.col_index <- []
+  | Some r -> clear_rel r
 
 (* ------------------------------------------------------------------ *)
 (* Generations: O(1) freeze / copy by structural sharing               *)

@@ -27,7 +27,9 @@ val add : t -> string -> tuple -> unit
 
 val remove : t -> string -> tuple -> bool
 (** Remove one occurrence (the newest); [false] when absent.  Internally
-    a tombstone: O(index bucket), never a log rebuild. *)
+    a tombstone: O(index bucket), never a log rebuild.  A removal that
+    leaves the relation with no live tuple drops its log, tombstones and
+    indexes at once (frozen handles keep theirs, as with {!compact}). *)
 
 val tuples : t -> string -> tuple list
 (** All tuples of a relation, insertion order. *)

@@ -447,6 +447,205 @@ let prop_agg_atom_order =
                 Printf.sprintf "max(Y; %s)" atoms;
                 Printf.sprintf "min(Z; %s)" atoms ]))
 
+(* ------------------------------------------------------------------ *)
+(* Differential check against a brute-force reference                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference evaluator: every tuple of each atom's relation through
+   [S.tuples] (no index), positive atoms joined in source order (no
+   scheduling), then binding equalities, then every other literal
+   tested on the complete binding.  A negation holds when no tuple
+   matches; an aggregate groups the rows of its conjunction under the
+   binding. *)
+let ref_unify env (args : T.term list) (tup : S.tuple) =
+  if List.length args <> List.length tup then None
+  else
+    List.fold_left2
+      (fun acc t c ->
+        match (acc, t) with
+        | None, _ -> None
+        | Some env, T.Const k -> if k = c then Some env else None
+        | Some env, T.Var v ->
+          (match List.assoc_opt v env with
+           | Some c' -> if c' = c then Some env else None
+           | None -> Some ((v, c) :: env))
+        | Some _, T.Param _ -> None)
+      (Some env) args tup
+
+let ref_join st env (atoms : T.atom list) =
+  List.fold_left
+    (fun envs (a : T.atom) ->
+      List.concat_map
+        (fun env -> List.filter_map (ref_unify env a.T.args) (S.tuples st a.T.pred))
+        envs)
+    [ env ] atoms
+
+let ref_value env = function
+  | T.Const c -> c
+  | T.Var v -> List.assoc v env
+  | T.Param p -> failwith ("reference: parameter " ^ p)
+
+let ref_agg st env (g : T.agg) =
+  let rows = ref_join st env g.T.atoms in
+  let targets () = List.map (fun row -> ref_value row (Option.get g.T.target)) rows in
+  let ints = List.map (function T.Int n -> n | T.Str x -> int_of_string x) in
+  let value =
+    match g.T.op with
+    | T.Cnt -> Some (T.Int (List.length rows))
+    | T.CntD when g.T.target = None ->
+      let local row = List.sort compare (List.filter (fun (v, _) -> not (List.mem_assoc v env)) row) in
+      Some (T.Int (List.length (List.sort_uniq compare (List.map local rows))))
+    | T.CntD -> Some (T.Int (List.length (List.sort_uniq compare (targets ()))))
+    | T.Sum -> Some (T.Int (List.fold_left ( + ) 0 (ints (targets ()))))
+    | T.SumD -> Some (T.Int (List.fold_left ( + ) 0 (ints (List.sort_uniq compare (targets ())))))
+    | T.Max -> (match targets () with [] -> None | c :: cs -> Some (List.fold_left max c cs))
+    | T.Min -> (match targets () with [] -> None | c :: cs -> Some (List.fold_left min c cs))
+  in
+  match value with
+  | None -> false
+  | Some v -> T.eval_cmp g.T.acmp v (ref_value env g.T.bound)
+
+let reference st (d : T.denial) =
+  let positives = List.filter_map (function T.Rel a -> Some a | _ -> None) d.T.body in
+  let binds env = function
+    | T.Cmp (T.Eq, T.Var v, t) when not (List.mem_assoc v env) -> Some (v, ref_value env t)
+    | _ -> None
+  in
+  ref_join st [] positives
+  |> List.map (fun env ->
+         List.fold_left
+           (fun env l -> match binds env l with Some b -> b :: env | None -> env)
+           env d.T.body)
+  |> List.filter (fun env ->
+         List.for_all
+           (function
+             | T.Rel _ -> true
+             | T.Cmp (op, a, b) -> T.eval_cmp op (ref_value env a) (ref_value env b)
+             | T.Not a -> List.for_all (fun tup -> ref_unify env a.T.args tup = None) (S.tuples st a.T.pred)
+             | T.Agg g -> ref_agg st env g)
+           d.T.body)
+
+(* Random small stores and random safe denials: positive atoms over X,
+   Y, Z, W, constants and anonymous variables; comparisons and one
+   binding equality over bound terms; a negation with locals L, M; an
+   aggregate under every operator and bound operator, grouped by bound
+   variables, with locals A, B.  Unbound uses of X..W become constants,
+   so every denial can be scheduled. *)
+type tspec = V of int | C of int | Anon | Loc of int
+
+let gen_differential =
+  let open QCheck2.Gen in
+  let const = map (fun n -> i n) (int_bound 3) in
+  let fact =
+    oneof
+      [ map2 (fun a b -> ("p", [ a; b ])) const const;
+        map2 (fun a b -> ("q", [ a; b ])) const const;
+        map (fun a -> ("r", [ a ])) const ]
+  in
+  let pos_arg = frequency [ (6, map (fun k -> V k) (int_bound 3)); (2, map (fun k -> C k) (int_bound 3)); (1, return Anon) ] in
+  let outer_arg = frequency [ (4, map (fun k -> V k) (int_bound 3)); (1, map (fun k -> C k) (int_bound 3)) ] in
+  let atom arg =
+    oneof
+      [ map2 (fun a b -> ("p", [ a; b ])) arg arg;
+        map2 (fun a b -> ("q", [ a; b ])) arg arg;
+        map (fun a -> ("r", [ a ])) arg ]
+  in
+  let neg_arg = frequency [ (3, outer_arg); (3, map (fun k -> Loc k) (int_bound 1)); (1, return Anon) ] in
+  let agg_arg = frequency [ (3, outer_arg); (3, map (fun k -> Loc (2 + k)) (int_bound 1)); (1, return Anon) ] in
+  let cmp = oneofl [ T.Eq; T.Neq; T.Lt; T.Le; T.Gt; T.Ge ] in
+  let agg =
+    map
+      (fun (op, atoms, (acmp, bound, pick)) -> (op, atoms, acmp, bound, pick))
+      (triple
+         (oneofl [ T.Cnt; T.CntD; T.Sum; T.SumD; T.Max; T.Min ])
+         (list_size (int_range 1 2) (atom agg_arg))
+         (triple cmp outer_arg (int_bound 7)))
+  in
+  let denial =
+    map
+      (fun ((pos, cmps, eq), (neg, ag)) -> (pos, cmps, eq, neg, ag))
+      (pair
+         (triple
+            (list_size (int_range 1 3) (atom pos_arg))
+            (list_size (int_bound 2) (triple cmp outer_arg outer_arg))
+            (option outer_arg))
+         (pair (option (atom neg_arg)) (option agg)))
+  in
+  pair (list_size (int_bound 12) fact) denial
+
+let differential_denial (pos, cmps, eq, neg, ag) =
+  let bound = List.concat_map (fun (_, args) -> List.filter_map (function V k -> Some k | _ -> None) args) pos in
+  let anon = ref 0 in
+  let term = function
+    | V k when List.mem k bound -> T.Var [| "X"; "Y"; "Z"; "W" |].(k)
+    | V k | C k -> T.Const (i k)
+    | Loc k -> T.Var [| "L"; "M"; "A"; "B" |].(k)
+    | Anon ->
+      incr anon;
+      T.Var (Printf.sprintf "_%d" !anon)
+  in
+  let atom (pred, args) = { T.pred; args = List.map term args } in
+  let body =
+    List.map (fun a -> T.Rel (atom a)) pos
+    @ List.map (fun (op, a, b) -> T.Cmp (op, term a, term b)) cmps
+    @ (match eq with Some t -> [ T.Cmp (T.Eq, T.Var "E", term t) ] | None -> [])
+    @ (match neg with Some a -> [ T.Not (atom a) ] | None -> [])
+    @
+    match ag with
+    | None -> []
+    | Some (op, atoms, acmp, b, pick) ->
+      let atoms = List.map atom atoms in
+      let vars = List.sort_uniq compare (List.concat_map T.atom_vars atoms) in
+      let target =
+        match (op, vars) with
+        | T.Cnt, _ -> None
+        | T.CntD, _ when pick mod 2 = 0 -> None
+        | _, [] -> Some (T.Const (i 1))
+        | _, vs -> Some (T.Var (List.nth vs (pick mod List.length vs)))
+      in
+      [ T.Agg { T.op; target; atoms; acmp; bound = term b } ]
+  in
+  T.denial body
+
+let prop_differential =
+  QCheck2.Test.make ~name:"compiled plans agree with a brute-force reference" ~count:400
+    ~print:(fun (facts, spec) ->
+      let st = S.of_facts facts in
+      Printf.sprintf "%s\nstore: %s" (T.denial_str (differential_denial spec))
+        (String.concat "; "
+           (List.map (fun (p, t) -> p ^ "(" ^ String.concat "," (List.map T.const_str t) ^ ")")
+              (S.to_facts st))))
+    gen_differential
+    (fun (facts, spec) ->
+      let st = S.of_facts facts in
+      let d = differential_denial spec in
+      let named env = List.sort compare (List.filter (fun (v, _) -> v.[0] <> '_') env) in
+      let set envs = List.sort_uniq compare (List.map named envs) in
+      let expected = reference st d in
+      let positives = List.filter_map (function T.Rel a -> Some a | _ -> None) d.T.body in
+      let rows envs = List.sort compare (List.map (List.sort compare) envs) in
+      (* a plan with inputs answers for the denial with them substituted *)
+      let inputs_agree =
+        let vs = List.sort_uniq compare (T.atom_vars (List.hd positives)) in
+        let plan = E.compile ~inputs:vs d in
+        let rec combos = function
+          | [] -> [ [] ]
+          | _ :: rest -> List.concat_map (fun c -> List.map (fun l -> i c :: l) (combos rest)) [ 0; 1; 2; 3 ]
+        in
+        List.for_all
+          (fun values ->
+            let theta =
+              Xic_datalog.Subst.of_list (List.map2 (fun v c -> (v, T.Const c)) vs values)
+            in
+            E.exists plan st (Array.of_list values)
+            = (reference st (Xic_datalog.Subst.apply_denial theta d) <> []))
+          (combos vs)
+      in
+      E.violated st d = (expected <> [])
+      && set (E.violations st d) = set expected
+      && rows (E.matches st positives) = rows (ref_join st [] positives)
+      && inputs_agree)
+
 (* A frozen generation must be bit-stable — byte-identical serialized
    image — under arbitrary writer mutations, including the compactions
    they trigger; and rolling every mutation back (inverse ops, reverse
@@ -465,6 +664,7 @@ let prop_frozen_generation_stable =
       [ (4, map (fun f -> `Add f) fact);
         (3, map (fun f -> `Remove f) fact);
         (1, return `Clear_q);
+        (1, map (fun c -> `Drain_refill_q c) const);
         (1, return `Compact) ]
   in
   QCheck2.Test.make ~name:"frozen generation bit-stable under writer churn"
@@ -479,21 +679,30 @@ let prop_frozen_generation_stable =
       let gen = S.freeze st in
       let before = image gen in
       let undo =
-        List.filter_map
+        List.concat_map
           (fun op ->
             match op with
             | `Add (p, tup) ->
               S.add st p tup;
-              Some (`Unadd (p, tup))
+              [ `Unadd (p, tup) ]
             | `Remove (p, tup) ->
-              if S.remove st p tup then Some (`Unremove (p, tup)) else None
+              if S.remove st p tup then [ `Unremove (p, tup) ] else []
             | `Clear_q ->
               let saved = S.tuples st "q" in
               S.clear_sym st (Xic_symbol.Symbol.intern "q");
-              Some (`Unclear saved)
+              [ `Unclear saved ]
+            | `Drain_refill_q c ->
+              (* removing the last live tuple drops the relation's log,
+                 tombstones and indexes at once; the handle keeps its own *)
+              let drained = S.tuples st "q" in
+              List.iter (fun tup -> ignore (S.remove st "q" tup : bool)) drained;
+              assert (S.cardinality st "q" = 0);
+              S.add st "q" [ c ];
+              List.map (fun tup -> `Unremove ("q", tup)) drained
+              @ [ `Unadd ("q", [ c ]) ]
             | `Compact ->
               S.compact st;
-              None)
+              [])
           ops
       in
       let mid = image gen in
@@ -631,5 +840,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_order_independence;
           QCheck_alcotest.to_alcotest prop_agg_atom_order;
           QCheck_alcotest.to_alcotest prop_frozen_generation_stable;
+          QCheck_alcotest.to_alcotest prop_differential;
         ] );
     ]

@@ -779,6 +779,73 @@ let test_proven_flush_in_txn () =
     (count repo "//sub[title = 'Gone']", count repo "//sub[title = 'Kept']");
   check_views_exact repo "after the transaction"
 
+(* An unmatched statement answers only for the constraints that held
+   before it: on a state that violates only Example 2, appending a
+   submission by an outside author commits, and one by the reviewer
+   (Example 1) is still compensated, naming [conflict]. *)
+let test_fallback_blames_new_violations () =
+  let repo = guard_repo overloaded_rev in
+  let append ~title ~author =
+    [ { XU.op = XU.Append;
+        select = XP.Parser.parse "/review/track[5]/rev[1]";
+        content =
+          [ XU.Elem
+              ( "sub", [],
+                [ XU.Elem ("title", [], [ XU.Text title ]);
+                  XU.Elem ("auts", [], [ XU.Elem ("name", [], [ XU.Text author ]) ]) ] ) ] } ]
+  in
+  (match Repository.guarded_update repo (append ~title:"Fine" ~author:"Zoe") with
+   | Repository.Applied `Full_check -> ()
+   | Repository.Rolled_back c -> Alcotest.failf "rolled back, blaming %s" c
+   | _ -> Alcotest.fail "the unmatched append is checked after execution");
+  (match Repository.guarded_update repo (append ~title:"Own" ~author:"Ed") with
+   | Repository.Rolled_back c -> Alcotest.(check string) "the new violation" "conflict" c
+   | _ -> Alcotest.fail "a statement violating Example 1 must be compensated");
+  Alcotest.(check (pair int int)) "only the legal append stands" (1, 0)
+    (count repo "//sub[title = 'Fine']", count repo "//sub[title = 'Own']");
+  Alcotest.(check (list string)) "Example 2 is still the only violation"
+    [ "workload" ] (Repository.check_incremental repo);
+  check_views_exact repo "after the fallbacks"
+
+(* The views keep their compiled plans: once warm, guarded writes —
+   pre-checked inserts, withdrawals, and illegal statements refused or
+   compensated — compile none. *)
+let test_plans_reused () =
+  let repo = guard_repo fixed_rev in
+  let compiled () = List.assoc "datalog_plans_compiled" (fst (Repository.metrics repo)) in
+  let stmt op select content = [ { XU.op; select = XP.Parser.parse select; content } ] in
+  let sub title author =
+    XU.Elem
+      ( "sub", [],
+        [ XU.Elem ("title", [], [ XU.Text title ]);
+          XU.Elem ("auts", [], [ XU.Elem ("name", [], [ XU.Text author ]) ]) ] )
+  in
+  let round k =
+    let outcomes =
+      List.map
+        (fun u -> (Repository.guarded_batch repo [ u ] |> List.hd).Repository.outcome)
+        [ rita_insert (Printf.sprintf "Paper %d" k);
+          stmt XU.Remove "/review/track[1]/rev[2]/sub[2]" [];
+          Conf.insert_submission ~select:"/review/track[1]/rev[2]/sub[1]"
+            ~title:"Own" ~author:"Rita";
+          stmt XU.Append "/review/track[1]/rev[2]" [ sub "Own" "Rita" ] ]
+    in
+    match outcomes with
+    | [ Repository.Applied `Optimized; Repository.Applied `Full_check;
+        Repository.Rejected_early "conflict"; Repository.Rolled_back "conflict" ] -> ()
+    | _ -> Alcotest.failf "round %d: unexpected outcomes" k
+  in
+  round 0;
+  let c0 = compiled () in
+  for k = 1 to 50 do round k done;
+  Alcotest.(check int) "no plan compiled by 200 guarded writes" c0 (compiled ());
+  check_views_exact repo "after the writes";
+  let expo = Repository.metrics_prometheus repo in
+  let line = Printf.sprintf "\nxic_datalog_plans_compiled %d\n" (compiled ()) in
+  let n = String.length line in
+  let rec has i = i + n <= String.length expo && (String.sub expo i n = line || has (i + 1)) in
+  Alcotest.(check bool) "the exposition carries the counter" true (has 0)
+
 let () =
   Alcotest.run "incr"
     [
@@ -821,5 +888,8 @@ let () =
             test_pending_marks_maintained_first;
           Alcotest.test_case "fallback, savepoint and pre-check in one txn"
             `Quick test_proven_flush_in_txn;
+          Alcotest.test_case "a fallback answers for new violations only"
+            `Quick test_fallback_blames_new_violations;
+          Alcotest.test_case "warm views compile no plan" `Quick test_plans_reused;
         ] );
     ]

@@ -513,8 +513,9 @@ let check_incremental_agreement ?views ~seed repo what =
    [~removals:true] adds denials that removals can violate: a negation
    over the authors the updates insert and remove, and counts bounded
    from above and by equality.  Random documents mostly violate them
-   from the start, and a violated state rolls back every unmatched
-   statement, so they get a stream of their own. *)
+   from the start, so they get a stream of their own; an unmatched
+   statement there answers only for the constraints that held before
+   it. *)
 let incr_repo_of ?(removals = false) ~pub ~rev () =
   let repo = repo_of ~pub ~rev in
   List.iter
