@@ -99,6 +99,9 @@ let headline =
     { name = "coldstart.snapshot_median_ms";
       dir = Lower_better;
       extract = per_size "coldstart" "snapshot_median_ms" };
+    { name = "coldstart.fused_validated_median_ms";
+      dir = Lower_better;
+      extract = per_size "coldstart" "fused_validated_median_ms" };
     { name = "coldstart.views_init_median_ms";
       dir = Lower_better;
       extract = per_size "coldstart" "views_init_median_ms" };

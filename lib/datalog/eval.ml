@@ -66,11 +66,13 @@ type action =
   | Skip  (* a variable occurring nowhere else: any value matches *)
 
 type rel = {
+  id : int;  (* the rel's entry in a run's lookups, numbered per plan *)
   pred : string;
   mutable sym : Symbol.t option;
       (* [None] while the name is not interned: no store holds the
          relation, and the name is looked up again on the next run *)
-  probe : (int * operand) option;  (* leftmost column bound before the match *)
+  probe_col : int;  (* leftmost column bound before the match; -1 scans *)
+  probe_key : operand;  (* its value; unused by a scan *)
   actions : action array;
 }
 
@@ -92,6 +94,7 @@ type step =
 
 type plan = {
   nslots : int;
+  nrels : int;  (* rels of every step, aggregates' joins included *)
   inputs : int array;  (* slots of the input variables, in the given order *)
   steps : step array;
   tick_steps : bool;  (* a denial costs a step per literal; a bare join does not *)
@@ -127,47 +130,70 @@ let resolve r =
     end
     else None
 
-let candidates store slots r =
+(* A run's lookups start out as this placeholder; a rel's first probe
+   in the run resolves its relation and index once ({!Store.lookup_sym},
+   or the live tuples for a scan) and keeps the result for the rest of
+   the run.  Sound because a run never writes the store it reads. *)
+let unresolved : Term.const -> Store.tuple list = fun _ -> []
+
+let lookup store r =
   match resolve r with
-  | None -> []
+  | None -> fun _ -> []
   | Some sym ->
-    (match r.probe with
-     | None -> Store.tuples_sym store sym
-     | Some (col, key) -> Store.tuples_with_col_sym store sym col (value slots key))
+    if r.probe_col < 0 then begin
+      let all = Store.tuples_sym store sym in
+      fun _ -> all
+    end
+    else Store.lookup_sym store sym r.probe_col
+
+let candidates store slots lookups r =
+  let f = Array.unsafe_get lookups r.id in
+  let f =
+    if f != unresolved then f
+    else begin
+      let f = lookup store r in
+      Array.unsafe_set lookups r.id f;
+      f
+    end
+  in
+  f (value slots r.probe_key)
 
 (* One budget step per tuple examined.  A tuple of another arity never
    matches. *)
+let rec match_from slots actions i = function
+  | [] -> i = Array.length actions
+  | c :: rest ->
+    i < Array.length actions
+    && (match Array.unsafe_get actions i with
+        | Check_const k -> const_equal c k
+        | Check_slot s -> const_equal c (Array.unsafe_get slots s)
+        | Bind s ->
+          Array.unsafe_set slots s c;
+          true
+        | Skip -> true)
+    && match_from slots actions (i + 1) rest
+
 let match_actions slots actions tup =
   tick 1;
-  let n = Array.length actions in
-  let rec go i = function
-    | [] -> i = n
-    | c :: rest ->
-      i < n
-      && (match Array.unsafe_get actions i with
-          | Check_const k -> const_equal c k
-          | Check_slot s -> const_equal c (Array.unsafe_get slots s)
-          | Bind s ->
-            Array.unsafe_set slots s c;
-            true
-          | Skip -> true)
-      && go (i + 1) rest
-  in
-  go 0 tup
+  match_from slots actions 0 tup
 
-(* Every row of a conjunction: [f] runs with the row's locals in their
-   slots. *)
-let join_rows store slots join f =
-  let n = Array.length join in
-  let rec go j =
-    if j = n then f ()
-    else
-      let r = Array.unsafe_get join j in
-      List.iter
-        (fun tup -> if match_actions slots r.actions tup then go (j + 1))
-        (candidates store slots r)
-  in
-  go 0
+let rec any_match slots actions = function
+  | [] -> false
+  | tup :: rest -> match_actions slots actions tup || any_match slots actions rest
+
+(* Every row of a conjunction from its [j]-th rel on: [f] runs with the
+   row's locals in their slots. *)
+let rec join_rows store slots lookups join j f =
+  if j = Array.length join then f ()
+  else
+    let r = Array.unsafe_get join j in
+    join_tuples store slots lookups join j f r (candidates store slots lookups r)
+
+and join_tuples store slots lookups join j f r = function
+  | [] -> ()
+  | tup :: rest ->
+    if match_actions slots r.actions tup then join_rows store slots lookups join (j + 1) f;
+    join_tuples store slots lookups join j f r rest
 
 let const_int = function
   | Term.Int i -> i
@@ -178,24 +204,24 @@ let const_int = function
 
 (* The aggregate's value, or [None] for a [max]/[min] over no rows: the
    literal does not hold, whichever literal bound the group first. *)
-let aggregate store slots g =
+let aggregate store slots lookups g =
+  let rows f = join_rows store slots lookups g.join 0 f in
   let targets () =
     let acc = ref [] in
     let t = Option.get g.target in
-    join_rows store slots g.join (fun () -> acc := value slots t :: !acc);
+    rows (fun () -> acc := value slots t :: !acc);
     List.rev !acc
   in
   let sum = List.fold_left (fun a c -> a + const_int c) 0 in
   match g.op with
   | Term.Cnt ->
     let n = ref 0 in
-    join_rows store slots g.join (fun () -> incr n);
+    rows (fun () -> incr n);
     Some (Term.Int !n)
   | Term.CntD when g.target = None ->
-    let rows = ref [] in
-    join_rows store slots g.join (fun () ->
-        rows := Array.map (fun s -> slots.(s)) g.row :: !rows);
-    Some (Term.Int (List.length (List.sort_uniq compare !rows)))
+    let acc = ref [] in
+    rows (fun () -> acc := Array.map (fun s -> slots.(s)) g.row :: !acc);
+    Some (Term.Int (List.length (List.sort_uniq compare !acc)))
   | Term.CntD -> Some (Term.Int (List.length (List.sort_uniq compare (targets ()))))
   | Term.Sum -> Some (Term.Int (sum (targets ())))
   | Term.SumD -> Some (Term.Int (sum (List.sort_uniq compare (targets ()))))
@@ -206,43 +232,55 @@ let aggregate store slots g =
 
 (* The steps from [i] on, under the bindings in [slots]; [k] receives
    each completed binding and stops the search by returning [true]. *)
-let rec run store slots p i k =
+let rec run store slots lookups p i k =
   if p.tick_steps then tick 1;
   if i = Array.length p.steps then k slots
   else
-    let next () = run store slots p (i + 1) k in
     match Array.unsafe_get p.steps i with
-    | Test (op, a, b) -> Term.eval_cmp op (value slots a) (value slots b) && next ()
+    | Test (op, a, b) ->
+      Term.eval_cmp op (value slots a) (value slots b)
+      && run store slots lookups p (i + 1) k
     | Assign (s, a) ->
       slots.(s) <- value slots a;
-      next ()
-    | Join r ->
-      List.exists
-        (fun tup -> match_actions slots r.actions tup && next ())
-        (candidates store slots r)
+      run store slots lookups p (i + 1) k
+    | Join r -> join_each store slots lookups p i k r (candidates store slots lookups r)
     | Anti r ->
-      (not (List.exists (match_actions slots r.actions) (candidates store slots r)))
-      && next ()
+      (not (any_match slots r.actions (candidates store slots lookups r)))
+      && run store slots lookups p (i + 1) k
     | Aggregate g ->
-      (match aggregate store slots g with
+      (match aggregate store slots lookups g with
        | None -> false
-       | Some v -> Term.eval_cmp g.acmp v (value slots g.bound) && next ())
+       | Some v ->
+         Term.eval_cmp g.acmp v (value slots g.bound) && run store slots lookups p (i + 1) k)
 
+(* Try the candidates of the join at step [i] in order, until one
+   completes a binding that [k] accepts. *)
+and join_each store slots lookups p i k r = function
+  | [] -> false
+  | tup :: rest ->
+    (match_actions slots r.actions tup && run store slots lookups p (i + 1) k)
+    || join_each store slots lookups p i k r rest
+
+(* A run's state: the slots, with the inputs in place, and the
+   lookups, all unresolved. *)
 let start p values =
   if Array.length values <> Array.length p.inputs then
     invalid_arg "Eval: input values do not match the plan's inputs";
   let slots = Array.make p.nslots (Term.Int 0) in
   Array.iteri (fun j s -> slots.(s) <- values.(j)) p.inputs;
-  slots
+  (slots, Array.make p.nrels unresolved)
 
 let iter p store values f =
+  let slots, lookups = start p values in
   ignore
-    (run store (start p values) p 0 (fun slots ->
+    (run store slots lookups p 0 (fun slots ->
          f slots;
          false)
       : bool)
 
-let exists p store values = run store (start p values) p 0 (fun _ -> true)
+let exists p store values =
+  let slots, lookups = start p values in
+  run store slots lookups p 0 (fun _ -> true)
 
 let slot p v = List.assoc v p.vars
 
@@ -255,6 +293,7 @@ let slot p v = List.assoc v p.vars
 type scope = {
   slots : (string, int) Hashtbl.t;
   mutable next : int;
+  mutable rels : int;  (* rels compiled so far *)
   bound : (string, unit) Hashtbl.t;
 }
 
@@ -307,7 +346,14 @@ let compile_rel sc ~known ~skip (a : Term.atom) =
          [] a.Term.args)
   in
   let sym = if Symbol.mem a.Term.pred then Some (Symbol.intern a.Term.pred) else None in
-  ({ pred = a.Term.pred; sym; probe; actions = Array.of_list actions }, List.rev !fresh)
+  let id = sc.rels in
+  sc.rels <- id + 1;
+  let probe_col, probe_key = Option.value probe ~default:(-1, Lit (Term.Int 0)) in
+  let actions = Array.of_list actions in
+  (* the index hands out only tuples equal to the key in the probed
+     column, so matching need not check it again *)
+  if probe_col >= 0 then actions.(probe_col) <- Skip;
+  ( { id; pred = a.Term.pred; sym; probe_col; probe_key; actions }, List.rev !fresh )
 
 (* Join order of a conjunction: most-bound-first, counting as bound the
    variables [known] beforehand and those of atoms already placed; ties
@@ -342,7 +388,7 @@ let compile_join sc ~known ~skip (atoms : Term.atom list) =
   go [] [] atoms
 
 let new_scope inputs =
-  let sc = { slots = Hashtbl.create 16; next = 0; bound = Hashtbl.create 16 } in
+  let sc = { slots = Hashtbl.create 16; next = 0; rels = 0; bound = Hashtbl.create 16 } in
   let input_slots =
     Array.of_list
       (List.map
@@ -357,6 +403,7 @@ let finish sc input_slots steps ~tick_steps witness =
   Xic_obs.Obs.Metrics.incr c_plans_compiled;
   {
     nslots = sc.next;
+    nrels = sc.rels;
     inputs = input_slots;
     steps = Array.of_list steps;
     tick_steps;
@@ -541,8 +588,9 @@ let bindings p slots = List.map (fun (v, s) -> (v, slots.(s))) p.witness
 
 let witness p store values =
   let found = ref None in
+  let slots, lookups = start p values in
   ignore
-    (run store (start p values) p 0 (fun slots ->
+    (run store slots lookups p 0 (fun slots ->
          found := Some (bindings p slots);
          true)
       : bool);

@@ -26,6 +26,17 @@
     no rows does not hold, so a verdict does not depend on whether a
     positive literal or the aggregate bound its group first.
 
+    {b Runs.}  Each run ({!iter}, {!exists}, the one-shot functions)
+    keeps, beside its slots, one lookup per atom of the plan.  An atom's
+    first probe in the run resolves its relation and probe column once
+    ({!Store.lookup_sym}; the live tuples for an atom with no bound
+    column), and every later probe of that atom in the run is one hash
+    lookup on the key.  This is sound because a run never writes the
+    store it reads: the callback of {!iter} may write another store
+    (the incremental views write rows to their own view store), but
+    never the one being evaluated.  Resolution costs no budget step,
+    and candidates arrive in the same order as a fresh probe's.
+
     {b Unsafe.}  {!compile} raises {!Unsafe} when the body cannot be
     scheduled, when a parameter is left, or when a [sum], [sumd], [max]
     or [min] has no target — whatever the store holds.  A run raises it
@@ -77,7 +88,7 @@ val iter : plan -> Store.t -> Term.const array -> (Term.const array -> unit) -> 
 (** [iter p store values f] calls [f] on the slots of every satisfying
     binding, in search order; [values] are the inputs' values in the
     order given to {!compile}.  [f] must not keep the array: the next
-    binding overwrites it.
+    binding overwrites it.  [f] must not write [store] (see "Runs").
     @raise Invalid_argument when [values] has the wrong length. *)
 
 val exists : plan -> Store.t -> Term.const array -> bool

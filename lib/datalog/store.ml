@@ -257,28 +257,24 @@ let tuples_sym (s : t) sym =
 let tuples (s : t) name =
   match sym_opt name with Some sym -> tuples_sym s sym | None -> []
 
-let tuples_with_key_sym (s : t) sym (key : Term.const) =
+(* Resolve the relation and its [col] index once: the lookup answers
+   from that index until the store is next written. *)
+let lookup_sym (s : t) sym col =
   match Hashtbl.find_opt s.rels sym with
-  | None -> []
+  | None -> fun _ -> []
   | Some r ->
-    (match Hashtbl.find_opt (ensure_index r) key with
-     | Some l -> !l
-     | None -> [])
+    let idx = if col = 0 then ensure_index r else ensure_col_index r col in
+    fun (key : Term.const) ->
+      match Hashtbl.find_opt idx key with Some l -> !l | None -> []
+
+let tuples_with_key_sym (s : t) sym key = lookup_sym s sym 0 key
 
 let tuples_with_key (s : t) name key =
   match sym_opt name with
   | Some sym -> tuples_with_key_sym s sym key
   | None -> []
 
-let tuples_with_col_sym (s : t) sym col (key : Term.const) =
-  if col = 0 then tuples_with_key_sym s sym key
-  else
-    match Hashtbl.find_opt s.rels sym with
-    | None -> []
-    | Some r ->
-      (match Hashtbl.find_opt (ensure_col_index r col) key with
-       | Some l -> !l
-       | None -> [])
+let tuples_with_col_sym (s : t) sym col key = lookup_sym s sym col key
 
 let tuples_with_col (s : t) name col key =
   match sym_opt name with

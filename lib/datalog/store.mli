@@ -92,6 +92,13 @@ val remove_sym : t -> Xic_symbol.Symbol.t -> tuple -> bool
 val tuples_sym : t -> Xic_symbol.Symbol.t -> tuple list
 val tuples_with_key_sym : t -> Xic_symbol.Symbol.t -> Term.const -> tuple list
 val tuples_with_col_sym : t -> Xic_symbol.Symbol.t -> int -> Term.const -> tuple list
+
+val lookup_sym : t -> Xic_symbol.Symbol.t -> int -> Term.const -> tuple list
+(** [lookup_sym s sym col] finds the relation and builds its [col]
+    index (as {!tuples_with_col}) once; the function it returns answers
+    [tuples_with_col_sym s sym col key] for any [key] by one hash probe,
+    as long as [s] is not written.  After a write, resolve again. *)
+
 val mem_sym : t -> Xic_symbol.Symbol.t -> tuple -> bool
 val cardinality_sym : t -> Xic_symbol.Symbol.t -> int
 

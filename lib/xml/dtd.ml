@@ -27,9 +27,39 @@ type element_decl = {
   attlist : attr_decl list;
 }
 
+module Symbol = Xic_symbol.Symbol
+
+(* The Glushkov position automaton of an element-content model, over
+   tag symbol ids.  State 0 is the start; state [q > 0] is the [q]-th
+   name occurrence of the particle, left to right.  Each state lists its
+   edges as two parallel arrays (label, target).  It runs on the set of
+   live states, kept as a list: one state for a deterministic model, as
+   XML requires, and as many as needed for any other. *)
+type automaton = {
+  label : int array array;
+  target : int array array;
+  final : bool array;
+}
+
+(* What validation checks of an element's children, decided once per
+   declaration. *)
+type model =
+  | No_content
+  | Any_content
+  | Text_only
+  | Mixed_of of int array  (* tag symbol ids allowed beside text *)
+  | Model of automaton
+
+type compiled = {
+  tag : string;
+  required_attrs : (Symbol.t * string) list;  (* in declaration order *)
+  model : model;
+}
+
 type t = {
   decls : element_decl list;
   by_name : (string, element_decl) Hashtbl.t;
+  by_sym : compiled option array;  (* indexed by tag symbol id *)
 }
 
 exception Parse_error of string
@@ -136,6 +166,7 @@ let parse_content st =
     | _ -> fail "expected content model, got %S" kw
   end
   else begin
+    let lparen = st.pos in
     advance st;
     skip_ws st;
     if peek st = '#' then begin
@@ -155,11 +186,24 @@ let parse_content st =
       if ns = [] then PCData else Mixed ns
     end
     else begin
-      (* Rewind the '(' so parse_cp sees the full group. *)
-      st.pos <- st.pos - 1;
+      (* Back to the '(' so parse_cp sees the full group. *)
+      st.pos <- lparen;
       Children (parse_cp st)
     end
   end
+
+(* Skip an attribute type's enumeration [( name | name ... )]. *)
+let parse_enumeration st =
+  advance st;
+  let rec values () =
+    ignore (parse_name st : string);
+    skip_ws st;
+    match peek st with
+    | '|' -> advance st; values ()
+    | ')' -> advance st
+    | c -> fail "unexpected %C in enumerated attribute type" c
+  in
+  values ()
 
 (* Parse one <!ELEMENT ...> or <!ATTLIST ...> declaration body. *)
 let parse_decl st decls attlists =
@@ -203,7 +247,11 @@ let parse_decl st decls attlists =
           end
           else begin
             let aname = parse_name st in
-            let _atype = parse_name st in
+            skip_ws st;
+            (* The type: a keyword or an enumeration [(x|y)], whose
+               values are not checked. *)
+            if peek st = '(' then parse_enumeration st
+            else ignore (parse_name st : string);
             skip_ws st;
             let default =
               if peek st = '#' then parse_name st
@@ -238,10 +286,93 @@ let parse_decl st decls attlists =
     end
   end
 
+(* ------------------------------------------------------------------ *)
+(* Compiled content models                                             *)
+(* ------------------------------------------------------------------ *)
+
+let sym_id name = Symbol.to_int (Symbol.intern name)
+
+(* Glushkov construction: number the name occurrences 1..n left to
+   right, then compute each subexpression's nullability and first and
+   last positions, and link every last position of a repeated or
+   sequenced part to the first positions that may follow it. *)
+let glushkov p =
+  let rec count = function
+    | Name _ -> 1
+    | Seq (ps, _) | Choice (ps, _) -> List.fold_left (fun n p -> n + count p) 0 ps
+  in
+  let n = count p in
+  let label = Array.make (n + 1) (-1) in
+  let follow = Array.make (n + 1) [] in
+  let link lasts firsts = List.iter (fun q -> follow.(q) <- firsts @ follow.(q)) lasts in
+  let next = ref 0 in
+  let occur occ ((_, first, last) as r) =
+    match occ with
+    | One -> r
+    | Opt -> (true, first, last)
+    | Star ->
+      link last first;
+      (true, first, last)
+    | Plus ->
+      link last first;
+      r
+  in
+  let rec go = function
+    | Name (name, occ) ->
+      incr next;
+      let q = !next in
+      label.(q) <- sym_id name;
+      occur occ (false, [ q ], [ q ])
+    | Seq (ps, occ) ->
+      occur occ
+        (List.fold_left
+           (fun (nl, f, l) p ->
+             let nl', f', l' = go p in
+             link l f';
+             (nl && nl', (if nl then f @ f' else f), if nl' then l' @ l else l'))
+           (true, [], []) ps)
+    | Choice (ps, occ) ->
+      occur occ
+        (List.fold_left
+           (fun (nl, f, l) p ->
+             let nl', f', l' = go p in
+             (nl || nl', f @ f', l @ l'))
+           (false, [], []) ps)
+  in
+  let nullable, first, last = go p in
+  follow.(0) <- first;
+  let edges = Array.map (fun qs -> Array.of_list (List.sort_uniq compare qs)) follow in
+  let final = Array.init (n + 1) (fun q -> if q = 0 then nullable else List.mem q last) in
+  { label = Array.map (Array.map (fun q -> label.(q))) edges; target = edges; final }
+
+let compile_decl d =
+  let model =
+    match d.content with
+    | Empty -> No_content
+    | Any -> Any_content
+    | PCData -> Text_only
+    | Mixed ns -> Mixed_of (Array.of_list (List.map sym_id ns))
+    | Children p -> Model (glushkov p)
+  in
+  {
+    tag = d.elem_name;
+    required_attrs =
+      List.filter_map
+        (fun a -> if a.required then Some (Symbol.intern a.attr_name, a.attr_name) else None)
+        d.attlist;
+    model;
+  }
+
 let of_decls decls =
   let by_name = Hashtbl.create 16 in
   List.iter (fun d -> Hashtbl.replace by_name d.elem_name d) decls;
-  { decls; by_name }
+  let tagged = List.map (fun d -> (sym_id d.elem_name, d)) decls in
+  let by_sym =
+    Array.make (1 + List.fold_left (fun m (s, _) -> max m s) (-1) tagged) None
+  in
+  (* a later declaration of the same name wins, as in [by_name] *)
+  List.iter (fun (s, d) -> by_sym.(s) <- Some (compile_decl d)) tagged;
+  { decls; by_name; by_sym }
 
 let parse src =
   let st = { src; pos = 0 } in
@@ -372,93 +503,82 @@ let descendant_types t name =
 (* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Backtracking matcher over positions into the child-name array: returns
-   the sorted set of positions reachable after consuming a prefix that
-   matches the particle. *)
-let matches_content p names =
-  let arr = Array.of_list names in
-  let n = Array.length arr in
-  let dedup_pos l = List.sort_uniq compare l in
-  let rec go p positions =
-    match p with
-    | Name (name, occ) ->
-      let once ps =
-        List.filter_map (fun i -> if i < n && arr.(i) = name then Some (i + 1) else None) ps
-      in
-      with_occ occ once positions
-    | Seq (parts, occ) ->
-      let once ps = List.fold_left (fun acc part -> go part acc) ps parts in
-      with_occ occ once positions
-    | Choice (parts, occ) ->
-      let once ps = dedup_pos (List.concat_map (fun part -> go part ps) parts) in
-      with_occ occ once positions
-  and with_occ occ once positions =
-    match occ with
-    | One -> once positions
-    | Opt -> dedup_pos (positions @ once positions)
-    | Star -> star once positions
-    | Plus -> star once (once positions)
-  and star once positions =
-    (* Fixpoint of reachable positions (zero or more iterations); bounded
-       by n+1 distinct positions, so this terminates. *)
-    let seen = Array.make (n + 2) false in
-    List.iter (fun i -> seen.(i) <- true) positions;
-    let frontier = ref positions in
-    while !frontier <> [] do
-      let next =
-        once !frontier |> List.filter (fun i -> not seen.(i)) |> dedup_pos
-      in
-      List.iter (fun i -> seen.(i) <- true) next;
-      frontier := next
-    done;
-    let acc = ref [] in
-    for i = n + 1 downto 0 do
-      if seen.(i) then acc := i :: !acc
-    done;
-    !acc
-  in
-  List.mem n (go p [ 0 ])
+(* Adds to [acc] the targets of [q]'s edges, from the [k]-th on, that
+   carry [sym]. *)
+let rec edges a q sym k acc =
+  let labels = a.label.(q) in
+  if k = Array.length labels then acc
+  else begin
+    let t = a.target.(q).(k) in
+    edges a q sym (k + 1) (if labels.(k) = sym && not (List.mem t acc) then t :: acc else acc)
+  end
+
+(* The live states after the child tag [sym], from the live states
+   [live]. *)
+let rec step a sym acc = function
+  | [] -> acc
+  | q :: live -> step a sym (edges a q sym 0 acc) live
+
+let rec accepting a = function
+  | [] -> false
+  | q :: live -> a.final.(q) || accepting a live
+
+(* Runs [a] over the children of [id]: whether [id] has text children,
+   and whether [a] accepts its element children. *)
+let run a doc id =
+  let live = ref [ 0 ] and text = ref false in
+  Doc.iter_children doc id (fun c ->
+      if Doc.is_element doc c then live := step a (Symbol.to_int (Doc.tag doc c)) [] !live
+      else text := true);
+  (!text, accepting a !live)
+
+let has_element_child doc id =
+  let found = ref false in
+  Doc.iter_children doc id (fun c -> if Doc.is_element doc c then found := true);
+  !found
 
 let validate ?root:start t doc =
   let start = match start with Some r -> r | None -> Doc.root doc in
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let check id =
-    match Doc.kind doc id with
-    | Doc.Text _ -> ()
-    | Doc.Element sym ->
-      let tag = Doc.Symbol.name sym in
-      (match find t tag with
-       | None -> err "undeclared element <%s>" tag
-       | Some d ->
-         List.iter
-           (fun a ->
-             if a.required && Doc.attr doc id a.attr_name = None then
-               err "<%s> misses required attribute %s" tag a.attr_name)
-           d.attlist;
-         let kid_elems = List.filter (Doc.is_element doc) (Doc.children doc id) in
-         let kid_names = List.map (Doc.name doc) kid_elems in
-         let has_text =
-           List.exists
-             (fun c -> match Doc.kind doc c with Doc.Text _ -> true | _ -> false)
-             (Doc.children doc id)
-         in
-         (match d.content with
-          | Empty ->
-            if Doc.children doc id <> [] then err "<%s> declared EMPTY has content" tag
-          | Any -> ()
-          | PCData -> if kid_names <> [] then err "<%s> declared (#PCDATA) has child elements" tag
-          | Mixed allowed ->
-            List.iter
-              (fun n -> if not (List.mem n allowed) then err "<%s> has disallowed child <%s>" tag n)
-              kid_names
-          | Children p ->
-            if has_text then err "<%s> with element content contains text" tag;
-            if not (matches_content p kid_names) then
-              err "children of <%s> [%s] do not match its content model" tag
-                (String.concat " " kid_names)))
+    let sym = Symbol.to_int (Doc.tag doc id) in
+    match if sym < Array.length t.by_sym then t.by_sym.(sym) else None with
+    | None -> err "undeclared element <%s>" (Doc.name doc id)
+    | Some d ->
+      List.iter
+        (fun (a, name) ->
+          if Doc.attr_sym doc id a = None then
+            err "<%s> misses required attribute %s" d.tag name)
+        d.required_attrs;
+      (match d.model with
+       | No_content ->
+         if Doc.last_child doc id <> Doc.no_node then
+           err "<%s> declared EMPTY has content" d.tag
+       | Any_content -> ()
+       | Text_only ->
+         if has_element_child doc id then
+           err "<%s> declared (#PCDATA) has child elements" d.tag
+       | Mixed_of allowed ->
+         Doc.iter_children doc id (fun c ->
+             if Doc.is_element doc c && not (Array.mem (Symbol.to_int (Doc.tag doc c)) allowed)
+             then err "<%s> has disallowed child <%s>" d.tag (Doc.name doc c))
+       | Model a ->
+         let text, ok = run a doc id in
+         if text then err "<%s> with element content contains text" d.tag;
+         if not ok then
+           (* the child names are spelled out for the message only *)
+           err "children of <%s> [%s] do not match its content model" d.tag
+             (String.concat " " (List.map (Doc.name doc) (Doc.element_children doc id))))
   in
-  List.iter check (Doc.descendant_or_self doc start);
+  (* pre-order: an element's own errors before its descendants' *)
+  let rec visit id =
+    if Doc.is_element doc id then begin
+      check id;
+      Doc.iter_children doc id visit
+    end
+  in
+  visit start;
   match !errors with
   | [] -> Ok ()
   | es -> Error (String.concat "; " (List.rev es))

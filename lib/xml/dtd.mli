@@ -1,6 +1,16 @@
 (** DTD (document type definition) subset: [<!ELEMENT …>] and
     [<!ATTLIST …>] declarations, validation, and the content-model
-    analysis needed by the relational mapping of Section 4.1. *)
+    analysis needed by the relational mapping of Section 4.1.
+
+    {b Compiled content models.}  {!parse} and {!of_decls} compile every
+    declaration once: declarations are keyed by their interned tag
+    symbol, and each element-content particle becomes its Glushkov
+    position automaton over child-tag symbols (one state per name
+    occurrence, plus the start).  Validation runs it over the set of
+    live states: one state per child element for a deterministic
+    model, as XML requires, and more for a nondeterministic one (the
+    parser accepts them).  It accepts exactly the particle's language,
+    with no size cap and no backtracking. *)
 
 (** Occurrence indicator attached to a particle. *)
 type occur =
@@ -23,6 +33,9 @@ type content =
   | Empty                       (** [EMPTY] *)
   | Any                         (** [ANY] *)
 
+(** An attribute declaration.  Its type (a keyword such as [CDATA], or
+    an enumeration [(x|y)]) is parsed and dropped: values are never
+    checked against an enumeration. *)
 type attr_decl = {
   attr_name : string;
   required : bool;              (** [#REQUIRED] vs anything else *)
@@ -74,9 +87,20 @@ val descendant_types : t -> string -> string list
 
 val validate : ?root:Doc.node_id -> t -> Doc.t -> (unit, string) Stdlib.result
 (** Check the tree below [root] (default: the document's first root)
-    against the DTD: every element declared, children sequences match
-    content models, required attributes present, PCDATA-only elements
-    contain no child elements. *)
+    against the DTD in one pre-order walk, building no node lists.
+    [Error] joins every fault with ["; "], element by element in
+    document order (an element before its descendants).  An element's
+    faults are, in this order:
+    {ul
+    {- [undeclared element <e>] (and nothing else for it);}
+    {- [<e> misses required attribute a], per attribute in declaration
+       order;}
+    {- [EMPTY]: [<e> declared EMPTY has content];}
+    {- [(#PCDATA)]: [<e> declared (#PCDATA) has child elements];}
+    {- mixed: [<e> has disallowed child <c>], per such child;}
+    {- element content: [<e> with element content contains text], then
+       [children of <e> [c1 c2 …] do not match its content model] (the
+       child names are spelled out only for this message).}} *)
 
 val to_string : t -> string
 (** Render back to [<!ELEMENT …>] declaration syntax. *)

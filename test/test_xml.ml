@@ -398,6 +398,120 @@ let test_dtd_content_complex () =
   checkb "missing choice" false (ok "<a><b/></a>");
   checkb "b alone bad" false (ok "<a><c/></a>")
 
+(* The list-based backtracking matcher validation used before content
+   models were compiled: the set of child positions reachable after
+   consuming a prefix that matches the particle.  Kept as the reference
+   the compiled automata must agree with. *)
+let matches_content p names =
+  let arr = Array.of_list names in
+  let n = Array.length arr in
+  let dedup_pos l = List.sort_uniq compare l in
+  let rec go p positions =
+    match p with
+    | Dtd.Name (name, occ) ->
+      let once ps =
+        List.filter_map (fun i -> if i < n && arr.(i) = name then Some (i + 1) else None) ps
+      in
+      with_occ occ once positions
+    | Dtd.Seq (parts, occ) ->
+      let once ps = List.fold_left (fun acc part -> go part acc) ps parts in
+      with_occ occ once positions
+    | Dtd.Choice (parts, occ) ->
+      let once ps = dedup_pos (List.concat_map (fun part -> go part ps) parts) in
+      with_occ occ once positions
+  and with_occ occ once positions =
+    match occ with
+    | Dtd.One -> once positions
+    | Dtd.Opt -> dedup_pos (positions @ once positions)
+    | Dtd.Star -> star once positions
+    | Dtd.Plus -> star once (once positions)
+  and star once positions =
+    let seen = Array.make (n + 2) false in
+    List.iter (fun i -> seen.(i) <- true) positions;
+    let frontier = ref positions in
+    while !frontier <> [] do
+      let next = once !frontier |> List.filter (fun i -> not seen.(i)) |> dedup_pos in
+      List.iter (fun i -> seen.(i) <- true) next;
+      frontier := next
+    done;
+    let acc = ref [] in
+    for i = n + 1 downto 0 do
+      if seen.(i) then acc := i :: !acc
+    done;
+    !acc
+  in
+  List.mem n (go p [ 0 ])
+
+let test_dtd_group_whitespace () =
+  let d = Dtd.parse "<!ELEMENT e ( a | b )*><!ELEMENT f ( a , b )><!ELEMENT a EMPTY><!ELEMENT b EMPTY>" in
+  (match Dtd.find d "e" with
+   | Some { Dtd.content = Dtd.Children (Dtd.Choice ([ Dtd.Name ("a", Dtd.One); Dtd.Name ("b", Dtd.One) ], Dtd.Star)); _ } -> ()
+   | _ -> Alcotest.fail "( a | b )* misparsed");
+  (match Dtd.find d "f" with
+   | Some { Dtd.content = Dtd.Children (Dtd.Seq ([ Dtd.Name ("a", Dtd.One); Dtd.Name ("b", Dtd.One) ], Dtd.One)); _ } -> ()
+   | _ -> Alcotest.fail "( a , b ) misparsed");
+  checkb "e: b a b" true (Dtd.validate d (parse "<e><b/><a/><b/></e>") = Ok ());
+  checkb "f: a b" true (Dtd.validate d (parse "<f><a/><b/></f>") = Ok ());
+  checkb "f: b a" false (Dtd.validate d (parse "<f><b/><a/></f>") = Ok ())
+
+let test_dtd_enumerated_attr () =
+  let d =
+    Dtd.parse
+      "<!ELEMENT e EMPTY>\n\
+       <!ATTLIST e kind (x|y) #REQUIRED mode ( on | off ) \"on\" id CDATA #IMPLIED>"
+  in
+  (match Dtd.find d "e" with
+   | Some decl ->
+     Alcotest.(check (list (pair string bool)))
+       "attributes" [ ("kind", true); ("mode", false); ("id", false) ]
+       (List.map (fun (a : Dtd.attr_decl) -> (a.Dtd.attr_name, a.Dtd.required)) decl.Dtd.attlist)
+   | None -> Alcotest.fail "e not declared");
+  checkb "missing kind" true (Dtd.validate d (parse "<e/>") <> Ok ());
+  (* values are not checked against the enumeration *)
+  checkb "any kind" true (Dtd.validate d (parse "<e kind=\"z\"/>") = Ok ())
+
+let test_dtd_message_order () =
+  let d =
+    Dtd.parse "<!ELEMENT r (a,b)><!ELEMENT a EMPTY><!ELEMENT b (#PCDATA)>"
+  in
+  Alcotest.(check (result unit string))
+    "message"
+    (Error
+       "children of <r> [b a z] do not match its content model; <a> declared EMPTY \
+        has content; undeclared element <z>")
+    (Dtd.validate d (parse "<r><b/><a>t</a><z/></r>"))
+
+(* Random content models over [a], [b], [c] against random child
+   sequences over [a]..[d]: the compiled automaton (through [validate])
+   accepts exactly what the reference matcher accepts. *)
+let gen_model_case =
+  let open QCheck2.Gen in
+  let occur = oneofl Dtd.[ One; Opt; Star; Plus ] in
+  let name = oneofl [ "a"; "b"; "c" ] in
+  let particle =
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           if n = 0 then map2 (fun s o -> Dtd.Name (s, o)) name occur
+           else
+             frequency
+               [ (1, map2 (fun s o -> Dtd.Name (s, o)) name occur);
+                 (2, map2 (fun ps o -> Dtd.Seq (ps, o)) (list_size (int_range 1 3) (self (n - 1))) occur);
+                 (2, map2 (fun ps o -> Dtd.Choice (ps, o)) (list_size (int_range 1 3) (self (n - 1))) occur) ])
+  in
+  pair particle (list_size (int_bound 6) (oneofl [ "a"; "b"; "c"; "d" ]))
+
+let prop_compiled_matches_reference =
+  QCheck2.Test.make ~name:"compiled content model = reference matcher" ~count:2000
+    gen_model_case (fun (p, kids) ->
+      let leaf n = { Dtd.elem_name = n; content = Dtd.Empty; attlist = [] } in
+      let d =
+        Dtd.of_decls
+          ({ Dtd.elem_name = "r"; content = Dtd.Children p; attlist = [] }
+          :: List.map leaf [ "a"; "b"; "c"; "d" ])
+      in
+      let doc = parse ("<r>" ^ String.concat "" (List.map (Printf.sprintf "<%s/>") kids) ^ "</r>") in
+      (Dtd.validate d doc = Ok ()) = matches_content p kids)
+
 (* ------------------------------------------------------------------ *)
 (* Second wave: edge cases                                             *)
 (* ------------------------------------------------------------------ *)
@@ -804,6 +918,10 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_dtd_roundtrip;
           Alcotest.test_case "star content" `Quick test_dtd_content_star;
           Alcotest.test_case "complex content" `Quick test_dtd_content_complex;
+          Alcotest.test_case "whitespace inside groups" `Quick test_dtd_group_whitespace;
+          Alcotest.test_case "enumerated attribute types" `Quick test_dtd_enumerated_attr;
+          Alcotest.test_case "message order" `Quick test_dtd_message_order;
+          QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
         ] );
       ( "edge cases",
         [
