@@ -46,8 +46,6 @@ let violated_xquery ?index doc t =
   try Xic_xquery.Eval.eval_bool doc ?index t.xquery
   with Xic_xquery.Eval.Eval_error m -> fail "%s: evaluation error: %s" t.name m
 
-let compile t = Xic_xquery.Eval.compile t.xquery
-
 let violated_compiled ?index doc t plan =
   try Xic_xquery.Eval.run_bool doc ?index plan
   with Xic_xquery.Eval.Eval_error m -> fail "%s: evaluation error: %s" t.name m

@@ -27,10 +27,6 @@ val violated_xquery : ?index:Xic_xml.Index.t -> Xic_xml.Doc.t -> t -> bool
 val violated_datalog : Xic_datalog.Store.t -> t -> bool
 (** Evaluate the Datalog denials over a shredded store. *)
 
-val compile : t -> Xic_xquery.Eval.compiled
-(** Lower the full XQuery check into a closure plan once; the repository
-    caches these per constraint ({!Repository.plan_stats}). *)
-
 val violated_compiled :
   ?index:Xic_xml.Index.t -> Xic_xml.Doc.t -> t -> Xic_xquery.Eval.compiled -> bool
 (** As {!violated_xquery}, but running a pre-compiled plan, which is

@@ -77,9 +77,6 @@ type delta_counters = {
   mutable flushes : int;
   mutable facts_added : int;
   mutable facts_removed : int;
-  (* sequential composition of every flushed delta since the store was
-     installed: the net drift of the live store, bounded by its size *)
-  net : Delta.t;
 }
 
 (* Views frozen with a generation; they may answer only while
@@ -138,7 +135,7 @@ let create schema =
   { schema; doc = Doc.create (); constraints = []; compiled = []; store = None;
     mirror = None; incr = None;
     deltas =
-      { flushes = 0; facts_added = 0; facts_removed = 0; net = Delta.create () };
+      { flushes = 0; facts_added = 0; facts_removed = 0 };
     eval_budget = None; index = None;
     full_plans = Hashtbl.create 16; generation = 0;
     mutations = 0; retained = Hashtbl.create 8; retain_keep = 8 }
@@ -225,7 +222,6 @@ let invalidate_store t =
 let install_store t s =
   (match t.mirror with Some m -> Mirror.detach m | None -> ());
   t.store <- Some s;
-  Delta.clear t.deltas.net;
   Hashtbl.reset t.retained;
   t.mutations <- t.mutations + 1;
   t.mirror <- Some (Mirror.create (Schema.mapping t.schema) t.doc s)
@@ -253,7 +249,6 @@ let sync_store ?(proven = false) t =
         Obs.Metrics.incr c_delta_flushes;
         Obs.Metrics.add c_delta_facts_added (Delta.gross_added d);
         Obs.Metrics.add c_delta_facts_removed (Delta.gross_removed d);
-        Delta.compose ~into:t.deltas.net d;
         match t.incr with
         | Some inc when not (Delta.is_empty d) ->
           (try
@@ -382,24 +377,33 @@ let store t =
     install_store t s;
     s
 
-(* Full-check plan of one constraint, served from the cache. *)
-let full_plan t (c : Constr.t) =
+(* A check plan served from its cache slot: [cached] is the slot's
+   plan, [store] fills it.  Every request counts as a hit or a miss
+   (hits + misses = requests); a miss compiles [xquery], in a [compile]
+   span when tracing. *)
+let cached_plan ~name ~cached ~store xquery =
   Obs.Metrics.incr c_plan_requests;
-  match Hashtbl.find_opt t.full_plans c.Constr.name with
+  match cached with
   | Some plan ->
     Obs.Metrics.incr c_plan_hits;
     plan
   | None ->
+    let compile () = Xic_xquery.Eval.compile xquery in
     let plan =
       if Obs.Trace.is_enabled () then
-        Obs.Trace.with_span "compile"
-          ~attrs:[ ("constraint", c.Constr.name) ]
-          (fun () -> Constr.compile c)
-      else Constr.compile c
+        Obs.Trace.with_span "compile" ~attrs:[ ("constraint", name) ] compile
+      else compile ()
     in
-    Hashtbl.replace t.full_plans c.Constr.name plan;
+    store plan;
     Obs.Metrics.incr c_plan_misses;
     plan
+
+(* Full-check plan of one constraint. *)
+let full_plan t (c : Constr.t) =
+  cached_plan ~name:c.Constr.name
+    ~cached:(Hashtbl.find_opt t.full_plans c.Constr.name)
+    ~store:(Hashtbl.replace t.full_plans c.Constr.name)
+    c.Constr.xquery
 
 let check_full t =
   Obs.Trace.with_span "check_full" (fun () ->
@@ -573,8 +577,6 @@ type delta_stats = {
   delta_flushes : int;
   delta_facts_added : int;
   delta_facts_removed : int;
-  delta_net_added : int;
-  delta_net_removed : int;
   incr_entries : int;
   incr_evals : int;
   incr_reverifies : int;
@@ -592,12 +594,9 @@ let delta_stats t =
       ( Incr.entry_count i, s.Incr.evals, s.Incr.reverifies, s.Incr.recomputes,
         s.Incr.skipped, Xic_datalog.Store.total_tuples (Incr.view i) )
   in
-  let net_count l = List.fold_left (fun acc (_, _, n) -> acc + n) 0 l in
   { delta_flushes = t.deltas.flushes;
     delta_facts_added = t.deltas.facts_added;
     delta_facts_removed = t.deltas.facts_removed;
-    delta_net_added = net_count (Delta.added t.deltas.net);
-    delta_net_removed = net_count (Delta.removed t.deltas.net);
     incr_entries = entries;
     incr_evals = evals;
     incr_reverifies = reverifies;
@@ -643,22 +642,9 @@ let try_check_optimized t p valuation =
     | [] -> (List.rev violated, List.rev degs)
     | ch :: rest ->
       let plan =
-        Obs.Metrics.incr c_plan_requests;
-        match ch.simplified_plan with
-        | Some plan ->
-          Obs.Metrics.incr c_plan_hits;
-          plan
-        | None ->
-          let plan =
-            if Obs.Trace.is_enabled () then
-              Obs.Trace.with_span "compile"
-                ~attrs:[ ("constraint", ch.constraint_name) ]
-                (fun () -> Xic_xquery.Eval.compile ch.simplified_xquery)
-            else Xic_xquery.Eval.compile ch.simplified_xquery
-          in
-          ch.simplified_plan <- Some plan;
-          Obs.Metrics.incr c_plan_misses;
-          plan
+        cached_plan ~name:ch.constraint_name ~cached:ch.simplified_plan
+          ~store:(fun plan -> ch.simplified_plan <- Some plan)
+          ch.simplified_xquery
       in
       Obs.Metrics.incr c_checks_optimized;
       (match

@@ -236,10 +236,6 @@ type delta_stats = {
   delta_flushes : int;  (** mirror reconciliations *)
   delta_facts_added : int;  (** gross store insertions via deltas *)
   delta_facts_removed : int;  (** gross store deletions via deltas *)
-  delta_net_added : int;
-      (** net insertions still standing, over the sequential composition
-          ([Delta.compose]) of every flush since the store was installed *)
-  delta_net_removed : int;  (** net deletions still standing, same window *)
   incr_entries : int;  (** materialized (constraint, denial) views *)
   incr_evals : int;  (** delta-bound residual evaluations *)
   incr_reverifies : int;  (** view rows re-checked after deletions *)

@@ -54,28 +54,6 @@ let touched t =
   Hashtbl.iter (fun (sym, _) _ -> Hashtbl.replace syms sym ()) t.net;
   Hashtbl.fold (fun sym () acc -> sym :: acc) syms []
 
-let clear t =
-  Hashtbl.reset t.net;
-  t.gross_added <- 0;
-  t.gross_removed <- 0
-
-let compose ~into t =
-  Hashtbl.iter (fun key r -> bump into key !r) t.net;
-  into.gross_added <- into.gross_added + t.gross_added;
-  into.gross_removed <- into.gross_removed + t.gross_removed
-
-(* Net-multiset equality; gross counters are bookkeeping, not content. *)
-let equal a b =
-  Hashtbl.length a.net = Hashtbl.length b.net
-  && Hashtbl.fold
-       (fun key r ok ->
-         ok
-         &&
-         match Hashtbl.find_opt b.net key with
-         | Some r' -> !r = !r'
-         | None -> false)
-       a.net true
-
 let pp ppf t =
   let line verb (sym, tup, n) =
     Format.fprintf ppf "@[%s %s(%s)%s@]@." verb (Symbol.name sym)

@@ -31,12 +31,4 @@ val touched : t -> Xic_symbol.Symbol.t list
 val gross_added : t -> int
 val gross_removed : t -> int
 
-val compose : into:t -> t -> unit
-(** Merge [t]'s net changes and gross counters into [into] (sequential
-    composition of two batches). *)
-
-val equal : t -> t -> bool
-(** Net-multiset equality; gross counters are ignored. *)
-
-val clear : t -> unit
 val pp : Format.formatter -> t -> unit

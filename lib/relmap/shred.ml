@@ -120,15 +120,6 @@ let shred_into mapping doc store start =
   in
   go start
 
-let unshred_from mapping doc store start =
-  let rec go id =
-    (match fact_of_element_sym mapping doc id with
-     | Some (pred, tuple) -> ignore (Store.remove_sym store pred tuple)
-     | None -> ());
-    Doc.iter_children doc id (fun c -> if Doc.is_element doc c then go c)
-  in
-  go start
-
 let shred mapping doc =
   Xic_obs.Obs.Trace.with_span "shred" (fun () ->
       let store = Store.create () in

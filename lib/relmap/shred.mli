@@ -40,16 +40,6 @@ val sink :
 val shred : Mapping.t -> Doc.t -> Xic_datalog.Store.t
 (** Shred all roots of the document/collection into a fresh store. *)
 
-val shred_into :
-  Mapping.t -> Doc.t -> Xic_datalog.Store.t -> Doc.node_id -> unit
-(** Shred the subtree rooted at the given node into an existing store
-    (used to mirror XUpdate insertions at the relational level). *)
-
-val unshred_from :
-  Mapping.t -> Doc.t -> Xic_datalog.Store.t -> Doc.node_id -> unit
-(** Remove the facts of the subtree rooted at the given node (rollback
-    mirror of {!shred_into}). *)
-
 val path_to_node : Doc.t -> Doc.node_id -> string
 (** A positional root path such as [/review/track[2]/rev[5]], the display
     form the paper uses for node-valued parameters. *)

@@ -512,9 +512,7 @@ let do_stats t =
             ("heap_words", P.Int gc.Gc.heap_words) ] );
       ( "delta",
         P.Obj
-          [ ("flushes", P.Int d.R.delta_flushes);
-            ("net_added", P.Int d.R.delta_net_added);
-            ("net_removed", P.Int d.R.delta_net_removed) ] );
+          [ ("flushes", P.Int d.R.delta_flushes) ] );
       (* the exact document the CLI's --metrics prints: one formatter,
          one schema (per-op serve_*_ms histograms included) *)
       ("metrics", P.Raw (R.metrics_json t.srepo)) ]
@@ -632,39 +630,20 @@ let error_reply = function
   | Xic_datalog.Eval.Unsafe m -> Some (error ("unsafe denial: " ^ m))
   | _ -> None
 
-let handle t req =
-  t.requests <- t.requests + 1;
-  let op =
-    match P.string_field "op" req with Some o -> o | None -> "_missing_op"
-  in
-  let trace_id = P.string_field "trace_id" req in
-  let parent_span = P.string_field "span_id" req in
-  let span_id = fresh_span_id t in
+(* The envelope every request shares, alone or as a batched guard run:
+   the log's trace id, a [serve:<op>] span (its attributes [op],
+   [span_id], then [attrs ()]) when tracing, the [serve_<op>_ms]
+   histogram, the slow ring (with [summary ()]) and a debug line (with
+   [detail] of the result). *)
+let envelope t ~op ~span_id ~trace_id ~attrs ~summary ~detail run =
   XLog.set_trace_id (Some (Option.value trace_id ~default:span_id));
   Fun.protect ~finally:(fun () -> XLog.set_trace_id None) @@ fun () ->
   let t0 = Obs.Clock.now_ns () in
-  let run () =
-    try dispatch t op req with
-    | e -> (match error_reply e with Some r -> r | None -> raise e)
-  in
-  let resp =
+  let result =
     if Obs.Trace.is_enabled () then
       Obs.Trace.with_span ~slow:true
-        ~attrs:
-          ([ ("op", op);
-             ("span_id", span_id);
-             ("generation", string_of_int (R.generation t.srepo)) ]
-          @ (match trace_id with
-             | Some id -> [ ("trace_id", id) ]
-             | None -> [])
-          @ (match parent_span with
-             | Some id -> [ ("parent_span_id", id) ]
-             | None -> []))
-        ("serve:" ^ op)
-        (fun () ->
-          let r = run () in
-          Obs.Trace.add_attr "ok" (string_of_bool (resp_ok r));
-          r)
+        ~attrs:(("op", op) :: ("span_id", span_id) :: attrs ())
+        ("serve:" ^ op) run
     else run ()
   in
   let dt_ns = Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0) in
@@ -674,10 +653,37 @@ let handle t req =
   if slow_qualifies t ms then
     note_slow t
       { se_op = op; se_trace_id = trace_id; se_span_id = span_id; se_ms = ms;
-        se_args = req_summary req; se_span = span };
-  Log.debug (fun m ->
-      m "%s span=%s ok=%b %.3fms" op span_id (resp_ok resp) ms);
-  echo_trace ~trace_id ~span_id resp
+        se_args = summary (); se_span = span };
+  Log.debug (fun m -> m "%s span=%s %s %.3fms" op span_id (detail result) ms);
+  result
+
+let optional key = function Some v -> [ (key, v) ] | None -> []
+
+let handle t req =
+  t.requests <- t.requests + 1;
+  let op =
+    match P.string_field "op" req with Some o -> o | None -> "_missing_op"
+  in
+  let trace_id = P.string_field "trace_id" req in
+  let span_id = fresh_span_id t in
+  let attrs () =
+    ("generation", string_of_int (R.generation t.srepo))
+    :: (optional "trace_id" trace_id
+       @ optional "parent_span_id" (P.string_field "span_id" req))
+  in
+  let run () =
+    let r =
+      try dispatch t op req with
+      | e -> (match error_reply e with Some r -> r | None -> raise e)
+    in
+    Obs.Trace.add_attr "ok" (string_of_bool (resp_ok r));
+    r
+  in
+  envelope t ~op ~span_id ~trace_id ~attrs
+    ~summary:(fun () -> req_summary req)
+    ~detail:(fun r -> Printf.sprintf "ok=%b" (resp_ok r))
+    run
+  |> echo_trace ~trace_id ~span_id
 
 (* ------------------------------------------------------------------ *)
 (* Round processing with guard batching                                *)
@@ -703,10 +709,13 @@ let handle_guard_run t reqs =
     let member_traces =
       List.filter_map (fun r -> P.string_field "trace_id" r) reqs
     in
-    XLog.set_trace_id
-      (Some (match member_traces with id :: _ -> id | [] -> span_id));
-    Fun.protect ~finally:(fun () -> XLog.set_trace_id None) @@ fun () ->
-    let t0 = Obs.Clock.now_ns () in
+    let attrs () =
+      ("batch", string_of_int n)
+      :: ("generation", string_of_int (R.generation t.srepo))
+      :: (match member_traces with
+          | [] -> []
+          | ids -> [ ("trace_ids", String.concat "," ids) ])
+    in
     let run () =
       let parsed =
         List.map
@@ -743,35 +752,14 @@ let handle_guard_run t reqs =
         merge parsed reports []
     in
     let resps =
-      if Obs.Trace.is_enabled () then
-        Obs.Trace.with_span ~slow:true
-          ~attrs:
-            ([ ("op", "guard_batch");
-               ("span_id", span_id);
-               ("batch", string_of_int n);
-               ("generation", string_of_int (R.generation t.srepo)) ]
-            @
-            match member_traces with
-            | [] -> []
-            | ids -> [ ("trace_ids", String.concat "," ids) ])
-          "serve:guard_batch" run
-      else run ()
+      envelope t ~op:"guard_batch" ~span_id
+        ~trace_id:(match member_traces with id :: _ -> Some id | [] -> None)
+        ~attrs
+        ~summary:(fun () ->
+          Printf.sprintf "batch of %d guards; first: %s" n (req_summary first))
+        ~detail:(fun _ -> Printf.sprintf "n=%d" n)
+        run
     in
-    let dt_ns = Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0) in
-    Obs.Metrics.observe_ns (op_hist t "guard_batch") dt_ns;
-    let ms = float_of_int dt_ns /. 1e6 in
-    let span = capture_request_span t in
-    if slow_qualifies t ms then
-      note_slow t
-        { se_op = "guard_batch";
-          se_trace_id =
-            (match member_traces with id :: _ -> Some id | [] -> None);
-          se_span_id = span_id; se_ms = ms;
-          se_args =
-            Printf.sprintf "batch of %d guards; first: %s" n
-              (req_summary first);
-          se_span = span };
-    Log.debug (fun m -> m "guard_batch n=%d span=%s %.3fms" n span_id ms);
     List.map2
       (fun req resp ->
         echo_trace ~trace_id:(P.string_field "trace_id" req) ~span_id resp)

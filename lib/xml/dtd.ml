@@ -87,7 +87,7 @@ let is_name_char c =
   (c >= 'a' && c <= 'z')
   || (c >= 'A' && c <= 'Z')
   || (c >= '0' && c <= '9')
-  || c = '_' || c = '-' || c = '.' || c = ':' || c = '#'
+  || c = '_' || c = '-' || c = '.' || c = ':'
 
 let parse_name st =
   skip_ws st;
@@ -97,6 +97,14 @@ let parse_name st =
   done;
   if st.pos = start then fail "expected a name at offset %d" start;
   String.sub st.src start (st.pos - start)
+
+(* A [#] keyword ([#PCDATA], [#REQUIRED], [#IMPLIED], [#FIXED]) at the
+   current position; names never contain [#]. *)
+let parse_keyword st =
+  let at = st.pos in
+  advance st;
+  if not (is_name_char (peek st)) then fail "expected a keyword at offset %d" at;
+  "#" ^ parse_name st
 
 let parse_occur st =
   match peek st with
@@ -170,7 +178,7 @@ let parse_content st =
     advance st;
     skip_ws st;
     if peek st = '#' then begin
-      let kw = parse_name st in
+      let kw = parse_keyword st in
       if kw <> "#PCDATA" then fail "expected #PCDATA, got %S" kw;
       skip_ws st;
       let rec names acc =
@@ -254,7 +262,11 @@ let parse_decl st decls attlists =
             else ignore (parse_name st : string);
             skip_ws st;
             let default =
-              if peek st = '#' then parse_name st
+              if peek st = '#' then begin
+                match parse_keyword st with
+                | ("#REQUIRED" | "#IMPLIED" | "#FIXED") as kw -> kw
+                | kw -> fail "unexpected attribute default %S" kw
+              end
               else if peek st = '"' || peek st = '\'' then begin
                 let q = peek st in
                 advance st;

@@ -103,4 +103,7 @@ val validate : ?root:Doc.node_id -> t -> Doc.t -> (unit, string) Stdlib.result
        child names are spelled out only for this message).}} *)
 
 val to_string : t -> string
-(** Render back to [<!ELEMENT …>] declaration syntax. *)
+(** Render back to [<!ELEMENT …>]/[<!ATTLIST …>] declaration syntax.
+    Attribute types and defaults are not kept, so every attribute
+    prints as [CDATA] with [#REQUIRED] or [#IMPLIED]: an enumeration or
+    a default value does not survive [parse (to_string d)]. *)

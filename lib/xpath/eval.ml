@@ -311,6 +311,75 @@ let rec context_free (e : Ast.expr) =
   | Ast.Path (Ast.Rel, _) -> false
 
 (* ------------------------------------------------------------------ *)
+(* Access-path probes (shared with the XQuery planner)                 *)
+(* ------------------------------------------------------------------ *)
+
+(* An access path below a candidate element that the value indexes can
+   answer: child hops [c1/…/ck], then [text()] or [@a].  The index
+   lookup uses [ck] (the candidate's own tag when there are no hops);
+   [up] holds [c(k-1) … c1], the tags checked while walking parents
+   back up to the candidate. *)
+type access_path = {
+  lookup : Symbol.t option;
+  up : Symbol.t list;
+  leaf : [ `Text | `Attr of Symbol.t ];
+}
+
+(* The hops and leaf of a probe-able step list, names not yet interned. *)
+let rec path_shape = function
+  | [ { Ast.axis = Ast.Child; test = Ast.Text_test; preds = [] } ] -> Some ([], `Text)
+  | [ { Ast.axis = Ast.Attribute; test = Ast.Name_test a; preds = [] } ] ->
+    Some ([], `Attr a)
+  | { Ast.axis = Ast.Child; test = Ast.Name_test c; preds = [] } :: (_ :: _ as rest) ->
+    Option.map (fun (hops, leaf) -> (c :: hops, leaf)) (path_shape rest)
+  | _ -> None
+
+let make_access_path (hops, leaf) =
+  let leaf = match leaf with `Text -> `Text | `Attr a -> `Attr (Symbol.intern a) in
+  match List.rev_map Symbol.intern hops with
+  | [] -> { lookup = None; up = []; leaf }
+  | ck :: above -> { lookup = Some ck; up = above; leaf }
+
+let access_path steps = Option.map make_access_path (path_shape steps)
+
+(* Every non-root element tagged [tag] whose access path has a string
+   value among the items of [v].  The walk-up proves the path exactly,
+   so a caller need not re-test it.  A chain or several keys can yield a
+   candidate twice and out of order, hence the sort. *)
+let probe doc idx ~tag ~ordered path v =
+  match v with
+  | Num _ | Bool _ -> None  (* they do not compare by string value *)
+  | v ->
+    let keys = item_strings doc v in
+    let ltag = Option.value path.lookup ~default:tag in
+    let hits =
+      List.concat_map
+        (fun key ->
+          match path.leaf with
+          | `Text -> Index.by_pcdata_sym idx ~tag:ltag key
+          | `Attr a -> Index.by_attr_sym idx ~tag:ltag ~attr:a key)
+        keys
+    in
+    (* up through the tags of [chain], ending on the candidate *)
+    let rec up id = function
+      | [] -> Some id
+      | t :: rest ->
+        let p = Doc.parent doc id in
+        if p <> Doc.no_node && Symbol.equal (Doc.tag doc p) t then up p rest else None
+    in
+    let hits =
+      if path.lookup = None then hits
+      else
+        let chain = path.up @ [ tag ] in
+        List.filter_map (fun id -> up id chain) hits
+    in
+    let hits = List.filter (fun id -> Doc.parent doc id <> Doc.no_node) hits in
+    Some
+      (if not ordered then List.sort_uniq Int.compare hits
+       else if path.lookup = None && List.compare_length_with keys 1 <= 0 then hits
+       else Index.sort_doc_order idx hits)
+
+(* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -431,7 +500,13 @@ and compile_abs steps : compiled =
       (match ctx.idx with
        | None -> generic ctx
        | Some idx ->
-         (match (match cprobe with Some p -> run_probe ctx idx sym p | None -> None) with
+         let probed =
+           match cprobe with
+           | Some (path, ccomp) ->
+             probe ctx.doc idx ~tag:sym ~ordered:true path (ccomp ctx)
+           | None -> None
+         in
+         (match probed with
           | Some ids ->
             (* the probe decides its predicate exactly, so only the
                remaining predicates are re-checked *)
@@ -476,32 +551,18 @@ and compile_abs_generic steps : ctxt -> value =
    with [V] a context-free string-valued comparand and either operand
    order:
 
-     [text() = V]                       probe the candidate's own pcdata
-     [@a = V]                           probe the candidate's attribute
-     [c1/…/ck/text() = V]               probe a descendant chain's pcdata
-     [c1/…/ck/@a = V]                   probe a descendant chain's attribute
-     [c [inner]]                        existence of a child satisfying a
-                                        probeable [inner] (recursively)
+     [c1/…/ck/text() = V], [c1/…/ck/@a = V]   an access path (k >= 0)
+     [c [inner]]                             existence of a child
+                                             satisfying a probeable
+                                             [inner] (recursively)
 
-   For chain shapes the probe looks up the innermost element in the value
-   index and walks back up through the chain of parent tags to recover the
-   candidate.  The walk-up proves the probed predicate exactly (it is the
-   very existence the predicate asserts), so the caller re-applies only
-   the *other* predicates — returned as the second component — to the
-   survivors.  Names are interned and the comparand compiled once, at
-   compile time. *)
+   The probe proves the predicate exactly (see [probe]), so the caller
+   re-applies only the *other* predicates — returned as the second
+   component — to the survivors.  Names are interned and the comparand
+   compiled once, at compile time. *)
 and compile_pred_probe preds =
-  let rec classify_steps = function
-    | [ { Ast.axis = Ast.Child; test = Ast.Text_test; preds = [] } ] ->
-      Some ([], `Text)
-    | [ { Ast.axis = Ast.Attribute; test = Ast.Name_test a; preds = [] } ] ->
-      Some ([], `Attr a)
-    | { Ast.axis = Ast.Child; test = Ast.Name_test c; preds = [] } :: (_ :: _ as rest)
-      -> Option.map (fun (hops, leaf) -> (c :: hops, leaf)) (classify_steps rest)
-    | _ -> None
-  in
   let classify = function
-    | Ast.Path (Ast.Rel, steps) -> classify_steps steps
+    | Ast.Path (Ast.Rel, steps) -> path_shape steps
     | _ -> None
   in
   let rec probe_of = function
@@ -524,61 +585,8 @@ and compile_pred_probe preds =
   in
   match first_probe [] preds with
   | None -> None
-  | Some (((hops, leaf), comparand), others) ->
-    let leaf =
-      match leaf with `Text -> `Text | `Attr a -> `Attr (Symbol.intern a)
-    in
-    (* hops = [c1; …; ck]: chain of child tags from the candidate down to
-       the probed element.  The index lookup uses ck (or the candidate tag
-       itself when the chain is empty); [up_tags] are the tags checked in
-       hop order while walking parents back up to the candidate. *)
-    let lookup_tag, up_tags =
-      match List.rev_map Symbol.intern hops with
-      | [] -> (None, [])
-      | ck :: above -> (Some ck, above)
-    in
-    Some ((lookup_tag, up_tags, leaf, compile_expr comparand), others)
-
-and run_probe ctx idx sym (lookup_tag, up_tags, leaf, ccomp) =
-  match ccomp ctx with
-  | Num _ | Bool _ -> None
-  | v ->
-    let doc = ctx.doc in
-    let ltag = match lookup_tag with None -> sym | Some t -> t in
-    let keys = item_strings doc v in
-    let hits =
-      List.concat_map
-        (fun key ->
-          match leaf with
-          | `Text -> Index.by_pcdata_sym idx ~tag:ltag key
-          | `Attr a -> Index.by_attr_sym idx ~tag:ltag ~attr:a key)
-        keys
-    in
-    let hits =
-      match lookup_tag with
-      | None -> hits
-      | Some _ ->
-        (* recover the candidate by walking up the hop chain *)
-        List.filter_map
-          (fun id ->
-            let rec up id = function
-              | [] ->
-                let x = Doc.parent doc id in
-                if x <> Doc.no_node && Symbol.equal (Doc.tag doc x) sym then Some x
-                else None
-              | t :: rest ->
-                let p = Doc.parent doc id in
-                if p <> Doc.no_node && Symbol.equal (Doc.tag doc p) t then up p rest
-                else None
-            in
-            up id up_tags)
-          hits
-    in
-    let hits = List.filter (fun id -> Doc.parent doc id <> Doc.no_node) hits in
-    let multi_key = match keys with [] | [ _ ] -> false | _ -> true in
-    Some
-      (if lookup_tag = None && not multi_key then hits
-       else Index.sort_doc_order idx hits)
+  | Some ((shape, comparand), others) ->
+    Some ((make_access_path shape, compile_expr comparand), others)
 
 and compile_call f args : compiled =
   let carr = Array.of_list (List.map compile_expr args) in

@@ -71,6 +71,29 @@ val select :
   Doc.node_id list
 (** Evaluate and require a node-set result. @raise Eval_error otherwise. *)
 
+(** {1 Access-path probes}
+
+    The one index probe behind both [//tag\[path = V\]] here and the
+    XQuery planner's narrowing of [$v in //tag] bindings. *)
+
+type access_path
+(** A path below a candidate element that the value indexes answer:
+    child hops [c1/…/ck] ([k >= 0]), then [text()] or [@a]. *)
+
+val access_path : Ast.step list -> access_path option
+(** The access path spelled by these steps, names interned; [None] for
+    any other shape. *)
+
+val probe :
+  Doc.t -> Index.t -> tag:Xic_symbol.Symbol.t -> ordered:bool -> access_path ->
+  value -> Doc.node_id list option
+(** [probe doc idx ~tag ~ordered path v]: the non-root elements tagged
+    [tag] whose [path] has a string value among the items of [v] — the
+    index lookup on the last hop, then a walk up the parents.  Without
+    duplicates, in document order when [ordered], else by node id.
+    [None] when [v] is a number or a boolean, which do not compare by
+    string value. *)
+
 val eval_steps :
   Doc.t -> ?env:env -> ?index:Index.t -> Doc.node_id list -> Ast.step list -> value
 (** Apply location steps to an explicit initial node-set (used by the

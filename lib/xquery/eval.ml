@@ -69,7 +69,7 @@ let with_budget = XE.with_budget
 let with_meter = XE.with_meter
 
 (* ------------------------------------------------------------------ *)
-(* Planner: recognizing indexable binding shapes (compile time)        *)
+(* Planner: the plan [compile] builds and [describe] prints            *)
 (* ------------------------------------------------------------------ *)
 
 (* Top-level conjuncts of a condition. *)
@@ -128,19 +128,165 @@ let binding_tag = function
     when d = XP.desc_step -> Some tag
   | _ -> None
 
-(* An access path rooted at the bound variable that one of the value
-   indexes can answer: $v/text(), $v/child/text() or $v/@attr. *)
-let var_probe v = function
-  | Ast.Xp (XP.Path (XP.From (XP.Var v'), steps)) when v' = v ->
-    (match steps with
-     | [ { XP.axis = XP.Child; test = XP.Text_test; preds = [] } ] -> Some `Text
-     | [ { XP.axis = XP.Child; test = XP.Name_test c; preds = [] };
-         { XP.axis = XP.Child; test = XP.Text_test; preds = [] } ] ->
-       Some (`Child_text c)
-     | [ { XP.axis = XP.Attribute; test = XP.Name_test a; preds = [] } ] ->
-       Some (`Attr a)
-     | _ -> None)
-  | _ -> None
+(* How one quantifier or [for] binding enumerates its candidates. *)
+type narrowing =
+  | Scan  (* the source is not [//tag]: enumerate it *)
+  | Tag of string  (* [//tag] with no probe-able conjunct: a fallback *)
+  | Probe of {
+      tag : string;
+      path : Ast.expr;  (* the probed operand, [$v/c1/…/ck/text()] or [@a] *)
+      access : XE.access_path;
+      comparand : Ast.expr;
+    }
+
+(* A [//tag] binding of [v] probes through the first conjunct, in source
+   order, that equates an access path of [$v] with a comparand mentioning
+   none of [later] — [v] itself and the variables bound after it, which
+   are unbound when the candidates are enumerated. *)
+let plan_narrow ~later v src conjs =
+  match binding_tag src with
+  | None -> Scan
+  | Some tag ->
+    let probe path comparand =
+      match path with
+      | Ast.Xp (XP.Path (XP.From (XP.Var v'), steps))
+        when v' = v
+             && not (List.exists (fun x -> List.mem x later) (expr_vars [] comparand))
+        ->
+        Option.map
+          (fun access -> Probe { tag; path; access; comparand })
+          (XE.access_path steps)
+      | _ -> None
+    in
+    let of_conj = function
+      | Ast.Binop (XP.Eq, a, b) ->
+        (match probe a b with Some p -> Some p | None -> probe b a)
+      | _ -> None
+    in
+    Option.value (List.find_map of_conj conjs) ~default:(Tag tag)
+
+(* A comparison operand of a scheduled conjunct: evaluated in place, or
+   read from the slot a shallower binding depth filled. *)
+type operand_plan =
+  | Inline of Ast.expr
+  | Slot of int
+
+type test_plan = {
+  level : int;  (* binding depth at which the conjunct is tested *)
+  conj : Ast.expr;
+  cmp : (XP.binop * operand_plan * operand_plan) option;
+      (* a comparison with a hoisted operand *)
+}
+
+type some_plan = {
+  binds : (string * Ast.expr * narrowing) list;
+  hoists : (int * Ast.expr) list;  (* per slot: depth, operand *)
+  tests : test_plan list;  (* in source order *)
+  join : (int * Ast.expr) option;
+      (* innermost hash join: the outer operand's slot, the key *)
+}
+
+(* Existential quantifier planning.  Beyond per-binding index narrowing,
+   the plan schedules each top-level conjunct of the condition at the
+   earliest binding depth where every quantified variable it mentions is
+   bound, and hoists comparison operands that only depend on shallower
+   bindings into slots.  So
+
+     some $r in //rev, $a in //aut satisfies p($r) and q($r, $a)
+
+   tests [p] once per [$r] instead of once per [($r, $a)] pair, and the
+   [$r]-only operand of [q] is computed once per [$r] rather than per
+   pair.  Pruning on a failed conjunct is sound for existential
+   semantics (the conjunction cannot hold for any deeper extension), and
+   the schedule is monotone, so conjuncts keep their source order on
+   every root-to-leaf path.
+
+   Innermost-level equality join: when the FIRST conjunct tested at the
+   deepest binding is [slot = f($vn)] (either operand order) with [f]
+   mentioning only the deepest variable, and that binding's source is
+   closed (no free variables), the deepest loop becomes a hash probe —
+   every candidate keyed by [f] once per evaluation, each outer tuple's
+   slot value looked up instead of scanning all candidates.  Restricting
+   to the first test keeps error behavior identical: a sequential
+   evaluation of a skipped candidate would have started (and stopped) at
+   that same false conjunct.  Only a quantifier with two or more
+   bindings joins: a single binding has one outer tuple, so the table
+   could never pay for itself, while its narrowing answers the same
+   conjunct with one index probe. *)
+let plan_some binds cond =
+  let conjs = conjuncts cond in
+  let names = List.map fst binds in
+  let n = List.length binds in
+  (* depth at which a variable is (last) bound; 0 = not bound here *)
+  let level_of_var v =
+    let rec go i lvl = function
+      | [] -> lvl
+      | name :: rest -> go (i + 1) (if String.equal name v then i else lvl) rest
+    in
+    go 1 0 names
+  in
+  let level_of_expr e =
+    List.fold_left (fun m v -> max m (level_of_var v)) 0 (expr_vars [] e)
+  in
+  let rec plan_binds later = function
+    | [] -> []
+    | (v, src) :: rest ->
+      (v, src, plan_narrow ~later v src conjs) :: plan_binds (List.tl later) rest
+  in
+  let hoists = ref [] in
+  let hoist lvl e =
+    hoists := (lvl, e) :: !hoists;
+    Slot (List.length !hoists - 1)
+  in
+  let vn = List.nth names (n - 1) in
+  let vn_pure e = List.for_all (String.equal vn) (expr_vars [] e) in
+  let prev = ref 0 and innermost = ref 0 and join = ref None in
+  let plan_test conj =
+    let level = max (level_of_expr conj) !prev in
+    prev := level;
+    let cmp =
+      match conj with
+      | Ast.Binop (((XP.Eq | Neq | Lt | Le | Gt | Ge) as op), a, b) ->
+        let la = level_of_expr a and lb = level_of_expr b in
+        if la < level || lb < level then begin
+          let oa = if la < level then hoist la a else Inline a in
+          let ob = if lb < level then hoist lb b else Inline b in
+          (if op = XP.Eq && level = n && n >= 2 && !innermost = 0 then
+             match (oa, ob) with
+             | Slot s, Inline key when vn_pure key -> join := Some (s, key)
+             | Inline key, Slot s when vn_pure key -> join := Some (s, key)
+             | _ -> ());
+          Some (op, oa, ob)
+        end
+        else None
+      | _ -> None
+    in
+    if level = n then incr innermost;
+    { level; conj; cmp }
+  in
+  let tests = List.rev (List.fold_left (fun acc c -> plan_test c :: acc) [] conjs) in
+  let closed = expr_vars [] (snd (List.nth binds (n - 1))) = [] in
+  { binds = plan_binds names binds;
+    hoists = List.rev !hoists;
+    tests;
+    join = (if closed then !join else None) }
+
+(* The narrowing of each [for] clause of a FLWOR by the top-level
+   conjuncts of its [where] ([Scan] for a [let], which binds no items).
+   Narrowing is sound for any return shape: a dropped tuple fails the
+   [where] and contributes nothing to the result sequence. *)
+let plan_flwor clauses where =
+  let wconjs = match where with None -> [] | Some w -> conjuncts w in
+  let rec go = function
+    | [] -> []
+    | (Ast.For (v, src) as cl) :: rest ->
+      let later =
+        List.map (function Ast.For (x, _) | Ast.Let (x, _) -> x) (cl :: rest)
+      in
+      (cl, plan_narrow ~later v src wconjs) :: go rest
+    | (Ast.Let _ as cl) :: rest -> (cl, Scan) :: go rest
+  in
+  go clauses
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -152,20 +298,14 @@ let var_probe v = function
    [eval] below is [compile] + [run], one semantics for both routes. *)
 type code = cx -> XE.env -> value
 
-(* How a quantifier / [for] binding may be narrowed through the value
-   indexes at run time. *)
+(* A binding's narrowing, compiled: names interned, comparand compiled. *)
 type narrow_plan =
   | N_never  (* source is not [//tag]: enumerate, no fallback noted *)
-  | N_fallback of Symbol.t  (* [//tag] but no probe-able conjunct *)
-  | N_probe of Symbol.t * probe_kind * code  (* tag, access path, comparand *)
-
-and probe_kind =
-  | P_text
-  | P_attr of Symbol.t
-  | P_child_text of Symbol.t
+  | N_fallback  (* [//tag] but no probe-able conjunct *)
+  | N_probe of Symbol.t * XE.access_path * code  (* tag, path, comparand *)
 
 (* A scheduled conjunct test of an existential quantifier (see
-   [compile_some]): either the plain compiled conjunct, or a comparison
+   [plan_some]): either the plain compiled conjunct, or a comparison
    whose operands may have been pre-evaluated into slots at a shallower
    binding depth (the plain conjunct rides along as the fallback when a
    pre-evaluation failed). *)
@@ -178,7 +318,7 @@ type test =
   | T_cmp of XP.binop * operand * operand * (cx -> XE.env -> bool)
 
 (* Per-evaluation state of the innermost-level equality join (see
-   [compile_some]): the key table is built on first arrival at the
+   [plan_some]): the key table is built on first arrival at the
    deepest binding and reused across every outer tuple; the join is
    disabled for the whole evaluation when any candidate's key fails to
    evaluate to a string-valued sequence. *)
@@ -259,10 +399,6 @@ let rec compile_expr (e : Ast.expr) : code =
     let body = build binds in
     fun cx env -> XE.tick 1; XE.Bool (body cx env)
   | Ast.Flwor (clauses, where, ret) ->
-    (* Narrowing a [for] clause by a top-level [where] conjunct is sound
-       for any return shape: a dropped tuple fails the [where] and
-       contributes nothing to the result sequence. *)
-    let wconjs = match where with None -> [] | Some w -> conjuncts w in
     let cwhere = Option.map compile_bool where in
     let cret = compile_expr ret in
     let rec build = function
@@ -270,9 +406,9 @@ let rec compile_expr (e : Ast.expr) : code =
         fun cx env acc ->
           let keep = match cwhere with None -> true | Some cw -> cw cx env in
           if keep then seq_append acc (cret cx env) else acc
-      | Ast.For (v, e) :: rest ->
+      | (Ast.For (v, e), narrowing) :: rest ->
         let ce = compile_expr e in
-        let nplan = compile_narrow v e wconjs in
+        let nplan = compile_narrow narrowing in
         let crest = build rest in
         fun cx env acc ->
           let candidates =
@@ -284,101 +420,46 @@ let rec compile_expr (e : Ast.expr) : code =
           List.fold_left
             (fun acc item -> crest cx ((v, item) :: env) acc)
             acc candidates
-      | Ast.Let (v, e) :: rest ->
+      | (Ast.Let (v, e), _) :: rest ->
         let ce = compile_expr e in
         let crest = build rest in
         fun cx env acc -> crest cx ((v, ce cx env) :: env) acc
     in
-    let body = build clauses in
+    let body = build (plan_flwor clauses where) in
     fun cx env -> XE.tick 1; body cx env empty_seq
   | Ast.Call (f, args) -> compile_call f args
 
-(* Existential quantifier compilation.  Beyond per-binding index narrowing,
-   the plan schedules each top-level conjunct of the condition at the
-   earliest binding depth where every quantified variable it mentions is
-   bound, and pre-evaluates comparison operands that only depend on
-   shallower bindings into slots.  So
-
-     some $r in //rev, $a in //aut satisfies p($r) and q($r, $a)
-
-   tests [p] once per [$r] instead of once per [($r, $a)] pair, and the
-   [$r]-only operand of [q] is computed once per [$r] rather than per
-   pair.  Pruning on a failed conjunct is sound for existential semantics
-   (the conjunction cannot hold for any deeper extension); relative
-   conjunct order is preserved along every root-to-leaf path, and an
-   evaluation error in an early test or pre-evaluation defers back to
-   per-tuple evaluation of the full condition, reproducing the sequential
-   interpretation's error behavior. *)
+(* Existential quantifier compilation: the closures of [plan_some]'s
+   plan.  An evaluation error in an early test or pre-evaluation defers
+   back to per-tuple evaluation of the full condition, reproducing the
+   sequential interpretation's error behavior. *)
 and compile_some binds cond : code =
-  let conjs = conjuncts cond in
   let ccond = compile_bool cond in
   match binds with
   | [] -> fun cx env -> XE.tick 1; XE.Bool (ccond cx env)
   | _ ->
+    let plan = plan_some binds cond in
     let n = List.length binds in
-    let names = List.map fst binds in
-    (* depth at which a variable is (last) bound; 0 = not bound here *)
-    let level_of_var v =
-      let rec go i lvl = function
-        | [] -> lvl
-        | name :: rest -> go (i + 1) (if String.equal name v then i else lvl) rest
-      in
-      go 1 0 names
-    in
-    let level_of_expr e =
-      List.fold_left (fun m v -> max m (level_of_var v)) 0 (expr_vars [] e)
-    in
-    let nslots = ref 0 in
     let prevals = Array.make (n + 1) [] in  (* depth -> (slot, code) list *)
     let tests = Array.make (n + 1) [] in    (* depth -> test list *)
-    let hoist lvl e =
-      let s = !nslots in
-      incr nslots;
-      prevals.(lvl) <- prevals.(lvl) @ [ (s, compile_expr e) ];
-      O_slot s
+    List.iteri
+      (fun s (lvl, e) -> prevals.(lvl) <- prevals.(lvl) @ [ (s, compile_expr e) ])
+      plan.hoists;
+    let compile_operand = function
+      | Slot s -> O_slot s
+      | Inline e -> O_code (compile_expr e)
     in
-    let prev = ref 0 in
-    (* Innermost-level equality join: when the FIRST conjunct tested at
-       the deepest binding is [slot = f($vn)] (either operand order) with
-       [f] mentioning only the deepest variable, the deepest loop can be
-       replaced by a hash probe — key every candidate by [f] once per
-       evaluation, then look each outer tuple's slot value up instead of
-       scanning all candidates.  Restricting to the first test keeps
-       error behavior identical: a sequential evaluation of a skipped
-       candidate would have started (and stopped) at that same false
-       conjunct.  Only a quantifier with two or more bindings joins: a
-       single binding has one outer tuple, so the table (keyed over
-       every candidate) could never pay for itself, while the scan's
-       narrowing plan answers the same conjunct with one index probe. *)
-    let join_info = ref None in
-    let vn = List.nth names (n - 1) in
-    let vn_pure e = List.for_all (String.equal vn) (expr_vars [] e) in
     List.iter
-      (fun conj ->
-        (* monotone schedule keeps conjuncts in source order on every path *)
-        let k = max (level_of_expr conj) !prev in
-        prev := k;
+      (fun t ->
         let test =
-          match conj with
-          | Ast.Binop (((XP.Eq | Neq | Lt | Le | Gt | Ge) as op), a, b) ->
-            let la = level_of_expr a and lb = level_of_expr b in
-            if la < k || lb < k then begin
-              let oa = if la < k then hoist la a else O_code (compile_expr a) in
-              let ob = if lb < k then hoist lb b else O_code (compile_expr b) in
-              (if op = XP.Eq && k = n && n >= 2 then
-                 match (tests.(k), oa, ob) with
-                 | [], O_slot s, O_code c when lb = k && vn_pure b ->
-                   join_info := Some (s, c)
-                 | [], O_code c, O_slot s when la = k && vn_pure a ->
-                   join_info := Some (s, c)
-                 | _ -> ());
-              T_cmp (op, oa, ob, compile_bool conj)
-            end
-            else T_plain (compile_bool conj)
-          | _ -> T_plain (compile_bool conj)
+          match t.cmp with
+          | None -> T_plain (compile_bool t.conj)
+          | Some (op, a, b) ->
+            T_cmp (op, compile_operand a, compile_operand b, compile_bool t.conj)
         in
-        tests.(k) <- tests.(k) @ [ test ])
-      conjs;
+        tests.(t.level) <- tests.(t.level) @ [ test ])
+      plan.tests;
+    let join = Option.map (fun (s, key) -> (s, compile_expr key)) plan.join in
     let exec_test cx env slots = function
       | T_plain f -> f cx env
       | T_cmp (op, oa, ob, fallback) ->
@@ -404,16 +485,13 @@ and compile_some binds cond : code =
     in
     let rec build lvl = function
       | [] -> assert false
-      | [ (v, e) ] ->
+      | [ (v, e, narrowing) ] ->
         (* deepest binding: evaluate the remaining tests in place, errors
            propagating as in the sequential interpretation (an operand
            never hoists to the deepest level, so no pre-evaluations) *)
         let ce = compile_expr e in
-        let nplan = compile_narrow v e conjs in
+        let nplan = compile_narrow narrowing in
         let ts = tests.(lvl) in
-        (* the join table is only reusable across outer tuples when the
-           candidate source is closed (no free variables) *)
-        let join = if expr_vars [] e = [] then !join_info else None in
         let ts_rest = match ts with _ :: r -> r | [] -> [] in
         let scan cx env slots plain =
           let candidates =
@@ -501,9 +579,9 @@ and compile_some binds cond : code =
                       List.for_all (exec_test cx env' slots) ts_rest)
                     cands)))
           | Some _ -> scan cx env slots plain)
-      | (v, e) :: rest ->
+      | (v, e, narrowing) :: rest ->
         let ce = compile_expr e in
-        let nplan = compile_narrow v e conjs in
+        let nplan = compile_narrow narrowing in
         let pv = prevals.(lvl) and ts = tests.(lvl) in
         let crest = build (lvl + 1) rest in
         fun cx env slots jst plain ->
@@ -524,8 +602,8 @@ and compile_some binds cond : code =
                 | `Plain -> crest cx env' slots jst true)
             candidates
     in
-    let cbinds = build 1 binds in
-    let nslots = !nslots in
+    let cbinds = build 1 plan.binds in
+    let nslots = List.length plan.hoists in
     let pv0 = prevals.(0) and ts0 = tests.(0) in
     fun cx env ->
       XE.tick 1;
@@ -537,104 +615,41 @@ and compile_some binds cond : code =
          | `True -> cbinds cx env slots jst false
          | `Plain -> cbinds cx env slots jst true)
 
-(* Resolve the narrowing plan of one binding at compile time: the binding
-   source must be [//tag] and some conjunct must equate an indexable
-   access path of the bound variable ($v/text(), $v/c/text() or $v/@a)
-   with a comparand expression; names are interned and the comparand
-   compiled here.  Whether a probe actually runs is decided per evaluation
-   ([run_narrow]): it needs an index, and a comparand that evaluates in
-   the current environment to a string-valued sequence. *)
-and compile_narrow v src conjs : narrow_plan =
-  match binding_tag src with
-  | None -> N_never
-  | Some tag ->
-    let tag = Symbol.intern tag in
-    let probe_of = function
-      | Ast.Binop (XP.Eq, a, b) ->
-        (match var_probe v a with
-         | Some probe -> Some (probe, b)
-         | None ->
-           (match var_probe v b with
-            | Some probe -> Some (probe, a)
-            | None -> None))
-      | _ -> None
-    in
-    let rec first = function
-      | [] -> None
-      | c :: rest -> (match probe_of c with Some r -> Some r | None -> first rest)
-    in
-    (match first conjs with
-     | None -> N_fallback tag
-     | Some (probe, comparand) ->
-       let probe =
-         match probe with
-         | `Text -> P_text
-         | `Attr a -> P_attr (Symbol.intern a)
-         | `Child_text c -> P_child_text (Symbol.intern c)
-       in
-       N_probe (tag, probe, compile_expr comparand))
+and compile_narrow = function
+  | Scan -> N_never
+  | Tag _ -> N_fallback
+  | Probe { tag; access; comparand; _ } ->
+    N_probe (Symbol.intern tag, access, compile_expr comparand)
 
-(* Try to serve the candidate items of a binding from the value indexes.
-   The narrowed set is a subset of [//tag] containing every item that can
-   satisfy the probed conjunct; the caller still evaluates the full
-   condition on each item, so a probe is a pure optimization.  [ordered]
-   requests document order; a FLWOR [for] needs it because the candidates
-   flow into the result sequence, whereas a quantifier only tests each
-   candidate, so deduplicating by node id suffices — [order_key] walks to
-   the root, which is the dominant cost of a probe on wide documents. *)
+(* Try to serve the candidate items of a binding from the value indexes
+   ([XE.probe]).  The narrowed set is the subset of [//tag] satisfying
+   the probed conjunct; the caller still evaluates the full condition on
+   each item, so a probe is a pure optimization.  It runs when an index
+   is attached and the comparand evaluates, in the current environment,
+   to a string-valued sequence.  [ordered] requests document order; a
+   FLWOR [for] needs it because the candidates flow into the result
+   sequence, whereas a quantifier only tests each candidate, so
+   deduplicating by node id suffices. *)
 and run_narrow ?(ordered = true) cx env (plan : narrow_plan) : value list option =
-  match cx.idx with
-  | None -> None
-  | Some idx ->
-    (match plan with
-     | N_never -> None
-     | N_fallback _ ->
+  match (cx.idx, plan) with
+  | None, _ | _, N_never -> None
+  | Some idx, N_fallback ->
+    Index.note_fallback idx;
+    None
+  | Some idx, N_probe (tag, access, ccomp) ->
+    let ids =
+      match ccomp cx env with
+      | v -> XE.probe cx.doc idx ~tag ~ordered access v
+      | exception (Eval_error _ | XE.Eval_error _) -> None
+    in
+    (match ids with
+     | None ->
        Index.note_fallback idx;
        None
-     | N_probe (tag, probe, ccomp) ->
-       let rhs =
-         (* The comparand may reference variables bound later (or the
-            probed variable itself); then it cannot drive a probe. *)
-         try Some (ccomp cx env) with
-         | Eval_error _ | XE.Eval_error _ -> None
-       in
-       (match rhs with
-        | None | Some (XE.Num _) | Some (XE.Bool _) ->
-          (* numbers and booleans do not compare by string value *)
-          Index.note_fallback idx;
-          None
-        | Some rv ->
-          let keys = XE.item_strings cx.doc rv in
-          let ids =
-            List.concat_map
-              (fun key ->
-                match probe with
-                | P_text -> Index.by_pcdata_sym idx ~tag key
-                | P_attr a -> Index.by_attr_sym idx ~tag ~attr:a key
-                | P_child_text c ->
-                  Index.by_pcdata_sym idx ~tag:c key
-                  |> List.map (Doc.parent cx.doc)
-                  |> List.filter (fun p ->
-                         p <> Doc.no_node
-                         && Doc.is_element cx.doc p
-                         && Symbol.equal (Doc.tag cx.doc p) tag))
-              keys
-          in
-          (* [//tag] never yields a root, and multi-key / parent-hop
-             probes can produce duplicates out of order *)
-          let ids =
-            List.filter (fun id -> Doc.parent cx.doc id <> Doc.no_node) ids
-          in
-          let ids =
-            if ordered then
-              match cx.idx with
-              | Some idx -> Index.sort_doc_order idx ids
-              | None -> Doc.sort_doc_order cx.doc ids
-            else List.sort_uniq (fun (a : int) b -> Stdlib.compare a b) ids
-          in
-          XE.tick (1 + List.length ids);
-          note_probe ();
-          Some (List.map (fun n -> XE.Nodes [ n ]) ids)))
+     | Some ids ->
+       XE.tick (1 + List.length ids);
+       note_probe ();
+       Some (List.map (fun n -> XE.Nodes [ n ]) ids))
 
 and compile_call f args : code =
   let cargs = List.map compile_expr args in
@@ -727,11 +742,8 @@ let eval_bool doc ?env ?params ?index e = XE.boolean (eval doc ?env ?params ?ind
 (* Plan description (xicheck --explain)                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Render the decisions [compile_some]/[compile_narrow] would take for
-   an expression without compiling it: per-binding narrowing, the
-   conjunct schedule with hoisted comparison operands, and the
-   innermost-level hash join.  The analysis mirrors the compile
-   functions above; keep them in sync. *)
+(* Print the plan [compile] builds ([plan_some], [plan_flwor]) for every
+   quantifier and FLWOR of an expression, nested ones included. *)
 let describe (e : Ast.expr) : string =
   let b = Buffer.create 256 in
   let line indent fmt =
@@ -742,122 +754,57 @@ let describe (e : Ast.expr) : string =
         Buffer.add_char b '\n')
       fmt
   in
-  let probe_of v = function
-    | Ast.Binop (XP.Eq, a, b) ->
-      (match var_probe v a with
-       | Some p -> Some (p, b)
-       | None ->
-         (match var_probe v b with Some p -> Some (p, a) | None -> None))
-    | _ -> None
+  let narrowing = function
+    | Scan -> "scan (source not //tag)"
+    | Tag tag -> Printf.sprintf "tag index //%s (no probe-able conjunct)" tag
+    | Probe { tag; path; comparand; _ } ->
+      Printf.sprintf "index probe //%s via %s = %s" tag (Ast.to_string path)
+        (Ast.to_string comparand)
   in
-  let narrow_desc v src conjs =
-    match binding_tag src with
-    | None -> "scan (source not //tag)"
-    | Some tag ->
-      let rec first = function
-        | [] -> None
-        | c :: rest ->
-          (match probe_of v c with Some r -> Some r | None -> first rest)
-      in
-      (match first conjs with
-       | None -> Printf.sprintf "tag index //%s (no probe-able conjunct)" tag
-       | Some (probe, comparand) ->
-         let path =
-           match probe with
-           | `Text -> Printf.sprintf "$%s/text()" v
-           | `Attr a -> Printf.sprintf "$%s/@%s" v a
-           | `Child_text c -> Printf.sprintf "$%s/%s/text()" v c
-         in
-         Printf.sprintf "index probe //%s via %s = %s" tag path
-           (Ast.to_string comparand))
-  in
+  let vars binds = String.concat ", " (List.map (fun (v, _) -> "$" ^ v) binds) in
   let rec go ind (e : Ast.expr) =
     match e with
     | Ast.Quant (Ast.Some_, binds, cond) when binds <> [] ->
-      let conjs = conjuncts cond in
-      let names = List.map fst binds in
-      let n = List.length binds in
-      line ind "some [%s]"
-        (String.concat ", " (List.map (fun v -> "$" ^ v) names));
+      let plan = plan_some binds cond in
+      let hoisted = Array.of_list plan.hoists in
+      let at (l, e) = Printf.sprintf "%s @%d" (Ast.to_string e) l in
+      line ind "some [%s]" (vars binds);
       List.iteri
-        (fun i (v, src) ->
-          line (ind + 1) "bind $%s @%d: %s" v (i + 1) (narrow_desc v src conjs))
-        binds;
-      let level_of_var v =
-        let rec goi i lvl = function
-          | [] -> lvl
-          | name :: rest ->
-            goi (i + 1) (if String.equal name v then i else lvl) rest
-        in
-        goi 1 0 names
-      in
-      let level_of_expr e =
-        List.fold_left (fun m v -> max m (level_of_var v)) 0 (expr_vars [] e)
-      in
-      let vn = List.nth names (n - 1) in
-      let vn_pure e = List.for_all (String.equal vn) (expr_vars [] e) in
-      let source_closed =
-        match binds with
-        | [] -> false
-        | _ -> expr_vars [] (snd (List.nth binds (n - 1))) = []
-      in
-      let prev = ref 0 in
-      let innermost_tests = ref 0 in
-      let join = ref None in
+        (fun i (v, _, nw) -> line (ind + 1) "bind $%s @%d: %s" v (i + 1) (narrowing nw))
+        plan.binds;
       List.iter
-        (fun conj ->
-          let k = max (level_of_expr conj) !prev in
-          prev := k;
+        (fun t ->
           let hoists =
-            match conj with
-            | Ast.Binop ((XP.Eq | Neq | Lt | Le | Gt | Ge), a, bb) ->
-              let la = level_of_expr a and lb = level_of_expr bb in
-              if la < k || lb < k then
-                List.filter_map
-                  (fun (l, e) -> if l < k then Some (l, e) else None)
-                  [ (la, a); (lb, bb) ]
-              else []
-            | _ -> []
+            match t.cmp with
+            | None -> []
+            | Some (_, a, b) ->
+              List.filter_map
+                (function Slot s -> Some (at hoisted.(s)) | Inline _ -> None)
+                [ a; b ]
           in
-          (match conj with
-           | Ast.Binop (XP.Eq, a, bb)
-             when k = n && n >= 2 && !innermost_tests = 0 ->
-             let la = level_of_expr a and lb = level_of_expr bb in
-             if la < k && lb = k && vn_pure bb then join := Some (a, bb)
-             else if lb < k && la = k && vn_pure a then join := Some (bb, a)
-           | _ -> ());
-          if k = n then incr innermost_tests;
-          line (ind + 1) "test @%d: %s%s" k (Ast.to_string conj)
-            (match hoists with
-             | [] -> ""
-             | hs ->
-               Printf.sprintf " [hoist %s]"
-                 (String.concat ", "
-                    (List.map
-                       (fun (l, e) ->
-                         Printf.sprintf "%s @%d" (Ast.to_string e) l)
-                       hs))))
-        conjs;
-      (match !join with
-       | Some (outer, key) when source_closed ->
-         line (ind + 1) "join: hash $%s on %s, probe with %s" vn
-           (Ast.to_string key) (Ast.to_string outer)
-       | _ -> ());
-      List.iter (fun c -> go (ind + 1) c) conjs
+          line (ind + 1) "test @%d: %s%s" t.level (Ast.to_string t.conj)
+            (if hoists = [] then ""
+             else Printf.sprintf " [hoist %s]" (String.concat ", " hoists)))
+        plan.tests;
+      (match plan.join with
+       | Some (s, key) ->
+         line (ind + 1) "join: hash $%s on %s, probe with %s"
+           (fst (List.nth binds (List.length binds - 1)))
+           (Ast.to_string key)
+           (Ast.to_string (snd hoisted.(s)))
+       | None -> ());
+      List.iter (fun t -> go (ind + 1) t.conj) plan.tests
     | Ast.Quant (Ast.Every, binds, cond) ->
-      line ind "every [%s]: enumerate all tuples (universal, no narrowing)"
-        (String.concat ", " (List.map (fun (v, _) -> "$" ^ v) binds));
+      line ind "every [%s]: enumerate all tuples (universal, no narrowing)" (vars binds);
       go (ind + 1) cond
     | Ast.Flwor (clauses, where, ret) ->
-      let wconjs = match where with None -> [] | Some w -> conjuncts w in
       line ind "flwor";
       List.iter
         (function
-          | Ast.For (v, src) ->
-            line (ind + 1) "for $%s: %s" v (narrow_desc v src wconjs)
-          | Ast.Let (v, _) -> line (ind + 1) "let $%s" v)
-        clauses;
-      List.iter (fun c -> go (ind + 1) c) wconjs;
+          | Ast.For (v, _), nw -> line (ind + 1) "for $%s: %s" v (narrowing nw)
+          | Ast.Let (v, _), _ -> line (ind + 1) "let $%s" v)
+        (plan_flwor clauses where);
+      List.iter (go (ind + 1)) (match where with None -> [] | Some w -> conjuncts w);
       go (ind + 1) ret
     | Ast.Binop (_, a, bb) ->
       go ind a;

@@ -64,8 +64,11 @@ val eval :
     [Str s] for data parameters).  When [index] is supplied, a small
     planner narrows [some $v in //tag satisfies …] bindings and FLWOR
     [for] clauses through the value indexes when an equality conjunct
-    permits, and the XPath evaluator uses its own indexed fast paths;
-    verdicts are always identical to the scan interpretation.
+    equates an access path of [$v] ([$v/c1/…/ck/text()] or
+    [$v/c1/…/ck/@a], {!Xic_xpath.Eval.access_path}) with a comparand
+    that mentions neither [$v] nor a variable bound after it, and the
+    XPath evaluator uses its own indexed fast paths; verdicts are always
+    identical to the scan interpretation.
     @raise Eval_error on unbound variables/parameters. *)
 
 val eval_bool :
@@ -80,7 +83,11 @@ val eval_bool :
     is {e violated}. *)
 
 val describe : Ast.expr -> string
-(** Render the plan the compiler would build for [e] — per-binding index
+(** Print the plan {!compile} builds for [e] — per-binding index
     narrowing, the conjunct schedule with hoisted comparison operands,
     and the innermost-level hash join — as an indented text block for
-    [xicheck --explain].  Purely static: nothing is evaluated. *)
+    [xicheck --explain].  One planning pass feeds both, so an
+    [index probe] line names a probe every indexed run of that binding
+    attempts; it falls back to the tag index only when the comparand
+    fails to evaluate or is a number or a boolean.  Purely static:
+    nothing is evaluated. *)

@@ -88,27 +88,6 @@ let prop_net_model =
       sort (Delta.added d) = sort (expect true)
       && sort (Delta.removed d) = sort (expect false))
 
-let prop_compose =
-  QCheck2.Test.make ~name:"batch delta = sequential composition" ~count:300
-    QCheck2.Gen.(pair gen_ops (int_bound 24))
-    (fun (ops, k) ->
-      let batch = Delta.create () in
-      apply_ops batch ops;
-      let rec split i acc rest =
-        match rest with
-        | tl when i = 0 -> (List.rev acc, tl)
-        | [] -> (List.rev acc, [])
-        | x :: tl -> split (i - 1) (x :: acc) tl
-      in
-      let pre, suf = split (min k (List.length ops)) [] ops in
-      let d1 = Delta.create () and d2 = Delta.create () in
-      apply_ops d1 pre;
-      apply_ops d2 suf;
-      Delta.compose ~into:d1 d2;
-      Delta.equal d1 batch
-      && Delta.gross_added d1 = Delta.gross_added batch
-      && Delta.gross_removed d1 = Delta.gross_removed batch)
-
 (* The residual delta joins probe [Store.tuples_with_col]; the lazy
    secondary index must stay an exact filter on the column under
    interleaved adds and removes, whether built before or after the
@@ -853,7 +832,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_cancellation;
           QCheck_alcotest.to_alcotest prop_net_model;
-          QCheck_alcotest.to_alcotest prop_compose;
           QCheck_alcotest.to_alcotest prop_col_index;
         ] );
       ( "maintenance",

@@ -159,26 +159,6 @@ let test_shred_parent_links () =
   checkb "sub parents are rev ids" true
     (List.for_all (fun p -> List.mem p rev_ids) sub_parents)
 
-let test_shred_incremental () =
-  let doc = sample_collection () in
-  let m = mapping () in
-  let st = Sh.shred m doc in
-  (* add a subtree, mirror it, and compare against a full re-shred *)
-  let frag =
-    Xml_parser.parse_fragment doc
-      "<sub><title>S3</title><auts><name>C</name></auts></sub>"
-  in
-  let sub3 = List.hd frag in
-  let rev =
-    List.hd (Xic_xpath.Eval.select doc (Xic_xpath.Parser.parse "//rev"))
-  in
-  Doc.append_child doc ~parent:rev sub3;
-  Sh.shred_into m doc st sub3;
-  checkb "incremental = full" true (S.equal st (Sh.shred m doc));
-  Sh.unshred_from m doc st sub3;
-  Doc.detach doc sub3;
-  checkb "unshred restores" true (S.equal st (Sh.shred m doc))
-
 let test_path_to_node () =
   let doc = sample_collection () in
   let sub2 =
@@ -303,7 +283,6 @@ let () =
           Alcotest.test_case "counts" `Quick test_shred_counts;
           Alcotest.test_case "fact shape" `Quick test_shred_fact_shape;
           Alcotest.test_case "parent links" `Quick test_shred_parent_links;
-          Alcotest.test_case "incremental" `Quick test_shred_incremental;
           Alcotest.test_case "path to node" `Quick test_path_to_node;
           Alcotest.test_case "optional embedded" `Quick test_optional_embedded_as_empty;
         ] );

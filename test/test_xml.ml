@@ -470,6 +470,21 @@ let test_dtd_enumerated_attr () =
   (* values are not checked against the enumeration *)
   checkb "any kind" true (Dtd.validate d (parse "<e kind=\"z\"/>") = Ok ())
 
+(* [#] starts a keyword and never belongs to a name. *)
+let test_dtd_hash_keywords () =
+  let rejects src =
+    match Dtd.parse src with _ -> false | exception Dtd.Parse_error _ -> true
+  in
+  checkb "#PCDATA inside element content" true
+    (rejects "<!ELEMENT a (b, #PCDATA)><!ELEMENT b EMPTY>");
+  checkb "element type named #x" true (rejects "<!ELEMENT #x (#PCDATA)>");
+  checkb "unknown attribute default" true
+    (rejects "<!ELEMENT a EMPTY><!ATTLIST a k CDATA #DEFAULT>");
+  checkb "mixed content, #REQUIRED and #FIXED" false
+    (rejects
+       "<!ELEMENT a (#PCDATA | b)*><!ELEMENT b EMPTY>\n\
+        <!ATTLIST b k CDATA #FIXED \"v\" m CDATA #REQUIRED>")
+
 let test_dtd_message_order () =
   let d =
     Dtd.parse "<!ELEMENT r (a,b)><!ELEMENT a EMPTY><!ELEMENT b (#PCDATA)>"
@@ -921,6 +936,7 @@ let () =
           Alcotest.test_case "whitespace inside groups" `Quick test_dtd_group_whitespace;
           Alcotest.test_case "enumerated attribute types" `Quick test_dtd_enumerated_attr;
           Alcotest.test_case "message order" `Quick test_dtd_message_order;
+          Alcotest.test_case "# keywords are not names" `Quick test_dtd_hash_keywords;
           QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
         ] );
       ( "edge cases",

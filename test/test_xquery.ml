@@ -245,6 +245,76 @@ let test_join_needs_two_bindings () =
       checkb q (ebool q) (Q.Eval.eval_bool doc ~index:idx (Q.Parser.parse q)))
     [ single; double ]
 
+(* --explain prints the plan that runs.  A single-binding quantifier or
+   a one-[for] FLWOR narrows its binding once per evaluation, so the
+   probes one indexed evaluation makes equal the [index probe] lines of
+   its plan.  A comparand that mentions the bound variable, or one bound
+   after it, cannot drive a probe and must not be printed as one. *)
+let probes_of_run q =
+  let module M = Xic_obs.Obs.Metrics in
+  let c = M.counter "eval_index_probes" in
+  let saved = !M.detailed in
+  M.set_detailed true;
+  Fun.protect
+    ~finally:(fun () -> M.set_detailed saved)
+    (fun () ->
+      let before = M.value c in
+      let v = Q.Eval.eval_bool doc ~index:(Index.create doc) (Q.Parser.parse q) in
+      (v, M.value c - before))
+
+(* "bind $v @i: index probe …" and "for $v: index probe …" lines *)
+let probe_lines q =
+  String.split_on_char '\n' (Q.Eval.describe (Q.Parser.parse q))
+  |> List.filter (fun l ->
+         match String.index_opt l ':' with
+         | Some i ->
+           String.starts_with ~prefix:": index probe "
+             (String.sub l i (String.length l - i))
+         | None -> false)
+  |> List.length
+
+let test_explain_matches_run () =
+  List.iter
+    (fun q ->
+      let v, probes = probes_of_run q in
+      checki q (probe_lines q) probes;
+      checkb ("verdict of " ^ q) (ebool q) v)
+    [ {|some $r in //rev satisfies $r/sub/auts/name/text() = $r/name/text()|};
+      {|some $r in //rev satisfies $r/name/text() = "Minnie"|};
+      {|some $r in //rev satisfies $r/../name/text() = "DB" and $r/name/text() = "Goofy"|};
+      {|some $s in //sub satisfies $s/auts/name/text() = $s/../name/text()|};
+      {|exists(for $r in //rev where $r/name/text() = "Minnie" return <i/>)|};
+      {|exists(for $r in //rev let $n := $r/sub/auts/name/text() where $r/name/text() = $n return <i/>)|};
+      {|count(for $t in //track where $t/rev/name/text() = "Goofy" return $t) = 1|} ]
+
+(* A comparand naming a variable bound after the probed one must not
+   drive a probe even when an outer scope binds the same name: probing
+   with the outer [$b] (a rev, which has no auts) would drop every
+   candidate, and the indexed verdict would differ from the scan. *)
+let test_later_variable_never_probes () =
+  let q =
+    {|some $b in //rev satisfies exists(for $a in //rev, $b in //sub where $a/name/text() = $b/auts/name/text() return <i/>)|}
+  in
+  checkb "scan verdict" true (ebool q);
+  checkb "indexed verdict" true
+    (Q.Eval.eval_bool doc ~index:(Index.create doc) (Q.Parser.parse q))
+
+(* A chain of child hops probes the index on its last hop and walks the
+   parents back up to the bound candidate. *)
+let test_chain_probe () =
+  List.iter
+    (fun (author, expected) ->
+      let q =
+        Printf.sprintf {|some $r in //rev satisfies $r/sub/auts/name/text() = "%s"|}
+          author
+      in
+      checki ("one probe line: " ^ q) 1 (probe_lines q);
+      let v, probes = probes_of_run q in
+      checki ("one probe: " ^ q) 1 probes;
+      checkb ("scan verdict: " ^ q) expected (ebool q);
+      checkb ("indexed verdict: " ^ q) expected v)
+    [ ("Mickey", true); ("Goofy", true); ("Pluto", false) ]
+
 let () =
   Alcotest.run "xquery"
     [
@@ -256,6 +326,11 @@ let () =
           Alcotest.test_case "empty domains" `Quick test_some_over_empty;
           Alcotest.test_case "join needs two bindings" `Quick
             test_join_needs_two_bindings;
+          Alcotest.test_case "explain matches the run" `Quick
+            test_explain_matches_run;
+          Alcotest.test_case "chain probe" `Quick test_chain_probe;
+          Alcotest.test_case "a later variable never probes" `Quick
+            test_later_variable_never_probes;
         ] );
       ( "flwor",
         [
