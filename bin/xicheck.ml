@@ -9,6 +9,11 @@
      guard      run an XUpdate statement under integrity control
      txn        run several statements as one journaled transaction
      recover    replay a write-ahead journal after a crash
+     checkpoint write a snapshot and fold the journal into it
+     publish    compile constraints and patterns into a bundle
+     serve      run the resident check server
+     client     send one request to a running server
+     top        live summary of a running server
      generate   emit a synthetic conference dataset
 
    DTDs are given as FILE=ROOT pairs; constraints as files of XPathLog
@@ -90,8 +95,8 @@ let no_validate_arg =
 
 let delta_stats_arg =
   let doc =
-    "Print the delta maintenance report (mirror flushes, net facts, \
-     view evaluations) at exit."
+    "Print the delta maintenance report (mirror flushes, facts added and \
+     removed, view evaluations) at exit."
   in
   Arg.(value & flag & info [ "delta-stats" ] ~doc)
 
@@ -140,22 +145,26 @@ let print_slow_log () =
           (Obs.Trace.duration_ms sp))
       slow
 
+(* Write spans to --trace FILE as Chrome JSON, or to stderr as an
+   indented text tree for '-'. *)
+let write_trace roots = function
+  | None -> ()
+  | Some "-" -> prerr_string (Obs.Trace.to_text roots)
+  | Some path ->
+    let oc =
+      match open_out path with
+      | oc -> oc
+      | exception Sys_error m -> die "cannot write %s: %s" path m
+    in
+    output_string oc (Obs.Trace.to_chrome_json roots);
+    output_char oc '\n';
+    close_out oc;
+    Printf.printf "wrote trace %s\n" path
+
 (* Write the collected trace; runs after the command body, before any
    exit-code decision, so failing checks still produce their trace. *)
 let obs_finish ~trace ~slow_ms =
-  (match trace with
-   | None -> ()
-   | Some "-" -> prerr_string (Obs.Trace.to_text (Obs.Trace.roots ()))
-   | Some path ->
-     let oc =
-       match open_out path with
-       | oc -> oc
-       | exception Sys_error m -> die "cannot write %s: %s" path m
-     in
-     output_string oc (Obs.Trace.to_chrome_json (Obs.Trace.roots ()));
-     output_char oc '\n';
-     close_out oc;
-     Printf.printf "wrote trace %s\n" path);
+  write_trace (Obs.Trace.roots ()) trace;
   if slow_ms <> None then print_slow_log ()
 
 let print_metrics repo ~metrics =
@@ -175,16 +184,6 @@ let load_schema specs =
   | exception Schema.Schema_error m -> die "%s" m
   | exception Sys_error m -> die "%s" m
 
-let load_repo ~validate schema docs =
-  let repo = Repository.create schema in
-  List.iter
-    (fun path ->
-      match Repository.load_fused ~validate repo (read_file path) with
-      | () -> ()
-      | exception Repository.Repository_error m -> die "%s: %s" path m)
-    docs;
-  repo
-
 let snapshot_arg =
   let doc =
     "Load the document collection and its relational store from this \
@@ -193,47 +192,6 @@ let snapshot_arg =
      newer than the checkpoint) is replayed on top."
   in
   Arg.(value & opt (some string) None & info [ "snapshot" ] ~docv:"FILE" ~doc)
-
-let load_snapshot_repo s path =
-  let repo = Repository.create s in
-  match Repository.load_snapshot repo path with
-  | meta -> (repo, meta)
-  | exception Xic_snapshot.Snapshot.Snapshot_error (p, e) ->
-    die "snapshot %s: %s" p (Xic_snapshot.Snapshot.error_message e)
-  | exception Repository.Repository_error m -> die "%s" m
-
-(* Build the repository state either from XML documents or from a
-   snapshot checkpoint; returns the snapshot metadata when one was
-   loaded (needed to compute the journal replay skip). *)
-let load_state ~validate s ~snapshot docs =
-  match snapshot with
-  | None -> (load_repo ~validate s docs, None)
-  | Some path ->
-    if docs <> [] then die "--snapshot and --doc are mutually exclusive";
-    let repo, meta = load_snapshot_repo s path in
-    (repo, Some meta)
-
-let read_journal path =
-  match Xic_journal.Journal.read path with
-  | rr -> rr
-  | exception Xic_journal.Journal.Journal_error m -> die "%s" m
-
-(* Bring a freshly loaded repository up to date with an existing
-   journal's committed entries: the suffix past the snapshot's watermark
-   when [meta] is a snapshot's, every entry when the state came from
-   --doc.  Constraints must already be registered so replayed statements
-   are re-checkable. *)
-let replay_journal repo meta = function
-  | Some jpath when Sys.file_exists jpath ->
-    let rr = read_journal jpath in
-    let skip =
-      match meta with Some m -> Repository.recover_skip m rr | None -> 0
-    in
-    let r = Repository.recover ~skip rr repo in
-    List.iter
-      (fun (txn, m) -> die "replay error in journaled transaction %d: %s" txn m)
-      r.Repository.replay_errors
-  | _ -> ()
 
 let load_constraints schema = function
   | None -> []
@@ -272,6 +230,33 @@ let load_pattern schema = function
         | exception Pattern.Pattern_error e -> die "%s" e)
      | _ -> die "%s: the pattern template must contain one modification" path
      | exception Xic_xupdate.Xupdate.Xupdate_error m -> die "%s: %s" path m)
+
+(* The document source: the --doc files, or the --snapshot image. *)
+let source ~snapshot docs =
+  match snapshot with
+  | None ->
+    Repository.Documents (Seq.map (fun p -> (p, read_file p)) (List.to_seq docs))
+  | Some path ->
+    if docs <> [] then die "--snapshot and --doc are mutually exclusive";
+    Repository.Snapshot path
+
+(* Every command comes up through [Repository.bring_up]: base state,
+   constraints, pattern, then the journal's committed suffix.  A
+   [writer] appends to the journal it replayed, so a statement that no
+   longer replays is fatal: the documents are not the journal's base. *)
+let bring_up ?(writer = false) ~no_validate dtds source ~constraints ~pattern
+    ~journal =
+  let s = load_schema dtds in
+  match
+    Repository.bring_up ~validate:(not no_validate) s source
+      ~constraints:(load_constraints s constraints)
+      ~patterns:(Option.to_list (load_pattern s pattern))
+      ~journal
+  with
+  | exception Repository.Repository_error m -> die "%s" m
+  | _, Some { Repository.replay_errors = (txn, m) :: _; _ } when writer ->
+    die "replay error in journaled transaction %d: %s" txn m
+  | up -> up
 
 (* ------------------------------------------------------------------ *)
 (* schema                                                              *)
@@ -389,34 +374,16 @@ let check_cmd =
       Obs.Trace.set_enabled true;
       Obs.Metrics.set_detailed true
     end;
-    let s = load_schema dtds in
-    let repo, _meta =
-      load_state ~validate:(not no_validate) s ~snapshot docs
+    let repo, _ =
+      bring_up ~no_validate dtds (source ~snapshot docs) ~constraints ~pattern
+        ~journal:None
     in
-    List.iter (Repository.add_constraint repo) (load_constraints s constraints);
-    (match load_pattern s pattern with
-     | Some p -> Repository.register_pattern repo p
-     | None -> ());
-    let consistent =
-      if explain then begin
-        match Repository.explain repo with
-        | [] ->
-          print_endline "consistent";
-          true
-        | ws ->
-          List.iter (fun w -> print_endline (Repository.witness_to_string w)) ws;
-          false
-      end
-      else begin
-        match Repository.check_full repo with
-        | [] ->
-          print_endline "consistent";
-          true
-        | vs ->
-          List.iter (Printf.printf "VIOLATED: %s\n") vs;
-          false
-      end
+    let violations =
+      if explain then List.map Repository.witness_to_string (Repository.explain repo)
+      else List.map (( ^ ) "VIOLATED: ") (Repository.check_full repo)
     in
+    if violations = [] then print_endline "consistent";
+    List.iter print_endline violations;
     if explain then begin
       ignore (Repository.check_full repo : string list);
       print_plans repo (Obs.Trace.roots ());
@@ -425,7 +392,7 @@ let check_cmd =
     print_metrics repo ~metrics;
     print_delta_stats repo ~delta_stats;
     obs_finish ~trace ~slow_ms;
-    if not consistent then exit 1
+    if violations <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Check integrity constraints against the documents")
@@ -513,16 +480,11 @@ let guard_cmd =
   let run dtds docs snapshot constraints pattern no_validate update output
       journal eval_budget delta_stats trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
-    let s = load_schema dtds in
-    let repo, meta =
-      load_state ~validate:(not no_validate) s ~snapshot docs
+    let repo, _ =
+      bring_up ~writer:true ~no_validate dtds (source ~snapshot docs)
+        ~constraints ~pattern ~journal
     in
     Repository.set_eval_budget repo eval_budget;
-    List.iter (Repository.add_constraint repo) (load_constraints s constraints);
-    (match load_pattern s pattern with
-     | Some p -> Repository.register_pattern repo p
-     | None -> ());
-    replay_journal repo meta journal;
     let u = parse_update update in
     let journal = Option.map open_journal journal in
     let report =
@@ -569,16 +531,11 @@ let txn_cmd =
   let run dtds docs snapshot constraints pattern no_validate updates output
       journal eval_budget abort delta_stats trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
-    let s = load_schema dtds in
-    let repo, meta =
-      load_state ~validate:(not no_validate) s ~snapshot docs
+    let repo, _ =
+      bring_up ~writer:true ~no_validate dtds (source ~snapshot docs)
+        ~constraints ~pattern ~journal
     in
     Repository.set_eval_budget repo eval_budget;
-    List.iter (Repository.add_constraint repo) (load_constraints s constraints);
-    (match load_pattern s pattern with
-     | Some p -> Repository.register_pattern repo p
-     | None -> ());
-    replay_journal repo meta journal;
     let journal = Option.map open_journal journal in
     let tx = Repository.begin_txn ?journal repo in
     let refused = ref 0 in
@@ -631,7 +588,7 @@ let txn_cmd =
      3  the journal file does not exist
      4  a full-length record in the *middle* of the journal failed its
         checksum: silent corruption, not a crash artifact; the valid
-        prefix was still replayed *)
+        prefix was still replayed, and every writer refuses the file *)
 let recover_cmd =
   let journal_arg =
     let doc = "Journal file to recover from." in
@@ -640,18 +597,18 @@ let recover_cmd =
   in
   let run dtds docs snapshot constraints no_validate journal delta_stats
       output =
-    let s = load_schema dtds in
-    let repo, meta =
-      load_state ~validate:(not no_validate) s ~snapshot docs
+    let repo, r =
+      match
+        bring_up ~no_validate dtds (source ~snapshot docs) ~constraints
+          ~pattern:None ~journal:(Some journal)
+      with
+      | repo, Some r -> (repo, r)
+      | _, None ->
+        Printf.eprintf "xicheck: journal %s not found\n" journal;
+        exit 3
     in
-    List.iter (Repository.add_constraint repo) (load_constraints s constraints);
-    if not (Sys.file_exists journal) then begin
-      Printf.eprintf "xicheck: journal %s not found\n" journal;
-      exit 3
-    end;
-    let rr = read_journal journal in
     let module J = Xic_journal.Journal in
-    (match rr.J.tail with
+    (match r.Repository.tail with
      | J.Clean -> ()
      | J.Torn _ ->
        print_endline "discarded a torn record at the end of the journal"
@@ -660,10 +617,6 @@ let recover_cmd =
          "checksum mismatch inside the journal: discarded %d byte(s) from \
           the first corrupt record onward\n"
          dropped);
-    let skip =
-      match meta with Some m -> Repository.recover_skip m rr | None -> 0
-    in
-    let r = Repository.recover ~skip rr repo in
     Printf.printf "replayed %d transaction(s), %d statement(s); discarded %d\n"
       r.Repository.replayed_txns r.Repository.replayed_statements
       r.Repository.discarded_txns;
@@ -675,7 +628,7 @@ let recover_cmd =
     Option.iter (write_roots repo) output;
     if r.Repository.replay_errors <> [] || r.Repository.post_violations <> [] then
       exit 1;
-    match rr.J.tail with J.Corrupt _ -> exit 4 | J.Clean | J.Torn _ -> ()
+    match r.Repository.tail with J.Corrupt _ -> exit 4 | J.Clean | J.Torn _ -> ()
   in
   Cmd.v
     (Cmd.info "recover"
@@ -709,21 +662,20 @@ let checkpoint_cmd =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
   let run dtds docs constraints no_validate journal snapshot =
-    let s = load_schema dtds in
-    let repo, meta =
+    let source =
       if Sys.file_exists snapshot then begin
         if docs <> [] then
           die "--doc is not allowed when %s already exists (the snapshot is \
                the document source)"
             snapshot;
-        let repo, meta = load_snapshot_repo s snapshot in
-        (repo, Some meta)
+        Repository.Snapshot snapshot
       end
-      else
-        (load_repo ~validate:(not no_validate) s docs, None)
+      else source ~snapshot:None docs
     in
-    List.iter (Repository.add_constraint repo) (load_constraints s constraints);
-    replay_journal repo meta journal;
+    let repo, _ =
+      bring_up ~writer:true ~no_validate dtds source ~constraints
+        ~pattern:None ~journal
+    in
     let journal = Option.map open_journal journal in
     let report =
       match Repository.checkpoint ?journal repo snapshot with
@@ -854,17 +806,12 @@ let serve_cmd =
         | Ok () -> ()
         | Error m -> die "cannot open log: %s" m));
     if trace <> None then Obs.Trace.set_enabled true;
-    let s = load_schema dtds in
-    let repo, meta =
-      load_state ~validate:(not no_validate) s ~snapshot docs
+    (* bring the state up to date with the journal before serving *)
+    let repo, _ =
+      bring_up ~writer:true ~no_validate dtds (source ~snapshot docs)
+        ~constraints ~pattern ~journal
     in
     Repository.set_eval_budget repo eval_budget;
-    List.iter (Repository.add_constraint repo) (load_constraints s constraints);
-    (match load_pattern s pattern with
-     | Some p -> Repository.register_pattern repo p
-     | None -> ());
-    (* bring the state up to date with the journal before serving *)
-    replay_journal repo meta journal;
     let journal = Option.map open_journal journal in
     let config =
       { Srv.journal; snapshot_path = snapshot; checkpoint_on_shutdown;
@@ -889,19 +836,7 @@ let serve_cmd =
      | Proto.Unix_sock path ->
        (try Sys.remove path with Sys_error _ -> ())
      | Proto.Tcp _ -> ());
-    (match trace with
-     | None -> ()
-     | Some "-" -> prerr_string (Obs.Trace.to_text (Srv.trace_roots server))
-     | Some path ->
-       let oc =
-         match open_out path with
-         | oc -> oc
-         | exception Sys_error m -> die "cannot write %s: %s" path m
-       in
-       output_string oc (Obs.Trace.to_chrome_json (Srv.trace_roots server));
-       output_char oc '\n';
-       close_out oc;
-       Printf.printf "wrote trace %s\n" path);
+    write_trace (Srv.trace_roots server) trace;
     XLog.close ();
     Printf.printf "served %d request(s); shutdown complete\n%!"
       (Srv.requests server)
@@ -928,6 +863,17 @@ let expect_ok resp =
       (Option.value ~default:(Proto.to_string resp)
          (Proto.string_field "error" resp));
   resp
+
+let connect addr =
+  match Proto.connect addr with
+  | fd -> fd
+  | exception Proto.Protocol_error m -> die "%s" m
+
+(* One request, one response that must be [ok]. *)
+let request fd j =
+  match Proto.request fd j with
+  | resp -> expect_ok resp
+  | exception Proto.Protocol_error m -> die "%s" m
 
 (* Render a guard/statement response with the same wording as the local
    [print_outcome], so server and one-shot CLI transcripts line up. *)
@@ -1009,11 +955,7 @@ let client_cmd =
   in
   let run op socket tcp updates pin as_of generation path abort trace_id =
     let addr = server_address socket tcp in
-    let fd =
-      match Proto.connect addr with
-      | fd -> fd
-      | exception Proto.Protocol_error m -> die "%s" m
-    in
+    let fd = connect addr in
     (* every frame this invocation sends carries the trace id *)
     let with_trace = function
       | Proto.Obj fields ->
@@ -1023,11 +965,7 @@ let client_cmd =
            | None -> fields)
       | j -> j
     in
-    let rq j =
-      match Proto.request fd (with_trace j) with
-      | resp -> expect_ok resp
-      | exception Proto.Protocol_error m -> die "%s" m
-    in
+    let rq j = request fd (with_trace j) in
     let one_update () =
       match updates with
       | [ path ] -> read_file path
@@ -1234,16 +1172,8 @@ let top_cmd =
   in
   let run socket tcp interval iterations no_clear =
     let addr = server_address socket tcp in
-    let fd =
-      match Proto.connect addr with
-      | fd -> fd
-      | exception Proto.Protocol_error m -> die "%s" m
-    in
-    let rq j =
-      match Proto.request fd j with
-      | resp -> expect_ok resp
-      | exception Proto.Protocol_error m -> die "%s" m
-    in
+    let fd = connect addr in
+    let rq = request fd in
     let num = function
       | Some (Proto.Int i) -> float_of_int i
       | Some (Proto.Float f) -> f

@@ -143,7 +143,6 @@ let create schema =
 let generation t = t.generation
 
 let set_eval_budget t b = t.eval_budget <- b
-let eval_budget t = t.eval_budget
 
 let plan_stats (_ : t) =
   { plan_hits = Obs.Metrics.value c_plan_hits;
@@ -775,7 +774,6 @@ let begin_txn ?journal t =
     txn_open = true;
   }
 
-let txn_id tx = tx.txn_id
 let txn_statements tx = tx.txn_seq
 
 let require_open tx =
@@ -956,13 +954,10 @@ type recovery_report = {
   replayed_txns : int;
   replayed_statements : int;
   discarded_txns : int;
-  torn_tail : bool;
+  tail : J.tail;
   replay_errors : (int * string) list;
   post_violations : string list;
 }
-
-let rec drop_entries k l =
-  if k <= 0 then l else match l with [] -> [] | _ :: tl -> drop_entries (k - 1) tl
 
 (* How many leading journal entries a snapshot already covers.  The
    generation decides: a journal *newer* than the snapshot was reset
@@ -977,7 +972,7 @@ let recover_skip (meta : Snap.meta) (rr : J.read_result) =
 
 let recover ?(skip = 0) (rr : J.read_result) t =
   Obs.Trace.with_span "recover" @@ fun () ->
-  let entries = drop_entries skip rr.J.entries in
+  let entries = List.filteri (fun i _ -> i >= skip) rr.J.entries in
   let committed = J.committed_payloads entries in
   let all_txns =
     List.sort_uniq compare
@@ -993,12 +988,9 @@ let recover ?(skip = 0) (rr : J.read_result) t =
     (fun (txn, payloads) ->
       List.iter
         (fun payload ->
-          match XU.parse_string payload with
-          | exception XU.Xupdate_error m -> errors := (txn, m) :: !errors
-          | u ->
-            (match apply_unchecked t u with
-             | _undo -> incr stmts
-             | exception XU.Xupdate_error m -> errors := (txn, m) :: !errors))
+          match apply_unchecked t (XU.parse_string payload) with
+          | _undo -> incr stmts
+          | exception XU.Xupdate_error m -> errors := (txn, m) :: !errors)
         payloads)
     committed;
   (* as {!commit_txn}: only a transaction with a standing statement
@@ -1010,7 +1002,7 @@ let recover ?(skip = 0) (rr : J.read_result) t =
     replayed_txns = List.length committed;
     replayed_statements = !stmts;
     discarded_txns = List.length all_txns - List.length committed;
-    torn_tail = rr.J.torn;
+    tail = rr.J.tail;
     replay_errors = List.rev !errors;
     post_violations = check_incremental t;
   }
@@ -1063,14 +1055,45 @@ let checkpoint ?journal t path =
     wal_reset = Option.is_some journal;
   }
 
-(* Load a snapshot into a freshly created repository: the arena is
-   restored in place (node ids preserved) and the deserialized store
-   installed as the materialized mirror, so neither a parse nor a
-   re-shred happens.  Constraints and patterns are registered afterwards
-   as usual. *)
 let load_snapshot t path =
   if Doc.has_root t.doc || Doc.id_bound t.doc > 0 then
     fail "load_snapshot: the repository already contains documents";
   let meta, s = Snap.load path t.doc in
   install_store t s;
   meta
+
+(* ------------------------------------------------------------------ *)
+(* Bring-up                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type source = Documents of (string * string) Seq.t | Snapshot of string
+
+(* The one way a repository comes up: the base state, then the
+   constraints and patterns, then (when the journal exists) the views,
+   so the replay deltas maintain them, and the committed suffix past
+   the snapshot's watermark. *)
+let bring_up ?(validate = true) schema source ~constraints ~patterns ~journal =
+  let t = create schema in
+  let meta =
+    match source with
+    | Documents docs ->
+      Seq.iter
+        (fun (name, xml) ->
+          try load_fused ~validate t xml
+          with Repository_error m -> fail "%s: %s" name m)
+        docs;
+      None
+    | Snapshot path ->
+      (try Some (load_snapshot t path)
+       with Snap.Snapshot_error (p, e) ->
+         fail "snapshot %s: %s" p (Snap.error_message e))
+  in
+  List.iter (add_constraint t) constraints;
+  List.iter (register_pattern t) patterns;
+  match journal with
+  | Some path when Sys.file_exists path ->
+    let rr = try J.read path with J.Journal_error m -> fail "%s" m in
+    ignore (check_incremental t : string list);
+    let skip = match meta with Some m -> recover_skip m rr | None -> 0 in
+    (t, Some (recover ~skip rr t))
+  | _ -> (t, None)

@@ -50,8 +50,6 @@ val set_eval_budget : t -> int option -> unit
     {e degraded} — the guarded update falls back to the post-state check
     instead of failing (see {!report}). *)
 
-val eval_budget : t -> int option
-
 val plan_stats : t -> plan_stats
 (** Cumulative plan-cache counters over full and simplified checks. *)
 
@@ -335,8 +333,6 @@ val begin_txn : ?journal:Xic_journal.Journal.t -> t -> txn
     statement.  Safe because recovery discards transactions without a
     durable closing record whether or not their intents reached disk. *)
 
-val txn_id : txn -> int
-
 val txn_statements : txn -> int
 (** Statements currently applied (i.e. the next savepoint value). *)
 
@@ -380,7 +376,9 @@ type recovery_report = {
   discarded_txns : int;
       (** journaled transactions without a commit record (in-flight at
           the crash, or aborted) *)
-  torn_tail : bool;  (** the journal ended in a torn (discarded) record *)
+  tail : Xic_journal.Journal.tail;
+      (** how the journal ended; only the prefix before a [Torn] or
+          [Corrupt] record was replayed *)
   replay_errors : (int * string) list;
       (** transaction id and error, for committed statements that no
           longer replay (e.g. the base documents changed) *)
@@ -389,15 +387,43 @@ type recovery_report = {
           produced by guarded updates against the same base documents *)
 }
 
+(** Where a repository's base state comes from: XML documents, each
+    with the name its errors cite, or a snapshot file.  The documents
+    are loaded as the sequence yields them, so one read from a file on
+    demand is the only text held at a time. *)
+type source = Documents of (string * string) Seq.t | Snapshot of string
+
+val bring_up :
+  ?validate:bool ->
+  Schema.t ->
+  source ->
+  constraints:Constr.t list ->
+  patterns:Pattern.t list ->
+  journal:string option ->
+  t * recovery_report option
+(** The one bring-up of every command, the server and the crash tests:
+    create a repository, load the documents ([validate] defaulting to
+    true) or the snapshot, add the constraints, register the patterns;
+    then, when the [journal] file exists, materialize the views and
+    replay the committed entries past the snapshot's watermark, whose
+    deltas the views maintain.  The report ([None] without a journal)
+    holds the replay errors, post-replay violations and journal tail for
+    the caller to judge.
+    @raise Repository_error when a document (named first in the
+    message) or the snapshot (["snapshot PATH: …"]) fails to load, a
+    constraint or pattern is refused, or the journal is unreadable. *)
+
+(** {2 The steps of {!bring_up}}
+
+    Exported for the benchmark's traced probe, which times them one by
+    one, and for tests that replay into a repository of their own. *)
+
 val recover : ?skip:int -> Xic_journal.Journal.read_result -> t -> recovery_report
-(** Replay the committed transactions of a journal (see
-    {!Xic_journal.Journal.read}) against the repository's freshly loaded
-    base documents, in commit order.  Uncommitted and aborted
-    transactions, savepoint-truncated statements, and any torn tail are
-    discarded — after a crash at {e any} point, the repository recovers
-    to the last committed state.  [skip] (default 0) drops that many
-    leading journal entries first: the suffix replay after a snapshot
-    load (compute it with {!recover_skip}). *)
+(** Replay the committed transactions of a journal in commit order,
+    after dropping its first [skip] entries (default 0).  Uncommitted
+    and aborted transactions and savepoint-truncated statements are
+    discarded, so after a crash at {e any} point the repository recovers
+    to the last committed state. *)
 
 val recover_skip :
   Xic_snapshot.Snapshot.meta -> Xic_journal.Journal.read_result -> int
@@ -406,6 +432,14 @@ val recover_skip :
     replays in full (0), the {e same} generation skips the snapshot's
     watermark, an {e older} one is a stale pre-checkpoint journal and is
     skipped entirely. *)
+
+val load_snapshot : t -> string -> Xic_snapshot.Snapshot.meta
+(** Restore a snapshot into a freshly created repository: the arena is
+    rebuilt in place with node ids preserved and the deserialized store
+    installed as the materialized mirror — no parse, no shred.
+    @raise Repository_error when the repository is non-empty;
+    @raise Xic_snapshot.Snapshot.Snapshot_error when the file is
+    missing, truncated or corrupt. *)
 
 (** {1 Snapshot checkpointing} *)
 
@@ -432,17 +466,6 @@ val checkpoint : ?journal:Xic_journal.Journal.t -> t -> string -> checkpoint_rep
     Must not be called while a journaled transaction is open — the
     snapshot would capture uncommitted mutations as committed state.
     @raise Repository_error on I/O failure. *)
-
-val load_snapshot : t -> string -> Xic_snapshot.Snapshot.meta
-(** Restore a snapshot into a freshly created repository (no documents
-    loaded yet): rebuilds the arena in place with node ids preserved and
-    installs the deserialized store as the materialized mirror — no
-    parse, no shred.  Register constraints and patterns afterwards as
-    usual; journal suffix replay is {!recover} with
-    [~skip:(recover_skip meta rr)].
-    @raise Repository_error when the repository is non-empty;
-    @raise Xic_snapshot.Snapshot.Snapshot_error (with the classified
-    error taxonomy) when the file is missing, truncated or corrupt. *)
 
 val apply_unchecked : t -> Xic_xupdate.Xupdate.t -> Xic_xupdate.Xupdate.undo
 val rollback : t -> Xic_xupdate.Xupdate.undo -> unit

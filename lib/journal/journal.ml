@@ -11,7 +11,6 @@ type tail =
 
 type read_result = {
   entries : entry list;
-  torn : bool;
   tail : tail;
   generation : int;
 }
@@ -186,7 +185,7 @@ let scan_file p =
 
 let read p =
   let entries, tail, _, generation = scan_file p in
-  { entries; torn = tail <> Clean; tail; generation }
+  { entries; tail; generation }
 
 (* ------------------------------------------------------------------ *)
 (* Appending                                                           *)
@@ -199,9 +198,17 @@ let open_ ?(sync = true) p =
   let entries, valid_end, gen =
     if fresh then ([], header_len + gen_len, 1)
     else
-      (* the torn tail, if any, is truncated away below *)
-      let entries, _tail, valid_end, gen = scan_file p in
-      (entries, valid_end, gen)
+      (* a torn tail is crash debris, truncated away below; a corrupt
+         record may have committed records behind it, so the file is
+         left as it is *)
+      match scan_file p with
+      | _, Corrupt { dropped }, _, _ ->
+        fail
+          "journal %s: checksum mismatch inside the journal, %d byte(s) from \
+           the first corrupt record onward; refusing to append (run 'xicheck \
+           recover' on it)"
+          p dropped
+      | entries, (Clean | Torn _), valid_end, gen -> (entries, valid_end, gen)
   in
   Failpoint.hit "journal_create";
   let fd =

@@ -5,7 +5,7 @@
     update pipeline a durable redo log: an {e intent} record (the
     serialized statement plus the checking strategy that admitted it) is
     written before the document is mutated, and a {e commit} or {e abort}
-    record after.  Recovery (see [Xic_core.Repository.recover]) replays
+    record after.  Recovery (see [Xic_core.Repository.bring_up]) replays
     the intents of committed transactions against freshly loaded base
     documents; uncommitted or aborted transactions and a torn final
     record — the signature of a crash mid-write — are discarded.
@@ -79,7 +79,6 @@ type tail =
 
 type read_result = {
   entries : entry list;  (** all valid records, file order *)
-  torn : bool;  (** [tail <> Clean] (kept for older callers) *)
   tail : tail;  (** how the file ended *)
   generation : int;  (** the journal incarnation (0 for v1 files) *)
 }
@@ -95,11 +94,15 @@ val extent : int
 val open_ : ?sync:bool -> string -> t
 (** Open [path] for appending, creating it if missing.  Existing records
     are scanned to seed {!next_txn}; a torn tail left by a crash is
-    truncated away so new records land on a valid prefix.  Creation
-    fsyncs the parent directory so the new entry itself is durable.
-    With [sync = false] (default [true]) appends skip the fsync —
-    faster, but a crash may lose recent records (never corrupt the
-    prefix). *)
+    truncated away so new records land on a valid prefix.  A [Corrupt]
+    journal is refused and left byte-identical: the records past the
+    damage may be committed, and truncating would drop them silently.
+    Creation fsyncs the parent directory so the new entry itself is
+    durable.  With [sync = false] (default [true]) appends skip the
+    fsync — faster, but a crash may lose recent records (never corrupt
+    the prefix).
+    @raise Journal_error on a [Corrupt] journal, naming the bytes past
+    the damage. *)
 
 val path : t -> string
 

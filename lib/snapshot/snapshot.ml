@@ -152,8 +152,8 @@ let section_name = function
   | t -> Printf.sprintf "unknown (tag %d)" t
 
 (* A section located inside the file image — bodies are never copied
-   out: verification uses [Digest.substring] and decoding runs a cursor
-   positioned at [off], so a 2 MB container costs one read, not three
+   out: verification checksums the slice in place and decoding runs a
+   cursor positioned at [off], so a 2 MB container costs one read, not three
    copies.  (A decoder can therefore only be confined to its section by
    its own length fields; that is fine because every section's checksum
    is verified before its decoder runs, so the lengths are the ones the

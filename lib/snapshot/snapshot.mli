@@ -3,15 +3,15 @@
     A snapshot persists the three stores that cold-start would otherwise
     rebuild from XML — the struct-of-arrays document arena, the global
     symbol table, and the Datalog fact store — in one versioned,
-    checksummed container, so a resident checker (ROADMAP item 1) or a
-    recovery is a single [load] away instead of a parse + shred.
+    checksummed container, so a resident checker or a recovery is a
+    single [load] away instead of a parse + shred.
 
     {2 On-disk format}
 
     {v
     "XICSNAP1\n"  magic (9 bytes)
     version       int (8 bytes LE)
-    section*      [tag (1 byte) | length (8 bytes LE) | payload | MD5(payload)]
+    section*      [tag (1 byte) | length (8 bytes LE) | payload | Checksum(payload) (8 bytes LE)]
     0xff          end marker (proves the file was written out completely)
     v}
 
@@ -46,7 +46,8 @@ type error =
   | Unsupported_version of int
   | Truncated of string
       (** bytes missing: short file, cut section, absent end marker *)
-  | Checksum_mismatch of string  (** named section failed its MD5 *)
+  | Checksum_mismatch of string
+      (** named section failed its 8-byte {!Checksum} *)
   | Malformed of string  (** sections verify but the content is invalid *)
 
 exception Snapshot_error of string * error

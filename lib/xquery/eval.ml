@@ -769,8 +769,16 @@ let describe (e : Ast.expr) : string =
       let hoisted = Array.of_list plan.hoists in
       let at (l, e) = Printf.sprintf "%s @%d" (Ast.to_string e) l in
       line ind "some [%s]" (vars binds);
+      (* a joined quantifier answers its deepest binding from the hash
+         table; the binding's own narrowing runs only when the join is
+         off for the evaluation *)
+      let deepest = List.length plan.binds in
       List.iteri
-        (fun i (v, _, nw) -> line (ind + 1) "bind $%s @%d: %s" v (i + 1) (narrowing nw))
+        (fun i (v, _, nw) ->
+          line (ind + 1) "bind $%s @%d: %s%s" v (i + 1)
+            (if plan.join <> None && i + 1 = deepest then "join fallback: "
+             else "")
+            (narrowing nw))
         plan.binds;
       List.iter
         (fun t ->

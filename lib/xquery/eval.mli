@@ -89,5 +89,8 @@ val describe : Ast.expr -> string
     [xicheck --explain].  One planning pass feeds both, so an
     [index probe] line names a probe every indexed run of that binding
     attempts; it falls back to the tag index only when the comparand
-    fails to evaluate or is a number or a boolean.  Purely static:
-    nothing is evaluated. *)
+    fails to evaluate or is a number or a boolean.  The exception is
+    labelled: the deepest binding of a hash-joined quantifier reads
+    [join fallback: …], since the join's table answers it and its
+    narrowing runs only when the join is off for the evaluation.
+    Purely static: nothing is evaluated. *)

@@ -81,7 +81,7 @@ let test_journal_roundtrip () =
   List.iter (J.append j) entries;
   J.close j;
   let rr = J.read p in
-  checkb "no torn tail" false rr.J.torn;
+  checkb "clean tail" true (rr.J.tail = J.Clean);
   checkb "entries survive the round trip" true (rr.J.entries = entries);
   (* only t1 committed; multi-line payloads intact *)
   (match J.committed rr.J.entries with
@@ -101,7 +101,7 @@ let test_journal_torn_tail () =
   output_string oc "\000\000\000\042torn";
   close_out oc;
   let rr = J.read p in
-  checkb "torn tail detected" true rr.J.torn;
+  checkb "torn tail detected" true (rr.J.tail <> J.Clean);
   checki "valid prefix kept" 2 (List.length rr.J.entries);
   (* reopening truncates the tail so appends land on a valid prefix *)
   let j = J.open_ p in
@@ -109,7 +109,7 @@ let test_journal_torn_tail () =
   J.append j (J.Commit { txn = 5 });
   J.close j;
   let rr = J.read p in
-  checkb "clean after reopen + append" false rr.J.torn;
+  checkb "clean after reopen + append" true (rr.J.tail = J.Clean);
   checki "three records" 3 (List.length rr.J.entries)
 
 let read_bin path =
@@ -183,10 +183,11 @@ let test_torn_at_every_byte_offset () =
   checkb "clean after reopen" true (rr.J.tail = J.Clean);
   checki "prefix + fresh record" 2 (List.length rr.J.entries)
 
-(* A full-length record failing its checksum in the MIDDLE of the file
-   is not a crash artifact: it must classify as Corrupt (so `xicheck
-   recover` can exit 4), still replaying the valid prefix. *)
-let test_corrupt_mid_record () =
+(* A full-length record failing its checksum in the MIDDLE of the file:
+   record 2 of three (intent, intent, commit) has a payload byte
+   flipped.  Returns the path, the intact bytes and the offset of the
+   bad record. *)
+let corrupt_mid_journal () =
   let p = fresh_path () in
   let j = J.open_ ~sync:false p in
   J.append j
@@ -198,19 +199,44 @@ let test_corrupt_mid_record () =
   let full = read_bin p in
   let rec1_end = record_end full 0 in
   let b = Bytes.of_string full in
-  (* flip a byte inside record 2's payload *)
   let i = rec1_end + 5 in
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
   write_bin p (Bytes.to_string b);
+  (p, full, rec1_end)
+
+(* Such a record is not a crash artifact: it must classify as Corrupt
+   (so `xicheck recover` can exit 4), still replaying the valid prefix. *)
+let test_corrupt_mid_record () =
+  let p, full, rec1_end = corrupt_mid_journal () in
   let rr = J.read p in
   checki "valid prefix kept" 1 (List.length rr.J.entries);
-  (match rr.J.tail with
-   | J.Corrupt { dropped } ->
-     checki "bad record and everything after dropped"
-       (String.length full - rec1_end) dropped
-   | J.Clean | J.Torn _ ->
-     Alcotest.fail "mid-file checksum mismatch must classify as Corrupt");
-  checkb "legacy torn flag still raised" true rr.J.torn
+  match rr.J.tail with
+  | J.Corrupt { dropped } ->
+    checki "bad record and everything after dropped"
+      (String.length full - rec1_end) dropped
+  | J.Clean | J.Torn _ ->
+    Alcotest.fail "mid-file checksum mismatch must classify as Corrupt"
+
+(* Opening it for append must not truncate it at the damage: the
+   committed record behind it would vanish and the file would then read
+   as clean.  The open is refused, naming the bytes at stake, and the
+   file stays byte-identical. *)
+let test_open_refuses_corrupt () =
+  let p, full, rec1_end = corrupt_mid_journal () in
+  let damaged = read_bin p in
+  (match J.open_ p with
+   | exception J.Journal_error m ->
+     checks "the error names the bytes and the way on"
+       (Printf.sprintf
+          "journal %s: checksum mismatch inside the journal, %d byte(s) from \
+           the first corrupt record onward; refusing to append (run 'xicheck \
+           recover' on it)"
+          p (String.length full - rec1_end))
+       m
+   | j ->
+     J.close j;
+     Alcotest.fail "a corrupt journal must not open for append");
+  checks "bytes and size unchanged" damaged (read_bin p)
 
 let test_reset_bumps_generation () =
   let p = fresh_path () in
@@ -275,7 +301,7 @@ let test_failpoint_mid_write () =
    | exception J.Journal_error _ -> ()
    | () -> Alcotest.fail "append on a torn journal must be refused");
   let rr = J.read p in
-  checkb "torn" true rr.J.torn;
+  checkb "torn" true (rr.J.tail <> J.Clean);
   checki "only the first record" 1 (List.length rr.J.entries)
 
 (* An fsync that fails with EIO may have dropped the dirty pages it was
@@ -602,7 +628,7 @@ let test_committed_update_recovers_post_state () =
   checks "post-update state" after (snapshot recovered);
   checki "one txn" 1 report.Repository.replayed_txns;
   checki "one statement" 1 report.Repository.replayed_statements;
-  checkb "no torn tail" false report.Repository.torn_tail;
+  checkb "clean tail" true (report.Repository.tail = J.Clean);
   Alcotest.(check (list string)) "consistent" [] report.Repository.post_violations
 
 let test_refused_updates_leave_no_committed_trace () =
@@ -914,6 +940,8 @@ let () =
             test_torn_at_every_byte_offset;
           Alcotest.test_case "corrupt mid-record" `Quick
             test_corrupt_mid_record;
+          Alcotest.test_case "open refuses a corrupt journal" `Quick
+            test_open_refuses_corrupt;
           Alcotest.test_case "reset bumps the generation" `Quick
             test_reset_bumps_generation;
           Alcotest.test_case "bad header" `Quick test_journal_not_a_journal;

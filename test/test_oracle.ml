@@ -935,17 +935,14 @@ let test_server_oracle () =
           the journal identically, but not durably) *)
        if !errors = 0 && Sys.file_exists spath then begin
          let s = Conf.schema () in
-         let repo2 = Repository.create s in
-         List.iter
-           (Repository.add_constraint repo2)
-           [ Conf.conflict s; Conf.workload s; Conf.track_load s ];
-         Repository.register_pattern repo2 (Conf.submission_pattern s);
-         let meta = Repository.load_snapshot repo2 spath in
-         let rr = J.read jpath in
-         ignore
-           (Repository.recover ~skip:(Repository.recover_skip meta rr) rr
-              repo2
-             : Repository.recovery_report);
+         let repo2, report =
+           Repository.bring_up s (Repository.Snapshot spath)
+             ~constraints:[ Conf.conflict s; Conf.workload s; Conf.track_load s ]
+             ~patterns:[ Conf.submission_pattern s ] ~journal:(Some jpath)
+         in
+         (match report with
+          | Some { Repository.replay_errors = []; _ } -> ()
+          | _ -> fail "the restart must replay the journal cleanly");
          Alcotest.(check (list string))
            (Printf.sprintf "[seed %d] verdict after restart = shadow" seed)
            (sorted (Repository.check_full shadow))

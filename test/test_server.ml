@@ -35,16 +35,20 @@ let fixed_pub =
 let fixed_rev =
   {|<review><track><name>DB</name><rev><name>Carl</name><sub><title>S1</title><auts><name>Ann</name></auts></sub></rev><rev><name>Rita</name><sub><title>S2</title><auts><name>Bob</name></auts></sub></rev></track></review>|}
 
-let make_repo () =
+(* A repository comes up as the server does; [restart] replays a
+   journal the way a restarted server would. *)
+let bring_up journal =
   let s = Conf.schema () in
-  let repo = Repository.create s in
-  Repository.load_fused repo fixed_pub;
-  Repository.load_fused repo fixed_rev;
-  List.iter
-    (Repository.add_constraint repo)
-    [ Conf.conflict s; Conf.workload s; Conf.track_load s ];
-  Repository.register_pattern repo (Conf.submission_pattern s);
-  repo
+  Repository.bring_up s
+    (Repository.Documents (List.to_seq [ ("pub", fixed_pub); ("rev", fixed_rev) ]))
+    ~constraints:[ Conf.conflict s; Conf.workload s; Conf.track_load s ]
+    ~patterns:[ Conf.submission_pattern s ] ~journal
+
+let make_repo () = fst (bring_up None)
+
+let restart jpath =
+  let repo, report = bring_up (Some jpath) in
+  (repo, Option.get report)
 
 let legal_insert ?(title = "Fresh") ?(author = "Zoe") () =
   Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]" ~title
@@ -435,8 +439,7 @@ let test_batch_serial_parity () =
   checki "serial = one txn per applied guard" 3 (List.length (committed jb));
   (* replaying both journals converges to the same state *)
   let replay path =
-    let r = make_repo () in
-    let rep = Repository.recover (J.read path) r in
+    let r, rep = restart path in
     checksl "no replay errors" []
       (List.map snd rep.Repository.replay_errors);
     Repository.check_full r
@@ -605,8 +608,7 @@ let test_shutdown_aborts_open_txn () =
   checkb "journal's last word on the in-flight txn is an Abort" true
     (last_entry_is_abort jpath txn_id);
   (* recovery finds nothing to replay: the interrupted txn is gone *)
-  let fresh = make_repo () in
-  let rep = Repository.recover (J.read jpath) fresh in
+  let fresh, rep = restart jpath in
   checki "no committed txns to replay" 0 rep.Repository.replayed_txns;
   checki "the aborted txn is discarded (explicitly, not inferred)" 1
     rep.Repository.discarded_txns;
@@ -655,8 +657,7 @@ let test_shutdown_crash_failpoint () =
              (List.exists
                 (function J.Commit _ | J.Abort _ -> true | _ -> false)
                 entries)));
-     let fresh = make_repo () in
-     let rep = Repository.recover (J.read jpath) fresh in
+     let fresh, rep = restart jpath in
      checki "in-flight txn discarded" 1 rep.Repository.discarded_txns;
      checki "nothing replayed" 0 rep.Repository.replayed_txns;
      checksl "recovered to the pre-txn state" [] (Repository.check_full fresh);

@@ -25,28 +25,23 @@ let pub_doc =
 let rev_doc =
   {|<review><track><name>DB</name><rev><name>Carl</name><sub><title>S1</title><auts><name>Ann</name></auts></sub></rev><rev><name>Rita</name><sub><title>S2</title><auts><name>Bob</name></auts></sub></rev></track></review>|}
 
-let make_repo () =
+(* A repository comes up as a restart does. *)
+let bring_up
+    ?(source = Repository.Documents (List.to_seq [ ("pub", pub_doc); ("rev", rev_doc) ]))
+    journal =
   let s = Lazy.force schema in
-  let repo = Repository.create s in
-  Repository.load_fused repo pub_doc;
-  Repository.load_fused repo rev_doc;
-  Repository.add_constraint repo (Conf.conflict s);
-  Repository.register_pattern repo (Conf.submission_pattern s);
-  repo
+  Repository.bring_up s source ~constraints:[ Conf.conflict s ]
+    ~patterns:[ Conf.submission_pattern s ] ~journal
+
+let make_repo () = fst (bring_up None)
 
 let xml repo = Xic_xml.Xml_printer.to_string (Repository.doc repo)
 
 let legal_update ?(title = "Ok") ?(author = "Zoe") () =
   Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]" ~title ~author
 
-(* Load a snapshot into a fresh repository and re-register the standard
-   constraint, as a resident checker would on cold start. *)
-let reload path =
-  let s = Lazy.force schema in
-  let repo = Repository.create s in
-  let meta = Repository.load_snapshot repo path in
-  Repository.add_constraint repo (Conf.conflict s);
-  (repo, meta)
+(* Cold start from a snapshot, as a resident checker does. *)
+let reload path = fst (bring_up ~source:(Repository.Snapshot path) None)
 
 let read_bin path =
   let ic = open_in_bin path in
@@ -68,7 +63,7 @@ let test_roundtrip () =
   let report = Repository.checkpoint repo p in
   checkb "bytes written" true (report.Repository.snapshot_bytes > 0);
   checkb "journal not reset without one" false report.Repository.wal_reset;
-  let repo2, meta = reload p in
+  let repo2 = reload p and meta = Snap.read_meta p in
   checki "meta nodes" report.Repository.snapshot_nodes meta.Snap.nodes;
   checki "meta facts" report.Repository.snapshot_facts meta.Snap.facts;
   checki "no journal covered" 0 meta.Snap.journal_generation;
@@ -88,10 +83,9 @@ let test_roundtrip_after_updates () =
    | Repository.Applied _ -> ()
    | _ -> Alcotest.fail "legal update must apply");
   ignore (Repository.checkpoint repo p);
-  let repo2, _ = reload p in
+  let repo2 = reload p in
   checks "post-update state round trips" (xml repo) (xml repo2);
   (* the loaded repository is live: further guarded updates work *)
-  Repository.register_pattern repo2 (Conf.submission_pattern (Lazy.force schema));
   (match
      Repository.guarded_update repo2 (legal_update ~title:"N" ~author:"Uma" ())
    with
@@ -136,7 +130,7 @@ let test_symbol_remap_across_processes () =
     let expected = xml (make_repo ()) in
     let _, status = Unix.waitpid [] pid in
     checkb "child wrote the snapshot" true (status = Unix.WEXITED 0);
-    let repo2, _ = reload p in
+    let repo2 = reload p in
     checks "names survive the id shift" expected (xml repo2);
     Alcotest.(check (list string))
       "constraints evaluate on remapped state" []
@@ -221,7 +215,7 @@ let test_crashed_save_keeps_old_snapshot () =
        | _ -> Alcotest.fail (site ^ ": armed failpoint must fire")
        | exception FP.Triggered _ -> ());
       checks (site ^ ": old snapshot intact") before (read_bin p);
-      let repo2, _ = reload p in
+      let repo2 = reload p in
       checkb (site ^ ": old snapshot still loads") true
         (Repository.check_full repo2 = []))
     [ ("snapshot_write", FP.Torn_write { keep = 0.5; crash = false });
@@ -238,7 +232,7 @@ let test_short_read_is_truncated () =
    | _ -> Alcotest.fail "short read must not load"
    | exception Snap.Snapshot_error (_, Snap.Truncated _) -> ());
   (* the short read disarms after firing: the next load succeeds *)
-  let repo2, _ = reload p in
+  let repo2 = reload p in
   checks "full read after the fault" (xml repo) (xml repo2)
 
 let test_injected_eio_is_retried () =
@@ -250,7 +244,7 @@ let test_injected_eio_is_retried () =
   in
   checkb "save survives two injected EIOs" true
     (report.Repository.snapshot_bytes > 0);
-  let repo2, _ = reload p in
+  let repo2 = reload p in
   checks "snapshot readable" (xml repo) (xml repo2)
 
 (* ------------------------------------------------------------------ *)
@@ -264,7 +258,7 @@ let test_recover_skip_generation_rule () =
   in
   let rr gen n =
     { J.entries = List.init n (fun i -> J.Commit { txn = i });
-      torn = false; tail = J.Clean; generation = gen }
+      tail = J.Clean; generation = gen }
   in
   checki "newer journal replays in full" 0
     (Repository.recover_skip (meta 1 2) (rr 2 5));
@@ -300,25 +294,26 @@ let test_checkpoint_folds_journal () =
    | _ -> Alcotest.fail "update 2 must apply");
   let after = xml repo in
   J.close j;
-  (* cold recovery: load the snapshot, replay only the suffix *)
-  let repo2, meta = reload p in
-  let rr = J.read jp in
-  let skip = Repository.recover_skip meta rr in
-  checki "snapshot prefix skipped" 0 skip;
-  let r = Repository.recover ~skip rr repo2 in
+  (* cold recovery: the snapshot, then only the journal's suffix *)
+  let cold () =
+    let repo, report = bring_up ~source:(Repository.Snapshot p) (Some jp) in
+    (repo, Option.get report)
+  in
+  let repo2, r = cold () in
   checki "one suffix txn" 1 r.Repository.replayed_txns;
   checks "snapshot + suffix = crash state" after (xml repo2);
   (* a crash between snapshot rename and journal reset is also safe:
-     same-generation skip drops the already-folded prefix *)
-  let repo3, _ = reload p in
-  let stale =
-    { J.entries = rr.J.entries; torn = false; tail = J.Clean;
-      generation = meta.Snap.journal_generation }
-  in
-  let skip3 = Repository.recover_skip meta stale in
-  checki "watermark skip on the same generation" meta.Snap.journal_watermark
-    skip3;
-  ignore repo3
+     the same generation skips the prefix the snapshot folded *)
+  let j = J.open_ jp in
+  FP.set ~action:FP.Raise "checkpoint_truncate";
+  (Fun.protect ~finally:FP.clear @@ fun () ->
+   match Repository.checkpoint ~journal:j repo2 p with
+   | exception FP.Triggered _ -> ()
+   | _ -> Alcotest.fail "armed checkpoint failpoint must fire");
+  J.close j;
+  let repo3, r = cold () in
+  checki "nothing replayed twice" 0 r.Repository.replayed_txns;
+  checks "snapshot alone = crash state" after (xml repo3)
 
 let () =
   Alcotest.run "snapshot"

@@ -30,14 +30,15 @@ let pub_doc =
 let rev_doc =
   {|<review><track><name>DB</name><rev><name>Carl</name><sub><title>S1</title><auts><name>Ann</name></auts></sub></rev><rev><name>Rita</name><sub><title>S2</title><auts><name>Bob</name></auts></sub></rev></track></review>|}
 
-let base_repo () =
+(* Every repository here comes up as a restart does. *)
+let bring_up
+    ?(source = Repository.Documents (List.to_seq [ ("pub", pub_doc); ("rev", rev_doc) ]))
+    journal =
   let s = Lazy.force schema in
-  let repo = Repository.create s in
-  Repository.load_fused repo pub_doc;
-  Repository.load_fused repo rev_doc;
-  Repository.add_constraint repo (Conf.conflict s);
-  Repository.register_pattern repo (Conf.submission_pattern s);
-  repo
+  Repository.bring_up s source ~constraints:[ Conf.conflict s ]
+    ~patterns:[ Conf.submission_pattern s ] ~journal
+
+let base_repo () = fst (bring_up None)
 
 let xml repo = Xic_xml.Xml_printer.to_string (Repository.doc repo)
 
@@ -117,33 +118,24 @@ let golden_states ~seed ops =
 (* ------------------------------------------------------------------ *)
 
 let recover_state ~ctx jpath spath =
-  let s = Lazy.force schema in
-  let repo = Repository.create s in
-  let meta =
-    if Sys.file_exists spath then Some (Repository.load_snapshot repo spath)
-    else begin
-      Repository.load_fused repo pub_doc;
-      Repository.load_fused repo rev_doc;
-      None
-    end
-  in
-  Repository.add_constraint repo (Conf.conflict s);
-  (* materialize the incremental denial views *before* replay, so the
+  (* the bring-up materializes the views *before* the replay, so the
      replay deltas must maintain them (and the recovery post-check reads
      the maintained views, not a recompute) *)
-  ignore (Repository.check_incremental repo : string list);
-  if Sys.file_exists jpath then begin
-    let rr = J.read jpath in
-    let skip =
-      match meta with Some m -> Repository.recover_skip m rr | None -> 0
-    in
-    let r = Repository.recover ~skip rr repo in
-    Alcotest.(check (list (pair int string)))
-      (ctx ^ ": replay is clean") [] r.Repository.replay_errors;
-    Alcotest.(check (list string))
-      (ctx ^ ": recovered state is consistent") []
-      r.Repository.post_violations
-  end;
+  let repo, report =
+    if Sys.file_exists spath then
+      bring_up ~source:(Repository.Snapshot spath) (Some jpath)
+    else bring_up (Some jpath)
+  in
+  (match report with
+   | Some r ->
+     checkb (ctx ^ ": no crash point corrupts the journal") true
+       (match r.Repository.tail with J.Corrupt _ -> false | _ -> true);
+     Alcotest.(check (list (pair int string)))
+       (ctx ^ ": replay is clean") [] r.Repository.replay_errors;
+     Alcotest.(check (list string))
+       (ctx ^ ": recovered state is consistent") []
+       r.Repository.post_violations
+   | None -> ignore (Repository.check_incremental repo : string list));
   (* no stale materialized state survives a crash: the event-maintained
      store equals a from-scratch re-shred, and the delta-maintained
      views equal a from-scratch recompute *)

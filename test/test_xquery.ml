@@ -248,8 +248,11 @@ let test_join_needs_two_bindings () =
 (* --explain prints the plan that runs.  A single-binding quantifier or
    a one-[for] FLWOR narrows its binding once per evaluation, so the
    probes one indexed evaluation makes equal the [index probe] lines of
-   its plan.  A comparand that mentions the bound variable, or one bound
-   after it, cannot drive a probe and must not be printed as one. *)
+   its plan.  So does a two-binding join: its outer binding narrows once,
+   and its deepest one is answered from the hash table, its probe line
+   labelled as the join's fallback.  A comparand that mentions the bound
+   variable, or one bound after it, cannot drive a probe and must not be
+   printed as one. *)
 let probes_of_run q =
   let module M = Xic_obs.Obs.Metrics in
   let c = M.counter "eval_index_probes" in
@@ -279,7 +282,9 @@ let test_explain_matches_run () =
       let v, probes = probes_of_run q in
       checki q (probe_lines q) probes;
       checkb ("verdict of " ^ q) (ebool q) v)
-    [ {|some $r in //rev satisfies $r/sub/auts/name/text() = $r/name/text()|};
+    [ {|some $r in //rev, $a in //auts satisfies $a/name/text() = $r/name/text()|};
+      {|some $t in //track, $r in //rev satisfies $t/name/text() = "DB" and $r/name/text() = $t/rev/name/text()|};
+      {|some $r in //rev satisfies $r/sub/auts/name/text() = $r/name/text()|};
       {|some $r in //rev satisfies $r/name/text() = "Minnie"|};
       {|some $r in //rev satisfies $r/../name/text() = "DB" and $r/name/text() = "Goofy"|};
       {|some $s in //sub satisfies $s/auts/name/text() = $s/../name/text()|};
