@@ -360,7 +360,8 @@ let ingest ~sizes ~reps () =
           ignore (Xic_xml.Xml_parser.parse_string ds.Gen.rev_xml)
         in
         (* the two-pass ablation: parse into the arena, register the
-           roots, then force the second-walk shred *)
+           roots, then force the mirror's flush, which shreds them
+           node by node into the store *)
         let legacy () =
           let repo = Repository.create s in
           List.iter

@@ -132,7 +132,7 @@ let obs_setup ~trace ~metrics ~slow_ms =
   if metrics || trace <> None || slow_ms <> None then
     Obs.Metrics.set_detailed true;
   if trace <> None || slow_ms <> None then Obs.Trace.set_enabled true;
-  Option.iter (fun ms -> Obs.set_slow_threshold_ms (Some ms)) slow_ms
+  Option.iter (fun ms -> Obs.Trace.set_slow_threshold_ms (Some ms)) slow_ms
 
 let print_slow_log () =
   match Obs.Trace.slow_log () with

@@ -66,6 +66,18 @@ type optimized_check = {
   mutable simplified_plan : Xic_xquery.Eval.compiled option;
 }
 
+(* An optimized check that could not be completed, or a (pattern,
+   constraint) pair [Simp] cannot simplify. *)
+type degradation = { failed_check : string; reason : string }
+
+(* A registered pattern with its pre-compiled checks; [unsupported]
+   holds the constraints that get none, each with the reason. *)
+type registered = {
+  pattern : Pattern.t;
+  checks : optimized_check list;
+  unsupported : degradation list;
+}
+
 type plan_stats = {
   plan_hits : int;    (* checks served by a cached plan *)
   plan_misses : int;  (* compilations *)
@@ -79,20 +91,15 @@ type delta_counters = {
   mutable facts_removed : int;
 }
 
-(* Views frozen with a generation; they may answer only while
-   [fv_constraints] is still the repository's constraint list. *)
-type frozen_views = {
-  fv_incr : Incr.t;
-  fv_view : Xic_datalog.Store.t;  (* frozen *)
-  fv_constraints : Constr.t list;
-}
-
-(* One retained generation: a frozen store handle (plus frozen views)
-   shared by every pin of that generation, refcounted so the table can
-   tell in-flight readers from history kept for time-travel checks. *)
+(* One retained generation: frozen handles of the store and of the
+   denial views, shared by every pin of that generation, refcounted so
+   the table can tell in-flight readers from history kept for
+   time-travel checks.  [r_incr] holds the views' definitions, so a pin
+   answers for the constraints it was taken with. *)
 type retained = {
   r_store : Xic_datalog.Store.t;  (* frozen *)
-  r_views : frozen_views option;
+  r_incr : Incr.t;
+  r_view : Xic_datalog.Store.t;  (* frozen *)
   r_mut : int;  (* mutation stamp at freeze time, for freshness checks *)
   mutable r_refs : int;
 }
@@ -101,12 +108,13 @@ type t = {
   schema : Schema.t;
   doc : Doc.t;
   mutable constraints : Constr.t list;
-  mutable compiled : (Pattern.t * optimized_check list) list;
-  mutable store : Xic_datalog.Store.t option;
-  (* event-driven store maintenance; attached iff [store] is [Some] *)
-  mutable mirror : Xic_relmap.Mirror.t option;
+  mutable compiled : registered list;
+  (* the relational mirror of the documents, exact after every flush *)
+  mutable store : Xic_datalog.Store.t;
+  (* event-driven maintenance of [store] *)
+  mutable mirror : Mirror.t;
   (* the materialized denial views, built by the first verdict *)
-  mutable incr : Xic_datalog.Incr.t option;
+  mutable incr : Incr.t option;
   deltas : delta_counters;
   mutable eval_budget : int option;
   mutable index : Index.t option;
@@ -132,8 +140,9 @@ exception Repository_error of string
 let fail fmt = Printf.ksprintf (fun s -> raise (Repository_error s)) fmt
 
 let create schema =
-  { schema; doc = Doc.create (); constraints = []; compiled = []; store = None;
-    mirror = None; incr = None;
+  let doc = Doc.create () and store = Xic_datalog.Store.create () in
+  { schema; doc; constraints = []; compiled = []; store;
+    mirror = Mirror.create (Schema.mapping schema) doc store; incr = None;
     deltas =
       { flushes = 0; facts_added = 0; facts_removed = 0 };
     eval_budget = None; index = None;
@@ -151,10 +160,10 @@ let plan_stats (_ : t) =
 let cached_plans t =
   Hashtbl.length t.full_plans
   + List.fold_left
-      (fun acc (_, checks) ->
+      (fun acc r ->
         acc
         + List.length
-            (List.filter (fun ch -> Option.is_some ch.simplified_plan) checks))
+            (List.filter (fun ch -> Option.is_some ch.simplified_plan) r.checks))
       0 t.compiled
 
 let schema t = t.schema
@@ -205,30 +214,22 @@ let metrics_prometheus t =
   sync_gauges t;
   Obs.Metrics.to_prometheus ()
 
-let invalidate_store t =
-  (match t.mirror with Some m -> Mirror.detach m | None -> ());
-  t.mirror <- None;
-  t.store <- None;
+(* Install a store known to be exact for the current documents and
+   attach the event-driven mirror that keeps it that way across updates,
+   undo, savepoint rollback and recovery replay.  Views, pins and
+   history belong to the store they were built on, so they go with it. *)
+let install_store t s =
+  Mirror.detach t.mirror;
+  t.store <- s;
+  t.mirror <- Mirror.create (Schema.mapping t.schema) t.doc s;
   t.incr <- None;
-  (* generation numbers no longer name states of the store being
-     dropped; outstanding pins keep their handles, the table does not *)
   Hashtbl.reset t.retained;
   t.mutations <- t.mutations + 1
 
-(* Install a store known to be exact for the current documents and
-   attach the event-driven mirror that keeps it that way across updates,
-   undo, savepoint rollback and recovery replay. *)
-let install_store t s =
-  (match t.mirror with Some m -> Mirror.detach m | None -> ());
-  t.store <- Some s;
-  Hashtbl.reset t.retained;
-  t.mutations <- t.mutations + 1;
-  t.mirror <- Some (Mirror.create (Schema.mapping t.schema) t.doc s)
-
 (* Reconcile pending mutation marks into the store and feed the net
    delta to the live materialized views (if any).  A view that cannot be
-   maintained (unsafe denial, exhausted budget) is dropped; the next
-   incremental check re-initializes from scratch.
+   maintained (unsafe denial, exhausted budget) is dropped, so a
+   half-maintained view never answers; the next verdict re-initializes.
 
    [~proven:true] is {!txn_apply}'s word that the pending marks are one
    statement whose simplified checks all held on the state the views
@@ -237,11 +238,10 @@ let install_store t s =
    none of its delta rules run ({!Incr.apply_delta}).  The store, the
    net delta and the counters are reconciled as on any flush. *)
 let sync_store ?(proven = false) t =
-  match (t.store, t.mirror) with
-  | Some s, Some m when Mirror.has_dirty m ->
+  if Mirror.has_dirty t.mirror then
     Obs.Trace.with_span "delta_flush" (fun () ->
         let d = Delta.create () in
-        Mirror.flush m ~into:d;
+        Mirror.flush t.mirror ~into:d;
         t.deltas.flushes <- t.deltas.flushes + 1;
         t.deltas.facts_added <- t.deltas.facts_added + Delta.gross_added d;
         t.deltas.facts_removed <- t.deltas.facts_removed + Delta.gross_removed d;
@@ -251,13 +251,14 @@ let sync_store ?(proven = false) t =
         match t.incr with
         | Some inc when not (Delta.is_empty d) ->
           (try
-             if Incr.apply_delta ~proven inc s d then
+             if Incr.apply_delta ~proven inc t.store d then
                Obs.Metrics.incr c_incr_proven
            with Xic_datalog.Eval.Unsafe _ | Xic_datalog.Eval.Budget_exceeded ->
              t.incr <- None)
         | _ -> ())
-  | _ -> ()
 
+(* The root's attach event reaches the mirror, so the next flush adds
+   its facts and maintains the views by delta. *)
 let add_document_root ?(validate = true) t root =
   if validate then begin
     match Schema.validate_root t.schema t.doc root with
@@ -265,116 +266,101 @@ let add_document_root ?(validate = true) t root =
     | Error m -> fail "document rejected: %s" m
   end;
   Doc.add_root t.doc root;
-  invalidate_store t
+  t.mutations <- t.mutations + 1
 
 (* Fused single-pass load: parse, intern and shred in one streaming scan
-   of the source.  The store is fed through a [Shred.sink] while the
-   parse runs when it can be kept exact:
-   - an existing materialised store gains the new document's facts;
-   - a repository with no documents yet gets a fresh store built in-pass;
-   - otherwise (documents loaded but the store not yet demanded) the
-     store simply stays lazy.
+   of the source, the parser feeding a [Shred.sink] into the store.  The
+   sink keeps the store exact in-pass, so the mirror is silenced (after
+   flushing older marks) and the parser's attach events mark nothing.
    On any failure — parse error, shredding error, validation reject —
-   the store is invalidated: the partially parsed nodes are unreachable
-   (the root is only registered on success), so the next [store] demand
-   rebuilds an exact mirror from the registered roots. *)
+   the partially parsed nodes are unreachable (the root is only
+   registered on success) but their facts are stored: re-shredding the
+   live roots makes the store exact again. *)
 let load_fused ?(validate = true) t source =
   Obs.Trace.with_span "ingest" (fun () ->
       let facts = ref 0 in
-      let sink =
-        match t.store with
-        | Some s ->
-          (* the sink keeps the store exact in-pass; silence the mirror
-             so the parser's attach events don't mark the whole new
-             document dirty (flush any older marks first) *)
-          sync_store t;
-          (match t.mirror with Some m -> Mirror.set_active m false | None -> ());
-          Some (Xic_relmap.Shred.sink ~count:facts (Schema.mapping t.schema) t.doc s)
-        | None ->
-          if Doc.has_root t.doc then None
-          else begin
-            let s = Xic_datalog.Store.create () in
-            t.store <- Some s;
-            Some
-              (Xic_relmap.Shred.sink ~count:facts (Schema.mapping t.schema) t.doc s)
-          end
+      let mapping = Schema.mapping t.schema in
+      sync_store t;
+      Mirror.set_active t.mirror false;
+      let failed fmt =
+        Printf.ksprintf
+          (fun m ->
+            install_store t (Xic_relmap.Shred.shred mapping t.doc);
+            raise (Repository_error m))
+          fmt
       in
-      match Xml_parser.parse_document_into ?sink t.doc source with
+      let sink = Xic_relmap.Shred.sink ~count:facts mapping t.doc t.store in
+      match Xml_parser.parse_document_into ~sink t.doc source with
       | exception Xml_parser.Parse_error { line; col; msg } ->
-        invalidate_store t;
-        fail "XML parse error at %d:%d: %s" line col msg
+        failed "XML parse error at %d:%d: %s" line col msg
       | exception Xic_relmap.Shred.Shred_error m ->
-        invalidate_store t;
-        fail "shred error during load: %s" m
+        failed "shred error during load: %s" m
       | root, _dtd ->
         (if validate then
            match Schema.validate_root t.schema t.doc root with
            | Ok () -> ()
-           | Error m ->
-             invalidate_store t;
-             fail "document rejected: %s" m);
+           | Error m -> failed "document rejected: %s" m);
         Doc.add_root t.doc root;
         (* a whole new document's facts arrived outside the delta path:
            rearm the mirror and drop any materialized views (the next
-           incremental check re-initializes against the new store) *)
-        (match (t.store, t.mirror) with
-         | Some _, Some m -> Mirror.set_active m true
-         | Some s, None -> install_store t s
-         | None, _ -> ());
+           verdict re-initializes them against the new store) *)
+        Mirror.set_active t.mirror true;
         t.incr <- None;
         t.mutations <- t.mutations + 1;
         Obs.Metrics.incr c_ingest_fused;
         Obs.Metrics.add c_ingest_bytes (String.length source);
         Obs.Metrics.add c_ingest_facts !facts)
 
+(* A constraint [Simp] cannot simplify for the pattern (an aggregate
+   [After] does not support, such as [sum]) gets no pre-check: a
+   matching statement reports it degraded and takes the full check. *)
 let compile_checks t (p : Pattern.t) =
-  List.map
-    (fun (c : Constr.t) ->
-      let simplified = Pattern.simplify t.schema p c in
-      let simplified_xquery =
-        Xic_translate.Translate.denials (Schema.mapping t.schema) simplified
-      in
-      { constraint_name = c.Constr.name; simplified; simplified_xquery;
-        simplified_plan = None })
-    t.constraints
+  let checks, unsupported =
+    List.partition_map
+      (fun (c : Constr.t) ->
+        match Pattern.simplify t.schema p c with
+        | simplified ->
+          let simplified_xquery =
+            Xic_translate.Translate.denials (Schema.mapping t.schema) simplified
+          in
+          Left
+            { constraint_name = c.Constr.name; simplified; simplified_xquery;
+              simplified_plan = None }
+        | exception Xic_simplify.After.Unsupported reason ->
+          Right { failed_check = c.Constr.name; reason })
+      t.constraints
+  in
+  { pattern = p; checks; unsupported }
 
 let recompile t =
-  t.compiled <- List.map (fun (p, _) -> (p, compile_checks t p)) t.compiled
+  t.compiled <- List.map (fun r -> compile_checks t r.pattern) t.compiled
 
-let add_constraint ?(verify = false) t c =
+let add_constraint t c =
   if List.exists (fun c' -> c'.Constr.name = c.Constr.name) t.constraints then
     fail "duplicate constraint name %s" c.Constr.name;
-  if verify && Constr.violated_xquery ~index:(index t) t.doc c then
-    fail "the current documents already violate %s" c.Constr.name;
   t.constraints <- t.constraints @ [ c ];
   Hashtbl.reset t.full_plans;
   t.incr <- None;  (* the view set changed; re-materialize on demand *)
   recompile t
 
 let register_pattern t p =
-  if List.exists (fun (p', _) -> p'.Pattern.name = p.Pattern.name) t.compiled then
+  if List.exists (fun r -> r.pattern.Pattern.name = p.Pattern.name) t.compiled then
     fail "duplicate pattern name %s" p.Pattern.name;
-  t.compiled <- t.compiled @ [ (p, compile_checks t p) ]
+  t.compiled <- t.compiled @ [ compile_checks t p ]
 
 let constraints t = t.constraints
-let patterns t = List.map fst t.compiled
+let patterns t = List.map (fun r -> r.pattern) t.compiled
 
-let optimized_checks t p =
-  match
-    List.find_opt (fun (p', _) -> p'.Pattern.name = p.Pattern.name) t.compiled
-  with
-  | Some (_, checks) -> checks
+let registered t (p : Pattern.t) =
+  match List.find_opt (fun r -> r.pattern.Pattern.name = p.Pattern.name) t.compiled with
+  | Some r -> r
   | None -> fail "pattern %s is not registered" p.Pattern.name
 
+let optimized_checks t p = (registered t p).checks
+
 let store t =
-  match t.store with
-  | Some s ->
-    sync_store t;
-    s
-  | None ->
-    let s = Xic_relmap.Shred.shred (Schema.mapping t.schema) t.doc in
-    install_store t s;
-    s
+  sync_store t;
+  t.store
 
 (* A check plan served from its cache slot: [cached] is the slot's
    plan, [store] fills it.  Every request counts as a hit or a miss
@@ -418,26 +404,54 @@ let check_full t =
           else None)
         plans)
 
-let violated_datalog t s =
+let check_full_datalog t =
+  let s = store t in
   List.filter_map
     (fun c -> if Constr.violated_datalog s c then Some c.Constr.name else None)
     t.constraints
 
-let check_full_datalog t = violated_datalog t (store t)
+(* ------------------------------------------------------------------ *)
+(* Incremental (delta-driven) checking                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The materialized denial views: built from the store by the first
+   demand, maintained by every flush after it. *)
+let views t =
+  let s = store t in  (* flushes the mirror and maintains any live views *)
+  match t.incr with
+  | Some i -> i
+  | None ->
+    let i =
+      Incr.create
+        (List.map (fun (c : Constr.t) -> (c.Constr.name, c.Constr.datalog))
+           t.constraints)
+    in
+    Incr.initialize i s;
+    t.incr <- Some i;
+    i
+
+let set_incremental t enabled = if not enabled then t.incr <- None
+
+let check_incremental t =
+  Obs.Trace.with_span "check_incremental" @@ fun () ->
+  let i = views t in
+  Obs.Metrics.incr c_checks_incremental;
+  Incr.violated i
+
+let incr_view t = Option.map Incr.view t.incr
 
 (* ------------------------------------------------------------------ *)
 (* Pinned snapshots (reader isolation)                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A pin is a frozen generation handle of the materialized store (and
-   of the denial views, when they exist), stamped with the generation
-   it captured.  Freezing is an O(#relations) pointer capture
-   ([Store.freeze]): the handle shares the per-relation insertion logs
-   with the live writer, which only ever conses onto its own head, so
-   checks against a pin are unaffected by later commits, checkpoints or
-   journal truncation — at no copy cost and O(delta) retained memory.
-   Verdicts from the frozen views or over the frozen store equal the
-   XQuery check (oracle-proven).
+(* A pin is a frozen generation handle of the materialized store and of
+   the denial views, stamped with the generation it captured.  Freezing
+   is an O(#relations) pointer capture ([Store.freeze]): the handle
+   shares the per-relation insertion logs with the live writer, which
+   only ever conses onto its own head, so checks against a pin are
+   unaffected by later commits, checkpoints or journal truncation — at
+   no copy cost and O(delta) retained memory.  Verdicts from the frozen
+   views equal the XQuery check (oracle-proven).
 
    Handles live in a refcounted retained-generation table: pins of the
    same generation share one handle (amortizing its lazy index builds
@@ -464,26 +478,23 @@ let prune_retained ?(keep_history = true) t =
   if drop > 0 then
     List.iteri (fun i g -> if i < drop then Hashtbl.remove t.retained g) zero
 
-(* Pinning never materializes views: without them, pinned verdicts
-   recompute. *)
-let freeze_views t =
-  Option.map
-    (fun i ->
-      { fv_incr = i; fv_view = Xic_datalog.Store.freeze (Incr.view i);
-        fv_constraints = t.constraints })
-    t.incr
-
+(* A retained entry is reused while the documents and the live views are
+   the ones it froze; a new constraint list builds new views, and so a
+   new entry. *)
 let pin t =
   let g = t.generation in
   match Hashtbl.find_opt t.retained g with
-  | Some r when r.r_mut = t.mutations ->
+  | Some r
+    when r.r_mut = t.mutations
+         && (match t.incr with Some i -> i == r.r_incr | None -> false) ->
     r.r_refs <- r.r_refs + 1;
     { pin_generation = g; pin_entry = r }
   | _ ->
-    let s = store t in  (* flush pending marks so the freeze is exact *)
+    let i = views t in  (* flushes pending marks so the freeze is exact *)
     let r =
-      { r_store = Xic_datalog.Store.freeze s; r_views = freeze_views t;
-        r_mut = t.mutations; r_refs = 1 }
+      { r_store = Xic_datalog.Store.freeze t.store; r_incr = i;
+        r_view = Xic_datalog.Store.freeze (Incr.view i); r_mut = t.mutations;
+        r_refs = 1 }
     in
     Hashtbl.replace t.retained g r;
     prune_retained t;
@@ -507,30 +518,23 @@ let retained_generations t =
   |> List.sort compare
 
 let retained_bytes t =
-  match t.store with
-  | None -> 0
-  | Some live ->
-    sync_store t;
-    let live_view =
-      Option.fold ~none:(Xic_datalog.Store.create ()) ~some:Incr.view t.incr
-    in
-    let views_bytes v = Xic_datalog.Store.unshared_bytes ~live:live_view v.fv_view in
-    Hashtbl.fold
-      (fun _ r acc ->
-        acc + Xic_datalog.Store.unshared_bytes ~live r.r_store
-        + Option.fold ~none:0 ~some:views_bytes r.r_views)
-      t.retained 0
+  let live = store t in
+  let live_view =
+    Option.fold ~none:(Xic_datalog.Store.create ()) ~some:Incr.view t.incr
+  in
+  Hashtbl.fold
+    (fun _ r acc ->
+      acc
+      + Xic_datalog.Store.unshared_bytes ~live r.r_store
+      + Xic_datalog.Store.unshared_bytes ~live:live_view r.r_view)
+    t.retained 0
 
 let pin_generation p = p.pin_generation
 let pin_store p = p.pin_entry.r_store
+let pin_view p = p.pin_entry.r_view
 
-let pin_view p = Option.map (fun v -> v.fv_view) p.pin_entry.r_views
-
-let check_pinned t (p : pin) =
-  match p.pin_entry.r_views with
-  | Some v when v.fv_constraints == t.constraints ->
-    Incr.violated ~view:v.fv_view v.fv_incr
-  | _ -> violated_datalog t p.pin_entry.r_store
+let check_pinned (_ : t) (p : pin) =
+  Incr.violated ~view:p.pin_entry.r_view p.pin_entry.r_incr
 
 let check_as_of t g =
   match pin_as_of t g with
@@ -539,38 +543,6 @@ let check_as_of t g =
     let v = check_pinned t p in
     unpin t p;
     Some v
-
-(* ------------------------------------------------------------------ *)
-(* Incremental (delta-driven) checking                                 *)
-(* ------------------------------------------------------------------ *)
-
-let set_incremental t enabled = if not enabled then t.incr <- None
-
-(* Views that cannot be built leave none behind; the full check
-   answers instead. *)
-let check_incremental t =
-  Obs.Trace.with_span "check_incremental" @@ fun () ->
-  let s = store t in  (* flushes the mirror and maintains any live views *)
-  (if Option.is_none t.incr then
-     match
-       let i =
-         Incr.create
-           (List.map (fun (c : Constr.t) -> (c.Constr.name, c.Constr.datalog))
-              t.constraints)
-       in
-       Incr.initialize i s;
-       i
-     with
-     | i -> t.incr <- Some i
-     | exception (Xic_datalog.Eval.Unsafe _ | Xic_datalog.Eval.Budget_exceeded)
-       -> ());
-  match t.incr with
-  | Some i ->
-    Obs.Metrics.incr c_checks_incremental;
-    Incr.violated i
-  | None -> check_full t
-
-let incr_view t = Option.map Incr.view t.incr
 
 type delta_stats = {
   delta_flushes : int;
@@ -618,14 +590,12 @@ let match_update t (u : XU.t) =
   match u with
   | [ m ] ->
     List.find_map
-      (fun (p, _) ->
-        match Pattern.match_modification t.schema t.doc p m with
-        | Some v -> Some (p, v)
+      (fun r ->
+        match Pattern.match_modification t.schema t.doc r.pattern m with
+        | Some v -> Some (r.pattern, v)
         | None -> None)
       t.compiled
   | _ -> None
-
-type degradation = { failed_check : string; reason : string }
 
 (* Each check evaluation gets its own budget, so one pathological check
    cannot starve the others. *)
@@ -635,7 +605,7 @@ let budgeted t f =
   | Some steps -> Xic_xquery.Eval.with_budget ~steps f
 
 let try_check_optimized t p valuation =
-  let checks = optimized_checks t p in
+  let r = registered t p in
   let params = Pattern.xquery_params valuation in
   let rec go violated degs = function
     | [] -> (List.rev violated, List.rev degs)
@@ -661,7 +631,7 @@ let try_check_optimized t p valuation =
             :: degs)
            rest)
   in
-  go [] [] checks
+  go [] (List.rev r.unsupported) r.checks
 
 type witness = {
   witness_constraint : string;
@@ -850,10 +820,7 @@ let txn_apply tx (u : XU.t) =
     (* Theorem 1's premise, per constraint: the statement answers only
        for the constraints that held before it.  Flushing the pending
        marks first makes the views describe that state. *)
-    let violated_before =
-      ignore (store t : Xic_datalog.Store.t);
-      match t.incr with Some i -> Incr.violated i | None -> check_incremental t
-    in
+    let violated_before = Incr.violated (views t) in
     let before = tx.txn_seq in
     let undo = exec "full_check" in
     match
@@ -938,7 +905,7 @@ let guarded_batch ?journal t (us : XU.t list) =
     let tx = begin_txn ?journal t in
     let reports = List.map (txn_apply tx) us in
     if tx.txn_seq > 0 then commit_txn tx else rollback_txn tx;
-    (match t.store with Some _ -> ignore (store t) | None -> ());
+    sync_store t;
     reports
 
 let guarded_update ?journal t u =
@@ -1058,6 +1025,10 @@ let checkpoint ?journal t path =
 let load_snapshot t path =
   if Doc.has_root t.doc || Doc.id_bound t.doc > 0 then
     fail "load_snapshot: the repository already contains documents";
+  (* the image brings its own store: the restored arena's attach
+     events need no marks *)
+  Mirror.set_active t.mirror false;
+  Fun.protect ~finally:(fun () -> Mirror.set_active t.mirror true) @@ fun () ->
   let meta, s = Snap.load path t.doc in
   install_store t s;
   meta

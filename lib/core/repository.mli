@@ -91,25 +91,29 @@ val load_fused : ?validate:bool -> t -> string -> unit
     comments, processing instructions and whitespace around it.  The
     Datalog store is filled while parsing, and positions come from the
     parser for free; the differential oracle checks the store and the
-    verdicts against an independent parse-then-shred.  When the store
-    cannot be kept exact in-pass (documents already loaded but the store
-    never demanded) it simply stays lazy.  On failure the store is
-    invalidated and no root is registered.
+    verdicts against an independent parse-then-shred.  The views are
+    dropped, and the next verdict rebuilds them.  On failure no root is
+    registered and the store is re-shredded from the live roots, so it
+    stays exact.
     @raise Repository_error on parse, shredding or validation failure. *)
 
 val add_document_root : ?validate:bool -> t -> Doc.node_id -> unit
-(** Register an already-built tree (e.g. from a generator) as a root. *)
+(** Register an already-built tree (e.g. from a generator) as a root.
+    Its facts reach the store by the next flush, which maintains the
+    views by delta. *)
 
-val add_constraint : ?verify:bool -> t -> Constr.t -> unit
+val add_constraint : t -> Constr.t -> unit
 (** Register a constraint; simplified checks are (re)compiled for every
-    registered pattern.  With [verify] (default false), the constraint is
-    first evaluated against the current documents and registration fails
-    if they already violate it — the simplification framework assumes a
-    consistent starting state. *)
+    registered pattern, and the views are rebuilt by the next verdict.
+    The simplification framework assumes a consistent starting state;
+    registration does not check it. *)
 
 val register_pattern : t -> Pattern.t -> unit
 (** Register an update pattern: runs [Simp] against every constraint and
-    pre-translates the simplified checks to XQuery. *)
+    pre-translates the simplified checks to XQuery.  A constraint [Simp]
+    cannot simplify for the pattern (a [sum] bound the pattern's
+    insertions reach) gets no pre-check: a matching statement reports
+    it as a {!degradation} and takes the full check. *)
 
 val constraints : t -> Constr.t list
 val patterns : t -> Pattern.t list
@@ -123,16 +127,16 @@ val check_full : t -> string list
     full XQuery checks. *)
 
 val check_full_datalog : t -> string list
-(** Same, evaluated over the relational mirror (shredded on demand);
-    the tests' recompute reference. *)
+(** Same, every denial evaluated over the relational mirror; the tests'
+    recompute reference. *)
 
 (** {1 Pinned generations (reader isolation, O(1))}
 
     A pin is a frozen generation handle of the materialized store
     ([Store.freeze]) stamped with the {!generation} it captured: an
     O(#relations) pointer capture sharing the per-relation insertion
-    logs with the live writer, {e not} a copy — and, when they exist,
-    of the materialized denial views the same way.  The writer only ever
+    logs with the live writer, {e not} a copy — and of the materialized
+    denial views the same way.  The writer only ever
     conses onto its own log heads, so a pinned reader's verdicts are
     unaffected by later commits, checkpoints, and journal truncation —
     the snapshot-isolated read side of the check server — while a pin
@@ -155,9 +159,10 @@ type pin
 
 val pin : t -> pin
 (** Capture the current state in O(1) (flushes pending mutation marks
-    first, then freezes — no copy; never materializes views).  Repeated
-    pins of an unchanged generation return the same shared handle.
-    Must not be taken while
+    first, then freezes the store and the views — no copy; the views are
+    built first if no verdict has built them yet).  Repeated pins of an
+    unchanged generation and constraint list return the same shared
+    handle.  Must not be taken while
     a transaction holds applied-but-uncommitted statements — the handle
     would capture them as committed state; pin before {!begin_txn}, or
     after the transaction closes. *)
@@ -190,14 +195,14 @@ val retained_bytes : t -> int
 val pin_generation : pin -> int
 val pin_store : pin -> Xic_datalog.Store.t
 
-val pin_view : pin -> Xic_datalog.Store.t option
-(** The views frozen with the pin, if any (see {!incr_view}). *)
+val pin_view : pin -> Xic_datalog.Store.t
+(** The views frozen with the pin (see {!incr_view}). *)
 
 val check_pinned : t -> pin -> string list
 (** Names of constraints violated in the pinned state, verdict-equivalent
     to {!check_full} at the time the pin was taken: an emptiness test per
-    denial over the frozen views — or, when the pin has none or they
-    predate a constraint added since, every denial over the pinned store. *)
+    denial over the frozen views.  A pin answers for the constraints it
+    was taken with. *)
 
 (** {1 Incremental (delta-driven) checking}
 
@@ -220,9 +225,8 @@ val check_incremental : t -> string list
     views — initialized from the store on first use, maintained by
     deltas afterwards.  Verdict-equivalent to {!check_full} (oracle
     route 8 asserts this, plus [Store.equal] of the views against a
-    from-scratch recompute).  Total: when the views cannot be built (a
-    denial outside the maintainable fragment, an exhausted
-    [Xic_datalog.Eval] budget), {!check_full} answers. *)
+    from-scratch recompute).  A flush that cannot maintain a view drops
+    the views, and the next verdict rebuilds them. *)
 
 val incr_view : t -> Xic_datalog.Store.t option
 (** The materialized witness store, when views exist — one relation
@@ -254,16 +258,18 @@ val match_update : t -> Xic_xupdate.Xupdate.t -> (Pattern.t * Pattern.valuation)
     patterns (first match wins). *)
 
 (** An optimized check that could not be completed (evaluation error or
-    exhausted step budget); the guarded-update engine falls back to the
-    full check and reports the degradation. *)
+    exhausted step budget), or a constraint [Simp] could not simplify for
+    the pattern; the guarded-update engine falls back to the full check
+    and reports the degradation. *)
 type degradation = { failed_check : string; reason : string }
 
 val try_check_optimized :
   t -> Pattern.t -> Pattern.valuation -> string list * degradation list
 (** Names of constraints whose simplified check reports a violation for
     the proposed update (evaluated on the {e current} state), plus the
-    checks that degraded (evaluation error, exhausted step budget)
-    instead of completing. *)
+    constraints the pattern has no check for, then the checks that
+    degraded (evaluation error, exhausted step budget) instead of
+    completing. *)
 
 (** Result of a guarded update. *)
 type outcome =
@@ -471,8 +477,8 @@ val apply_unchecked : t -> Xic_xupdate.Xupdate.t -> Xic_xupdate.Xupdate.undo
 val rollback : t -> Xic_xupdate.Xupdate.undo -> unit
 
 val store : t -> Xic_datalog.Store.t
-(** The relational mirror of the current documents (rebuilt lazily after
-    updates). *)
+(** The relational mirror of the current documents, after reconciling
+    the marks pending since the last flush. *)
 
 (** A concrete witness of a constraint violation. *)
 type witness = {

@@ -400,5 +400,3 @@ module Metrics = struct
         Array.fill h.h_buckets 0 n_buckets 0)
       histograms
 end
-
-let set_slow_threshold_ms = Trace.set_slow_threshold_ms

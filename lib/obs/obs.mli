@@ -133,5 +133,3 @@ module Metrics : sig
   (** Zero every registered counter and histogram. *)
   val reset : unit -> unit
 end
-
-val set_slow_threshold_ms : float option -> unit

@@ -264,10 +264,7 @@ let do_check t req =
   | Error msg -> error msg
   | Ok None ->
     let violated = R.check_incremental t.srepo in
-    (* no views left behind means the full check answered *)
-    Obs.Trace.add_attr "route"
-      (if Option.is_none (R.incr_view t.srepo) then "recompute"
-       else "incremental");
+    Obs.Trace.add_attr "route" "incremental";
     check_response ~isolation:"live" ~generation:(R.generation t.srepo)
       violated
   | Ok (Some (isolation, p, transient)) ->
@@ -486,7 +483,6 @@ let do_stats t =
   let uptime_s =
     Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t.started_ns) /. 1e9
   in
-  let d = R.delta_stats t.srepo in
   ok
     [ ( "server",
         P.Obj
@@ -510,9 +506,6 @@ let do_stats t =
             ("major_collections", P.Int gc.Gc.major_collections);
             ("major_words", P.Int (int_of_float gc.Gc.major_words));
             ("heap_words", P.Int gc.Gc.heap_words) ] );
-      ( "delta",
-        P.Obj
-          [ ("flushes", P.Int d.R.delta_flushes) ] );
       (* the exact document the CLI's --metrics prints: one formatter,
          one schema (per-op serve_*_ms histograms included) *)
       ("metrics", P.Raw (R.metrics_json t.srepo)) ]

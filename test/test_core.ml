@@ -136,19 +136,6 @@ let test_check_full_detects_violation () =
   Alcotest.(check (list string)) "datalog agrees" [ "conflict" ]
     (Repository.check_full_datalog repo)
 
-let test_add_constraint_verify () =
-  let s = Lazy.force schema in
-  let repo = Repository.create s in
-  Repository.load_fused repo pub_doc;
-  Repository.load_fused repo
-    {|<review><track><name>DB</name><rev><name>Carl</name><sub><title>S</title><auts><name>Carl</name></auts></sub></rev></track></review>|};
-  (match Repository.add_constraint ~verify:true repo (Conf.conflict s) with
-   | exception Repository.Repository_error _ -> ()
-   | () -> Alcotest.fail "violated constraint must be rejected at registration");
-  (* without verify it registers (the paper's framework assumes the user
-     knows the state is consistent) *)
-  Repository.add_constraint repo (Conf.conflict s)
-
 let test_explain () =
   let s = Lazy.force schema in
   let repo = Repository.create s in
@@ -772,9 +759,7 @@ let test_pin_freezes_views () =
   ignore (Repository.check_incremental repo : string list);
   let p = Repository.pin repo in
   checkb "views frozen with the pin" true
-    (match Repository.pin_view p with
-     | Some v -> Xic_datalog.Store.is_frozen v
-     | None -> false);
+    (Xic_datalog.Store.is_frozen (Repository.pin_view p));
   let undo = Repository.apply_unchecked repo (carl_insert ()) in
   checksl "live views see the write" [ "conflict" ]
     (Repository.check_incremental repo);
@@ -782,55 +767,60 @@ let test_pin_freezes_views () =
   Repository.rollback repo undo;
   Repository.unpin repo p
 
-(* Views built for the constraint list at pin time must not answer for
-   a constraint added since. *)
-let test_pin_new_constraint_recomputes () =
+(* A pin answers for the constraints it was taken with; a pin taken
+   after [add_constraint] builds the new views and answers for the new
+   list. *)
+let test_pin_answers_for_its_constraints () =
   let repo = make_repo () in
-  ignore (Repository.check_incremental repo : string list);
   let p = Repository.pin repo in
   checksl "consistent when pinned" [] (Repository.check_pinned repo p);
   Repository.add_constraint repo
     (Constr.make (Lazy.force schema) ~name:"no_ann"
        "<- //auts/name/text() -> N and N = \"Ann\"");
-  checksl "the new constraint is checked at the pin" [ "no_ann" ]
-    (Repository.check_pinned repo p);
-  checksl "live verdict" [ "no_ann" ] (Repository.check_incremental repo);
-  (* a pin of the unchanged state shares the old entry and its views *)
+  checksl "the pin keeps its constraints" [] (Repository.check_pinned repo p);
   let p' = Repository.pin repo in
-  checksl "re-pin of the same state" [ "no_ann" ]
+  checkb "a new entry for the new list" true
+    (Repository.pin_view p' != Repository.pin_view p);
+  checksl "a pin after add_constraint" [ "no_ann" ]
     (Repository.check_pinned repo p');
+  checksl "live verdict" [ "no_ann" ] (Repository.check_incremental repo);
+  checksl "the old pin still keeps its constraints" []
+    (Repository.check_pinned repo p);
   Repository.unpin repo p';
   Repository.unpin repo p
 
-(* A pin taken before any view exists does not materialize them; its
-   verdict recomputes over the frozen store. *)
-let test_pin_without_views_recomputes () =
+(* A pin taken before any verdict builds the views and freezes them;
+   its verdict is the full check's at pin time. *)
+let test_pin_before_any_verdict () =
   let repo = make_repo () in
   let undo = Repository.apply_unchecked repo (carl_insert ()) in
+  checkb "no views yet" true (Option.is_none (Repository.incr_view repo));
   let p = Repository.pin repo in
-  checkb "no views frozen" true (Option.is_none (Repository.pin_view p));
-  checkb "the pin built no views" true
-    (Option.is_none (Repository.incr_view repo));
-  checksl "recomputed verdict = full check" (Repository.check_full repo)
+  checkb "views frozen with the pin" true
+    (Xic_datalog.Store.is_frozen (Repository.pin_view p));
+  checksl "pinned verdict = full check" (Repository.check_full repo)
     (Repository.check_pinned repo p);
   checksl "violated" [ "conflict" ] (Repository.check_pinned repo p);
   Repository.rollback repo undo;
+  checksl "live verdict after the rollback" [] (Repository.check_incremental repo);
+  checksl "the pin still answers for its state" [ "conflict" ]
+    (Repository.check_pinned repo p);
   Repository.unpin repo p
 
-(* check_incremental is total: views that cannot be built within the
-   Datalog step budget leave none behind, and the full check answers. *)
-let test_check_incremental_falls_back () =
+(* A flush that cannot maintain the views (here, an exhausted Datalog
+   step budget) drops them, so a half-maintained view never answers;
+   the next verdict rebuilds them. *)
+let test_failed_flush_drops_views () =
   let repo = make_repo () in
+  ignore (Repository.check_incremental repo : string list);
   let undo = Repository.apply_unchecked repo (carl_insert ()) in
-  let full = Repository.check_full repo in
-  checksl "one step: the full check answers" full
-    (Xic_datalog.Eval.with_budget ~steps:1 (fun () ->
-         Repository.check_incremental repo));
-  checkb "no views left behind" true
-    (Option.is_none (Repository.incr_view repo));
-  checksl "budget lifted: the views answer" full
+  ignore
+    (Xic_datalog.Eval.with_budget ~steps:1 (fun () -> Repository.store repo)
+      : Xic_datalog.Store.t);
+  checkb "views dropped" true (Option.is_none (Repository.incr_view repo));
+  checksl "rebuilt views = full check" (Repository.check_full repo)
     (Repository.check_incremental repo);
-  checkb "views built" true (Option.is_some (Repository.incr_view repo));
+  checksl "violated" [ "conflict" ] (Repository.check_incremental repo);
   Repository.rollback repo undo
 
 let test_duplicate_names_rejected () =
@@ -861,7 +851,6 @@ let () =
           Alcotest.test_case "bad source" `Quick test_constraint_bad_source;
           Alcotest.test_case "full check consistent" `Quick test_check_full_consistent;
           Alcotest.test_case "full check violation" `Quick test_check_full_detects_violation;
-          Alcotest.test_case "verify at registration" `Quick test_add_constraint_verify;
           Alcotest.test_case "explain" `Quick test_explain;
           Alcotest.test_case "explain consistent" `Quick test_explain_consistent;
         ] );
@@ -903,12 +892,12 @@ let () =
           Alcotest.test_case "optimized = full decision" `Quick test_optimized_equals_full_decision;
           Alcotest.test_case "pin retention" `Quick test_pin_retention;
           Alcotest.test_case "pin freezes views" `Quick test_pin_freezes_views;
-          Alcotest.test_case "pin after new constraint" `Quick
-            test_pin_new_constraint_recomputes;
-          Alcotest.test_case "pin without views" `Quick
-            test_pin_without_views_recomputes;
-          Alcotest.test_case "incremental check fallback" `Quick
-            test_check_incremental_falls_back;
+          Alcotest.test_case "pin answers for its constraints" `Quick
+            test_pin_answers_for_its_constraints;
+          Alcotest.test_case "pin before any verdict" `Quick
+            test_pin_before_any_verdict;
+          Alcotest.test_case "failed flush drops views" `Quick
+            test_failed_flush_drops_views;
           Alcotest.test_case "store mirror" `Quick test_store_mirror_consistency;
           Alcotest.test_case "rollback mirror agreement" `Quick
             test_rollback_mirror_agreement;

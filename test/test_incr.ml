@@ -636,6 +636,40 @@ let check_views_exact repo what =
     (List.sort compare (Repository.check_full repo))
     (List.sort compare (Repository.check_incremental repo))
 
+(* A root registered after the views exist arrives by delta: its attach
+   event reaches the mirror, and the next flush maintains the views
+   instead of dropping them. *)
+let test_new_root_by_delta () =
+  let s = Conf.schema () in
+  let repo = Repository.create s in
+  Repository.load_fused repo fixed_pub;
+  List.iter
+    (Repository.add_constraint repo)
+    [ Conf.conflict s; Conf.workload s; Conf.track_load s ];
+  Alcotest.(check (list string)) "consistent without reviews" []
+    (Repository.check_incremental repo);
+  let views = Option.get (Repository.incr_view repo) in
+  let d0 = Repository.delta_stats repo in
+  let doc = Repository.doc repo in
+  (match
+     List.filter (Xic_xml.Doc.is_element doc)
+       (Xic_xml.Xml_parser.parse_fragment doc conflicted_rev)
+   with
+   | [ root ] -> Repository.add_document_root repo root
+   | _ -> Alcotest.fail "expected one root element");
+  Alcotest.(check (list string)) "the new root's conflict" [ "conflict" ]
+    (Repository.check_incremental repo);
+  Alcotest.(check bool) "the same views" true
+    (Option.get (Repository.incr_view repo) == views);
+  check_views_exact repo "after the new root";
+  let d1 = Repository.delta_stats repo in
+  Alcotest.(check int) "no recompute" d0.Repository.incr_recomputes
+    d1.Repository.incr_recomputes;
+  Alcotest.(check bool) "the root's facts came by delta" true
+    (d1.Repository.delta_facts_added > d0.Repository.delta_facts_added);
+  Alcotest.(check bool) "the views took the conflict by delta" true
+    (d1.Repository.incr_evals > d0.Repository.incr_evals)
+
 let check_optimized what = function
   | Repository.Applied `Optimized -> ()
   | _ -> Alcotest.failf "%s: expected a pre-checked, applied statement" what
@@ -844,6 +878,8 @@ let () =
             test_every_class_by_delta;
           Alcotest.test_case "an unbound change recomputes" `Quick
             test_unbound_change_recomputes;
+          Alcotest.test_case "a new root arrives by delta" `Quick
+            test_new_root_by_delta;
         ] );
       ( "read columns",
         [

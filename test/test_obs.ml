@@ -19,7 +19,7 @@ let with_tracing f =
       Trace.set_enabled false;
       Trace.reset ();
       Trace.clear_slow_log ();
-      Obs.set_slow_threshold_ms None)
+      Trace.set_slow_threshold_ms None)
     f
 
 (* ------------------------------------------------------------------ *)
@@ -169,7 +169,7 @@ let test_disabled_is_transparent () =
 
 let test_slow_log () =
   with_tracing @@ fun () ->
-  Obs.set_slow_threshold_ms (Some 0.0);
+  Trace.set_slow_threshold_ms (Some 0.0);
   Trace.with_span ~slow:true "crawl" (fun () -> ());
   Trace.with_span "not-a-candidate" (fun () -> ());
   (match Trace.slow_log () with
