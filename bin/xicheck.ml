@@ -93,16 +93,6 @@ let no_validate_arg =
   let doc = "Skip DTD validation when loading documents." in
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
-let delta_stats_arg =
-  let doc =
-    "Print the delta maintenance report (mirror flushes, facts added and \
-     removed, view evaluations) at exit."
-  in
-  Arg.(value & flag & info [ "delta-stats" ] ~doc)
-
-let print_delta_stats repo ~delta_stats =
-  if delta_stats then print_endline (Repository.delta_summary repo)
-
 let trace_arg =
   let doc =
     "Trace every pipeline stage (parse, shred, simplify, translate, plan \
@@ -167,8 +157,8 @@ let obs_finish ~trace ~slow_ms =
   write_trace (Obs.Trace.roots ()) trace;
   if slow_ms <> None then print_slow_log ()
 
-let print_metrics repo ~metrics =
-  if metrics then print_endline (Repository.metrics_json repo)
+let print_metrics ~metrics =
+  if metrics then print_endline (Obs.Metrics.to_json ())
 
 let load_schema specs =
   let parse spec =
@@ -367,7 +357,7 @@ let check_cmd =
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate explain
-      delta_stats trace metrics slow_ms =
+      trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     (* --explain needs a traced run for its observed timings *)
     if explain then begin
@@ -389,8 +379,7 @@ let check_cmd =
       print_plans repo (Obs.Trace.roots ());
       if slow_ms = None then print_slow_log ()
     end;
-    print_metrics repo ~metrics;
-    print_delta_stats repo ~delta_stats;
+    print_metrics ~metrics;
     obs_finish ~trace ~slow_ms;
     if violations <> [] then exit 1
   in
@@ -398,8 +387,8 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Check integrity constraints against the documents")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ explain_arg $ delta_stats_arg
-      $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ pattern_arg $ no_validate_arg $ explain_arg $ trace_arg $ metrics_arg
+      $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* simplify                                                            *)
@@ -478,7 +467,7 @@ let guard_cmd =
     Arg.(required & opt (some file) None & info [ "update" ] ~docv:"FILE" ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate update output
-      journal eval_budget delta_stats trace metrics slow_ms =
+      journal eval_budget trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     let repo, _ =
       bring_up ~writer:true ~no_validate dtds (source ~snapshot docs)
@@ -495,8 +484,7 @@ let guard_cmd =
     Option.iter Xic_journal.Journal.close journal;
     print_degradations report;
     print_outcome report.Repository.outcome;
-    print_metrics repo ~metrics;
-    print_delta_stats repo ~delta_stats;
+    print_metrics ~metrics;
     obs_finish ~trace ~slow_ms;
     (match report.Repository.outcome with
      | Repository.Applied _ -> ()
@@ -509,8 +497,8 @@ let guard_cmd =
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
       $ pattern_arg $ no_validate_arg $ update_arg $ output_arg
-      $ journal_arg $ eval_budget_arg $ delta_stats_arg $ trace_arg
-      $ metrics_arg $ slow_ms_arg)
+      $ journal_arg $ eval_budget_arg $ trace_arg $ metrics_arg
+      $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* txn                                                                 *)
@@ -529,7 +517,7 @@ let txn_cmd =
     Arg.(value & flag & info [ "abort" ] ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate updates output
-      journal eval_budget abort delta_stats trace metrics slow_ms =
+      journal eval_budget abort trace metrics slow_ms =
     obs_setup ~trace ~metrics ~slow_ms;
     let repo, _ =
       bring_up ~writer:true ~no_validate dtds (source ~snapshot docs)
@@ -559,8 +547,7 @@ let txn_cmd =
         (Repository.txn_statements tx)
     end;
     Option.iter Xic_journal.Journal.close journal;
-    print_metrics repo ~metrics;
-    print_delta_stats repo ~delta_stats;
+    print_metrics ~metrics;
     obs_finish ~trace ~slow_ms;
     Option.iter (write_roots repo) output;
     if !refused > 0 then exit 1
@@ -573,8 +560,8 @@ let txn_cmd =
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
       $ pattern_arg $ no_validate_arg $ updates_arg $ output_arg
-      $ journal_arg $ eval_budget_arg $ abort_arg $ delta_stats_arg
-      $ trace_arg $ metrics_arg $ slow_ms_arg)
+      $ journal_arg $ eval_budget_arg $ abort_arg $ trace_arg
+      $ metrics_arg $ slow_ms_arg)
 
 (* ------------------------------------------------------------------ *)
 (* recover                                                             *)
@@ -595,8 +582,8 @@ let recover_cmd =
     Arg.(
       required & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
-  let run dtds docs snapshot constraints no_validate journal delta_stats
-      output =
+  let run dtds docs snapshot constraints no_validate journal metrics output =
+    obs_setup ~trace:None ~metrics ~slow_ms:None;
     let repo, r =
       match
         bring_up ~no_validate dtds (source ~snapshot docs) ~constraints
@@ -624,7 +611,7 @@ let recover_cmd =
       (fun (txn, m) -> Printf.printf "REPLAY ERROR in transaction %d: %s\n" txn m)
       r.Repository.replay_errors;
     List.iter (Printf.printf "VIOLATED after replay: %s\n") r.Repository.post_violations;
-    print_delta_stats repo ~delta_stats;
+    print_metrics ~metrics;
     Option.iter (write_roots repo) output;
     if r.Repository.replay_errors <> [] || r.Repository.post_violations <> [] then
       exit 1;
@@ -637,7 +624,7 @@ let recover_cmd =
           against freshly loaded base documents (or a snapshot)")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ no_validate_arg $ journal_arg $ delta_stats_arg $ output_arg)
+      $ no_validate_arg $ journal_arg $ metrics_arg $ output_arg)
 
 (* ------------------------------------------------------------------ *)
 (* checkpoint                                                          *)
@@ -1191,8 +1178,6 @@ let top_cmd =
         "uptime %.1fs  requests %.0f (%.1f/s)  batches %.0f  generation %.0f\n"
         (f "uptime_s") (f "requests") (f "requests_per_sec") (f "batches")
         (f "generation");
-      Printf.printf "pins %.0f  open_txn %b\n" (f "pins")
-        (Proto.bool_field "open_txn" srv);
       (* serve gauges, straight off the Prometheus exposition *)
       let body = Option.value ~default:"" (Proto.string_field "body" metrics) in
       let gauges =

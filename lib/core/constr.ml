@@ -1,7 +1,7 @@
 type t = {
   name : string;
   source : string;
-  xpathlog : Xic_xpathlog.Ast.denial option;  (* None when written directly in Datalog *)
+  xpathlog : Xic_xpathlog.Ast.denial;
   datalog : Xic_datalog.Term.denial list;
   xquery : Xic_xquery.Ast.expr;
 }
@@ -25,22 +25,7 @@ let make schema ~name source =
     with Xic_translate.Translate.Untranslatable m ->
       fail "%s: translation error: %s" name m
   in
-  { name; source; xpathlog = Some xpathlog; datalog; xquery }
-
-let of_datalog schema ~name datalog =
-  let mapping = Schema.mapping schema in
-  let xquery =
-    try Xic_translate.Translate.denials mapping datalog
-    with Xic_translate.Translate.Untranslatable m ->
-      fail "%s: translation error: %s" name m
-  in
-  {
-    name;
-    source = Xic_datalog.Term.denials_str datalog;
-    xpathlog = None;
-    datalog;
-    xquery;
-  }
+  { name; source; xpathlog; datalog; xquery }
 
 let violated_xquery ?index doc t =
   try Xic_xquery.Eval.eval_bool doc ?index t.xquery

@@ -4,7 +4,7 @@
 type t = {
   name : string;
   source : string;                        (** XPathLog concrete syntax *)
-  xpathlog : Xic_xpathlog.Ast.denial option;  (* None when written directly in Datalog *)
+  xpathlog : Xic_xpathlog.Ast.denial;     (** the parsed source *)
   datalog : Xic_datalog.Term.denial list; (** one per disjunct *)
   xquery : Xic_xquery.Ast.expr;           (** true ⇔ violated *)
 }
@@ -14,10 +14,6 @@ exception Constraint_error of string
 val make : Schema.t -> name:string -> string -> t
 (** Parse, compile and translate an XPathLog denial.
     @raise Constraint_error on parse/compile/translation failures. *)
-
-val of_datalog : Schema.t -> name:string -> Xic_datalog.Term.denial list -> t
-(** Wrap denials written directly in Datalog (source is their printed
-    form). *)
 
 val violated_xquery : ?index:Xic_xml.Index.t -> Xic_xml.Doc.t -> t -> bool
 (** Evaluate the full XQuery check: [true] means the constraint is

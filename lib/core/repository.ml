@@ -83,14 +83,6 @@ type plan_stats = {
   plan_misses : int;  (* compilations *)
 }
 
-(* Per-repository delta/incremental counters (the registry counters are
-   global across repositories; tests build many). *)
-type delta_counters = {
-  mutable flushes : int;
-  mutable facts_added : int;
-  mutable facts_removed : int;
-}
-
 (* One retained generation: frozen handles of the store and of the
    denial views, shared by every pin of that generation, refcounted so
    the table can tell in-flight readers from history kept for
@@ -115,7 +107,6 @@ type t = {
   mutable mirror : Mirror.t;
   (* the materialized denial views, built by the first verdict *)
   mutable incr : Incr.t option;
-  deltas : delta_counters;
   mutable eval_budget : int option;
   mutable index : Index.t option;
   (* full-check plans, keyed by constraint name *)
@@ -143,8 +134,6 @@ let create schema =
   let doc = Doc.create () and store = Xic_datalog.Store.create () in
   { schema; doc; constraints = []; compiled = []; store;
     mirror = Mirror.create (Schema.mapping schema) doc store; incr = None;
-    deltas =
-      { flushes = 0; facts_added = 0; facts_removed = 0 };
     eval_budget = None; index = None;
     full_plans = Hashtbl.create 16; generation = 0;
     mutations = 0; retained = Hashtbl.create 8; retain_keep = 8 }
@@ -156,15 +145,6 @@ let set_eval_budget t b = t.eval_budget <- b
 let plan_stats (_ : t) =
   { plan_hits = Obs.Metrics.value c_plan_hits;
     plan_misses = Obs.Metrics.value c_plan_misses }
-
-let cached_plans t =
-  Hashtbl.length t.full_plans
-  + List.fold_left
-      (fun acc r ->
-        acc
-        + List.length
-            (List.filter (fun ch -> Option.is_some ch.simplified_plan) r.checks))
-      0 t.compiled
 
 let schema t = t.schema
 let doc t = t.doc
@@ -179,40 +159,7 @@ let index t =
     t.index <- Some i;
     i
 
-let index_stats t = Option.map Index.stats t.index
-
-(* Index stats and the cached-plan count live outside the registry (the
-   index updates them on its hot path, the plan tables are
-   per-repository); they enter the registry as gauges synced at snapshot
-   time, so [metrics] agrees with [index_stats] and [cached_plans] by
-   construction — both read the same cells. *)
-let g_index_hits = Obs.Metrics.gauge "index_hits"
-let g_index_misses = Obs.Metrics.gauge "index_misses"
-let g_index_fallbacks = Obs.Metrics.gauge "index_fallbacks"
-let g_index_events = Obs.Metrics.gauge "index_events"
-let g_plan_cached = Obs.Metrics.gauge "plan_cached"
-
-let sync_gauges t =
-  (match index_stats t with
-   | Some (s : Index.stats) ->
-     Obs.Metrics.set g_index_hits s.Index.hits;
-     Obs.Metrics.set g_index_misses s.Index.misses;
-     Obs.Metrics.set g_index_fallbacks s.Index.fallbacks;
-     Obs.Metrics.set g_index_events s.Index.events
-   | None -> ());
-  Obs.Metrics.set g_plan_cached (cached_plans t)
-
-let metrics t =
-  sync_gauges t;
-  Obs.Metrics.snapshot ()
-
-let metrics_json t =
-  sync_gauges t;
-  Obs.Metrics.to_json ()
-
-let metrics_prometheus t =
-  sync_gauges t;
-  Obs.Metrics.to_prometheus ()
+let index_stats t = Option.map (fun _ -> Index.stats ()) t.index
 
 (* Install a store known to be exact for the current documents and
    attach the event-driven mirror that keeps it that way across updates,
@@ -242,9 +189,6 @@ let sync_store ?(proven = false) t =
     Obs.Trace.with_span "delta_flush" (fun () ->
         let d = Delta.create () in
         Mirror.flush t.mirror ~into:d;
-        t.deltas.flushes <- t.deltas.flushes + 1;
-        t.deltas.facts_added <- t.deltas.facts_added + Delta.gross_added d;
-        t.deltas.facts_removed <- t.deltas.facts_removed + Delta.gross_removed d;
         Obs.Metrics.incr c_delta_flushes;
         Obs.Metrics.add c_delta_facts_added (Delta.gross_added d);
         Obs.Metrics.add c_delta_facts_removed (Delta.gross_removed d);
@@ -313,40 +257,48 @@ let load_fused ?(validate = true) t source =
 
 (* A constraint [Simp] cannot simplify for the pattern (an aggregate
    [After] does not support, such as [sum]) gets no pre-check: a
-   matching statement reports it degraded and takes the full check. *)
-let compile_checks t (p : Pattern.t) =
-  let checks, unsupported =
-    List.partition_map
-      (fun (c : Constr.t) ->
-        match Pattern.simplify t.schema p c with
-        | simplified ->
-          let simplified_xquery =
-            Xic_translate.Translate.denials (Schema.mapping t.schema) simplified
-          in
-          Left
-            { constraint_name = c.Constr.name; simplified; simplified_xquery;
-              simplified_plan = None }
-        | exception Xic_simplify.After.Unsupported reason ->
-          Right { failed_check = c.Constr.name; reason })
-      t.constraints
-  in
+   matching statement reports it degraded and takes the full check.
+   The pair is logged here, once, not on every matching statement. *)
+let compile_check t (p : Pattern.t) (c : Constr.t) =
+  match Pattern.simplify t.schema p c with
+  | simplified ->
+    let simplified_xquery =
+      Xic_translate.Translate.denials (Schema.mapping t.schema) simplified
+    in
+    Either.Left
+      { constraint_name = c.Constr.name; simplified; simplified_xquery;
+        simplified_plan = None }
+  | exception Xic_simplify.After.Unsupported reason ->
+    Log.warn (fun m ->
+        m "no optimized check %s for pattern %s (%s); matching statements \
+           take the full check"
+          c.Constr.name p.Pattern.name reason);
+    Either.Right { failed_check = c.Constr.name; reason }
+
+let compile_checks t p constraints =
+  let checks, unsupported = List.partition_map (compile_check t p) constraints in
   { pattern = p; checks; unsupported }
 
-let recompile t =
-  t.compiled <- List.map (fun r -> compile_checks t r.pattern) t.compiled
-
+(* Each constraint is simplified on its own, so a new one extends the
+   existing patterns' checks and leaves the others' compiled plans. *)
 let add_constraint t c =
   if List.exists (fun c' -> c'.Constr.name = c.Constr.name) t.constraints then
     fail "duplicate constraint name %s" c.Constr.name;
   t.constraints <- t.constraints @ [ c ];
   Hashtbl.reset t.full_plans;
   t.incr <- None;  (* the view set changed; re-materialize on demand *)
-  recompile t
+  t.compiled <-
+    List.map
+      (fun r ->
+        let more = compile_checks t r.pattern [ c ] in
+        { r with checks = r.checks @ more.checks;
+                 unsupported = r.unsupported @ more.unsupported })
+      t.compiled
 
 let register_pattern t p =
   if List.exists (fun r -> r.pattern.Pattern.name = p.Pattern.name) t.compiled then
     fail "duplicate pattern name %s" p.Pattern.name;
-  t.compiled <- t.compiled @ [ compile_checks t p ]
+  t.compiled <- t.compiled @ [ compile_checks t p t.constraints ]
 
 let constraints t = t.constraints
 let patterns t = List.map (fun r -> r.pattern) t.compiled
@@ -557,34 +509,21 @@ type delta_stats = {
 }
 
 let delta_stats t =
-  let entries, evals, reverifies, recomputes, skipped, rows =
+  let entries, rows =
     match t.incr with
-    | None -> (0, 0, 0, 0, 0, 0)
-    | Some i ->
-      let s = Incr.stats i in
-      ( Incr.entry_count i, s.Incr.evals, s.Incr.reverifies, s.Incr.recomputes,
-        s.Incr.skipped, Xic_datalog.Store.total_tuples (Incr.view i) )
+    | None -> (0, 0)
+    | Some i -> (Incr.entry_count i, Xic_datalog.Store.total_tuples (Incr.view i))
   in
-  { delta_flushes = t.deltas.flushes;
-    delta_facts_added = t.deltas.facts_added;
-    delta_facts_removed = t.deltas.facts_removed;
+  let v = Obs.Metrics.value in
+  { delta_flushes = v c_delta_flushes;
+    delta_facts_added = v c_delta_facts_added;
+    delta_facts_removed = v c_delta_facts_removed;
     incr_entries = entries;
-    incr_evals = evals;
-    incr_reverifies = reverifies;
-    incr_recomputes = recomputes;
-    incr_skipped = skipped;
+    incr_evals = v Incr.c_evals;
+    incr_reverifies = v Incr.c_reverifies;
+    incr_recomputes = v Incr.c_recomputes;
+    incr_skipped = v Incr.c_skipped;
     incr_view_rows = rows }
-
-let delta_summary t =
-  let d = delta_stats t in
-  if t.incr = None && d.delta_flushes = 0 then "delta: idle"
-  else
-    Printf.sprintf
-      "delta: %d flushes, +%d/-%d facts; views: %d denials, %d rows, \
-       evals=%d reverifies=%d recomputes=%d skipped=%d"
-      d.delta_flushes d.delta_facts_added d.delta_facts_removed d.incr_entries
-      d.incr_view_rows d.incr_evals d.incr_reverifies d.incr_recomputes
-      d.incr_skipped
 
 let match_update t (u : XU.t) =
   match u with
@@ -607,6 +546,12 @@ let budgeted t f =
 let try_check_optimized t p valuation =
   let r = registered t p in
   let params = Pattern.xquery_params valuation in
+  (* A runtime degradation is logged where it happens; the pattern's
+     unsupported pairs were logged once, by {!compile_check}. *)
+  let degraded name reason =
+    Log.warn (fun m -> m "optimized check %s degraded (%s)" name reason);
+    { failed_check = name; reason }
+  in
   let rec go violated degs = function
     | [] -> (List.rev violated, List.rev degs)
     | ch :: rest ->
@@ -624,12 +569,9 @@ let try_check_optimized t p valuation =
        | true -> go (ch.constraint_name :: violated) degs rest
        | false -> go violated degs rest
        | exception Xic_xquery.Eval.Eval_error m ->
-         go violated ({ failed_check = ch.constraint_name; reason = m } :: degs) rest
+         go violated (degraded ch.constraint_name m :: degs) rest
        | exception Xic_xpath.Eval.Budget_exceeded ->
-         go violated
-           ({ failed_check = ch.constraint_name; reason = "step budget exhausted" }
-            :: degs)
-           rest)
+         go violated (degraded ch.constraint_name "step budget exhausted" :: degs) rest)
   in
   go [] (List.rev r.unsupported) r.checks
 
@@ -811,12 +753,6 @@ let txn_apply tx (u : XU.t) =
     undo
   in
   let full_check degs =
-    List.iter
-      (fun d ->
-        Log.warn (fun m ->
-            m "optimized check %s degraded (%s); falling back to the full check"
-              d.failed_check d.reason))
-      degs;
     (* Theorem 1's premise, per constraint: the statement answers only
        for the constraints that held before it.  Flushing the pending
        marks first makes the views describe that state. *)

@@ -51,11 +51,9 @@ val set_eval_budget : t -> int option -> unit
     instead of failing (see {!report}). *)
 
 val plan_stats : t -> plan_stats
-(** Cumulative plan-cache counters over full and simplified checks. *)
-
-val cached_plans : t -> int
-(** Number of closure plans currently cached (full-check plans plus
-    compiled simplified checks). *)
+(** A read of the registry counters [plan_cache_hits] and
+    [plan_cache_misses]: process-wide, over full and simplified checks
+    of every repository. *)
 
 val index : t -> Index.t
 (** The document's secondary indexes, created (lazily, unbuilt) on first
@@ -65,22 +63,8 @@ val index : t -> Index.t
     compare it with. *)
 
 val index_stats : t -> Index.stats option
-(** Statistics of the current index, if one was created. *)
-
-val metrics : t -> (string * int) list * (string * Xic_obs.Obs.Metrics.hsnap) list
-(** Snapshot of the global metrics registry (counters and latency
-    histograms, name-sorted), after syncing the point-in-time gauges
-    ([index_*], [plan_cached]) from this repository — so the snapshot
-    always agrees with {!plan_stats}, {!index_stats} and
-    {!cached_plans}. *)
-
-val metrics_json : t -> string
-(** Same snapshot rendered as a JSON object
-    [{"counters":{…},"histograms":{…}}] for [xicheck --metrics]. *)
-
-val metrics_prometheus : t -> string
-(** Same snapshot rendered as Prometheus text exposition (the server's
-    [metrics] op). *)
+(** A read of the process-wide index counters ({!Index.stats}), once
+    this repository has created its index. *)
 
 val load_fused : ?validate:bool -> t -> string -> unit
 (** Load one XML document: parse, intern and shred it in one streaming
@@ -103,8 +87,9 @@ val add_document_root : ?validate:bool -> t -> Doc.node_id -> unit
     views by delta. *)
 
 val add_constraint : t -> Constr.t -> unit
-(** Register a constraint; simplified checks are (re)compiled for every
-    registered pattern, and the views are rebuilt by the next verdict.
+(** Register a constraint; its simplified check is compiled for every
+    registered pattern (the other constraints' checks are kept), and the
+    views are rebuilt by the next verdict.
     The simplification framework assumes a consistent starting state;
     registration does not check it. *)
 
@@ -112,8 +97,9 @@ val register_pattern : t -> Pattern.t -> unit
 (** Register an update pattern: runs [Simp] against every constraint and
     pre-translates the simplified checks to XQuery.  A constraint [Simp]
     cannot simplify for the pattern (a [sum] bound the pattern's
-    insertions reach) gets no pre-check: a matching statement reports
-    it as a {!degradation} and takes the full check. *)
+    insertions reach) gets no pre-check: the pair is logged once, here
+    (or by {!add_constraint}), and a matching statement reports it as a
+    {!degradation} and takes the full check. *)
 
 val constraints : t -> Constr.t list
 val patterns : t -> Pattern.t list
@@ -233,7 +219,12 @@ val incr_view : t -> Xic_datalog.Store.t option
     ["name#i"] per (constraint, denial), holding the bindings of the
     denial's positive-literal variables.  For tests and oracles. *)
 
-(** Cumulative delta/view counters of this repository. *)
+(** Delta and view-maintenance counters: the [delta_*] and [incr_*]
+    fields other than [incr_entries] and [incr_view_rows] read the
+    process-wide registry counters of the same names, which keep
+    counting across view rebuilds and repositories; take differences.
+    [incr_entries] and [incr_view_rows] describe this repository's
+    live views. *)
 type delta_stats = {
   delta_flushes : int;  (** mirror reconciliations *)
   delta_facts_added : int;  (** gross store insertions via deltas *)
@@ -242,16 +233,14 @@ type delta_stats = {
   incr_evals : int;  (** delta-bound residual evaluations *)
   incr_reverifies : int;  (** view rows re-checked after deletions *)
   incr_recomputes : int;
-      (** full view evaluations; only (re)initialization makes them *)
+      (** full view evaluations: (re)initializations, and changes that
+          bind no variable of a residual *)
   incr_skipped : int;
       (** views untouched by a delta, or spared by a proven flush *)
   incr_view_rows : int;  (** materialized witnesses right now *)
 }
 
 val delta_stats : t -> delta_stats
-
-val delta_summary : t -> string
-(** Human-readable one-liner for [xicheck --delta-stats]. *)
 
 val match_update : t -> Xic_xupdate.Xupdate.t -> (Pattern.t * Pattern.valuation) option
 (** Recognize a single-modification update against the registered
@@ -269,7 +258,7 @@ val try_check_optimized :
     the proposed update (evaluated on the {e current} state), plus the
     constraints the pattern has no check for, then the checks that
     degraded (evaluation error, exhausted step budget) instead of
-    completing. *)
+    completing, each logged as a warning. *)
 
 (** Result of a guarded update. *)
 type outcome =

@@ -6,7 +6,7 @@
     cancels to nothing — which is exactly what the semi-naive
     incremental evaluator ({!Incr}) needs: only net changes can affect a
     denial's materialized result.  Gross counters are kept alongside for
-    the [--delta-stats] report. *)
+    the [delta_facts_added]/[delta_facts_removed] metrics. *)
 
 module Symbol = Xic_symbol.Symbol
 

@@ -4,7 +4,7 @@
     the {e net} multiset: a tuple inserted and then deleted inside the
     same batch cancels to nothing.  {!Incr.apply_delta} consumes these to
     maintain materialized denial results; gross counters feed the
-    [--delta-stats] report. *)
+    [delta_facts_added]/[delta_facts_removed] metrics. *)
 
 type t
 

@@ -54,22 +54,17 @@ type entry = {
   rows : Eval.plan;  (* the denial with a row's variables bound *)
 }
 
-type stats = {
-  mutable evals : int;  (* residual delta evaluations *)
-  mutable reverifies : int;  (* view rows re-checked after removals *)
-  mutable recomputes : int;
-      (* full evaluations: (re)initialization, or a change binding nothing *)
-  mutable skipped : int;  (* denials untouched by the delta, cancelled, or proven *)
-  mutable rows_added : int;
-  mutable rows_removed : int;
-}
-
 type t = {
   entries : entry list;
   names : string list;  (* constraint order for [violated] *)
   view : Store.t;
-  stats : stats;
 }
+
+(* Maintenance work, process-wide in the metrics registry. *)
+let c_evals = Xic_obs.Obs.Metrics.counter "incr_evals"
+let c_reverifies = Xic_obs.Obs.Metrics.counter "incr_reverifies"
+let c_recomputes = Xic_obs.Obs.Metrics.counter "incr_recomputes"
+let c_skipped = Xic_obs.Obs.Metrics.counter "incr_skipped"
 
 let agg_polarity (g : Term.agg) =
   match (g.Term.op, g.Term.acmp) with
@@ -249,38 +244,23 @@ let create (constraints : (string * Term.denial list) list) =
     entries;
     names = List.map fst constraints;
     view = Store.create ();
-    stats =
-      {
-        evals = 0;
-        reverifies = 0;
-        recomputes = 0;
-        skipped = 0;
-        rows_added = 0;
-        rows_removed = 0;
-      };
   }
 
 let add_row t e row =
-  if not (Store.mem_sym t.view e.rel row) then begin
-    Store.add_sym t.view e.rel row;
-    t.stats.rows_added <- t.stats.rows_added + 1
-  end
+  if not (Store.mem_sym t.view e.rel row) then Store.add_sym t.view e.rel row
 
 (* Every witness of [r] under [values], as rows of the entry's view.  A
    residual that binds no variable is the denial itself: that is a full
    evaluation, and counts as one. *)
 let eval_residual t store e r values =
-  if r.vars = [] then t.stats.recomputes <- t.stats.recomputes + 1
-  else t.stats.evals <- t.stats.evals + 1;
+  Xic_obs.Obs.Metrics.incr (if r.vars = [] then c_recomputes else c_evals);
   Eval.iter r.plan store values (fun slots ->
       add_row t e (List.map (fun i -> slots.(i)) r.row))
 
 let initialize t store =
   List.iter
     (fun e ->
-      let old = Store.tuples_sym t.view e.rel in
       Store.clear_sym t.view e.rel;
-      t.stats.rows_removed <- t.stats.rows_removed + List.length old;
       eval_residual t store e e.full [||])
     t.entries;
   (* A (re)initialization retracts every existing row before repopulating;
@@ -310,11 +290,9 @@ let unify_atom (a : Term.atom) (tup : Store.tuple) =
 let reverify_rows t store e =
   List.iter
     (fun row ->
-      t.stats.reverifies <- t.stats.reverifies + 1;
-      if not (Eval.exists e.rows store (Array.of_list row)) then begin
-        ignore (Store.remove_sym t.view e.rel row);
-        t.stats.rows_removed <- t.stats.rows_removed + 1
-      end)
+      Xic_obs.Obs.Metrics.incr c_reverifies;
+      if not (Eval.exists e.rows store (Array.of_list row)) then
+        ignore (Store.remove_sym t.view e.rel row))
     (Store.tuples_sym t.view e.rel)
 
 (* Evaluate the residual of every creating change.  A binding restricted
@@ -415,7 +393,7 @@ let apply_delta ?(proven = false) t store delta =
       List.filter (fun n -> not (List.mem n v)) t.names
     else []
   in
-  let skip () = t.stats.skipped <- t.stats.skipped + 1 in
+  let skip () = Xic_obs.Obs.Metrics.incr c_skipped in
   List.fold_left
     (fun skipped_proven e ->
       if List.mem e.name held then begin
@@ -438,5 +416,4 @@ let apply_delta ?(proven = false) t store delta =
     false t.entries
 
 let view t = t.view
-let stats t = t.stats
 let entry_count t = List.length t.entries

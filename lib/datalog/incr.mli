@@ -90,22 +90,27 @@
     so Theorem 1 of the paper holds per constraint: one whose view is
     empty held before the statement and still holds after it, and its
     entries are skipped.  The views of violated constraints are
-    maintained as usual. *)
+    maintained as usual.
+
+    {b Counters.}  The work is counted process-wide in the metrics
+    registry ({!Xic_obs.Obs.Metrics}), across every view set and every
+    rebuild:
+    {ul
+    {- [incr_evals]: residual delta evaluations;}
+    {- [incr_reverifies]: view rows re-checked after removals;}
+    {- [incr_recomputes]: full evaluations, by {!initialize} or for a
+       change that binds no variable of the residual;}
+    {- [incr_skipped]: denials untouched by a delta, whose share of it
+       cancelled, or skipped as proven.}} *)
+
+val c_evals : Xic_obs.Obs.Metrics.counter
+val c_reverifies : Xic_obs.Obs.Metrics.counter
+val c_recomputes : Xic_obs.Obs.Metrics.counter
+val c_skipped : Xic_obs.Obs.Metrics.counter
+(** The cells of [incr_evals], [incr_reverifies], [incr_recomputes] and
+    [incr_skipped]. *)
 
 type t
-
-type stats = {
-  mutable evals : int;  (** residual delta evaluations *)
-  mutable reverifies : int;  (** view rows re-checked after removals *)
-  mutable recomputes : int;
-      (** full evaluations: by {!initialize}, or for a change that binds
-          no variable of the residual *)
-  mutable skipped : int;
-      (** denials untouched by a delta, whose share of it cancelled, or
-          skipped as proven *)
-  mutable rows_added : int;
-  mutable rows_removed : int;
-}
 
 val create : (string * Term.denial list) list -> t
 (** One view relation per (constraint, denial).  The view starts empty;
@@ -136,5 +141,4 @@ val violated : ?view:Store.t -> t -> string list
 val view : t -> Store.t
 (** The materialized witness store (read-only by convention). *)
 
-val stats : t -> stats
 val entry_count : t -> int

@@ -6,7 +6,7 @@
     The JSON value type is deliberately minimal (this repository takes
     no external dependencies); {!Raw} embeds a pre-rendered JSON
     document verbatim, which is how the server's [stats] response reuses
-    [Repository.metrics_json] without re-encoding it. *)
+    [Obs.Metrics.to_json] without re-encoding it. *)
 
 type json =
   | Null

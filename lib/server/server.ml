@@ -442,7 +442,8 @@ let do_checkpoint t req =
 
 (* Refresh the point-in-time serve gauges so stats / Prometheus
    expositions see live values. *)
-let sync_gauges t (gc : Gc.stat) =
+let refresh_gauges t =
+  let gc = Gc.quick_stat () in
   Obs.Metrics.set c_gc_minor gc.Gc.minor_collections;
   Obs.Metrics.set c_gc_major gc.Gc.major_collections;
   Obs.Metrics.set c_gc_major_words (int_of_float gc.Gc.major_words);
@@ -478,8 +479,7 @@ let op_quantiles t =
        ops)
 
 let do_stats t =
-  let gc = Gc.quick_stat () in
-  sync_gauges t gc;
+  refresh_gauges t;
   let uptime_s =
     Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t.started_ns) /. 1e9
   in
@@ -494,27 +494,18 @@ let do_stats t =
                  else 0.) );
             ("batches", P.Int t.batches);
             ("batched_guards", P.Int t.batched_guards);
-            ("generation", P.Int (R.generation t.srepo));
-            ("pins", P.Int (Hashtbl.length t.pins));
-            ( "retained_generations",
-              P.Int (List.length (R.retained_generations t.srepo)) );
-            ("open_txn", P.Bool (t.open_txn <> None)) ] );
+            ("generation", P.Int (R.generation t.srepo)) ] );
       ("ops", op_quantiles t);
-      ( "gc",
-        P.Obj
-          [ ("minor_collections", P.Int gc.Gc.minor_collections);
-            ("major_collections", P.Int gc.Gc.major_collections);
-            ("major_words", P.Int (int_of_float gc.Gc.major_words));
-            ("heap_words", P.Int gc.Gc.heap_words) ] );
       (* the exact document the CLI's --metrics prints: one formatter,
-         one schema (per-op serve_*_ms histograms included) *)
-      ("metrics", P.Raw (R.metrics_json t.srepo)) ]
+         one schema (serve gauges, gc_* and the per-op serve_*_ms
+         histograms included) *)
+      ("metrics", P.Raw (Obs.Metrics.to_json ())) ]
 
 let do_metrics t =
-  sync_gauges t (Gc.quick_stat ());
+  refresh_gauges t;
   ok
     [ ("format", P.String "prometheus");
-      ("body", P.String (R.metrics_prometheus t.srepo)) ]
+      ("body", P.String (Obs.Metrics.to_prometheus ())) ]
 
 let rec span_json (s : Obs.Trace.span) =
   P.Obj

@@ -5,14 +5,16 @@
     stay resident — and answers {!Protocol} requests:
 
     {ul
-    {- [ping], [stats], [shutdown] — [stats] carries a [gc] section
-       (minor and major collections, major-heap words allocated, heap
-       words) read with [Gc.quick_stat] as the request arrives; the
-       [metrics] exposition has the same as [xic_gc_*];}
+    {- [ping], [stats], [shutdown] — [stats] carries the server's
+       request counts, per-op latency quantiles and the metrics registry
+       as JSON ([metrics]);}
     {- [metrics]: Prometheus text exposition of every counter, gauge and
-       latency histogram (serve gauges — open transactions, pins,
-       journal bytes since checkpoint, resident store facts, live
-       connections — are synced just before rendering);}
+       latency histogram.  Before [stats] or [metrics] renders the
+       registry, the serve gauges (open transactions, pins, retained
+       generations, journal bytes since checkpoint, resident store
+       facts, live connections) and the collector's counters
+       ([gc_*]: minor and major collections, major-heap words
+       allocated, heap words, from [Gc.quick_stat]) are synced;}
     {- [slow]: the N slowest requests so far (worst first), each with
        its op, duration, trace identifiers, truncated request document,
        and — when request tracing is on — its full span tree;}

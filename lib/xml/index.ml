@@ -19,11 +19,17 @@
 module Symbol = Xic_symbol.Symbol
 
 type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable fallbacks : int;
-  mutable events : int;
+  hits : int;
+  misses : int;
+  fallbacks : int;
+  events : int;
 }
+
+(* Process-wide in the metrics registry, across every index. *)
+let c_hits = Xic_obs.Obs.Metrics.counter "index_hits"
+let c_misses = Xic_obs.Obs.Metrics.counter "index_misses"
+let c_fallbacks = Xic_obs.Obs.Metrics.counter "index_fallbacks"
+let c_events = Xic_obs.Obs.Metrics.counter "index_events"
 
 (* [ids] is a multiset (an element with two identical text children
    appears twice in its by_text bucket, once per child); [cache] is the
@@ -43,7 +49,6 @@ type t = {
      (-1 = unranked); maintained across attaches and detaches, see
      [rank_attached] *)
   mutable order : int array option;
-  stats : stats;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -233,7 +238,7 @@ let on_event t e =
    | Some arr, Doc.Detaching id -> unrank_subtree t arr id
    | _ -> ());
   if t.built then begin
-    t.stats.events <- t.stats.events + 1;
+    Xic_obs.Obs.Metrics.incr c_events;
     match e with
     | Doc.Attached id -> reindex t id ~subtree:add_subtree ~bucket:bucket_add
     | Doc.Detaching id ->
@@ -253,7 +258,6 @@ let raw doc =
     by_attr = Hashtbl.create 64;
     by_text = Hashtbl.create 256;
     order = None;
-    stats = { hits = 0; misses = 0; fallbacks = 0; events = 0 };
   }
 
 let c_index_builds = Xic_obs.Obs.Metrics.counter "index_builds"
@@ -274,7 +278,7 @@ let built t = t.built
 
 let ensure_built t =
   if not t.built then begin
-    t.stats.misses <- t.stats.misses + 1;
+    Xic_obs.Obs.Metrics.incr c_misses;
     build t
   end
 
@@ -308,7 +312,7 @@ let order_table t =
   match t.order with
   | Some arr -> arr
   | None ->
-    t.stats.misses <- t.stats.misses + 1;
+    Xic_obs.Obs.Metrics.incr c_misses;
     Xic_obs.Obs.Metrics.incr c_rank_builds;
     let arr = build_order t in
     t.order <- Some arr;
@@ -355,13 +359,13 @@ let sorted_view t b =
   | Some l -> l
   | None ->
     let l = sort_doc_order t b.ids in
-    t.stats.misses <- t.stats.misses + 1;
+    Xic_obs.Obs.Metrics.incr c_misses;
     b.cache <- Some l;
     l
 
 let lookup t tbl key =
   ensure_built t;
-  t.stats.hits <- t.stats.hits + 1;
+  Xic_obs.Obs.Metrics.incr c_hits;
   match Hashtbl.find_opt tbl key with
   | None -> []
   | Some b -> sorted_view t b
@@ -388,14 +392,13 @@ let by_pcdata t ~tag value = by_pcdata_sym t ~tag:(Symbol.intern tag) value
 (* Statistics                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let note_fallback t = t.stats.fallbacks <- t.stats.fallbacks + 1
-let stats t = t.stats
+let note_fallback () = Xic_obs.Obs.Metrics.incr c_fallbacks
 
-let reset_stats t =
-  t.stats.hits <- 0;
-  t.stats.misses <- 0;
-  t.stats.fallbacks <- 0;
-  t.stats.events <- 0
+let stats () =
+  { hits = Xic_obs.Obs.Metrics.value c_hits;
+    misses = Xic_obs.Obs.Metrics.value c_misses;
+    fallbacks = Xic_obs.Obs.Metrics.value c_fallbacks;
+    events = Xic_obs.Obs.Metrics.value c_events }
 
 (* ------------------------------------------------------------------ *)
 (* Consistency audit (for tests)                                       *)

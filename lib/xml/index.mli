@@ -13,11 +13,14 @@
 
 type t
 
+(** The registry counters [index_hits], [index_misses],
+    [index_fallbacks] and [index_events]: process-wide, summed over
+    every index. *)
 type stats = {
-  mutable hits : int;       (** lookups served from the index *)
-  mutable misses : int;     (** builds and sorts *)
-  mutable fallbacks : int;  (** planner bail-outs to the scan interpreter *)
-  mutable events : int;     (** document mutations processed *)
+  hits : int;       (** lookups served from the index *)
+  misses : int;     (** builds and sorts *)
+  fallbacks : int;  (** planner bail-outs to the scan interpreter *)
+  events : int;     (** document mutations processed *)
 }
 
 val create : Doc.t -> t
@@ -77,11 +80,11 @@ val by_pcdata_sym : t -> tag:Doc.Symbol.t -> string -> Doc.node_id list
 
 (** {1 Statistics} *)
 
-val note_fallback : t -> unit
+val note_fallback : unit -> unit
 (** Record that a planner examined a query it could not index. *)
 
-val stats : t -> stats
-val reset_stats : t -> unit
+val stats : unit -> stats
+(** A read of the registry counters (see {!stats}). *)
 
 (** {1 Consistency audit}
 

@@ -513,7 +513,7 @@ and compile_abs steps : compiled =
             charge ctx (1 + List.length ids);
             crest ctx false (Nodes (run_preds ctx ids cothers))
           | None ->
-            Index.note_fallback idx;
+            Index.note_fallback ();
             let candidates = Index.descendants_named_sym idx sym in
             charge ctx (1 + List.length candidates);
             crest ctx false (Nodes (run_preds ctx candidates cpreds))))

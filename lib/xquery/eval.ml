@@ -633,8 +633,8 @@ and compile_narrow = function
 and run_narrow ?(ordered = true) cx env (plan : narrow_plan) : value list option =
   match (cx.idx, plan) with
   | None, _ | _, N_never -> None
-  | Some idx, N_fallback ->
-    Index.note_fallback idx;
+  | Some _, N_fallback ->
+    Index.note_fallback ();
     None
   | Some idx, N_probe (tag, access, ccomp) ->
     let ids =
@@ -644,7 +644,7 @@ and run_narrow ?(ordered = true) cx env (plan : narrow_plan) : value list option
     in
     (match ids with
      | None ->
-       Index.note_fallback idx;
+       Index.note_fallback ();
        None
      | Some ids ->
        XE.tick (1 + List.length ids);

@@ -112,7 +112,8 @@ let test_schema_from_doctype () =
 let test_constraint_compiles () =
   let c = Conf.conflict (Lazy.force schema) in
   checki "two denials" 2 (List.length c.Constr.datalog);
-  checkb "has xpathlog" true (c.Constr.xpathlog <> None)
+  checkb "keeps its xpathlog" true
+    (c.Constr.xpathlog.Xic_xpathlog.Ast.label = Some "conflict")
 
 let test_constraint_bad_source () =
   match Constr.make (Lazy.force schema) ~name:"bad" "<- //nonexistent -> X and X = \"a\"" with
@@ -313,70 +314,63 @@ let test_recursive_dtd_constraints () =
   | _ -> Alcotest.fail "duplicate nested title must be caught by the full check"
 
 (* ------------------------------------------------------------------ *)
-(* Bundles                                                             *)
+(* Degradation log                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_bundle_roundtrip () =
-  let s = Lazy.force schema in
-  let repo = make_repo () in
-  Repository.register_pattern repo (Conf.submission_pattern s);
-  let text = Bundle.save repo in
-  let repo2 = Bundle.load s text in
-  Alcotest.(check (list string)) "constraints preserved"
-    (List.map (fun (c : Constr.t) -> c.Constr.name) (Repository.constraints repo))
-    (List.map (fun (c : Constr.t) -> c.Constr.name) (Repository.constraints repo2));
-  Alcotest.(check (list string)) "patterns preserved"
-    (List.map (fun p -> p.Pattern.name) (Repository.patterns repo))
-    (List.map (fun p -> p.Pattern.name) (Repository.patterns repo2));
-  (* the reloaded repository guards updates identically *)
-  Repository.load_fused repo2 pub_doc;
-  Repository.load_fused repo2 rev_doc;
-  (match
-     Repository.guarded_update repo2
-       (Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]"
-          ~title:"Bad" ~author:"Carl")
-   with
-   | Repository.Rejected_early "conflict" -> ()
-   | _ -> Alcotest.fail "reloaded repo must reject early");
-  (* and saving again yields a loadable, semantically identical bundle
-     (fresh-variable numbering differs, the internal variant check in
-     [load] verifies equivalence) *)
-  let repo3 = Bundle.load s (Bundle.save repo2) in
-  Alcotest.(check int) "third generation intact" 3
-    (List.length (Repository.constraints repo3))
-
-let test_bundle_stale_detection () =
-  let s = Lazy.force schema in
-  let repo = make_repo () in
-  Repository.register_pattern repo (Conf.submission_pattern s);
-  let text = Bundle.save repo in
-  (* corrupt a stored check: claim the workload bound is different *)
-  let replace ~needle ~by s =
-    let b = Buffer.create (String.length s) in
-    let n = String.length needle in
-    let i = ref 0 in
-    while !i < String.length s do
-      if !i + n <= String.length s && String.sub s !i n = needle then begin
-        Buffer.add_string b by;
-        i := !i + n
-      end
-      else begin
-        Buffer.add_char b s.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents b
+(* A (pattern, constraint) pair [Simp] cannot simplify is logged once,
+   when the pattern's checks are compiled; each matching statement
+   still reports it degraded, without another log line. *)
+let test_unsupported_logged_once () =
+  let module Log = Xic_obs.Log in
+  let path = Filename.temp_file "xic_core_log" ".log" in
+  (match Log.open_path path with Ok () -> () | Error m -> Alcotest.fail m);
+  Fun.protect
+    ~finally:(fun () -> Log.close (); Sys.remove path)
+  @@ fun () ->
+  let s =
+    Schema.create
+      [ ( {|<!ELEMENT shop (item*)>
+            <!ELEMENT item (name, price)>
+            <!ELEMENT name (#PCDATA)>
+            <!ELEMENT price (#PCDATA)>|},
+          "shop" ) ]
   in
-  let stale = replace ~needle:"> 9" ~by:"> 7" text in
-  if stale = text then Alcotest.fail "fixture did not change";
-  match Bundle.load s stale with
-  | exception Bundle.Bundle_error _ -> ()
-  | _ -> Alcotest.fail "stale bundle must be rejected"
-
-let test_bundle_bad_header () =
-  match Bundle.load (Lazy.force schema) "something else" with
-  | exception Bundle.Bundle_error _ -> ()
-  | _ -> Alcotest.fail "bad header must be rejected"
+  let repo = Repository.create s in
+  Repository.load_fused repo
+    {|<shop><item><name>pen</name><price>30</price></item><item><name>ink</name><price>40</price></item></shop>|};
+  Repository.add_constraint repo
+    (Constr.make s ~name:"budget" "<- sum{P; //item/price/text() -> P} > 100");
+  let append name price =
+    Printf.sprintf
+      {|<xupdate:modifications version="1.0" xmlns:xupdate="http://www.xmldb.org/xupdate"><xupdate:append select="/shop"><xupdate:element name="item"><name>%s</name><price>%s</price></xupdate:element></xupdate:append></xupdate:modifications>|}
+      name price
+    |> XU.parse_string
+  in
+  (match append "%n" "%p" with
+   | [ m ] -> Repository.register_pattern repo (Pattern.of_modification s ~name:"item" m)
+   | _ -> Alcotest.fail "one modification expected");
+  for k = 1 to 3 do
+    let r = Repository.guarded_batch repo [ append (Printf.sprintf "cap%d" k) "1" ] in
+    match r with
+    | [ { Repository.outcome = Repository.Applied `Full_check; degradations = [ d ] } ] ->
+      checks "the pair is reported" "budget" d.Repository.failed_check
+    | _ -> Alcotest.failf "guard %d: expected a degraded, applied statement" k
+  done;
+  Log.close ();
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let contains hay needle =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+    go 0
+  in
+  let warns =
+    List.filter
+      (fun l -> contains l "level=warn" && contains l "budget")
+      (String.split_on_char '\n' text)
+  in
+  checki "one warn line names budget" 1 (List.length warns)
 
 (* ------------------------------------------------------------------ *)
 (* Templates                                                           *)
@@ -866,11 +860,10 @@ let () =
           Alcotest.test_case "multi-fragment pattern" `Quick test_multi_fragment_pattern;
           Alcotest.test_case "recursive DTD" `Quick test_recursive_dtd_constraints;
         ] );
-      ( "bundles",
+      ( "degradation log",
         [
-          Alcotest.test_case "roundtrip" `Quick test_bundle_roundtrip;
-          Alcotest.test_case "stale detection" `Quick test_bundle_stale_detection;
-          Alcotest.test_case "bad header" `Quick test_bundle_bad_header;
+          Alcotest.test_case "an unsupported pair is logged once" `Quick
+            test_unsupported_logged_once;
         ] );
       ( "templates",
         [

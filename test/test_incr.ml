@@ -27,6 +27,9 @@ module J = Xic_journal.Journal
 module Incr = Xic_datalog.Incr
 module Parser = Xic_datalog.Parser
 
+(* A process-wide registry counter, read by name. *)
+let counter name = Xic_obs.Obs.Metrics.value (Xic_obs.Obs.Metrics.counter name)
+
 (* ------------------------------------------------------------------ *)
 (* Delta algebra                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -423,7 +426,9 @@ let test_every_class_by_delta () =
   let st = Store.create () in
   let inc = Incr.create constraints in
   Incr.initialize inc st;
-  let initialized = (Incr.stats inc).Incr.recomputes in
+  (* the counters are process-wide, and each step's fresh
+     materialization recomputes: count [inc]'s maintenance alone *)
+  let recomputes = ref 0 and evals = ref 0 in
   let gained = Hashtbl.create 8 and lost = Hashtbl.create 8 in
   let rows () = Store.to_facts (Incr.view inc) in
   let before = ref (rows ()) in
@@ -447,7 +452,10 @@ let test_every_class_by_delta () =
         Delta.add d rel tup
       end
     done;
+    let r0 = counter "incr_recomputes" and e0 = counter "incr_evals" in
     ignore (Incr.apply_delta inc st d : bool);
+    recomputes := !recomputes + counter "incr_recomputes" - r0;
+    evals := !evals + counter "incr_evals" - e0;
     let fresh = Incr.create constraints in
     Incr.initialize fresh st;
     Alcotest.(check bool)
@@ -469,9 +477,8 @@ let test_every_class_by_delta () =
   Alcotest.(check int)
     ("every view lost witnesses: " ^ String.concat " " (views lost))
     (List.length denials) (Hashtbl.length lost);
-  Alcotest.(check int) "no recompute after initialization" initialized
-    (Incr.stats inc).Incr.recomputes;
-  Alcotest.(check bool) "the delta rules ran" true ((Incr.stats inc).Incr.evals > 0)
+  Alcotest.(check int) "no recompute after initialization" 0 !recomputes;
+  Alcotest.(check bool) "the delta rules ran" true (!evals > 0)
 
 (* A change that binds no variable of its residual leaves the whole
    denial to evaluate: removing the last submission under a negation
@@ -492,17 +499,16 @@ let test_unbound_change_recomputes () =
       let constraints = [ ("d", [ Parser.parse_denial denial ]) ] in
       let inc = Incr.create constraints in
       Incr.initialize inc st;
-      let s0 = Incr.stats inc in
-      let recomputes = s0.Incr.recomputes and evals = s0.Incr.evals in
+      let recomputes = counter "incr_recomputes" and evals = counter "incr_evals" in
       ignore (Store.remove_sym st rel fact);
       let d = Delta.create () in
       Delta.remove d rel fact;
       ignore (Incr.apply_delta inc st d : bool);
       Alcotest.(check (list string)) (what ^ ": violated") [ "d" ] (Incr.violated inc);
       Alcotest.(check int) (what ^ ": one recompute") (recomputes + 1)
-        (Incr.stats inc).Incr.recomputes;
+        (counter "incr_recomputes");
       Alcotest.(check int) (what ^ ": no residual evaluation") evals
-        (Incr.stats inc).Incr.evals;
+        (counter "incr_evals");
       Store.add_sym st rel fact)
     [ ("negation", ":- rev(Ir, _, _, _), not sub(_, _, _, _)", sub, sub_fact);
       ( "aggregate",
@@ -543,13 +549,14 @@ let sub_fixture denials =
         Store.add_sym st sub (sub_fact f);
         Delta.add d sub (sub_fact f))
       add;
-    let before = (Incr.stats inc).Incr.evals in
+    let before = counter "incr_evals" in
     ignore (Incr.apply_delta inc st d : bool);
+    let evals = counter "incr_evals" - before in
     let fresh = Incr.create constraints in
     Incr.initialize fresh st;
     Alcotest.(check bool) "views equal a fresh materialization" true
       (Store.equal (Incr.view inc) (Incr.view fresh));
-    (Incr.stats inc).Incr.evals - before
+    evals
   in
   (inc, step)
 
@@ -623,8 +630,13 @@ let rita_insert title =
   Conf.insert_submission ~select:"/review/track[1]/rev[2]/sub[1]" ~title
     ~author:"Zoe"
 
-let proven_flushes repo =
-  List.assoc "incr_proven_flushes" (fst (Repository.metrics repo))
+(* Whether the Prometheus exposition has the line [xic_NAME VALUE]. *)
+let exposed name value =
+  let line = Printf.sprintf "\nxic_%s %d\n" name value in
+  let expo = Xic_obs.Obs.Metrics.to_prometheus () in
+  let n = String.length line in
+  let rec has i = i + n <= String.length expo && (String.sub expo i n = line || has (i + 1)) in
+  has 0
 
 let check_views_exact repo what =
   (match Repository.incr_view repo with
@@ -661,14 +673,39 @@ let test_new_root_by_delta () =
     (Repository.check_incremental repo);
   Alcotest.(check bool) "the same views" true
     (Option.get (Repository.incr_view repo) == views);
-  check_views_exact repo "after the new root";
   let d1 = Repository.delta_stats repo in
+  check_views_exact repo "after the new root";
   Alcotest.(check int) "no recompute" d0.Repository.incr_recomputes
     d1.Repository.incr_recomputes;
   Alcotest.(check bool) "the root's facts came by delta" true
     (d1.Repository.delta_facts_added > d0.Repository.delta_facts_added);
   Alcotest.(check bool) "the views took the conflict by delta" true
     (d1.Repository.incr_evals > d0.Repository.incr_evals)
+
+(* The counters live in the registry, so a view rebuild (a constraint
+   added) adds its full evaluations to the count instead of starting a
+   new one. *)
+let test_recomputes_survive_rebuild () =
+  let s = Conf.schema () in
+  let repo = Repository.create s in
+  Repository.load_fused repo fixed_pub;
+  Repository.load_fused repo fixed_rev;
+  Repository.add_constraint repo (Conf.conflict s);
+  let r0 = counter "incr_recomputes" in
+  ignore (Repository.check_incremental repo : string list);
+  let d1 = Repository.delta_stats repo in
+  Alcotest.(check int) "the first build recomputes every entry"
+    (r0 + d1.Repository.incr_entries) d1.Repository.incr_recomputes;
+  Repository.add_constraint repo (Conf.workload s);
+  ignore (Repository.check_incremental repo : string list);
+  let d2 = Repository.delta_stats repo in
+  Alcotest.(check bool) "the rebuild has more entries" true
+    (d2.Repository.incr_entries > d1.Repository.incr_entries);
+  Alcotest.(check int) "the rebuild adds its recomputes"
+    (d1.Repository.incr_recomputes + d2.Repository.incr_entries)
+    d2.Repository.incr_recomputes;
+  Alcotest.(check int) "the registry holds the count" d2.Repository.incr_recomputes
+    (counter "incr_recomputes")
 
 let check_optimized what = function
   | Repository.Applied `Optimized -> ()
@@ -678,7 +715,7 @@ let check_optimized what = function
    views empty (Theorem 1): its flush runs no delta rule. *)
 let test_proven_flush_skips () =
   let repo = guard_repo fixed_rev in
-  let d0 = Repository.delta_stats repo and p0 = proven_flushes repo in
+  let d0 = Repository.delta_stats repo and p0 = counter "incr_proven_flushes" in
   check_optimized "insert" (Repository.guarded_update repo (rita_insert "New"));
   let d1 = Repository.delta_stats repo in
   Alcotest.(check int) "no residual evaluation" d0.Repository.incr_evals
@@ -688,12 +725,9 @@ let test_proven_flush_skips () =
   Alcotest.(check int) "every view skipped once"
     (d0.Repository.incr_skipped + d1.Repository.incr_entries)
     d1.Repository.incr_skipped;
-  Alcotest.(check int) "one proven flush" (p0 + 1) (proven_flushes repo);
-  let line = Printf.sprintf "\nxic_incr_proven_flushes %d\n" (p0 + 1) in
-  let expo = Repository.metrics_prometheus repo in
-  let n = String.length line in
-  let rec has i = i + n <= String.length expo && (String.sub expo i n = line || has (i + 1)) in
-  Alcotest.(check bool) "the exposition carries the counter" true (has 0);
+  Alcotest.(check int) "one proven flush" (p0 + 1) (counter "incr_proven_flushes");
+  Alcotest.(check bool) "the exposition carries the counter" true
+    (exposed "incr_proven_flushes" (p0 + 1));
   Alcotest.(check bool) "the store took the facts" true
     (d1.Repository.delta_facts_added > d0.Repository.delta_facts_added);
   check_views_exact repo "after a proven flush"
@@ -703,11 +737,12 @@ let test_proven_flush_skips () =
    views are empty are still skipped as proven. *)
 let test_violated_state_maintained () =
   let repo = guard_repo conflicted_rev in
-  let d0 = Repository.delta_stats repo and p0 = proven_flushes repo in
+  let d0 = Repository.delta_stats repo and p0 = counter "incr_proven_flushes" in
   check_optimized "insert" (Repository.guarded_update repo (rita_insert "New"));
   Alcotest.(check bool) "the delta rules ran" true
     ((Repository.delta_stats repo).Repository.incr_evals > d0.Repository.incr_evals);
-  Alcotest.(check int) "the empty views are proven" (p0 + 1) (proven_flushes repo);
+  Alcotest.(check int) "the empty views are proven" (p0 + 1)
+    (counter "incr_proven_flushes");
   check_views_exact repo "on a violated state"
 
 (* Rita reviews in four tracks with twelve submissions: Example 2 is
@@ -733,7 +768,7 @@ let test_proven_per_constraint () =
   let repo = guard_repo overloaded_rev in
   Alcotest.(check (list string)) "only Example 2 is violated" [ "workload" ]
     (Repository.check_incremental repo);
-  let d0 = Repository.delta_stats repo and p0 = proven_flushes repo in
+  let d0 = Repository.delta_stats repo and p0 = counter "incr_proven_flushes" in
   check_optimized "insert"
     (Repository.guarded_update repo
        (Conf.insert_submission ~select:"/review/track[5]/rev[1]/sub[1]"
@@ -749,7 +784,7 @@ let test_proven_per_constraint () =
     (d0.Repository.incr_skipped + d1.Repository.incr_entries
      - List.length workload.Constr.datalog)
     d1.Repository.incr_skipped;
-  Alcotest.(check int) "one proven flush" (p0 + 1) (proven_flushes repo);
+  Alcotest.(check int) "one proven flush" (p0 + 1) (counter "incr_proven_flushes");
   check_views_exact repo "after a per-constraint proven flush"
 
 (* Marks an unchecked statement left behind reach the views before the
@@ -770,7 +805,7 @@ let test_pending_marks_maintained_first () =
    pre-checked statement, in one transaction. *)
 let test_proven_flush_in_txn () =
   let repo = guard_repo fixed_rev in
-  let p0 = proven_flushes repo in
+  let p0 = counter "incr_proven_flushes" in
   let txn = Repository.begin_txn repo in
   let fallback =
     [ { XU.op = XU.Append;
@@ -787,7 +822,7 @@ let test_proven_flush_in_txn () =
   check_optimized "second insert"
     (Repository.txn_apply txn (rita_insert "Kept")).Repository.outcome;
   Repository.commit_txn txn;
-  Alcotest.(check int) "both inserts proven" (p0 + 2) (proven_flushes repo);
+  Alcotest.(check int) "both inserts proven" (p0 + 2) (counter "incr_proven_flushes");
   Alcotest.(check (pair int int)) "only the second insert stands" (0, 1)
     (count repo "//sub[title = 'Gone']", count repo "//sub[title = 'Kept']");
   check_views_exact repo "after the transaction"
@@ -825,7 +860,7 @@ let test_fallback_blames_new_violations () =
    compensated — compile none. *)
 let test_plans_reused () =
   let repo = guard_repo fixed_rev in
-  let compiled () = List.assoc "datalog_plans_compiled" (fst (Repository.metrics repo)) in
+  let compiled () = counter "datalog_plans_compiled" in
   let stmt op select content = [ { XU.op; select = XP.Parser.parse select; content } ] in
   let sub title author =
     XU.Elem
@@ -853,11 +888,8 @@ let test_plans_reused () =
   for k = 1 to 50 do round k done;
   Alcotest.(check int) "no plan compiled by 200 guarded writes" c0 (compiled ());
   check_views_exact repo "after the writes";
-  let expo = Repository.metrics_prometheus repo in
-  let line = Printf.sprintf "\nxic_datalog_plans_compiled %d\n" (compiled ()) in
-  let n = String.length line in
-  let rec has i = i + n <= String.length expo && (String.sub expo i n = line || has (i + 1)) in
-  Alcotest.(check bool) "the exposition carries the counter" true (has 0)
+  Alcotest.(check bool) "the exposition carries the counter" true
+    (exposed "datalog_plans_compiled" (compiled ()))
 
 let () =
   Alcotest.run "incr"
@@ -878,6 +910,8 @@ let () =
             test_every_class_by_delta;
           Alcotest.test_case "an unbound change recomputes" `Quick
             test_unbound_change_recomputes;
+          Alcotest.test_case "recomputes count across a rebuild" `Quick
+            test_recomputes_survive_rebuild;
           Alcotest.test_case "a new root arrives by delta" `Quick
             test_new_root_by_delta;
         ] );

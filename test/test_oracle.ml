@@ -169,7 +169,7 @@ let check_agreement ~seed repo what =
         Obs.Trace.reset ())
       (fun () -> sorted (Repository.check_full repo))
   in
-  let counters, _ = Repository.metrics repo in
+  let counters, _ = Obs.Metrics.snapshot () in
   let cval name = Option.value ~default:0 (List.assoc_opt name counters) in
   checkb
     (Printf.sprintf "[seed %d] %s: probes <= candidates" seed what)
@@ -472,8 +472,11 @@ let test_fused_loader_oracle () =
    stream: (a) the incremental verdict equals the full check, (b) the
    event-maintained store equals a from-scratch re-shred, (c) the
    delta-maintained denial views equal views recomputed from scratch on
-   the current store.  Returns the recomputed views, which the next
-   check takes as [views]. *)
+   the current store.  Returns the recomputed views with the
+   [incr_recomputes] count taken just before they were built, which
+   the next check takes as [views]. *)
+let recomputes () = Xic_obs.Obs.Metrics.(value (counter "incr_recomputes"))
+
 let check_incremental_agreement ?views ~seed repo what =
   Alcotest.(check (list string))
     (Printf.sprintf "[seed %d] %s: incremental verdict = full" seed what)
@@ -492,24 +495,26 @@ let check_incremental_agreement ?views ~seed repo what =
   in
   (* Every site of these constraints binds a variable of its residual,
      so Incr recomputes only when it initializes: [views] must still be
-     the live views, initialized once. *)
+     the live views, and the recomputes since they were built their one
+     initialization. *)
   Option.iter
-    (fun views ->
+    (fun (views, built_from) ->
       let d = Repository.delta_stats repo in
       checkb
         (Printf.sprintf "[seed %d] %s: views maintained, never recomputed" seed what)
         true
         (views == maintained
-         && d.Repository.incr_recomputes = d.Repository.incr_entries))
+         && d.Repository.incr_recomputes - built_from = d.Repository.incr_entries))
     views;
   let maintained = Store.freeze maintained in
   Repository.set_incremental repo false;  (* drop the views... *)
+  let built_from = recomputes () in
   ignore (Repository.check_incremental repo : string list);  (* ...recompute *)
   match Repository.incr_view repo with
   | Some fresh ->
     check_stores_equal ~seed (what ^ " (maintained views vs recompute)")
       fresh maintained;
-    fresh
+    (fresh, built_from)
   | None -> Alcotest.failf "[seed %d] %s: recompute built no views" seed what
 
 (* Beside Examples 1, 2 and 7, whose views ignore the position column,
@@ -543,7 +548,7 @@ let test_incremental_oracle () =
   List.iter
     (fun (what, rev) ->
       let repo = incr_repo_of ~removals:true ~pub:fixed_pub ~rev () in
-      ignore (check_incremental_agreement ~seed:0 repo what : Store.t))
+      ignore (check_incremental_agreement ~seed:0 repo what : Store.t * int))
     [ ("examples consistent", fixed_rev);
       ( "examples violated",
         {|<review><track><name>DB</name><rev><name>Carl</name><sub><title>Joint</title><auts><name>Carl</name></auts></sub></rev></track></review>|}
@@ -607,12 +612,14 @@ let test_incremental_oracle () =
            before recovery: replay deltas must maintain them too *)
         let r2 = Prng.create seed in
         let repo2 = incr_repo_of ~removals ~pub:(gen_pub r2) ~rev:(gen_rev i r2) () in
+        let built_from = recomputes () in
         ignore (Repository.check_incremental repo2 : string list);
         let views2 = Option.get (Repository.incr_view repo2) in
         ignore (Repository.recover (J.read path) repo2 : Repository.recovery_report);
         ignore
-          (check_incremental_agreement ~views:views2 ~seed repo2 "after recovery replay"
-            : Store.t);
+          (check_incremental_agreement ~views:(views2, built_from) ~seed repo2
+             "after recovery replay"
+            : Store.t * int);
         Alcotest.(check (list string))
           (Printf.sprintf "[seed %d] recovered incremental verdict = original" seed)
           (sorted (Repository.check_incremental repo))

@@ -413,6 +413,43 @@ let test_unmatched_guard_ignores_fallback () =
   checks "illegal: compensated" "rolled_back"
     (Option.get (P.string_field "outcome" illegal))
 
+(* View maintenance shows in the Prometheus exposition: a fallback
+   guard is checked from the views, maintained by delta rules. *)
+let test_fallback_in_exposition () =
+  let srv = Srv.create (make_repo ()) in
+  let evals () =
+    let resp = Srv.handle srv (P.Obj [ ("op", P.String "metrics") ]) in
+    let prefix = "xic_incr_evals " in
+    let n = String.length prefix in
+    List.find_map
+      (fun line ->
+        if String.length line > n && String.sub line 0 n = prefix then
+          int_of_string_opt (String.sub line n (String.length line - n))
+        else None)
+      (String.split_on_char '\n' (Option.get (P.string_field "body" resp)))
+  in
+  ignore (Srv.handle srv (P.Obj [ ("op", P.String "check") ]));
+  let before = Option.value ~default:0 (evals ()) in
+  let u =
+    [ { XU.op = XU.Append;
+        select = Xic_xpath.Parser.parse "/review/track[1]/rev[1]";
+        content =
+          [ XU.Elem
+              ( "sub", [],
+                [ XU.Elem ("title", [], [ XU.Text "App" ]);
+                  XU.Elem ("auts", [], [ XU.Elem ("name", [], [ XU.Text "Zed" ]) ]) ] ) ] } ]
+  in
+  let r =
+    Srv.handle srv
+      (P.Obj [ ("op", P.String "guard"); ("update", P.String (XU.to_string u)) ])
+  in
+  checks "by the post-check" "full_check" (Option.get (P.string_field "strategy" r));
+  match evals () with
+  | Some after ->
+    checkb "xic_incr_evals > 0" true (after > 0);
+    checkb "the guard's delta rules counted" true (after > before)
+  | None -> Alcotest.fail "the exposition lacks xic_incr_evals"
+
 let test_batch_serial_parity () =
   let ja = tmp_path "batch_a.j" and jb = tmp_path "batch_b.j" in
   let a = make_repo () in
@@ -974,12 +1011,12 @@ let test_inherited_descriptors () =
   checkb "a fresh client is answered" true (ping addr)
 
 let gc_field name stats =
-  match P.member "gc" stats with
-  | Some gc ->
-    (match P.int_field name gc with
+  match Option.bind (P.member "metrics" stats) (P.member "counters") with
+  | Some counters ->
+    (match P.int_field ("gc_" ^ name) counters with
      | Some v -> v
-     | None -> Alcotest.failf "gc.%s missing" name)
-  | None -> Alcotest.fail "stats lacks its gc section"
+     | None -> Alcotest.failf "metrics.counters.gc_%s missing" name)
+  | None -> Alcotest.fail "stats lacks its metrics counters"
 
 (* The serve loop allocates its buffers once: a check request puts
    well under one read buffer's worth of words on the major heap. *)
@@ -1039,6 +1076,8 @@ let () =
             test_round_batching;
           Alcotest.test_case "unmatched guard ignores fallback" `Quick
             test_unmatched_guard_ignores_fallback;
+          Alcotest.test_case "view maintenance in the exposition" `Quick
+            test_fallback_in_exposition;
           Alcotest.test_case "journal error in a batched run" `Quick
             test_batched_journal_error;
           Alcotest.test_case "failed closing record is undone" `Quick
