@@ -342,13 +342,13 @@ let stages ~sizes ~reps () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* Ingestion: parse-only vs legacy parse-then-shred vs fused one-pass  *)
+(* Ingestion: parse-only vs fused one-pass load                        *)
 (* ------------------------------------------------------------------ *)
 
 let ingest ~sizes ~reps () =
   Printf.printf "# Ingestion (cold load of both documents into a fresh repo)\n";
-  Printf.printf "# %-12s %-10s %-15s %-19s %-12s %s\n" "size(bytes)" "subs"
-    "parse_only(ms)" "legacy_p+shred(ms)" "fused(ms)" "speedup";
+  Printf.printf "# %-12s %-10s %-15s %s\n" "size(bytes)" "subs"
+    "parse_only(ms)" "fused(ms)";
   let rows =
     List.map
       (fun size ->
@@ -358,20 +358,6 @@ let ingest ~sizes ~reps () =
           ignore (Xic_xml.Xml_parser.parse_string ds.Gen.pub_xml);
           ignore (Xic_xml.Xml_parser.parse_string ds.Gen.rev_xml)
         in
-        (* the two-pass ablation: parse into the arena, register the
-           roots, then force the mirror's flush, which shreds them
-           node by node into the store *)
-        let legacy () =
-          let repo = Repository.create s in
-          List.iter
-            (fun xml ->
-              Xic_xml.Xml_parser.parse_fragment (Repository.doc repo) xml
-              |> List.filter (Xic_xml.Doc.is_element (Repository.doc repo))
-              |> List.iter (Repository.add_document_root ~validate:false repo))
-            [ ds.Gen.pub_xml; ds.Gen.rev_xml ];
-          ignore (Repository.store repo : Xic_datalog.Store.t);
-          repo
-        in
         let fused () =
           let repo = Repository.create s in
           Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
@@ -380,37 +366,33 @@ let ingest ~sizes ~reps () =
           ignore (Repository.store repo : Xic_datalog.Store.t);
           repo
         in
-        (* Both load paths must agree exactly: same facts, same verdicts
-           on Examples 1 and 2, at every size. *)
-        let repo_l = legacy () and repo_f = fused () in
+        (* At every size the store the parser's sink filled must equal a
+           from-scratch shred of the loaded documents, and the Datalog
+           verdicts on Examples 1 and 2 the XQuery ones, which read the
+           document alone. *)
+        let repo = fused () in
         if
           not
-            (Xic_datalog.Store.equal (Repository.store repo_l)
-               (Repository.store repo_f))
-        then failwith "ingest: fused and legacy stores differ";
+            (Xic_datalog.Store.equal
+               (Xic_relmap.Shred.shred (Schema.mapping s) (Repository.doc repo))
+               (Repository.store repo))
+        then failwith "ingest: the fused store differs from a fresh shred";
         List.iter
           (fun constraint_ ->
-            let c = constraint_ s in
-            Repository.add_constraint repo_l c;
-            Repository.add_constraint repo_f c;
-            let vl = Repository.check_full repo_l
-            and vf = Repository.check_full repo_f in
-            if vl <> vf then failwith "ingest: fused and legacy verdicts differ")
+            Repository.add_constraint repo (constraint_ s);
+            if Repository.check_full repo <> Repository.check_full_datalog repo
+            then failwith "ingest: XQuery and Datalog verdicts differ")
           [ Conf.conflict; Conf.workload ];
         let p_med, p_min = time_stats ~reps (fun () -> parse_only ()) in
-        let l_med, l_min = time_stats ~reps (fun () -> ignore (legacy ())) in
         let f_med, f_min = time_stats ~reps (fun () -> ignore (fused ())) in
-        let speedup = l_med /. (f_med +. 1e-9) in
-        Printf.printf "%-14d %-10d %-15.3f %-19.3f %-12.3f %.1fx\n%!"
-          ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions p_med l_med f_med
-          speedup;
+        Printf.printf "%-14d %-10d %-15.3f %.3f\n%!" ds.Gen.stats.Gen.bytes
+          ds.Gen.stats.Gen.submissions p_med f_med;
         Printf.sprintf
           "{\"bytes\": %d, \"subs\": %d, \"parse_only_median_ms\": %.4f, \
-           \"parse_only_min_ms\": %.4f, \"legacy_parse_shred_median_ms\": %.4f, \
-           \"legacy_parse_shred_min_ms\": %.4f, \"fused_median_ms\": %.4f, \
-           \"fused_min_ms\": %.4f, \"speedup\": %.1f}"
-          ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions p_med p_min l_med
-          l_min f_med f_min speedup)
+           \"parse_only_min_ms\": %.4f, \"fused_median_ms\": %.4f, \
+           \"fused_min_ms\": %.4f}"
+          ds.Gen.stats.Gen.bytes ds.Gen.stats.Gen.submissions p_med p_min f_med
+          f_min)
       sizes
   in
   add_json "ingest" ("[\n    " ^ String.concat ",\n    " rows ^ "\n  ]");
@@ -1119,6 +1101,78 @@ let write_all fd s =
   in
   go 0
 
+(* The repository every server experiment serves: both generated
+   documents and Example 1, plus the submission pattern when guards are
+   sent. *)
+let served_repo ?(pattern = false) s ds () =
+  let repo = Repository.create s in
+  Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
+  Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
+  Repository.add_constraint repo (Conf.conflict s);
+  if pattern then Repository.register_pattern repo (Conf.submission_pattern s);
+  repo
+
+(* Run [f] against resident servers forked over Unix-domain sockets, one
+   per [(setup, journal)]: the child builds its repository with
+   [setup ()] (which may also configure the child, its logging say),
+   opens a durable journal when [journal], and serves until shut down,
+   exiting 97 on any failure.  [f] gets one connected descriptor per
+   server, in order (200 connection attempts, 0.1 s apart).  When [f]
+   returns, each server is shut down and must exit cleanly; whatever
+   happens, every child still running is killed and reaped, and its
+   socket and journal are removed. *)
+let with_servers servers f =
+  let spawn (setup, journal) =
+    let sock = Filename.temp_file "bench_srv" ".sock" in
+    Sys.remove sock;
+    let jpath = Filename.temp_file "bench_srv" ".j" in
+    Sys.remove jpath;
+    match Unix.fork () with
+    | 0 ->
+      (try
+         let repo = setup () in
+         let journal =
+           if journal then Some (Xic_journal.Journal.open_ jpath) else None
+         in
+         let srv = Srv.create ~config:{ Srv.default_config with journal } repo in
+         Srv.serve ~idle_timeout:0.05 srv (Srv.listen (Proto.Unix_sock sock));
+         Unix._exit 0
+       with _ -> Unix._exit 97)
+    | pid -> (ref (Some pid), sock, jpath)
+  in
+  let children = List.map spawn servers in
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun (pid, sock, jpath) ->
+          Option.iter
+            (fun pid ->
+              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+              try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+            !pid;
+          List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
+            [ sock; jpath ])
+        children)
+  @@ fun () ->
+  let rec connect sock n =
+    match Proto.connect (Proto.Unix_sock sock) with
+    | fd -> fd
+    | exception _ when n > 0 ->
+      ignore (Unix.select [] [] [] 0.1);
+      connect sock (n - 1)
+  in
+  let fds = List.map (fun (_, sock, _) -> connect sock 200) children in
+  let result = f fds in
+  List.iter2
+    (fun (pid, _, _) fd ->
+      ignore (Proto.request fd (Proto.Obj [ ("op", Proto.String "shutdown") ]));
+      Unix.close fd;
+      let status = snd (Unix.waitpid [] (Option.get !pid)) in
+      pid := None;
+      if status <> Unix.WEXITED 0 then
+        failwith "server child did not exit cleanly")
+    children fds;
+  result
+
 (* Sustained service rate of the resident server versus paying the
    load on every request (what a one-shot CLI loop does), plus the
    per-request saving of batched guarded transactions.  The server runs
@@ -1130,10 +1184,6 @@ let server_bench ~reps () =
   Printf.printf "# Resident server vs one-shot loop (%d bytes)\n" size;
   let s = Conf.schema () in
   let ds = Gen.generate ~seed:42 ~target_bytes:size () in
-  let sock = Filename.temp_file "bench_srv" ".sock" in
-  Sys.remove sock;
-  let jpath = Filename.temp_file "bench_srv" ".j" in
-  Sys.remove jpath;
   (* one-shot: every request pays parse + shred + check *)
   let oneshot () =
     let repo = Repository.create s in
@@ -1144,180 +1194,144 @@ let server_bench ~reps () =
   in
   let oneshot_med, _ = time_stats ~reps ~clean:true oneshot in
   (* resident: the child keeps everything warm *)
-  (match Unix.fork () with
-   | 0 ->
-     (try
-        let repo = Repository.create s in
-        Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
-        Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
-        Repository.add_constraint repo (Conf.conflict s);
-        Repository.register_pattern repo (Conf.submission_pattern s);
-        let j = Xic_journal.Journal.open_ jpath in
-        let srv =
-          Srv.create
-            ~config:{ Srv.default_config with journal = Some j }
-            repo
-        in
-        let lfd = Srv.listen (Proto.Unix_sock sock) in
-        Srv.serve ~idle_timeout:0.05 srv lfd;
-        Unix._exit 0
-      with _ -> Unix._exit 97)
-   | child ->
-     Fun.protect ~finally:(fun () ->
-         (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
-         (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
-         List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
-           [ sock; jpath ])
-     @@ fun () ->
-     let rec connect n =
-       match Proto.connect (Proto.Unix_sock sock) with
-       | fd -> fd
-       | exception _ when n > 0 ->
-         ignore (Unix.select [] [] [] 0.1);
-         connect (n - 1)
-     in
-     let fd = connect 200 in
-     let check_req = Proto.Obj [ ("op", Proto.String "check") ] in
-     ignore (Proto.request fd check_req) (* warm up *);
-     let lat = Array.init n_checks (fun _ ->
-         let t0 = now () in
-         ignore (Proto.request fd check_req);
-         (now () -. t0) *. 1000.0)
-     in
-     Array.sort Float.compare lat;
-     let total = Array.fold_left ( +. ) 0.0 lat in
-     let rps = float_of_int n_checks /. (total /. 1000.0) in
-     let p50 = percentile lat 50.0 and p99 = percentile lat 99.0 in
-     let oneshot_rps = 1000.0 /. oneshot_med in
-     let speedup = rps /. oneshot_rps in
-     Printf.printf "# %-26s %-14s %-10s %s\n" "route" "checks/sec" "p50(ms)"
-       "p99(ms)";
-     Printf.printf "%-28s %-14.1f %-10.3f %.3f\n" "one-shot (load per check)"
-       oneshot_rps oneshot_med oneshot_med;
-     Printf.printf "%-28s %-14.1f %-10.4f %.4f\n" "resident server" rps p50 p99;
-     Printf.printf "sustained speedup: %.0fx over %d requests\n%!" speedup
-       n_checks;
-     (* guarded updates: serial round trips vs one pipelined batch.
-        Every statement journals durably, so the batch's single commit
-        fsync (and single composed view-maintenance flush) is the win. *)
-     let guard_payload i =
-       Proto.to_string
-         (Proto.Obj
-            [ ("op", Proto.String "guard");
-              ( "update",
-                Proto.String
-                  (Xic_xupdate.Xupdate.to_string
-                     (Conf.insert_submission ~select:ds.Gen.legal_select
-                        ~title:(Printf.sprintf "Bench %d" i)
-                        ~author:ds.Gen.legal_author)) ) ])
-     in
-     let read_applied () =
-       match Proto.read_frame fd with
-       | Some resp ->
-         if not (Proto.bool_field "ok" resp) then failwith "guard errored";
-         (match Proto.string_field "outcome" resp with
-          | Some "applied" -> ()
-          | o ->
-            failwith
-              ("guard not applied: " ^ Option.value ~default:"?" o))
-       | None -> failwith "server closed"
-     in
-     let serial_round k =
-       let t0 = now () in
-       for i = 1 to k do
-         write_all fd (frame_bytes (guard_payload i));
-         read_applied ()
-       done;
-       (now () -. t0) *. 1000.0 /. float_of_int k
-     in
-     let batched_round k =
-       let b = Buffer.create 4096 in
-       for i = 1 to k do
-         Buffer.add_string b (frame_bytes (guard_payload i))
-       done;
-       let t0 = now () in
-       (* one write syscall: the whole batch lands in one poll round *)
-       write_all fd (Buffer.contents b);
-       for _ = 1 to k do
-         read_applied ()
-       done;
-       (now () -. t0) *. 1000.0 /. float_of_int k
-     in
-     (* The document grows with every applied guard, so measuring all
-        serial rounds before all batched rounds would hand the batched
-        side a systematically larger instance.  Interleave them in
-        alternating order and take per-side medians: both populations
-        face the same document-size distribution. *)
-     let interleaved k =
-       ignore (serial_round k);
-       ignore (batched_round k);
-       let n = max reps 5 in
-       let ss = ref [] and bs = ref [] in
-       for i = 1 to n do
-         if i mod 2 = 1 then begin
-           ss := serial_round k :: !ss;
-           bs := batched_round k :: !bs
-         end
-         else begin
-           bs := batched_round k :: !bs;
-           ss := serial_round k :: !ss
-         end
-       done;
-       let med l =
-         let a = Array.of_list l in
-         Array.sort Float.compare a;
-         a.(Array.length a / 2)
-       in
-       (med !ss, med !bs)
-     in
-     Printf.printf "# %-8s %-22s %-22s %s\n" "batch" "serial(ms/request)"
-       "batched(ms/request)" "saving";
-     let guard_rows =
-       List.map
-         (fun k ->
-           let serial_ms, batched_ms = interleaved k in
-           let saving = (serial_ms -. batched_ms) /. serial_ms *. 100.0 in
-           Printf.printf "%-10d %-22.4f %-22.4f %.0f%%\n%!" k serial_ms
-             batched_ms saving;
-           Printf.sprintf
-             "{\"batch\": %d, \"serial_ms_per_request\": %.4f, \
-              \"batched_ms_per_request\": %.4f, \"saving_pct\": %.1f}"
-             k serial_ms batched_ms saving)
-         [ 1; 4; 16 ]
-     in
-     (* confirm the pipelined rounds really were applied as batches *)
-     let stats =
-       Proto.request fd (Proto.Obj [ ("op", Proto.String "stats") ])
-     in
-     (match Proto.member "server" stats with
-      | Some srv_stats ->
-        Printf.printf "server applied %d batches (%d guards batched)\n%!"
-          (Option.value ~default:0 (Proto.int_field "batches" srv_stats))
-          (Option.value ~default:0
-             (Proto.int_field "batched_guards" srv_stats))
-      | None -> ());
-     ignore (Proto.request fd (Proto.Obj [ ("op", Proto.String "shutdown") ]));
-     Unix.close fd;
-     (match Unix.waitpid [] child with
-      | _, Unix.WEXITED 0 -> ()
-      | _ -> failwith "server child did not exit cleanly");
-     add_json "server"
-       (Printf.sprintf
-          "{\n\
-          \    \"size_bytes\": %d,\n\
-          \    \"requests\": %d,\n\
-          \    \"oneshot_checks_per_sec\": %.2f,\n\
-          \    \"oneshot_median_ms\": %.4f,\n\
-          \    \"server_checks_per_sec\": %.2f,\n\
-          \    \"server_p50_ms\": %.4f,\n\
-          \    \"server_p99_ms\": %.4f,\n\
-          \    \"sustained_speedup\": %.1f,\n\
-          \    \"guards\": [%s]\n\
-          \  }"
-          ds.Gen.stats.Gen.bytes n_checks oneshot_rps oneshot_med rps p50 p99
-          speedup
-          (String.concat ", " guard_rows));
-     print_newline ())
+  with_servers [ (served_repo ~pattern:true s ds, true) ] @@ fun fds ->
+  let fd = List.hd fds in
+  let check_req = Proto.Obj [ ("op", Proto.String "check") ] in
+  ignore (Proto.request fd check_req) (* warm up *);
+  let lat = Array.init n_checks (fun _ ->
+      let t0 = now () in
+      ignore (Proto.request fd check_req);
+      (now () -. t0) *. 1000.0)
+  in
+  Array.sort Float.compare lat;
+  let total = Array.fold_left ( +. ) 0.0 lat in
+  let rps = float_of_int n_checks /. (total /. 1000.0) in
+  let p50 = percentile lat 50.0 and p99 = percentile lat 99.0 in
+  let oneshot_rps = 1000.0 /. oneshot_med in
+  let speedup = rps /. oneshot_rps in
+  Printf.printf "# %-26s %-14s %-10s %s\n" "route" "checks/sec" "p50(ms)"
+    "p99(ms)";
+  Printf.printf "%-28s %-14.1f %-10.3f %.3f\n" "one-shot (load per check)"
+    oneshot_rps oneshot_med oneshot_med;
+  Printf.printf "%-28s %-14.1f %-10.4f %.4f\n" "resident server" rps p50 p99;
+  Printf.printf "sustained speedup: %.0fx over %d requests\n%!" speedup
+    n_checks;
+  (* guarded updates: serial round trips vs one pipelined batch.
+     Every statement journals durably, so the batch's single commit
+     fsync (and single composed view-maintenance flush) is the win. *)
+  let guard_payload i =
+    Proto.to_string
+      (Proto.Obj
+         [ ("op", Proto.String "guard");
+           ( "update",
+             Proto.String
+               (Xic_xupdate.Xupdate.to_string
+                  (Conf.insert_submission ~select:ds.Gen.legal_select
+                     ~title:(Printf.sprintf "Bench %d" i)
+                     ~author:ds.Gen.legal_author)) ) ])
+  in
+  let read_applied () =
+    match Proto.read_frame fd with
+    | Some resp ->
+      if not (Proto.bool_field "ok" resp) then failwith "guard errored";
+      (match Proto.string_field "outcome" resp with
+       | Some "applied" -> ()
+       | o ->
+         failwith
+           ("guard not applied: " ^ Option.value ~default:"?" o))
+    | None -> failwith "server closed"
+  in
+  let serial_round k =
+    let t0 = now () in
+    for i = 1 to k do
+      write_all fd (frame_bytes (guard_payload i));
+      read_applied ()
+    done;
+    (now () -. t0) *. 1000.0 /. float_of_int k
+  in
+  let batched_round k =
+    let b = Buffer.create 4096 in
+    for i = 1 to k do
+      Buffer.add_string b (frame_bytes (guard_payload i))
+    done;
+    let t0 = now () in
+    (* one write syscall: the whole batch lands in one poll round *)
+    write_all fd (Buffer.contents b);
+    for _ = 1 to k do
+      read_applied ()
+    done;
+    (now () -. t0) *. 1000.0 /. float_of_int k
+  in
+  (* The document grows with every applied guard, so measuring all
+     serial rounds before all batched rounds would hand the batched
+     side a systematically larger instance.  Interleave them in
+     alternating order and take per-side medians: both populations
+     face the same document-size distribution. *)
+  let interleaved k =
+    ignore (serial_round k);
+    ignore (batched_round k);
+    let n = max reps 5 in
+    let ss = ref [] and bs = ref [] in
+    for i = 1 to n do
+      if i mod 2 = 1 then begin
+        ss := serial_round k :: !ss;
+        bs := batched_round k :: !bs
+      end
+      else begin
+        bs := batched_round k :: !bs;
+        ss := serial_round k :: !ss
+      end
+    done;
+    let med l =
+      let a = Array.of_list l in
+      Array.sort Float.compare a;
+      a.(Array.length a / 2)
+    in
+    (med !ss, med !bs)
+  in
+  Printf.printf "# %-8s %-22s %-22s %s\n" "batch" "serial(ms/request)"
+    "batched(ms/request)" "saving";
+  let guard_rows =
+    List.map
+      (fun k ->
+        let serial_ms, batched_ms = interleaved k in
+        let saving = (serial_ms -. batched_ms) /. serial_ms *. 100.0 in
+        Printf.printf "%-10d %-22.4f %-22.4f %.0f%%\n%!" k serial_ms
+          batched_ms saving;
+        Printf.sprintf
+          "{\"batch\": %d, \"serial_ms_per_request\": %.4f, \
+           \"batched_ms_per_request\": %.4f, \"saving_pct\": %.1f}"
+          k serial_ms batched_ms saving)
+      [ 1; 4; 16 ]
+  in
+  (* confirm the pipelined rounds really were applied as batches *)
+  let stats =
+    Proto.request fd (Proto.Obj [ ("op", Proto.String "stats") ])
+  in
+  (match Proto.member "server" stats with
+   | Some srv_stats ->
+     Printf.printf "server applied %d batches (%d guards batched)\n%!"
+       (Option.value ~default:0 (Proto.int_field "batches" srv_stats))
+       (Option.value ~default:0
+          (Proto.int_field "batched_guards" srv_stats))
+   | None -> ());
+  add_json "server"
+    (Printf.sprintf
+       "{\n\
+       \    \"size_bytes\": %d,\n\
+       \    \"requests\": %d,\n\
+       \    \"oneshot_checks_per_sec\": %.2f,\n\
+       \    \"oneshot_median_ms\": %.4f,\n\
+       \    \"server_checks_per_sec\": %.2f,\n\
+       \    \"server_p50_ms\": %.4f,\n\
+       \    \"server_p99_ms\": %.4f,\n\
+       \    \"sustained_speedup\": %.1f,\n\
+       \    \"guards\": [%s]\n\
+       \  }"
+       ds.Gen.stats.Gen.bytes n_checks oneshot_rps oneshot_med rps p50 p99
+       speedup
+       (String.concat ", " guard_rows));
+  print_newline ()
 
 (* Serve-path cost of the observability stack: request latency against
    a plain server vs one with structured debug logging, request tracing
@@ -1336,62 +1350,33 @@ let server_obs_bench ~reps () =
      stack (per-request debug lines, request tracing, slow ring). *)
   let configs = [ ("plain", `Plain); ("log+metrics", `Info);
                   ("debug+trace", `Debug) ] in
-  let spawn mode sock logpath =
-    match Unix.fork () with
-    | 0 ->
-      (try
+  (* the child-side logging setup, then the served repository *)
+  let setup mode logpath () =
+    (match mode with
+     | `Plain -> ()
+     | `Info | `Debug ->
+       Xic_obs.Log.set_format Xic_obs.Log.Json;
+       Xic_obs.Log.set_level
          (match mode with
-          | `Plain -> ()
-          | `Info | `Debug ->
-            Xic_obs.Log.set_format Xic_obs.Log.Json;
-            Xic_obs.Log.set_level
-              (match mode with
-               | `Debug -> Xic_obs.Log.Debug
-               | _ -> Xic_obs.Log.Info);
-            (match Xic_obs.Log.open_path logpath with
-             | Ok () -> ()
-             | Error m -> failwith m);
-            if mode = `Debug then Xic_obs.Obs.Trace.set_enabled true);
-         let repo = Repository.create s in
-         Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
-         Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
-         Repository.add_constraint repo (Conf.conflict s);
-         let srv = Srv.create repo in
-         let lfd = Srv.listen (Proto.Unix_sock sock) in
-         Srv.serve ~idle_timeout:0.05 srv lfd;
-         Unix._exit 0
-       with _ -> Unix._exit 97)
-    | pid -> pid
+          | `Debug -> Xic_obs.Log.Debug
+          | _ -> Xic_obs.Log.Info);
+       (match Xic_obs.Log.open_path logpath with
+        | Ok () -> ()
+        | Error m -> failwith m);
+       if mode = `Debug then Xic_obs.Obs.Trace.set_enabled true);
+    served_repo s ds ()
   in
-  let servers =
-    List.map
-      (fun (name, mode) ->
-        let sock = Filename.temp_file "bench_obs" ".sock" in
-        let logpath = Filename.temp_file "bench_obs" ".log" in
-        Sys.remove sock;
-        (name, sock, logpath, spawn mode sock logpath))
+  let logs =
+    List.map (fun (name, mode) -> (name, mode, Filename.temp_file "bench_obs" ".log"))
       configs
   in
   Fun.protect ~finally:(fun () ->
-      List.iter
-        (fun (_, sock, logpath, pid) ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-          List.iter
-            (fun p -> try Sys.remove p with Sys_error _ -> ())
-            [ sock; logpath ])
-        servers)
+      List.iter (fun (_, _, p) -> try Sys.remove p with Sys_error _ -> ()) logs)
   @@ fun () ->
-  let rec connect sock n =
-    match Proto.connect (Proto.Unix_sock sock) with
-    | fd -> fd
-    | exception _ when n > 0 ->
-      ignore (Unix.select [] [] [] 0.1);
-      connect sock (n - 1)
-  in
-  let fds =
-    List.map (fun (name, sock, _, _) -> (name, connect sock 200)) servers
-  in
+  with_servers
+    (List.map (fun (_, mode, logpath) -> (setup mode logpath, false)) logs)
+  @@ fun server_fds ->
+  let fds = List.map2 (fun (name, _, _) fd -> (name, fd)) logs server_fds in
   let check_req = Proto.Obj [ ("op", Proto.String "check") ] in
   let round fd k =
     let t0 = now () in
@@ -1453,11 +1438,6 @@ let server_obs_bench ~reps () =
         (List.assoc name overheads))
     meds;
   Printf.printf "(%d checks/round, %d rounds per configuration)\n%!" k n;
-  List.iter
-    (fun (_, fd) ->
-      ignore (Proto.request fd (Proto.Obj [ ("op", Proto.String "shutdown") ]));
-      Unix.close fd)
-    fds;
   let log_ms = List.assoc "log+metrics" meds in
   let dbg_ms = List.assoc "debug+trace" meds in
   add_json "server_obs"
@@ -1545,160 +1525,120 @@ let server_pins_bench ~reps () =
     List.map
       (fun size ->
         let ds = Gen.generate ~seed:42 ~target_bytes:size () in
-        let sock = Filename.temp_file "bench_pins" ".sock" in
-        Sys.remove sock;
-        let jpath = Filename.temp_file "bench_pins" ".j" in
-        Sys.remove jpath;
-        match Unix.fork () with
-        | 0 ->
-          (try
-             let repo = Repository.create s in
-             Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
-             Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
-             Repository.add_constraint repo (Conf.conflict s);
-             Repository.register_pattern repo (Conf.submission_pattern s);
-             let j = Xic_journal.Journal.open_ jpath in
-             let srv =
-               Srv.create
-                 ~config:{ Srv.default_config with journal = Some j }
-                 repo
-             in
-             let lfd = Srv.listen (Proto.Unix_sock sock) in
-             Srv.serve ~idle_timeout:0.05 srv lfd;
-             Unix._exit 0
-           with _ -> Unix._exit 97)
-        | child ->
-          Fun.protect ~finally:(fun () ->
-              (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
-              (try ignore (Unix.waitpid [] child) with Unix.Unix_error _ -> ());
-              List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
-                [ sock; jpath ])
-          @@ fun () ->
-          let rec connect n =
-            match Proto.connect (Proto.Unix_sock sock) with
-            | fd -> fd
-            | exception _ when n > 0 ->
-              ignore (Unix.select [] [] [] 0.1);
-              connect (n - 1)
+        with_servers [ (served_repo ~pattern:true s ds, true) ] @@ fun fds ->
+        let fd = List.hd fds in
+        let rq j = Proto.request fd j in
+        let check_req = Proto.Obj [ ("op", Proto.String "check") ] in
+        ignore (rq check_req) (* warm up *);
+        (* pin open latency over the wire; the opened pins are real,
+           the first [pins_held] stay held through the churn below *)
+        let n_pins = max 100 (reps * 20) in
+        let pin_ids = ref [] in
+        let pin_lat =
+          Array.init n_pins (fun _ ->
+              let t0 = now () in
+              let resp = rq (Proto.Obj [ ("op", Proto.String "pin") ]) in
+              let dt = (now () -. t0) *. 1e6 in
+              (match Proto.int_field "pin" resp with
+               | Some id -> pin_ids := id :: !pin_ids
+               | None -> failwith "pin request failed");
+              dt)
+        in
+        Array.sort Float.compare pin_lat;
+        let pin_p50 = percentile pin_lat 50.0
+        and pin_p99 = percentile pin_lat 99.0 in
+        let held, spare =
+          let ids = List.rev !pin_ids in
+          (List.filteri (fun i _ -> i < pins_held) ids,
+           List.filteri (fun i _ -> i >= pins_held) ids)
+        in
+        List.iter
+          (fun id ->
+            ignore
+              (rq
+                 (Proto.Obj
+                    [ ("op", Proto.String "unpin"); ("pin", Proto.Int id) ])))
+          spare;
+        (* mixed workload: timed plain-check bursts with (untimed)
+           guard commits between them — every burst runs against a
+           newer generation while the held pins stay at the old one *)
+        let guard i =
+          let resp =
+            rq
+              (Proto.Obj
+                 [ ("op", Proto.String "guard");
+                   ( "update",
+                     Proto.String
+                       (Xic_xupdate.Xupdate.to_string
+                          (Conf.insert_submission ~select:ds.Gen.legal_select
+                             ~title:(Printf.sprintf "Churn %d" i)
+                             ~author:ds.Gen.legal_author)) ) ])
           in
-          let fd = connect 200 in
-          let rq j = Proto.request fd j in
-          let check_req = Proto.Obj [ ("op", Proto.String "check") ] in
-          ignore (rq check_req) (* warm up *);
-          (* pin open latency over the wire; the opened pins are real,
-             the first [pins_held] stay held through the churn below *)
-          let n_pins = max 100 (reps * 20) in
-          let pin_ids = ref [] in
-          let pin_lat =
-            Array.init n_pins (fun _ ->
-                let t0 = now () in
-                let resp = rq (Proto.Obj [ ("op", Proto.String "pin") ]) in
-                let dt = (now () -. t0) *. 1e6 in
-                (match Proto.int_field "pin" resp with
-                 | Some id -> pin_ids := id :: !pin_ids
-                 | None -> failwith "pin request failed");
-                dt)
-          in
-          Array.sort Float.compare pin_lat;
-          let pin_p50 = percentile pin_lat 50.0
-          and pin_p99 = percentile pin_lat 99.0 in
-          let held, spare =
-            let ids = List.rev !pin_ids in
-            (List.filteri (fun i _ -> i < pins_held) ids,
-             List.filteri (fun i _ -> i >= pins_held) ids)
-          in
-          List.iter
-            (fun id ->
-              ignore
-                (rq
-                   (Proto.Obj
-                      [ ("op", Proto.String "unpin"); ("pin", Proto.Int id) ])))
-            spare;
-          (* mixed workload: timed plain-check bursts with (untimed)
-             guard commits between them — every burst runs against a
-             newer generation while the held pins stay at the old one *)
-          let guard i =
-            let resp =
-              rq
-                (Proto.Obj
-                   [ ("op", Proto.String "guard");
-                     ( "update",
-                       Proto.String
-                         (Xic_xupdate.Xupdate.to_string
-                            (Conf.insert_submission ~select:ds.Gen.legal_select
-                               ~title:(Printf.sprintf "Churn %d" i)
-                               ~author:ds.Gen.legal_author)) ) ])
-            in
-            match Proto.string_field "outcome" resp with
-            | Some "applied" -> ()
-            | o ->
-              failwith ("churn guard not applied: " ^ Option.value ~default:"?" o)
-          in
-          let checks_per_burst = 1000 in
-          let timed = ref 0.0 and commits = ref 0 in
-          for b = 1 to bursts do
-            let t0 = now () in
-            for _ = 1 to checks_per_burst do
-              ignore (rq check_req)
-            done;
-            timed := !timed +. (now () -. t0);
-            for k = 1 to commits_per_burst do
-              incr commits;
-              guard ((b * 100) + k)
-            done
+          match Proto.string_field "outcome" resp with
+          | Some "applied" -> ()
+          | o ->
+            failwith ("churn guard not applied: " ^ Option.value ~default:"?" o)
+        in
+        let checks_per_burst = 1000 in
+        let timed = ref 0.0 and commits = ref 0 in
+        for b = 1 to bursts do
+          let t0 = now () in
+          for _ = 1 to checks_per_burst do
+            ignore (rq check_req)
           done;
-          let mixed_rps = float_of_int (bursts * checks_per_burst) /. !timed in
-          (* what the held pins cost now that the writer has moved on *)
-          let hist = rq (Proto.Obj [ ("op", Proto.String "history") ]) in
-          let pin_bytes =
-            Option.value ~default:0 (Proto.int_field "pin_bytes" hist)
-          in
-          let retained =
-            match Proto.list_field "retained" hist with
-            | Some rs -> List.length rs
-            | None -> 0
-          in
-          let per_pin_bytes = pin_bytes / max 1 pins_held in
-          (* read-under-pin: the pin's frozen views answer *)
-          let first_pin = List.hd held in
-          let pinned_req =
-            Proto.Obj
-              [ ("op", Proto.String "check"); ("pin", Proto.Int first_pin) ]
-          in
-          ignore (rq pinned_req) (* warm up *);
-          let n_reads = max 30 (reps * 6) in
-          let read_lat =
-            Array.init n_reads (fun _ ->
-                let t0 = now () in
-                ignore (rq pinned_req);
-                (now () -. t0) *. 1000.0)
-          in
-          Array.sort Float.compare read_lat;
-          let read_p50 = percentile read_lat 50.0
-          and read_p99 = percentile read_lat 99.0 in
-          List.iter
-            (fun id ->
-              ignore
-                (rq
-                   (Proto.Obj
-                      [ ("op", Proto.String "unpin"); ("pin", Proto.Int id) ])))
-            held;
-          ignore (rq (Proto.Obj [ ("op", Proto.String "shutdown") ]));
-          Unix.close fd;
-          (match Unix.waitpid [] child with
-           | _, Unix.WEXITED 0 -> ()
-           | _ -> failwith "server child did not exit cleanly");
-          Printf.printf "%-14d %7.1f / %-10.1f %-18.1f %-12d %10.3f / %-11.3f %d\n%!"
-            size pin_p50 pin_p99 mixed_rps per_pin_bytes read_p50 read_p99
-            retained;
-          Printf.sprintf
-            "{\"bytes\": %d, \"pins_held\": %d, \"writer_commits\": %d, \
-             \"pin_open_p50_us\": %.2f, \"pin_open_p99_us\": %.2f, \
-             \"mixed_checks_per_sec\": %.1f, \"per_pin_bytes\": %d, \
-             \"read_under_pin_p50_ms\": %.4f, \"read_under_pin_p99_ms\": \
-             %.4f, \"retained_generations\": %d}"
-            ds.Gen.stats.Gen.bytes pins_held !commits pin_p50 pin_p99
-            mixed_rps per_pin_bytes read_p50 read_p99 retained)
+          timed := !timed +. (now () -. t0);
+          for k = 1 to commits_per_burst do
+            incr commits;
+            guard ((b * 100) + k)
+          done
+        done;
+        let mixed_rps = float_of_int (bursts * checks_per_burst) /. !timed in
+        (* what the held pins cost now that the writer has moved on *)
+        let hist = rq (Proto.Obj [ ("op", Proto.String "history") ]) in
+        let pin_bytes =
+          Option.value ~default:0 (Proto.int_field "pin_bytes" hist)
+        in
+        let retained =
+          match Proto.list_field "retained" hist with
+          | Some rs -> List.length rs
+          | None -> 0
+        in
+        let per_pin_bytes = pin_bytes / max 1 pins_held in
+        (* read-under-pin: the pin's frozen views answer *)
+        let first_pin = List.hd held in
+        let pinned_req =
+          Proto.Obj
+            [ ("op", Proto.String "check"); ("pin", Proto.Int first_pin) ]
+        in
+        ignore (rq pinned_req) (* warm up *);
+        let n_reads = max 30 (reps * 6) in
+        let read_lat =
+          Array.init n_reads (fun _ ->
+              let t0 = now () in
+              ignore (rq pinned_req);
+              (now () -. t0) *. 1000.0)
+        in
+        Array.sort Float.compare read_lat;
+        let read_p50 = percentile read_lat 50.0
+        and read_p99 = percentile read_lat 99.0 in
+        List.iter
+          (fun id ->
+            ignore
+              (rq
+                 (Proto.Obj
+                    [ ("op", Proto.String "unpin"); ("pin", Proto.Int id) ])))
+          held;
+        Printf.printf "%-14d %7.1f / %-10.1f %-18.1f %-12d %10.3f / %-11.3f %d\n%!"
+          size pin_p50 pin_p99 mixed_rps per_pin_bytes read_p50 read_p99
+          retained;
+        Printf.sprintf
+          "{\"bytes\": %d, \"pins_held\": %d, \"writer_commits\": %d, \
+           \"pin_open_p50_us\": %.2f, \"pin_open_p99_us\": %.2f, \
+           \"mixed_checks_per_sec\": %.1f, \"per_pin_bytes\": %d, \
+           \"read_under_pin_p50_ms\": %.4f, \"read_under_pin_p99_ms\": \
+           %.4f, \"retained_generations\": %d}"
+          ds.Gen.stats.Gen.bytes pins_held !commits pin_p50 pin_p99
+          mixed_rps per_pin_bytes read_p50 read_p99 retained)
       sizes
   in
   add_json "server_pins" ("[\n    " ^ String.concat ",\n    " rows ^ "\n  ]");

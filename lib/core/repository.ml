@@ -201,17 +201,6 @@ let sync_store ?(proven = false) t =
              t.incr <- None)
         | _ -> ())
 
-(* The root's attach event reaches the mirror, so the next flush adds
-   its facts and maintains the views by delta. *)
-let add_document_root ?(validate = true) t root =
-  if validate then begin
-    match Schema.validate_root t.schema t.doc root with
-    | Ok () -> ()
-    | Error m -> fail "document rejected: %s" m
-  end;
-  Doc.add_root t.doc root;
-  t.mutations <- t.mutations + 1
-
 (* Fused single-pass load: parse, intern and shred in one streaming scan
    of the source, the parser feeding a [Shred.sink] into the store.  The
    sink keeps the store exact in-pass, so the mirror is silenced (after

@@ -74,17 +74,13 @@ val load_fused : ?validate:bool -> t -> string -> unit
     exactly one root element, with nothing but an optional prolog,
     comments, processing instructions and whitespace around it.  The
     Datalog store is filled while parsing, and positions come from the
-    parser for free; the differential oracle checks the store and the
-    verdicts against an independent parse-then-shred.  The views are
+    parser for free; the differential oracle checks the store against a
+    from-scratch [Shred.shred] of the loaded document and the verdicts
+    against the XQuery route.  The views are
     dropped, and the next verdict rebuilds them.  On failure no root is
     registered and the store is re-shredded from the live roots, so it
     stays exact.
     @raise Repository_error on parse, shredding or validation failure. *)
-
-val add_document_root : ?validate:bool -> t -> Doc.node_id -> unit
-(** Register an already-built tree (e.g. from a generator) as a root.
-    Its facts reach the store by the next flush, which maintains the
-    views by delta. *)
 
 val add_constraint : t -> Constr.t -> unit
 (** Register a constraint; its simplified check is compiled for every

@@ -63,6 +63,11 @@ type slow_entry = {
   se_span : Obs.Trace.span option;
 }
 
+(* The single streaming writer.  [committed] pins the last committed
+   generation, taken at [txn_begin]: plain reads and new pins are served
+   from it while the writer runs, and the transaction's end releases it. *)
+type open_txn = { handle : int; tx : R.txn; committed : R.pin }
+
 type t = {
   srepo : R.t;
   config : config;
@@ -70,14 +75,10 @@ type t = {
   mutable requests : int;
   mutable batches : int;          (* guard runs applied via guarded_batch *)
   mutable batched_guards : int;   (* guard requests inside those runs *)
-  (* the single streaming writer: (client-visible handle, transaction) *)
-  mutable open_txn : (int * R.txn) option;
+  mutable open_txn : open_txn option;
   mutable next_txn : int;
   pins : (int, R.pin) Hashtbl.t;
   mutable next_pin : int;
-  (* cache of the last committed generation's pin, serving plain checks
-     while the streaming transaction is open *)
-  mutable last_pin : R.pin option;
   stop : bool ref;
   mutable shut : bool;
   op_hists : (string, Obs.Metrics.histogram) Hashtbl.t;
@@ -98,7 +99,7 @@ let create ?(config = default_config) repo =
   let preload = if Obs.Trace.is_enabled () then Obs.Trace.drain () else [] in
   { srepo = repo; config; started_ns = Obs.Clock.now_ns (); requests = 0;
     batches = 0; batched_guards = 0; open_txn = None; next_txn = 1;
-    pins = Hashtbl.create 8; next_pin = 1; last_pin = None; stop = ref false;
+    pins = Hashtbl.create 8; next_pin = 1; stop = ref false;
     shut = false; op_hists = Hashtbl.create 8; next_span = 1;
     spans = List.rev preload; spans_n = List.length preload;
     spans_cap = 4096; slow = []; connections = 0 }
@@ -200,31 +201,6 @@ let check_response ~isolation ~generation violated =
 (* State helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The last committed generation's pin.  Refreshed only while no
-   transaction is open (pinning mid-transaction would capture
-   uncommitted statements); [txn_begin] takes one eagerly so it is
-   always available while the writer runs. *)
-let committed_pin t =
-  match t.last_pin with
-  | Some p when R.pin_generation p = R.generation t.srepo -> p
-  | _ ->
-    if t.open_txn <> None then
-      failwith "internal: no committed pin while a transaction is open";
-    let p = R.pin t.srepo in
-    (* release the superseded generation's reference: it becomes
-       bounded time-travel history in the retained table *)
-    (match t.last_pin with Some old -> R.unpin t.srepo old | None -> ());
-    t.last_pin <- Some p;
-    p
-
-(* Drop the committed-pin cache entirely (checkpoint eviction). *)
-let evict_committed_pin t =
-  match t.last_pin with
-  | Some p ->
-    t.last_pin <- None;
-    R.unpin t.srepo p
-  | None -> ()
-
 let parse_update ustr = XU.parse_string ustr
 
 let require_update req =
@@ -256,8 +232,9 @@ let check_handle t req =
      | None -> Error (Printf.sprintf "generation %d is not retained" g)
      | Some p -> Ok (Some ("as_of", p, true)))
   | None, None ->
-    if t.open_txn <> None then Ok (Some ("pinned", committed_pin t, false))
-    else Ok None
+    (match t.open_txn with
+     | Some o -> Ok (Some ("pinned", o.committed, false))
+     | None -> Ok None)
 
 let do_check t req =
   match check_handle t req with
@@ -327,46 +304,52 @@ let do_txn t req =
 
 let do_txn_begin t =
   match t.open_txn with
-  | Some (h, _) ->
-    error (Printf.sprintf "transaction %d is already open" h)
+  | Some o ->
+    error (Printf.sprintf "transaction %d is already open" o.handle)
   | None ->
     (* pin the committed state first: reads during the transaction are
        served from it *)
-    ignore (committed_pin t);
+    let committed = R.pin t.srepo in
     let tx = R.begin_txn ?journal:t.config.journal t.srepo in
     let h = t.next_txn in
     t.next_txn <- h + 1;
-    t.open_txn <- Some (h, tx);
+    t.open_txn <- Some { handle = h; tx; committed };
     ok [ ("txn", P.Int h); ("generation", P.Int (R.generation t.srepo)) ]
 
 let with_open_txn t req f =
   match (t.open_txn, P.int_field "txn" req) with
   | None, _ -> error "no open transaction"
-  | Some (h, _), Some h' when h <> h' ->
-    error (Printf.sprintf "transaction %d is not open (current: %d)" h' h)
-  | Some (h, tx), _ -> f h tx
+  | Some o, Some h' when o.handle <> h' ->
+    error (Printf.sprintf "transaction %d is not open (current: %d)" h' o.handle)
+  | Some o, _ -> f o
+
+(* The transaction is over: the server holds no reference on the
+   generation it read from, which becomes prunable history. *)
+let close_txn t o =
+  t.open_txn <- None;
+  R.unpin t.srepo o.committed
 
 let do_txn_stmt t req =
-  with_open_txn t req @@ fun _h tx ->
+  with_open_txn t req @@ fun o ->
   let u = parse_update (require_update req) in
-  let r = R.txn_apply tx u in
-  report_json r ~extra:[ ("statements", P.Int (R.txn_statements tx)) ]
+  let r = R.txn_apply o.tx u in
+  report_json r ~extra:[ ("statements", P.Int (R.txn_statements o.tx)) ]
 
 let do_txn_commit t req =
-  with_open_txn t req @@ fun h tx ->
-  let n = R.txn_statements tx in
-  t.open_txn <- None;
-  R.commit_txn tx;
+  with_open_txn t req @@ fun o ->
+  let n = R.txn_statements o.tx in
+  close_txn t o;
+  R.commit_txn o.tx;
   ignore (R.store t.srepo);  (* flush what compensations and rollbacks left *)
   ok
-    [ ("txn", P.Int h); ("committed", P.Bool true); ("statements", P.Int n);
+    [ ("txn", P.Int o.handle); ("committed", P.Bool true); ("statements", P.Int n);
       ("generation", P.Int (R.generation t.srepo)) ]
 
 let do_txn_abort t req =
-  with_open_txn t req @@ fun h tx ->
-  t.open_txn <- None;
-  R.rollback_txn tx;
-  ok [ ("txn", P.Int h); ("aborted", P.Bool true) ]
+  with_open_txn t req @@ fun o ->
+  close_txn t o;
+  R.rollback_txn o.tx;
+  ok [ ("txn", P.Int o.handle); ("aborted", P.Bool true) ]
 
 let do_pin t req =
   let pinned =
@@ -379,10 +362,10 @@ let do_pin t req =
     | None ->
       (* while a writer runs, a new pin sees the committed state; the
          extra reference keeps the generation retained until unpin *)
-      if t.open_txn <> None then
-        let p = committed_pin t in
-        Ok (Option.get (R.pin_as_of t.srepo (R.pin_generation p)))
-      else Ok (R.pin t.srepo)
+      match t.open_txn with
+      | Some o ->
+        Ok (Option.get (R.pin_as_of t.srepo (R.pin_generation o.committed)))
+      | None -> Ok (R.pin t.srepo)
   in
   match pinned with
   | Error m -> error m
@@ -427,10 +410,6 @@ let do_checkpoint t req =
        | Some p -> p
        | None -> raise (P.Protocol_error "checkpoint: no snapshot path"))
   in
-  (* the cached committed pin is released before the checkpoint prunes
-     the retained table, so the snapshot leaves no zero-ref history
-     behind; the next read re-pins the (now checkpointed) state O(1) *)
-  evict_committed_pin t;
   let r = R.checkpoint ?journal:t.config.journal t.srepo path in
   ok
     [ ("path", P.String r.R.snapshot_path);
@@ -779,12 +758,12 @@ let shutdown t =
       (fun () ->
         FP.hit "serve_shutdown";
         (match t.open_txn with
-         | Some (h, tx) ->
-           Log.info (fun m -> m "shutdown: aborting open transaction %d" h);
-           t.open_txn <- None;
+         | Some o ->
+           Log.info (fun m -> m "shutdown: aborting open transaction %d" o.handle);
+           close_txn t o;
            (* abort record first, then the in-memory undo — the journal
               never ends in a dangling intent on the graceful path *)
-           R.rollback_txn tx
+           R.rollback_txn o.tx
          | None -> ());
         match (t.config.checkpoint_on_shutdown, t.config.snapshot_path) with
         | true, Some path ->

@@ -45,9 +45,9 @@
     {- [txn_begin] / [txn_stmt] / [txn_commit] / [txn_abort]: a
        streaming transaction across requests (one writer at a time);}
     {- [checkpoint]: snapshot + journal truncation
-       ({!Xic_core.Repository.checkpoint}); evicts the committed-pin
-       cache and the zero-ref retained history — the snapshot owns that
-       state durably.}}
+       ({!Xic_core.Repository.checkpoint}); refused while a streaming
+       transaction is open; evicts the zero-ref retained history — the
+       snapshot owns that state durably.}}
 
     Single-threaded [select] loop — on this container there is one CPU,
     so concurrency is I/O multiplexing, not parallelism; the serialized

@@ -506,29 +506,6 @@ let sort_doc_order doc ids =
 let node_count doc = doc.live_count
 let id_bound doc = doc.next_id
 
-let copy doc =
-  (* the copy starts unobserved: an index watches exactly one document *)
-  { parent = Array.copy doc.parent;
-    first_child = Array.copy doc.first_child;
-    last_child = Array.copy doc.last_child;
-    next_sib = Array.copy doc.next_sib;
-    prev_sib = Array.copy doc.prev_sib;
-    tagk = Array.copy doc.tagk;
-    attr_head = Array.copy doc.attr_head;
-    dead = Bytes.copy doc.dead;
-    next_id = doc.next_id;
-    texts = Array.copy doc.texts;
-    n_texts = doc.n_texts;
-    aname = Array.copy doc.aname;
-    avalue = Array.copy doc.avalue;
-    anext = Array.copy doc.anext;
-    n_attrs = doc.n_attrs;
-    root_ids = doc.root_ids;
-    live_count = doc.live_count;
-    observers = [];
-    next_token = 1;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Snapshot (de)serialization                                          *)
 (* ------------------------------------------------------------------ *)

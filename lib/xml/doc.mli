@@ -43,8 +43,7 @@ val set_observer : t -> (event -> unit) option -> unit
     [delete_subtree], and the bulk {!restore} and
     {!transplant} — notifies every observer, so XUpdate
     application, undo, savepoint rollback and crash recovery all keep
-    subscribers current without cooperation from the caller.  {!copy}
-    does not carry observers over. *)
+    subscribers current without cooperation from the caller. *)
 
 val subscribe : t -> (event -> unit) -> int
 (** Register a further mutation observer alongside the {!set_observer}
@@ -188,9 +187,6 @@ val node_count : t -> int
 val id_bound : t -> int
 (** Exclusive upper bound on every node id allocated so far (dense arena
     ids), for callers keeping id-indexed side tables. *)
-
-val copy : t -> t
-(** Deep structural copy preserving node ids. *)
 
 val equal_structure : t -> t -> bool
 (** Structural equality of the trees reachable from the roots (ignores ids,

@@ -358,43 +358,3 @@ let parse_string ?keep_ws src =
   let root, dtd_text = parse_document_into ?keep_ws doc src in
   Doc.set_root doc root;
   { doc; dtd_text }
-
-let parse_fragment doc src =
-  let st = make_state src in
-  let acc = ref [] in
-  let continue = ref true in
-  while !continue do
-    if eof st then continue := false
-    else if String.unsafe_get st.src st.pos = '<' then begin
-      if looking_at st "</" then continue := false
-      else if looking_at st "<!--" then skip_comment st
-      else if looking_at st "<![CDATA[" then begin
-        st.pos <- st.pos + 9;
-        let text = skip_until st "]]>" in
-        acc := Doc.make_text doc text :: !acc
-      end
-      else if looking_at st "<?" then skip_pi st
-      else
-        acc :=
-          parse_element_into st doc ~keep_ws:false ~sink:None ~pos:0
-            ~parent:Doc.no_node
-          :: !acc
-    end
-    else begin
-      let start = st.pos in
-      let stop =
-        match String.index_from_opt st.src start '<' with
-        | None -> String.length st.src
-        | Some i -> i
-      in
-      st.pos <- stop;
-      if not (all_ws_range st.src start stop) then begin
-        let text =
-          try unescape_range st.src start stop with Failure m -> fail st m
-        in
-        acc := Doc.make_text doc text :: !acc
-      end
-    end
-  done;
-  if not (eof st) then fail st "trailing content in fragment";
-  List.rev !acc

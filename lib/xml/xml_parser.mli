@@ -49,12 +49,6 @@ val parse_document_into :
     @raise Parse_error on malformed input; anything [sink] raises
     propagates. *)
 
-val parse_fragment : Doc.t -> string -> Doc.node_id list
-(** Parse a well-formed sequence of elements/text (no prolog) allocating the
-    nodes inside an existing document; returns the detached top-level nodes.
-    Used by XUpdate content construction.
-    @raise Parse_error on malformed input. *)
-
 val unescape : string -> string
 (** Resolve predefined entities and character references in attribute or
     text content.  Raises [Failure] on unknown entities. *)

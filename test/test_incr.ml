@@ -648,9 +648,9 @@ let check_views_exact repo what =
     (List.sort compare (Repository.check_full repo))
     (List.sort compare (Repository.check_incremental repo))
 
-(* A root registered after the views exist arrives by delta: its attach
-   event reaches the mirror, and the next flush maintains the views
-   instead of dropping them. *)
+(* A root attached to the arena after the views exist (a generator's
+   tree, say) arrives by delta: its attach event reaches the mirror, and
+   the next flush maintains the views instead of dropping them. *)
 let test_new_root_by_delta () =
   let s = Conf.schema () in
   let repo = Repository.create s in
@@ -663,12 +663,8 @@ let test_new_root_by_delta () =
   let views = Option.get (Repository.incr_view repo) in
   let d0 = Repository.delta_stats repo in
   let doc = Repository.doc repo in
-  (match
-     List.filter (Xic_xml.Doc.is_element doc)
-       (Xic_xml.Xml_parser.parse_fragment doc conflicted_rev)
-   with
-   | [ root ] -> Repository.add_document_root repo root
-   | _ -> Alcotest.fail "expected one root element");
+  let root, _ = Xic_xml.Xml_parser.parse_document_into doc conflicted_rev in
+  Xic_xml.Doc.add_root doc root;
   Alcotest.(check (list string)) "the new root's conflict" [ "conflict" ]
     (Repository.check_incremental repo);
   Alcotest.(check bool) "the same views" true

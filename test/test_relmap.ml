@@ -117,11 +117,11 @@ let sample_collection () =
     Xml_parser.parse_string
       {|<dblp><pub><title>P1</title><aut><name>A</name></aut><aut><name>B</name></aut></pub></dblp>|}
   in
-  let frag =
-    Xml_parser.parse_fragment doc
+  let review, _ =
+    Xml_parser.parse_document_into doc
       {|<review><track><name>DB</name><rev><name>R1</name><sub><title>S1</title><auts><name>A</name></auts></sub><sub><title>S2</title><auts><name>B</name></auts></sub></rev></track></review>|}
   in
-  (match frag with [ r ] -> Doc.add_root doc r | _ -> assert false);
+  Doc.add_root doc review;
   doc
 
 let test_shred_counts () =
@@ -254,8 +254,10 @@ let test_shred_positions_element_only () =
 let test_fact_of_detached_node () =
   let doc = sample_collection () in
   let m = mapping () in
-  let frag = Xml_parser.parse_fragment doc "<sub><title>T</title><auts><name>N</name></auts></sub>" in
-  let sub = List.hd frag in
+  let sub, _ =
+    Xml_parser.parse_document_into doc
+      "<sub><title>T</title><auts><name>N</name></auts></sub>"
+  in
   (* detached nodes have no parent; their fact carries the sentinel *)
   (match Sh.fact_of_element m doc sub with
    | Some (_, _ :: _ :: par :: _) -> checkb "sentinel parent" true (par = T.Int Doc.no_node)

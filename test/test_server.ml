@@ -287,6 +287,39 @@ let test_server_isolation () =
     (Option.get (P.string_field "isolation" after));
   checki "commit bumped the generation" 2 (gen after)
 
+(* The pin a streaming transaction reads from is the transaction's own:
+   once it commits (or aborts), and after a later guard, no generation
+   in the history is still referenced, so the retained table may prune
+   every entry. *)
+let test_txn_releases_its_pin () =
+  let srv = Srv.create (make_repo ()) in
+  let rq op fields = Srv.handle srv (P.Obj (("op", P.String op) :: fields)) in
+  let stmt title =
+    [ ("update", P.String (XU.to_string (legal_insert ~title ~author:"Kim" ()))) ]
+  in
+  let referenced () =
+    match P.list_field "retained" (rq "history" []) with
+    | Some rs ->
+      List.filter_map
+        (fun r ->
+          match (P.int_field "generation" r, P.int_field "refs" r) with
+          | Some g, Some n when n > 0 -> Some g
+          | _ -> None)
+        rs
+    | None -> Alcotest.fail "history has no retained list"
+  in
+  ignore (rq "txn_begin" []);
+  ignore (rq "txn_stmt" (stmt "Mid"));
+  checki "a committed pin while the writer runs" 1 (List.length (referenced ()));
+  ignore (rq "txn_commit" []);
+  Alcotest.(check (list int)) "no reference after commit" [] (referenced ());
+  ignore (rq "guard" (stmt "Late"));
+  Alcotest.(check (list int)) "none after a further guard" [] (referenced ());
+  ignore (rq "txn_begin" []);
+  ignore (rq "txn_stmt" (stmt "Dropped"));
+  ignore (rq "txn_abort" []);
+  Alcotest.(check (list int)) "none after an abort" [] (referenced ())
+
 (* Time travel over retained generations: released pins stay in the
    bounded history and answer [check {as_of}] until a checkpoint prunes
    them; a still-referenced generation survives the checkpoint. *)
@@ -1067,6 +1100,8 @@ let () =
             test_time_travel;
           Alcotest.test_case "server-level isolation" `Quick
             test_server_isolation;
+          Alcotest.test_case "a transaction releases its pin" `Quick
+            test_txn_releases_its_pin;
         ] );
       ( "batching",
         [

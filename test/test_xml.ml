@@ -106,14 +106,6 @@ let test_attrs () =
   check "root id" "1" (Option.get (Doc.attr d (Doc.root d) "id"));
   check "lang" "en" (Option.get (Doc.attr d (Doc.root d) "lang"))
 
-let test_copy_independent () =
-  let d = parse "<r><a/></r>" in
-  let d' = Doc.copy d in
-  let b = Doc.make_element d "b" in
-  Doc.append_child d ~parent:(Doc.root d) b;
-  checkb "copy unaffected" false (Doc.equal_structure d d');
-  checki "copy keeps count" 2 (Doc.node_count d')
-
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -219,12 +211,30 @@ let test_mixed_content_parse () =
   check "mixed text" "premidpost" (Doc.text_content d r);
   checki "three children" 3 (List.length (Doc.children d r))
 
-let test_fragment () =
+(* The loader parses one document into an existing arena: the root
+   comes back detached, and only [Doc.add_root] makes it reachable. *)
+let test_parse_into_arena () =
   let d = parse "<r/>" in
-  let ns = Xml_parser.parse_fragment d "<a>1</a><b/>" in
-  checki "two fragments" 2 (List.length ns);
-  List.iter (fun n -> Doc.append_child d ~parent:(Doc.root d) n) ns;
-  check "attached" "1" (Doc.text_content d (Doc.root d))
+  let n = Doc.node_count d in
+  let two, _ = Xml_parser.parse_document_into d "<two><a>1</a><b/></two>" in
+  checki "nodes allocated" (n + 4) (Doc.node_count d);
+  checkb "detached" true (Doc.parent d two = Doc.no_node);
+  checki "one root before attach" 1 (List.length (Doc.roots d));
+  Doc.add_root d two;
+  checki "two roots" 2 (List.length (Doc.roots d));
+  check "attached" "1" (Doc.text_content d two);
+  check "old root intact" "" (Doc.text_content d (Doc.root d))
+
+let test_parse_into_one_root () =
+  let d = parse "<r/>" in
+  let fails s =
+    match Xml_parser.parse_document_into d s with
+    | _ -> false
+    | exception Xml_parser.Parse_error _ -> true
+  in
+  checkb "two roots refused" true (fails "<a>1</a><b/>");
+  checkb "text only refused" true (fails "just text");
+  checki "no root registered" 1 (List.length (Doc.roots d))
 
 (* ------------------------------------------------------------------ *)
 (* Printer                                                             *)
@@ -896,7 +906,6 @@ let () =
           Alcotest.test_case "siblings" `Quick test_siblings;
           Alcotest.test_case "ancestors" `Quick test_ancestors;
           Alcotest.test_case "attributes" `Quick test_attrs;
-          Alcotest.test_case "copy independence" `Quick test_copy_independent;
         ] );
       ( "parser",
         [
@@ -912,7 +921,9 @@ let () =
           Alcotest.test_case "charref edges" `Quick test_charref_edges;
           Alcotest.test_case "attr quoting" `Quick test_attr_quoting;
           Alcotest.test_case "mixed content" `Quick test_mixed_content_parse;
-          Alcotest.test_case "fragment" `Quick test_fragment;
+          Alcotest.test_case "parse into an arena" `Quick test_parse_into_arena;
+          Alcotest.test_case "parse into takes one root" `Quick
+            test_parse_into_one_root;
         ] );
       ( "printer",
         [
