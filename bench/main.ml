@@ -12,6 +12,7 @@
      index      indexed vs scan evaluation of full and simplified checks
      journal    the journal commit path: deferred intent + synced commit
      incremental  delta-maintained denial views vs full re-evaluation
+     memory     the store, its indexes, the arena and the views, in bytes
      server     resident check server vs one-shot loop; batched guards
      pins       generation pin open latency vs document size
      server_pins  pinned readers under writer churn over the socket
@@ -525,6 +526,95 @@ let coldstart ~sizes ~reps () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
+(* Memory: what the resident state holds, layer by layer               *)
+(* ------------------------------------------------------------------ *)
+
+(* The heap of one repository at each size, after the fused load and
+   again after the views of Examples 1, 2 and 7 are materialized (what
+   [serve] holds once it has answered a check).  All figures are
+   measured by [Obj.reachable_words] over the structure named:
+   - store B/tuple: the store's log cells and tuple arrays per live
+     tuple, the texts excluded (they are the arena's);
+   - index: the store's column indexes beyond the tuples they hold;
+   - arena: the document's node columns, attributes and texts;
+   - views: the view store, its rows and indexes;
+   - live heap: [Gc] live words after a full major collection, less
+     those live before the size's documents were generated.
+   Fails when the store takes more than [max_store_bytes_per_tuple]. *)
+let max_store_bytes_per_tuple = 64
+
+let memory_bench ~sizes () =
+  let module St = Xic_datalog.Store in
+  Printf.printf "# Resident memory after load and after views (bytes)\n";
+  Printf.printf "# %-12s %-8s %-6s %-14s %-10s %-10s %-10s %s\n" "size(bytes)" "tuples"
+    "phase" "store_B/tuple" "index" "arena" "views" "live_heap";
+  let live_bytes () =
+    Gc.full_major ();
+    8 * (Gc.stat ()).Gc.live_words
+  in
+  let over = ref [] in
+  let rows =
+    List.map
+      (fun size ->
+        let base = live_bytes () in
+        let s = Conf.schema () in
+        let repo = Repository.create s in
+        let bytes =
+          let ds = Gen.generate ~seed:42 ~target_bytes:size () in
+          Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
+          Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
+          ds.Gen.stats.Gen.bytes
+        in
+        let store = Repository.store repo in
+        let tuples = St.total_tuples store in
+        let measure phase =
+          let fp = St.footprint store in
+          let views =
+            match Repository.incr_view repo with
+            | None -> 0
+            | Some v ->
+              let f = St.footprint v in
+              f.St.tuple_bytes + f.St.index_bytes
+          in
+          let per_tuple =
+            float_of_int fp.St.tuple_bytes /. float_of_int (max 1 tuples)
+          in
+          let arena = Xic_xml.Doc.heap_bytes (Repository.doc repo) in
+          let live = live_bytes () - base in
+          Printf.printf "%-14d %-8d %-6s %-14.1f %-10d %-10d %-10d %d\n%!" bytes tuples
+            phase per_tuple fp.St.index_bytes arena views live;
+          if per_tuple > float_of_int max_store_bytes_per_tuple then
+            over := (bytes, phase, per_tuple) :: !over;
+          (per_tuple, fp.St.index_bytes, arena, views, live)
+        in
+        let bpt, idx_load, arena, _, live_load = measure "load" in
+        List.iter
+          (fun c -> Repository.add_constraint repo (c s))
+          [ Conf.conflict; Conf.workload; Conf.track_load ];
+        ignore (Repository.check_incremental repo : string list);
+        let bpt_views, idx_views, _, views, live_views = measure "views" in
+        (* the repository must be live at both measurements *)
+        ignore (Sys.opaque_identity repo);
+        Printf.sprintf
+          "{\"bytes\": %d, \"tuples\": %d, \"store_bytes_per_tuple\": %.2f, \
+           \"store_bytes_per_tuple_views\": %.2f, \"index_bytes_load\": %d, \
+           \"index_bytes_views\": %d, \"arena_bytes\": %d, \"view_bytes\": %d, \
+           \"live_heap_load_bytes\": %d, \"live_heap_views_bytes\": %d}"
+          bytes tuples bpt bpt_views idx_load idx_views arena views live_load live_views)
+      sizes
+  in
+  add_json "memory" ("[\n    " ^ String.concat ",\n    " rows ^ "\n  ]");
+  print_newline ();
+  if !over <> [] then begin
+    List.iter
+      (fun (bytes, phase, b) ->
+        Printf.eprintf "memory: %.1f store bytes per tuple at %d bytes after %s (limit %d)\n"
+          b bytes phase max_store_bytes_per_tuple)
+      (List.rev !over);
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Simplification cost (§7, footnote 4: "less than 50 ms")             *)
 (* ------------------------------------------------------------------ *)
 
@@ -556,11 +646,13 @@ let ex45 () =
   let simplified = Xic_simplify.Simp.simp ~update:u [ phi ] in
   Printf.printf "Simp^U({phi}) = %s\n"
     (String.concat " ; " (List.map T.denial_str simplified));
-  let store = Xic_datalog.Store.create () in
-  for k = 1 to 50_000 do
-    Xic_datalog.Store.add store "p"
-      [ T.Str (Printf.sprintf "issn-%d" k); T.Str (Printf.sprintf "title %d" k) ]
-  done;
+  let store =
+    Xic_datalog.Store.of_facts
+      (List.init 50_000 (fun k ->
+           ( "p",
+             [ T.Str (Printf.sprintf "issn-%d" (k + 1));
+               T.Str (Printf.sprintf "title %d" (k + 1)) ] )))
+  in
   let params = [ ("i", T.Str "issn-77"); ("t", T.Str "another title") ] in
   let t_full = time_ms ~reps:5 (fun () -> Xic_datalog.Eval.violated store phi) in
   let t_simp =
@@ -1688,6 +1780,7 @@ let () =
     | "stages" -> stages ~sizes ~reps ()
     | "ingest" -> ingest ~sizes ~reps ()
     | "coldstart" -> coldstart ~sizes ~reps ()
+    | "memory" -> memory_bench ~sizes ()
     | "server" -> server_bench ~reps ()
     | "server_obs" -> server_obs_bench ~reps ()
     | "pins" -> pins_bench ~sizes ~reps ()
@@ -1705,6 +1798,7 @@ let () =
       stages ~sizes ~reps ();
       ingest ~sizes ~reps ();
       coldstart ~sizes ~reps ();
+      memory_bench ~sizes ();
       pipeline ~sizes ~reps ();
       server_bench ~reps ();
       server_obs_bench ~reps ();
@@ -1715,7 +1809,7 @@ let () =
       Printf.eprintf
         "unknown experiment %S (expected \
          fig1a|fig1b|fig_simp|ex45|ablations|index|journal|incremental|\
-         stages|ingest|coldstart|pipeline|server|server_obs|pins|\
+         stages|ingest|coldstart|memory|pipeline|server|server_obs|pins|\
          server_pins|micro|all)\n"
         other;
       exit 2

@@ -113,7 +113,10 @@ let headline =
       extract = per_size "server_pins" "mixed_checks_per_sec" };
     { name = "server_pins.read_under_pin_p50_ms";
       dir = Lower_better;
-      extract = per_size "server_pins" "read_under_pin_p50_ms" } ]
+      extract = per_size "server_pins" "read_under_pin_p50_ms" };
+    { name = "memory.store_bytes_per_tuple";
+      dir = Lower_better;
+      extract = per_size "memory" "store_bytes_per_tuple" } ]
 
 let () =
   let tolerance = ref 15.0 in

@@ -274,14 +274,13 @@ let match_removal schema doc t target =
   else begin
     let mapping = Schema.mapping schema in
     match Xic_relmap.Shred.fact_of_element mapping doc target with
-    | Some (_, _ :: _ :: _ :: cols) ->
+    | Some (_, tup) when Array.length tup >= 3 ->
+      let cols = Array.to_list (Array.sub tup 3 (Array.length tup - 3)) in
       let col_vals =
         List.map2
           (fun p c ->
-            ( p,
-              match c with
-              | T.Str s -> Vstr s
-              | T.Int i -> Vint i ))
+            let module V = Xic_datalog.Value in
+            (p, if V.is_int c then Vint (V.get_int c) else Vstr (V.get_string c)))
           t.data_params cols
       in
       Some

@@ -57,7 +57,8 @@ let touched t =
 let pp ppf t =
   let line verb (sym, tup, n) =
     Format.fprintf ppf "@[%s %s(%s)%s@]@." verb (Symbol.name sym)
-      (String.concat ", " (List.map Term.const_str tup))
+      (String.concat ", "
+         (Array.to_list (Array.map (fun v -> Term.const_str (Value.to_const v)) tup)))
       (if n = 1 then "" else Printf.sprintf " x%d" n)
   in
   List.iter (line "+") (added t);

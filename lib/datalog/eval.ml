@@ -3,9 +3,11 @@
 
     {!compile} decides everything that depends only on which variables
     are bound, never on their values: variables become slots of one
-    [Term.const array], predicates resolve to their symbols, and the
-    literal schedule and probe columns are fixed.  {!iter} and {!exists}
-    then walk the fixed steps over the store's indexes. *)
+    [Value.t array], predicates resolve to their symbols, and the
+    literal schedule and probe columns are fixed.  Each constant of the
+    denial becomes a {!Value.t} here, once, so a run compares values
+    without converting any.  {!iter} and {!exists} then walk the fixed
+    steps over the store's indexes. *)
 
 module Symbol = Xic_symbol.Symbol
 
@@ -56,11 +58,11 @@ let with_meter f =
 
 (* A term as a step reads it: a constant, or the slot of a variable
    bound by an earlier step (or given as an input). *)
-type operand = Lit of Term.const | Slot of int
+type operand = Lit of Value.t | Slot of int
 
 (* What matching a tuple does at one argument position. *)
 type action =
-  | Check_const of Term.const
+  | Check_const of Value.t
   | Check_slot of int
   | Bind of int
   | Skip  (* a variable occurring nowhere else: any value matches *)
@@ -109,14 +111,6 @@ let c_plans_compiled = Xic_obs.Obs.Metrics.counter "datalog_plans_compiled"
 (* Running                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let const_equal (a : Term.const) (b : Term.const) =
-  a == b
-  ||
-  match (a, b) with
-  | Term.Int x, Term.Int y -> Int.equal x y
-  | Term.Str x, Term.Str y -> String.equal x y
-  | _ -> false
-
 let value slots = function Lit c -> c | Slot s -> Array.unsafe_get slots s
 
 let resolve r =
@@ -134,7 +128,7 @@ let resolve r =
    in the run resolves its relation and index once ({!Store.lookup_sym},
    or the live tuples for a scan) and keeps the result for the rest of
    the run.  Sound because a run never writes the store it reads. *)
-let unresolved : Term.const -> Store.tuple list = fun _ -> []
+let unresolved : Value.t -> Store.tuple list = fun _ -> []
 
 let lookup store r =
   match resolve r with
@@ -158,24 +152,23 @@ let candidates store slots lookups r =
   in
   f (value slots r.probe_key)
 
-(* One budget step per tuple examined.  A tuple of another arity never
-   matches. *)
-let rec match_from slots actions i = function
-  | [] -> i = Array.length actions
-  | c :: rest ->
-    i < Array.length actions
-    && (match Array.unsafe_get actions i with
-        | Check_const k -> const_equal c k
-        | Check_slot s -> const_equal c (Array.unsafe_get slots s)
-        | Bind s ->
-          Array.unsafe_set slots s c;
-          true
-        | Skip -> true)
-    && match_from slots actions (i + 1) rest
+(* The actions from column [i] on, by array index.  A tuple of another
+   arity never matches, so the actions may index it unchecked. *)
+let rec match_from slots actions (tup : Store.tuple) i =
+  i = Array.length actions
+  || (match Array.unsafe_get actions i with
+      | Check_const k -> Value.equal (Array.unsafe_get tup i) k
+      | Check_slot s -> Value.equal (Array.unsafe_get tup i) (Array.unsafe_get slots s)
+      | Bind s ->
+        Array.unsafe_set slots s (Array.unsafe_get tup i);
+        true
+      | Skip -> true)
+     && match_from slots actions tup (i + 1)
 
+(* One budget step per tuple examined. *)
 let match_actions slots actions tup =
   tick 1;
-  match_from slots actions 0 tup
+  Array.length tup = Array.length actions && match_from slots actions tup 0
 
 let rec any_match slots actions = function
   | [] -> false
@@ -195,12 +188,10 @@ and join_tuples store slots lookups join j f r = function
     if match_actions slots r.actions tup then join_rows store slots lookups join (j + 1) f;
     join_tuples store slots lookups join j f r rest
 
-let const_int = function
-  | Term.Int i -> i
-  | Term.Str s ->
-    (match int_of_string_opt s with
-     | Some i -> i
-     | None -> unsafe "aggregate over non-integer value %S" s)
+let value_int v =
+  match Value.to_int v with
+  | Some i -> i
+  | None -> unsafe "aggregate over non-integer value %S" (Value.get_string v)
 
 (* The aggregate's value, or [None] for a [max]/[min] over no rows: the
    literal does not hold, whichever literal bound the group first. *)
@@ -212,23 +203,26 @@ let aggregate store slots lookups g =
     rows (fun () -> acc := value slots t :: !acc);
     List.rev !acc
   in
-  let sum = List.fold_left (fun a c -> a + const_int c) 0 in
+  let sum = List.fold_left (fun a c -> a + value_int c) 0 in
+  let distinct vs = List.sort_uniq Value.compare vs in
+  let pick keep = function
+    | [] -> None
+    | c :: cs -> Some (List.fold_left (fun a b -> if keep (Value.compare b a) then b else a) c cs)
+  in
   match g.op with
   | Term.Cnt ->
     let n = ref 0 in
     rows (fun () -> incr n);
-    Some (Term.Int !n)
+    Some (Value.of_int !n)
   | Term.CntD when g.target = None ->
     let acc = ref [] in
     rows (fun () -> acc := Array.map (fun s -> slots.(s)) g.row :: !acc);
-    Some (Term.Int (List.length (List.sort_uniq compare !acc)))
-  | Term.CntD -> Some (Term.Int (List.length (List.sort_uniq compare (targets ()))))
-  | Term.Sum -> Some (Term.Int (sum (targets ())))
-  | Term.SumD -> Some (Term.Int (sum (List.sort_uniq compare (targets ()))))
-  | Term.Max ->
-    (match targets () with [] -> None | c :: cs -> Some (List.fold_left max c cs))
-  | Term.Min ->
-    (match targets () with [] -> None | c :: cs -> Some (List.fold_left min c cs))
+    Some (Value.of_int (List.length (List.sort_uniq compare !acc)))
+  | Term.CntD -> Some (Value.of_int (List.length (distinct (targets ()))))
+  | Term.Sum -> Some (Value.of_int (sum (targets ())))
+  | Term.SumD -> Some (Value.of_int (sum (distinct (targets ()))))
+  | Term.Max -> pick (fun c -> c > 0) (targets ())
+  | Term.Min -> pick (fun c -> c < 0) (targets ())
 
 (* The steps from [i] on, under the bindings in [slots]; [k] receives
    each completed binding and stops the search by returning [true]. *)
@@ -238,7 +232,7 @@ let rec run store slots lookups p i k =
   else
     match Array.unsafe_get p.steps i with
     | Test (op, a, b) ->
-      Term.eval_cmp op (value slots a) (value slots b)
+      Value.cmp op (value slots a) (value slots b)
       && run store slots lookups p (i + 1) k
     | Assign (s, a) ->
       slots.(s) <- value slots a;
@@ -251,7 +245,7 @@ let rec run store slots lookups p i k =
       (match aggregate store slots lookups g with
        | None -> false
        | Some v ->
-         Term.eval_cmp g.acmp v (value slots g.bound) && run store slots lookups p (i + 1) k)
+         Value.cmp g.acmp v (value slots g.bound) && run store slots lookups p (i + 1) k)
 
 (* Try the candidates of the join at step [i] in order, until one
    completes a binding that [k] accepts. *)
@@ -266,7 +260,7 @@ and join_each store slots lookups p i k r = function
 let start p values =
   if Array.length values <> Array.length p.inputs then
     invalid_arg "Eval: input values do not match the plan's inputs";
-  let slots = Array.make p.nslots (Term.Int 0) in
+  let slots = Array.make p.nslots (Value.of_int 0) in
   Array.iteri (fun j s -> slots.(s) <- values.(j)) p.inputs;
   (slots, Array.make p.nrels unresolved)
 
@@ -309,7 +303,7 @@ let slot_of sc v =
 let is_bound sc v = Hashtbl.mem sc.bound v
 
 let operand sc = function
-  | Term.Const c -> Lit c
+  | Term.Const c -> Lit (Value.of_const c)
   | Term.Var v -> Slot (slot_of sc v)
   | Term.Param p -> unsafe "unresolved parameter %%%s at evaluation time" p
 
@@ -321,7 +315,7 @@ let compile_rel sc ~known ~skip (a : Term.atom) =
   let probe =
     let rec go col = function
       | [] -> None
-      | Term.Const c :: _ -> Some (col, Lit c)
+      | Term.Const c :: _ -> Some (col, Lit (Value.of_const c))
       | Term.Var v :: _ when known v -> Some (col, Slot (slot_of sc v))
       | _ :: rest -> go (col + 1) rest
     in
@@ -334,7 +328,7 @@ let compile_rel sc ~known ~skip (a : Term.atom) =
          (fun acc t ->
            let act =
              match t with
-             | Term.Const c -> Check_const c
+             | Term.Const c -> Check_const (Value.of_const c)
              | Term.Var v when known v || List.mem v !fresh -> Check_slot (slot_of sc v)
              | Term.Var v when skip v -> Skip
              | Term.Var v ->
@@ -348,7 +342,7 @@ let compile_rel sc ~known ~skip (a : Term.atom) =
   let sym = if Symbol.mem a.Term.pred then Some (Symbol.intern a.Term.pred) else None in
   let id = sc.rels in
   sc.rels <- id + 1;
-  let probe_col, probe_key = Option.value probe ~default:(-1, Lit (Term.Int 0)) in
+  let probe_col, probe_key = Option.value probe ~default:(-1, Lit (Value.of_int 0)) in
   let actions = Array.of_list actions in
   (* the index hands out only tuples equal to the key in the probed
      column, so matching need not check it again *)
@@ -584,7 +578,8 @@ let compile_atoms ?(inputs = []) (atoms : Term.atom list) =
 (* Public API                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let bindings p slots = List.map (fun (v, s) -> (v, slots.(s))) p.witness
+(* A witness leaves the evaluator as {!Term.const}s: the API edge. *)
+let bindings p slots = List.map (fun (v, s) -> (v, Value.to_const slots.(s))) p.witness
 
 let witness p store values =
   let found = ref None in

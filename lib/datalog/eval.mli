@@ -5,7 +5,9 @@
     turns a denial into a {!plan} for a fixed set of {e input}
     variables, whose values every run supplies:
     {ul
-    {- each variable gets a slot of one [Term.const array];}
+    {- each variable gets a slot of one [Value.t array];}
+    {- each constant of the denial becomes a {!Value.t} once, here, so
+       no run converts a constant or a stored value;}
     {- each predicate resolves to its symbol once, without interning
        it: a relation whose name no store has seen matches nothing (it
        is looked up again on the next run);}
@@ -16,8 +18,10 @@
        variables are bound, so they are the same on every run.}}
     A positive atom probes the store by its leftmost bound column (the
     first-column index, or a lazy secondary index), and matches each
-    candidate with one action per argument: check a constant, check a
-    slot, bind a slot, or skip a variable that occurs nowhere else.
+    candidate with one action per column, by array index: check a
+    constant, check a slot, bind a slot, or skip a variable that occurs
+    nowhere else.  A tuple whose arity differs from the atom's never
+    matches.
     Negated and aggregate literals run once the variables they share
     with the rest of the body are bound (safe evaluation); a negation's
     remaining variables are existential locals (anti-join semantics).
@@ -84,19 +88,20 @@ val slot : plan -> string -> int
 (** The slot of a variable of the plan in the arrays {!iter} hands out.
     @raise Not_found for a variable the plan does not mention. *)
 
-val iter : plan -> Store.t -> Term.const array -> (Term.const array -> unit) -> unit
+val iter : plan -> Store.t -> Value.t array -> (Value.t array -> unit) -> unit
 (** [iter p store values f] calls [f] on the slots of every satisfying
     binding, in search order; [values] are the inputs' values in the
     order given to {!compile}.  [f] must not keep the array: the next
     binding overwrites it.  [f] must not write [store] (see "Runs").
     @raise Invalid_argument when [values] has the wrong length. *)
 
-val exists : plan -> Store.t -> Term.const array -> bool
+val exists : plan -> Store.t -> Value.t array -> bool
 (** Whether some binding satisfies the plan under [values]. *)
 
 (** {1 One-shot evaluation}
 
-    These compile on entry. *)
+    These compile on entry, and give their witnesses as {!Term.const}s
+    (for [explain] and the replies). *)
 
 val violation :
   ?params:(string * Term.const) list ->

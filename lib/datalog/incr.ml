@@ -26,12 +26,15 @@ type polarity = Ins | Del | Both
 type residual = {
   vars : string list;  (* the inputs, in key order *)
   plan : Eval.plan;
-  row : int list;
+  row : int array;
 }
+
+(* An argument of a site's atom, its constant converted once. *)
+type pat = P_const of Value.t | P_var of string
 
 type site = {
   sym : Symbol.t;
-  atom : Term.atom;
+  pattern : pat array;  (* the atom's arguments *)
   atom_vars : string list;  (* distinct, sorted *)
   polarity : polarity;
   restricted : bool;
@@ -39,7 +42,7 @@ type site = {
          repeat across facts *)
   on_insert : residual option;  (* where an inserted fact creates *)
   on_delete : residual option;  (* where a deleted fact creates *)
-  group : (Eval.plan * int list) option;
+  group : (Eval.plan * int array) option;
       (* an aggregate's conjunction with the atom's variables as inputs,
          and the slots of its group-by variables *)
 }
@@ -162,12 +165,17 @@ let sites_of (d : Term.denial) proj =
     | Some r -> r
     | None ->
       let plan = Eval.compile ~inputs:vars d in
-      let r = { vars; plan; row = List.map (Eval.slot plan) proj } in
+      let r = { vars; plan; row = Array.of_list (List.map (Eval.slot plan) proj) } in
       Hashtbl.add residuals vars r;
       r
   in
   let site ?group ~restricted polarity ~on_insert ~on_delete (a : Term.atom) =
-    { sym = Symbol.intern a.Term.pred; atom = a;
+    let pat = function
+      | Term.Const c -> P_const (Value.of_const c)
+      | Term.Var v -> P_var v
+      | Term.Param p -> raise (Eval.Unsafe ("unresolved parameter %" ^ p))
+    in
+    { sym = Symbol.intern a.Term.pred; pattern = Array.of_list (List.map pat a.Term.args);
       atom_vars = List.sort_uniq compare (Term.atom_vars a); polarity;
       restricted; on_insert; on_delete; group }
   in
@@ -199,7 +207,8 @@ let sites_of (d : Term.denial) proj =
             let on_insert, group =
               if creates polarity ~inserted:true then
                 let conj = Eval.compile_atoms ~inputs:vars g.Term.atoms in
-                (Some (residual outer), Some (conj, List.map (Eval.slot conj) outer))
+                ( Some (residual outer),
+                  Some (conj, Array.of_list (List.map (Eval.slot conj) outer)) )
               else (None, None)
             in
             let on_delete =
@@ -230,7 +239,7 @@ let entry_of_denial ~name i (d : Term.denial) =
     rel = Symbol.intern (Printf.sprintf "%s#%d" name i);
     reads = read_columns d.Term.body proj;
     sites = sites_of d proj;
-    full = { vars = []; plan = full; row = List.map (Eval.slot full) proj };
+    full = { vars = []; plan = full; row = Array.of_list (List.map (Eval.slot full) proj) };
     rows = Eval.compile ~inputs:proj d;
   }
 
@@ -255,7 +264,7 @@ let add_row t e row =
 let eval_residual t store e r values =
   Xic_obs.Obs.Metrics.incr (if r.vars = [] then c_recomputes else c_evals);
   Eval.iter r.plan store values (fun slots ->
-      add_row t e (List.map (fun i -> slots.(i)) r.row))
+      add_row t e (Array.map (fun i -> slots.(i)) r.row))
 
 let initialize t store =
   List.iter
@@ -267,31 +276,34 @@ let initialize t store =
      collect the tombstone spike instead of carrying it into steady state. *)
   Store.compact t.view
 
-(* Unify an atom against a changed ground tuple.  Returns the binding
-   of the atom's variables, or [None] when the tuple cannot match.
+(* Unify a site's atom against a changed ground tuple, column by
+   column.  Returns the binding of the atom's variables, or [None] when
+   the tuple cannot match (another arity never does).
    Every variable is bound — including the '_'-prefixed
    compiler-generated ones, which are unique by construction and carry
    the node-id joins: leaving them out of a positive site's binding
    would degrade the residual to a full re-evaluation of the denial.
    Repeated variables must agree. *)
-let unify_atom (a : Term.atom) (tup : Store.tuple) =
-  let rec go theta args tup =
-    match (args, tup) with
-    | [], [] -> Some theta
-    | Term.Const c' :: args, c :: tup -> if c' = c then go theta args tup else None
-    | Term.Var v :: args, c :: tup -> (
-      match List.assoc_opt v theta with
-      | Some c' -> if c' = c then go theta args tup else None
-      | None -> go ((v, c) :: theta) args tup)
-    | _ -> None
+let unify_atom pattern (tup : Store.tuple) =
+  let n = Array.length pattern in
+  let rec go theta i =
+    if i = n then Some theta
+    else
+      let c = tup.(i) in
+      match pattern.(i) with
+      | P_const c' -> if Value.equal c' c then go theta (i + 1) else None
+      | P_var v -> (
+        match List.assoc_opt v theta with
+        | Some c' -> if Value.equal c' c then go theta (i + 1) else None
+        | None -> go ((v, c) :: theta) (i + 1))
   in
-  go [] a.Term.args tup
+  if Array.length tup = n then go [] 0 else None
 
 let reverify_rows t store e =
   List.iter
     (fun row ->
       Xic_obs.Obs.Metrics.incr c_reverifies;
-      if not (Eval.exists e.rows store (Array.of_list row)) then
+      if not (Eval.exists e.rows store row) then
         ignore (Store.remove_sym t.view e.rel row))
     (Store.tuples_sym t.view e.rel)
 
@@ -301,10 +313,10 @@ let reverify_rows t store e =
 let delta_creations t store e changes =
   let seen = Hashtbl.create 8 in
   let once r values =
-    let key = List.combine r.vars values in
+    let key = (r.vars, values) in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
-      eval_residual t store e r (Array.of_list values)
+      eval_residual t store e r values
     end
   in
   List.iter
@@ -313,18 +325,19 @@ let delta_creations t store e changes =
         (fun s ->
           match if inserted then s.on_insert else s.on_delete with
           | Some r when Symbol.equal s.sym sym -> (
-            match unify_atom s.atom tup with
+            match unify_atom s.pattern tup with
             | None -> ()
             | Some theta -> (
-              let values vars = List.map (fun v -> List.assoc v theta) vars in
+              let values vars =
+                Array.of_list (List.map (fun v -> List.assoc v theta) vars)
+              in
               match s.group with
               | Some (conj, outer) when inserted ->
-                Eval.iter conj store
-                  (Array.of_list (values s.atom_vars))
-                  (fun slots -> once r (List.map (fun i -> slots.(i)) outer))
+                Eval.iter conj store (values s.atom_vars) (fun slots ->
+                    once r (Array.map (fun i -> slots.(i)) outer))
               | _ ->
                 if s.restricted then once r (values r.vars)
-                else eval_residual t store e r (Array.of_list (values r.vars))))
+                else eval_residual t store e r (values r.vars)))
           | _ -> ())
         e.sites)
     changes
@@ -335,9 +348,10 @@ let delta_creations t store e changes =
    [true] for an insertion.  The surviving removals of one key bind the
    same variables, so one of them stands for all. *)
 let entry_delta e added removed =
-  let key sym tup =
+  let key sym (tup : Store.tuple) =
     let cols = List.assoc sym e.reads in
-    (sym, List.filteri (fun i _ -> i >= Array.length cols || cols.(i)) tup)
+    let read i = i >= Array.length cols || cols.(i) in
+    (sym, List.filteri (fun i _ -> read i) (Array.to_list tup))
   in
   let pending = Hashtbl.create 8 in
   List.iter

@@ -11,28 +11,47 @@
     dead mass dominates, so masked scans stay amortized linear in the
     live size.
 
-    Tuples are lists of constants.  The store keeps insertion order and
-    supports removal of single tuples so that update transactions can be
-    rolled back; a first-argument hash index accelerates the joins
-    performed by {!Eval} (the first column of every mapped relation is the
-    node id, which is the most selective join key of the schema of
-    Section 4.1).
+    A tuple is one flat array of unboxed {!Value}s.  The store keeps
+    insertion order and supports removal of single tuples so that update
+    transactions can be rolled back; a first-argument hash index
+    accelerates the joins performed by {!Eval} (the first column of
+    every mapped relation is the node id, which is the most selective
+    join key of the schema of Section 4.1).
 
     Relations are keyed by interned symbols ({!Xic_symbol.Symbol}), so the
     shredder — which holds the document's tag symbols already — reaches a
-    relation without hashing a string; the string-named API interns on
-    entry. *)
+    relation without hashing a string. *)
 
 module Symbol = Xic_symbol.Symbol
 
-type tuple = Term.const list
+type tuple = Value.t array
+
+let tuple_equal (a : tuple) (b : tuple) =
+  a == b
+  || Array.length a = Array.length b
+     &&
+     let rec go i = i < 0 || (Value.equal a.(i) b.(i) && go (i - 1)) in
+     go (Array.length a - 1)
+
+(* Lexicographic by {!Value.compare}, a proper prefix first. *)
+let tuple_compare (a : tuple) (b : tuple) =
+  let la = Array.length a and lb = Array.length b in
+  let rec go i =
+    if i = la then if i = lb then 0 else -1
+    else if i = lb then 1
+    else
+      let c = Value.compare a.(i) b.(i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0
 
 module TupleMap = Map.Make (struct
-  type t = Term.const list
+  type t = tuple
 
-  (* polymorphic compare is total on [Term.const] (Int/Str only) *)
-  let compare = compare
+  let compare = tuple_compare
 end)
+
+module VTbl = Hashtbl.Make (Value)
 
 type rel = {
   (* newest-first insertion log; the cons cells are never mutated, so
@@ -51,12 +70,12 @@ type rel = {
      largest cost of a cold start.  Once built, it is maintained
      incrementally by [add_sym] / [remove_sym].  Indexes hold live
      tuples only and are private to each handle (never shared). *)
-  mutable index : (Term.const, tuple list ref) Hashtbl.t option;
+  mutable index : tuple list ref VTbl.t option;
   (* Secondary indexes, column position → (value → tuples), built
      lazily per column on the first probe of that column.  Tuples
      shorter than the indexed position are omitted: an atom binding
      that position can never match them. *)
-  mutable col_index : (int * (Term.const, tuple list ref) Hashtbl.t) list;
+  mutable col_index : (int * tuple list ref VTbl.t) list;
 }
 
 type t = {
@@ -71,10 +90,6 @@ let is_frozen (s : t) = s.frozen
 let check_writable (s : t) =
   if s.frozen then
     invalid_arg "Xic_datalog.Store: frozen generation handles are immutable"
-
-(* Read-only name lookup: never interns, so probing a relation that was
-   never populated does not grow the global symbol table. *)
-let sym_opt name = if Symbol.mem name then Some (Symbol.intern name) else None
 
 let get_rel_sym (s : t) sym =
   match Hashtbl.find_opt s.rels sym with
@@ -150,37 +165,32 @@ let compact (s : t) =
   check_writable s;
   Hashtbl.iter (fun _ r -> compact_rel r) s.rels
 
-let index_add idx tup =
-  match tup with
-  | [] -> ()
-  | key :: _ ->
-    (match Hashtbl.find_opt idx key with
-     | Some l -> l := tup :: !l
-     | None -> Hashtbl.add idx key (ref [ tup ]))
+let col_index_add idx col (tup : tuple) =
+  if col < Array.length tup then begin
+    let key = Array.unsafe_get tup col in
+    match VTbl.find_opt idx key with
+    | Some l -> l := tup :: !l
+    | None -> VTbl.add idx key (ref [ tup ])
+  end
+
+let build_index r col =
+  let idx = VTbl.create (max 64 (2 * r.nlive)) in
+  List.iter (col_index_add idx col) (live_list r);
+  idx
 
 let ensure_index r =
   match r.index with
   | Some idx -> idx
   | None ->
-    let idx = Hashtbl.create (max 64 (2 * r.nlive)) in
-    List.iter (index_add idx) (live_list r);
+    let idx = build_index r 0 in
     r.index <- Some idx;
     idx
-
-let col_index_add idx col tup =
-  match List.nth_opt tup col with
-  | None -> ()
-  | Some key ->
-    (match Hashtbl.find_opt idx key with
-     | Some l -> l := tup :: !l
-     | None -> Hashtbl.add idx key (ref [ tup ]))
 
 let ensure_col_index r col =
   match List.assoc_opt col r.col_index with
   | Some idx -> idx
   | None ->
-    let idx = Hashtbl.create (max 64 (2 * r.nlive)) in
-    List.iter (fun tup -> col_index_add idx col tup) (live_list r);
+    let idx = build_index r col in
     r.col_index <- (col, idx) :: r.col_index;
     idx
 
@@ -189,10 +199,8 @@ let add_sym (s : t) sym (tup : tuple) =
   let r = get_rel_sym s sym in
   r.log <- tup :: r.log;
   r.nlive <- r.nlive + 1;
-  (match r.index with Some idx -> index_add idx tup | None -> ());
+  (match r.index with Some idx -> col_index_add idx 0 tup | None -> ());
   List.iter (fun (col, idx) -> col_index_add idx col tup) r.col_index
-
-let add (s : t) name tup = add_sym s (Symbol.intern name) tup
 
 let remove_sym (s : t) sym (tup : tuple) =
   check_writable s;
@@ -200,62 +208,45 @@ let remove_sym (s : t) sym (tup : tuple) =
   | None -> false
   | Some r ->
     let present =
-      match tup with
-      | [] ->
+      if Array.length tup = 0 then begin
         (* arity-0 tuples have no index key; count live occurrences *)
         let occ = ref 0 in
-        List.iter (fun t -> if t = [] then incr occ) r.log;
-        !occ - dead_count r [] > 0
-      | key :: _ ->
-        (match Hashtbl.find_opt (ensure_index r) key with
-         | Some l -> List.mem tup !l
-         | None -> false)
+        List.iter (fun t -> if Array.length t = 0 then incr occ) r.log;
+        !occ - dead_count r tup > 0
+      end
+      else
+        match VTbl.find_opt (ensure_index r) tup.(0) with
+        | Some l -> List.exists (tuple_equal tup) !l
+        | None -> false
     in
     if present then begin
       r.dead <- TupleMap.add tup (dead_count r tup + 1) r.dead;
       r.ndead <- r.ndead + 1;
       r.nlive <- r.nlive - 1;
-      let drop_bucket idx key =
-        match Hashtbl.find_opt idx key with
-        | Some l ->
-          let removed2 = ref false in
-          let rec drop = function
-            | [] -> []
-            | t :: rest when (not !removed2) && t = tup ->
-              removed2 := true;
-              rest
-            | t :: rest -> t :: drop rest
-          in
-          l := drop !l
-        | None -> ()
+      let drop_bucket idx col =
+        if col < Array.length tup then
+          match VTbl.find_opt idx tup.(col) with
+          | Some l ->
+            let rec drop = function
+              | [] -> []
+              | t :: rest when tuple_equal t tup -> rest
+              | t :: rest -> t :: drop rest
+            in
+            l := drop !l
+          | None -> ()
       in
-      (match (r.index, tup) with
-       | None, _ | _, [] -> ()
-       | Some idx, key :: _ -> drop_bucket idx key);
-      List.iter
-        (fun (col, idx) ->
-          match List.nth_opt tup col with
-          | Some key -> drop_bucket idx key
-          | None -> ())
-        r.col_index;
+      (match r.index with None -> () | Some idx -> drop_bucket idx 0);
+      List.iter (fun (col, idx) -> drop_bucket idx col) r.col_index;
       (* an emptied relation (a view's witness rows, churning around
          empty) starts afresh, so later scans walk no tombstones *)
       if r.nlive = 0 then clear_rel r else maybe_compact r
     end;
     present
 
-let remove (s : t) name tup =
-  match sym_opt name with
-  | Some sym -> remove_sym s sym tup
-  | None -> false
-
 let tuples_sym (s : t) sym =
   match Hashtbl.find_opt s.rels sym with
   | Some r -> live_list r
   | None -> []
-
-let tuples (s : t) name =
-  match sym_opt name with Some sym -> tuples_sym s sym | None -> []
 
 (* Resolve the relation and its [col] index once: the lookup answers
    from that index until the store is next written. *)
@@ -264,28 +255,15 @@ let lookup_sym (s : t) sym col =
   | None -> fun _ -> []
   | Some r ->
     let idx = if col = 0 then ensure_index r else ensure_col_index r col in
-    fun (key : Term.const) ->
-      match Hashtbl.find_opt idx key with Some l -> !l | None -> []
+    fun (key : Value.t) ->
+      match VTbl.find_opt idx key with Some l -> !l | None -> []
 
 let tuples_with_key_sym (s : t) sym key = lookup_sym s sym 0 key
 
-let tuples_with_key (s : t) name key =
-  match sym_opt name with
-  | Some sym -> tuples_with_key_sym s sym key
-  | None -> []
-
 let tuples_with_col_sym (s : t) sym col key = lookup_sym s sym col key
-
-let tuples_with_col (s : t) name col key =
-  match sym_opt name with
-  | Some sym -> tuples_with_col_sym s sym col key
-  | None -> []
 
 let cardinality_sym (s : t) sym =
   match Hashtbl.find_opt s.rels sym with Some r -> r.nlive | None -> 0
-
-let cardinality (s : t) name =
-  match sym_opt name with Some sym -> cardinality_sym s sym | None -> 0
 
 let relations (s : t) =
   Hashtbl.fold (fun sym _ acc -> Symbol.name sym :: acc) s.rels []
@@ -294,16 +272,9 @@ let relations (s : t) =
 let total_tuples (s : t) =
   Hashtbl.fold (fun _ r acc -> acc + r.nlive) s.rels 0
 
-let mem_sym (s : t) sym tup =
-  match tup with
-  | key :: _ -> List.mem tup (tuples_with_key_sym s sym key)
-  | [] ->
-    (match Hashtbl.find_opt s.rels sym with
-     | Some r -> r.nlive > 0
-     | None -> false)
-
-let mem (s : t) name tup =
-  match sym_opt name with Some sym -> mem_sym s sym tup | None -> false
+let mem_sym (s : t) sym (tup : tuple) =
+  if Array.length tup = 0 then cardinality_sym s sym > 0
+  else List.exists (tuple_equal tup) (tuples_with_key_sym s sym tup.(0))
 
 let clear_sym (s : t) sym =
   check_writable s;
@@ -334,9 +305,12 @@ let fork ~frozen (s : t) : t =
 let freeze (s : t) : t = fork ~frozen:true s
 let copy (s : t) : t = fork ~frozen:false s
 
-(* Rough heap estimate of one tuple: the log spine cons cell plus, per
-   column, a list cons cell and a boxed constant (3 + 5·arity words). *)
-let tuple_bytes tup = 8 * (3 + (5 * List.length tup))
+(* Heap estimate of one tuple: the log spine's cons cell (3 words) and
+   the array (a header and one word per column); the empty array is a
+   shared static atom. *)
+let tuple_bytes (tup : tuple) =
+  let n = Array.length tup in
+  if n = 0 then 24 else 8 * (4 + n)
 
 let log_len r = r.nlive + r.ndead
 
@@ -363,13 +337,55 @@ let unshared_bytes ~(live : t) (h : t) =
         acc + List.fold_left (fun b tup -> b + tuple_bytes tup) 0 hr.log)
     h.rels 0
 
+type footprint = { tuple_bytes : int; index_bytes : int }
+
+(* Measured, not estimated: [Obj.reachable_words] over every log and
+   tombstone map, less the words of the distinct strings they point to
+   (texts are the arena's, not the store's). *)
+let footprint (s : t) =
+  let logs = Hashtbl.fold (fun _ r acc -> Obj.repr (r.log, r.dead) :: acc) s.rels [] in
+  let indexes =
+    Hashtbl.fold (fun _ r acc -> Obj.repr (r.index, r.col_index) :: acc) s.rels []
+  in
+  let words l = Obj.reachable_words (Obj.repr (Array.of_list l)) - 1 - List.length l in
+  let texts : (string, string list) Hashtbl.t = Hashtbl.create 1024 in
+  let text_words = ref 0 in
+  let see (v : Value.t) =
+    if not (Value.is_int v) then begin
+      let str = Value.get_string v in
+      let seen = Option.value ~default:[] (Hashtbl.find_opt texts str) in
+      if not (List.memq str seen) then begin
+        Hashtbl.replace texts str (str :: seen);
+        text_words := !text_words + 1 + ((String.length str + 8) / 8)
+      end
+    end
+  in
+  Hashtbl.iter
+    (fun _ r ->
+      List.iter (Array.iter see) r.log;
+      TupleMap.iter (fun tup _ -> Array.iter see tup) r.dead)
+    s.rels;
+  let tuple_words = words logs - !text_words in
+  (* a (log, dead) pair per relation is the wrapper's, not the store's *)
+  let tuple_words = tuple_words - (3 * List.length logs) in
+  let index_words = words (logs @ indexes) - words logs - (3 * List.length indexes) in
+  { tuple_bytes = 8 * tuple_words; index_bytes = 8 * index_words }
+
 let of_facts facts =
   let s = create () in
-  List.iter (fun (name, tup) -> add s name tup) facts;
+  List.iter
+    (fun (name, tup) ->
+      add_sym s (Symbol.intern name) (Array.of_list (List.map Value.of_const tup)))
+    facts;
   s
 
 let to_facts (s : t) =
-  List.concat_map (fun name -> List.map (fun t -> (name, t)) (tuples s name)) (relations s)
+  List.concat_map
+    (fun name ->
+      List.map
+        (fun t -> (name, List.map Value.to_const (Array.to_list t)))
+        (tuples_sym s (Symbol.intern name)))
+    (relations s)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot (de)serialization                                          *)
@@ -380,13 +396,13 @@ module Wire = Xic_symbol.Wire
 (* Relations are stored by name (re-interned on load, so no symbol-id
    remap is needed); only the {e live} tuples are written — the snapshot
    holds the compacted head of the log, never the tombstoned history —
-   in insertion order, each constant tagged with a one-byte kind.  Tuple
+   in insertion order, each value tagged with a one-byte kind.  Tuple
    strings go through a dedup table written up front: the same name
    recurs across many facts (every author appears in aut/name/text
    tuples), so occurrences are 1–2 byte indices on disk, and the loader
-   materializes ONE [Term.Str] per distinct string, shared by every
-   tuple that mentions it. *)
-let tag_of = function Term.Int _ -> 0 | Term.Str _ -> 1
+   materializes ONE string per distinct text, shared by every tuple that
+   mentions it. *)
+let tag_of v = if Value.is_int v then 0 else 1
 
 (* The per-column Int/Str shape shared by every tuple of the relation,
    or [None] when tuples disagree (or the arity exceeds the one-byte
@@ -395,14 +411,14 @@ let signature live =
   match live with
   | [] -> None
   | t0 :: rest ->
-    let s0 = List.map tag_of t0 in
-    let arity = List.length s0 in
+    let s0 = Array.map tag_of t0 in
+    let arity = Array.length s0 in
     if arity > 15 then None
     else if
       List.for_all
         (fun t ->
-          List.compare_length_with t arity = 0
-          && List.for_all2 (fun tag v -> tag = tag_of v) s0 t)
+          Array.length t = arity
+          && Array.for_all2 (fun tag v -> tag = tag_of v) s0 t)
         rest
     then Some s0
     else None
@@ -410,30 +426,29 @@ let signature live =
 let serialize (s : t) buf =
   let interned : (string, int) Hashtbl.t = Hashtbl.create 1024 in
   let order = ref [] and n_strings = ref 0 in
-  let intern v =
-    match Hashtbl.find_opt interned v with
+  let intern (v : Value.t) =
+    let str = Value.get_string v in
+    match Hashtbl.find_opt interned str with
     | Some i -> i
     | None ->
       let i = !n_strings in
-      Hashtbl.add interned v i;
-      order := v :: !order;
+      Hashtbl.add interned str i;
+      order := str :: !order;
       incr n_strings;
       i
   in
   Hashtbl.iter
     (fun _ r ->
       iter_live_newest_first
-        (List.iter (function
-          | Term.Str v -> ignore (intern v)
-          | Term.Int _ -> ()))
+        (Array.iter (fun v -> if not (Value.is_int v) then ignore (intern v)))
         r)
     s.rels;
   Wire.add_int buf !n_strings;
   List.iter (Wire.add_string buf) (List.rev !order);
   Wire.add_int buf (Hashtbl.length s.rels);
-  let add_value = function
-    | Term.Int i -> Wire.add_int buf i
-    | Term.Str v -> Wire.add_int buf (intern v)
+  let add_value v =
+    if Value.is_int v then Wire.add_int buf (Value.get_int v)
+    else Wire.add_int buf (intern v)
   in
   Hashtbl.iter
     (fun sym r ->
@@ -445,65 +460,82 @@ let serialize (s : t) buf =
         (* uniform shape: tags once up front, tuples are bare value
            runs (the normal case — schema-mapped relations have a fixed
            column layout) *)
-        Wire.add_u8 buf (List.length sg);
-        List.iter (Wire.add_u8 buf) sg;
-        List.iter (fun tup -> List.iter add_value tup) live
+        Wire.add_u8 buf (Array.length sg);
+        Array.iter (Wire.add_u8 buf) sg;
+        List.iter (Array.iter add_value) live
       | None ->
-        (* mixed shapes: per-tuple arity, per-constant tag *)
+        (* mixed shapes: per-tuple arity, per-value tag *)
         Wire.add_u8 buf 0xff;
         List.iter
           (fun tup ->
-            Wire.add_u8 buf (List.length tup);
-            List.iter
+            Wire.add_u8 buf (Array.length tup);
+            Array.iter
               (fun v ->
-                Wire.add_u8 buf (match v with Term.Int _ -> 0 | Term.Str _ -> 1);
+                Wire.add_u8 buf (tag_of v);
                 add_value v)
               tup)
           live)
     s.rels
 
-(* Shared [Term.Int] cells for the ids that dominate tuple columns
-   (first column is always a node id).  One 64k-entry table amortized
-   over every load keeps a cold start from boxing the same small ints
-   tens of thousands of times. *)
-let small_ints =
-  lazy (Array.init (1 lsl 16) (fun i -> Term.Int i))
-
 (* Cold-load fast path: the relation table is preallocated from the
    serialized count and tuples go straight into the rel record — no
    per-tuple [get_rel_sym] lookup, no table resizing, and no index
-   (built lazily on the first keyed probe). *)
+   (built lazily on the first keyed probe).  An [Int] is an immediate,
+   so decoding one allocates nothing. *)
 let deserialize c : t =
   let n_strings = Wire.get_int c in
   if n_strings < 0 || n_strings > Wire.remaining c then
     raise (Wire.Error "store: bad string table length");
-  (* One shared [Term.Str] per distinct string: tuples alias these cells,
-     so a snapshot load allocates each constant once however many facts
-     mention it. *)
+  (* One string per distinct text: tuples alias these, so a snapshot
+     load allocates each text once however many facts mention it. *)
   let strings =
-    Array.map (fun s -> Term.Str s) (Wire.get_string_array c n_strings)
+    Array.map Value.of_string (Wire.get_string_array c n_strings)
   in
   let nrels = Wire.get_int c in
   if nrels < 0 || nrels > Wire.remaining c then
     raise (Wire.Error "store: bad relation count");
   let rels : (Symbol.t, rel) Hashtbl.t = Hashtbl.create (max 16 (2 * nrels)) in
-  let ints = Lazy.force small_ints in
-  let int_const () =
-    let i = Wire.get_int c in
-    if i >= 0 && i < Array.length ints then Array.unsafe_get ints i
-    else Term.Int i
+  (* tuple decode is the bulk of the section; [value] reads the varint
+     directly and keeps the tag dispatch as one predictable branch per
+     column *)
+  let value tag =
+    let v = Wire.get_int c in
+    if tag = 0 then Value.of_int v
+    else if v >= 0 && v < n_strings then Array.unsafe_get strings v
+    else
+      raise (Wire.Error (Printf.sprintf "store: string index %d out of range" v))
   in
-  let str_const () =
-    let i = Wire.get_int c in
-    if i < 0 || i >= n_strings then
-      raise (Wire.Error (Printf.sprintf "store: string index %d out of range" i));
-    strings.(i)
-  in
-  let const () =
+  let tagged () =
     match Wire.get_u8 c with
-    | 0 -> int_const ()
-    | 1 -> str_const ()
+    | (0 | 1) as tag -> value tag
     | k -> raise (Wire.Error (Printf.sprintf "store: bad const tag %d" k))
+  in
+  (* common arities are built in one allocation, in column order *)
+  let row arity get =
+    match arity with
+    | 0 -> [||]
+    | 1 -> [| get 0 |]
+    | 2 ->
+      let a = get 0 in
+      let b = get 1 in
+      [| a; b |]
+    | 3 ->
+      let a = get 0 in
+      let b = get 1 in
+      let d = get 2 in
+      [| a; b; d |]
+    | 4 ->
+      let a = get 0 in
+      let b = get 1 in
+      let d = get 2 in
+      let e = get 3 in
+      [| a; b; d; e |]
+    | n ->
+      let tup = Array.make n (Value.of_int 0) in
+      for i = 0 to n - 1 do
+        tup.(i) <- get i
+      done;
+      tup
   in
   for _ = 1 to nrels do
     let name = Wire.get_string c in
@@ -514,29 +546,10 @@ let deserialize c : t =
     let tuples = ref [] in
     (match Wire.get_u8 c with
      | 0xff ->
-       (* mixed shapes: per-tuple arity, per-constant tag *)
+       (* mixed shapes: per-tuple arity, per-value tag *)
        for _ = 1 to count do
-         (* build common arities directly in order — no [List.rev] copy *)
-         let tup =
-           match Wire.get_u8 c with
-           | 0 -> []
-           | 1 -> [ const () ]
-           | 2 ->
-             let a = const () in
-             let b = const () in
-             [ a; b ]
-           | 3 ->
-             let a = const () in
-             let b = const () in
-             let d = const () in
-             [ a; b; d ]
-           | arity ->
-             let rec go k acc =
-               if k = 0 then List.rev acc else go (k - 1) (const () :: acc)
-             in
-             go arity []
-         in
-         tuples := tup :: !tuples
+         let arity = Wire.get_u8 c in
+         tuples := row arity (fun _ -> tagged ()) :: !tuples
        done
      | siglen ->
        if siglen > 15 then
@@ -547,46 +560,10 @@ let deserialize c : t =
            if t > 1 then
              raise (Wire.Error (Printf.sprintf "store: bad column tag %d" t)))
          sg;
-       (* tuple decode is the bulk of the section; [value] reads the
-          varint index directly and keeps the tag dispatch as one
-          predictable branch per column *)
-       let ilen = Array.length ints in
-       let value tag =
-         let v = Wire.get_int c in
-         if tag = 0 then
-           if v >= 0 && v < ilen then Array.unsafe_get ints v else Term.Int v
-         else if v >= 0 && v < n_strings then Array.unsafe_get strings v
-         else
-           raise
-             (Wire.Error
-                (Printf.sprintf "store: string index %d out of range" v))
-       in
-       (match sg with
-        | [||] -> for _ = 1 to count do tuples := [] :: !tuples done
-        | [| a |] -> for _ = 1 to count do tuples := [ value a ] :: !tuples done
-        | [| a; b |] ->
-          for _ = 1 to count do
-            let x = value a in
-            let y = value b in
-            tuples := [ x; y ] :: !tuples
-          done
-        | [| a; b; d |] ->
-          for _ = 1 to count do
-            let x = value a in
-            let y = value b in
-            let z = value d in
-            tuples := [ x; y; z ] :: !tuples
-          done
-        | sg ->
-          let rec row i =
-            if i = Array.length sg then []
-            else
-              let v = value sg.(i) in
-              v :: row (i + 1)
-          in
-          for _ = 1 to count do
-            tuples := row 0 :: !tuples
-          done));
+       let get i = value (Array.unsafe_get sg i) in
+       for _ = 1 to count do
+         tuples := row siglen get :: !tuples
+       done);
     Hashtbl.replace rels sym
       { log = !tuples; nlive = count; dead = TupleMap.empty; ndead = 0;
         index = None; col_index = [] }
@@ -595,7 +572,14 @@ let deserialize c : t =
 
 let equal (a : t) (b : t) =
   let norm s =
-    List.map (fun name -> (name, List.sort compare (tuples s name)))
-      (List.filter (fun n -> cardinality s n > 0) (relations s))
+    List.filter_map
+      (fun name ->
+        let sym = Symbol.intern name in
+        if cardinality_sym s sym = 0 then None
+        else Some (name, List.sort tuple_compare (tuples_sym s sym)))
+      (relations s)
   in
-  norm a = norm b
+  let na = norm a and nb = norm b in
+  List.equal
+    (fun (n1, t1) (n2, t2) -> String.equal n1 n2 && List.equal tuple_equal t1 t2)
+    na nb

@@ -1,55 +1,44 @@
 (** A copy-on-write versioned fact store: relation name → bag of tuples.
 
-    Tuples are lists of constants.  The store keeps insertion order and
+    A tuple is one flat [Value.t array]: an integer column is an OCaml
+    immediate, a string column the string pointer itself, so a tuple of
+    arity n costs one block of [1 + n] words and its log cell three
+    more.  The strings are not copied: the shredder hands over the
+    document arena's own texts.  The store keeps insertion order and
     supports removal of single tuples so that update transactions can be
     rolled back; a first-argument hash index accelerates the joins
     performed by {!Eval} (the first column of every mapped relation is the
     node id, the most selective join key of the Section 4.1 schema).
 
+    Strings are not interned as symbol ids.  The arena already holds
+    each text once, so ids would save no text bytes; and the global
+    symbol table never shrinks, while every guarded write brings fresh
+    texts (a withdrawn submission's title and author would stay in the
+    table for the life of the server).
+
     Internally each relation is an immutable newest-first insertion log
     plus a persistent tombstone multiset, so {!freeze} and {!copy} are
     O(#relations) pointer captures sharing structure with the live
-    writer — the basis of the repository's O(1) generation pins — while
-    the whole read/write API below is unchanged: a generation handle IS
-    a store, and every evaluator works on it unmodified.
+    writer — the basis of the repository's O(1) generation pins.  A
+    generation handle IS a store, and every evaluator reads it as any
+    other.
 
-    Relations are keyed by interned symbols; the [_sym] variants let
-    callers that already hold a tag symbol (the shredder) skip string
-    hashing entirely, and the string API interns on entry — except pure
-    queries, which never grow the symbol table. *)
+    Relations are keyed by interned symbols: the shredder already holds
+    each tag's symbol, so reaching a relation hashes no string.
+    {!of_facts} and {!to_facts} take and give {!Term.const} lists, the
+    form at the API edges. *)
 
-type tuple = Term.const list
+type tuple = Value.t array
+
+val tuple_equal : tuple -> tuple -> bool
 
 type t
 
 val create : unit -> t
-val add : t -> string -> tuple -> unit
-
-val remove : t -> string -> tuple -> bool
-(** Remove one occurrence (the newest); [false] when absent.  Internally
-    a tombstone: O(index bucket), never a log rebuild.  A removal that
-    leaves the relation with no live tuple drops its log, tombstones and
-    indexes at once (frozen handles keep theirs, as with {!compact}). *)
-
-val tuples : t -> string -> tuple list
-(** All tuples of a relation, insertion order. *)
-
-val tuples_with_key : t -> string -> Term.const -> tuple list
-(** Tuples whose first column equals the key (indexed lookup). *)
-
-val tuples_with_col : t -> string -> int -> Term.const -> tuple list
-(** Tuples whose [col]-th column (0-based) equals the key.  Column 0 is
-    the always-available first-column index; other columns get a lazy
-    secondary index built on the first probe and maintained by
-    [add]/[remove] thereafter.  Lets joins that bind a parent id or a
-    text value avoid scanning the whole relation. *)
-
-val cardinality : t -> string -> int
 val relations : t -> string list
 val total_tuples : t -> int
-val mem : t -> string -> tuple -> bool
-val of_facts : (string * tuple) list -> t
-val to_facts : t -> (string * tuple) list
+val of_facts : (string * Term.const list) list -> t
+val to_facts : t -> (string * Term.const list) list
 
 val equal : t -> t -> bool
 (** Same relations with the same tuple multisets. *)
@@ -79,25 +68,51 @@ val compact : t -> unit
     @raise Invalid_argument on a frozen handle. *)
 
 val unshared_bytes : live:t -> t -> int
-(** Rough heap estimate of what handle [h] retains {e beyond} the
-    structure it shares with [live]: 0 when every relation's log is
-    still a physical suffix of the live writer's (the steady state,
-    checked in O(delta) cell hops), the full relation cost once a
-    writer-side compaction or clear ended the sharing. *)
+(** Heap estimate of what handle [h] retains {e beyond} the structure
+    it shares with [live]: 0 when every relation's log is still a
+    physical suffix of the live writer's (the steady state, checked in
+    O(delta) cell hops), the full relation cost once a writer-side
+    compaction or clear ended the sharing.  A tuple counts its log cell
+    and its array, texts excluded. *)
 
-(** {1 Symbol-keyed variants} *)
+type footprint = {
+  tuple_bytes : int;  (** logs, tombstones and tuple arrays; texts excluded *)
+  index_bytes : int;  (** the column indexes, beyond the tuples they hold *)
+}
+
+val footprint : t -> footprint
+(** The store's heap, measured by [Obj.reachable_words] (a walk of the
+    whole store: for reports, not for a request path). *)
+
+(** {1 Reads and writes} *)
 
 val add_sym : t -> Xic_symbol.Symbol.t -> tuple -> unit
-val remove_sym : t -> Xic_symbol.Symbol.t -> tuple -> bool
-val tuples_sym : t -> Xic_symbol.Symbol.t -> tuple list
-val tuples_with_key_sym : t -> Xic_symbol.Symbol.t -> Term.const -> tuple list
-val tuples_with_col_sym : t -> Xic_symbol.Symbol.t -> int -> Term.const -> tuple list
 
-val lookup_sym : t -> Xic_symbol.Symbol.t -> int -> Term.const -> tuple list
+val remove_sym : t -> Xic_symbol.Symbol.t -> tuple -> bool
+(** Remove one occurrence (the newest); [false] when absent.  Internally
+    a tombstone: O(index bucket), never a log rebuild.  A removal that
+    leaves the relation with no live tuple drops its log, tombstones and
+    indexes at once (frozen handles keep theirs, as with {!compact}). *)
+
+val tuples_sym : t -> Xic_symbol.Symbol.t -> tuple list
+(** All tuples of a relation, insertion order. *)
+
+val tuples_with_key_sym : t -> Xic_symbol.Symbol.t -> Value.t -> tuple list
+(** Tuples whose first column equals the key (indexed lookup). *)
+
+val tuples_with_col_sym : t -> Xic_symbol.Symbol.t -> int -> Value.t -> tuple list
+(** Tuples whose [col]-th column (0-based) equals the key.  Column 0 is
+    the always-available first-column index; other columns get a lazy
+    secondary index built on the first probe and maintained by
+    {!add_sym}/{!remove_sym} thereafter.  Lets joins that bind a parent
+    id or a text value avoid scanning the whole relation. *)
+
+val lookup_sym : t -> Xic_symbol.Symbol.t -> int -> Value.t -> tuple list
 (** [lookup_sym s sym col] finds the relation and builds its [col]
-    index (as {!tuples_with_col}) once; the function it returns answers
-    [tuples_with_col_sym s sym col key] for any [key] by one hash probe,
-    as long as [s] is not written.  After a write, resolve again. *)
+    index (as {!tuples_with_col_sym}) once; the function it returns
+    answers [tuples_with_col_sym s sym col key] for any [key] by one
+    hash probe, as long as [s] is not written.  After a write, resolve
+    again. *)
 
 val mem_sym : t -> Xic_symbol.Symbol.t -> tuple -> bool
 val cardinality_sym : t -> Xic_symbol.Symbol.t -> int

@@ -26,7 +26,7 @@
 open Xic_xml
 module Store = Xic_datalog.Store
 module Delta = Xic_datalog.Delta
-module Term = Xic_datalog.Term
+module Value = Xic_datalog.Value
 
 type t = {
   mapping : Mapping.t;
@@ -98,7 +98,7 @@ let flush t ~into =
   if has_dirty t then begin
     Hashtbl.iter
       (fun id tag ->
-        let old = Store.tuples_with_key_sym t.store tag (Term.Int id) in
+        let old = Store.tuples_with_key_sym t.store tag (Value.of_int id) in
         let nw =
           if Doc.live t.doc id && reachable t id then
             match Shred.fact_of_element_sym t.mapping t.doc id with
@@ -108,7 +108,7 @@ let flush t ~into =
         in
         match (old, nw) with
         | [], None -> ()
-        | [ o ], Some tup when o = tup -> ()  (* net no-op *)
+        | [ o ], Some tup when Store.tuple_equal o tup -> ()  (* net no-op *)
         | _ ->
           List.iter
             (fun o ->

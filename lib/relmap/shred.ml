@@ -1,12 +1,10 @@
 open Xic_xml
-module T = Xic_datalog.Term
 module Store = Xic_datalog.Store
+module Value = Xic_datalog.Value
 
 exception Shred_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Shred_error s)) fmt
-
-let node_const id = T.Int id
 
 (* Text of the first child element named [want] (the embedded edge
    guarantees at most one), or "" when absent. *)
@@ -19,16 +17,33 @@ let embedded_text doc id want =
       then found := c);
   if !found = Doc.no_node then "" else Doc.text_content doc !found
 
-(* The extra columns after Id, Pos and IdParent. *)
-let columns mapping_columns doc id =
-  List.map
-    (fun (c : Mapping.column) ->
-      match c.Mapping.source with
-      | Mapping.From_attr a -> T.Str (Option.value ~default:"" (Doc.attr doc id a))
-      | Mapping.From_pcdata_child ch ->
-        T.Str (embedded_text doc id (Doc.Symbol.intern ch))
-      | Mapping.From_text -> T.Str (Doc.text_content doc id))
-    mapping_columns
+(* The value of an extra column (after Id, Pos and IdParent). *)
+let column doc id (c : Mapping.column) =
+  Value.of_string
+    (match c.Mapping.source with
+     | Mapping.From_attr a -> Option.value ~default:"" (Doc.attr doc id a)
+     | Mapping.From_pcdata_child ch -> embedded_text doc id (Doc.Symbol.intern ch)
+     | Mapping.From_text -> Doc.text_content doc id)
+
+(* [tag(id, pos, parent, c₁…cₙ)] as one flat array, built in one
+   allocation. *)
+let fact id ~pos ~parent ncols col : Store.tuple =
+  let id = Value.of_int id and pos = Value.of_int pos and parent = Value.of_int parent in
+  match ncols with
+  | 0 -> [| id; pos; parent |]
+  | 1 -> [| id; pos; parent; col 0 |]
+  | 2 ->
+    let a = col 0 in
+    let b = col 1 in
+    [| id; pos; parent; a; b |]
+  | n ->
+    let tup = Array.make (3 + n) id in
+    tup.(1) <- pos;
+    tup.(2) <- parent;
+    for i = 0 to n - 1 do
+      tup.(3 + i) <- col i
+    done;
+    tup
 
 (* Per-element dispatch on the interned tag: no string hashing on the
    shredding hot path. *)
@@ -40,11 +55,12 @@ let fact_of_element_sym mapping doc id =
     | exception Mapping.Mapping_error m -> fail "%s" m
     | Mapping.Embedded | Mapping.Elided -> None
     | Mapping.Predicate schema ->
-      let cols = columns schema.Mapping.columns doc id in
+      let cols = Array.of_list schema.Mapping.columns in
       Some
-        (tag,
-         node_const id :: T.Int (Doc.position doc id)
-         :: node_const (Doc.parent doc id) :: cols)
+        ( tag,
+          fact id ~pos:(Doc.position doc id) ~parent:(Doc.parent doc id)
+            (Array.length cols)
+            (fun i -> column doc id cols.(i)) )
   end
 
 (* Streaming endpoint of the fused loader: the parser hands over each
@@ -58,7 +74,7 @@ let fact_of_element_sym mapping doc id =
    hashing and no mapping lookup on the per-element path. *)
 type compiled_repr =
   | Skip
-  | Emit of (Doc.node_id -> T.const) list
+  | Emit of (Doc.node_id -> Value.t) array
 
 let sink ?count mapping doc store =
   let compile tag =
@@ -67,18 +83,19 @@ let sink ?count mapping doc store =
     | Mapping.Embedded | Mapping.Elided -> Skip
     | Mapping.Predicate schema ->
       Emit
-        (List.map
-           (fun (c : Mapping.column) ->
-             match c.Mapping.source with
-             | Mapping.From_attr a ->
-               let ka = Doc.Symbol.intern a in
-               fun id ->
-                 T.Str (Option.value ~default:"" (Doc.attr_sym doc id ka))
-             | Mapping.From_pcdata_child ch ->
-               let kch = Doc.Symbol.intern ch in
-               fun id -> T.Str (embedded_text doc id kch)
-             | Mapping.From_text -> fun id -> T.Str (Doc.text_content doc id))
-           schema.Mapping.columns)
+        (Array.of_list
+           (List.map
+              (fun (c : Mapping.column) ->
+                match c.Mapping.source with
+                | Mapping.From_attr a ->
+                  let ka = Doc.Symbol.intern a in
+                  fun id ->
+                    Value.of_string (Option.value ~default:"" (Doc.attr_sym doc id ka))
+                | Mapping.From_pcdata_child ch ->
+                  let kch = Doc.Symbol.intern ch in
+                  fun id -> Value.of_string (embedded_text doc id kch)
+                | Mapping.From_text -> fun id -> Value.of_string (Doc.text_content doc id))
+              schema.Mapping.columns))
   in
   let memo = ref (Array.make (max 16 (Doc.Symbol.count ())) None) in
   fun id ~pos ->
@@ -101,9 +118,8 @@ let sink ?count mapping doc store =
     | Skip -> ()
     | Emit cols ->
       Store.add_sym store tag
-        (node_const id :: T.Int pos
-        :: node_const (Doc.parent doc id)
-        :: List.map (fun f -> f id) cols);
+        (fact id ~pos ~parent:(Doc.parent doc id) (Array.length cols) (fun i ->
+             (Array.unsafe_get cols i) id));
       (match count with None -> () | Some r -> incr r)
 
 let fact_of_element mapping doc id =

@@ -3,17 +3,16 @@
     Each non-embedded, non-elided element [e] with node id [i], position
     [p] (among its parent's element children) and parent node id [q]
     yields the fact [e(i, p, q, c₁, …, cₙ)] where the [cᵢ] are attribute
-    values and embedded-child text contents ([""] when absent). *)
+    values and embedded-child text contents ([""] when absent).  A fact
+    is built as the store keeps it, one flat {!Xic_datalog.Value} array,
+    and a text column is the arena's own string. *)
 
 open Xic_xml
 
 exception Shred_error of string
 
-val node_const : Doc.node_id -> Xic_datalog.Term.const
-(** The constant representing a node id ([Int]). *)
-
 val fact_of_element :
-  Mapping.t -> Doc.t -> Doc.node_id -> (string * Xic_datalog.Term.const list) option
+  Mapping.t -> Doc.t -> Doc.node_id -> (string * Xic_datalog.Store.tuple) option
 (** The fact contributed by one element node, if its type maps to a
     predicate.  Embedded-child lookups and the [Pos] column walk the
     arena's sibling links.
@@ -21,7 +20,7 @@ val fact_of_element :
 
 val fact_of_element_sym :
   Mapping.t -> Doc.t -> Doc.node_id ->
-  (Doc.Symbol.t * Xic_datalog.Term.const list) option
+  (Doc.Symbol.t * Xic_datalog.Store.tuple) option
 (** As {!fact_of_element} with the predicate as an interned symbol — the
     shredding loops use this together with {!Xic_datalog.Store.add_sym}
     so the per-element dispatch never hashes a tag string. *)

@@ -506,6 +506,15 @@ let sort_doc_order doc ids =
 let node_count doc = doc.live_count
 let id_bound doc = doc.next_id
 
+let heap_bytes doc =
+  let parts =
+    [| Obj.repr doc.parent; Obj.repr doc.first_child; Obj.repr doc.last_child;
+       Obj.repr doc.next_sib; Obj.repr doc.prev_sib; Obj.repr doc.tagk;
+       Obj.repr doc.attr_head; Obj.repr doc.dead; Obj.repr doc.texts;
+       Obj.repr doc.aname; Obj.repr doc.avalue; Obj.repr doc.anext |]
+  in
+  8 * (Obj.reachable_words (Obj.repr parts) - 1 - Array.length parts)
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot (de)serialization                                          *)
 (* ------------------------------------------------------------------ *)

@@ -188,6 +188,11 @@ val id_bound : t -> int
 (** Exclusive upper bound on every node id allocated so far (dense arena
     ids), for callers keeping id-indexed side tables. *)
 
+val heap_bytes : t -> int
+(** The arena's heap: its node and attribute columns and its texts,
+    measured by [Obj.reachable_words] (a walk of the whole arena: for
+    reports).  The observers are not counted. *)
+
 val equal_structure : t -> t -> bool
 (** Structural equality of the trees reachable from the roots (ignores ids,
     compares tags, attribute sets, text and child order). *)

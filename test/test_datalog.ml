@@ -17,43 +17,43 @@ let s x = T.Str x
 
 let test_store_basic () =
   let st = S.create () in
-  S.add st "p" [ i 1; s "a" ];
-  S.add st "p" [ i 2; s "b" ];
-  S.add st "q" [ i 1 ];
-  checki "cardinality p" 2 (S.cardinality st "p");
+  Facts.add st "p" [ i 1; s "a" ];
+  Facts.add st "p" [ i 2; s "b" ];
+  Facts.add st "q" [ i 1 ];
+  checki "cardinality p" 2 (Facts.cardinality st "p");
   checki "total" 3 (S.total_tuples st);
   Alcotest.(check (list string)) "relations" [ "p"; "q" ] (S.relations st);
-  checkb "mem" true (S.mem st "p" [ i 1; s "a" ]);
-  checkb "not mem" false (S.mem st "p" [ i 1; s "b" ])
+  checkb "mem" true (Facts.mem st "p" [ i 1; s "a" ]);
+  checkb "not mem" false (Facts.mem st "p" [ i 1; s "b" ])
 
 let test_store_remove () =
   let st = S.create () in
-  S.add st "p" [ i 1; s "a" ];
-  S.add st "p" [ i 1; s "a" ];
-  checkb "remove one" true (S.remove st "p" [ i 1; s "a" ]);
-  checki "bag semantics" 1 (S.cardinality st "p");
-  checkb "remove second" true (S.remove st "p" [ i 1; s "a" ]);
-  checkb "remove missing" false (S.remove st "p" [ i 1; s "a" ]);
-  checki "empty" 0 (S.cardinality st "p")
+  Facts.add st "p" [ i 1; s "a" ];
+  Facts.add st "p" [ i 1; s "a" ];
+  checkb "remove one" true (Facts.remove st "p" [ i 1; s "a" ]);
+  checki "bag semantics" 1 (Facts.cardinality st "p");
+  checkb "remove second" true (Facts.remove st "p" [ i 1; s "a" ]);
+  checkb "remove missing" false (Facts.remove st "p" [ i 1; s "a" ]);
+  checki "empty" 0 (Facts.cardinality st "p")
 
 let test_store_index () =
   let st = S.create () in
   for k = 1 to 100 do
-    S.add st "p" [ i k; s "x" ]
+    Facts.add st "p" [ i k; s "x" ]
   done;
-  checki "indexed lookup" 1 (List.length (S.tuples_with_key st "p" (i 42)));
-  S.add st "p" [ i 42; s "y" ];
-  checki "two under key" 2 (List.length (S.tuples_with_key st "p" (i 42)))
+  checki "indexed lookup" 1 (List.length (Facts.with_key st "p" (i 42)));
+  Facts.add st "p" [ i 42; s "y" ];
+  checki "two under key" 2 (List.length (Facts.with_key st "p" (i 42)))
 
 let test_store_copy_equal () =
   let st = S.of_facts [ ("p", [ i 1 ]); ("q", [ i 2; s "b" ]) ] in
   let st' = S.copy st in
   checkb "copies equal" true (S.equal st st');
-  S.add st' "p" [ i 9 ];
+  Facts.add st' "p" [ i 9 ];
   checkb "diverged" false (S.equal st st');
   (* ...and the fork is two-way: the original keeps mutating too *)
-  S.add st "q" [ i 3; s "c" ];
-  checkb "fork isolated" false (S.mem st' "q" [ i 3; s "c" ])
+  Facts.add st "q" [ i 3; s "c" ];
+  checkb "fork isolated" false (Facts.mem st' "q" [ i 3; s "c" ])
 
 let frozen_exn = Invalid_argument
     "Xic_datalog.Store: frozen generation handles are immutable"
@@ -65,20 +65,129 @@ let test_store_freeze () =
   checkb "writer not frozen" false (S.is_frozen st);
   checkb "handle equal" true (S.equal st g);
   Alcotest.check_raises "add raises" frozen_exn (fun () ->
-    S.add g "p" [ i 9 ]);
+    Facts.add g "p" [ i 9 ]);
   Alcotest.check_raises "remove raises" frozen_exn (fun () ->
-    ignore (S.remove g "p" [ i 1 ]));
+    ignore (Facts.remove g "p" [ i 1 ]));
   Alcotest.check_raises "compact raises" frozen_exn (fun () ->
     S.compact g);
   (* the handle still serves indexed reads, privately *)
-  checki "indexed read" 2 (List.length (S.tuples_with_key g "p" (i 1)));
+  checki "indexed read" 2 (List.length (Facts.with_key g "p" (i 1)));
   (* writer churn is invisible to the handle *)
-  ignore (S.remove st "p" [ i 1 ]);
-  S.add st "q" [ i 7; s "z" ];
-  checki "handle p stable" 2 (S.cardinality g "p");
-  checkb "handle q stable" false (S.mem g "q" [ i 7; s "z" ]);
+  ignore (Facts.remove st "p" [ i 1 ]);
+  Facts.add st "q" [ i 7; s "z" ];
+  checki "handle p stable" 2 (Facts.cardinality g "p");
+  checkb "handle q stable" false (Facts.mem g "q" [ i 7; s "z" ]);
   (* a fresh suffix-sharing handle costs no unshared heap *)
   checki "pristine pin is free" 0 (S.unshared_bytes ~live:st (S.freeze st))
+
+(* A tuple of another arity never matches an atom, longer or shorter. *)
+let test_store_arity () =
+  let st =
+    S.of_facts [ ("p", [ i 1; i 2 ]); ("p", [ i 1; i 2; i 3 ]); ("p", [ i 4 ]) ]
+  in
+  checkb "no unary p(1, 2)" false
+    (E.violated st (P.parse_denial ":- p(X), X = 1"));
+  checki "one binary" 1 (List.length (E.violations st (P.parse_denial ":- p(X, Y)")));
+  checki "one ternary" 1
+    (List.length (E.violations st (P.parse_denial ":- p(1, Y, Z)")));
+  checkb "no quaternary" false (E.violated st (P.parse_denial ":- p(X, Y, Z, W)"))
+
+(* The store section a snapshot holds, hex-encoded.  The expected bytes
+   are what the store wrote when a tuple was a [Term.const] list: one
+   relation per store, so the relation table's order does not enter.
+   The first has every arity from 0 to 4 and both kinds in one column
+   (the mixed-shape encoding), the second one shape (the uniform one);
+   each has a tombstoned tuple, which the image leaves out. *)
+let test_serialize_golden () =
+  let bytes st =
+    let b = Buffer.create 64 in
+    S.serialize st b;
+    Buffer.contents b
+  in
+  let hex st =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq (bytes st))))
+  in
+  let mixed = S.create () in
+  List.iter (Facts.add mixed "g")
+    [ []; [ i 5 ]; [ s "5"; i (-3) ]; [ s ""; i max_int; s "x y" ];
+      [ i min_int; s "5"; i 0; s "\xc3\xa9" ]; [ i 7; i 8 ] ];
+  ignore (Facts.remove mixed "g" [ i 7; i 8 ]);
+  checks "mixed shapes"
+    "08023504c3a900067820790202670aff0001000a020100000503010400feffffffffffffff7f01060400ffffffffffffffff7f010000000102"
+    (hex mixed);
+  let uniform = S.create () in
+  List.iter (Facts.add uniform "u")
+    [ [ i 1; i 0; i (-1); s "a" ]; [ i 2; i 1; i 1; s "a" ];
+      [ i 4; i 3; i 1; s "b" ]; [ i 3; i 2; i 1; s "" ] ];
+  ignore (Facts.remove uniform "u" [ i 4; i 3; i 1; s "b" ]);
+  checks "one shape" "04000261020275060400000001020001020402020206040200" (hex uniform);
+  let back st = S.deserialize (Xic_symbol.Wire.cursor (bytes st)) in
+  checkb "mixed round trip" true (S.equal mixed (back mixed));
+  checkb "uniform round trip" true (S.equal uniform (back uniform))
+
+(* [unshared_bytes] estimates what a handle keeps alive once a
+   compaction ends its sharing with the writer: its log cells and tuple
+   arrays, which [Obj.reachable_words] measures exactly for a store of
+   integers. *)
+let test_unshared_bytes_estimate () =
+  let st =
+    S.of_facts
+      (List.init 300 (fun k ->
+           if k mod 3 = 0 then ("p", [ i k; i (k + 1); i 2; i 3 ]) else ("p", [ i k; i 0 ])))
+  in
+  let h = S.freeze st in
+  ignore (Facts.remove st "p" [ i 0; i 1; i 2; i 3 ]);
+  S.compact st;
+  let estimate = S.unshared_bytes ~live:st h in
+  let measured = 8 * Obj.reachable_words (Obj.repr (S.tuples_sym h (Facts.sym "p"))) in
+  checkb
+    (Printf.sprintf "estimate %d within 15%% of %d" estimate measured)
+    true
+    (abs (estimate - measured) * 100 <= 15 * measured)
+
+(* [Value] agrees with [Term.const] on equality, order, every
+   comparison operator and the round trip.  Pairs are often equal, or
+   an integer against its own printed form. *)
+let prop_value_agrees =
+  let open QCheck2.Gen in
+  let int_v =
+    frequency
+      [ (4, int_range (-20) 20); (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]);
+        (1, int) ]
+  in
+  let str_v =
+    frequency
+      [ (2, oneofl [ ""; "5"; "-3"; "05"; "a"; "ab"; " "; "\xc3\xa9" ]);
+        (2, map string_of_int int_v);
+        (1, string_size ~gen:(char_range 'a' 'c') (int_bound 3)) ]
+  in
+  let const = oneof [ map i int_v; map s str_v ] in
+  let other c =
+    frequency
+      [ (3, const); (1, return c);
+        (1,
+         return
+           (match c with
+            | T.Int n -> s (string_of_int n)
+            | T.Str x -> (match int_of_string_opt x with Some n -> i n | None -> s x))) ]
+  in
+  let pair = const >>= fun a -> map (fun b -> (a, b)) (other a) in
+  QCheck2.Test.make ~name:"Value agrees with Term.const" ~count:2000
+    ~print:(fun (a, b) -> T.const_str a ^ " vs " ^ T.const_str b)
+    pair
+    (fun (a, b) ->
+      let module V = Xic_datalog.Value in
+      let va = V.of_const a and vb = V.of_const b in
+      let sign n = compare n 0 in
+      V.equal va vb = (a = b)
+      && ((not (a = b)) || V.hash va = V.hash vb)
+      && sign (V.compare va vb) = sign (compare a b)
+      && List.for_all
+           (fun op -> V.cmp op va vb = T.eval_cmp op a b)
+           [ T.Eq; T.Neq; T.Lt; T.Le; T.Gt; T.Ge ]
+      && V.to_const va = a
+      && V.to_const vb = b)
 
 (* ------------------------------------------------------------------ *)
 (* Parser and printing                                                 *)
@@ -137,7 +246,7 @@ let test_eval_join () =
   let st = issn_store () in
   let d = P.parse_denial ":- p(X, Y), p(X, Z), Y != Z" in
   checkb "consistent" false (E.violated st d);
-  S.add st "p" [ s "i1"; s "D" ];
+  Facts.add st "p" [ s "i1"; s "D" ];
   checkb "violated after dup" true (E.violated st d)
 
 let test_eval_constants () =
@@ -149,7 +258,7 @@ let test_eval_negation () =
   let st = issn_store () in
   checkb "not finds missing" true
     (E.violated st (P.parse_denial {| :- p(X, _), not p(X, "A") |}));
-  S.add st "q" [ s "i1" ];
+  Facts.add st "q" [ s "i1" ];
   checkb "anti-join" true
     (E.violated st (P.parse_denial {| :- p(X, _), not q(X) |}))
 
@@ -158,7 +267,7 @@ let test_eval_negation_local_vars () =
   let st = S.of_facts [ ("r", [ i 1 ]); ("w", [ i 2; i 9 ]) ] in
   checkb "no w for r=1" true
     (E.violated st (P.parse_denial ":- r(X), not w(X, _)"));
-  S.add st "w" [ i 1; i 5 ];
+  Facts.add st "w" [ i 1; i 5 ];
   checkb "now satisfied" false
     (E.violated st (P.parse_denial ":- r(X), not w(X, _)"))
 
@@ -220,7 +329,7 @@ let test_agg_cnt () =
 let test_agg_cntd_distinct () =
   let st = agg_store () in
   (* duplicate tuple counts twice for cnt, once for cntd *)
-  S.add st "sub" [ i 13; i 1; i 2; s "T4" ];
+  Facts.add st "sub" [ i 13; i 1; i 2; s "T4" ];
   checkb "cnt sees dup" true
     (E.violated st (P.parse_denial ":- rev(Ir, _, _, M), M = \"M\", cnt(sub(_, _, Ir, _)) > 1"));
   checkb "cntd ignores dup" false
@@ -335,7 +444,7 @@ let prop_violation_is_witness =
       | None -> not (E.violated st d)
       | Some binds ->
         let x = List.assoc "X" binds and y = List.assoc "Y" binds in
-        S.mem st "p" [ x; y ] && S.mem st "q" [ y ])
+        Facts.mem st "p" [ x; y ] && Facts.mem st "q" [ y ])
 
 let prop_subsumption_semantic =
   (* if phi subsumes psi then every store violating psi violates phi *)
@@ -348,10 +457,10 @@ let prop_subsumption_semantic =
 let prop_cnt_matches_length =
   QCheck2.Test.make ~name:"cnt agrees with tuple count" ~count:200 gen_store
     (fun st ->
-      let n = S.cardinality st "p" in
+      let n = Facts.cardinality st "p" in
       let d = P.parse_denial (Printf.sprintf ":- q(_), cnt(p(_, _)) != %d" n) in
       (* if q is non-empty the aggregate literal must match exactly n *)
-      S.cardinality st "q" = 0 || not (E.violated st d))
+      Facts.cardinality st "q" = 0 || not (E.violated st d))
 
 (* ------------------------------------------------------------------ *)
 (* Second wave                                                         *)
@@ -452,12 +561,12 @@ let prop_agg_atom_order =
 (* ------------------------------------------------------------------ *)
 
 (* The reference evaluator: every tuple of each atom's relation through
-   [S.tuples] (no index), positive atoms joined in source order (no
+   [Facts.tuples] (no index), positive atoms joined in source order (no
    scheduling), then binding equalities, then every other literal
    tested on the complete binding.  A negation holds when no tuple
    matches; an aggregate groups the rows of its conjunction under the
    binding. *)
-let ref_unify env (args : T.term list) (tup : S.tuple) =
+let ref_unify env (args : T.term list) (tup : T.const list) =
   if List.length args <> List.length tup then None
   else
     List.fold_left2
@@ -476,7 +585,7 @@ let ref_join st env (atoms : T.atom list) =
   List.fold_left
     (fun envs (a : T.atom) ->
       List.concat_map
-        (fun env -> List.filter_map (ref_unify env a.T.args) (S.tuples st a.T.pred))
+        (fun env -> List.filter_map (ref_unify env a.T.args) (Facts.tuples st a.T.pred))
         envs)
     [ env ] atoms
 
@@ -521,7 +630,10 @@ let reference st (d : T.denial) =
            (function
              | T.Rel _ -> true
              | T.Cmp (op, a, b) -> T.eval_cmp op (ref_value env a) (ref_value env b)
-             | T.Not a -> List.for_all (fun tup -> ref_unify env a.T.args tup = None) (S.tuples st a.T.pred)
+             | T.Not a ->
+               List.for_all
+                 (fun tup -> ref_unify env a.T.args tup = None)
+                 (Facts.tuples st a.T.pred)
              | T.Agg g -> ref_agg st env g)
            d.T.body)
 
@@ -540,7 +652,9 @@ let gen_differential =
     oneof
       [ map2 (fun a b -> ("p", [ a; b ])) const const;
         map2 (fun a b -> ("q", [ a; b ])) const const;
-        map (fun a -> ("r", [ a ])) const ]
+        map (fun a -> ("r", [ a ])) const;
+        (* another arity: never matches an atom over the relation *)
+        map (fun a -> ("p", [ a ])) const ]
   in
   let pos_arg = frequency [ (6, map (fun k -> V k) (int_bound 3)); (2, map (fun k -> C k) (int_bound 3)); (1, return Anon) ] in
   let outer_arg = frequency [ (4, map (fun k -> V k) (int_bound 3)); (1, map (fun k -> C k) (int_bound 3)) ] in
@@ -637,7 +751,7 @@ let prop_differential =
             let theta =
               Xic_datalog.Subst.of_list (List.map2 (fun v c -> (v, T.Const c)) vs values)
             in
-            E.exists plan st (Array.of_list values)
+            E.exists plan st (Facts.tuple values)
             = (reference st (Xic_datalog.Subst.apply_denial theta d) <> []))
           (combos vs)
       in
@@ -683,21 +797,21 @@ let prop_frozen_generation_stable =
           (fun op ->
             match op with
             | `Add (p, tup) ->
-              S.add st p tup;
+              Facts.add st p tup;
               [ `Unadd (p, tup) ]
             | `Remove (p, tup) ->
-              if S.remove st p tup then [ `Unremove (p, tup) ] else []
+              if Facts.remove st p tup then [ `Unremove (p, tup) ] else []
             | `Clear_q ->
-              let saved = S.tuples st "q" in
+              let saved = Facts.tuples st "q" in
               S.clear_sym st (Xic_symbol.Symbol.intern "q");
               [ `Unclear saved ]
             | `Drain_refill_q c ->
               (* removing the last live tuple drops the relation's log,
                  tombstones and indexes at once; the handle keeps its own *)
-              let drained = S.tuples st "q" in
-              List.iter (fun tup -> ignore (S.remove st "q" tup : bool)) drained;
-              assert (S.cardinality st "q" = 0);
-              S.add st "q" [ c ];
+              let drained = Facts.tuples st "q" in
+              List.iter (fun tup -> ignore (Facts.remove st "q" tup : bool)) drained;
+              assert (Facts.cardinality st "q" = 0);
+              Facts.add st "q" [ c ];
               List.map (fun tup -> `Unremove ("q", tup)) drained
               @ [ `Unadd ("q", [ c ]) ]
             | `Compact ->
@@ -709,9 +823,9 @@ let prop_frozen_generation_stable =
       List.iter
         (fun u ->
           match u with
-          | `Unadd (p, tup) -> ignore (S.remove st p tup)
-          | `Unremove (p, tup) -> S.add st p tup
-          | `Unclear saved -> List.iter (S.add st "q") saved)
+          | `Unadd (p, tup) -> ignore (Facts.remove st p tup)
+          | `Unremove (p, tup) -> Facts.add st p tup
+          | `Unclear saved -> List.iter (Facts.add st "q") saved)
         (List.rev undo);
       let after = image gen in
       S.is_frozen gen
@@ -734,7 +848,7 @@ let test_eval_self_join_same_tuple () =
   (* p(X,Y), p(Y,X) satisfied by a symmetric pair or a diagonal tuple *)
   let st = S.of_facts [ ("p", [ i 1; i 2 ]) ] in
   checkb "no symmetric pair" false (E.violated st (P.parse_denial ":- p(X, Y), p(Y, X)"));
-  S.add st "p" [ i 2; i 1 ];
+  Facts.add st "p" [ i 2; i 1 ];
   checkb "symmetric pair" true (E.violated st (P.parse_denial ":- p(X, Y), p(Y, X)"))
 
 let test_eval_agg_bound_from_var () =
@@ -778,6 +892,10 @@ let () =
           Alcotest.test_case "index" `Quick test_store_index;
           Alcotest.test_case "copy/equal" `Quick test_store_copy_equal;
           Alcotest.test_case "freeze" `Quick test_store_freeze;
+          Alcotest.test_case "another arity never matches" `Quick test_store_arity;
+          Alcotest.test_case "snapshot bytes unchanged" `Quick test_serialize_golden;
+          Alcotest.test_case "unshared bytes estimate" `Quick test_unshared_bytes_estimate;
+          QCheck_alcotest.to_alcotest prop_value_agrees;
         ] );
       ( "parser",
         [

@@ -44,7 +44,7 @@ let gen_op =
   map3
     (fun add s t -> (add, s, t))
     bool (int_bound 1)
-    (list_size (return 2) const)
+    (map Facts.tuple (list_size (return 2) const))
 
 let gen_ops = QCheck2.Gen.(list_size (int_bound 24) gen_op)
 
@@ -91,7 +91,7 @@ let prop_net_model =
       sort (Delta.added d) = sort (expect true)
       && sort (Delta.removed d) = sort (expect false))
 
-(* The residual delta joins probe [Store.tuples_with_col]; the lazy
+(* The residual delta joins probe [Facts.with_col]; the lazy
    secondary index must stay an exact filter on the column under
    interleaved adds and removes, whether built before or after the
    mutations. *)
@@ -102,7 +102,7 @@ let prop_col_index =
       let s = Store.create () in
       let early = Store.create () in
       (* [early] builds the index before the mutations, [s] after. *)
-      ignore (Store.tuples_with_col_sym early syms.(0) col (Term.Int 0));
+      ignore (Store.tuples_with_col_sym early syms.(0) col (Facts.V.of_int 0));
       List.iter
         (fun (add, r, tup) ->
           if add then begin
@@ -119,13 +119,13 @@ let prop_col_index =
         (fun key ->
           let expect r =
             List.filter
-              (fun tup -> List.nth_opt tup col = Some (Term.Int key))
+              (fun tup -> col < Array.length tup && tup.(col) = Facts.V.of_int key)
               (Store.tuples_sym r syms.(0))
             |> sort
           in
-          sort (Store.tuples_with_col_sym s syms.(0) col (Term.Int key))
+          sort (Store.tuples_with_col_sym s syms.(0) col (Facts.V.of_int key))
           = expect s
-          && sort (Store.tuples_with_col_sym early syms.(0) col (Term.Int key))
+          && sort (Store.tuples_with_col_sym early syms.(0) col (Facts.V.of_int key))
              = expect early)
         [ 0; 1; 2 ])
 
@@ -443,6 +443,7 @@ let test_every_class_by_delta () =
           (sub, [ Term.Int (10 + Prng.int r 4); Term.Int (1 + Prng.int r 3);
                   Term.Int (Prng.int r 3); Term.Str "t" ])
       in
+      let tup = Facts.tuple tup in
       if Store.mem_sym st rel tup then begin
         ignore (Store.remove_sym st rel tup);
         Delta.remove d rel tup
@@ -488,10 +489,10 @@ let test_every_class_by_delta () =
 let test_unbound_change_recomputes () =
   let rev = Symbol.intern "rev" and sub = Symbol.intern "sub"
   and auts = Symbol.intern "auts" in
-  let sub_fact = [ Term.Int 10; Term.Int 1; Term.Int 1; Term.Str "t" ] in
-  let auts_fact = [ Term.Int 20; Term.Int 1; Term.Int 10 ] in
+  let sub_fact = Facts.tuple [ Term.Int 10; Term.Int 1; Term.Int 1; Term.Str "t" ] in
+  let auts_fact = Facts.tuple [ Term.Int 20; Term.Int 1; Term.Int 10 ] in
   let st = Store.create () in
-  Store.add_sym st rev [ Term.Int 1; Term.Int 1; Term.Int 0; Term.Str "Carl" ];
+  Store.add_sym st rev (Facts.tuple [ Term.Int 1; Term.Int 1; Term.Int 0; Term.Str "Carl" ]);
   Store.add_sym st sub sub_fact;
   Store.add_sym st auts auts_fact;
   List.iter
@@ -528,9 +529,9 @@ let test_unbound_change_recomputes () =
    fact and adds the moved one. *)
 let sub_fixture denials =
   let rev = Symbol.intern "rev" and sub = Symbol.intern "sub" in
-  let sub_fact (id, pos) = [ Term.Int id; Term.Int pos; Term.Int 1; Term.Str "t" ] in
+  let sub_fact (id, pos) = Facts.tuple [ Term.Int id; Term.Int pos; Term.Int 1; Term.Str "t" ] in
   let st = Store.create () in
-  Store.add_sym st rev [ Term.Int 1; Term.Int 1; Term.Int 0; Term.Str "Carl" ];
+  Store.add_sym st rev (Facts.tuple [ Term.Int 1; Term.Int 1; Term.Int 0; Term.Str "Carl" ]);
   List.iter (fun f -> Store.add_sym st sub (sub_fact f)) [ (10, 1); (11, 2) ];
   let constraints =
     List.mapi (fun k d -> (Printf.sprintf "d%d" k, [ Parser.parse_denial d ])) denials

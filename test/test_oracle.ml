@@ -387,7 +387,7 @@ let check_stores_equal ~seed what reference fused =
      from-scratch build never creates. *)
   let rels s =
     Store.relations s
-    |> List.filter (fun n -> Store.cardinality s n > 0)
+    |> List.filter (fun n -> Facts.cardinality s n > 0)
     |> List.sort compare
   in
   Alcotest.(check (list string))
@@ -395,12 +395,12 @@ let check_stores_equal ~seed what reference fused =
     (rels reference) (rels fused);
   List.iter
     (fun rel ->
-      let ts s = List.sort compare (Store.tuples s rel) in
+      let ts s = List.sort compare (Facts.tuples s rel) in
       if ts reference <> ts fused then
         Alcotest.failf "[seed %d] %s: relation %s differs (%d vs %d tuples)"
           seed what rel
-          (Store.cardinality reference rel)
-          (Store.cardinality fused rel))
+          (Facts.cardinality reference rel)
+          (Facts.cardinality fused rel))
     (rels reference);
   checkb
     (Printf.sprintf "[seed %d] %s: stores equal" seed what)

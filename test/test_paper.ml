@@ -89,8 +89,8 @@ let test_s41_update_mapping () =
   let store_after = Repository.store repo in
   (* exactly one new sub and one new auts fact *)
   checki "one sub added" 1
-    (Xic_datalog.Store.cardinality store_after "sub"
-     - Xic_datalog.Store.cardinality store_before "sub");
+    (Facts.cardinality store_after "sub"
+     - Facts.cardinality store_before "sub");
   (* find it and check the paper's Pos values: 7 for the sub (name is
      position 1, the subs 2..7, the new one lands at 8? no — the paper
      counts among sub siblings implicitly: our Pos counts all element
@@ -100,7 +100,7 @@ let test_s41_update_mapping () =
   let new_sub =
     List.find
       (fun t -> List.nth t 3 = T.Str "Taming Web Services")
-      (Xic_datalog.Store.tuples store_after "sub")
+      (Facts.tuples store_after "sub")
   in
   let anchor_pos =
     let anchor =
@@ -123,7 +123,7 @@ let test_s41_update_mapping () =
   let new_auts =
     List.find
       (fun t -> List.nth t 3 = T.Str "Jack")
-      (Xic_datalog.Store.tuples store_after "auts")
+      (Facts.tuples store_after "auts")
   in
   (match (List.nth new_auts 1, List.nth new_auts 2, List.nth new_sub 0) with
    | T.Int 2, parent, sub_id -> checkb "auts parent is the new sub" true (parent = sub_id)

@@ -294,7 +294,7 @@ let gen_case =
 let apply_update st u =
   let st' = S.copy st in
   List.iter (fun (a : T.atom) ->
-      S.add st' a.T.pred
+      Facts.add st' a.T.pred
         (List.map
            (function T.Const c -> c | _ -> Alcotest.fail "ground update expected")
            a.T.args))
@@ -352,7 +352,7 @@ let prop_after_deletions =
         List.iter
           (fun (a : T.atom) ->
             ignore
-              (S.remove after_store a.T.pred
+              (Facts.remove after_store a.T.pred
                  (List.map
                     (function T.Const c -> c | _ -> assert false)
                     a.T.args)))
@@ -415,7 +415,7 @@ let test_simp_composes_with_two_patterns () =
   let v1 = [ ("i1", T.Str "b"); ("t1", T.Str "y") ] in
   let v2 = [ ("i2", T.Str "b"); ("t2", T.Str "z") ] in
   checkb "first ok" true (not (List.exists (E.violated ~params:v1 store) s1));
-  S.add store "p" [ T.Str "b"; T.Str "y" ];
+  Facts.add store "p" [ T.Str "b"; T.Str "y" ];
   checkb "second rejected (same id, new title)" true
     (List.exists (E.violated ~params:(v1 @ v2) store) s2)
 
