@@ -540,17 +540,42 @@ let coldstart ~sizes ~reps () =
    - views: the view store, its rows and indexes;
    - live heap: [Gc] live words after a full major collection, less
      those live before the size's documents were generated.
+   A third row, [xquery], loads the same documents into a fresh
+   repository with Examples 1 and 2 and runs one [check_full]: it shows
+   the store's column-index bytes after the check, the tag and rank
+   tables of [Xic_xml.Index] (the [tags+ranks] column), and as live heap
+   what the check added.
    Fails when the store takes more than [max_store_bytes_per_tuple]. *)
 let max_store_bytes_per_tuple = 64
 
 let memory_bench ~sizes () =
   let module St = Xic_datalog.Store in
-  Printf.printf "# Resident memory after load and after views (bytes)\n";
-  Printf.printf "# %-12s %-8s %-6s %-14s %-10s %-10s %-10s %s\n" "size(bytes)" "tuples"
-    "phase" "store_B/tuple" "index" "arena" "views" "live_heap";
+  Printf.printf "# Resident memory after load, after views and for one check_full (bytes)\n";
+  Printf.printf "# %-12s %-8s %-6s %-14s %-10s %-10s %-10s %-10s %s\n" "size(bytes)"
+    "tuples" "phase" "store_B/tuple" "index" "arena" "views" "live_heap" "tags+ranks";
   let live_bytes () =
     Gc.full_major ();
     8 * (Gc.stat ()).Gc.live_words
+  in
+  let load s ds =
+    let repo = Repository.create s in
+    Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
+    Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
+    repo
+  in
+  let xquery_phase s ds =
+    let repo = load s ds in
+    let bytes = ds.Gen.stats.Gen.bytes in
+    List.iter (fun c -> Repository.add_constraint repo (c s)) [ Conf.conflict; Conf.workload ];
+    let before = live_bytes () in
+    ignore (Repository.check_full repo : string list);
+    let added = live_bytes () - before in
+    let tags = Xic_xml.Index.heap_bytes (Repository.index repo).Xic_xpath.Eval.tags in
+    let store = Repository.store repo in
+    let idx = (St.footprint store).St.index_bytes in
+    Printf.printf "%-14d %-8d %-6s %-14s %-10d %-10s %-10s %-10d %d\n%!" bytes
+      (St.total_tuples store) "xquery" "-" idx "-" "-" added tags;
+    (tags, idx, added)
   in
   let over = ref [] in
   let rows =
@@ -558,12 +583,12 @@ let memory_bench ~sizes () =
       (fun size ->
         let base = live_bytes () in
         let s = Conf.schema () in
-        let repo = Repository.create s in
-        let bytes =
-          let ds = Gen.generate ~seed:42 ~target_bytes:size () in
-          Repository.load_fused ~validate:false repo ds.Gen.pub_xml;
-          Repository.load_fused ~validate:false repo ds.Gen.rev_xml;
-          ds.Gen.stats.Gen.bytes
+        (* the documents' sources are dropped once loaded, and generated
+           again for the xquery row *)
+        let dataset () = Gen.generate ~seed:42 ~target_bytes:size () in
+        let repo, bytes =
+          let ds = dataset () in
+          (load s ds, ds.Gen.stats.Gen.bytes)
         in
         let store = Repository.store repo in
         let tuples = St.total_tuples store in
@@ -581,8 +606,8 @@ let memory_bench ~sizes () =
           in
           let arena = Xic_xml.Doc.heap_bytes (Repository.doc repo) in
           let live = live_bytes () - base in
-          Printf.printf "%-14d %-8d %-6s %-14.1f %-10d %-10d %-10d %d\n%!" bytes tuples
-            phase per_tuple fp.St.index_bytes arena views live;
+          Printf.printf "%-14d %-8d %-6s %-14.1f %-10d %-10d %-10d %-10d -\n%!" bytes
+            tuples phase per_tuple fp.St.index_bytes arena views live;
           if per_tuple > float_of_int max_store_bytes_per_tuple then
             over := (bytes, phase, per_tuple) :: !over;
           (per_tuple, fp.St.index_bytes, arena, views, live)
@@ -595,12 +620,16 @@ let memory_bench ~sizes () =
         let bpt_views, idx_views, _, views, live_views = measure "views" in
         (* the repository must be live at both measurements *)
         ignore (Sys.opaque_identity repo);
+        let x_tags, x_idx, x_added = xquery_phase s (dataset ()) in
         Printf.sprintf
           "{\"bytes\": %d, \"tuples\": %d, \"store_bytes_per_tuple\": %.2f, \
            \"store_bytes_per_tuple_views\": %.2f, \"index_bytes_load\": %d, \
            \"index_bytes_views\": %d, \"arena_bytes\": %d, \"view_bytes\": %d, \
-           \"live_heap_load_bytes\": %d, \"live_heap_views_bytes\": %d}"
-          bytes tuples bpt bpt_views idx_load idx_views arena views live_load live_views)
+           \"live_heap_load_bytes\": %d, \"live_heap_views_bytes\": %d, \
+           \"xquery_tag_rank_bytes\": %d, \"xquery_store_index_bytes\": %d, \
+           \"xquery_live_heap_added_bytes\": %d}"
+          bytes tuples bpt bpt_views idx_load idx_views arena views live_load live_views
+          x_tags x_idx x_added)
       sizes
   in
   add_json "memory" ("[\n    " ^ String.concat ",\n    " rows ^ "\n  ]");

@@ -10,7 +10,6 @@
      txn        run several statements as one journaled transaction
      recover    replay a write-ahead journal after a crash
      checkpoint write a snapshot and fold the journal into it
-     publish    compile constraints and patterns into a bundle
      serve      run the resident check server
      client     send one request to a running server
      top        live summary of a running server
@@ -687,32 +686,6 @@ let checkpoint_cmd =
       $ journal_arg $ snapshot_out_arg)
 
 (* ------------------------------------------------------------------ *)
-(* publish                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let publish_cmd =
-  let output_arg =
-    let doc = "Bundle file to write." in
-    Arg.(required & opt (some string) None & info [ "output" ] ~docv:"FILE" ~doc)
-  in
-  let run dtds constraints pattern output =
-    let s = load_schema dtds in
-    let repo = Repository.create s in
-    List.iter (Repository.add_constraint repo) (load_constraints s constraints);
-    (match load_pattern s pattern with
-     | Some p -> Repository.register_pattern repo p
-     | None -> ());
-    Bundle.save_file repo output;
-    Printf.printf "wrote %s\n" output
-  in
-  Cmd.v
-    (Cmd.info "publish"
-       ~doc:
-         "Compile constraints and patterns into a design-time bundle (the \
-          simplified checks are persisted for runtimes and reviewers)")
-    Term.(const run $ dtd_arg $ constraints_arg $ pattern_arg $ output_arg)
-
-(* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1296,5 +1269,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ schema_cmd; compile_cmd; validate_cmd; check_cmd; simplify_cmd;
-            guard_cmd; txn_cmd; recover_cmd; checkpoint_cmd; publish_cmd;
+            guard_cmd; txn_cmd; recover_cmd; checkpoint_cmd;
             serve_cmd; client_cmd; top_cmd; generate_cmd ]))

@@ -137,11 +137,8 @@ let () =
               (Option.value ~default:"?"
                  (Xic_xml.Doc.attr (Repository.doc repo) r "id"))
               (List.length
-                 (Xic_xpath.Eval.eval_steps (Repository.doc repo) [ r ]
-                    [ { Xic_xpath.Ast.axis = Xic_xpath.Ast.Child;
-                        test = Xic_xpath.Ast.Name_test "loan";
-                        preds = [] } ]
-                  |> function Xic_xpath.Eval.Nodes ns -> ns | _ -> [])))
+                 (Xic_xpath.Eval.select (Repository.doc repo) ~ctx:r
+                    (Xic_xpath.Parser.parse "loan"))))
           (Xic_xpath.Eval.select (Repository.doc repo)
              (Xic_xpath.Parser.parse "//reader"))));
   Printf.printf "final: %s\n"

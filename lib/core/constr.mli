@@ -15,7 +15,7 @@ val make : Schema.t -> name:string -> string -> t
 (** Parse, compile and translate an XPathLog denial.
     @raise Constraint_error on parse/compile/translation failures. *)
 
-val violated_xquery : ?index:Xic_xml.Index.t -> Xic_xml.Doc.t -> t -> bool
+val violated_xquery : ?index:Xic_xpath.Eval.indexes -> Xic_xml.Doc.t -> t -> bool
 (** Evaluate the full XQuery check: [true] means the constraint is
     violated.  [index] routes the evaluation through the indexed planner
     (identical verdict). *)
@@ -24,6 +24,6 @@ val violated_datalog : Xic_datalog.Store.t -> t -> bool
 (** Evaluate the Datalog denials over a shredded store. *)
 
 val violated_compiled :
-  ?index:Xic_xml.Index.t -> Xic_xml.Doc.t -> t -> Xic_xquery.Eval.compiled -> bool
+  ?index:Xic_xpath.Eval.indexes -> Xic_xml.Doc.t -> t -> Xic_xquery.Eval.compiled -> bool
 (** As {!violated_xquery}, but running a pre-compiled plan, which is
     immutable and can be run any number of times. *)

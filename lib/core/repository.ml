@@ -3,6 +3,11 @@ module T = Xic_datalog.Term
 module Delta = Xic_datalog.Delta
 module Incr = Xic_datalog.Incr
 module Mirror = Xic_relmap.Mirror
+module Mapping = Xic_relmap.Mapping
+module Store = Xic_datalog.Store
+module Value = Xic_datalog.Value
+module XE = Xic_xpath.Eval
+module Symbol = Xic_symbol.Symbol
 module XU = Xic_xupdate.Xupdate
 module J = Xic_journal.Journal
 module FP = Xic_journal.Failpoint
@@ -108,7 +113,7 @@ type t = {
   (* the materialized denial views, built by the first verdict *)
   mutable incr : Incr.t option;
   mutable eval_budget : int option;
-  mutable index : Index.t option;
+  mutable index : XE.indexes option;
   (* full-check plans, keyed by constraint name *)
   full_plans : (string, Xic_xquery.Eval.compiled) Hashtbl.t;
   (* committed-transaction counter; {!pin} stamps it into snapshots so
@@ -149,13 +154,57 @@ let plan_stats (_ : t) =
 let schema t = t.schema
 let doc t = t.doc
 
-(* The index is created on demand (and even then its tables stay empty
-   until some evaluation performs a lookup). *)
+(* Where the store keeps the value an access path reads: a relation,
+   one of its columns, and the tags to climb from its element to the
+   candidate.  [ck/text()] with [ck] embedded in [c(k-1)] (the candidate
+   when k = 1) reads that relation's [ck] column; a text column or an
+   attribute reads the element's own relation.  [None] when the mapping
+   has no such column. *)
+let probe_site mapping ~tag (path : XE.access_path) =
+  let site rel up source =
+    Mapping.column_of mapping ~pred:(Symbol.name rel) source
+    |> Option.map (fun col -> (rel, col, up))
+  in
+  (* [ck; …; c1; tag]: the last hop first *)
+  match (path.XE.leaf, List.rev (tag :: path.XE.hops)) with
+  | `Attr a, e :: up -> site e up (Mapping.From_attr (Symbol.name a))
+  | `Text, e :: p :: up
+    when Mapping.is_embedded_in mapping ~parent:(Symbol.name p) ~child:(Symbol.name e) ->
+    site p up (Mapping.From_pcdata_child (Symbol.name e))
+  | `Text, e :: up -> site e up Mapping.From_text
+  | _, [] -> None
+
+(* The {!XE.prober} over the store's column indexes.  It declines (the
+   evaluator scans) for a path the mapping does not cover, for the key
+   [""], which the mapping stores for an absent child or attribute where
+   [text() = ""] needs a node, and while the mirror is not {!Mirror.exact}
+   (pending marks, or a second embedded child after an unvalidated load
+   or update).  The parser and XUpdate keep no two text nodes side by
+   side, so an element's stored text is its text child's value. *)
+let prober t =
+  let rec climb id = function
+    | [] -> Some id
+    | want :: up ->
+      let p = Doc.parent t.doc id in
+      if p <> Doc.no_node && Symbol.equal (Doc.tag t.doc p) want then climb p up
+      else None
+  in
+  fun ~tag path key ->
+    if key = "" || not (Mirror.exact t.mirror) then None
+    else
+      Option.map
+        (fun (rel, col, up) ->
+          List.filter_map
+            (fun (tup : Store.tuple) -> climb (Value.get_int tup.(0)) up)
+            (Store.lookup_sym t.store rel col (Value.of_string key)))
+        (probe_site (Schema.mapping t.schema) ~tag path)
+
+(* Created on demand; the tag table stays empty until a lookup. *)
 let index t =
   match t.index with
   | Some i -> i
   | None ->
-    let i = Index.create t.doc in
+    let i = { XE.tags = Index.create t.doc; probe = prober t } in
     t.index <- Some i;
     i
 
@@ -163,7 +212,7 @@ let index_stats t = Option.map (fun _ -> Index.stats ()) t.index
 
 (* Install a store known to be exact for the current documents and
    attach the event-driven mirror that keeps it that way across updates,
-   undo, savepoint rollback and recovery replay.  Views, pins and
+   undo, compensation and recovery replay.  Views, pins and
    history belong to the store they were built on, so they go with it. *)
 let install_store t s =
   Mirror.detach t.mirror;
@@ -234,6 +283,8 @@ let load_fused ?(validate = true) t source =
            | Ok () -> ()
            | Error m -> failed "document rejected: %s" m);
         Doc.add_root t.doc root;
+        (* a valid document fits the mapping; another one is assessed *)
+        if not validate then Mirror.audit t.mirror root;
         (* a whole new document's facts arrived outside the delta path:
            rearm the mirror and drop any materialized views (the next
            verdict re-initializes them against the new store) *)
@@ -333,6 +384,7 @@ let full_plan t (c : Constr.t) =
 
 let check_full t =
   Obs.Trace.with_span "check_full" (fun () ->
+      sync_store t;  (* so the value probes read the store *)
       let plans = List.map (fun c -> (c, full_plan t c)) t.constraints in
       let index = index t in
       List.filter_map
@@ -534,6 +586,7 @@ let budgeted t f =
 
 let try_check_optimized t p valuation =
   let r = registered t p in
+  sync_store t;  (* so the value probes read the store *)
   let params = Pattern.xquery_params valuation in
   (* A runtime degradation is logged where it happens; the pattern's
      unsupported pairs were logged once, by {!compile_check}. *)
@@ -634,8 +687,8 @@ type outcome =
   | Rolled_back of string
 
 (* The relational store is maintained by the event-driven mirror: every
-   mutation (insertions, removals, attribute writes, undo, savepoint
-   rollback, recovery replay) marks the touched nodes and the next
+   mutation (insertions, removals, attribute writes, undo, compensation,
+   recovery replay) marks the touched nodes and the next
    [store] demand reconciles them — no re-shred, ever. *)
 let apply_unchecked t u =
   t.mutations <- t.mutations + 1;
@@ -661,8 +714,6 @@ type txn = {
   mutable txn_journaled : bool;      (* any record written for this txn *)
   mutable txn_open : bool;
 }
-
-type savepoint = int
 
 let begin_txn ?journal t =
   {
@@ -692,36 +743,17 @@ let txn_record tx e =
     J.append ~defer_sync j e;
     tx.txn_journaled <- true
 
-let txn_savepoint tx =
-  require_open tx;
-  tx.txn_seq
-
-let txn_rollback_to tx sp =
-  require_open tx;
-  if sp < 0 || sp > tx.txn_seq then
-    fail "savepoint %d out of range (transaction has %d statements)" sp tx.txn_seq;
-  if sp < tx.txn_seq then begin
-    while tx.txn_seq > sp do
-      match tx.txn_undos with
-      | undo :: rest ->
-        rollback tx.txn_repo undo;
-        tx.txn_undos <- rest;
-        tx.txn_seq <- tx.txn_seq - 1
-      | [] -> assert false
-    done;
-    txn_record tx (J.Truncate { txn = tx.txn_id; keep = sp })
-  end
-
 (* One statement under integrity control (Section 7 of the paper): a
    statement that instantiates a registered pattern runs its simplified
    checks before execution; any other statement (or one whose pre-check
    degraded) is executed, checked by {!check_incremental} and
    compensated when a constraint that held before it fails after it —
    footnote 4's execute–check–compensate.
-   A statement the pre-check accepted is flushed on its own: first the
-   marks earlier statements or rollbacks left, maintained as usual, so
-   the views describe the state the pre-check ran on; then its own
-   marks, as a proven flush ({!sync_store}). *)
+   A statement the pre-check accepted is flushed on its own: the
+   pre-check first flushes the marks earlier statements or rollbacks
+   left, maintained as usual, so its value probes read the store and
+   the views describe the state it ran on; then the statement's own
+   marks go in as a proven flush ({!sync_store}). *)
 let txn_apply tx (u : XU.t) =
   require_open tx;
   Obs.Trace.with_span "txn_apply" @@ fun () ->
@@ -765,7 +797,6 @@ let txn_apply tx (u : XU.t) =
     (match try_check_optimized t p valuation with
      | v :: _, degs -> { outcome = Rejected_early v; degradations = degs }
      | [], [] ->
-       sync_store t;
        ignore (exec "optimized" : XU.undo);
        sync_store ~proven:true t;
        { outcome = Applied `Optimized; degradations = [] }

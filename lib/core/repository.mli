@@ -55,10 +55,15 @@ val plan_stats : t -> plan_stats
     [plan_cache_misses]: process-wide, over full and simplified checks
     of every repository. *)
 
-val index : t -> Index.t
-(** The document's secondary indexes, created (lazily, unbuilt) on first
-    demand.  All checking and shredding paths consult it automatically;
-    it is exposed for callers evaluating ad-hoc queries against {!doc}.
+val index : t -> Xic_xpath.Eval.indexes
+(** The indexes of every XQuery check and XUpdate target selection,
+    created (lazily, unbuilt) on first demand: the tag and rank tables
+    ({!Index}), and a value prober reading {!store}'s column indexes.
+    The prober declines (the evaluator scans) while the mirror has
+    pending marks or an element holds more than its relation's columns
+    (a second embedded child after an unvalidated load or update), for
+    a path the mapping does not cover, and for the empty key;
+    {!check_full} and {!try_check_optimized} flush first.
     The scan route (no index) is what the oracles and [bench index]
     compare it with. *)
 
@@ -106,7 +111,8 @@ val optimized_checks : t -> Pattern.t -> optimized_check list
 
 val check_full : t -> string list
 (** Names of currently violated constraints (empty = consistent), via the
-    full XQuery checks. *)
+    full XQuery checks.  Flushes the mirror first, so the value probes
+    read the store. *)
 
 val check_full_datalog : t -> string list
 (** Same, every denial evaluated over the relational mirror; the tests'
@@ -251,10 +257,10 @@ type degradation = { failed_check : string; reason : string }
 val try_check_optimized :
   t -> Pattern.t -> Pattern.valuation -> string list * degradation list
 (** Names of constraints whose simplified check reports a violation for
-    the proposed update (evaluated on the {e current} state), plus the
-    constraints the pattern has no check for, then the checks that
-    degraded (evaluation error, exhausted step budget) instead of
-    completing, each logged as a warning. *)
+    the proposed update (evaluated on the {e current} state, flushed
+    first), plus the constraints the pattern has no check for, then the
+    checks that degraded (evaluation error, exhausted step budget)
+    instead of completing, each logged as a warning. *)
 
 (** Result of a guarded update. *)
 type outcome =
@@ -325,7 +331,7 @@ val begin_txn : ?journal:Xic_journal.Journal.t -> t -> txn
     durable closing record whether or not their intents reached disk. *)
 
 val txn_statements : txn -> int
-(** Statements currently applied (i.e. the next savepoint value). *)
+(** Statements currently applied. *)
 
 val txn_apply : txn -> Xic_xupdate.Xupdate.t -> report
 (** Apply one statement inside the transaction: the pre-check or
@@ -333,14 +339,6 @@ val txn_apply : txn -> Xic_xupdate.Xupdate.t -> report
     The intent record carries the statement's sequence number; no commit
     record is written until {!commit_txn}.
     @raise Repository_error if the transaction is closed. *)
-
-type savepoint
-
-val txn_savepoint : txn -> savepoint
-
-val txn_rollback_to : txn -> savepoint -> unit
-(** Undo every statement applied after the savepoint (journaled as a
-    truncate record so replay stays faithful). *)
 
 val commit_txn : txn -> unit
 (** Force the commit record to disk and close the transaction.  Until
@@ -412,9 +410,9 @@ val bring_up :
 val recover : ?skip:int -> Xic_journal.Journal.read_result -> t -> recovery_report
 (** Replay the committed transactions of a journal in commit order,
     after dropping its first [skip] entries (default 0).  Uncommitted
-    and aborted transactions and savepoint-truncated statements are
-    discarded, so after a crash at {e any} point the repository recovers
-    to the last committed state. *)
+    and aborted transactions and compensated statements (cut by a
+    truncate record) are discarded, so after a crash at {e any} point
+    the repository recovers to the last committed state. *)
 
 val recover_skip :
   Xic_snapshot.Snapshot.meta -> Xic_journal.Journal.read_result -> int

@@ -174,7 +174,7 @@ let col_index_add idx col (tup : tuple) =
   end
 
 let build_index r col =
-  let idx = VTbl.create (max 64 (2 * r.nlive)) in
+  let idx = VTbl.create (max 64 r.nlive) in
   List.iter (col_index_add idx col) (live_list r);
   idx
 
@@ -258,10 +258,6 @@ let lookup_sym (s : t) sym col =
     fun (key : Value.t) ->
       match VTbl.find_opt idx key with Some l -> !l | None -> []
 
-let tuples_with_key_sym (s : t) sym key = lookup_sym s sym 0 key
-
-let tuples_with_col_sym (s : t) sym col key = lookup_sym s sym col key
-
 let cardinality_sym (s : t) sym =
   match Hashtbl.find_opt s.rels sym with Some r -> r.nlive | None -> 0
 
@@ -274,7 +270,7 @@ let total_tuples (s : t) =
 
 let mem_sym (s : t) sym (tup : tuple) =
   if Array.length tup = 0 then cardinality_sym s sym > 0
-  else List.exists (tuple_equal tup) (tuples_with_key_sym s sym tup.(0))
+  else List.exists (tuple_equal tup) (lookup_sym s sym 0 tup.(0))
 
 let clear_sym (s : t) sym =
   check_writable s;

@@ -97,22 +97,16 @@ val remove_sym : t -> Xic_symbol.Symbol.t -> tuple -> bool
 val tuples_sym : t -> Xic_symbol.Symbol.t -> tuple list
 (** All tuples of a relation, insertion order. *)
 
-val tuples_with_key_sym : t -> Xic_symbol.Symbol.t -> Value.t -> tuple list
-(** Tuples whose first column equals the key (indexed lookup). *)
-
-val tuples_with_col_sym : t -> Xic_symbol.Symbol.t -> int -> Value.t -> tuple list
-(** Tuples whose [col]-th column (0-based) equals the key.  Column 0 is
-    the always-available first-column index; other columns get a lazy
-    secondary index built on the first probe and maintained by
-    {!add_sym}/{!remove_sym} thereafter.  Lets joins that bind a parent
-    id or a text value avoid scanning the whole relation. *)
-
 val lookup_sym : t -> Xic_symbol.Symbol.t -> int -> Value.t -> tuple list
-(** [lookup_sym s sym col] finds the relation and builds its [col]
-    index (as {!tuples_with_col_sym}) once; the function it returns
-    answers [tuples_with_col_sym s sym col key] for any [key] by one
-    hash probe, as long as [s] is not written.  After a write, resolve
-    again. *)
+(** [lookup_sym s sym col key]: the tuples whose [col]-th column
+    (0-based) equals [key].  Column 0 is the always-available
+    first-column index; other columns get a lazy secondary index built
+    on the first probe and maintained by {!add_sym}/{!remove_sym}
+    thereafter, so joins that bind a parent id or a text value, and the
+    repository's value probes, avoid scanning the relation.  Applied to
+    [s sym col] alone it finds the relation and its index once: the
+    function it returns answers any [key] by one hash probe, as long as
+    [s] is not written.  After a write, resolve again. *)
 
 val mem_sym : t -> Xic_symbol.Symbol.t -> tuple -> bool
 val cardinality_sym : t -> Xic_symbol.Symbol.t -> int

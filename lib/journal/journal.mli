@@ -58,7 +58,7 @@ type entry =
   | Abort of { txn : int }
       (** transaction [txn] rolled back; its intents are void *)
   | Truncate of { txn : int; keep : int }
-      (** rollback to a savepoint: only the first [keep] intents of
+      (** a compensated statement: only the first [keep] intents of
           [txn] remain effective *)
 
 (** How the journal file ends. *)

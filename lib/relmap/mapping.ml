@@ -168,15 +168,9 @@ let schema_of t name =
 
 let is_embedded_in t ~parent ~child = Hashtbl.mem t.embedded_edges (parent, child)
 
-let column_index t ~pred ~col =
-  match schema_of t pred with
-  | None -> None
-  | Some s ->
-    let rec go i = function
-      | [] -> None
-      | c :: rest -> if c.col_name = col then Some (3 + i) else go (i + 1) rest
-    in
-    go 0 s.columns
+let column_of t ~pred source =
+  Option.bind (schema_of t pred) (fun s ->
+      Option.map (( + ) 3) (List.find_index (fun c -> c.source = source) s.columns))
 
 let arity t name =
   match schema_of t name with

@@ -66,10 +66,10 @@ val schema_of : t -> string -> pred_schema option
 val is_embedded_in : t -> parent:string -> child:string -> bool
 (** Is [child] represented as a column of [parent]'s predicate? *)
 
-val column_index : t -> pred:string -> col:string -> int option
-(** Index of the named extra column within the full argument list of the
-    predicate (so the first extra column has index 3, after Id, Pos and
-    IdParent). *)
+val column_of : t -> pred:string -> col_source -> int option
+(** Index of the extra column that reads [source] within the full
+    argument list of the predicate (so the first extra column has index
+    3, after Id, Pos and IdParent). *)
 
 val arity : t -> string -> int
 (** Total arity of a predicate: 3 + number of extra columns. *)

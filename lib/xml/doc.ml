@@ -70,16 +70,6 @@ let create ?(capacity = 64) () =
     next_token = 1;
   }
 
-(* Token 0 is reserved for the single [set_observer] slot (the secondary
-   index); [subscribe] hands out tokens >= 1. *)
-let index_token = 0
-
-let set_observer doc f =
-  let rest = List.filter (fun (t, _) -> t <> index_token) doc.observers in
-  match f with
-  | None -> doc.observers <- rest
-  | Some f -> doc.observers <- (index_token, f) :: rest
-
 let subscribe doc f =
   let t = doc.next_token in
   doc.next_token <- t + 1;
@@ -235,6 +225,10 @@ let root doc =
 let roots doc = doc.root_ids
 
 let has_root doc = doc.root_ids <> []
+
+let reachable doc id =
+  let rec top i = if doc.parent.(i) = no_node then i else top doc.parent.(i) in
+  live doc id && List.mem (top id) doc.root_ids
 
 let next_sibling doc id =
   check doc id;
@@ -485,9 +479,6 @@ let rec compare_int_list (a : int list) (b : int list) =
 
 let compare_order_key (ra, pa) (rb, pb) =
   if (ra : int) < rb then -1 else if ra > rb then 1 else compare_int_list pa pb
-
-let doc_order_compare doc a b =
-  if a = b then 0 else compare_order_key (order_key doc a) (order_key doc b)
 
 (* Precompute keys once (Schwartzian transform): [order_key] walks to the
    root, so comparing keys inside the sort would be quadratic in depth. *)

@@ -36,20 +36,15 @@ type event =
   | Attached of node_id   (** gained a parent, or became a root *)
   | Detaching of node_id  (** about to lose its parent / root status *)
 
-val set_observer : t -> (event -> unit) option -> unit
-(** Install (or clear) the primary mutation observer (the secondary
-    index's reserved slot).  Every structural mutator — [set_root],
-    [add_root], [append_child(ren)], [insert_after/before], [detach],
-    [delete_subtree], and the bulk {!restore} and
-    {!transplant} — notifies every observer, so XUpdate
-    application, undo, savepoint rollback and crash recovery all keep
-    subscribers current without cooperation from the caller. *)
-
 val subscribe : t -> (event -> unit) -> int
-(** Register a further mutation observer alongside the {!set_observer}
-    slot (the Datalog store mirror uses this).  Observers are notified in
-    subscription order, the {!set_observer} slot first.  Returns a token
-    for {!unsubscribe}. *)
+(** Register a mutation observer (the tag and rank tables of {!Index},
+    the Datalog store mirror).  Every structural mutator — [set_root],
+    [add_root], [append_child(ren)], [insert_after/before], [detach],
+    [delete_subtree], and the bulk {!restore} and {!transplant} —
+    notifies every observer, in subscription order, so XUpdate
+    application, undo and crash recovery keep subscribers current
+    without cooperation from the caller.  Returns a token for
+    {!unsubscribe}. *)
 
 val unsubscribe : t -> int -> unit
 (** Remove the observer registered under this token.  Unknown tokens are
@@ -133,6 +128,9 @@ val tag : t -> node_id -> Symbol.t
 val live : t -> node_id -> bool
 (** False for ids that were never allocated or have been deleted. *)
 
+val reachable : t -> node_id -> bool
+(** Live and in a tree under a root, not in a detached scratch tree. *)
+
 val append_child : t -> parent:node_id -> node_id -> unit
 (** Attach a detached node as last child.  Raises [Invalid_argument] if the
     child is already attached. *)
@@ -174,9 +172,6 @@ val preceding_siblings : t -> node_id -> node_id list
 
 val ancestors : t -> node_id -> node_id list
 (** Proper ancestors, nearest first. *)
-
-val doc_order_compare : t -> node_id -> node_id -> int
-(** Total order consistent with document order for attached nodes. *)
 
 val sort_doc_order : t -> node_id list -> node_id list
 (** Sort and deduplicate a node list into document order. *)

@@ -1,20 +1,19 @@
-(* Secondary indexes over an arena document.
+(* The tag and rank tables of an arena document.
 
    Nothing is computed until the first lookup (documents that are only
    parsed and validated never pay for indexing); from then on the tables
    are maintained incrementally from the document's mutation events, so
-   XUpdate application, undo, savepoint rollback and crash recovery all
-   leave them consistent without cooperation from those layers.
+   XUpdate application, undo and crash recovery all leave them
+   consistent without cooperation from those layers.
 
-   All tables are keyed by interned names (Symbol.t), so a lookup hashes
-   and compares small ints, never strings; the string-keyed entry points
-   below intern at the boundary.
+   The tag table is keyed by interned names (Symbol.t), so a lookup
+   hashes and compares small ints, never strings.
 
-   Membership invariant: the value tables (by_name / by_attr / by_text)
-   contain exactly the elements reachable from the document's roots.
-   Detached subtrees enter when (re)attached and leave when detached,
-   keyed off Doc.Attached / Doc.Detaching — the latter fires before the
-   splice, while the parent chain still proves reachability. *)
+   Membership invariant: the tag table contains exactly the elements
+   reachable from the document's roots.  Detached subtrees enter when
+   (re)attached and leave when detached, keyed off Doc.Attached /
+   Doc.Detaching — the latter fires before the splice, while the parent
+   chain still proves reachability. *)
 
 module Symbol = Xic_symbol.Symbol
 
@@ -31,9 +30,7 @@ let c_misses = Xic_obs.Obs.Metrics.counter "index_misses"
 let c_fallbacks = Xic_obs.Obs.Metrics.counter "index_fallbacks"
 let c_events = Xic_obs.Obs.Metrics.counter "index_events"
 
-(* [ids] is a multiset (an element with two identical text children
-   appears twice in its by_text bucket, once per child); [cache] is the
-   deduplicated document-order view handed to lookups. *)
+(* [cache] is the document-order view of [ids] handed to lookups. *)
 type bucket = {
   mutable ids : Doc.node_id list;
   mutable cache : Doc.node_id list option;
@@ -43,8 +40,6 @@ type t = {
   doc : Doc.t;
   mutable built : bool;
   by_name : (Symbol.t, bucket) Hashtbl.t;
-  by_attr : (Symbol.t * Symbol.t * string, bucket) Hashtbl.t;  (* tag, attr, value *)
-  by_text : (Symbol.t * string, bucket) Hashtbl.t;             (* tag, text-child value *)
   (* document-order rank of every reachable node, indexed by arena id
      (-1 = unranked); maintained across attaches and detaches, see
      [rank_attached] *)
@@ -52,89 +47,35 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Bucket primitives                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let bucket_add tbl key id =
-  match Hashtbl.find_opt tbl key with
-  | Some b ->
-    b.ids <- id :: b.ids;
-    b.cache <- None
-  | None -> Hashtbl.replace tbl key { ids = [ id ]; cache = None }
-
-(* Remove one occurrence (the multiset discipline). *)
-let bucket_remove tbl key id =
-  match Hashtbl.find_opt tbl key with
-  | Some b ->
-    let rec rm = function
-      | [] -> []
-      | x :: rest -> if x = id then rest else x :: rm rest
-    in
-    b.ids <- rm b.ids;
-    b.cache <- None;
-    if b.ids = [] then Hashtbl.remove tbl key
-  | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Reachability                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let rec top_of doc id =
-  let p = Doc.parent doc id in
-  if p = Doc.no_node then id else top_of doc p
-
-let reachable t id = Doc.live t.doc id && List.mem (top_of t.doc id) (Doc.roots t.doc)
-
-(* ------------------------------------------------------------------ *)
 (* Entry maintenance                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let text_children t id =
-  List.filter_map
-    (fun c -> match Doc.kind t.doc c with Doc.Text s -> Some s | Doc.Element _ -> None)
-    (Doc.children t.doc id)
-
-(* Attributes and text children are never changed in place, so what
-   [add_element] read from the arena is still there when [Detaching]
-   (fired before the splice) asks [remove_element] to drop it. *)
-let add_element t id =
-  let tag = Doc.tag t.doc id in
-  bucket_add t.by_name tag id;
-  List.iter
-    (fun (k, v) -> bucket_add t.by_attr (tag, k, v) id)
-    (Doc.attrs_sym t.doc id);
-  List.iter (fun s -> bucket_add t.by_text (tag, s) id) (text_children t id)
-
-let remove_element t id =
-  let tag = Doc.tag t.doc id in
-  bucket_remove t.by_name tag id;
-  List.iter
-    (fun (k, v) -> bucket_remove t.by_attr (tag, k, v) id)
-    (Doc.attrs_sym t.doc id);
-  List.iter (fun s -> bucket_remove t.by_text (tag, s) id) (text_children t id)
-
+(* An element enters or leaves its tag's bucket, which drops the
+   bucket's document-order view. *)
 let rec add_subtree t id =
   if Doc.is_element t.doc id then begin
-    add_element t id;
-    List.iter (add_subtree t) (Doc.children t.doc id)
+    let tag = Doc.tag t.doc id in
+    (match Hashtbl.find_opt t.by_name tag with
+     | Some b ->
+       b.ids <- id :: b.ids;
+       b.cache <- None
+     | None -> Hashtbl.replace t.by_name tag { ids = [ id ]; cache = None });
+    Doc.iter_children t.doc id (add_subtree t)
   end
 
 let rec remove_subtree t id =
   if Doc.is_element t.doc id then begin
-    remove_element t id;
-    List.iter (remove_subtree t) (Doc.children t.doc id)
+    let tag = Doc.tag t.doc id in
+    (match Hashtbl.find_opt t.by_name tag with
+     | Some b ->
+       (* an undo removes the newest entry, which is first *)
+       let rec rm = function [] -> [] | x :: l -> if x = id then l else x :: rm l in
+       b.ids <- rm b.ids;
+       b.cache <- None;
+       if b.ids = [] then Hashtbl.remove t.by_name tag
+     | None -> ());
+    Doc.iter_children t.doc id (remove_subtree t)
   end
-
-(* A reachable node gained or is losing its place: an element brings or
-   takes its whole subtree, a text node only its parent's by_text entry. *)
-let reindex t id ~subtree ~bucket =
-  if reachable t id then
-    match Doc.kind t.doc id with
-    | Doc.Element _ -> subtree t id
-    | Doc.Text s ->
-      let p = Doc.parent t.doc id in
-      if p <> Doc.no_node && Doc.is_element t.doc p then
-        bucket t.by_text (Doc.tag t.doc p, s) p
 
 (* ------------------------------------------------------------------ *)
 (* Rank maintenance                                                    *)
@@ -192,7 +133,7 @@ let rank_attached t arr id =
   else if rank arr p < 0 then begin
     (* a detached parent is a subtree under construction: it takes its
        ranks when it is attached itself *)
-    if reachable t p then t.order <- None
+    if Doc.reachable t.doc p then t.order <- None
   end
   else begin
     let lo = rank_before t arr id p and hi = rank_after t arr id in
@@ -231,8 +172,8 @@ let rank_attached t arr id =
 (* ------------------------------------------------------------------ *)
 
 let on_event t e =
-  (* the rank table has its own lifecycle: it may exist before the value
-     tables are built, so it is maintained whether or not they are *)
+  (* the rank table has its own lifecycle: it may exist before the tag
+     table is built, so it is maintained whether or not that is *)
   (match (t.order, e) with
    | Some arr, Doc.Attached id -> rank_attached t arr id
    | Some arr, Doc.Detaching id -> unrank_subtree t arr id
@@ -240,25 +181,17 @@ let on_event t e =
   if t.built then begin
     Xic_obs.Obs.Metrics.incr c_events;
     match e with
-    | Doc.Attached id -> reindex t id ~subtree:add_subtree ~bucket:bucket_add
+    | Doc.Attached id -> if Doc.reachable t.doc id then add_subtree t id
     | Doc.Detaching id ->
       (* fired pre-splice: the parent link still proves reachability *)
-      reindex t id ~subtree:remove_subtree ~bucket:bucket_remove
+      if Doc.reachable t.doc id then remove_subtree t id
   end
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let raw doc =
-  {
-    doc;
-    built = false;
-    by_name = Hashtbl.create 64;
-    by_attr = Hashtbl.create 64;
-    by_text = Hashtbl.create 256;
-    order = None;
-  }
+let raw doc = { doc; built = false; by_name = Hashtbl.create 64; order = None }
 
 let c_index_builds = Xic_obs.Obs.Metrics.counter "index_builds"
 
@@ -270,10 +203,9 @@ let build t =
 
 let create doc =
   let t = raw doc in
-  Doc.set_observer doc (Some (on_event t));
+  ignore (Doc.subscribe doc (on_event t) : int);
   t
 
-let doc t = t.doc
 let built t = t.built
 
 let ensure_built t =
@@ -340,58 +272,35 @@ let sort_doc_order t ids =
       List.sort_uniq (fun ((a : int), _) (b, _) -> Stdlib.compare a b) pairs
       |> List.map snd)
 
-let doc_order_compare t a b =
-  if a = b then 0
-  else
-    let arr = order_table t in
-    let bound = Array.length arr in
-    let ra = if a >= 0 && a < bound then arr.(a) else -1 in
-    let rb = if b >= 0 && b < bound then arr.(b) else -1 in
-    if ra < 0 || rb < 0 then Doc.doc_order_compare t.doc a b
-    else Stdlib.compare ra rb
-
 (* ------------------------------------------------------------------ *)
 (* Lookups                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let sorted_view t b =
-  match b.cache with
-  | Some l -> l
-  | None ->
-    let l = sort_doc_order t b.ids in
+(* A tag's elements in document order, sorted once per bucket change. *)
+let lookup t tag =
+  ensure_built t;
+  Xic_obs.Obs.Metrics.incr c_hits;
+  match Hashtbl.find_opt t.by_name tag with
+  | None -> []
+  | Some { cache = Some l; _ } -> l
+  | Some b ->
     Xic_obs.Obs.Metrics.incr c_misses;
+    let l = sort_doc_order t b.ids in
     b.cache <- Some l;
     l
 
-let lookup t tbl key =
-  ensure_built t;
-  Xic_obs.Obs.Metrics.incr c_hits;
-  match Hashtbl.find_opt tbl key with
-  | None -> []
-  | Some b -> sorted_view t b
+let by_name t tag = lookup t (Symbol.intern tag)
 
-let by_name_sym t tag = lookup t t.by_name tag
-let by_name t tag = by_name_sym t (Symbol.intern tag)
-
-let descendants_named_sym t tag =
+let descendants_named t tag =
   (* the //tag node-set: named elements that are proper descendants of a
      root (the roots themselves are never results of a child step) *)
-  List.filter (fun id -> Doc.parent t.doc id <> Doc.no_node) (by_name_sym t tag)
-
-let descendants_named t tag = descendants_named_sym t (Symbol.intern tag)
-
-let by_attr_sym t ~tag ~attr value = lookup t t.by_attr (tag, attr, value)
-
-let by_attr t ~tag ~attr value =
-  by_attr_sym t ~tag:(Symbol.intern tag) ~attr:(Symbol.intern attr) value
-
-let by_pcdata_sym t ~tag value = lookup t t.by_text (tag, value)
-let by_pcdata t ~tag value = by_pcdata_sym t ~tag:(Symbol.intern tag) value
+  List.filter (fun id -> Doc.parent t.doc id <> Doc.no_node) (lookup t tag)
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let note_hit () = Xic_obs.Obs.Metrics.incr c_hits
 let note_fallback () = Xic_obs.Obs.Metrics.incr c_fallbacks
 
 let stats () =
@@ -399,6 +308,9 @@ let stats () =
     misses = Xic_obs.Obs.Metrics.value c_misses;
     fallbacks = Xic_obs.Obs.Metrics.value c_fallbacks;
     events = Xic_obs.Obs.Metrics.value c_events }
+
+let heap_bytes t =
+  8 * Obj.reachable_words (Obj.repr (t.by_name, t.order))
 
 (* ------------------------------------------------------------------ *)
 (* Consistency audit (for tests)                                       *)
@@ -428,7 +340,7 @@ let rank_errors t =
      if not !ordered then err "rank table out of document order";
      Array.iteri
        (fun id r ->
-         if r >= 0 && not (reachable t id) then
+         if r >= 0 && not (Doc.reachable t.doc id) then
            err "unreachable node %d holds rank %d" id r)
        arr);
   List.rev !errs
@@ -438,18 +350,8 @@ let table_errors t =
   else begin
     let fresh = raw t.doc in
     build fresh;
-    let errs = ref [] in
-    let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-    let diff what a b =
-      let a = norm_tbl a and b = norm_tbl b in
-      if a <> b then err "%s diverges from a from-scratch rebuild" what
-    in
-    diff "by_name" t.by_name fresh.by_name;
-    diff "by_attr" t.by_attr fresh.by_attr;
-    diff "by_text" t.by_text fresh.by_text;
-    List.rev !errs
+    if norm_tbl t.by_name = norm_tbl fresh.by_name then []
+    else [ "tag table diverges from a from-scratch rebuild" ]
   end
 
 let consistency_errors t = rank_errors t @ table_errors t
-
-let consistent t = consistency_errors t = []

@@ -1,15 +1,14 @@
-(** Secondary indexes over an arena document.
+(** The tag and rank tables of an arena document.
 
-    Three hash tables serve the query shapes produced by the
-    denial-to-XQuery translation: element-name → node list,
-    (tag, attribute, value) and (tag, pcdata value); a rank table serves
-    document-order sorting.  Children and sibling positions are not
-    indexed: the arena's sibling links answer them ({!Doc.iter_children},
-    {!Doc.position}).  The tables are built lazily on first lookup and
-    from then on maintained incrementally from the document's mutation
-    events ({!Doc.set_observer}), so XUpdate application, undo, savepoint
-    rollback and crash recovery keep them consistent without any
-    cooperation from those layers. *)
+    A tag table maps each element name to its reachable elements in
+    document order (the [//tag] node sets, embedded tags included); a
+    rank table serves document-order sorting.  Values are indexed only
+    in the repository's relational store ({!Xic_xpath.Eval.prober}), and
+    children and sibling positions not at all: the arena's sibling links
+    answer them.  The tables are built lazily on first lookup and from
+    then on maintained from the document's mutation events
+    ({!Doc.subscribe}), so XUpdate application, undo and crash recovery
+    keep them consistent without any cooperation from those layers. *)
 
 type t
 
@@ -17,7 +16,7 @@ type t
     [index_fallbacks] and [index_events]: process-wide, summed over
     every index. *)
 type stats = {
-  hits : int;       (** lookups served from the index *)
+  hits : int;       (** lookups served from the tag table, or by a value prober *)
   misses : int;     (** builds and sorts *)
   fallbacks : int;  (** planner bail-outs to the scan interpreter *)
   events : int;     (** document mutations processed *)
@@ -27,7 +26,6 @@ val create : Doc.t -> t
 (** Attach a fresh (unbuilt) index to [doc] as its mutation observer.
     No table is populated until the first lookup. *)
 
-val doc : t -> Doc.t
 val built : t -> bool
 
 (** {1 Lookups}
@@ -38,17 +36,10 @@ val built : t -> bool
 val by_name : t -> string -> Doc.node_id list
 (** All reachable elements with the given tag, roots included. *)
 
-val descendants_named : t -> string -> Doc.node_id list
+val descendants_named : t -> Doc.Symbol.t -> Doc.node_id list
 (** The [//tag] node set: like {!by_name} but excluding root elements
-    (a child step never yields a root). *)
-
-val by_attr : t -> tag:string -> attr:string -> string -> Doc.node_id list
-(** Elements [tag] carrying [@attr = value]. *)
-
-val by_pcdata : t -> tag:string -> string -> Doc.node_id list
-(** Elements [tag] with a {e direct} text child equal to the value —
-    the node set satisfying [self::tag\[text() = value\]] (each text
-    child is compared on its own, not the concatenated content). *)
+    (a child step never yields a root); the tag is pre-interned, for
+    compiled plans that resolve their name tests at compile time. *)
 
 (** {1 Document order}
 
@@ -66,19 +57,10 @@ val sort_doc_order : t -> Doc.node_id list -> Doc.node_id list
 (** Sort and deduplicate into document order; agrees exactly with
     {!Doc.sort_doc_order} (detached nodes defer to it). *)
 
-val doc_order_compare : t -> Doc.node_id -> Doc.node_id -> int
-
-(** {1 Symbol-keyed lookups}
-
-    The same lookups with pre-interned names, for compiled plans that
-    resolve all name tests at compile time. *)
-
-val by_name_sym : t -> Doc.Symbol.t -> Doc.node_id list
-val descendants_named_sym : t -> Doc.Symbol.t -> Doc.node_id list
-val by_attr_sym : t -> tag:Doc.Symbol.t -> attr:Doc.Symbol.t -> string -> Doc.node_id list
-val by_pcdata_sym : t -> tag:Doc.Symbol.t -> string -> Doc.node_id list
-
 (** {1 Statistics} *)
+
+val note_hit : unit -> unit
+(** Record a value probe that a prober answered. *)
 
 val note_fallback : unit -> unit
 (** Record that a planner examined a query it could not index. *)
@@ -86,12 +68,15 @@ val note_fallback : unit -> unit
 val stats : unit -> stats
 (** A read of the registry counters (see {!stats}). *)
 
+val heap_bytes : t -> int
+(** The heap of the tag and rank tables, the document excluded, by
+    [Obj.reachable_words] (a walk of both tables: for reports). *)
+
 (** {1 Consistency audit}
 
-    For tests: compare the incrementally maintained tables against a
+    For tests: compare the incrementally maintained tag table against a
     from-scratch rebuild.
     When a rank table is present, a DFS over the reachable nodes must
     see strictly increasing ranks and no other node may hold one. *)
 
 val consistency_errors : t -> string list
-val consistent : t -> bool

@@ -262,10 +262,21 @@ let parse_doctype st =
    given, is invoked on each element as its close tag completes (its
    children, hence its embedded text, already exist) with the element's
    1-based position among its parent's element children, which the
-   content loop tracks for free. *)
+   content loop tracks for free.  Text and CDATA segments parted only by
+   (dropped) comments or PIs are one text node, as in the XPath data
+   model: [pending] collects them until an element or the content ends. *)
+
+let flush_text doc parent pending =
+  match !pending with
+  | [] -> ()
+  | segs ->
+    pending := [];
+    let text = match segs with [ s ] -> s | _ -> String.concat "" (List.rev segs) in
+    Doc.append_child doc ~parent (Doc.make_text doc text)
 
 let rec parse_content_into st doc ~keep_ws ~sink parent =
   let elts = ref 0 in
+  let pending = ref [] in
   let continue = ref true in
   while !continue do
     if eof st then continue := false
@@ -274,11 +285,11 @@ let rec parse_content_into st doc ~keep_ws ~sink parent =
       else if looking_at st "<!--" then skip_comment st
       else if looking_at st "<![CDATA[" then begin
         st.pos <- st.pos + 9;
-        let text = skip_until st "]]>" in
-        Doc.append_child doc ~parent (Doc.make_text doc text)
+        pending := skip_until st "]]>" :: !pending
       end
       else if looking_at st "<?" then skip_pi st
       else begin
+        flush_text doc parent pending;
         incr elts;
         ignore (parse_element_into st doc ~keep_ws ~sink ~pos:!elts ~parent)
       end
@@ -295,10 +306,11 @@ let rec parse_content_into st doc ~keep_ws ~sink parent =
         let text =
           try unescape_range st.src start stop with Failure m -> fail st m
         in
-        Doc.append_child doc ~parent (Doc.make_text doc text)
+        pending := text :: !pending
       end
     end
-  done
+  done;
+  flush_text doc parent pending
 
 and parse_element_into st doc ~keep_ws ~sink ~pos ~parent =
   expect st "<";

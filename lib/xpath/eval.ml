@@ -232,13 +232,26 @@ let compile_test (test : Ast.nodetest) : Doc.t -> Doc.node_id -> bool =
 (* Evaluation contexts                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Child hops [c1/…/ck] below a candidate, then [text()] or [@a]. *)
+type access_path = {
+  hops : Symbol.t list;
+  leaf : [ `Text | `Attr of Symbol.t ];
+}
+
+type prober = tag:Symbol.t -> access_path -> string -> Doc.node_id list option
+
+type indexes = {
+  tags : Index.t;
+  probe : prober;
+}
+
 type ctxt = {
   doc : Doc.t;
   env : env;
   node : Doc.node_id;
   pos : int;   (* position() *)
   size : int;  (* last() *)
-  idx : Index.t option;
+  idx : indexes option;
   bud : int ref option;  (* the installed budget, fetched once per run *)
 }
 
@@ -246,7 +259,7 @@ type ctxt = {
    attached ([Doc.sort_doc_order] walks every node to its root). *)
 let sort_nodes ctx ids =
   match ctx.idx with
-  | Some idx -> Index.sort_doc_order idx ids
+  | Some idx -> Index.sort_doc_order idx.tags ids
   | None -> Doc.sort_doc_order ctx.doc ids
 
 let charge ctx n =
@@ -314,17 +327,6 @@ let rec context_free (e : Ast.expr) =
 (* Access-path probes (shared with the XQuery planner)                 *)
 (* ------------------------------------------------------------------ *)
 
-(* An access path below a candidate element that the value indexes can
-   answer: child hops [c1/…/ck], then [text()] or [@a].  The index
-   lookup uses [ck] (the candidate's own tag when there are no hops);
-   [up] holds [c(k-1) … c1], the tags checked while walking parents
-   back up to the candidate. *)
-type access_path = {
-  lookup : Symbol.t option;
-  up : Symbol.t list;
-  leaf : [ `Text | `Attr of Symbol.t ];
-}
-
 (* The hops and leaf of a probe-able step list, names not yet interned. *)
 let rec path_shape = function
   | [ { Ast.axis = Ast.Child; test = Ast.Text_test; preds = [] } ] -> Some ([], `Text)
@@ -336,48 +338,34 @@ let rec path_shape = function
 
 let make_access_path (hops, leaf) =
   let leaf = match leaf with `Text -> `Text | `Attr a -> `Attr (Symbol.intern a) in
-  match List.rev_map Symbol.intern hops with
-  | [] -> { lookup = None; up = []; leaf }
-  | ck :: above -> { lookup = Some ck; up = above; leaf }
+  { hops = List.map Symbol.intern hops; leaf }
 
 let access_path steps = Option.map make_access_path (path_shape steps)
 
 (* Every non-root element tagged [tag] whose access path has a string
-   value among the items of [v].  The walk-up proves the path exactly,
-   so a caller need not re-test it.  A chain or several keys can yield a
-   candidate twice and out of order, hence the sort. *)
+   value among the items of [v], one probe per item.  The prober proves
+   the path exactly, so a caller need not re-test it; several keys can
+   yield a candidate twice, and a prober answers in no particular order,
+   hence the sort. *)
 let probe doc idx ~tag ~ordered path v =
   match v with
   | Num _ | Bool _ -> None  (* they do not compare by string value *)
   | v ->
-    let keys = item_strings doc v in
-    let ltag = Option.value path.lookup ~default:tag in
-    let hits =
-      List.concat_map
-        (fun key ->
-          match path.leaf with
-          | `Text -> Index.by_pcdata_sym idx ~tag:ltag key
-          | `Attr a -> Index.by_attr_sym idx ~tag:ltag ~attr:a key)
-        keys
+    let rec gather acc = function
+      | [] -> Some acc
+      | key :: rest ->
+        (match idx.probe ~tag path key with
+         | None -> None
+         | Some ids ->
+           Index.note_hit ();
+           gather (List.rev_append ids acc) rest)
     in
-    (* up through the tags of [chain], ending on the candidate *)
-    let rec up id = function
-      | [] -> Some id
-      | t :: rest ->
-        let p = Doc.parent doc id in
-        if p <> Doc.no_node && Symbol.equal (Doc.tag doc p) t then up p rest else None
-    in
-    let hits =
-      if path.lookup = None then hits
-      else
-        let chain = path.up @ [ tag ] in
-        List.filter_map (fun id -> up id chain) hits
-    in
-    let hits = List.filter (fun id -> Doc.parent doc id <> Doc.no_node) hits in
-    Some
-      (if not ordered then List.sort_uniq Int.compare hits
-       else if path.lookup = None && List.compare_length_with keys 1 <= 0 then hits
-       else Index.sort_doc_order idx hits)
+    Option.map
+      (fun hits ->
+        let hits = List.filter (fun id -> Doc.parent doc id <> Doc.no_node) hits in
+        if ordered then Index.sort_doc_order idx.tags hits
+        else List.sort_uniq Int.compare hits)
+      (gather [] (item_strings doc v))
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -455,7 +443,7 @@ and compile_abs steps : compiled =
        descendant-or-self::node() is exactly the non-root descendants
        matching the test — already distinct and in document order, no
        re-sort needed.  Under an index a name test is answered from the
-       by-name table minus the roots (a child step never yields a root). *)
+       tag table minus the roots (a child step never yields a root). *)
     let tf = compile_test test in
     let crest = compile_steps rest in
     let scan ctx =
@@ -474,7 +462,7 @@ and compile_abs steps : compiled =
          charge ctx 1;
          (match ctx.idx with
           | Some idx ->
-            let matches = Index.descendants_named_sym idx sym in
+            let matches = Index.descendants_named idx.tags sym in
             charge ctx (1 + List.length matches);
             crest ctx false (Nodes matches)
           | None -> scan ctx)
@@ -482,9 +470,9 @@ and compile_abs steps : compiled =
   | first :: { axis = Child; preds = _ :: _ as preds; test = Name_test tag } :: rest
     when first = desc_step && List.for_all positionless_pred preds ->
     (* Indexed [//tag[preds]]: when some equality predicate can be served
-       by a value index, probe it to get a small superset of the result,
-       then re-check every predicate on the survivors (re-checking keeps
-       the probe a pure optimization).  Positionless predicates make the
+       by a value probe, probe it, then re-check the other predicates on
+       the survivors; when the prober declines, re-check every predicate
+       on the tag table's candidates.  Positionless predicates make the
        flat candidate list safe — see [positionless_pred]. *)
     let sym = Symbol.intern tag in
     let cpreds = List.map compile_expr preds in
@@ -514,7 +502,7 @@ and compile_abs steps : compiled =
             crest ctx false (Nodes (run_preds ctx ids cothers))
           | None ->
             Index.note_fallback ();
-            let candidates = Index.descendants_named_sym idx sym in
+            let candidates = Index.descendants_named idx.tags sym in
             charge ctx (1 + List.length candidates);
             crest ctx false (Nodes (run_preds ctx candidates cpreds))))
   | _ ->
@@ -547,7 +535,7 @@ and compile_abs_generic steps : ctxt -> value =
       let filtered = run_preds ctx filtered cpreds in
       crest ctx clean (Nodes filtered)
 
-(* Find one predicate that a value index can serve.  The supported shapes,
+(* Find one predicate that a value probe can serve.  The supported shapes,
    with [V] a context-free string-valued comparand and either operand
    order:
 
@@ -840,6 +828,3 @@ let select doc ?env ?ctx ?index e =
   match eval doc ?env ?ctx ?index e with
   | Nodes ns -> ns
   | _ -> fail "expected a node-set result for %s" (Ast.to_string e)
-
-let eval_steps doc ?(env = []) ?index ns steps =
-  (compile_steps steps) (initial_ctx doc env None index) false (Nodes ns)

@@ -45,9 +45,34 @@ val tick : int -> unit
     XQuery evaluator to meter its own constructs).
     @raise Budget_exceeded when the budget runs out. *)
 
+(** {1 Indexes}
+
+    The tag and rank tables of {!Xic_xml.Index} answer [//tag] steps and
+    document-order sorts; value lookups go to the caller's {!prober} (the
+    repository's reads its relational store's column indexes). *)
+
+type access_path = {
+  hops : Xic_symbol.Symbol.t list;  (** [c1 … ck], outermost first *)
+  leaf : [ `Text | `Attr of Xic_symbol.Symbol.t ];  (** [text()] or [@a] *)
+}
+(** A path below a candidate element that a value probe answers:
+    [c1/…/ck/text()] or [c1/…/ck/@a] ([k >= 0]). *)
+
+type prober = tag:Xic_symbol.Symbol.t -> access_path -> string -> Doc.node_id list option
+(** [probe ~tag path key]: every element tagged [tag] whose [path] has
+    string value [key] (for [text()], some text child equals [key]),
+    in any order.  [None] when the prober cannot answer exactly; the
+    evaluator then scans the tag table's candidates and counts an
+    [index_fallbacks]. *)
+
+type indexes = {
+  tags : Index.t;  (** [//tag] node sets and document order *)
+  probe : prober;  (** value probes *)
+}
+
 type compiled
 (** A compiled plan: the AST is lowered once into a closure pipeline —
-    name tests interned, index-probe analysis done, call dispatch
+    name tests interned, probe analysis done, call dispatch
     resolved — and can then be run any number of times (the plan itself
     is immutable).  {!eval} is
     exactly [compile] followed by [run], so interpreted and compiled
@@ -55,49 +80,41 @@ type compiled
 
 val compile : Ast.expr -> compiled
 
-val run : Doc.t -> ?env:env -> ?ctx:Doc.node_id -> ?index:Index.t -> compiled -> value
+val run : Doc.t -> ?env:env -> ?ctx:Doc.node_id -> ?index:indexes -> compiled -> value
 (** Run a compiled plan; arguments as {!eval}. *)
 
-val eval : Doc.t -> ?env:env -> ?ctx:Doc.node_id -> ?index:Index.t -> Ast.expr -> value
+val eval : Doc.t -> ?env:env -> ?ctx:Doc.node_id -> ?index:indexes -> Ast.expr -> value
 (** Evaluate an expression.  [ctx] is the context node (defaults to the
     root element); absolute paths always start at the root.  When [index]
-    is supplied, [//tag] steps, [//tag\[eq-pred\]] probes, named child
-    steps and [position-of] are served from the secondary indexes; the
-    result is always identical to the scan interpretation.
+    is supplied, [//tag] steps come from its tag table, an equality
+    predicate of [//tag\[…\]] on an access path goes to its prober, and
+    node sets are sorted through its rank table; the result is always
+    identical to the scan interpretation.
     @raise Eval_error on unknown variables or functions. *)
 
 val select :
-  Doc.t -> ?env:env -> ?ctx:Doc.node_id -> ?index:Index.t -> Ast.expr ->
+  Doc.t -> ?env:env -> ?ctx:Doc.node_id -> ?index:indexes -> Ast.expr ->
   Doc.node_id list
 (** Evaluate and require a node-set result. @raise Eval_error otherwise. *)
 
 (** {1 Access-path probes}
 
-    The one index probe behind both [//tag\[path = V\]] here and the
+    The one value probe behind both [//tag\[path = V\]] here and the
     XQuery planner's narrowing of [$v in //tag] bindings. *)
-
-type access_path
-(** A path below a candidate element that the value indexes answer:
-    child hops [c1/…/ck] ([k >= 0]), then [text()] or [@a]. *)
 
 val access_path : Ast.step list -> access_path option
 (** The access path spelled by these steps, names interned; [None] for
     any other shape. *)
 
 val probe :
-  Doc.t -> Index.t -> tag:Xic_symbol.Symbol.t -> ordered:bool -> access_path ->
+  Doc.t -> indexes -> tag:Xic_symbol.Symbol.t -> ordered:bool -> access_path ->
   value -> Doc.node_id list option
 (** [probe doc idx ~tag ~ordered path v]: the non-root elements tagged
-    [tag] whose [path] has a string value among the items of [v] — the
-    index lookup on the last hop, then a walk up the parents.  Without
-    duplicates, in document order when [ordered], else by node id.
-    [None] when [v] is a number or a boolean, which do not compare by
-    string value. *)
-
-val eval_steps :
-  Doc.t -> ?env:env -> ?index:Index.t -> Doc.node_id list -> Ast.step list -> value
-(** Apply location steps to an explicit initial node-set (used by the
-    XQuery evaluator). *)
+    [tag] whose [path] has a string value among the items of [v], one
+    {!prober} call per item.  Without duplicates, in document order when
+    [ordered], else by node id.  [None] when [v] is a number or a
+    boolean, which do not compare by string value, or when the prober
+    declines a key. *)
 
 val boolean : value -> bool
 (** XPath [boolean()] coercion. *)

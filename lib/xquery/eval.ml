@@ -28,13 +28,13 @@ exception Eval_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Eval_error s)) fmt
 
-(* Evaluation context: the document plus its (optional) secondary
-   indexes.  The planner below consults the indexes to narrow quantifier
-   and FLWOR bindings; the XPath evaluator receives them for its own fast
+(* Evaluation context: the document plus its (optional) indexes.  The
+   planner below probes values through them to narrow quantifier and
+   FLWOR bindings; the XPath evaluator receives them for its own fast
    paths. *)
 type cx = {
   doc : Doc.t;
-  idx : Index.t option;
+  idx : XE.indexes option;
 }
 
 (* Split a sequence value into the items bound one by one by [for] and
@@ -621,12 +621,12 @@ and compile_narrow = function
   | Probe { tag; access; comparand; _ } ->
     N_probe (Symbol.intern tag, access, compile_expr comparand)
 
-(* Try to serve the candidate items of a binding from the value indexes
+(* Try to serve the candidate items of a binding from a value probe
    ([XE.probe]).  The narrowed set is the subset of [//tag] satisfying
    the probed conjunct; the caller still evaluates the full condition on
    each item, so a probe is a pure optimization.  It runs when an index
    is attached and the comparand evaluates, in the current environment,
-   to a string-valued sequence.  [ordered] requests document order; a
+   to a string-valued sequence whose every item the prober answers.  [ordered] requests document order; a
    FLWOR [for] needs it because the candidates flow into the result
    sequence, whereas a quantifier only tests each candidate, so
    deduplicating by node id suffices. *)

@@ -38,7 +38,7 @@ val run :
   Doc.t ->
   ?env:Xic_xpath.Eval.env ->
   ?params:(string * value) list ->
-  ?index:Index.t ->
+  ?index:Xic_xpath.Eval.indexes ->
   compiled ->
   value
 (** Run a compiled plan; arguments as {!eval}. *)
@@ -47,7 +47,7 @@ val run_bool :
   Doc.t ->
   ?env:Xic_xpath.Eval.env ->
   ?params:(string * value) list ->
-  ?index:Index.t ->
+  ?index:Xic_xpath.Eval.indexes ->
   compiled ->
   bool
 (** Run a compiled plan and coerce to a boolean ({!eval_bool}). *)
@@ -56,15 +56,16 @@ val eval :
   Doc.t ->
   ?env:Xic_xpath.Eval.env ->
   ?params:(string * value) list ->
-  ?index:Index.t ->
+  ?index:Xic_xpath.Eval.indexes ->
   Ast.expr ->
   value
 (** Evaluate an expression.  [params] binds the [%name] holes of generated
     queries (typically to [Nodes [n]] for node-valued parameters or
     [Str s] for data parameters).  When [index] is supplied, a small
     planner narrows [some $v in //tag satisfies …] bindings and FLWOR
-    [for] clauses through the value indexes when an equality conjunct
-    equates an access path of [$v] ([$v/c1/…/ck/text()] or
+    [for] clauses through the index's prober
+    ({!Xic_xpath.Eval.prober}) when an equality conjunct equates an
+    access path of [$v] ([$v/c1/…/ck/text()] or
     [$v/c1/…/ck/@a], {!Xic_xpath.Eval.access_path}) with a comparand
     that mentions neither [$v] nor a variable bound after it, and the
     XPath evaluator uses its own indexed fast paths; verdicts are always
@@ -75,7 +76,7 @@ val eval_bool :
   Doc.t ->
   ?env:Xic_xpath.Eval.env ->
   ?params:(string * value) list ->
-  ?index:Index.t ->
+  ?index:Xic_xpath.Eval.indexes ->
   Ast.expr ->
   bool
 (** Evaluate and coerce to a boolean (XPath [boolean()] rules).  This is
@@ -89,7 +90,8 @@ val describe : Ast.expr -> string
     [xicheck --explain].  One planning pass feeds both, so an
     [index probe] line names a probe every indexed run of that binding
     attempts; it falls back to the tag index only when the comparand
-    fails to evaluate or is a number or a boolean.  The exception is
+    fails to evaluate or is a number or a boolean, or when the prober
+    declines the key.  The exception is
     labelled: the deepest binding of a hash-joined quantifier reads
     [join fallback: …], since the join's table answers it and its
     narrowing runs only when the join is off for the evaluation.

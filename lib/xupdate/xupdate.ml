@@ -166,19 +166,59 @@ type undo_entry =
   | Removed of {
       node : Doc.node_id;
       parent : Doc.node_id;
-      prev_sibling : Doc.node_id option;  (* None: was first child *)
+      prev_sibling : Doc.node_id;  (* [Doc.no_node]: was first child *)
     }
 
 type undo = undo_entry list  (* reverse application order *)
+
+(* Adjacent text items of a template are one text node. *)
+let rec coalesce = function
+  | Text a :: Text b :: rest -> coalesce (Text (a ^ b) :: rest)
+  | c :: rest -> c :: coalesce rest
+  | [] -> []
 
 let rec materialize doc = function
   | Text s -> Doc.make_text doc s
   | Elem (tag, attrs, kids) ->
     let id = Doc.make_element doc ~attrs tag in
-    List.iter
-      (fun k -> Doc.append_child doc ~parent:id (materialize doc k))
-      kids;
+    List.iter (fun k -> Doc.append_child doc ~parent:id (materialize doc k)) (coalesce kids);
     id
+
+(* Detach [node], recording where it was. *)
+let remove doc node acc =
+  let parent = Doc.parent doc node and prev_sibling = Doc.prev_sibling doc node in
+  let e = Removed { node; parent; prev_sibling } in
+  Doc.detach doc node;
+  e :: acc
+
+let text_node doc n = n <> Doc.no_node && Doc.is_text doc n
+
+(* The XPath data model has no adjacent text nodes, and the relational
+   mapping stores an element's text as one value: inserted text merges
+   with the text siblings it touches, and so do the two texts a removal
+   brings together.  The run of text siblings around [id] is replaced
+   by one joint node, inserted before the run, which is then detached
+   node by node, so a rollback restores the run in order and then
+   deletes the joint node. *)
+let merge_text_run doc id acc =
+  if not (text_node doc id) then acc
+  else begin
+    let rec first n =
+      let p = Doc.prev_sibling doc n in
+      if text_node doc p then first p else n
+    in
+    let rec run n =
+      if text_node doc n then n :: run (Doc.next_sibling doc n) else []
+    in
+    match run (first id) with
+    | ([] | [ _ ]) -> acc
+    | (first :: _) as nodes ->
+      let joint =
+        Doc.make_text doc (String.concat "" (List.map (Doc.text_content doc) nodes))
+      in
+      Doc.insert_before doc ~anchor:first joint;
+      List.fold_left (fun acc n -> remove doc n acc) (Inserted joint :: acc) nodes
+  end
 
 let select_target ?index doc expr =
   match Xic_xpath.Eval.eval doc ?index expr with
@@ -190,60 +230,44 @@ let select_target ?index doc expr =
 
 let apply_one ?index doc m acc =
   let target = select_target ?index doc m.select in
+  let insert place acc =
+    let ids, acc =
+      List.fold_left
+        (fun (ids, acc) c ->
+          let id = materialize doc c in
+          place ids id;
+          (id :: ids, Inserted id :: acc))
+        ([], acc) m.content
+    in
+    List.fold_left (fun acc id -> merge_text_run doc id acc) acc ids
+  in
   match m.op with
   | Remove ->
-    let parent = Doc.parent doc target in
-    if parent = Doc.no_node then fail "cannot remove a root element";
-    let prev_sibling =
-      match Doc.preceding_siblings doc target with
-      | [] -> None
-      | l -> Some (List.nth l (List.length l - 1))
-    in
-    Doc.detach doc target;
-    Removed { node = target; parent; prev_sibling } :: acc
-  | Append ->
-    List.fold_left
-      (fun acc c ->
-        let id = materialize doc c in
-        Doc.append_child doc ~parent:target id;
-        Inserted id :: acc)
-      acc m.content
-  | Insert_after | Insert_before ->
-    if Doc.parent doc target = Doc.no_node then
-      fail "cannot insert a sibling of a root element";
-    (* For insert-after, successive fragments keep their order by always
-       anchoring on the previously inserted node. *)
-    (match m.op with
-     | Insert_after ->
-       let _, acc =
-         List.fold_left
-           (fun (anchor, acc) c ->
-             let id = materialize doc c in
-             Doc.insert_after doc ~anchor id;
-             (id, Inserted id :: acc))
-           (target, acc) m.content
-       in
-       acc
-     | Insert_before ->
-       List.fold_left
-         (fun acc c ->
-           let id = materialize doc c in
-           Doc.insert_before doc ~anchor:target id;
-           Inserted id :: acc)
-         acc m.content
-     | _ -> assert false)
+    if Doc.parent doc target = Doc.no_node then fail "cannot remove a root element";
+    let prev = Doc.prev_sibling doc target in
+    merge_text_run doc prev (remove doc target acc)
+  | Append -> insert (fun _ id -> Doc.append_child doc ~parent:target id) acc
+  | (Insert_after | Insert_before) when Doc.parent doc target = Doc.no_node ->
+    fail "cannot insert a sibling of a root element"
+  | Insert_after ->
+    (* successive fragments keep their order: each anchors on the last *)
+    insert
+      (fun ids id ->
+        Doc.insert_after doc ~anchor:(match ids with last :: _ -> last | [] -> target) id)
+      acc
+  | Insert_before -> insert (fun _ id -> Doc.insert_before doc ~anchor:target id) acc
 
 let rollback doc undo =
   List.iter
     (function
       | Inserted id -> Doc.delete_subtree doc id
       | Removed { node; parent; prev_sibling } ->
-        (match prev_sibling with
-         | Some anchor -> Doc.insert_after doc ~anchor node
-         | None ->
-           (match Doc.children doc parent with
-            | [] -> Doc.append_child doc ~parent node
-            | first :: _ -> Doc.insert_before doc ~anchor:first node)))
+        if prev_sibling <> Doc.no_node then
+          Doc.insert_after doc ~anchor:prev_sibling node
+        else (
+          match Doc.children doc parent with
+          | [] -> Doc.append_child doc ~parent node
+          | first :: _ -> Doc.insert_before doc ~anchor:first node))
     undo
 
 (* Atomic: when a later modification fails (say, its select matches no

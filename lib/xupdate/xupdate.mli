@@ -39,15 +39,18 @@ val to_string : t -> string
 (** Undo information returned by {!apply}. *)
 type undo
 
-val apply : ?index:Index.t -> Doc.t -> t -> undo
+val apply : ?index:Xic_xpath.Eval.indexes -> Doc.t -> t -> undo
 (** Execute all modifications in order.  Each [select] must resolve to at
     least one node; the modification applies to the first selected node
     (document order).  Atomic: if a modification fails, the already
-    applied prefix is rolled back before the error propagates.  [index]
-    only accelerates target selection — index {e maintenance} is wired at
-    the {!Doc.set_observer} level, so application, {!rollback} and
-    savepoint/crash recovery keep any index consistent with or without
-    it.
+    applied prefix is rolled back before the error propagates.  As in
+    the XPath data model, no two text nodes end up side by side: an
+    inserted text merges with the text siblings it touches, and so do
+    the two texts a removal brings together; {!rollback} restores the
+    original nodes.  [index] only accelerates target selection — index
+    {e maintenance} is wired at the {!Doc.subscribe} level, so
+    application, {!rollback} and crash recovery keep any index
+    consistent with or without it.
     @raise Xupdate_error when the target is missing or the operation is
     ill-formed (e.g. insert-after on a root). *)
 

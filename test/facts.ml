@@ -13,7 +13,7 @@ let remove st p cs = S.remove_sym st (sym p) (tuple cs)
 let mem st p cs = S.mem_sym st (sym p) (tuple cs)
 let cardinality st p = S.cardinality_sym st (sym p)
 let tuples st p = List.map consts (S.tuples_sym st (sym p))
-let with_key st p k = List.map consts (S.tuples_with_key_sym st (sym p) (V.of_const k))
+let with_key st p k = List.map consts (S.lookup_sym st (sym p) 0 (V.of_const k))
 
 let with_col st p col k =
-  List.map consts (S.tuples_with_col_sym st (sym p) col (V.of_const k))
+  List.map consts (S.lookup_sym st (sym p) col (V.of_const k))

@@ -827,9 +827,219 @@ let test_duplicate_names_rejected () =
   | exception Repository.Repository_error _ -> ()
   | _ -> Alcotest.fail "duplicate pattern must be rejected"
 
+(* ------------------------------------------------------------------ *)
+(* Value probes from the store, and text merging                       *)
+(* ------------------------------------------------------------------ *)
+
+module PF = Probe_fixture
+
+let checkids = Alcotest.(check (option (list int)))
+
+let probe_doc =
+  {|<review><track id="t1"><name>DB</name><rev area="db"><name>Ann</name><note>late</note><sub lang="en"><title>S</title><kw>x</kw><kw>y</kw><auts><name>Bob</name></auts></sub></rev><rev><name>Eve</name><sub><title>T</title><auts><name>Ann</name></auts></sub></rev></track></review>|}
+
+let node repo q =
+  match Xic_xpath.Eval.select (Repository.doc repo) (Xic_xpath.Parser.parse q) with
+  | [ n ] -> n
+  | _ -> Alcotest.failf "%s: expected one node" q
+
+let append_text select s =
+  [ { XU.op = XU.Append; select = Xic_xpath.Parser.parse select; content = [ XU.Text s ] } ]
+
+(* Attributes are the relation's attribute columns; an absent one is
+   stored as "", which the probe never answers. *)
+let test_probe_attribute () =
+  let repo = PF.repo_of probe_doc in
+  let rev1 = node repo "/review/track[1]/rev[1]" in
+  checkids "rev @area" (Some [ rev1 ]) (PF.probe repo ~tag:"rev" "@area" "db");
+  checkids "track @id" (Some [ node repo "/review/track[1]" ])
+    (PF.probe repo ~tag:"track" "@id" "t1");
+  checkids "one hop down" (Some [ rev1 ]) (PF.probe repo ~tag:"rev" "sub/@lang" "en");
+  checkids "no such value" (Some []) (PF.probe repo ~tag:"rev" "@area" "ai");
+  checkids "the empty key scans" None (PF.probe repo ~tag:"rev" "@area" "");
+  Alcotest.(check (list int)) "scan: an absent attribute is no match" []
+    (PF.scan repo ~tag:"rev" "@area" "")
+
+(* An element's single text child is the stored value, whether the
+   element is embedded ([name], [note]) or has its own relation ([kw]);
+   a text appended to it merges, and a rollback splits it again. *)
+let test_probe_single_text_child () =
+  let repo = PF.repo_of probe_doc in
+  let rev1 = node repo "/review/track[1]/rev[1]" in
+  let sub1 = node repo "/review/track[1]/rev[1]/sub[1]" in
+  checkids "embedded child" (Some [ rev1 ]) (PF.probe repo ~tag:"rev" "name/text()" "Ann");
+  checkids "two hops" (Some [ rev1 ]) (PF.probe repo ~tag:"rev" "sub/title/text()" "S");
+  checkids "own text column" (Some [ sub1 ]) (PF.probe repo ~tag:"sub" "kw/text()" "y");
+  checkids "the candidate's own text" (Some [ node repo "//kw[1]" ])
+    (PF.probe repo ~tag:"kw" "text()" "x");
+  checkids "an always-embedded type has no column" None
+    (PF.probe repo ~tag:"name" "text()" "Ann");
+  checkids "a missing optional child is not probed" None
+    (PF.probe repo ~tag:"rev" "note/text()" "");
+  let undo = Repository.apply_unchecked repo (append_text "/review/track[1]/rev[1]/name" "e") in
+  checki "one text child" 1
+    (List.length
+       (Xic_xml.Doc.children (Repository.doc repo) (node repo "/review/track[1]/rev[1]/name")));
+  checkids "pending marks: the probe declines" None
+    (PF.probe repo ~tag:"rev" "name/text()" "Anne");
+  ignore (Repository.store repo : Xic_datalog.Store.t);
+  checkids "merged text" (Some [ rev1 ]) (PF.probe repo ~tag:"rev" "name/text()" "Anne");
+  checkids "old text gone" (Some []) (PF.probe repo ~tag:"rev" "name/text()" "Ann");
+  Repository.rollback repo undo;
+  ignore (Repository.store repo : Xic_datalog.Store.t);
+  checkids "rolled back" (Some [ rev1 ]) (PF.probe repo ~tag:"rev" "name/text()" "Ann");
+  checks "document restored" probe_doc
+    (Xic_xml.Xml_printer.to_string (Repository.doc repo))
+
+(* A removed subtree leaves the store with the next flush, and a
+   rollback brings it back. *)
+let test_probe_detached_subtree () =
+  let repo = PF.repo_of probe_doc in
+  let sub1 = node repo "/review/track[1]/rev[1]/sub[1]" in
+  let undo =
+    Repository.apply_unchecked repo
+      [ { XU.op = XU.Remove; select = Xic_xpath.Parser.parse "/review/track[1]/rev[1]/sub[1]"; content = [] } ]
+  in
+  ignore (Repository.store repo : Xic_datalog.Store.t);
+  checkids "detached subtree invisible" (Some []) (PF.probe repo ~tag:"sub" "kw/text()" "x");
+  Repository.rollback repo undo;
+  ignore (Repository.store repo : Xic_datalog.Store.t);
+  checkids "reattached" (Some [ sub1 ]) (PF.probe repo ~tag:"sub" "kw/text()" "x")
+
+(* Text split by a CDATA section or a comment parses as one text node,
+   the value the store holds, so the probe, the scan and every verdict
+   read "Bob" where a per-segment comparison read "Bo" and "b". *)
+let test_split_text_is_one_node () =
+  let s = Lazy.force schema in
+  let repo = Repository.create s in
+  Repository.load_fused repo
+    {|<dblp><pub><title>P</title><aut><name>Bo<![CDATA[b]]></name></aut><aut><name>Ann</name></aut></pub></dblp>|};
+  Repository.load_fused repo
+    {|<review><track><name>DB</name><rev><name>Ann</name><sub><title>S</title><auts><name>Bo<!--c-->b</name></auts></sub></rev></track></review>|};
+  let c = Conf.conflict s in
+  Repository.add_constraint repo c;
+  let doc = Repository.doc repo in
+  checki "one text node" 1 (List.length (Xic_xml.Doc.children doc (node repo "//aut[1]/name")));
+  List.iter
+    (fun (tag, p, key) ->
+      checkids
+        (Printf.sprintf "//%s[%s = %S]: probe = scan" tag p key)
+        (Some (PF.scan repo ~tag p key))
+        (PF.probe repo ~tag p key))
+    [ ("aut", "name/text()", "Bob"); ("aut", "name/text()", "Bo");
+      ("sub", "auts/name/text()", "Bob"); ("sub", "auts/name/text()", "b") ];
+  checkb "scan verdict" true (Constr.violated_xquery doc c);
+  checksl "full check" [ "conflict" ] (Repository.check_full repo);
+  checksl "datalog" [ "conflict" ] (Repository.check_full_datalog repo);
+  checksl "views" [ "conflict" ] (Repository.check_incremental repo)
+
+(* A reviewer given a second name holds a value its relation's one
+   [name] column cannot: the probe declines until the element fits
+   again, and the indexed route answers as the scan does.  A document
+   loaded without validation, or restored from a snapshot, is assessed
+   the same way. *)
+let test_probe_misfit () =
+  let repo = PF.repo_of probe_doc in
+  let rev1 = node repo "/review/track[1]/rev[1]" in
+  let undo =
+    Repository.apply_unchecked repo
+      [ { XU.op = XU.Append; select = Xic_xpath.Parser.parse "/review/track[1]/rev[1]";
+          content = [ XU.Elem ("name", [], [ XU.Text "Zed" ]) ] } ]
+  in
+  ignore (Repository.store repo : Xic_datalog.Store.t);
+  checkids "second name: the probe declines" None (PF.probe repo ~tag:"rev" "name/text()" "Zed");
+  Alcotest.(check (list int)) "the scan finds it" [ rev1 ] (PF.scan repo ~tag:"rev" "name/text()" "Zed");
+  let q = Xic_xpath.Parser.parse {|//rev[name/text() = "Zed"]|} in
+  checkb "indexed = scan" true
+    (Xic_xpath.Eval.eval (Repository.doc repo) ~index:(Repository.index repo) q
+     = Xic_xpath.Eval.Nodes [ rev1 ]);
+  Repository.rollback repo undo;
+  ignore (Repository.store repo : Xic_datalog.Store.t);
+  checkids "fits again" (Some [ rev1 ]) (PF.probe repo ~tag:"rev" "name/text()" "Ann");
+  let unvalidated = Repository.create (Lazy.force PF.schema) in
+  Repository.load_fused ~validate:false unvalidated
+    {|<review><track id="t1"><name>DB</name><rev><name>Ann</name><name>Eve</name></rev></track></review>|};
+  checkids "unvalidated misfit: the probe declines" None
+    (PF.probe unvalidated ~tag:"rev" "name/text()" "Ann");
+  Alcotest.(check (list int)) "the scan finds the second name" [ node unvalidated "//rev" ]
+    (PF.scan unvalidated ~tag:"rev" "name/text()" "Eve");
+  let path = Filename.temp_file "misfit" ".xis" in
+  ignore (Repository.checkpoint unvalidated path : Repository.checkpoint_report);
+  let restored = Repository.create (Lazy.force PF.schema) in
+  ignore (Repository.load_snapshot restored path : Xic_snapshot.Snapshot.meta);
+  Sys.remove path;
+  checkids "restored from a snapshot: the probe declines" None
+    (PF.probe restored ~tag:"rev" "name/text()" "Ann")
+
+(* A text appended next to a text child merges with it, so the XQuery
+   route, which compares each text child, sees the value the store
+   holds: "CarlBob", no co-author of reviewer Ann.  Before the merge
+   the full check read "Bob" on its own and reported a conflict that
+   the store-based verdicts, and a reload of the printed document, did
+   not. *)
+let test_appended_text_merges () =
+  let s = Lazy.force schema in
+  let repo = Repository.create s in
+  Repository.load_fused repo
+    {|<dblp><pub><title>P</title><aut><name>Bob</name></aut><aut><name>Ann</name></aut></pub></dblp>|};
+  Repository.load_fused repo
+    {|<review><track><name>DB</name><rev><name>Ann</name><sub><title>S</title><auts><name>Carl</name></auts></sub></rev></track></review>|};
+  Repository.add_constraint repo (Conf.conflict s);
+  let select = "/review/track[1]/rev[1]/sub[1]/auts[1]/name[1]" in
+  let undo = Repository.apply_unchecked repo (append_text select "Bob") in
+  checksl "full check" [] (Repository.check_full repo);
+  checksl "datalog" [] (Repository.check_full_datalog repo);
+  checksl "views" [] (Repository.check_incremental repo);
+  let doc = Repository.doc repo in
+  checki "one text node" 1 (List.length (Xic_xml.Doc.children doc (node repo select)));
+  checks "its text" "CarlBob" (Xic_xml.Doc.text_content doc (node repo select));
+  Repository.rollback repo undo;
+  checki "rollback restores one text node" 1
+    (List.length (Xic_xml.Doc.children doc (node repo select)));
+  checks "the original text" "Carl" (Xic_xml.Doc.text_content doc (node repo select))
+
+(* A compensation leaves marks the store has not seen; the next
+   statement's pre-check flushes them first, so its value probes read
+   the store and none falls back to a scan. *)
+let test_precheck_after_compensation () =
+  let repo = guarded_repo () in
+  let fallbacks () = Xic_obs.Obs.Metrics.(value (counter "index_fallbacks")) in
+  let txn = Repository.begin_txn repo in
+  (match
+     (Repository.txn_apply txn
+        [ { XU.op = XU.Append;
+            select = Xic_xpath.Parser.parse "/review/track[1]/rev[1]";
+            content =
+              [ XU.Elem ("sub", [],
+                   [ XU.Elem ("title", [], [ XU.Text "Bad" ]);
+                     XU.Elem ("auts", [], [ XU.Elem ("name", [], [ XU.Text "Carl" ]) ]) ]) ] } ])
+       .Repository.outcome
+   with
+   | Repository.Rolled_back "conflict" -> ()
+   | _ -> Alcotest.fail "the self-review must be compensated");
+  let f0 = fallbacks () in
+  (match
+     (Repository.txn_apply txn
+        (Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]"
+           ~title:"Late" ~author:"Nora"))
+       .Repository.outcome
+   with
+   | Repository.Rejected_early "conflict" -> ()
+   | _ -> Alcotest.fail "a co-author of the reviewer is rejected before execution");
+  Repository.commit_txn txn;
+  checki "no probe fell back" f0 (fallbacks ())
+
 let () =
   Alcotest.run "core"
     [
+      ( "probe",
+        [
+          Alcotest.test_case "attribute column" `Quick test_probe_attribute;
+          Alcotest.test_case "single text child" `Quick test_probe_single_text_child;
+          Alcotest.test_case "detached subtree" `Quick test_probe_detached_subtree;
+          Alcotest.test_case "split text is one node" `Quick test_split_text_is_one_node;
+          Alcotest.test_case "misfit declines" `Quick test_probe_misfit;
+        ] );
       ( "schema",
         [
           Alcotest.test_case "rendering" `Quick test_schema_rendering;
@@ -882,6 +1092,9 @@ let () =
           Alcotest.test_case "track load limit" `Quick test_guarded_track_load;
           Alcotest.test_case "fallback full check" `Quick test_guarded_fallback_full_check;
           Alcotest.test_case "fallback rollback" `Quick test_guarded_fallback_rollback;
+          Alcotest.test_case "pre-check after a compensation" `Quick
+            test_precheck_after_compensation;
+          Alcotest.test_case "appended text merges" `Quick test_appended_text_merges;
           Alcotest.test_case "optimized = full decision" `Quick test_optimized_equals_full_decision;
           Alcotest.test_case "pin retention" `Quick test_pin_retention;
           Alcotest.test_case "pin freezes views" `Quick test_pin_freezes_views;

@@ -5,7 +5,7 @@
    - the net multiset matches a reference counting model;
    - one batch delta equals the sequential composition of its split;
    - the lazy any-column store index is an exact column filter;
-   - savepoint rollback restores the pre-savepoint materialization;
+   - transaction rollback restores the pre-transaction materialization;
    - journal recovery replay maintains the same views as the live run;
    - the count aggregates of Examples 2 and 7 stay exact under unguarded
      insert/remove streams that cross their bounds both ways;
@@ -102,7 +102,7 @@ let prop_col_index =
       let s = Store.create () in
       let early = Store.create () in
       (* [early] builds the index before the mutations, [s] after. *)
-      ignore (Store.tuples_with_col_sym early syms.(0) col (Facts.V.of_int 0));
+      ignore (Store.lookup_sym early syms.(0) col (Facts.V.of_int 0));
       List.iter
         (fun (add, r, tup) ->
           if add then begin
@@ -123,9 +123,9 @@ let prop_col_index =
               (Store.tuples_sym r syms.(0))
             |> sort
           in
-          sort (Store.tuples_with_col_sym s syms.(0) col (Facts.V.of_int key))
+          sort (Store.lookup_sym s syms.(0) col (Facts.V.of_int key))
           = expect s
-          && sort (Store.tuples_with_col_sym early syms.(0) col (Facts.V.of_int key))
+          && sort (Store.lookup_sym early syms.(0) col (Facts.V.of_int key))
              = expect early)
         [ 0; 1; 2 ])
 
@@ -198,32 +198,32 @@ let apply_random r repo txn =
   | Some u -> ignore (Repository.txn_apply txn u : Repository.report)
   | None -> ()
 
-let prop_savepoint_rollback =
-  QCheck2.Test.make ~name:"rollback restores pre-savepoint materialization"
+let prop_txn_rollback =
+  QCheck2.Test.make ~name:"rollback restores pre-transaction materialization"
     ~count:40
     QCheck2.Gen.(int_bound 10_000)
     (fun seed ->
       let r = Prng.create seed in
       let repo = mk_repo () in
+      (* a committed update first, so the rollback does not always
+         return to the initial state *)
       let txn = Repository.begin_txn repo in
-      (* a committed-prefix update first, so the savepoint does not
-         always sit at the initial state *)
       apply_random r repo txn;
+      Repository.commit_txn txn;
       let verdict0 = Repository.check_incremental repo in
       let view0 =
         match Repository.incr_view repo with
         | Some v -> Store.freeze v
         | None -> Alcotest.fail "no materialized views"
       in
-      let sp = Repository.txn_savepoint txn in
+      let txn = Repository.begin_txn repo in
       for _ = 1 to 1 + Prng.int r 2 do
         apply_random r repo txn
       done;
-      (* materialize mid-savepoint: the rollback's inverse deltas must
+      (* materialize mid-transaction: the rollback's inverse deltas must
          retract exactly what this pass added *)
       ignore (Repository.check_incremental repo : string list);
-      Repository.txn_rollback_to txn sp;
-      Repository.commit_txn txn;
+      Repository.rollback_txn txn;
       let verdict1 = Repository.check_incremental repo in
       match Repository.incr_view repo with
       | Some v -> verdict0 = verdict1 && Store.equal view0 v
@@ -798,8 +798,8 @@ let test_pending_marks_maintained_first () =
   Alcotest.(check (list string)) "the unchecked violation shows" [ "conflict" ]
     (Repository.check_incremental repo)
 
-(* Fallback, a pre-checked statement rolled back to a savepoint, and a
-   pre-checked statement, in one transaction. *)
+(* A fallback and a pre-checked statement in a transaction that is
+   rolled back, then a pre-checked statement in one that commits. *)
 let test_proven_flush_in_txn () =
   let repo = guard_repo fixed_rev in
   let p0 = counter "incr_proven_flushes" in
@@ -812,17 +812,17 @@ let test_proven_flush_in_txn () =
   (match (Repository.txn_apply txn fallback).Repository.outcome with
    | Repository.Applied `Full_check -> ()
    | _ -> Alcotest.fail "the unmatched append is checked after execution");
-  let sp = Repository.txn_savepoint txn in
   check_optimized "first insert"
     (Repository.txn_apply txn (rita_insert "Gone")).Repository.outcome;
-  Repository.txn_rollback_to txn sp;
+  Repository.rollback_txn txn;
+  let txn = Repository.begin_txn repo in
   check_optimized "second insert"
     (Repository.txn_apply txn (rita_insert "Kept")).Repository.outcome;
   Repository.commit_txn txn;
   Alcotest.(check int) "both inserts proven" (p0 + 2) (counter "incr_proven_flushes");
   Alcotest.(check (pair int int)) "only the second insert stands" (0, 1)
     (count repo "//sub[title = 'Gone']", count repo "//sub[title = 'Kept']");
-  check_views_exact repo "after the transaction"
+  check_views_exact repo "after the transactions"
 
 (* An unmatched statement answers only for the constraints that held
    before it: on a state that violates only Example 2, appending a
@@ -899,7 +899,7 @@ let () =
         ] );
       ( "maintenance",
         [
-          QCheck_alcotest.to_alcotest prop_savepoint_rollback;
+          QCheck_alcotest.to_alcotest prop_txn_rollback;
           QCheck_alcotest.to_alcotest prop_recovery_replay;
           Alcotest.test_case "count views across violation transitions"
             `Quick test_count_views_exact;
@@ -931,7 +931,7 @@ let () =
             test_proven_per_constraint;
           Alcotest.test_case "pending marks are maintained first" `Quick
             test_pending_marks_maintained_first;
-          Alcotest.test_case "fallback, savepoint and pre-check in one txn"
+          Alcotest.test_case "fallback, rolled-back pre-check and pre-check"
             `Quick test_proven_flush_in_txn;
           Alcotest.test_case "a fallback answers for new violations only"
             `Quick test_fallback_blames_new_violations;

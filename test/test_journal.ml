@@ -279,12 +279,12 @@ let test_journal_not_a_journal () =
   | _ -> Alcotest.fail "bad header must be rejected"
 
 let test_committed_truncate () =
-  (* savepoint rollback: a truncate record drops the suffix *)
+  (* a compensation: a truncate record drops the suffix *)
   let i n = J.Intent { txn = 7; seq = n; strategy = "optimized"; payload = string_of_int n } in
   let entries = [ i 0; i 1; i 2; J.Truncate { txn = 7; keep = 1 }; i 3; J.Commit { txn = 7 } ] in
   match J.committed entries with
   | [ (7, [ J.Intent { payload = "0"; _ }; J.Intent { payload = "3"; _ } ]) ] -> ()
-  | _ -> Alcotest.fail "truncate must drop intents past the savepoint"
+  | _ -> Alcotest.fail "truncate must drop intents past its mark"
 
 let test_failpoint_mid_write () =
   let p = fresh_path () in
@@ -729,6 +729,9 @@ let test_runtime_simplified_intent_replays () =
 (* Transactions                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* A compensated statement between two that stand: its intent is cut by
+   a truncate record, and the statement after it takes its sequence
+   number. *)
 let test_txn_commit_and_recover () =
   let p = fresh_path () in
   let repo = make_repo () in
@@ -737,11 +740,9 @@ let test_txn_commit_and_recover () =
   (match stmt tx (legal_update ~title:"A" ~author:"Zoe" ()) with
    | Repository.Applied _ -> ()
    | _ -> Alcotest.fail "statement 1 must apply");
-  let sp = Repository.txn_savepoint tx in
-  (match stmt tx (legal_update ~title:"B" ~author:"Max" ()) with
-   | Repository.Applied _ -> ()
-   | _ -> Alcotest.fail "statement 2 must apply");
-  Repository.txn_rollback_to tx sp;
+  (match stmt tx (unmatched_update "Carl") with
+   | Repository.Rolled_back "conflict" -> ()
+   | _ -> Alcotest.fail "statement 2 must be compensated");
   checki "statement 2 undone" 1 (Repository.txn_statements tx);
   (match stmt tx (legal_update ~title:"C" ~author:"Ada" ()) with
    | Repository.Applied _ -> ()
@@ -749,10 +750,14 @@ let test_txn_commit_and_recover () =
   Repository.commit_txn tx;
   let after = snapshot repo in
   J.close j;
-  checkb "B was rolled back" false
+  checkb "statement 2 was rolled back" false
     (let doc = Repository.doc repo in
      Xic_xpath.Eval.select doc (Xic_xpath.Parser.parse "//sub/title") |> List.exists
-       (fun n -> Xic_xml.Doc.text_content doc n = "B"));
+       (fun n -> Xic_xml.Doc.text_content doc n = "App"));
+  checkb "the journal holds a truncate record" true
+    (List.exists
+       (function J.Truncate { keep = 1; _ } -> true | _ -> false)
+       (J.read p).J.entries);
   let recovered, report = recover_fresh p in
   checks "replay equals the committed state" after (snapshot recovered);
   checki "one txn, two effective statements" 2 report.Repository.replayed_statements;
@@ -985,7 +990,7 @@ let () =
         ] );
       ( "transactions",
         [
-          Alcotest.test_case "commit + savepoint + recover" `Quick
+          Alcotest.test_case "commit + compensation + recover" `Quick
             test_txn_commit_and_recover;
           Alcotest.test_case "statement violation" `Quick
             test_txn_statement_violation_keeps_txn_open;

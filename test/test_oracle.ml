@@ -10,9 +10,10 @@
    incremental delta-maintained checker (materialized denial
    views vs from-scratch recompute, [Store.equal] on the views), and a
    forked resident server against a fresh one-shot repository — and the
-   incrementally maintained indexes must equal indexes rebuilt from
-   scratch after every apply / undo / savepoint-rollback /
-   crash-recovery sequence.
+   incrementally maintained tag table must equal one rebuilt from
+   scratch after every apply / undo / compensation / crash-recovery
+   sequence.  A QCheck property sets the store-backed value probe
+   against the scan on a schema with every column kind.
 
    Iteration count comes from [XIC_ORACLE_ITERS] (small by default so
    [dune runtest] stays fast); [dune build @oracle] runs 500.  The PRNG
@@ -24,6 +25,7 @@ module Symbol = Xic_symbol.Symbol
 module Conf = Xic_workload.Conference
 module Prng = Xic_workload.Prng
 module XU = Xic_xupdate.Xupdate
+module Store = Xic_datalog.Store
 module XP = Xic_xpath
 module J = Xic_journal.Journal
 module Index = Xic_xml.Index
@@ -118,10 +120,13 @@ let sorted l = List.sort compare l
 
 (* Compare the five routes against one live index, incrementally
    maintained across the whole sequence (the scan route simply passes
-   no index) instead of being dropped and rebuilt at every check.  [check_full]
-   runs the cached closure plans (compiled route). *)
+   no index) instead of being dropped and rebuilt at every check.  The
+   mirror is flushed first, so the indexed route's value probes read
+   the store.  [check_full] runs the cached closure plans (compiled
+   route). *)
 let check_agreement ~seed repo what =
   let doc = Repository.doc repo in
+  ignore (Repository.store repo : Store.t);
   let index = Repository.index repo in
   let verdict f =
     sorted
@@ -174,7 +179,7 @@ let check_agreement ~seed repo what =
     scan traced
 
 let check_index_consistent ~seed repo what =
-  let i = Repository.index repo in
+  let i = (Repository.index repo).XP.Eval.tags in
   ignore (Index.by_name i "sub" : Xic_xml.Doc.node_id list);
   (match Index.consistency_errors i with
    | [] -> ()
@@ -240,43 +245,60 @@ let fixed_rev =
 
 let fixed_repo () = repo_of ~pub:fixed_pub ~rev:fixed_rev
 
+(* The submissions titled [t], as the store-backed probe finds them
+   once the mirror is flushed. *)
+let titled repo t =
+  ignore (Repository.store repo : Store.t);
+  (Repository.index repo).XP.Eval.probe ~tag:(Symbol.intern "sub")
+    (Probe_fixture.path "title/text()") t
+
 (* Before the index was maintained at the [Doc] observer level, the undo
    path of [Xupdate] emitted no maintenance events: after a rollback the
-   index still listed the reverted insertion.  This reproduces that. *)
+   index still listed the reverted insertion.  This reproduces that, and
+   the value probe must forget the insertion with the store. *)
 let test_rollback_not_stale () =
   let repo = fixed_repo () in
-  let i = Repository.index repo in
-  checkb "phantom absent before" true (Index.by_pcdata i ~tag:"title" "Phantom" = []);
+  let i = (Repository.index repo).XP.Eval.tags in
+  checkb "phantom absent before" true (titled repo "Phantom" = Some []);
   let u =
     Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]"
       ~title:"Phantom" ~author:"Zed"
   in
   let undo = Repository.apply_unchecked repo u in
-  checkb "insertion indexed" true (Index.by_pcdata i ~tag:"title" "Phantom" <> []);
+  checkb "insertion probed" true
+    (match titled repo "Phantom" with Some [ _ ] -> true | _ -> false);
   Repository.rollback repo undo;
-  checkb "rolled-back insertion purged from index" true
-    (Index.by_pcdata i ~tag:"title" "Phantom" = []);
-  checkb "index consistent after rollback" true (Index.consistent i)
+  checkb "rolled-back insertion purged from the probe" true
+    (titled repo "Phantom" = Some []);
+  checkb "index consistent after rollback" true (Index.consistency_errors i = [])
 
-let test_savepoint_rollback_not_stale () =
+(* A statement no pattern matches, compensated by the fallback: reviewer
+   Carl appended as an author of his own track breaks [conflict]. *)
+let self_review ~select ~title ~author =
+  [ { XU.op = XU.Append;
+      select = XP.Parser.parse select;
+      content =
+        [ XU.Elem
+            ( "sub",
+              [],
+              [ XU.Elem ("title", [], [ XU.Text title ]);
+                XU.Elem ("auts", [], [ XU.Elem ("name", [], [ XU.Text author ]) ]) ] ) ] } ]
+
+let test_compensation_not_stale () =
   let repo = fixed_repo () in
-  let i = Repository.index repo in
+  let i = (Repository.index repo).XP.Eval.tags in
   ignore (Index.by_name i "sub" : Xic_xml.Doc.node_id list);
   let txn = Repository.begin_txn repo in
-  let sp = Repository.txn_savepoint txn in
   (match
      (Repository.txn_apply txn
-        (Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]"
-           ~title:"Ghost" ~author:"Zed")).Repository.outcome
+        (self_review ~select:"/review/track[1]/rev[1]" ~title:"Ghost" ~author:"Carl"))
+       .Repository.outcome
    with
-   | Repository.Applied _ -> ()
-   | _ -> Alcotest.fail "legal insertion should apply");
-  checkb "insertion indexed" true (Index.by_pcdata i ~tag:"title" "Ghost" <> []);
-  Repository.txn_rollback_to txn sp;
+   | Repository.Rolled_back "conflict" -> ()
+   | _ -> Alcotest.fail "a self-review must be compensated");
   Repository.commit_txn txn;
-  checkb "savepoint rollback purged from index" true
-    (Index.by_pcdata i ~tag:"title" "Ghost" = []);
-  checkb "index consistent after savepoint rollback" true (Index.consistent i)
+  checkb "compensation purged from the probe" true (titled repo "Ghost" = Some []);
+  checkb "index consistent after compensation" true (Index.consistency_errors i = [])
 
 (* ------------------------------------------------------------------ *)
 (* Randomized oracles                                                  *)
@@ -312,7 +334,17 @@ let test_apply_undo_oracle () =
     check_agreement ~seed repo "after undos"
   done
 
-let test_txn_savepoint_oracle () =
+(* A random self-review: the fallback compensates it when [conflict]
+   held before it, and commits it otherwise. *)
+let random_self_review r repo =
+  let select = random_rev_path r repo in
+  let doc = Repository.doc repo in
+  let reviewer =
+    XP.Eval.string_value doc (XP.Eval.eval doc (XP.Parser.parse (select ^ "/name")))
+  in
+  self_review ~select ~title:(Prng.pick r words) ~author:reviewer
+
+let test_txn_compensation_oracle () =
   for i = 1 to max 1 (iters / 3) do
     let seed = 5000 + i in
     let r = Prng.create seed in
@@ -327,11 +359,9 @@ let test_txn_savepoint_oracle () =
       done
     in
     apply_some (1 + Prng.int r 3);
-    let sp = Repository.txn_savepoint txn in
-    apply_some (1 + Prng.int r 3);
-    Repository.txn_rollback_to txn sp;
-    check_index_consistent ~seed repo "after savepoint rollback";
-    check_agreement ~seed repo "after savepoint rollback";
+    ignore (Repository.txn_apply txn (random_self_review r repo) : Repository.report);
+    check_index_consistent ~seed repo "after the fallback";
+    check_agreement ~seed repo "after the fallback";
     apply_some 1;
     if Prng.bool r then Repository.commit_txn txn
     else Repository.rollback_txn txn;
@@ -377,7 +407,6 @@ let test_recover_oracle () =
 (* Seventh route: fused loader vs from-scratch shred                   *)
 (* ------------------------------------------------------------------ *)
 
-module Store = Xic_datalog.Store
 
 (* Relation-by-relation comparison with a named culprit on mismatch —
    [Store.equal] alone would only say "differs". *)
@@ -567,16 +596,16 @@ let test_incremental_oracle () =
             | Some u -> ignore (Repository.txn_apply txn u : Repository.report)
             | None -> ()
           done;
-          (* sometimes wind a savepoint forward and roll it back: the
-             inverse deltas must retract exactly what the forward pass
-             materialized *)
+          (* sometimes apply a statement, materialize, and undo it as a
+             compensation does: the inverse deltas must retract exactly
+             what the forward pass materialized *)
           if Prng.bool r then begin
-            let sp = Repository.txn_savepoint txn in
-            (match random_update r repo with
-             | Some u -> ignore (Repository.txn_apply txn u : Repository.report)
-             | None -> ());
-            ignore (Repository.check_incremental repo : string list);
-            Repository.txn_rollback_to txn sp
+            match random_update r repo with
+            | Some u ->
+              let undo = Repository.apply_unchecked repo u in
+              ignore (Repository.check_incremental repo : string list);
+              Repository.rollback repo undo
+            | None -> ()
           end;
           if Prng.int r 4 = 0 then Repository.rollback_txn txn
           else begin
@@ -999,6 +1028,81 @@ let test_intern_roundtrip () =
 
 (* CI selects differential cases by index ([test differential 3] is the
    fused loader, [4] the incremental recompute): keep their order. *)
+(* ------------------------------------------------------------------ *)
+(* The store-backed value probe vs the scan                            *)
+(* ------------------------------------------------------------------ *)
+
+module PF = Probe_fixture
+
+(* Every probe shape and key, answered by the prober and through both
+   evaluators' indexed routes, against the scan.  With the mirror dirty,
+   or an element holding more than its relation's columns, the prober
+   must decline; otherwise it must answer every non-empty key of a path
+   the mapping covers, exactly. *)
+let check_probes ~seed ~clean repo what =
+  let doc = Repository.doc repo in
+  let index = Repository.index repo in
+  let fail fmt = Alcotest.failf ("[seed %d] %s: " ^^ fmt) seed what in
+  let exact = clean && PF.fits repo in
+  List.iter
+    (fun (tag, p) ->
+      Array.iter
+        (fun key ->
+          let scan = PF.scan repo ~tag p key in
+          (match PF.probe repo ~tag p key with
+           | Some ids when not exact ->
+             ignore ids;
+             fail "//%s[%s] probed while %s" tag p (if clean then "misfit" else "dirty")
+           | Some ids when ids <> scan -> fail "//%s[%s = %S]: probe <> scan" tag p key
+           | None when exact && key <> "" && tag <> "name" (* no relation *) ->
+             fail "//%s[%s = %S] declined on an exact store" tag p key
+           | _ -> ());
+          let q = Printf.sprintf "//%s[%s = \"%s\"]" tag p key in
+          let indexed =
+            match XP.Eval.eval doc ~index (XP.Parser.parse q) with
+            | XP.Eval.Nodes ns -> ns
+            | _ -> fail "%s: not a node set" q
+          in
+          if indexed <> XP.Eval.select doc (XP.Parser.parse q) then
+            fail "%s: indexed <> scan" q;
+          let some =
+            Xic_xquery.Parser.parse
+              (Printf.sprintf "some $v in //%s satisfies $v/%s = \"%s\"" tag p key)
+          in
+          if
+            Xic_xquery.Eval.eval_bool doc ~index some
+            <> Xic_xquery.Eval.eval_bool doc some
+          then fail "narrowed //%s[%s = %S] <> scan" tag p key)
+        PF.values)
+    PF.probes
+
+let prop_probe_equals_scan =
+  QCheck2.Test.make ~name:"store-backed probe = scan" ~count:iters
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let r = Prng.create seed in
+      let repo = PF.repo_of (PF.gen_doc r) in
+      check_probes ~seed ~clean:true repo "loaded";
+      let undos = ref [] in
+      for s = 1 to 1 + Prng.int r 6 do
+        match PF.random_update r repo with
+        | None -> ()
+        | Some u ->
+          undos := Repository.apply_unchecked repo u :: !undos;
+          let what = Printf.sprintf "update %d" s in
+          check_probes ~seed ~clean:false repo (what ^ ", mirror dirty");
+          check_stores_equal ~seed (what ^ " (maintained store vs re-shred)")
+            (Xic_relmap.Shred.shred
+               (Schema.mapping (Repository.schema repo))
+               (Repository.doc repo))
+            (Repository.store repo);
+          check_probes ~seed ~clean:true repo what
+      done;
+      List.iter (Repository.rollback repo) !undos;
+      ignore (Repository.store repo : Store.t);
+      check_probes ~seed ~clean:true repo "all undone";
+      true)
+
 let () =
   Alcotest.run "oracle"
     [
@@ -1006,18 +1110,19 @@ let () =
       ( "regression",
         [
           Alcotest.test_case "rollback purges index" `Quick test_rollback_not_stale;
-          Alcotest.test_case "savepoint rollback purges index" `Quick
-            test_savepoint_rollback_not_stale;
+          Alcotest.test_case "compensation purges index" `Quick
+            test_compensation_not_stale;
           Alcotest.test_case "symbol intern round trip" `Quick
             test_intern_roundtrip;
         ] );
       ( "differential",
         [
           Alcotest.test_case "apply/undo agreement" `Quick test_apply_undo_oracle;
-          Alcotest.test_case "txn savepoints" `Quick test_txn_savepoint_oracle;
+          Alcotest.test_case "txn compensation" `Quick test_txn_compensation_oracle;
           Alcotest.test_case "crash recovery" `Quick test_recover_oracle;
           Alcotest.test_case "fused loader" `Quick test_fused_loader_oracle;
           Alcotest.test_case "incremental recompute" `Quick
             test_incremental_oracle;
+          QCheck_alcotest.to_alcotest prop_probe_equals_scan;
         ] );
     ]

@@ -47,9 +47,9 @@ let test_columns () =
 let test_column_index () =
   let m = mapping () in
   Alcotest.(check (option int)) "title of pub" (Some 3)
-    (M.column_index m ~pred:"pub" ~col:"title");
+    (M.column_of m ~pred:"pub" (M.From_pcdata_child "title"));
   Alcotest.(check (option int)) "missing col" None
-    (M.column_index m ~pred:"pub" ~col:"name")
+    (M.column_of m ~pred:"pub" (M.From_pcdata_child "name"))
 
 let test_embedded_edges () =
   let m = mapping () in

@@ -1,9 +1,11 @@
-open Xic_xml
 module Q = Xic_xquery
 module E = Xic_xpath.Eval
 
-let doc =
-  (Xml_parser.parse_string
+(* Loaded into a repository, whose indexes answer value probes from the
+   store of the conference mapping. *)
+let repo =
+  let repo = Xic_core.Repository.create (Xic_workload.Conference.schema ()) in
+  Xic_core.Repository.load_fused repo
      {|<review>
         <track><name>DB</name>
           <rev><name>Goofy</name>
@@ -14,8 +16,11 @@ let doc =
             <sub><title>T3</title><auts><name>Mickey</name></auts></sub>
           </rev>
         </track>
-      </review>|})
-    .Xml_parser.doc
+      </review>|};
+  repo
+
+let doc = Xic_core.Repository.doc repo
+let index () = Xic_core.Repository.index repo
 
 let eval ?env ?params s = Q.Eval.eval doc ?env ?params (Q.Parser.parse s)
 let ebool ?env ?params s = Q.Eval.eval_bool doc ?env ?params (Q.Parser.parse s)
@@ -239,10 +244,9 @@ let test_join_needs_two_bindings () =
   in
   checkb "single binding: no join" false (has_join single);
   checkb "two bindings: join" true (has_join double);
-  let idx = Index.create doc in
   List.iter
     (fun q ->
-      checkb q (ebool q) (Q.Eval.eval_bool doc ~index:idx (Q.Parser.parse q)))
+      checkb q (ebool q) (Q.Eval.eval_bool doc ~index:(index ()) (Q.Parser.parse q)))
     [ single; double ]
 
 (* --explain prints the plan that runs.  A single-binding quantifier or
@@ -262,7 +266,7 @@ let probes_of_run q =
     ~finally:(fun () -> M.set_detailed saved)
     (fun () ->
       let before = M.value c in
-      let v = Q.Eval.eval_bool doc ~index:(Index.create doc) (Q.Parser.parse q) in
+      let v = Q.Eval.eval_bool doc ~index:(index ()) (Q.Parser.parse q) in
       (v, M.value c - before))
 
 (* "bind $v @i: index probe …" and "for $v: index probe …" lines *)
@@ -302,7 +306,7 @@ let test_later_variable_never_probes () =
   in
   checkb "scan verdict" true (ebool q);
   checkb "indexed verdict" true
-    (Q.Eval.eval_bool doc ~index:(Index.create doc) (Q.Parser.parse q))
+    (Q.Eval.eval_bool doc ~index:(index ()) (Q.Parser.parse q))
 
 (* A chain of child hops probes the index on its last hop and walks the
    parents back up to the bound candidate. *)
