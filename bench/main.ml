@@ -1429,12 +1429,11 @@ let server_bench ~reps () =
   let stats =
     Proto.request fd (Proto.Obj [ ("op", Proto.String "stats") ])
   in
-  (match Proto.member "server" stats with
-   | Some srv_stats ->
+  (match Option.bind (Proto.member "metrics" stats) (Proto.member "counters") with
+   | Some counters ->
+     let count name = Option.value ~default:0 (Proto.int_field name counters) in
      Printf.printf "server applied %d batches (%d guards batched)\n%!"
-       (Option.value ~default:0 (Proto.int_field "batches" srv_stats))
-       (Option.value ~default:0
-          (Proto.int_field "batched_guards" srv_stats))
+       (count "serve_guard_batches") (count "serve_batched_guards")
    | None -> ());
   add_json "server"
     (Printf.sprintf

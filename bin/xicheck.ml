@@ -744,13 +744,9 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
-  let slow_requests_arg =
-    let doc = "How many slowest requests the 'slow' op retains." in
-    Arg.(value & opt int 8 & info [ "slow-requests" ] ~docv:"N" ~doc)
-  in
   let run dtds docs snapshot constraints pattern no_validate journal
       eval_budget socket tcp checkpoint_on_shutdown log log_level log_format
-      trace slow_requests =
+      trace =
     (* instrumentation first, so document-load spans join the session *)
     (match XLog.level_of_string log_level with
      | Some l -> XLog.set_level l
@@ -774,8 +770,7 @@ let serve_cmd =
     Repository.set_eval_budget repo eval_budget;
     let journal = Option.map open_journal journal in
     let config =
-      { Srv.journal; snapshot_path = snapshot; checkpoint_on_shutdown;
-        slow_capacity = max 1 slow_requests }
+      { Srv.journal; snapshot_path = snapshot; checkpoint_on_shutdown }
     in
     let server = Srv.create ~config repo in
     let addr = server_address socket tcp in
@@ -796,7 +791,7 @@ let serve_cmd =
      | Proto.Unix_sock path ->
        (try Sys.remove path with Sys_error _ -> ())
      | Proto.Tcp _ -> ());
-    write_trace (Srv.trace_roots server) trace;
+    write_trace (Obs.Trace.roots ()) trace;
     XLog.close ();
     Printf.printf "served %d request(s); shutdown complete\n%!"
       (Srv.requests server)
@@ -811,7 +806,7 @@ let serve_cmd =
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
       $ pattern_arg $ no_validate_arg $ journal_arg $ eval_budget_arg
       $ socket_arg $ tcp_arg $ checkpoint_on_shutdown_arg $ log_arg
-      $ log_level_arg $ log_format_arg $ serve_trace_arg $ slow_requests_arg)
+      $ log_level_arg $ log_format_arg $ serve_trace_arg)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)
@@ -1115,8 +1110,9 @@ let client_cmd =
 (* ------------------------------------------------------------------ *)
 
 (* Live one-screen summary of a running server: polls the stats,
-   metrics and slow ops and renders the headline numbers, the per-op
-   latency quantiles, the serve gauges and the slowest requests. *)
+   metrics and slow ops and renders the headline numbers and the per-op
+   latency quantiles (both from the registry [stats] carries), the serve
+   gauges and the slowest requests. *)
 let top_cmd =
   let interval_arg =
     let doc = "Seconds between refreshes." in
@@ -1144,51 +1140,60 @@ let top_cmd =
       let slow = rq (Proto.Obj [ ("op", Proto.String "slow") ]) in
       let metrics = rq (Proto.Obj [ ("op", Proto.String "metrics") ]) in
       if not no_clear then print_string "\027[2J\027[H";
-      let srv = Option.value ~default:Proto.Null (Proto.member "server" stats) in
-      let f name = num (Proto.member name srv) in
+      let field path =
+        List.fold_left (fun j k -> Option.bind j (Proto.member k)) (Some stats) path
+      in
+      let srv name = num (field [ "server"; name ]) in
+      let counter name = num (field [ "metrics"; "counters"; name ]) in
       Printf.printf "xicheck top — %s\n" (Proto.address_to_string addr);
       Printf.printf
         "uptime %.1fs  requests %.0f (%.1f/s)  batches %.0f  generation %.0f\n"
-        (f "uptime_s") (f "requests") (f "requests_per_sec") (f "batches")
-        (f "generation");
+        (srv "uptime_s") (counter "serve_requests") (srv "requests_per_sec")
+        (counter "serve_guard_batches") (srv "generation");
       (* serve gauges, straight off the Prometheus exposition *)
-      let body = Option.value ~default:"" (Proto.string_field "body" metrics) in
+      let lines =
+        String.split_on_char '\n'
+          (Option.value ~default:"" (Proto.string_field "body" metrics))
+      in
       let gauges =
         List.filter
           (fun line ->
-            String.length line > 10
-            && String.sub line 0 10 = "xic_serve_"
-            && not (String.contains line '{')
-            && not
-                 (let base =
-                    match String.index_opt line ' ' with
-                    | Some i -> String.sub line 0 i
-                    | None -> line
-                  in
-                  let n = String.length base in
-                  n > 8 && String.sub base (n - 8) 8 = "_seconds"
-                  || (n > 4 && String.sub base (n - 4) 4 = "_sum")
-                  || (n > 6 && String.sub base (n - 6) 6 = "_count")))
-          (String.split_on_char '\n' body)
+            String.starts_with ~prefix:"xic_serve_" line
+            && List.mem
+                 ("# TYPE " ^ List.hd (String.split_on_char ' ' line) ^ " gauge")
+                 lines)
+          lines
       in
       if gauges <> [] then begin
         print_endline "";
         List.iter print_endline gauges
       end;
-      (match Proto.member "ops" stats with
-       | Some (Proto.Obj []) | None -> ()
-       | Some (Proto.Obj ops) ->
-         Printf.printf "\n%-16s %8s %9s %9s %9s\n" "op" "count" "p50_ms"
-           "p90_ms" "p99_ms";
-         List.iter
-           (fun (op, o) ->
-             Printf.printf "%-16s %8.0f %9.3f %9.3f %9.3f\n" op
-               (num (Proto.member "count" o))
-               (num (Proto.member "p50_ms" o))
-               (num (Proto.member "p90_ms" o))
-               (num (Proto.member "p99_ms" o)))
-           ops
-       | Some _ -> ());
+      (* one serve_<op>_ms histogram per op served, made when the op
+         was first timed; in the registry's name order *)
+      let ops =
+        match field [ "metrics"; "histograms" ] with
+        | Some (Proto.Obj hs) ->
+          List.filter_map
+            (fun (name, h) ->
+              if String.starts_with ~prefix:"serve_" name
+                 && String.ends_with ~suffix:"_ms" name
+              then Some (String.sub name 6 (String.length name - 9), h)
+              else None)
+            hs
+        | _ -> []
+      in
+      if ops <> [] then begin
+        Printf.printf "\n%-16s %8s %9s %9s %9s\n" "op" "count" "p50_ms"
+          "p90_ms" "p99_ms";
+        List.iter
+          (fun (op, o) ->
+            Printf.printf "%-16s %8.0f %9.3f %9.3f %9.3f\n" op
+              (num (Proto.member "count" o))
+              (num (Proto.member "p50_ms" o))
+              (num (Proto.member "p90_ms" o))
+              (num (Proto.member "p99_ms" o)))
+          ops
+      end;
       (match Proto.list_field "slow" slow with
        | Some (_ :: _ as entries) ->
          Printf.printf "\nslowest requests:\n";

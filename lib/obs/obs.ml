@@ -34,9 +34,20 @@ module Trace = struct
   let is_enabled () = !enabled
 
   (* [stack] holds open spans innermost first; [roots_rev] holds completed
-     top-level spans newest-first. *)
+     top-level spans newest-first, [roots_n] of them.  A long-lived
+     process (the check server) completes one root per request, so the
+     list keeps the newest [max_roots]: trimmed back only after a 2x
+     overshoot, which keeps the cut amortized O(1) per root. *)
   let stack : span list ref = ref []
   let roots_rev : span list ref = ref []
+  let roots_n = ref 0
+  let max_roots = 4096
+
+  let trim_roots () =
+    if !roots_n > max_roots then begin
+      roots_rev := List.filteri (fun i _ -> i < max_roots) !roots_rev;
+      roots_n := max_roots
+    end
 
   (* --- slow-check log ------------------------------------------- *)
 
@@ -64,7 +75,10 @@ module Trace = struct
   let attach sp =
     match !stack with
     | parent :: _ -> parent.children <- sp :: parent.children
-    | [] -> roots_rev := sp :: !roots_rev
+    | [] ->
+      roots_rev := sp :: !roots_rev;
+      incr roots_n;
+      if !roots_n > 2 * max_roots then trim_roots ()
 
   let finish sp =
     sp.stop_ns <- Clock.now_ns ();
@@ -109,15 +123,15 @@ module Trace = struct
 
   let reset () =
     stack := [];
-    roots_rev := []
-
-  (* Completed roots, oldest first. *)
-  let roots () = List.rev !roots_rev
-
-  let drain () =
-    let rs = roots () in
     roots_rev := [];
-    rs
+    roots_n := 0
+
+  (* The newest [max_roots] completed roots, oldest first. *)
+  let roots () =
+    trim_roots ();
+    List.rev !roots_rev
+
+  let last_root () = match !roots_rev with sp :: _ -> Some sp | [] -> None
 
   (* --- export ---------------------------------------------------- *)
 
@@ -136,10 +150,6 @@ module Trace = struct
         | c -> Buffer.add_char b c)
       s;
     Buffer.contents b
-
-  let span_count spans =
-    let rec go acc sp = List.fold_left go (acc + 1) sp.children in
-    List.fold_left go 0 spans
 
   let duration_ms sp = Int64.to_float (Int64.sub sp.stop_ns sp.start_ns) /. 1e6
 
@@ -249,8 +259,6 @@ module Metrics = struct
     Hashtbl.replace gauge_names name ();
     counter name
 
-  let is_gauge name = Hashtbl.mem gauge_names name
-
   let histogram name =
     match Hashtbl.find_opt histograms name with
     | Some h -> h
@@ -274,24 +282,10 @@ module Metrics = struct
     let i = bucket_of_ns ns in
     h.h_buckets.(i) <- h.h_buckets.(i) + 1
 
-  let observe_ms h ms = observe_ns h (int_of_float (ms *. 1e6))
-
-  let timed h f =
-    let t0 = Clock.now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        observe_ns h (Int64.to_int (Int64.sub (Clock.now_ns ()) t0)))
-      f
-
   type hsnap = { count : int; sum_ns : int; buckets : int array }
 
   let hsnap h =
     { count = h.h_count; sum_ns = h.h_sum_ns; buckets = Array.copy h.h_buckets }
-
-  let hsnap_merge a b =
-    { count = a.count + b.count;
-      sum_ns = a.sum_ns + b.sum_ns;
-      buckets = Array.init n_buckets (fun i -> a.buckets.(i) + b.buckets.(i)) }
 
   (* Upper bound (in ms) of the bucket containing quantile [q]. *)
   let hsnap_quantile s q =
@@ -365,7 +359,7 @@ module Metrics = struct
     List.iter
       (fun (name, v) ->
         let n = "xic_" ^ sanitize name in
-        let ty = if is_gauge name then "gauge" else "counter" in
+        let ty = if Hashtbl.mem gauge_names name then "gauge" else "counter" in
         Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" n ty);
         Buffer.add_string b (Printf.sprintf "%s %d\n" n v))
       cs;

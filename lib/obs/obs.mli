@@ -39,13 +39,15 @@ module Trace : sig
   (** Clear all spans (open and completed). *)
   val reset : unit -> unit
 
-  (** Completed top-level spans, oldest first. *)
+  (** How many completed top-level spans are kept: the newest 4096. *)
+  val max_roots : int
+
+  (** Completed top-level spans, the newest {!max_roots}, oldest first. *)
   val roots : unit -> span list
 
-  (** Like {!roots}, but also clears them. *)
-  val drain : unit -> span list
+  (** The newest completed top-level span, if any. *)
+  val last_root : unit -> span option
 
-  val span_count : span list -> int
   val duration_ms : span -> float
 
   (** Chrome [trace_event] JSON ("complete" events, µs timestamps
@@ -91,20 +93,10 @@ module Metrics : sig
       exposition (its value may go down). *)
   val gauge : string -> counter
 
-  val is_gauge : string -> bool
-
   (** Intern a log-scale (power-of-two ns buckets) latency histogram. *)
   val histogram : string -> histogram
 
   val observe_ns : histogram -> int -> unit
-  val observe_ms : histogram -> float -> unit
-
-  (** [timed h f] runs [f] and observes its wall-clock duration into
-      [h], result or raise.  Unlike the per-check fast paths, this does
-      {e not} consult {!detailed} — meant for request-grained latency in
-      long-lived processes (the check server), where the histogram
-      {e is} the product. *)
-  val timed : histogram -> (unit -> 'a) -> 'a
 
   (** Bucket index for a nanosecond value: 0 for [ns <= 0], else
       [1 + floor(log2 ns)], capped at 63.  Exposed for tests. *)
@@ -113,7 +105,6 @@ module Metrics : sig
   type hsnap = { count : int; sum_ns : int; buckets : int array }
 
   val hsnap : histogram -> hsnap
-  val hsnap_merge : hsnap -> hsnap -> hsnap
 
   (** Upper bucket edge (ms) of the bucket holding quantile [q]. *)
   val hsnap_quantile : hsnap -> float -> float

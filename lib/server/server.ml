@@ -40,16 +40,23 @@ let c_gc_major = Obs.Metrics.counter "gc_major_collections"
 let c_gc_major_words = Obs.Metrics.counter "gc_major_words"
 let g_gc_heap_words = Obs.Metrics.gauge "gc_heap_words"
 
+(* Every request handled, and the guard runs applied as one
+   [guarded_batch] with the guard requests inside them. *)
+let c_requests = Obs.Metrics.counter "serve_requests"
+let c_guard_batches = Obs.Metrics.counter "serve_guard_batches"
+let c_batched_guards = Obs.Metrics.counter "serve_batched_guards"
+
 type config = {
   journal : J.t option;
   snapshot_path : string option;
   checkpoint_on_shutdown : bool;
-  slow_capacity : int;
 }
 
 let default_config =
-  { journal = None; snapshot_path = None; checkpoint_on_shutdown = false;
-    slow_capacity = 8 }
+  { journal = None; snapshot_path = None; checkpoint_on_shutdown = false }
+
+(* How many slowest requests the [slow] op keeps. *)
+let slow_capacity = 8
 
 (* One entry of the slowest-requests ring: everything needed to explain
    the request after the fact — including its span tree when request
@@ -72,83 +79,46 @@ type t = {
   srepo : R.t;
   config : config;
   started_ns : int64;
-  mutable requests : int;
-  mutable batches : int;          (* guard runs applied via guarded_batch *)
-  mutable batched_guards : int;   (* guard requests inside those runs *)
   mutable open_txn : open_txn option;
   mutable next_txn : int;
   pins : (int, R.pin) Hashtbl.t;
   mutable next_pin : int;
   stop : bool ref;
   mutable shut : bool;
-  op_hists : (string, Obs.Metrics.histogram) Hashtbl.t;
   mutable next_span : int;        (* server-side span-id generator *)
-  (* request spans captured while tracing is enabled, newest-first,
-     trimmed to [spans_cap] roots *)
-  mutable spans : Obs.Trace.span list;
-  mutable spans_n : int;
-  spans_cap : int;
-  (* the N slowest requests, worst-first *)
+  (* the [slow_capacity] slowest requests, worst-first *)
   mutable slow : slow_entry list;
-  mutable connections : int;
 }
 
 let create ?(config = default_config) repo =
-  (* spans completed before the server existed (document load, journal
-     replay) belong to the serve-session trace too *)
-  let preload = if Obs.Trace.is_enabled () then Obs.Trace.drain () else [] in
-  { srepo = repo; config; started_ns = Obs.Clock.now_ns (); requests = 0;
-    batches = 0; batched_guards = 0; open_txn = None; next_txn = 1;
-    pins = Hashtbl.create 8; next_pin = 1; stop = ref false;
-    shut = false; op_hists = Hashtbl.create 8; next_span = 1;
-    spans = List.rev preload; spans_n = List.length preload;
-    spans_cap = 4096; slow = []; connections = 0 }
+  { srepo = repo; config; started_ns = Obs.Clock.now_ns (); open_txn = None;
+    next_txn = 1; pins = Hashtbl.create 8; next_pin = 1; stop = ref false;
+    shut = false; next_span = 1; slow = [] }
 
-let repo t = t.srepo
-let requests t = t.requests
+let requests _ = Obs.Metrics.value c_requests
 let request_stop t = t.stop := true
-
-(* Completed request spans (plus pre-serve load spans), oldest first —
-   the serve session's Chrome-trace export. *)
-let trace_roots t = List.rev t.spans
 
 let fresh_span_id t =
   let id = t.next_span in
   t.next_span <- id + 1;
   Printf.sprintf "s%06x" id
 
-let push_spans t roots =
-  t.spans <- List.rev_append roots t.spans;
-  t.spans_n <- t.spans_n + List.length roots;
-  (* amortized trim: cut back to the cap only after 2x overshoot *)
-  if t.spans_n > 2 * t.spans_cap then begin
-    t.spans <- List.filteri (fun i _ -> i < t.spans_cap) t.spans;
-    t.spans_n <- t.spans_cap
-  end
-
 (* Would a request of [ms] enter the slowest-N ring?  The ring is
    worst-first, so the cutoff is its last entry; checking before
    building the entry keeps the fast path free of the request-document
    rendering below. *)
 let slow_qualifies t ms =
-  let cap = max 1 t.config.slow_capacity in
   let n = List.length t.slow in
-  n < cap || ms > (List.nth t.slow (n - 1)).se_ms
+  n < slow_capacity || ms > (List.nth t.slow (n - 1)).se_ms
 
 (* Record a request in the slowest-N ring (worst-first, fixed size). *)
 let note_slow t entry =
-  let cap = max 1 t.config.slow_capacity in
   let rec insert = function
     | [] -> [ entry ]
     | e :: rest when entry.se_ms > e.se_ms -> entry :: e :: rest
     | e :: rest -> e :: insert rest
   in
-  let rec trim n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | e :: rest -> e :: trim (n - 1) rest
-  in
-  t.slow <- trim cap (insert t.slow)
+  t.slow <- List.filteri (fun i _ -> i < slow_capacity) (insert t.slow)
 
 let req_summary req =
   let s = P.to_string req in
@@ -212,46 +182,39 @@ let require_update req =
 (* Request dispatch                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let check_pinned t p =
+  Obs.Trace.add_attr "route" "pinned";
+  check_response ~isolation:"pinned" ~generation:(R.pin_generation p)
+    (R.check_pinned t.srepo p)
+
 (* The generation a check reads: an explicit pin, a retained past
-   generation (time travel; the transient pin is released after the
-   read), the last committed generation while a transaction is open
-   (snapshot isolation: a plain read never observes the open writer's
-   uncommitted statements), or the live state ([None]). *)
-let check_handle t req =
+   generation (time travel), the last committed generation while a
+   transaction is open (snapshot isolation: a plain read never observes
+   the open writer's uncommitted statements), or the live state. *)
+let do_check t req =
   match (P.int_field "pin" req, P.int_field "as_of" req) with
   | Some _, Some _ ->
-    Error "check: \"pin\" and \"as_of\" are mutually exclusive"
+    error "check: \"pin\" and \"as_of\" are mutually exclusive"
   | Some id, None ->
     (match Hashtbl.find_opt t.pins id with
-     | None -> Error (Printf.sprintf "unknown pin %d" id)
+     | None -> error (Printf.sprintf "unknown pin %d" id)
      | Some p ->
        Obs.Trace.add_attr "pin" (string_of_int id);
-       Ok (Some ("pinned", p, false)))
+       check_pinned t p)
   | None, Some g ->
-    (match R.pin_as_of t.srepo g with
-     | None -> Error (Printf.sprintf "generation %d is not retained" g)
-     | Some p -> Ok (Some ("as_of", p, true)))
+    (match R.check_as_of t.srepo g with
+     | None -> error (Printf.sprintf "generation %d is not retained" g)
+     | Some violated ->
+       Obs.Trace.add_attr "route" "as_of";
+       check_response ~isolation:"as_of" ~generation:g violated)
   | None, None ->
     (match t.open_txn with
-     | Some o -> Ok (Some ("pinned", o.committed, false))
-     | None -> Ok None)
-
-let do_check t req =
-  match check_handle t req with
-  | Error msg -> error msg
-  | Ok None ->
-    let violated = R.check_incremental t.srepo in
-    Obs.Trace.add_attr "route" "incremental";
-    check_response ~isolation:"live" ~generation:(R.generation t.srepo)
-      violated
-  | Ok (Some (isolation, p, transient)) ->
-    Obs.Trace.add_attr "route" isolation;
-    let violated =
-      Fun.protect
-        ~finally:(fun () -> if transient then R.unpin t.srepo p)
-        (fun () -> R.check_pinned t.srepo p)
-    in
-    check_response ~isolation ~generation:(R.pin_generation p) violated
+     | Some o -> check_pinned t o.committed
+     | None ->
+       let violated = R.check_incremental t.srepo in
+       Obs.Trace.add_attr "route" "incremental";
+       check_response ~isolation:"live" ~generation:(R.generation t.srepo)
+         violated)
 
 let require_no_txn t what =
   if t.open_txn <> None then
@@ -435,27 +398,7 @@ let refresh_gauges t =
     (Xic_datalog.Store.total_tuples (R.store t.srepo));
   Obs.Metrics.set g_retained
     (List.length (R.retained_generations t.srepo));
-  Obs.Metrics.set g_pin_bytes (R.retained_bytes t.srepo);
-  Obs.Metrics.set g_connections t.connections
-
-(* Per-op latency quantiles straight from the serve_<op>_ms histograms,
-   surfaced in the stats response so clients need no histogram math. *)
-let op_quantiles t =
-  let ops =
-    Hashtbl.fold (fun op h acc -> (op, Obs.Metrics.hsnap h) :: acc) t.op_hists []
-    |> List.filter (fun (_, (s : Obs.Metrics.hsnap)) -> s.Obs.Metrics.count > 0)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  P.Obj
-    (List.map
-       (fun (op, s) ->
-         ( op,
-           P.Obj
-             [ ("count", P.Int s.Obs.Metrics.count);
-               ("p50_ms", P.Float (Obs.Metrics.hsnap_quantile s 0.5));
-               ("p90_ms", P.Float (Obs.Metrics.hsnap_quantile s 0.9));
-               ("p99_ms", P.Float (Obs.Metrics.hsnap_quantile s 0.99)) ] ))
-       ops)
+  Obs.Metrics.set g_pin_bytes (R.retained_bytes t.srepo)
 
 let do_stats t =
   refresh_gauges t;
@@ -466,18 +409,15 @@ let do_stats t =
     [ ( "server",
         P.Obj
           [ ("uptime_s", P.Float uptime_s);
-            ("requests", P.Int t.requests);
             ( "requests_per_sec",
               P.Float
-                (if uptime_s > 0. then float_of_int t.requests /. uptime_s
+                (if uptime_s > 0. then
+                   float_of_int (Obs.Metrics.value c_requests) /. uptime_s
                  else 0.) );
-            ("batches", P.Int t.batches);
-            ("batched_guards", P.Int t.batched_guards);
             ("generation", P.Int (R.generation t.srepo)) ] );
-      ("ops", op_quantiles t);
       (* the exact document the CLI's --metrics prints: one formatter,
-         one schema (serve gauges, gc_* and the per-op serve_*_ms
-         histograms included) *)
+         one schema (request counts, serve gauges, gc_* and the per-op
+         serve_<op>_ms histograms included) *)
       ("metrics", P.Raw (Obs.Metrics.to_json ())) ]
 
 let do_metrics t =
@@ -497,7 +437,7 @@ let rec span_json (s : Obs.Trace.span) =
 
 let do_slow t =
   ok
-    [ ("capacity", P.Int (max 1 t.config.slow_capacity));
+    [ ("capacity", P.Int slow_capacity);
       ( "slow",
         P.List
           (List.map
@@ -515,46 +455,60 @@ let do_slow t =
                     | None -> [])))
              t.slow) ) ]
 
-let dispatch t op req =
-  match op with
-  | "ping" -> ok [ ("pong", P.Bool true); ("protocol", P.Int P.version) ]
-  | "check" -> do_check t req
-  | "guard" -> do_guard t req
-  | "txn" -> do_txn t req
-  | "txn_begin" -> do_txn_begin t
-  | "txn_stmt" -> do_txn_stmt t req
-  | "txn_commit" -> do_txn_commit t req
-  | "txn_abort" -> do_txn_abort t req
-  | "pin" -> do_pin t req
-  | "unpin" -> do_unpin t req
-  | "history" -> do_history t
-  | "checkpoint" -> do_checkpoint t req
-  | "stats" -> do_stats t
-  | "metrics" -> do_metrics t
-  | "slow" -> do_slow t
-  | "shutdown" ->
-    request_stop t;
-    ok [ ("stopping", P.Bool true) ]
-  | "_parse_error" ->
+(* ------------------------------------------------------------------ *)
+(* The op table                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A name a request is timed, logged, traced and ring-recorded under,
+   with its [serve_<name>_ms] histogram, registered on first use: a
+   process that serves nothing (a one-shot [check --metrics]) shows none. *)
+type op = { name : string; hist : Obs.Metrics.histogram Lazy.t }
+
+let op name =
+  { name; hist = lazy (Obs.Metrics.histogram ("serve_" ^ name ^ "_ms")) }
+
+(* A run of batched guards ({!handle_guard_run}); no client names it. *)
+let guard_batch = op "guard_batch"
+
+(* An op the table does not name: unknown, missing, or a frame that did
+   not parse.  One fixed name, so an op name a client invents never
+   becomes a histogram, a span name or a log field. *)
+let invalid = op "invalid"
+
+let reply_invalid _ req =
+  match P.string_field "op" req with
+  | Some "_parse_error" ->
     error
       (match P.string_field "error" req with
        | Some m -> "bad request: " ^ m
        | None -> "bad request")
-  | op -> error (Printf.sprintf "unknown op %S" op)
+  | name ->
+    error (Printf.sprintf "unknown op %S" (Option.value name ~default:"_missing_op"))
 
-let op_hist t op =
-  match Hashtbl.find_opt t.op_hists op with
-  | Some h -> h
-  | None ->
-    let sane =
-      String.map
-        (fun c ->
-          match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c | _ -> '_')
-        op
-    in
-    let h = Obs.Metrics.histogram (Printf.sprintf "serve_%s_ms" sane) in
-    Hashtbl.replace t.op_hists op h;
-    h
+(* The closed table: every op a client may name, with its handler. *)
+let ops =
+  [ ("ping", fun _ _ -> ok [ ("pong", P.Bool true); ("protocol", P.Int P.version) ]);
+    ("check", do_check);
+    ("guard", do_guard);
+    ("txn", do_txn);
+    ("txn_begin", fun t _ -> do_txn_begin t);
+    ("txn_stmt", do_txn_stmt);
+    ("txn_commit", do_txn_commit);
+    ("txn_abort", do_txn_abort);
+    ("pin", do_pin);
+    ("unpin", do_unpin);
+    ("history", fun t _ -> do_history t);
+    ("checkpoint", do_checkpoint);
+    ("stats", fun t _ -> do_stats t);
+    ("metrics", fun t _ -> do_metrics t);
+    ("slow", fun t _ -> do_slow t);
+    ( "shutdown",
+      fun t _ ->
+        request_stop t;
+        ok [ ("stopping", P.Bool true) ] ) ]
+  |> List.to_seq
+  |> Seq.map (fun (name, run) -> (name, (op name, run)))
+  |> Hashtbl.of_seq
 
 let resp_ok = function
   | P.Obj (("ok", P.Bool b) :: _) -> b
@@ -572,17 +526,6 @@ let echo_trace ~trace_id ~span_id = function
       @ [ ("span_id", P.String span_id) ])
   | other -> other
 
-(* The request span just completed: the serve loop keeps no span open
-   between requests, so the last drained root is this request's. *)
-let capture_request_span t =
-  if Obs.Trace.is_enabled () then
-    match Obs.Trace.drain () with
-    | [] -> None
-    | roots ->
-      push_spans t roots;
-      Some (List.nth roots (List.length roots - 1))
-  else None
-
 (* The failures a request may meet that become its error reply instead
    of leaving the serve loop; shared by single and batched dispatch. *)
 let error_reply = function
@@ -596,7 +539,9 @@ let error_reply = function
 (* The envelope every request shares, alone or as a batched guard run:
    the log's trace id, a [serve:<op>] span (its attributes [op],
    [span_id], then [attrs ()]) when tracing, the [serve_<op>_ms]
-   histogram, the slow ring (with [summary ()]) and a debug line (with
+   histogram, the slow ring (with [summary ()] and, when tracing, the
+   request's span: the serve loop keeps no span open between requests,
+   so the newest root is this request's) and a debug line (with
    [detail] of the result). *)
 let envelope t ~op ~span_id ~trace_id ~attrs ~summary ~detail run =
   XLog.set_trace_id (Some (Option.value trace_id ~default:span_id));
@@ -604,28 +549,30 @@ let envelope t ~op ~span_id ~trace_id ~attrs ~summary ~detail run =
   let t0 = Obs.Clock.now_ns () in
   let result =
     if Obs.Trace.is_enabled () then
-      Obs.Trace.with_span ~slow:true
-        ~attrs:(("op", op) :: ("span_id", span_id) :: attrs ())
-        ("serve:" ^ op) run
+      Obs.Trace.with_span
+        ~attrs:(("op", op.name) :: ("span_id", span_id) :: attrs ())
+        ("serve:" ^ op.name) run
     else run ()
   in
   let dt_ns = Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0) in
-  Obs.Metrics.observe_ns (op_hist t op) dt_ns;
+  Obs.Metrics.observe_ns (Lazy.force op.hist) dt_ns;
   let ms = float_of_int dt_ns /. 1e6 in
-  let span = capture_request_span t in
   if slow_qualifies t ms then
     note_slow t
-      { se_op = op; se_trace_id = trace_id; se_span_id = span_id; se_ms = ms;
-        se_args = summary (); se_span = span };
-  Log.debug (fun m -> m "%s span=%s %s %.3fms" op span_id (detail result) ms);
+      { se_op = op.name; se_trace_id = trace_id; se_span_id = span_id;
+        se_ms = ms; se_args = summary ();
+        se_span = (if Obs.Trace.is_enabled () then Obs.Trace.last_root () else None) };
+  Log.debug (fun m -> m "%s span=%s %s %.3fms" op.name span_id (detail result) ms);
   result
 
 let optional key = function Some v -> [ (key, v) ] | None -> []
 
 let handle t req =
-  t.requests <- t.requests + 1;
-  let op =
-    match P.string_field "op" req with Some o -> o | None -> "_missing_op"
+  Obs.Metrics.incr c_requests;
+  let op, dispatch =
+    match Option.bind (P.string_field "op" req) (Hashtbl.find_opt ops) with
+    | Some entry -> entry
+    | None -> (invalid, reply_invalid)
   in
   let trace_id = P.string_field "trace_id" req in
   let span_id = fresh_span_id t in
@@ -636,7 +583,7 @@ let handle t req =
   in
   let run () =
     let r =
-      try dispatch t op req with
+      try dispatch t req with
       | e -> (match error_reply e with Some r -> r | None -> raise e)
     in
     Obs.Trace.add_attr "ok" (string_of_bool (resp_ok r));
@@ -665,9 +612,9 @@ let handle_guard_run t reqs =
   | [] -> []
   | first :: _ ->
     let n = List.length reqs in
-    t.requests <- t.requests + n;
-    t.batches <- t.batches + 1;
-    t.batched_guards <- t.batched_guards + n;
+    Obs.Metrics.add c_requests n;
+    Obs.Metrics.incr c_guard_batches;
+    Obs.Metrics.add c_batched_guards n;
     let span_id = fresh_span_id t in
     let member_traces =
       List.filter_map (fun r -> P.string_field "trace_id" r) reqs
@@ -715,7 +662,7 @@ let handle_guard_run t reqs =
         merge parsed reports []
     in
     let resps =
-      envelope t ~op:"guard_batch" ~span_id
+      envelope t ~op:guard_batch ~span_id
         ~trace_id:(match member_traces with id :: _ -> Some id | [] -> None)
         ~attrs
         ~summary:(fun () ->
@@ -857,20 +804,20 @@ let read_conn buf c round =
    where [select] cannot watch it, it is closed at once (one warning per
    run of refusals); a full descriptor table or a connection aborted
    before [accept] is transient. *)
-let accept_conn t listen_fd conns refusing =
+let accept_conn listen_fd conns refusing =
   match Unix.accept listen_fd with
   | fd, _ when List.length !conns >= max_connections || fd_number fd >= fd_setsize ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     if not !refusing then
       Log.warn (fun m ->
-          m "refusing connections: %d live, the cap is %d" t.connections
+          m "refusing connections: %d live, the cap is %d" (List.length !conns)
             max_connections);
     refusing := true
   | fd, _ ->
     conns := !conns @ [ { fd; inbox = P.queue (); alive = true } ];
-    t.connections <- List.length !conns;
+    Obs.Metrics.set g_connections (List.length !conns);
     refusing := false;
-    Log.debug (fun m -> m "accepted connection (%d live)" t.connections)
+    Log.debug (fun m -> m "accepted connection (%d live)" (List.length !conns))
   | exception
       Unix.Unix_error
         ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED ),
@@ -897,14 +844,15 @@ let serve ?(idle_timeout = 0.25) t listen_fd =
       List.iter
         (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
         !conns;
-      t.connections <- 0;
+      Obs.Metrics.set g_connections 0;
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       Sys.set_signal Sys.sigint old_int;
       Sys.set_signal Sys.sigterm old_term;
       Sys.set_signal Sys.sigpipe old_pipe;
       Log.info (fun m ->
-          m "serve loop stopped after %d requests (%d batched)" t.requests
-            t.batched_guards))
+          m "serve loop stopped after %d requests (%d batched)"
+            (Obs.Metrics.value c_requests)
+            (Obs.Metrics.value c_batched_guards)))
   @@ fun () ->
   while not !(t.stop) do
     let fds = listen_fd :: List.map (fun c -> c.fd) !conns in
@@ -936,8 +884,8 @@ let serve ?(idle_timeout = 0.25) t listen_fd =
               false
             end)
           !conns;
-      t.connections <- List.length !conns;
+      Obs.Metrics.set g_connections (List.length !conns);
       (* after the hang-ups of this round are closed, so they do not
          count against the cap *)
-      if List.memq listen_fd ready then accept_conn t listen_fd conns refusing
+      if List.memq listen_fd ready then accept_conn listen_fd conns refusing
   done

@@ -5,9 +5,11 @@
     stay resident — and answers {!Protocol} requests:
 
     {ul
-    {- [ping], [stats], [shutdown] — [stats] carries the server's
-       request counts, per-op latency quantiles and the metrics registry
-       as JSON ([metrics]);}
+    {- [ping], [stats], [shutdown] — [stats] carries [server] (uptime,
+       requests per second, generation) and the metrics registry as
+       JSON ([metrics]): the request counters [serve_requests],
+       [serve_guard_batches] and [serve_batched_guards], and one
+       [serve_<op>_ms] histogram (count, p50, p90, p99) per op served;}
     {- [metrics]: Prometheus text exposition of every counter, gauge and
        latency histogram.  Before [stats] or [metrics] renders the
        registry, the serve gauges (open transactions, pins, retained
@@ -15,9 +17,10 @@
        facts, live connections) and the collector's counters
        ([gc_*]: minor and major collections, major-heap words
        allocated, heap words, from [Gc.quick_stat]) are synced;}
-    {- [slow]: the N slowest requests so far (worst first), each with
-       its op, duration, trace identifiers, truncated request document,
-       and — when request tracing is on — its full span tree;}
+    {- [slow]: the 8 slowest requests so far (worst first; a fixed
+       ring), each with its op, duration, trace identifiers, truncated
+       request document, and — when request tracing is on — its full
+       span tree;}
     {- [check]: live verdict, a pinned one ([{"pin":id}]), or a
        time-travel one at a retained past generation
        ([{"as_of":generation}]) — while a streaming transaction is open,
@@ -49,6 +52,13 @@
        transaction is open; evicts the zero-ref retained history — the
        snapshot owns that state durably.}}
 
+    The ops above form a closed table.  A request naming no op in it
+    (unknown, missing, or a frame that did not parse) gets an error
+    reply and is timed, logged, traced and ring-recorded under the one
+    name [invalid], so an op name a client invents never becomes a
+    histogram, span name or log field; a batched guard run is timed as
+    [guard_batch].
+
     Single-threaded [select] loop — on this container there is one CPU,
     so concurrency is I/O multiplexing, not parallelism; the serialized
     writer comes for free and readers are isolated by frozen generation
@@ -63,20 +73,17 @@ type config = {
   checkpoint_on_shutdown : bool;
       (** write a final checkpoint during graceful shutdown (requires
           [snapshot_path]) *)
-  slow_capacity : int;
-      (** how many slowest requests the [slow] op retains (min 1) *)
 }
 
 val default_config : config
-(** No journal, no snapshot path, no shutdown checkpoint, 8
-    slow-request slots. *)
+(** No journal, no snapshot path, no shutdown checkpoint. *)
 
 type t
 
 val create : ?config:config -> Xic_core.Repository.t -> t
-val repo : t -> Xic_core.Repository.t
 val requests : t -> int
-(** Requests handled so far. *)
+(** Requests handled so far: the [serve_requests] counter, which is
+    process-wide like every registry cell. *)
 
 val handle : t -> Protocol.json -> Protocol.json
 (** Process one request (exceptions become [{"ok":false,...}] error
@@ -87,13 +94,9 @@ val handle : t -> Protocol.json -> Protocol.json
     both are attached to the per-request server span, the [trace_id] is
     stamped on every log line emitted while handling the request, and
     the response echoes the [trace_id] plus the server-assigned
-    [span_id]. *)
-
-val trace_roots : t -> Xic_obs.Obs.Trace.span list
-(** Completed request spans (plus any spans drained at {!create} time,
-    e.g. document load), oldest first — the serve session's trace,
-    ready for {!Xic_obs.Obs.Trace.to_chrome_json}.  Empty unless
-    tracing was enabled. *)
+    [span_id].  A request span is a root of {!Xic_obs.Obs.Trace.roots}
+    (with the spans of the document load before it), the serve
+    session's trace. *)
 
 val handle_round : t -> Protocol.json list -> Protocol.json list
 (** Process one poll round's requests in order, applying maximal
@@ -127,7 +130,9 @@ val serve : ?idle_timeout:float -> t -> Unix.file_descr -> unit
     reply), and per connection a byte queue scanned in place
     ({!Protocol.scan_frames}).
 
-    At most {!max_connections} connections are served at once: a
+    At most 960 connections are served at once (a constant: [select]'s
+    FD_SETSIZE, 1024, less 64 descriptors kept for the listening
+    socket, the journal, the log and the standard streams): a
     connection accepted beyond that, or whose descriptor number is
     FD_SETSIZE or more (which happens when descriptors inherited from
     the parent process hold the low numbers), is closed at once, with a warning in the log.
@@ -135,8 +140,3 @@ val serve : ?idle_timeout:float -> t -> Unix.file_descr -> unit
     aborted before [accept] is transient.  A read or write
     error on one connection closes that connection only (SIGPIPE is
     ignored while the loop runs). *)
-
-val max_connections : int
-(** 960: [select]'s FD_SETSIZE (1024) less 64 descriptors kept for the
-    listening socket, the journal, the log and the standard streams.  A
-    constant, not a setting. *)

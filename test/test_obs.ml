@@ -1,5 +1,5 @@
-(* Observability layer: histogram bucketing and merge, span-tree
-   nesting, export shape. *)
+(* Observability layer: histogram bucketing, span-tree nesting and its
+   bounded root list, export shape. *)
 
 module Obs = Xic_obs.Obs
 module Trace = Obs.Trace
@@ -60,21 +60,6 @@ let test_histogram_observe () =
   checki "total bucketed = count" s.Metrics.count
     (Array.fold_left ( + ) 0 s.Metrics.buckets)
 
-let test_histogram_merge () =
-  let a = Metrics.histogram "test_histogram_merge_a" in
-  let b = Metrics.histogram "test_histogram_merge_b" in
-  List.iter (Metrics.observe_ns a) [ 1; 2; 100 ];
-  List.iter (Metrics.observe_ns b) [ 2; 1_000_000 ];
-  let m = Metrics.hsnap_merge (Metrics.hsnap a) (Metrics.hsnap b) in
-  checki "merged count" 5 m.Metrics.count;
-  checki "merged sum" 1_000_105 m.Metrics.sum_ns;
-  checki "merged bucket for 2ns" 2 m.Metrics.buckets.(2);
-  checki "merged total = count" m.Metrics.count
-    (Array.fold_left ( + ) 0 m.Metrics.buckets);
-  (* merge is commutative *)
-  let m' = Metrics.hsnap_merge (Metrics.hsnap b) (Metrics.hsnap a) in
-  checkb "commutative" true (m = m')
-
 let test_histogram_quantile () =
   let h = Metrics.histogram "test_histogram_quantile" in
   (* 9 fast observations, 1 slow: p50 sits in the fast bucket, p99 in
@@ -121,7 +106,6 @@ let test_span_nesting () =
   match Trace.roots () with
   | [ root ] ->
     checks "root name" "outer" root.Trace.name;
-    checki "span count" 4 (Trace.span_count [ root ]);
     (match List.rev root.Trace.children with
      | [ a; b ] ->
        checks "first child" "a" a.Trace.name;
@@ -157,6 +141,23 @@ let test_span_exception_unwinds () =
     Trace.with_span "next" (fun () -> ());
     checki "fresh root" 2 (List.length (Trace.roots ()))
   | rs -> Alcotest.failf "expected one root, got %d" (List.length rs)
+
+(* A long-lived process completes one root per request: the list keeps
+   the newest [max_roots], oldest first. *)
+let test_roots_bounded () =
+  with_tracing @@ fun () ->
+  let n = Trace.max_roots + 100 in
+  for i = 0 to n - 1 do
+    Trace.with_span (Printf.sprintf "r%d" i) (fun () -> ())
+  done;
+  (match Trace.last_root () with
+   | Some sp -> checks "newest root" (Printf.sprintf "r%d" (n - 1)) sp.Trace.name
+   | None -> Alcotest.fail "no newest root");
+  let roots = Trace.roots () in
+  checki "capped" Trace.max_roots (List.length roots);
+  checks "oldest kept is the 101st" "r100" (List.hd roots).Trace.name;
+  checks "newest last" (Printf.sprintf "r%d" (n - 1))
+    (List.nth roots (Trace.max_roots - 1)).Trace.name
 
 let test_disabled_is_transparent () =
   Trace.set_enabled false;
@@ -367,7 +368,6 @@ let () =
         [
           Alcotest.test_case "log2 bucketing" `Quick test_bucket_of_ns;
           Alcotest.test_case "observe" `Quick test_histogram_observe;
-          Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "quantiles" `Quick test_histogram_quantile;
           Alcotest.test_case "counters" `Quick test_counters;
         ] );
@@ -376,6 +376,8 @@ let () =
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception unwinds" `Quick
             test_span_exception_unwinds;
+          Alcotest.test_case "completed roots are bounded" `Quick
+            test_roots_bounded;
           Alcotest.test_case "disabled is transparent" `Quick
             test_disabled_is_transparent;
           Alcotest.test_case "slow log" `Quick test_slow_log;

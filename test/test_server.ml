@@ -767,7 +767,7 @@ let test_trace_roundtrip () =
     (Option.get (P.string_field "trace_id" resp));
   let span_id = Option.get (P.string_field "span_id" resp) in
   checkb "server span id assigned" true (span_id <> "");
-  let roots = Srv.trace_roots srv in
+  let roots = Obs.Trace.roots () in
   checkb "request span captured" true (roots <> []);
   let span = List.nth roots (List.length roots - 1) in
   checks "span name" "serve:check" span.Obs.Trace.name;
@@ -808,25 +808,31 @@ let test_log_trace_correlation () =
   checkb "trace id cleared between requests" true
     (XLog.trace_id () = None)
 
-(* The stats response surfaces per-op latency quantiles directly. *)
+(* The stats response's registry carries per-op latency quantiles:
+   [metrics.histograms.serve_<op>_ms]. *)
 let test_stats_quantiles () =
   let srv = Srv.create (make_repo ()) in
+  (* the registry rides the reply pre-rendered: read it as a client does *)
+  let stats () =
+    P.of_string (P.to_string (Srv.handle srv (P.Obj [ ("op", P.String "stats") ])))
+  in
+  let check_hist resp =
+    match Option.bind (P.member "metrics" resp) (P.member "histograms") with
+    | Some hs -> P.member "serve_check_ms" hs
+    | None -> Alcotest.fail "stats response lacks metrics.histograms"
+  in
   (* the serve_<op>_ms histograms are process-global, so measure the
      count as a delta across this test's own requests *)
   let check_count () =
-    let resp = Srv.handle srv (P.Obj [ ("op", P.String "stats") ]) in
-    match P.member "ops" resp with
-    | Some (P.Obj ops) ->
-      (match List.assoc_opt "check" ops with
-       | Some o -> Option.value ~default:0 (P.int_field "count" o)
-       | None -> 0)
-    | _ -> Alcotest.fail "stats response lacks ops"
+    match check_hist (stats ()) with
+    | Some o -> Option.value ~default:0 (P.int_field "count" o)
+    | None -> 0
   in
   let before = check_count () in
   for _ = 1 to 5 do
     ignore (Srv.handle srv (P.Obj [ ("op", P.String "check") ]))
   done;
-  let resp = Srv.handle srv (P.Obj [ ("op", P.String "stats") ]) in
+  let resp = stats () in
   let num j k =
     match P.member k j with
     | Some (P.Float f) -> f
@@ -835,15 +841,13 @@ let test_stats_quantiles () =
   in
   checkb "count grew by at least the five checks" true
     (check_count () >= before + 5);
-  match P.member "ops" resp with
-  | Some (P.Obj ops) ->
-    (match List.assoc_opt "check" ops with
-     | Some o ->
-       let p50 = num o "p50_ms" and p99 = num o "p99_ms" in
-       checkb "p50 positive" true (p50 > 0.0);
-       checkb "p99 >= p50" true (p99 >= p50)
-     | None -> Alcotest.fail "stats.ops lacks the check op")
-  | _ -> Alcotest.fail "stats response lacks ops"
+  checkb "no second copy of the histograms" true (P.member "ops" resp = None);
+  match check_hist resp with
+  | Some o ->
+    let p50 = num o "p50_ms" and p99 = num o "p99_ms" in
+    checkb "p50 positive" true (p50 > 0.0);
+    checkb "p99 >= p50" true (p99 >= p50)
+  | None -> Alcotest.fail "metrics.histograms lacks serve_check_ms"
 
 (* The metrics op returns parseable Prometheus text exposition with the
    serve gauges synced. *)
@@ -881,30 +885,33 @@ let test_metrics_exposition () =
   checkb "ms histograms exported in seconds" true
     (contains body "xic_serve_check_seconds")
 
-(* The slow ring keeps the worst requests, worst-first, capped, with
-   span trees when tracing is on. *)
+let entry_ms e =
+  match P.member "ms" e with
+  | Some (P.Float f) -> f
+  | Some (P.Int i) -> float_of_int i
+  | _ -> Alcotest.fail "entry lacks ms"
+
+(* The slow ring keeps the worst requests, worst-first, in its 8 fixed
+   slots, with span trees when tracing is on. *)
 let test_slow_ring () =
   with_tracing @@ fun () ->
-  let config = { Srv.default_config with slow_capacity = 2 } in
-  let srv = Srv.create ~config (make_repo ()) in
+  let srv = Srv.create (make_repo ()) in
   ignore (Srv.handle srv (P.Obj [ ("op", P.String "ping") ]));
-  for _ = 1 to 3 do
+  for _ = 1 to 12 do
     ignore (Srv.handle srv (P.Obj [ ("op", P.String "check") ]))
   done;
   let resp = Srv.handle srv (P.Obj [ ("op", P.String "slow") ]) in
-  checki "capacity reported" 2 (Option.get (P.int_field "capacity" resp));
+  checki "capacity reported" 8 (Option.get (P.int_field "capacity" resp));
   match P.list_field "slow" resp with
   | Some entries ->
-    checki "ring capped" 2 (List.length entries);
-    let ms e =
-      match P.member "ms" e with
-      | Some (P.Float f) -> f
-      | Some (P.Int i) -> float_of_int i
-      | _ -> Alcotest.fail "entry lacks ms"
+    checki "ring capped" 8 (List.length entries);
+    let rec worst_first = function
+      | a :: (b :: _ as rest) -> entry_ms a >= entry_ms b && worst_first rest
+      | _ -> true
     in
+    checkb "worst first" true (worst_first entries);
     (match entries with
-     | [ a; b ] ->
-       checkb "worst first" true (ms a >= ms b);
+     | a :: _ ->
        checkb "entry names its op" true (P.string_field "op" a <> None);
        checkb "entry has a span id" true (P.string_field "span_id" a <> None);
        checkb "entry keeps the request document" true
@@ -916,8 +923,58 @@ let test_slow_ring () =
              | Some n -> contains n "serve:"
              | None -> false)
         | None -> Alcotest.fail "tracing was on: span tree expected")
-     | _ -> Alcotest.fail "two entries expected")
+     | [] -> Alcotest.fail "entries expected")
   | None -> Alcotest.fail "slow response lacks entries"
+
+(* Ops a client invents cannot grow the server: 1 000 distinct unknown
+   op names and one 1 MB name are all answered, timed, traced and
+   ring-recorded as [invalid].  The registry gains at most that one
+   histogram, the exposition at most its one summary (a TYPE line, three
+   quantiles, sum and count), and no span name carries a client's
+   string. *)
+let test_invented_ops_bounded () =
+  with_tracing @@ fun () ->
+  let srv = Srv.create (make_repo ()) in
+  let metrics () =
+    Option.get
+      (P.string_field "body" (Srv.handle srv (P.Obj [ ("op", P.String "metrics") ])))
+  in
+  let lines s = List.length (String.split_on_char '\n' s) in
+  let n_hists () = List.length (snd (Obs.Metrics.snapshot ())) in
+  ignore (metrics ());
+  let hists0 = n_hists () and lines0 = lines (metrics ()) in
+  let huge = String.make 1_000_000 'q' in
+  let names = List.init 1000 (Printf.sprintf "no_such_op_%d") @ [ huge ] in
+  checkb "every invented op gets an error reply" true
+    (List.for_all
+       (fun name -> not (P.bool_field "ok" (Srv.handle srv (P.Obj [ ("op", P.String name) ]))))
+       names);
+  checkb "at most one histogram more" true (n_hists () <= hists0 + 1);
+  checkb "at most one summary more" true (lines (metrics ()) <= lines0 + 6);
+  (match P.list_field "slow" (Srv.handle srv (P.Obj [ ("op", P.String "slow") ])) with
+   | Some entries ->
+     let invented =
+       List.filter
+         (fun e ->
+           match P.string_field "request" e with
+           | Some r -> contains r "no_such_op" || contains r "qqqq"
+           | None -> false)
+         entries
+     in
+     checkb "invented ops fill the ring" true (invented <> []);
+     List.iter
+       (fun e ->
+         checks "ring entries name invalid" "invalid"
+           (Option.value ~default:"" (P.string_field "op" e)))
+       invented
+   | None -> Alcotest.fail "slow response lacks entries");
+  let rec names_ok (sp : Obs.Trace.span) =
+    (not (contains sp.Obs.Trace.name "no_such_op"))
+    && (not (contains sp.Obs.Trace.name "qqqq"))
+    && List.for_all names_ok sp.Obs.Trace.children
+  in
+  checkb "no span name carries a client's op" true
+    (List.for_all names_ok (Obs.Trace.roots ()))
 
 (* Oversized and malformed frame lengths are refused with the cap and
    the offending length spelled out, on both the read and write side. *)
@@ -1134,6 +1191,8 @@ let () =
           Alcotest.test_case "prometheus exposition" `Quick
             test_metrics_exposition;
           Alcotest.test_case "slow ring" `Quick test_slow_ring;
+          Alcotest.test_case "invented ops stay bounded" `Quick
+            test_invented_ops_bounded;
           Alcotest.test_case "frame cap errors" `Quick test_frame_cap_errors;
         ] );
       ( "serve loop",
