@@ -288,14 +288,12 @@ let stages ~sizes ~reps () =
     List.map
       (fun (key, constraint_) ->
         Obs.Trace.set_enabled true;
-        Obs.Metrics.set_detailed true;
         Obs.Trace.reset ();
         let { repo; _ } = setup ~size ~constraint_ () in
         ignore (Repository.store repo : Xic_datalog.Store.t);
         ignore (Repository.check_full repo : string list);
         let roots = Obs.Trace.roots () in
         Obs.Trace.set_enabled false;
-        Obs.Metrics.set_detailed false;
         Obs.Trace.reset ();
         let totals = Hashtbl.create 16 in
         let rec walk (sp : Obs.Trace.span) =
@@ -312,17 +310,16 @@ let stages ~sizes ~reps () =
         Printf.printf "%-7s" key;
         List.iter (fun n -> Printf.printf " %s=%.3f" n (get n)) stage_names;
         Printf.printf " (ms)\n%!";
-        (* steady-state full check, instrumentation off vs on *)
+        (* steady-state full check, tracing off vs on (the metrics
+           registry is live in both) *)
         let off_med, _ =
           time_stats ~reps (fun () -> Repository.check_full repo)
         in
         Obs.Trace.set_enabled true;
-        Obs.Metrics.set_detailed true;
         let on_med, _ =
           time_stats ~reps (fun () -> Repository.check_full repo)
         in
         Obs.Trace.set_enabled false;
-        Obs.Metrics.set_detailed false;
         Obs.Trace.reset ();
         Printf.printf
           "%-7s full check: tracing off %.3f ms | on %.3f ms (%+.1f%%)\n%!" key
@@ -1454,9 +1451,10 @@ let server_bench ~reps () =
   print_newline ()
 
 (* Serve-path cost of the observability stack: request latency against
-   a plain server vs one with structured debug logging, request tracing
-   and the slow-request ring all enabled.  Both servers are alive at
-   once and the measurement rounds alternate between them in
+   a plain server vs one with structured debug logging and request
+   tracing enabled.  The metrics registry and the slow-request ring have
+   no switch, so every configuration keeps them.  All servers are alive
+   at once and the measurement rounds alternate between them in
    interleaved order, so the two populations face the same machine
    state; per-side medians are compared. *)
 let server_obs_bench ~reps () =
@@ -1464,10 +1462,11 @@ let server_obs_bench ~reps () =
   Printf.printf "# Observability overhead on the serve path (%d bytes)\n" size;
   let s = Conf.schema () in
   let ds = Gen.generate ~seed:42 ~target_bytes:size () in
-  (* three configurations: the PR 8 server, the production observability
-     setting (info-level structured log + metrics — per-request debug
-     lines are filtered before rendering), and the full diagnostic
-     stack (per-request debug lines, request tracing, slow ring). *)
+  (* three configurations: "plain" (no log, no tracing: the always-on
+     metrics registry and slow ring only), the production observability
+     setting (info-level structured log — per-request debug lines are
+     filtered before rendering), and the full diagnostic stack
+     (per-request debug lines and request tracing). *)
   let configs = [ ("plain", `Plain); ("log+metrics", `Info);
                   ("debug+trace", `Debug) ] in
   (* the child-side logging setup, then the served repository *)

@@ -108,35 +108,15 @@ let metrics_arg =
   in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
-let slow_ms_arg =
-  let doc =
-    "Record every constraint check slower than $(docv) milliseconds in the \
-     slow-check log, printed to stderr at exit (implies tracing)."
-  in
-  Arg.(value & opt (some float) None & info [ "slow-ms" ] ~docv:"MS" ~doc)
+(* Turn tracing on for --trace (the metrics registry is always live).
+   Must run before any document loads so the parse span is captured. *)
+let obs_setup ~trace = if trace <> None then Obs.Trace.set_enabled true
 
-(* Enable the requested instrumentation.  Must run before any document
-   loads so the parse span is captured. *)
-let obs_setup ~trace ~metrics ~slow_ms =
-  if metrics || trace <> None || slow_ms <> None then
-    Obs.Metrics.set_detailed true;
-  if trace <> None || slow_ms <> None then Obs.Trace.set_enabled true;
-  Option.iter (fun ms -> Obs.Trace.set_slow_threshold_ms (Some ms)) slow_ms
-
-let print_slow_log () =
-  match Obs.Trace.slow_log () with
-  | [] -> ()
-  | slow ->
-    prerr_endline "slow checks:";
-    List.iter
-      (fun (sp : Obs.Trace.span) ->
-        Printf.eprintf "  %s %.3fms\n" sp.Obs.Trace.name
-          (Obs.Trace.duration_ms sp))
-      slow
-
-(* Write spans to --trace FILE as Chrome JSON, or to stderr as an
-   indented text tree for '-'. *)
-let write_trace roots = function
+(* Write the collected spans to --trace FILE as Chrome JSON, or to
+   stderr as an indented text tree for '-'. *)
+let write_trace trace =
+  let roots = Obs.Trace.roots () in
+  match trace with
   | None -> ()
   | Some "-" -> prerr_string (Obs.Trace.to_text roots)
   | Some path ->
@@ -150,14 +130,12 @@ let write_trace roots = function
     close_out oc;
     Printf.printf "wrote trace %s\n" path
 
-(* Write the collected trace; runs after the command body, before any
-   exit-code decision, so failing checks still produce their trace. *)
-let obs_finish ~trace ~slow_ms =
-  write_trace (Obs.Trace.roots ()) trace;
-  if slow_ms <> None then print_slow_log ()
-
-let print_metrics ~metrics =
-  if metrics then print_endline (Obs.Metrics.to_json ())
+(* Print --metrics' JSON object, then write the --trace output; runs
+   after the command body, before any exit-code decision, so failing
+   checks still produce both. *)
+let obs_finish ~trace ~metrics =
+  if metrics then print_endline (Obs.Metrics.to_json ());
+  write_trace trace
 
 let load_schema specs =
   let parse spec =
@@ -356,13 +334,10 @@ let check_cmd =
     Arg.(value & flag & info [ "explain" ] ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate explain
-      trace metrics slow_ms =
-    obs_setup ~trace ~metrics ~slow_ms;
+      trace metrics =
+    obs_setup ~trace;
     (* --explain needs a traced run for its observed timings *)
-    if explain then begin
-      Obs.Trace.set_enabled true;
-      Obs.Metrics.set_detailed true
-    end;
+    if explain then Obs.Trace.set_enabled true;
     let repo, _ =
       bring_up ~no_validate dtds (source ~snapshot docs) ~constraints ~pattern
         ~journal:None
@@ -375,19 +350,16 @@ let check_cmd =
     List.iter print_endline violations;
     if explain then begin
       ignore (Repository.check_full repo : string list);
-      print_plans repo (Obs.Trace.roots ());
-      if slow_ms = None then print_slow_log ()
+      print_plans repo (Obs.Trace.roots ())
     end;
-    print_metrics ~metrics;
-    obs_finish ~trace ~slow_ms;
+    obs_finish ~trace ~metrics;
     if violations <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Check integrity constraints against the documents")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ explain_arg $ trace_arg $ metrics_arg
-      $ slow_ms_arg)
+      $ pattern_arg $ no_validate_arg $ explain_arg $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* simplify                                                            *)
@@ -466,8 +438,8 @@ let guard_cmd =
     Arg.(required & opt (some file) None & info [ "update" ] ~docv:"FILE" ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate update output
-      journal eval_budget trace metrics slow_ms =
-    obs_setup ~trace ~metrics ~slow_ms;
+      journal eval_budget trace metrics =
+    obs_setup ~trace;
     let repo, _ =
       bring_up ~writer:true ~no_validate dtds (source ~snapshot docs)
         ~constraints ~pattern ~journal
@@ -483,8 +455,7 @@ let guard_cmd =
     Option.iter Xic_journal.Journal.close journal;
     print_degradations report;
     print_outcome report.Repository.outcome;
-    print_metrics ~metrics;
-    obs_finish ~trace ~slow_ms;
+    obs_finish ~trace ~metrics;
     (match report.Repository.outcome with
      | Repository.Applied _ -> ()
      | Repository.Rejected_early _ | Repository.Rolled_back _ -> exit 1);
@@ -496,8 +467,7 @@ let guard_cmd =
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
       $ pattern_arg $ no_validate_arg $ update_arg $ output_arg
-      $ journal_arg $ eval_budget_arg $ trace_arg $ metrics_arg
-      $ slow_ms_arg)
+      $ journal_arg $ eval_budget_arg $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* txn                                                                 *)
@@ -516,8 +486,8 @@ let txn_cmd =
     Arg.(value & flag & info [ "abort" ] ~doc)
   in
   let run dtds docs snapshot constraints pattern no_validate updates output
-      journal eval_budget abort trace metrics slow_ms =
-    obs_setup ~trace ~metrics ~slow_ms;
+      journal eval_budget abort trace metrics =
+    obs_setup ~trace;
     let repo, _ =
       bring_up ~writer:true ~no_validate dtds (source ~snapshot docs)
         ~constraints ~pattern ~journal
@@ -546,8 +516,7 @@ let txn_cmd =
         (Repository.txn_statements tx)
     end;
     Option.iter Xic_journal.Journal.close journal;
-    print_metrics ~metrics;
-    obs_finish ~trace ~slow_ms;
+    obs_finish ~trace ~metrics;
     Option.iter (write_roots repo) output;
     if !refused > 0 then exit 1
   in
@@ -560,7 +529,7 @@ let txn_cmd =
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
       $ pattern_arg $ no_validate_arg $ updates_arg $ output_arg
       $ journal_arg $ eval_budget_arg $ abort_arg $ trace_arg
-      $ metrics_arg $ slow_ms_arg)
+      $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* recover                                                             *)
@@ -582,7 +551,6 @@ let recover_cmd =
       required & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
   let run dtds docs snapshot constraints no_validate journal metrics output =
-    obs_setup ~trace:None ~metrics ~slow_ms:None;
     let repo, r =
       match
         bring_up ~no_validate dtds (source ~snapshot docs) ~constraints
@@ -610,7 +578,7 @@ let recover_cmd =
       (fun (txn, m) -> Printf.printf "REPLAY ERROR in transaction %d: %s\n" txn m)
       r.Repository.replay_errors;
     List.iter (Printf.printf "VIOLATED after replay: %s\n") r.Repository.post_violations;
-    print_metrics ~metrics;
+    obs_finish ~trace:None ~metrics;
     Option.iter (write_roots repo) output;
     if r.Repository.replay_errors <> [] || r.Repository.post_violations <> [] then
       exit 1;
@@ -761,7 +729,7 @@ let serve_cmd =
        (match XLog.open_path path with
         | Ok () -> ()
         | Error m -> die "cannot open log: %s" m));
-    if trace <> None then Obs.Trace.set_enabled true;
+    obs_setup ~trace;
     (* bring the state up to date with the journal before serving *)
     let repo, _ =
       bring_up ~writer:true ~no_validate dtds (source ~snapshot docs)
@@ -791,7 +759,7 @@ let serve_cmd =
      | Proto.Unix_sock path ->
        (try Sys.remove path with Sys_error _ -> ())
      | Proto.Tcp _ -> ());
-    write_trace (Obs.Trace.roots ()) trace;
+    write_trace trace;
     XLog.close ();
     Printf.printf "served %d request(s); shutdown complete\n%!"
       (Srv.requests server)

@@ -1,10 +1,12 @@
-(* Zero-dependency observability: spans, metrics, slow-check log.
+(* Zero-dependency observability: spans and metrics.
 
-   Everything here is engineered around one constraint: when tracing is
-   off (the common case), the cost of an instrumented call site must be
-   a single load-and-branch — no allocation, no closure, no clock read.
-   [Trace.with_span] therefore takes the thunk last and checks the
-   static [enabled] flag before touching anything else.
+   Tracing is the one switch.  When it is off (the common case), the
+   cost of a span site must be a single load-and-branch — no
+   allocation, no closure, no clock read.  [Trace.with_span] therefore
+   takes the thunk last and checks the static [enabled] flag before
+   touching anything else.  The metrics registry has no switch: a
+   counter bump is one add and a histogram observation a bucket
+   increment, cheap enough to be always on.
 
    The checker runs on one domain, so there is one span context and no
    synchronisation. *)
@@ -26,7 +28,6 @@ module Trace = struct
     start_ns : int64;
     mutable stop_ns : int64;
     mutable children : span list; (* newest-first while building *)
-    slow : bool; (* candidate for the slow-check log *)
   }
 
   let enabled = ref false
@@ -48,27 +49,6 @@ module Trace = struct
       roots_rev := List.filteri (fun i _ -> i < max_roots) !roots_rev;
       roots_n := max_roots
     end
-
-  (* --- slow-check log ------------------------------------------- *)
-
-  let slow_threshold_ns = ref Int64.max_int
-  let slow_entries : span list ref = ref [] (* newest-first, capped *)
-  let slow_cap = 64
-
-  let set_slow_threshold_ms = function
-    | None -> slow_threshold_ns := Int64.max_int
-    | Some ms -> slow_threshold_ns := Int64.of_float (ms *. 1e6)
-
-  let note_slow sp =
-    let keep =
-      if List.length !slow_entries >= slow_cap then
-        List.filteri (fun i _ -> i < slow_cap - 1) !slow_entries
-      else !slow_entries
-    in
-    slow_entries := sp :: keep
-
-  let slow_log () = List.rev !slow_entries
-  let clear_slow_log () = slow_entries := []
 
   (* --- span lifecycle ------------------------------------------- *)
 
@@ -92,16 +72,13 @@ module Trace = struct
          | [] -> []
        in
        stack := unwind !stack);
-    attach sp;
-    if sp.slow && Int64.sub sp.stop_ns sp.start_ns >= !slow_threshold_ns then
-      note_slow sp
+    attach sp
 
-  let with_span ?(attrs = []) ?(slow = false) name f =
+  let with_span ?(attrs = []) name f =
     if not !enabled then f ()
     else begin
       let sp =
-        { name; attrs; start_ns = Clock.now_ns (); stop_ns = 0L;
-          children = []; slow }
+        { name; attrs; start_ns = Clock.now_ns (); stop_ns = 0L; children = [] }
       in
       stack := sp :: !stack;
       Fun.protect ~finally:(fun () -> finish sp) f
@@ -110,9 +87,7 @@ module Trace = struct
   let event ?(attrs = []) name =
     if !enabled then begin
       let now = Clock.now_ns () in
-      attach
-        { name; attrs; start_ns = now; stop_ns = now; children = [];
-          slow = false }
+      attach { name; attrs; start_ns = now; stop_ns = now; children = [] }
     end
 
   let add_attr k v =
@@ -235,12 +210,6 @@ module Metrics = struct
      Prometheus exposition types them [gauge] (their value may go
      down — open transactions, pinned generations, …). *)
   let gauge_names : (string, unit) Hashtbl.t = Hashtbl.create 16
-
-  (* Histograms on the per-check fast path are only populated when
-     [detailed] is set (xicheck sets it for --metrics/--trace runs);
-     plain counters are always live. *)
-  let detailed = ref false
-  let set_detailed b = detailed := b
 
   let counter name =
     match Hashtbl.find_opt counters name with

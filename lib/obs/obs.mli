@@ -1,7 +1,9 @@
 (** Zero-dependency tracing + metrics for the check pipeline.
 
-    Instrumented call sites are free when tracing is disabled: the
-    static flag is tested before any allocation or clock read. *)
+    Tracing has one switch, {!Trace.set_enabled}: a span site tested
+    against it costs no allocation or clock read when it is off.  The
+    metrics registry has none: every counter and histogram is always
+    live. *)
 
 module Clock : sig
   (** Monotonic nanoseconds ([clock_gettime(CLOCK_MONOTONIC)]). *)
@@ -17,18 +19,15 @@ module Trace : sig
     start_ns : int64;
     mutable stop_ns : int64;
     mutable children : span list; (* newest-first while building *)
-    slow : bool;
   }
 
   val set_enabled : bool -> unit
   val is_enabled : unit -> bool
 
   (** [with_span name f] runs [f] inside a new span nested under the
-      innermost open span.  [slow] marks the span as a
-      slow-log candidate (see {!set_slow_threshold_ms}).  When tracing
-      is disabled this is exactly [f ()]. *)
-  val with_span :
-    ?attrs:(string * string) list -> ?slow:bool -> string -> (unit -> 'a) -> 'a
+      innermost open span.  When tracing is disabled this is exactly
+      [f ()]. *)
+  val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 
   (** Zero-duration marker attached to the innermost open span. *)
   val event : ?attrs:(string * string) list -> string -> unit
@@ -57,26 +56,12 @@ module Trace : sig
   (** Indented text rendering of the span forest. *)
   val to_text : span list -> string
 
-  (** Record completed [slow:true] spans that exceed the threshold.
-      [None] disables the log (the default). *)
-  val set_slow_threshold_ms : float option -> unit
-
-  (** Recorded slow spans, oldest first, capped at 64. *)
-  val slow_log : unit -> span list
-
-  val clear_slow_log : unit -> unit
   val json_escape : string -> string
 end
 
 module Metrics : sig
   type counter
   type histogram
-
-  (** Histograms on per-check fast paths observe only when [detailed]
-      is set; counters are always live. *)
-  val detailed : bool ref
-
-  val set_detailed : bool -> unit
 
   (** Intern a counter by name (one cell; hold the handle). *)
   val counter : string -> counter

@@ -567,6 +567,21 @@ let envelope t ~op ~span_id ~trace_id ~attrs ~summary ~detail run =
 
 let optional key = function Some v -> [ (key, v) ] | None -> []
 
+(* The longest id a client may name a request by.  A longer [trace_id]
+   or [span_id] is cut here, where the server reads it, so the slow
+   ring, the log, the spans and the echo all carry the same bounded id. *)
+let max_client_id = 128
+
+let client_id key req =
+  Option.map
+    (fun id ->
+      if String.length id <= max_client_id then id
+      else String.sub id 0 max_client_id)
+    (P.string_field key req)
+
+(* How many member trace ids a batched guard run's span lists. *)
+let max_batch_trace_ids = 8
+
 let handle t req =
   Obs.Metrics.incr c_requests;
   let op, dispatch =
@@ -574,12 +589,12 @@ let handle t req =
     | Some entry -> entry
     | None -> (invalid, reply_invalid)
   in
-  let trace_id = P.string_field "trace_id" req in
+  let trace_id = client_id "trace_id" req in
   let span_id = fresh_span_id t in
   let attrs () =
     ("generation", string_of_int (R.generation t.srepo))
     :: (optional "trace_id" trace_id
-       @ optional "parent_span_id" (P.string_field "span_id" req))
+       @ optional "parent_span_id" (client_id "span_id" req))
   in
   let run () =
     let r =
@@ -616,15 +631,16 @@ let handle_guard_run t reqs =
     Obs.Metrics.incr c_guard_batches;
     Obs.Metrics.add c_batched_guards n;
     let span_id = fresh_span_id t in
-    let member_traces =
-      List.filter_map (fun r -> P.string_field "trace_id" r) reqs
-    in
+    let member_traces = List.map (client_id "trace_id") reqs in
     let attrs () =
       ("batch", string_of_int n)
       :: ("generation", string_of_int (R.generation t.srepo))
-      :: (match member_traces with
+      :: (match List.filter_map Fun.id member_traces with
           | [] -> []
-          | ids -> [ ("trace_ids", String.concat "," ids) ])
+          | ids ->
+            [ ( "trace_ids",
+                String.concat ","
+                  (List.filteri (fun i _ -> i < max_batch_trace_ids) ids) ) ])
     in
     let run () =
       let parsed =
@@ -663,7 +679,7 @@ let handle_guard_run t reqs =
     in
     let resps =
       envelope t ~op:guard_batch ~span_id
-        ~trace_id:(match member_traces with id :: _ -> Some id | [] -> None)
+        ~trace_id:(List.find_map Fun.id member_traces)
         ~attrs
         ~summary:(fun () ->
           Printf.sprintf "batch of %d guards; first: %s" n (req_summary first))
@@ -671,9 +687,8 @@ let handle_guard_run t reqs =
         run
     in
     List.map2
-      (fun req resp ->
-        echo_trace ~trace_id:(P.string_field "trace_id" req) ~span_id resp)
-      reqs resps
+      (fun trace_id resp -> echo_trace ~trace_id ~span_id resp)
+      member_traces resps
 
 let handle_round t reqs =
   let rec take_guards acc = function

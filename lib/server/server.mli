@@ -90,7 +90,8 @@ val handle : t -> Protocol.json -> Protocol.json
     responses).  Exposed for unit tests; the loop uses it too.
 
     Trace propagation: a request may carry [trace_id] (an opaque
-    client-chosen correlation id) and [span_id] (the client's span);
+    client-chosen correlation id) and [span_id] (the client's span),
+    each cut to its first 128 bytes as the server reads it;
     both are attached to the per-request server span, the [trace_id] is
     stamped on every log line emitted while handling the request, and
     the response echoes the [trace_id] plus the server-assigned
@@ -101,7 +102,8 @@ val handle : t -> Protocol.json -> Protocol.json
 val handle_round : t -> Protocol.json list -> Protocol.json list
 (** Process one poll round's requests in order, applying maximal
     consecutive runs of [guard] requests as single batches.  Responses
-    are in request order. *)
+    are in request order.  A batch's span lists the trace ids of at most
+    its first 8 members. *)
 
 val request_stop : t -> unit
 (** Ask the serve loop to exit after the current round (signal-safe). *)

@@ -4,23 +4,20 @@ module XP = Xic_xpath.Ast
 module Symbol = Xic_symbol.Symbol
 module Obs = Xic_obs.Obs
 
-(* Candidate/probe accounting for the observability layer, gated on
-   [Obs.Metrics.detailed] because binding enumerations sit on the hot
-   path of every check.  Each enumeration contributes [1 + length] to
-   the candidate count (the production of the candidate sequence itself
-   is a candidate-set event, matching the step accounting of [XE.tick]),
-   and every index probe corresponds to exactly one enumeration event,
-   so [eval_index_probes <= eval_candidates] holds by construction —
-   the differential oracle asserts exactly that invariant. *)
+(* Candidate/probe accounting for the observability layer, always on.
+   Each enumeration contributes [1 + length] to the candidate count
+   (the production of the candidate sequence itself is a candidate-set
+   event, matching the step accounting of [XE.tick]), and every index
+   probe corresponds to exactly one enumeration event, so
+   [eval_index_probes <= eval_candidates] holds by construction — the
+   differential oracle asserts exactly that invariant.  [eval_steps] is
+   the traced [eval] span's own attribute, counted only when tracing. *)
 let c_probes = Obs.Metrics.counter "eval_index_probes"
 let c_candidates = Obs.Metrics.counter "eval_candidates"
 let c_eval_steps = Obs.Metrics.counter "eval_steps"
 
-let note_candidates l =
-  if !Obs.Metrics.detailed then
-    Obs.Metrics.add c_candidates (1 + List.length l)
-
-let note_probe () = if !Obs.Metrics.detailed then Obs.Metrics.incr c_probes
+let note_candidates l = Obs.Metrics.add c_candidates (1 + List.length l)
+let note_probe () = Obs.Metrics.incr c_probes
 
 type value = XE.value
 

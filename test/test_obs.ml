@@ -17,9 +17,7 @@ let with_tracing f =
   Fun.protect
     ~finally:(fun () ->
       Trace.set_enabled false;
-      Trace.reset ();
-      Trace.clear_slow_log ();
-      Trace.set_slow_threshold_ms None)
+      Trace.reset ())
     f
 
 (* ------------------------------------------------------------------ *)
@@ -167,17 +165,6 @@ let test_disabled_is_transparent () =
   Trace.add_attr "k" "v";
   checki "value passes through" 7 v;
   checki "nothing recorded" 0 (List.length (Trace.roots ()))
-
-let test_slow_log () =
-  with_tracing @@ fun () ->
-  Trace.set_slow_threshold_ms (Some 0.0);
-  Trace.with_span ~slow:true "crawl" (fun () -> ());
-  Trace.with_span "not-a-candidate" (fun () -> ());
-  (match Trace.slow_log () with
-   | [ sp ] -> checks "slow span logged" "crawl" sp.Trace.name
-   | l -> Alcotest.failf "expected one slow entry, got %d" (List.length l));
-  Trace.clear_slow_log ();
-  checki "cleared" 0 (List.length (Trace.slow_log ()))
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
@@ -380,7 +367,6 @@ let () =
             test_roots_bounded;
           Alcotest.test_case "disabled is transparent" `Quick
             test_disabled_is_transparent;
-          Alcotest.test_case "slow log" `Quick test_slow_log;
         ] );
       ( "export",
         [

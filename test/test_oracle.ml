@@ -3,7 +3,7 @@
    XUpdate sequences.  These evaluation routes must agree on every
    check — the indexed planner, the scan interpreter, the Datalog
    evaluation of the shredded relational mapping, the cached compiled
-   plans, the fully traced checker (spans + detailed metrics on), the
+   plans, the traced checker (tracing on), the
    fused single-pass loader that builds every repository here
    (parse+intern+shred in one sweep, compared relation by relation
    against a from-scratch shred of the loaded document), the
@@ -139,18 +139,16 @@ let check_agreement ~seed repo what =
   let datalog = sorted (Repository.check_full_datalog repo) in
   let compiled = sorted (Repository.check_full repo) in
   (* Sixth route (route numbers stay fixed across this file, CI and the
-     docs, so the fifth is a gap): full instrumentation on.  Spans and detailed metrics
-     must not change verdicts, and the observed counters must satisfy
-     their structural invariants: every index probe enumerates at least
-     one candidate event, and every plan-cache consultation is either a
-     hit or a compilation. *)
+     docs, so the fifth is a gap): tracing on.  Spans must not change
+     verdicts, and the always-on counters must satisfy their structural
+     invariants: every index probe enumerates at least one candidate
+     event, and every plan-cache consultation is either a hit or a
+     compilation. *)
   Obs.Trace.set_enabled true;
-  Obs.Metrics.set_detailed true;
   let traced =
     Fun.protect
       ~finally:(fun () ->
         Obs.Trace.set_enabled false;
-        Obs.Metrics.set_detailed false;
         Obs.Trace.reset ())
       (fun () -> sorted (Repository.check_full repo))
   in

@@ -976,6 +976,134 @@ let test_invented_ops_bounded () =
   checkb "no span name carries a client's op" true
     (List.for_all names_ok (Obs.Trace.roots ()))
 
+(* A client's ids are cut to 128 bytes where the server reads them.
+   Eight pings and a three-guard batch, each naming a 1 MB trace id and
+   a 1 MB span id, leave no longer id in an echo, a slow-ring entry, a
+   span attribute or a log line; a batch's span lists at most 8 member
+   trace ids. *)
+let test_client_ids_bounded () =
+  let logfile = tmp_path "ids.log" in
+  (match XLog.open_path logfile with
+   | Ok () -> ()
+   | Error m -> Alcotest.fail m);
+  XLog.set_level XLog.Debug;
+  XLog.set_format XLog.Json;
+  Fun.protect
+    ~finally:(fun () ->
+      XLog.close ();
+      XLog.set_level XLog.Info;
+      XLog.set_format XLog.Text;
+      try Sys.remove logfile with Sys_error _ -> ())
+  @@ fun () ->
+  with_tracing @@ fun () ->
+  let srv = Srv.create (make_repo ()) in
+  (* request [i] names the trace id of 1 MB of [mark i] *)
+  let mark i = Char.chr (Char.code 'a' + i) in
+  let ids i =
+    [ ("trace_id", P.String (String.make 1_000_000 (mark i)));
+      ("span_id", P.String (String.make 1_000_000 'z')) ]
+  in
+  let bounded what id =
+    checkb (what ^ " within 128 bytes") true (String.length id <= 128)
+  in
+  let pings =
+    List.init 8 (fun i -> Srv.handle srv (P.Obj (("op", P.String "ping") :: ids i)))
+  in
+  let guards =
+    Srv.handle_round srv
+      (List.mapi
+         (fun i title ->
+           P.Obj
+             (("op", P.String "guard")
+             :: ("update", P.String (XU.to_string (legal_insert ~title ())))
+             :: ids (8 + i)))
+         [ "B1"; "B2"; "B3" ])
+  in
+  List.iter
+    (fun r -> checkb "guard batched" true (P.bool_field "batched" r))
+    guards;
+  List.iteri
+    (fun i r ->
+      checkb "reply ok" true (P.bool_field "ok" r);
+      checks "echo is the id's first 128 bytes" (String.make 128 (mark i))
+        (Option.get (P.string_field "trace_id" r)))
+    (pings @ guards);
+  (match P.list_field "slow" (Srv.handle srv (P.Obj [ ("op", P.String "slow") ])) with
+   | Some entries ->
+     let traced = List.filter_map (P.string_field "trace_id") entries in
+     checkb "ring entries carry trace ids" true (traced <> []);
+     List.iter (bounded "ring trace id") traced
+   | None -> Alcotest.fail "slow response lacks entries");
+  let batch_spans = ref 0 in
+  let rec attrs_ok (sp : Obs.Trace.span) =
+    List.iter
+      (fun (k, v) ->
+        match k with
+        | "trace_id" | "parent_span_id" -> bounded ("span " ^ k) v
+        | "trace_ids" ->
+          incr batch_spans;
+          let members = String.split_on_char ',' v in
+          checkb "at most 8 member ids" true (List.length members <= 8);
+          List.iter (bounded "member trace id") members
+        | _ -> ())
+      sp.Obs.Trace.attrs;
+    List.iter attrs_ok sp.Obs.Trace.children
+  in
+  List.iter attrs_ok (Obs.Trace.roots ());
+  checki "one batch span" 1 !batch_spans;
+  XLog.close ();
+  let ic = open_in logfile in
+  let body = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let traces =
+    String.split_on_char '\n' body
+    |> List.filter (fun l -> l <> "")
+    |> List.filter_map (fun l -> P.string_field "trace" (P.of_string l))
+  in
+  checkb "log lines carry trace ids" true (traces <> []);
+  List.iter (bounded "log trace id") traces
+
+(* A server started with no observability flag fills its own check
+   metrics: after pattern-matched guards, its exposition counts one
+   optimized-check latency per pre-check run, and the evaluator's
+   candidate counter has moved. *)
+let test_production_check_metrics () =
+  checkb "tracing off" false (Obs.Trace.is_enabled ());
+  let srv = Srv.create (make_repo ()) in
+  let exposed name =
+    let body =
+      Option.get
+        (P.string_field "body" (Srv.handle srv (P.Obj [ ("op", P.String "metrics") ])))
+    in
+    let prefix = name ^ " " in
+    let n = String.length prefix in
+    List.find_map
+      (fun line ->
+        if String.starts_with ~prefix line then
+          int_of_string_opt (String.sub line n (String.length line - n))
+        else None)
+      (String.split_on_char '\n' body)
+    |> Option.value ~default:0
+  in
+  let checks0 = exposed "xic_checks_optimized"
+  and count0 = exposed "xic_check_optimized_seconds_count"
+  and cands0 = exposed "xic_eval_candidates" in
+  List.iter
+    (fun (title, author) ->
+      let r =
+        Srv.handle srv
+          (P.Obj
+             [ ("op", P.String "guard");
+               ("update", P.String (XU.to_string (legal_insert ~title ~author ()))) ])
+      in
+      checks "pre-checked" "optimized" (Option.get (P.string_field "strategy" r)))
+    [ ("P1", "Kim"); ("P2", "Uma") ];
+  let ran = exposed "xic_checks_optimized" - checks0 in
+  checkb "the guards ran pre-checks" true (ran > 0);
+  checki "check_optimized_ms counts every pre-check" ran
+    (exposed "xic_check_optimized_seconds_count" - count0);
+  checkb "eval_candidates > 0" true (exposed "xic_eval_candidates" - cands0 > 0)
+
 (* Oversized and malformed frame lengths are refused with the cap and
    the offending length spelled out, on both the read and write side. *)
 let test_frame_cap_errors () =
@@ -1193,6 +1321,10 @@ let () =
           Alcotest.test_case "slow ring" `Quick test_slow_ring;
           Alcotest.test_case "invented ops stay bounded" `Quick
             test_invented_ops_bounded;
+          Alcotest.test_case "client ids stay bounded" `Quick
+            test_client_ids_bounded;
+          Alcotest.test_case "production setting fills the check metrics" `Quick
+            test_production_check_metrics;
           Alcotest.test_case "frame cap errors" `Quick test_frame_cap_errors;
         ] );
       ( "serve loop",

@@ -260,14 +260,9 @@ let test_join_needs_two_bindings () =
 let probes_of_run q =
   let module M = Xic_obs.Obs.Metrics in
   let c = M.counter "eval_index_probes" in
-  let saved = !M.detailed in
-  M.set_detailed true;
-  Fun.protect
-    ~finally:(fun () -> M.set_detailed saved)
-    (fun () ->
-      let before = M.value c in
-      let v = Q.Eval.eval_bool doc ~index:(index ()) (Q.Parser.parse q) in
-      (v, M.value c - before))
+  let before = M.value c in
+  let v = Q.Eval.eval_bool doc ~index:(index ()) (Q.Parser.parse q) in
+  (v, M.value c - before)
 
 (* "bind $v @i: index probe …" and "for $v: index probe …" lines *)
 let probe_lines q =
