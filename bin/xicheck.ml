@@ -6,8 +6,8 @@
      validate   validate documents against their DTDs
      check      evaluate constraints against documents
      simplify   simplify constraints w.r.t. an update pattern
-     guard      run an XUpdate statement under integrity control
-     txn        run several statements as one journaled transaction
+     guard      run XUpdate statements under integrity control, as one
+                journaled transaction
      recover    replay a write-ahead journal after a crash
      checkpoint write a snapshot and fold the journal into it
      serve      run the resident check server
@@ -24,6 +24,8 @@ open Cmdliner
 open Xic_core
 module Obs = Xic_obs.Obs
 module XLog = Xic_obs.Log
+module Srv = Xic_server.Server
+module Proto = Xic_server.Protocol
 
 let read_file path =
   let ic = open_in_bin path in
@@ -57,13 +59,6 @@ let open_journal path =
   match Xic_journal.Journal.open_ path with
   | j -> j
   | exception Xic_journal.Journal.Journal_error m -> die "%s" m
-
-let print_degradations report =
-  List.iter
-    (fun (d : Repository.degradation) ->
-      Printf.printf "note: optimized check %s degraded (%s)\n"
-        d.Repository.failed_check d.Repository.reason)
-    report.Repository.degradations
 
 (* ------------------------------------------------------------------ *)
 (* Common arguments                                                    *)
@@ -423,21 +418,56 @@ let parse_update path =
   | u -> u
   | exception Xic_xupdate.Xupdate.Xupdate_error m -> die "%s: %s" path m
 
-let print_outcome = function
-  | Repository.Applied `Optimized ->
-    print_endline "applied (validated by the optimized pre-check)"
-  | Repository.Applied `Full_check ->
-    print_endline "applied (validated by the full check)"
-  | Repository.Rejected_early c ->
-    Printf.printf "rejected before execution: violates %s\n" c
-  | Repository.Rolled_back c -> Printf.printf "rolled back: violates %s\n" c
+let expect_ok resp =
+  if not (Proto.bool_field "ok" resp) then
+    die "server error: %s"
+      (Option.value ~default:(Proto.to_string resp)
+         (Proto.string_field "error" resp));
+  resp
+
+(* Print a guarded statement's reply (a server's, or a local report
+   rendered by [Srv.report_json]): its degradation notes, then [label]
+   and the outcome.  True when the statement stands. *)
+let print_response_outcome ?(label = "") resp =
+  let resp = expect_ok resp in
+  let constraint_of () =
+    Option.value ~default:"?" (Proto.string_field "constraint" resp)
+  in
+  (match Proto.list_field "degradations" resp with
+   | Some ds ->
+     List.iter
+       (fun d ->
+         Printf.printf "note: optimized check %s degraded (%s)\n"
+           (Option.value ~default:"?" (Proto.string_field "check" d))
+           (Option.value ~default:"?" (Proto.string_field "reason" d)))
+       ds
+   | None -> ());
+  print_string label;
+  match Proto.string_field "outcome" resp with
+  | Some "applied" ->
+    (match Proto.string_field "strategy" resp with
+     | Some "optimized" ->
+       print_endline "applied (validated by the optimized pre-check)"
+     | _ -> print_endline "applied (validated by the full check)");
+    true
+  | Some "rejected" ->
+    Printf.printf "rejected before execution: violates %s\n" (constraint_of ());
+    false
+  | Some "rolled_back" ->
+    Printf.printf "rolled back: violates %s\n" (constraint_of ());
+    false
+  | _ -> die "unexpected response: %s" (Proto.to_string resp)
 
 let guard_cmd =
-  let update_arg =
-    let doc = "XUpdate statement to execute under integrity control." in
-    Arg.(required & opt (some file) None & info [ "update" ] ~docv:"FILE" ~doc)
+  let updates_arg =
+    let doc =
+      "XUpdate statement to execute under integrity control.  Repeatable: \
+       the statements run in order as one journaled transaction, each \
+       guarded on its own, which commits when one of them stands."
+    in
+    Arg.(non_empty & opt_all file [] & info [ "update" ] ~docv:"FILE" ~doc)
   in
-  let run dtds docs snapshot constraints pattern no_validate update output
+  let run dtds docs snapshot constraints pattern no_validate updates output
       journal eval_budget trace metrics =
     obs_setup ~trace;
     let repo, _ =
@@ -445,91 +475,34 @@ let guard_cmd =
         ~constraints ~pattern ~journal
     in
     Repository.set_eval_budget repo eval_budget;
-    let u = parse_update update in
+    let us = List.map parse_update updates in
     let journal = Option.map open_journal journal in
-    let report =
-      match Repository.guarded_batch ?journal repo [ u ] with
-      | [ r ] -> r
-      | _ -> assert false
-    in
+    let reports = Repository.guarded_batch ?journal repo us in
     Option.iter Xic_journal.Journal.close journal;
-    print_degradations report;
-    print_outcome report.Repository.outcome;
+    let label i path =
+      match updates with
+      | [ _ ] -> ""
+      | _ -> Printf.sprintf "statement %d (%s): " (i + 1) path
+    in
+    let stand =
+      List.mapi
+        (fun i (path, r) ->
+          print_response_outcome ~label:(label i path) (Srv.report_json r))
+        (List.combine updates reports)
+    in
     obs_finish ~trace ~metrics;
-    (match report.Repository.outcome with
-     | Repository.Applied _ -> ()
-     | Repository.Rejected_early _ | Repository.Rolled_back _ -> exit 1);
+    if not (List.for_all Fun.id stand) then exit 1;
     Option.iter (write_roots repo) output
   in
   Cmd.v
     (Cmd.info "guard"
-       ~doc:"Execute an XUpdate statement under integrity control")
-    Term.(
-      const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
-      $ pattern_arg $ no_validate_arg $ update_arg $ output_arg
-      $ journal_arg $ eval_budget_arg $ trace_arg $ metrics_arg)
-
-(* ------------------------------------------------------------------ *)
-(* txn                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let txn_cmd =
-  let updates_arg =
-    let doc =
-      "XUpdate statement file; applied in order as one transaction.  \
-       Repeatable."
-    in
-    Arg.(non_empty & opt_all file [] & info [ "update" ] ~docv:"FILE" ~doc)
-  in
-  let abort_arg =
-    let doc = "Roll the transaction back at the end instead of committing." in
-    Arg.(value & flag & info [ "abort" ] ~doc)
-  in
-  let run dtds docs snapshot constraints pattern no_validate updates output
-      journal eval_budget abort trace metrics =
-    obs_setup ~trace;
-    let repo, _ =
-      bring_up ~writer:true ~no_validate dtds (source ~snapshot docs)
-        ~constraints ~pattern ~journal
-    in
-    Repository.set_eval_budget repo eval_budget;
-    let journal = Option.map open_journal journal in
-    let tx = Repository.begin_txn ?journal repo in
-    let refused = ref 0 in
-    List.iteri
-      (fun i path ->
-        let report = Repository.txn_apply tx (parse_update path) in
-        print_degradations report;
-        Printf.printf "statement %d (%s): " (i + 1) path;
-        print_outcome report.Repository.outcome;
-        match report.Repository.outcome with
-        | Repository.Applied _ -> ()
-        | Repository.Rejected_early _ | Repository.Rolled_back _ -> incr refused)
-      updates;
-    if abort then begin
-      Repository.rollback_txn tx;
-      print_endline "transaction rolled back"
-    end
-    else begin
-      Repository.commit_txn tx;
-      Printf.printf "transaction committed (%d statements)\n"
-        (Repository.txn_statements tx)
-    end;
-    Option.iter Xic_journal.Journal.close journal;
-    obs_finish ~trace ~metrics;
-    Option.iter (write_roots repo) output;
-    if !refused > 0 then exit 1
-  in
-  Cmd.v
-    (Cmd.info "txn"
        ~doc:
-         "Apply several XUpdate statements as one journaled transaction \
-          (each statement still guarded individually)")
+         "Execute XUpdate statements under integrity control, as one \
+          journaled transaction")
     Term.(
       const run $ dtd_arg $ docs_arg $ snapshot_arg $ constraints_arg
       $ pattern_arg $ no_validate_arg $ updates_arg $ output_arg
-      $ journal_arg $ eval_budget_arg $ abort_arg $ trace_arg
-      $ metrics_arg)
+      $ journal_arg $ eval_budget_arg $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* recover                                                             *)
@@ -657,9 +630,6 @@ let checkpoint_cmd =
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-module Srv = Xic_server.Server
-module Proto = Xic_server.Protocol
-
 let socket_arg =
   let doc = "Serve (or reach the server) on this Unix-domain socket path." in
   Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
@@ -780,13 +750,6 @@ let serve_cmd =
 (* client                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let expect_ok resp =
-  if not (Proto.bool_field "ok" resp) then
-    die "server error: %s"
-      (Option.value ~default:(Proto.to_string resp)
-         (Proto.string_field "error" resp));
-  resp
-
 let connect addr =
   match Proto.connect addr with
   | fd -> fd
@@ -798,44 +761,17 @@ let request fd j =
   | resp -> expect_ok resp
   | exception Proto.Protocol_error m -> die "%s" m
 
-(* Render a guard/statement response with the same wording as the local
-   [print_outcome], so server and one-shot CLI transcripts line up. *)
-let print_response_outcome resp =
-  let constraint_of () =
-    Option.value ~default:"?" (Proto.string_field "constraint" resp)
-  in
-  (match Proto.list_field "degradations" resp with
-   | Some ds ->
-     List.iter
-       (fun d ->
-         Printf.printf "note: optimized check %s degraded (%s)\n"
-           (Option.value ~default:"?" (Proto.string_field "check" d))
-           (Option.value ~default:"?" (Proto.string_field "reason" d)))
-       ds
-   | None -> ());
-  match Proto.string_field "outcome" resp with
-  | Some "applied" ->
-    (match Proto.string_field "strategy" resp with
-     | Some "optimized" ->
-       print_endline "applied (validated by the optimized pre-check)"
-     | _ -> print_endline "applied (validated by the full check)");
-    true
-  | Some "rejected" ->
-    Printf.printf "rejected before execution: violates %s\n" (constraint_of ());
-    false
-  | Some "rolled_back" ->
-    Printf.printf "rolled back: violates %s\n" (constraint_of ());
-    false
-  | _ -> die "unexpected response: %s" (Proto.to_string resp)
-
 let client_cmd =
   let op_arg =
-    let doc =
-      "Operation: ping, check, guard, batch, txn, begin, stmt, commit, \
-       abort, pin, unpin, history, checkpoint, stats, metrics, slow, \
-       shutdown."
+    let ops =
+      List.map
+        (fun o -> (o, o))
+        [ "ping"; "check"; "guard"; "txn"; "begin"; "stmt"; "commit"; "abort";
+          "pin"; "unpin"; "history"; "checkpoint"; "stats"; "metrics"; "slow";
+          "shutdown" ]
     in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"OP" ~doc)
+    let doc = "Operation: " ^ Arg.doc_alts_enum ops ^ "." in
+    Arg.(required & pos 0 (some (enum ops)) None & info [] ~docv:"OP" ~doc)
   in
   let trace_id_arg =
     let doc =
@@ -846,7 +782,7 @@ let client_cmd =
     Arg.(value & opt (some string) None & info [ "trace-id" ] ~docv:"ID" ~doc)
   in
   let updates_arg =
-    let doc = "XUpdate statement file (repeatable for batch/txn)." in
+    let doc = "XUpdate statement file (repeatable for guard/txn)." in
     Arg.(value & opt_all file [] & info [ "update" ] ~docv:"FILE" ~doc)
   in
   let pin_arg =
@@ -872,11 +808,7 @@ let client_cmd =
     let doc = "Snapshot path for 'checkpoint' (server default otherwise)." in
     Arg.(value & opt (some string) None & info [ "path" ] ~docv:"FILE" ~doc)
   in
-  let abort_arg =
-    let doc = "For 'txn': apply the statements, then roll the batch back." in
-    Arg.(value & flag & info [ "abort" ] ~doc)
-  in
-  let run op socket tcp updates pin as_of generation path abort trace_id =
+  let run op socket tcp updates pin as_of generation path trace_id =
     let addr = server_address socket tcp in
     let fd = connect addr in
     (* every frame this invocation sends carries the trace id *)
@@ -923,60 +855,55 @@ let client_cmd =
             vs;
           failed := true)
      | "guard" ->
-       let resp =
-         rq
-           (Proto.Obj
-              [ ("op", Proto.String "guard");
-                ("update", Proto.String (one_update ())) ])
-       in
-       if not (print_response_outcome resp) then failed := true
-     | "batch" ->
-       (* pipeline every guard before reading any response: frames that
-          land in one server poll round apply as a single batch *)
-       if updates = [] then die "batch requires at least one --update FILE";
-       let stmts = List.map read_file updates in
-       List.iter
-         (fun u ->
-           Proto.write_frame fd
-             (with_trace
-                (Proto.Obj
-                   [ ("op", Proto.String "guard"); ("update", Proto.String u) ])))
-         stmts;
+       if updates = [] then die "guard requires at least one --update FILE";
+       (* every frame goes out before any reply is read: frames that land
+          in one server poll round run as one batch *)
+       (try
+          List.iter
+            (fun path ->
+              Proto.write_frame fd
+                (with_trace
+                   (Proto.Obj
+                      [ ("op", Proto.String "guard");
+                        ("update", Proto.String (read_file path)) ])))
+            updates
+        with Proto.Protocol_error m -> die "%s" m);
        List.iteri
          (fun i _ ->
            let resp =
              match Proto.read_frame fd with
-             | Some r -> expect_ok r
+             | Some r -> r
              | None -> die "server closed the connection"
              | exception Proto.Protocol_error m -> die "%s" m
            in
-           Printf.printf "statement %d: " (i + 1);
-           if not (print_response_outcome resp) then failed := true)
-         stmts
+           let label =
+             match updates with
+             | [ _ ] -> ""
+             | _ -> Printf.sprintf "statement %d: " (i + 1)
+           in
+           if not (print_response_outcome ~label resp) then failed := true)
+         updates
      | "txn" ->
        if updates = [] then die "txn requires at least one --update FILE";
        let stmts = List.map read_file updates in
        let resp =
          rq
            (Proto.Obj
-              (( [ ("op", Proto.String "txn");
-                   ( "updates",
-                     Proto.List
-                       (List.map (fun u -> Proto.String u) stmts) ) ]
-               @ if abort then [ ("abort", Proto.Bool true) ] else [] )))
+              [ ("op", Proto.String "txn");
+                ( "updates",
+                  Proto.List (List.map (fun u -> Proto.String u) stmts) ) ])
        in
        let applied = ref 0 in
        (match Proto.list_field "results" resp with
         | Some rs ->
           List.iteri
             (fun i r ->
-              Printf.printf "statement %d: " (i + 1);
-              if print_response_outcome r then incr applied
+              let label = Printf.sprintf "statement %d: " (i + 1) in
+              if print_response_outcome ~label r then incr applied
               else failed := true)
             rs
         | None -> ());
-       if abort then print_endline "transaction rolled back"
-       else Printf.printf "transaction committed (%d statements)\n" !applied
+       Printf.printf "transaction committed (%d statements)\n" !applied
      | "begin" ->
        let resp = rq (Proto.Obj [ ("op", Proto.String "txn_begin") ]) in
        Printf.printf "transaction %d open\n"
@@ -1059,7 +986,7 @@ let client_cmd =
      | "shutdown" ->
        ignore (rq (Proto.Obj [ ("op", Proto.String "shutdown") ]));
        print_endline "server stopping"
-     | op -> die "unknown client operation %S" op);
+     | _ -> assert false (* [op_arg] admits only the operations above *));
     Unix.close fd;
     if !failed then exit 1
   in
@@ -1067,11 +994,10 @@ let client_cmd =
     (Cmd.info "client"
        ~doc:
          "Talk to a running 'xicheck serve' instance (checks, guarded \
-          updates, batches, streaming transactions, pins, checkpoints, \
-          stats, shutdown)")
+          updates, transactions, pins, checkpoints, stats, shutdown)")
     Term.(
       const run $ op_arg $ socket_arg $ tcp_arg $ updates_arg $ pin_arg
-      $ as_of_arg $ generation_arg $ path_arg $ abort_arg $ trace_id_arg)
+      $ as_of_arg $ generation_arg $ path_arg $ trace_id_arg)
 
 (* ------------------------------------------------------------------ *)
 (* top                                                                 *)
@@ -1242,5 +1168,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ schema_cmd; compile_cmd; validate_cmd; check_cmd; simplify_cmd;
-            guard_cmd; txn_cmd; recover_cmd; checkpoint_cmd;
+            guard_cmd; recover_cmd; checkpoint_cmd;
             serve_cmd; client_cmd; top_cmd; generate_cmd ]))

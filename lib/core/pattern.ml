@@ -291,59 +291,55 @@ let match_removal schema doc t target =
     | _ -> None
   end
 
-let match_modification schema doc t (m : XU.modification) =
-  if m.XU.op <> t.op then None
+let match_modification schema doc t (m : XU.modification) target =
+  if
+    m.XU.op <> t.op
+    || (not (Doc.is_element doc target))
+    || Doc.name doc target <> t.anchor_type
+  then None
+  else if t.op = XU.Remove then match_removal schema doc t target
   else begin
-    match Xic_xpath.Eval.eval doc m.XU.select with
-    | exception Xic_xpath.Eval.Eval_error _ -> None
-    | Xic_xpath.Eval.Nodes (target :: _) ->
-      if (not (Doc.is_element doc target)) || Doc.name doc target <> t.anchor_type then
-        None
-      else if t.op = XU.Remove then match_removal schema doc t target
+    let anchor =
+      match t.op with
+      | XU.Append -> Some target
+      | XU.Insert_after | XU.Insert_before ->
+        let p = Doc.parent doc target in
+        if p = Doc.no_node then None else Some p
+      | XU.Remove -> None
+    in
+    match anchor with
+    | None -> None
+    | Some anchor ->
+      if List.length m.XU.content <> List.length t.content then None
       else begin
-        let anchor =
-          match t.op with
-          | XU.Append -> Some target
-          | XU.Insert_after | XU.Insert_before ->
-            let p = Doc.parent doc target in
-            if p = Doc.no_node then None else Some p
-          | XU.Remove -> None
+        let binds =
+          List.fold_left2
+            (fun acc p c ->
+              match acc with None -> None | Some b -> match_content b p c)
+            (Some []) t.content m.XU.content
         in
-        match anchor with
+        match binds with
         | None -> None
-        | Some anchor ->
-          if List.length m.XU.content <> List.length t.content then None
-          else begin
-            let binds =
-              List.fold_left2
-                (fun acc p c ->
-                  match acc with None -> None | Some b -> match_content b p c)
-                (Some []) t.content m.XU.content
-            in
-            match binds with
-            | None -> None
-            | Some binds ->
-              let pos =
-                match t.op with
-                | XU.Insert_after -> Doc.position doc target + 1
-                | XU.Insert_before -> Doc.position doc target
-                | XU.Append ->
-                  List.length (Doc.element_children doc target) + 1
-                | XU.Remove -> 0
-              in
-              (* Position parameters p, p2, … count up from the insertion
-                 point. *)
-              let pos_params =
-                List.mapi
-                  (fun i c ->
-                    ignore c;
-                    ((if i = 0 then "p" else Printf.sprintf "p%d" (i + 1)), Vint (pos + i)))
-                  t.content
-              in
-              Some (((t.anchor_param, Vnode anchor) :: pos_params) @ List.rev binds)
-          end
+        | Some binds ->
+          let pos =
+            match t.op with
+            | XU.Insert_after -> Doc.position doc target + 1
+            | XU.Insert_before -> Doc.position doc target
+            | XU.Append ->
+              List.length (Doc.element_children doc target) + 1
+            | XU.Remove -> 0
+          in
+          (* Position parameters p, p2, … count up from the insertion
+             point. *)
+          let pos_params =
+            List.mapi
+              (fun i c ->
+                ignore c;
+                ((if i = 0 then "p" else Printf.sprintf "p%d" (i + 1)), Vint (pos + i)))
+              t.content
+          in
+          Some (((t.anchor_param, Vnode anchor) :: pos_params) @ List.rev binds)
       end
-    | _ -> None
   end
 
 let xquery_params (v : valuation) =

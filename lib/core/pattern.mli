@@ -75,9 +75,12 @@ and value =
   | Vint of int           (** position-valued *)
 
 val match_modification :
-  Schema.t -> Doc.t -> t -> Xic_xupdate.Xupdate.modification -> valuation option
-(** Try to recognize a concrete modification as an instance of the
-    pattern; on success the valuation binds the anchor parameter to the
+  Schema.t -> Doc.t -> t -> Xic_xupdate.Xupdate.modification -> Doc.node_id ->
+  valuation option
+(** [match_modification schema doc p m target] tries to recognize a
+    concrete modification as an instance of the pattern, given [target],
+    the first node [m]'s select names (the caller evaluates the select
+    once for every pattern it tries); on success the valuation binds the anchor parameter to the
     (future) parent node and every data parameter to its concrete text.
     For insertions, fresh node-id parameters are {e not} bound (they never
     survive into the simplified checks; the freshness hypotheses discharge

@@ -565,15 +565,20 @@ let delta_stats t =
     incr_skipped = v Incr.c_skipped;
     incr_view_rows = rows }
 
+(* The statement's select is evaluated once, with the indexes, for every
+   pattern of its op. *)
 let match_update t (u : XU.t) =
   match u with
-  | [ m ] ->
-    List.find_map
-      (fun r ->
-        match Pattern.match_modification t.schema t.doc r.pattern m with
-        | Some v -> Some (r.pattern, v)
-        | None -> None)
-      t.compiled
+  | [ m ] when List.exists (fun r -> r.pattern.Pattern.op = m.XU.op) t.compiled ->
+    (match Xic_xpath.Eval.eval t.doc ~index:(index t) m.XU.select with
+     | Xic_xpath.Eval.Nodes (target :: _) ->
+       List.find_map
+         (fun r ->
+           Option.map
+             (fun v -> (r.pattern, v))
+             (Pattern.match_modification t.schema t.doc r.pattern m target))
+         t.compiled
+     | _ | (exception Xic_xpath.Eval.Eval_error _) -> None)
   | _ -> None
 
 (* Each check evaluation gets its own budget, so one pathological check

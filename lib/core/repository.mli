@@ -246,7 +246,8 @@ val delta_stats : t -> delta_stats
 
 val match_update : t -> Xic_xupdate.Xupdate.t -> (Pattern.t * Pattern.valuation) option
 (** Recognize a single-modification update against the registered
-    patterns (first match wins). *)
+    patterns (first match wins).  The statement's select is evaluated
+    once, through {!index}, for every pattern of its op. *)
 
 (** An optimized check that could not be completed (evaluation error or
     exhausted step budget), or a constraint [Simp] could not simplify for

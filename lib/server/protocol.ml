@@ -12,8 +12,9 @@ exception Protocol_error of string
 
 (* Version of the request vocabulary, echoed by the server's [ping].
    2 added generation handles: pin {generation}, check {as_of}, and the
-   history op over the retained-generation table. *)
-let version = 2
+   history op over the retained-generation table; 3 refuses a txn
+   request carrying abort. *)
+let version = 3
 
 let err fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
 

@@ -26,7 +26,8 @@ exception Protocol_error of string
 val version : int
 (** Request-vocabulary version, echoed by the server's [ping] response
     ([protocol] field).  Version 2 added generation handles:
-    [pin {generation}], [check {as_of}], and the [history] op. *)
+    [pin {generation}], [check {as_of}], and the [history] op.  Version 3
+    refuses a [txn] request carrying [abort]. *)
 
 val to_string : json -> string
 val of_string : string -> json

@@ -227,43 +227,86 @@ let route_of_outcome = function
   | R.Rejected_early _ -> "rejected"
   | R.Rolled_back _ -> "rolled_back"
 
-let do_guard t req =
-  require_no_txn t "guard";
-  let u = parse_update (require_update req) in
-  let r =
-    match R.guarded_batch ?journal:t.config.journal t.srepo [ u ] with
-    | [ r ] -> r
-    | _ -> assert false
-  in
-  Obs.Trace.add_attr "route" (route_of_outcome r.R.outcome);
-  report_json r ~extra:[ ("generation", P.Int (R.generation t.srepo)) ]
+(* The failures a request may meet that become its error reply instead
+   of leaving the serve loop; shared by single and batched dispatch. *)
+let error_reply = function
+  | R.Repository_error m -> Some (error m)
+  | XU.Xupdate_error m -> Some (error ("xupdate: " ^ m))
+  | P.Protocol_error m -> Some (error m)
+  | J.Journal_error m -> Some (error ("journal: " ^ m))
+  | Xic_datalog.Eval.Unsafe m -> Some (error ("unsafe denial: " ^ m))
+  | _ -> None
 
+(* Every guarded write takes this path: a [guard] request (one
+   statement), a [txn] request and a batched guard run
+   ({!handle_guard_run}).  Each statement is parsed; one that is missing
+   or does not parse is answered with its error and takes no part.  The
+   rest run as one {!R.guarded_batch}: one journaled transaction, which
+   commits when a statement stands and aborts otherwise.  A failure of
+   the batch is the error reply of every statement that parsed, mapped
+   as {!handle} maps it. *)
+let guard_statements t ~what ustrs =
+  require_no_txn t what;
+  let reply_of e = match error_reply e with Some r -> r | None -> raise e in
+  let parsed =
+    List.map
+      (function
+        | None -> Error (error "missing \"update\" field")
+        | Some u -> (try Ok (parse_update u) with e -> Error (reply_of e)))
+      ustrs
+  in
+  let us = List.filter_map Result.to_option parsed in
+  match R.guarded_batch ?journal:t.config.journal t.srepo us with
+  | exception e ->
+    let r = reply_of e in
+    List.map (function Ok _ -> Error r | Error _ as failed -> failed) parsed
+  | reports ->
+    snd
+      (List.fold_left_map
+         (fun reports -> function
+           | Error _ as failed -> (reports, failed)
+           | Ok _ -> (List.tl reports, Ok (List.hd reports)))
+         reports parsed)
+
+let statement_reply ~extra = function
+  | Ok r -> report_json ~extra r
+  | Error reply -> reply
+
+let do_guard t req =
+  match guard_statements t ~what:"guard" [ P.string_field "update" req ] with
+  | [ stmt ] ->
+    Result.iter (fun r -> Obs.Trace.add_attr "route" (route_of_outcome r.R.outcome)) stmt;
+    statement_reply ~extra:[ ("generation", P.Int (R.generation t.srepo)) ] stmt
+  | _ -> assert false
+
+(* A [txn] request carrying [abort] is refused, not run: running it
+   would commit what its client meant to withdraw.  Statements are rolled
+   back through [txn_begin] / [txn_stmt] / [txn_abort]. *)
 let do_txn t req =
-  require_no_txn t "txn";
-  let updates =
-    match P.list_field "updates" req with
-    | Some l ->
-      List.map
-        (function
-          | P.String u -> parse_update u
-          | _ -> raise (P.Protocol_error "\"updates\" must be strings"))
-        l
-    | None -> raise (P.Protocol_error "missing \"updates\" field")
-  in
-  let reports =
-    if P.bool_field "abort" req then begin
-      (* apply-then-abort, for exercising the rollback path end to end *)
-      let tx = R.begin_txn ?journal:t.config.journal t.srepo in
-      let rs = List.map (R.txn_apply tx) updates in
-      R.rollback_txn tx;
-      rs
-    end
-    else R.guarded_batch ?journal:t.config.journal t.srepo updates
-  in
-  ok
-    [ ("results", P.List (List.map (fun r -> report_json r) reports));
-      ("committed", P.Bool (not (P.bool_field "abort" req)));
-      ("generation", P.Int (R.generation t.srepo)) ]
+  if P.member "abort" req <> None then
+    error
+      "txn: \"abort\" is not supported; to roll statements back, use \
+       txn_begin, txn_stmt and txn_abort"
+  else
+    let updates =
+      match P.list_field "updates" req with
+      | Some l ->
+        List.map
+          (function
+            | P.String u -> Some u
+            | _ -> raise (P.Protocol_error "\"updates\" must be strings"))
+          l
+      | None -> raise (P.Protocol_error "missing \"updates\" field")
+    in
+    let stmts = guard_statements t ~what:"txn" updates in
+    ok
+      [ ("results", P.List (List.map (statement_reply ~extra:[]) stmts));
+        ( "committed",
+          P.Bool
+            (List.exists
+               (function Ok { R.outcome = R.Applied _; _ } -> true | _ -> false)
+               stmts) );
+        ("generation", P.Int (R.generation t.srepo)) ]
 
 let do_txn_begin t =
   match t.open_txn with
@@ -526,16 +569,6 @@ let echo_trace ~trace_id ~span_id = function
       @ [ ("span_id", P.String span_id) ])
   | other -> other
 
-(* The failures a request may meet that become its error reply instead
-   of leaving the serve loop; shared by single and batched dispatch. *)
-let error_reply = function
-  | R.Repository_error m -> Some (error m)
-  | XU.Xupdate_error m -> Some (error ("xupdate: " ^ m))
-  | P.Protocol_error m -> Some (error m)
-  | J.Journal_error m -> Some (error ("journal: " ^ m))
-  | Xic_datalog.Eval.Unsafe m -> Some (error ("unsafe denial: " ^ m))
-  | _ -> None
-
 (* The envelope every request shares, alone or as a batched guard run:
    the log's trace id, a [serve:<op>] span (its attributes [op],
    [span_id], then [attrs ()]) when tracing, the [serve_<op>_ms]
@@ -616,11 +649,9 @@ let handle t req =
 
 let is_guard req = P.string_field "op" req = Some "guard"
 
-(* A run of >= 2 guard requests becomes one guarded_batch: a single
-   journaled transaction (one commit fsync) with per-statement verdicts
-   identical to serial dispatch.  Requests that fail to parse get error
-   responses and drop out of the batch; a failure of the batch itself
-   is every other member's error reply, mapped as {!handle} maps it. *)
+(* A run of >= 2 guard requests becomes one {!guard_statements} call: a
+   single journaled transaction (one commit fsync) with per-statement
+   verdicts identical to serial dispatch. *)
 let handle_guard_run t reqs =
   match reqs with
   | [ req ] -> [ handle t req ]
@@ -643,39 +674,13 @@ let handle_guard_run t reqs =
                   (List.filteri (fun i _ -> i < max_batch_trace_ids) ids) ) ])
     in
     let run () =
-      let parsed =
-        List.map
-          (fun req ->
-            match P.string_field "update" req with
-            | None -> Error (error "missing \"update\" field")
-            | Some ustr ->
-              (match parse_update ustr with
-               | u -> Ok u
-               | exception e ->
-                 (match error_reply e with Some r -> Error r | None -> raise e)))
-          reqs
+      let stmts =
+        guard_statements t ~what:"guard" (List.map (P.string_field "update") reqs)
       in
-      let us =
-        List.filter_map (function Ok u -> Some u | Error _ -> None) parsed
+      let extra =
+        [ ("generation", P.Int (R.generation t.srepo)); ("batched", P.Bool true) ]
       in
-      match R.guarded_batch ?journal:t.config.journal t.srepo us with
-      | exception e ->
-        (match error_reply e with
-         | Some r ->
-           List.map (function Error resp -> resp | Ok _ -> r) parsed
-         | None -> raise e)
-      | reports ->
-        let gen = R.generation t.srepo in
-        let extra = [ ("generation", P.Int gen); ("batched", P.Bool true) ] in
-        let rec merge parsed reports acc =
-          match (parsed, reports) with
-          | [], [] -> List.rev acc
-          | Error resp :: rest, reports -> merge rest reports (resp :: acc)
-          | Ok _ :: rest, r :: reports ->
-            merge rest reports (report_json ~extra r :: acc)
-          | Ok _ :: _, [] | [], _ :: _ -> assert false
-        in
-        merge parsed reports []
+      List.map (statement_reply ~extra) stmts
     in
     let resps =
       envelope t ~op:guard_batch ~span_id

@@ -44,7 +44,16 @@
        commit fsync, say) is an error reply to each member; a statement
        matching no pattern is executed, checked and compensated (any
        ["fallback"] field is ignored);}
-    {- [txn]: an atomic batch of statements in one request;}
+    {- [txn]: statements in one request ([{"updates":[stmt,…]}]), run
+       as one {!Xic_core.Repository.guarded_batch} (one journaled
+       transaction, committed when a statement stands), with one entry of
+       [results] per statement; a statement that does not parse is
+       answered there with its error and takes no part, and [committed]
+       says whether a statement stands.  A [txn] request carrying an [abort]
+       field is refused: a transaction is rolled back with [txn_begin] /
+       [txn_stmt] / [txn_abort].  [guard], [txn] and a batched guard run
+       share one path, and each refuses while a streaming transaction is
+       open;}
     {- [txn_begin] / [txn_stmt] / [txn_commit] / [txn_abort]: a
        streaming transaction across requests (one writer at a time);}
     {- [checkpoint]: snapshot + journal truncation
@@ -98,6 +107,15 @@ val handle : t -> Protocol.json -> Protocol.json
     [span_id].  A request span is a root of {!Xic_obs.Obs.Trace.roots}
     (with the spans of the document load before it), the serve
     session's trace. *)
+
+val report_json :
+  ?extra:(string * Protocol.json) list ->
+  Xic_core.Repository.report ->
+  Protocol.json
+(** A guarded statement's reply: [outcome] ([applied], [rejected] or
+    [rolled_back]), [strategy] or [constraint], any [degradations], then
+    [extra].  The CLI prints its local guards from this document too, so
+    local and server transcripts agree. *)
 
 val handle_round : t -> Protocol.json list -> Protocol.json list
 (** Process one poll round's requests in order, applying maximal

@@ -63,5 +63,6 @@ val materialize : Doc.t -> content -> Doc.node_id
 (** Build a detached subtree for a content template inside the arena. *)
 
 val content_of_node : Doc.t -> Doc.node_id -> content
-(** Read back a subtree as a content template (used by pattern
-    matching). *)
+(** Read back a subtree as a content template: how {!parse_string} reads
+    a directive's content, [xupdate:element], [xupdate:attribute] and
+    [xupdate:text] included. *)

@@ -174,6 +174,15 @@ let test_pattern_atoms () =
   Alcotest.(check (list string)) "fresh ids" [ "i_sub"; "i_auts" ] p.Pattern.fresh;
   Alcotest.(check (list string)) "data params" [ "t"; "n" ] p.Pattern.data_params
 
+(* A pattern against a statement's modification, its select evaluated
+   as {!Repository.match_update} evaluates it. *)
+let match_modification repo p (m : XU.modification) =
+  let doc = Repository.doc repo in
+  match Xic_xpath.Eval.eval doc m.XU.select with
+  | Xic_xpath.Eval.Nodes (target :: _) ->
+    Pattern.match_modification (Lazy.force schema) doc p m target
+  | _ -> None
+
 let test_pattern_match () =
   let repo = make_repo ~constraints:false () in
   let p = Conf.submission_pattern (Lazy.force schema) in
@@ -181,7 +190,7 @@ let test_pattern_match () =
     Conf.insert_submission ~select:"/review/track[1]/rev[1]/sub[1]" ~title:"New"
       ~author:"Zoe"
   in
-  match Pattern.match_modification (Lazy.force schema) (Repository.doc repo) p (List.hd u) with
+  match match_modification repo p (List.hd u) with
   | Some valuation ->
     let find k = List.assoc k valuation in
     (match find "n" with
@@ -213,7 +222,7 @@ let test_pattern_no_match_wrong_shape () =
       } ]
   in
   checkb "no match" true
-    (Pattern.match_modification (Lazy.force schema) (Repository.doc repo) p (List.hd u) = None)
+    (match_modification repo p (List.hd u) = None)
 
 let test_pattern_no_match_wrong_anchor () =
   let repo = make_repo ~constraints:false () in
@@ -223,7 +232,39 @@ let test_pattern_no_match_wrong_anchor () =
         XU.select = Xic_xpath.Parser.parse "//rev[1]" } ]
   in
   checkb "anchor type mismatch" true
-    (Pattern.match_modification (Lazy.force schema) (Repository.doc repo) p (List.hd u) = None)
+    (match_modification repo p (List.hd u) = None)
+
+(* [match_update] evaluates a statement's select once, through the
+   repository's indexes, however many patterns share its op: a value
+   predicate the prober answers counts one index hit. *)
+let test_match_update_one_select () =
+  let repo = make_repo ~constraints:false () in
+  let s = Lazy.force schema in
+  let elem tag children = XU.Elem (tag, [], children) in
+  let auts n = elem "auts" [ elem "name" [ XU.Text n ] ] in
+  (* tried first, and does not match: a submission with two authors *)
+  Repository.register_pattern repo
+    (Pattern.make s ~name:"two_authors" ~op:XU.Insert_after ~anchor_type:"sub"
+       ~content:[ elem "sub" [ elem "title" [ XU.Text "%t" ]; auts "%a"; auts "%b" ] ]);
+  Repository.register_pattern repo (Conf.submission_pattern s);
+  ignore (Repository.store repo);
+  let u =
+    Conf.insert_submission ~select:{|//sub[title/text()="S2"]|} ~title:"New"
+      ~author:"Zoe"
+  in
+  let hits () = List.assoc "index_hits" (fst (Xic_obs.Obs.Metrics.snapshot ())) in
+  let before = hits () in
+  (match Repository.match_update repo u with
+   | Some (p, valuation) ->
+     checks "the second pattern matches" "insert_submission" p.Pattern.name;
+     (match List.assoc "anchor" valuation with
+      | Pattern.Vnode n ->
+        checks "anchored at Rita's rev" "Rita"
+          (Xic_xml.Doc.text_content (Repository.doc repo)
+             (List.hd (Xic_xml.Doc.element_children (Repository.doc repo) n)))
+      | _ -> Alcotest.fail "anchor must be a node")
+   | None -> Alcotest.fail "the statement must match");
+  checki "one index hit for both patterns" 1 (hits () - before)
 
 let test_pattern_deletion_non_leaf_rejected () =
   (* sub has predicate children (auts): not a relational leaf *)
@@ -1064,6 +1105,8 @@ let () =
           Alcotest.test_case "matching" `Quick test_pattern_match;
           Alcotest.test_case "shape mismatch" `Quick test_pattern_no_match_wrong_shape;
           Alcotest.test_case "anchor mismatch" `Quick test_pattern_no_match_wrong_anchor;
+          Alcotest.test_case "one select for every pattern" `Quick
+            test_match_update_one_select;
           Alcotest.test_case "non-leaf deletion rejected" `Quick
             test_pattern_deletion_non_leaf_rejected;
           Alcotest.test_case "leaf deletion pattern" `Quick test_pattern_deletion_leaf;

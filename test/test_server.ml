@@ -640,12 +640,69 @@ let test_failed_close_record_undone () =
       (try J.close j with J.Journal_error _ -> ());
       Sys.remove jpath)
     [ ("guard", [ op "guard" [ ("update", update (legal_insert ())) ] ]);
-      ( "txn with abort",
-        [ op "txn" [ ("updates", P.List [ update (legal_insert ()) ]); ("abort", P.Bool true) ] ] );
+      ( "streaming txn abort",
+        [ op "txn_begin" [];
+          op "txn_stmt" [ ("update", update (legal_insert ())) ];
+          op "txn_abort" [] ] );
       ( "streaming txn",
         [ op "txn_begin" [];
           op "txn_stmt" [ ("update", update (legal_insert ())) ];
           op "txn_commit" [] ] ) ]
+
+(* While a streaming transaction is open, every other guarded write is
+   refused: a lone guard, and each guard of a round's run, gets the
+   same error, and the store and the generation stay as they were. *)
+let test_guards_refused_under_open_txn () =
+  let repo = make_repo () in
+  let srv = Srv.create repo in
+  let op name fields = P.Obj (("op", P.String name) :: fields) in
+  let guard u = op "guard" [ ("update", P.String (XU.to_string u)) ] in
+  checkb "txn_begin" true (P.bool_field "ok" (Srv.handle srv (op "txn_begin" [])));
+  let facts = Xic_datalog.Store.total_tuples (Repository.store repo) in
+  let generation = Repository.generation repo in
+  let refused r =
+    checkb "refused" false (P.bool_field "ok" r);
+    checks "the error names the open transaction"
+      "guard: a streaming transaction is open"
+      (Option.value ~default:"" (P.string_field "error" r))
+  in
+  refused (Srv.handle srv (guard (legal_insert ())));
+  let resps =
+    Srv.handle_round srv
+      [ guard (legal_insert ~title:"A" ());
+        guard (illegal_insert ());
+        guard (legal_insert ~title:"B" ~author:"Kim" ()) ]
+  in
+  checki "one reply per guard" 3 (List.length resps);
+  List.iter refused resps;
+  checki "store unchanged" facts
+    (Xic_datalog.Store.total_tuples (Repository.store repo));
+  checki "generation unchanged" generation (Repository.generation repo)
+
+(* [txn] has no [abort] any more: a request carrying it is refused
+   before any statement runs, so nothing reaches the journal, where
+   running it would commit what its client meant to withdraw. *)
+let test_txn_abort_refused () =
+  let jpath = tmp_path "txn_abort.j" in
+  let j = J.open_ jpath in
+  let repo = make_repo () in
+  let srv = Srv.create ~config:{ Srv.default_config with journal = Some j } repo in
+  let generation = Repository.generation repo in
+  let r =
+    Srv.handle srv
+      (P.Obj
+         [ ("op", P.String "txn");
+           ("updates", P.List [ P.String (XU.to_string (legal_insert ())) ]);
+           ("abort", P.Bool true) ])
+  in
+  checkb "refused" false (P.bool_field "ok" r);
+  let m = Option.value ~default:"" (P.string_field "error" r) in
+  checkb "the error names txn_begin and txn_abort" true
+    (contains m "txn_begin" && contains m "txn_abort");
+  checki "generation unchanged" generation (Repository.generation repo);
+  J.close j;
+  checki "no journal record" 0 (List.length (J.read jpath).J.entries);
+  Sys.remove jpath
 
 (* ------------------------------------------------------------------ *)
 (* Graceful shutdown                                                   *)
@@ -1302,6 +1359,9 @@ let () =
             test_batched_journal_error;
           Alcotest.test_case "failed closing record is undone" `Quick
             test_failed_close_record_undone;
+          Alcotest.test_case "guards refused under an open txn" `Quick
+            test_guards_refused_under_open_txn;
+          Alcotest.test_case "txn abort refused" `Quick test_txn_abort_refused;
         ] );
       ( "shutdown",
         [
